@@ -1,9 +1,12 @@
 """Command-line interface: JSON in, JSON (or SVG) out.
 
 Exit codes: 0 certified-true / success, 1 certified-false, 2 uncertified,
-3 input error.  Output is deterministic byte for byte for a fixed input and
-seed; `--oracle` re-derives results along brute-force paths and asserts
-agreement without changing the output.
+3 input error, 4 internal fault (a failed self-check or oracle check, or any
+other unexpected exception; nothing is written to stdout).  Errors of codes 3
+and 4 are reported as one JSON object on stderr.  Output is deterministic
+byte for byte for a fixed input and seed; `--oracle` re-derives results along
+brute-force paths and checks agreement without changing the output; its
+checks raise explicitly, so they also run under `python -O`.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_UNCERTIFIED = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def _verdict_exit(status: str) -> int:
@@ -57,7 +61,13 @@ def _need(obj, key):
 
 
 # ---------------------------------------------------------------------------
-# oracle cross-checks (assert-only; never alter output)
+# oracle cross-checks (raise on disagreement; never alter output)
+
+
+def _require(ok: bool, what: str) -> None:
+    """An oracle check that `python -O` keeps: failure is an internal fault."""
+    if not ok:
+        raise AssertionError(f"internal: oracle: {what}")
 
 
 def _oracle_newton(coeffs, p, got):
@@ -75,7 +85,7 @@ def _oracle_newton(coeffs, p, got):
         walk.append((-best[0], pts[best[1]][0] - x0))
         cur = best[1]
     walk.sort(key=lambda t: t[0])
-    assert walk == got, "oracle: envelope walk disagrees with hull slopes"
+    _require(walk == got, "envelope walk disagrees with hull slopes")
 
 
 def _oracle_verdict(m, verdict, seed, kind):
@@ -83,20 +93,20 @@ def _oracle_verdict(m, verdict, seed, kind):
 
     subs, _ = hn.enumerate_subobjects(m, seed)
     for basis in subs:
-        assert restriction_matrix(m.module.phi, basis) is not None, "oracle: unstable subspace"
+        _require(restriction_matrix(m.module.phi, basis) is not None, "unstable subspace")
         for v in basis:
-            assert span_contains(basis, m.module.nilpotent.apply(v)), "oracle: not N-stable"
+            _require(span_contains(basis, m.module.nilpotent.apply(v)), "not N-stable")
     if verdict.status == hn.STATUS_FALSE and verdict.witness:
         _, _, _, d = hn.sub_invariants(m, verdict.witness)
         if kind == "wa":
-            assert hn.degree(m) != 0 or d > 0, "oracle: witness does not violate"
+            _require(hn.degree(m) != 0 or d > 0, "witness does not violate")
         else:
-            assert d > hn.degree(m), "oracle: witness does not violate"
+            _require(d > hn.degree(m), "witness does not violate")
 
 
 def _oracle_cohdim(s, dims):
-    assert dims.h0.dim - dims.h1.dim == s.degree(), "oracle: Euler degree mismatch"
-    assert dims.h0.ht + dims.h1.ht == s.rank(), "oracle: Euler rank mismatch"
+    _require(dims.h0.dim - dims.h1.dim == s.degree(), "Euler degree mismatch")
+    _require(dims.h0.ht + dims.h1.ht == s.rank(), "Euler rank mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +135,8 @@ def _cmd_hodge(obj, seed, oracle):
     if "shift" in obj:
         out["shifted"] = shift(h, obj["shift"]).to_obj()
     if oracle:
-        assert t_h(dual_hodge(h)) == -t_h(h), "oracle: dual weight sum"
-        assert dual_hodge(dual_hodge(h)).weights == h.weights, "oracle: double dual"
+        _require(t_h(dual_hodge(h)) == -t_h(h), "dual weight sum")
+        _require(dual_hodge(dual_hodge(h)).weights == h.weights, "double dual")
     return out, EXIT_TRUE
 
 
@@ -177,7 +187,7 @@ def _cmd_tensor(obj, seed, oracle):
     if oracle:
         lhs = isocrystal.t_n(out)
         rhs = b.rank * isocrystal.t_n(a) + a.rank * isocrystal.t_n(b)
-        assert lhs == rhs, "oracle: tensor degree additivity"
+        _require(lhs == rhs, "tensor degree additivity")
     return out.to_obj(), EXIT_TRUE
 
 
@@ -199,7 +209,7 @@ def _cmd_canfil(obj, seed, oracle):
     gt0, eq0, lt0 = bc.canonical_filtration(w)
     if oracle:
         total = gt0.direct_sum(eq0).direct_sum(lt0)
-        assert bc.dimension(total) == bc.dimension(w), "oracle: filtration loses pieces"
+        _require(bc.dimension(total) == bc.dimension(w), "filtration loses pieces")
     return {"gt0": gt0.to_obj(), "eq0": eq0.to_obj(), "lt0": lt0.to_obj()}, EXIT_TRUE
 
 
@@ -208,7 +218,7 @@ def _cmd_ext(obj, seed, oracle):
     if oracle and triple.unit is not None:
         scale = obj.get("k_degree", 1) if triple.unit == "K" else 1
         chi = scale * (triple.ext0 - triple.ext1 + triple.ext2)
-        assert chi == triple.euler_qp, "oracle: Euler characteristic mismatch"
+        _require(chi == triple.euler_qp, "Euler characteristic mismatch")
     return triple.to_obj(), EXIT_TRUE
 
 
@@ -222,7 +232,7 @@ def _cmd_battery(obj, seed, oracle):
     else:
         code = EXIT_FALSE
     if oracle and report.certified:
-        assert report.consistent, "oracle: certified verdicts disagree"
+        _require(report.consistent, "certified verdicts disagree")
     return report.to_obj(), code
 
 
@@ -235,7 +245,7 @@ def _cmd_dichotomy(obj, seed, oracle):
     else:
         code = EXIT_TRUE if res.branch == "surjective" else EXIT_FALSE
     if oracle:
-        assert (res.branch == "surjective") == (res.deficit == 0), "oracle: branch exclusivity"
+        _require((res.branch == "surjective") == (res.deficit == 0), "branch exclusivity")
     return res.to_obj(), code
 
 
@@ -335,9 +345,9 @@ HANDLERS = {
 }
 
 
-def _emit_error(payload: dict) -> int:
+def _emit_error(payload: dict, code: int = EXIT_INPUT) -> int:
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
-    return EXIT_INPUT
+    return code
 
 
 def run(argv=None) -> int:
@@ -384,6 +394,14 @@ def run(argv=None) -> int:
         result, code = HANDLERS[args.command](obj, args.seed, args.oracle)
     except InputError as exc:
         return _emit_error({"error": str(exc)})
+    except Exception as exc:  # an internal fault must not pass as certified-false
+        import traceback
+
+        message = str(exc)
+        if not message.startswith("internal:"):
+            message = f"internal: {type(exc).__name__}: {message}"
+        trace = "".join(traceback.format_exception(exc))
+        return _emit_error({"error": message, "traceback": trace}, EXIT_INTERNAL)
     sys.stdout.write(json.dumps(result, sort_keys=True) + "\n")
     return code
 

@@ -23,6 +23,18 @@ in every dimension, which is all the deciders consume, so verdicts built on
 it still certify.  Everything else falls back to a seeded, reproducible
 sample and verdicts are downgraded to "uncertified" - except that a genuinely
 verified violating subobject always certifies a negative answer.
+
+The deciders score lattice elements by pivots and ranks.  Every element, and
+every Fil^j of a flag, is a canonical reduced-row-echelon row tuple, so the
+coordinates of a vector of W are its entries at W's pivot columns, and it
+lies in W exactly when subtracting those multiples of W's rows leaves zero.
+t_N(W) is the valuation of the determinant of the restriction of phi read
+off that way, and t_H(W) = lo*k + sum over lo < j < hi of dim(Fil^j & W),
+where dim(Fil^j & W) is k minus the rank of W's rows reduced modulo Fil^j.
+No coordinates are solved for and no induced filtration is built.  Every
+witness and HN step the deciders pick this way is scored again from the
+definition by `sub_invariants` (restriction matrix, induced filtration), and
+a disagreement raises an internal error.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bc import Dimension
-from .filtration import HodgeData, induced_on_subspace, t_h
+from .filtration import HodgeData, _flag_from_chain, induced_on_subspace, t_h
 from .isocrystal import PhiModule, dm_blocks, is_dm_normal, newton_slopes, t_n
 from .rational import (
     InputError,
@@ -44,7 +56,6 @@ from .rational import (
     rat_str,
     restriction_matrix,
     rref_rows,
-    span_contains,
     span_intersect,
     span_leq,
     span_sum,
@@ -200,11 +211,39 @@ def _canonical_order(bases):
     return tuple(sorted(set(bases), key=lambda b: (len(b), b)))
 
 
-def _eigenline_subobjects(m: PhiModule) -> Optional[tuple]:
-    """Certified enumeration when eigenvalues are rational with distinct valuations."""
+def _support(vectors, owner) -> int:
+    """Bitmask of the parts owner[j] in which some vector has a nonzero coordinate j."""
+    mask = 0
+    for v in vectors:
+        for j, x in enumerate(v):
+            if x:
+                mask |= 1 << owner[j]
+    return mask
+
+
+def _n_closed_sums(parts, supports, ncols) -> tuple:
+    """Canonical spans of the N-closed unions of `parts`.
+
+    parts[i] is a list of rows and supports[i] the bitmask of the parts that
+    N maps span(parts[i]) into.  A union is N-closed iff it holds the support
+    of each of its parts; only those unions are row-reduced.
+    """
+    out = []
+    for mask in range(1 << len(parts)):
+        picked = [i for i in range(len(parts)) if mask >> i & 1]
+        if all((supports[i] & ~mask) == 0 for i in picked):
+            out.append(rref_rows([row for i in picked for row in parts[i]], ncols))
+    return _canonical_order(out)
+
+
+def _eigenline_subobjects(m: PhiModule, roots, leftover: int) -> Optional[tuple]:
+    """Certified enumeration when eigenvalues are rational with distinct valuations.
+
+    `roots, leftover` are `_rational_roots` of the characteristic polynomial.
+    The support of N on an eigenline is read off in eigen-coordinates.
+    """
     if m.rank == 0:
         return ((),)
-    roots, leftover = _rational_roots(charpoly(m.phi))
     if leftover != 0 or any(mult != 1 for _, mult in roots):
         return None
     vals = [valuation(r, m.p) for r, _ in roots]
@@ -217,48 +256,24 @@ def _eigenline_subobjects(m: PhiModule) -> Optional[tuple]:
         if len(ker) != 1:
             return None
         lines.append(ker[0])
-    n = len(lines)
-    out = []
-    for picks in itertools.product((0, 1), repeat=n):
-        chosen = [lines[i] for i in range(n) if picks[i]]
-        span = rref_rows(chosen, m.rank)
-        if all(
-            span_contains(span, m.nilpotent.apply(v)) for v in chosen
-        ):
-            out.append(span)
-    return _canonical_order(out)
+    to_eigen = RatMatrix(lines).inverse().transpose()
+    owner = range(len(lines))
+    supports = [_support([to_eigen.apply(m.nilpotent.apply(v))], owner) for v in lines]
+    return _n_closed_sums([[v] for v in lines], supports, m.rank)
 
 
-def _block_subobjects(m: PhiModule) -> Optional[tuple]:
+def _block_subobjects(m: PhiModule, slopes) -> Optional[tuple]:
     """Certified enumeration for multiplicity-free slope normal forms."""
-    if not is_dm_normal(m):
+    if not is_dm_normal(m, slopes):
         return None
-    slopes = newton_slopes(m)
-    if any(mult != s.denominator for s, mult in slopes):
+    blocks = dm_blocks(m, slopes)
+    if len({s for s, _, _ in blocks}) != len(blocks):
         return None  # a repeated slope block: not multiplicity free
-    blocks = dm_blocks(m)
-    nb = len(blocks)
     std = RatMatrix.identity(m.rank).entries
-    targets = []
-    for _, off, size in blocks:
-        touched = set()
-        for i in range(off, off + size):
-            img = m.nilpotent.apply(std[i])
-            for j, val in enumerate(img):
-                if val != 0:
-                    touched.add(next(k for k, (_, o, s) in enumerate(blocks) if o <= j < o + s))
-        targets.append(touched)
-    out = []
-    for picks in itertools.product((0, 1), repeat=nb):
-        chosen = {k for k in range(nb) if picks[k]}
-        if any(not targets[k] <= chosen for k in chosen):
-            continue
-        rows = []
-        for k in sorted(chosen):
-            _, off, size = blocks[k]
-            rows.extend(std[off : off + size])
-        out.append(rref_rows(rows, m.rank))
-    return _canonical_order(out)
+    owner = [k for k, (_, _, size) in enumerate(blocks) for _ in range(size)]
+    parts = [std[off : off + size] for _, off, size in blocks]
+    supports = [_support([m.nilpotent.apply(row) for row in part], owner) for part in parts]
+    return _n_closed_sums(parts, supports, m.rank)
 
 
 def _scalar_constant(phi: RatMatrix) -> Optional[Fraction]:
@@ -299,27 +314,33 @@ def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[tuple]:
     return _canonical_order(chain)
 
 
-def _sample_subobjects(m: FilteredPhiModule, seed: int) -> tuple:
-    """Seeded, reproducible sample of genuinely stable subspaces."""
+def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
+    """Seeded, reproducible sample of genuinely stable subspaces.
+
+    `roots` are the rational roots of the characteristic polynomial.
+    """
     mod = m.module
     n = m.rank
     rng = random.Random(seed)
     found = {(), tuple(RatMatrix.identity(n).entries)}
 
     def closure(vectors):
-        span = rref_rows(vectors, n)
-        while True:
-            extra = []
-            for v in span:
-                for img in (mod.phi.apply(v), mod.nilpotent.apply(v)):
-                    if not span_contains(span, img):
-                        extra.append(img)
-            if not extra:
-                return span
-            span = rref_rows(list(span) + extra, n)
+        # echelon rows in insertion order: each row is zero at the pivots of
+        # the rows before it, so `_reduce` over them leaves the residue
+        rows, pivots = [], []
+        queue = list(vectors)
+        while queue:
+            v = queue.pop()
+            r = _reduce(v, rows, pivots)
+            c = next((j for j, x in enumerate(r) if x), None)
+            if c is None:
+                continue
+            rows.append([x / r[c] for x in r])
+            pivots.append(c)
+            queue.extend((mod.phi.apply(v), mod.nilpotent.apply(v)))
+        return rref_rows(rows, n)
 
     # structured candidates: eigenlines of any rational eigenvalues, N-kernels
-    roots, _ = _rational_roots(charpoly(mod.phi))
     ident = RatMatrix.identity(n)
     for r, _mult in roots:
         for v in (mod.phi - ident.scale(r)).nullspace():
@@ -348,15 +369,21 @@ def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> tuple[tuple, bo
     Returns (bases, certified).  Bases are canonical reduced-row-echelon row
     tuples sorted by dimension then lexicographically, always including the
     zero and full subspaces.  Scalar Frobenius yields the flag-adapted chain,
-    flagged as a sample since the full subspace lattice is infinite.
+    flagged as a sample since the full subspace lattice is infinite.  The
+    characteristic polynomial is computed once and shared by every strategy.
     """
-    for attempt in (_eigenline_subobjects(m.module), _block_subobjects(m.module)):
-        if attempt is not None:
-            return attempt, True
+    mod = m.module
+    coeffs = charpoly(mod.phi)
+    roots, leftover = _rational_roots(coeffs)
+    lattice = _eigenline_subobjects(mod, roots, leftover)
+    if lattice is None:
+        lattice = _block_subobjects(mod, newton_slopes(mod, coeffs))
+    if lattice is not None:
+        return lattice, True
     chain = _scalar_flag_chain(m)
     if chain is not None:
         return chain, False
-    return _sample_subobjects(m, seed), False
+    return _sample_subobjects(m, seed, roots), False
 
 
 def _verdicts_certified(m: FilteredPhiModule, enum_certified: bool) -> bool:
@@ -370,7 +397,12 @@ def _verdicts_certified(m: FilteredPhiModule, enum_certified: bool) -> bool:
 
 
 def sub_invariants(m: FilteredPhiModule, basis) -> tuple[int, int, Fraction, Fraction]:
-    """(rank, t_H, t_N, degree) of the stable subspace spanned by `basis`."""
+    """(rank, t_H, t_N, degree) of the stable subspace spanned by `basis`.
+
+    Scores from the definition: the restriction matrix of Frobenius and the
+    induced filtration.  The deciders score by `lattice_scorer` and re-check
+    what they return with this.
+    """
     k = len(basis)
     if k == 0:
         return 0, 0, Fraction(0), Fraction(0)
@@ -380,6 +412,95 @@ def sub_invariants(m: FilteredPhiModule, basis) -> tuple[int, int, Fraction, Fra
     tn = Fraction(valuation(restr.det(), m.module.p))
     th = t_h(induced_on_subspace(m.hodge, basis))
     return k, th, tn, Fraction(th) - tn
+
+
+def _pivots(basis) -> tuple:
+    """Pivot columns of canonical reduced-row-echelon rows."""
+    return tuple(next(c for c, x in enumerate(row) if x) for row in basis)
+
+
+def _reduce(v, basis, pivots) -> list:
+    """v minus its pivot multiples of the RREF rows `basis`; zero iff v is in their span."""
+    r = list(v)
+    for row, c in zip(basis, pivots):
+        f = r[c]
+        if f:
+            r = [a - f * b if b else a for a, b in zip(r, row)]
+    return r
+
+
+def _contains(basis, pivots, v) -> bool:
+    return not any(_reduce(v, basis, pivots))
+
+
+def _t_h_by_ranks(levels, lo: int, basis) -> int:
+    """t_H of span(basis): lo*k plus dim(Fil^j & W) for each level lo < j < hi.
+
+    `levels` holds (Fil^j, its pivots) for j = lo+1, ..., hi-1.
+    """
+    k = len(basis)
+    th = lo * k
+    for fil, pivots in levels:
+        residues = [r for r in (_reduce(b, fil, pivots) for b in basis) if any(r)]
+        rank = len(residues) if len(residues) < 2 else RatMatrix(residues).rank()
+        if rank == k:
+            break  # W meets Fil^j, and every later (smaller) level, in zero
+        th += k - rank
+    return th
+
+
+def lattice_scorer(m: FilteredPhiModule):
+    """Scorer of canonical stable bases by pivots and ranks.
+
+    Returns `score(basis) -> (rank, t_H, t_N, degree)`, equal to
+    `sub_invariants` on every canonical (RREF) stable basis; raises
+    InputError on a basis that is not Frobenius-stable.  Flag form only.
+    """
+    phi, p = m.module.phi, m.module.p
+    lo, hi = m.hodge.support()
+    levels = []
+    for j in range(lo + 1, hi):
+        fil = m.hodge.subspace_at(j)
+        levels.append((fil, _pivots(fil)))
+
+    def score(basis):
+        k = len(basis)
+        if k == 0:
+            return 0, 0, Fraction(0), Fraction(0)
+        pivots = _pivots(basis)
+        restr = []
+        for b in basis:
+            img = phi.apply(b)
+            if not _contains(basis, pivots, img):
+                raise InputError("subspace is not Frobenius-stable")
+            restr.append([img[c] for c in pivots])
+        tn = Fraction(valuation(RatMatrix(restr).det(), p))
+        th = _t_h_by_ranks(levels, lo, basis)
+        return k, th, tn, Fraction(th) - tn
+
+    return score
+
+
+def _recheck(m: FilteredPhiModule, basis, fast) -> None:
+    """Re-score a returned subspace from the definition; raise on disagreement."""
+    slow = sub_invariants(m, basis)
+    if slow != fast:
+        raise AssertionError(
+            f"internal: lattice scorer gave {fast} but the definition gives {slow}"
+        )
+
+
+def _first_violation(m: FilteredPhiModule, seed: int, bound) -> Verdict:
+    """First enumerated subobject of degree > bound, re-checked, as a verdict."""
+    subs, enum_cert = enumerate_subobjects(m, seed)
+    score = lattice_scorer(m)
+    for basis in subs:
+        inv = score(basis)
+        if inv[3] > bound:
+            _recheck(m, basis, inv)
+            return Verdict(STATUS_FALSE, basis)
+    certified = _verdicts_certified(m, enum_cert)
+    return Verdict(STATUS_TRUE if certified else STATUS_UNCERTIFIED)
 
 
 def is_weakly_admissible(m: FilteredPhiModule, seed: int = 0) -> Verdict:
@@ -395,12 +516,7 @@ def is_weakly_admissible(m: FilteredPhiModule, seed: int = 0) -> Verdict:
     if degree(m) != 0:
         full = tuple(RatMatrix.identity(m.rank).entries)
         return Verdict(STATUS_FALSE, full)
-    subs, enum_cert = enumerate_subobjects(m, seed)
-    for basis in subs:
-        if sub_invariants(m, basis)[3] > 0:
-            return Verdict(STATUS_FALSE, basis)
-    certified = _verdicts_certified(m, enum_cert)
-    return Verdict(STATUS_TRUE if certified else STATUS_UNCERTIFIED)
+    return _first_violation(m, seed, 0)
 
 
 def is_acyclic(m: FilteredPhiModule, seed: int = 0) -> Verdict:
@@ -413,13 +529,7 @@ def is_acyclic(m: FilteredPhiModule, seed: int = 0) -> Verdict:
     if m.rank == 0:
         return Verdict(STATUS_TRUE)
     m.hodge.require_flag("is_acyclic")
-    d0 = degree(m)
-    subs, enum_cert = enumerate_subobjects(m, seed)
-    for basis in subs:
-        if sub_invariants(m, basis)[3] > d0:
-            return Verdict(STATUS_FALSE, basis)
-    certified = _verdicts_certified(m, enum_cert)
-    return Verdict(STATUS_TRUE if certified else STATUS_UNCERTIFIED)
+    return _first_violation(m, seed, degree(m))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +579,9 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0) -> HNFiltration:
     m.hodge.require_flag("hn_filtration")
     subs, enum_cert = enumerate_subobjects(m, seed)
     certified = _verdicts_certified(m, enum_cert)
-    inv = {basis: sub_invariants(m, basis) for basis in subs}
+    score = lattice_scorer(m)
+    inv = {basis: score(basis) for basis in subs}
+    pivots = {basis: _pivots(basis) for basis in subs}
     steps = []
     current: tuple = ()
     cur_rank, cur_deg = 0, Fraction(0)
@@ -477,7 +589,7 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0) -> HNFiltration:
         best = None
         for basis in subs:
             k, _, _, d = inv[basis]
-            if k <= cur_rank or not span_leq(current, basis):
+            if k <= cur_rank or not all(_contains(basis, pivots[basis], v) for v in current):
                 continue
             slope = (d - cur_deg) / (k - cur_rank)
             key = (-slope, -k, basis)
@@ -490,6 +602,8 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0) -> HNFiltration:
             HNStep(basis, slope, k, k - cur_rank, d - cur_deg)
         )
         current, cur_rank, cur_deg = basis, k, d
+    for step in steps:
+        _recheck(m, step.basis, inv[step.basis])
     filt = HNFiltration(tuple(steps), certified)
     if certified:
         slopes = [s.slope for s in steps]
@@ -609,7 +723,7 @@ def _lower_once(m: FilteredPhiModule, seed: int) -> FilteredPhiModule:
         for j in range(lo, hi + 1):
             chain.append((j, hyper if j == i0 else hodge.subspace_at(j)))
         try:
-            new_hodge = _chain_to_hodge(chain, n)
+            new_hodge = _flag_from_chain(chain, n)
         except InputError:
             continue
         cand = FilteredPhiModule(m.module, new_hodge)
@@ -619,12 +733,6 @@ def _lower_once(m: FilteredPhiModule, seed: int) -> FilteredPhiModule:
         "internal: no acyclicity-preserving hyperplane found for a certified "
         "acyclic module; this contradicts the degree-lowering invariant"
     )
-
-
-def _chain_to_hodge(chain, rank) -> HodgeData:
-    from .filtration import _flag_from_chain
-
-    return _flag_from_chain(chain, rank)
 
 
 def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:

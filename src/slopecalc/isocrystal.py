@@ -53,9 +53,6 @@ class SlopeMultiset:
     def __iter__(self):
         return iter(self.entries)
 
-    def union(self, other: "SlopeMultiset") -> "SlopeMultiset":
-        return SlopeMultiset(tuple(self.entries) + tuple(other.entries))
-
     def to_obj(self):
         return [[rat_str(s), m] for s, m in self.entries]
 
@@ -149,14 +146,16 @@ def check_phi_n(m: PhiModule) -> bool:
     return power.is_zero()
 
 
-def newton_slopes(m: PhiModule) -> SlopeMultiset:
+def newton_slopes(m: PhiModule, coeffs=None) -> SlopeMultiset:
     """Slope multiset of phi: root valuations of its characteristic polynomial.
 
-    Basis-independent, since the characteristic polynomial is.
+    Basis-independent, since the characteristic polynomial is.  A caller
+    that already holds `charpoly(m.phi)` passes it as `coeffs`.
     """
-    coeffs = charpoly(m.phi)
     if m.rank == 0:
         return SlopeMultiset(())
+    if coeffs is None:
+        coeffs = charpoly(m.phi)
     return SlopeMultiset(newton_polygon(coeffs, m.p))
 
 
@@ -208,11 +207,14 @@ def from_slopes(slopes: SlopeMultiset, p: int) -> PhiModule:
     return PhiModule(p, RatMatrix(rows), RatMatrix.zeros(total, total), FORM_DM_NORMAL)
 
 
-def dm_blocks(m: PhiModule) -> list[tuple[Fraction, int, int]]:
-    """Block layout (slope, offset, size) of a module in slope normal form."""
+def dm_blocks(m: PhiModule, slopes=None) -> list[tuple[Fraction, int, int]]:
+    """Block layout (slope, offset, size) of a module in slope normal form.
+
+    `slopes`, when given, is `newton_slopes(m)`.
+    """
     out = []
     at = 0
-    for s, mult in newton_slopes(m):
+    for s, mult in slopes if slopes is not None else newton_slopes(m):
         den = s.denominator
         for _ in range(mult // den):
             out.append((s, at, den))
@@ -220,12 +222,15 @@ def dm_blocks(m: PhiModule) -> list[tuple[Fraction, int, int]]:
     return out
 
 
-def is_dm_normal(m: PhiModule) -> bool:
-    """True iff phi equals the canonical slope-normal-form matrix byte for byte."""
+def is_dm_normal(m: PhiModule, slopes=None) -> bool:
+    """True iff phi equals the canonical slope-normal-form matrix byte for byte.
+
+    `slopes`, when given, is `newton_slopes(m)`.
+    """
     if m.rank == 0:
         return True
     try:
-        canon = from_slopes(newton_slopes(m), m.p)
+        canon = from_slopes(slopes if slopes is not None else newton_slopes(m), m.p)
     except InputError:
         return False
     return m.phi == canon.phi

@@ -106,8 +106,9 @@ class RatMatrix:
     """Immutable matrix of Fractions, row-major.
 
     Determinants use fraction-free Bareiss elimination; everything else is
-    straightforward exact Gaussian elimination.  Sizes here are desk-scale
-    (rank <= ~12), nothing is tuned beyond that.
+    straightforward exact Gaussian elimination.  Products with a zero factor
+    are skipped, since the matrices met here are often sparse.  Sizes here
+    are desk-scale (rank <= ~12), nothing is tuned beyond that.
     """
 
     __slots__ = ("entries",)
@@ -175,9 +176,11 @@ class RatMatrix:
         if self.cols != other.rows:
             raise InputError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         ot = other.transpose().entries
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries]
-        )
+        out = []
+        for row in self.entries:
+            nonzero = [(j, a) for j, a in enumerate(row) if a]
+            out.append([sum((a * col[j] for j, a in nonzero), Fraction(0)) for col in ot])
+        return RatMatrix(out)
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(list(zip(*self.entries))) if self.entries else RatMatrix([])
@@ -190,8 +193,11 @@ class RatMatrix:
         """Apply to a column vector given as a flat sequence; returns a tuple."""
         if len(v) != self.cols:
             raise InputError("vector length mismatch")
-        vv = [rat(x) for x in v]
-        return tuple(sum(a * b for a, b in zip(row, vv)) for row in self.entries)
+        nonzero = [(j, x) for j, x in enumerate(rat(x) for x in v) if x]
+        return tuple(
+            sum((row[j] * x for j, x in nonzero if row[j]), Fraction(0))
+            for row in self.entries
+        )
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -242,11 +248,12 @@ class RatMatrix:
                 continue
             m[r], m[pr] = m[pr], m[r]
             pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
+            if pv != 1:
+                m[r] = [x / pv if x else x for x in m[r]]
             for i in range(self.rows):
                 if i != r and m[i][c] != 0:
                     f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                    m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
             pivots.append(c)
             r += 1
         return RatMatrix(m), tuple(pivots)
@@ -434,9 +441,6 @@ def rref_rows(rows: Iterable, ncols: int) -> tuple[Row, ...]:
     red, piv = RatMatrix(rows).rref()
     return tuple(red.entries[i] for i in range(len(piv)))
 
-def span_dim(rows) -> int:
-    return len(rows)
-
 
 def coordinates(basis: Sequence[Row], v: Sequence) -> Optional[tuple]:
     """Coefficients of v in the given (independent) basis rows, or None."""
@@ -480,11 +484,6 @@ def span_intersect(a: Sequence[Row], b: Sequence[Row], ncols: int) -> tuple[Row,
                 v[j] += coef * a[i][j]
         out.append(tuple(v))
     return rref_rows(out, ncols)
-
-
-def mat_apply_rows(m: RatMatrix, rows: Sequence[Row]) -> list[Row]:
-    """Apply a matrix (column convention) to each row vector."""
-    return [m.apply(v) for v in rows]
 
 
 def restriction_matrix(m: RatMatrix, basis: Sequence[Row]) -> Optional[RatMatrix]:

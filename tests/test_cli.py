@@ -1,6 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
-from slopecalc import cli
+import pytest
+
+from slopecalc import cli, hn
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, command, payload, *flags, text=None):
@@ -122,3 +130,70 @@ def test_missing_input_file_reports_json(capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "error" in json.loads(captured.err)
+
+
+class TestInternalFaults:
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (AssertionError("internal: injected fault"), "internal: injected fault"),
+            (ZeroDivisionError("injected"), "internal: ZeroDivisionError: injected"),
+        ],
+    )
+    def test_fault_exits_four_with_json_on_stderr(self, capsys, monkeypatch, fault, message):
+        def broken(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(hn, "hn_filtration", broken)
+        code, out, err = run_cli(capsys, "hn", WA_TRUE)
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        report = json.loads(err)
+        assert report["error"] == message
+        assert "broken" in report["traceback"]
+
+    def test_failed_oracle_exits_four(self, capsys, monkeypatch):
+        # span(e1) has degree 0, so it cannot witness that WA_TRUE is not
+        # weakly admissible; the oracle must reject the doctored verdict
+        def doctored(m, seed=0):
+            return hn.Verdict(hn.STATUS_FALSE, ((1, 0),))
+
+        monkeypatch.setattr(hn, "is_weakly_admissible", doctored)
+        plain = run_cli(capsys, "wa", WA_TRUE)
+        assert plain[0] == 1
+        code, out, err = run_cli(capsys, "wa", WA_TRUE, "--oracle")
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == "internal: oracle: witness does not violate"
+
+
+def _python(*args, stdin=b""):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, env=env, timeout=120
+    )
+
+
+class TestOracleUnderOptimize:
+    def test_same_bytes_with_and_without_O(self):
+        spec = json.loads((ROOT / "tests" / "fixtures" / "wa_false.json").read_text())
+        stdin = json.dumps(spec["input"]).encode()
+        argv = ("-m", "slopecalc", spec["command"], "--oracle", "--input", "-")
+        plain = _python(*argv, stdin=stdin)
+        optimized = _python("-O", *argv, stdin=stdin)
+        assert plain.returncode == 1
+        assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
+
+    def test_failed_oracle_exits_four_under_O(self):
+        script = (
+            "import io, json, sys\n"
+            "from slopecalc import cli, hn\n"
+            "hn.is_weakly_admissible = lambda m, seed=0: hn.Verdict(hn.STATUS_FALSE, ((1, 0),))\n"
+            f"sys.stdin = io.StringIO(json.dumps({WA_TRUE!r}))\n"
+            "sys.exit(cli.run(['wa', '--oracle']))\n"
+        )
+        proc = _python("-O", "-c", script)
+        assert proc.returncode == 4 and proc.stdout == b""
+        assert json.loads(proc.stderr)["error"].startswith("internal: oracle:")

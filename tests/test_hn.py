@@ -18,13 +18,20 @@ from slopecalc.hn import (
     hn_filtration,
     is_acyclic,
     is_weakly_admissible,
+    lattice_scorer,
     sub_invariants,
     vst_dimension,
 )
-from slopecalc.isocrystal import PhiModule, dual
-from slopecalc.rational import FlagRequiredError, InputError, restriction_matrix
+from slopecalc.isocrystal import PhiModule, SlopeMultiset, dual, from_slopes
+from slopecalc.rational import FlagRequiredError, InputError, RatMatrix, restriction_matrix
 
-from _generators import certified_filtered_instance
+from _generators import (
+    certified_filtered_instance,
+    diagonal_instance,
+    random_flag,
+    random_unimodular,
+)
+from test_acceptance import oracle_t_h
 
 P = 2
 
@@ -310,3 +317,66 @@ class TestSampleDeterminism:
         a, ca = enumerate_subobjects(m, seed=5)
         b, cb = enumerate_subobjects(m, seed=5)
         assert a == b and ca == cb and not ca
+
+
+class TestLatticeScorer:
+    """The pivot-and-rank scorer agrees with the from-definition one."""
+
+    @staticmethod
+    def agree(m):
+        subs, certified = enumerate_subobjects(m)
+        score = lattice_scorer(m)
+        for basis in subs:
+            fast = score(basis)
+            assert fast == sub_invariants(m, basis)
+            assert fast[1] == oracle_t_h(m.hodge, basis)
+        return subs, certified
+
+    @pytest.mark.parametrize("allow_n", [False, True])
+    def test_eigenline_modules(self, allow_n):
+        rng = random.Random(20 + allow_n)
+        with_n = 0
+        for _ in range(12):
+            n = rng.randint(2, 5)
+            mod = diagonal_instance(rng, P, n, -2, 3, allow_n=allow_n)
+            m = FilteredPhiModule(mod, random_flag(rng, n, -1, 3))
+            _, certified = self.agree(m)
+            assert certified
+            with_n += not mod.nilpotent.is_zero()
+        assert (with_n > 0) == allow_n
+
+    def test_multiplicity_free_slope_normal_forms(self):
+        rng = random.Random(3)
+        for slopes in (
+            [(F(1, 2), 2), (F(0), 1), (F(2, 3), 3)],
+            [(F(-1), 1), (F(1, 3), 3), (F(3, 2), 2)],
+            [(F(1, 4), 4), (F(2), 1)],
+        ):
+            mod = from_slopes(SlopeMultiset(slopes), P)
+            m = FilteredPhiModule(mod, random_flag(rng, mod.rank, 0, 3))
+            subs, certified = self.agree(m)
+            assert certified and len(subs) == 2 ** len(slopes)
+
+    def test_scalar_frobenius(self):
+        rng = random.Random(4)
+        for n in (2, 3, 4):
+            mod = PhiModule.from_matrices(P, RatMatrix.identity(n).scale(P))
+            m = FilteredPhiModule(mod, random_flag(rng, n, 0, 3))
+            subs, certified = self.agree(m)
+            assert not certified and len(subs) == n + 1
+
+    def test_repeated_eigenvalue_sample(self):
+        rng = random.Random(5)
+        s = random_unimodular(rng, 3)
+        diag = RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, P]])
+        mod = PhiModule(P, s @ diag @ s.inverse(), RatMatrix.zeros(3, 3))
+        m = FilteredPhiModule(mod, random_flag(rng, 3, 0, 2))
+        subs, certified = self.agree(m)
+        assert not certified and len(subs) > 2
+
+    def test_unstable_basis_raises(self):
+        m = mk([[0, P], [1, 0]], [(1, [[1, 0]])], 2)
+        with pytest.raises(InputError):
+            lattice_scorer(m)(((F(1), F(0)),))
+        with pytest.raises(InputError):
+            sub_invariants(m, ((F(1), F(0)),))
