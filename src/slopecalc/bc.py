@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .rational import InputError
+from .rational import InputError, json_int, json_int_field
 
 NEG_INFINITY = -math.inf
 
@@ -152,21 +152,24 @@ class BCObject:
 
     @classmethod
     def from_obj(cls, obj) -> "BCObject":
-        if not isinstance(obj, dict) or "summands" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("summands"), list):
             raise InputError("BC JSON must be {'summands': [...]}")
         ueff, uquot, torsion, qp = [], [], [], 0
         for s in obj["summands"]:
             if not isinstance(s, dict) or "type" not in s:
                 raise InputError("each summand needs a 'type' tag")
             t = s["type"]
-            if t == "Ueff":
-                ueff.append((s.get("d"), s.get("h"), s.get("copies", 1)))
-            elif t == "Uquot":
-                uquot.append((s.get("d"), s.get("h"), s.get("copies", 1)))
+            if t in ("Ueff", "Uquot"):
+                d, h = json_int_field(s, "d"), json_int_field(s, "h")
+                piece = (d, h, json_int_field(s, "copies", 1))
+                (ueff if t == "Ueff" else uquot).append(piece)
             elif t == "Tors":
-                torsion.append((s.get("point", INFTY), tuple(s.get("lengths", ()))))
+                point, lengths = s.get("point", INFTY), s.get("lengths", [])
+                if not isinstance(point, str) or not isinstance(lengths, list):
+                    raise InputError("a Tors summand needs a string 'point' and a list 'lengths'")
+                torsion.append((point, tuple(json_int(m, "Tors lengths") for m in lengths)))
             elif t == "Qp":
-                qp += s.get("n", 1)
+                qp += json_int_field(s, "n", 1)
             else:
                 raise InputError(f"unknown summand tag {t!r}")
         return cls.build(ueff, uquot, torsion, qp)
@@ -195,7 +198,11 @@ class QBCObject:
     def from_obj(cls, obj) -> "QBCObject":
         if not isinstance(obj, dict) or "quotient" not in obj:
             raise InputError("quasi object JSON needs 'torsion_core' and 'quotient'")
-        return cls.build(obj.get("torsion_core", ()), BCObject.from_obj(obj["quotient"]))
+        core = obj.get("torsion_core", [])
+        if not isinstance(core, list):
+            raise InputError("'torsion_core' must be a list of positive integers")
+        core = [json_int(m, "torsion core lengths") for m in core]
+        return cls.build(core, BCObject.from_obj(obj["quotient"]))
 
 
 Formal = Union[BCObject, QBCObject]

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import bc, diagram, hn, isocrystal, sheaf
 from .filtration import HodgeData, dual_hodge, shift, t_h
-from .rational import InputError, Polygon, rat, rat_str, valuation
+from .rational import InputError, Polygon, json_int, rat, rat_str, valuation
 
 COMMANDS = (
     "newton",
@@ -60,6 +60,13 @@ def _need(obj, key):
     return obj[key]
 
 
+def _list(obj, key) -> list:
+    value = _need(obj, key)
+    if not isinstance(value, list):
+        raise InputError(f"{key!r} must be a JSON list")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # oracle cross-checks (raise on disagreement; never alter output)
 
@@ -89,6 +96,8 @@ def _oracle_newton(coeffs, p, got):
 
 
 def _oracle_verdict(m, verdict, seed, kind):
+    """Stability of every element; a certified-true verdict is re-scored on every
+    element by `sub_invariants`, a certified-false one on its witness."""
     from .rational import restriction_matrix, span_contains
 
     subs, _ = hn.enumerate_subobjects(m, seed)
@@ -96,12 +105,19 @@ def _oracle_verdict(m, verdict, seed, kind):
         _require(restriction_matrix(m.module.phi, basis) is not None, "unstable subspace")
         for v in basis:
             _require(span_contains(basis, m.module.nilpotent.apply(v)), "not N-stable")
+    total = hn.degree(m)
+    bound = 0 if kind == "wa" else total
+    if verdict.status == hn.STATUS_TRUE:
+        _require(kind != "wa" or total == 0, "weakly admissible module of nonzero degree")
+        for basis in subs:
+            _, _, _, d = hn.sub_invariants(m, basis)
+            _require(d <= bound, "a subobject violates a certified-true verdict")
     if verdict.status == hn.STATUS_FALSE and verdict.witness:
         _, _, _, d = hn.sub_invariants(m, verdict.witness)
         if kind == "wa":
-            _require(hn.degree(m) != 0 or d > 0, "witness does not violate")
+            _require(total != 0 or d > 0, "witness does not violate")
         else:
-            _require(d > hn.degree(m), "witness does not violate")
+            _require(d > total, "witness does not violate")
 
 
 def _oracle_cohdim(s, dims):
@@ -114,7 +130,7 @@ def _oracle_cohdim(s, dims):
 
 
 def _cmd_newton(obj, seed, oracle):
-    coeffs = _need(obj, "coefficients")
+    coeffs = _list(obj, "coefficients")
     p = _need(obj, "p")
     from .rational import newton_polygon
 
@@ -256,15 +272,17 @@ def _cmd_mv_check(obj, seed, oracle):
 
 
 def _plot_polygon(obj) -> Polygon:
+    if not isinstance(obj, dict):
+        raise InputError("plot input must be a JSON object")
     if "coefficients" in obj:
         pts = [
             (i, valuation(c, _need(obj, "p")))
-            for i, c in enumerate(obj["coefficients"])
+            for i, c in enumerate(_list(obj, "coefficients"))
             if rat(c) != 0
         ]
         return Polygon.lower_hull(pts)
     if "weights" in obj:
-        ws = sorted(int(w) for w in obj["weights"])
+        ws = sorted(json_int(w, "plot weights") for w in _list(obj, "weights"))
         acc = 0
         verts = [(0, Fraction(0))]
         for i, w in enumerate(ws, start=1):
@@ -272,7 +290,10 @@ def _plot_polygon(obj) -> Polygon:
             verts.append((i, Fraction(acc)))
         return Polygon(verts)
     if "vertices" in obj:
-        return Polygon([(x, rat(y)) for x, y in obj["vertices"]])
+        vertices = _list(obj, "vertices")
+        if not all(isinstance(v, list) and len(v) == 2 for v in vertices):
+            raise InputError("plot vertices must be [x, y] pairs")
+        return Polygon([(json_int(x, "vertex x-coordinates"), rat(y)) for x, y in vertices])
     raise InputError("plot input needs 'coefficients'+'p', 'weights' or 'vertices'")
 
 

@@ -44,6 +44,11 @@ from .rational import InputError
 from .sheaf import FFSheaf, cohomology_dim
 
 
+def _check_degree(r) -> None:
+    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
+        raise InputError("r must be a non-negative integer")
+
+
 def _check_windows(hk: PhiModule, lattice: HodgeData, bound: int, what: str):
     if hk.rank != lattice.rank:
         raise InputError(f"{what}: module rank {hk.rank} != lattice rank {lattice.rank}")
@@ -64,8 +69,7 @@ class SyntheticCohomology:
     below: FilteredPhiModule  # degree r-1; rank zero when absent
 
     def __post_init__(self):
-        if isinstance(self.r, bool) or not isinstance(self.r, int) or self.r < 0:
-            raise InputError("r must be a non-negative integer")
+        _check_degree(self.r)
         _check_windows(self.top.module, self.top.hodge, self.r, "degree r")
         _check_windows(self.below.module, self.below.hodge, max(self.r - 1, 0), "degree r-1")
 
@@ -122,6 +126,7 @@ class Modification:
 
 def build_modification(hk: PhiModule, lattice: HodgeData, r: int, seed: int = 0) -> Modification:
     """Sheaf whose slopes are the filtration-graded slopes of (hk, lattice)."""
+    _check_degree(r)
     _check_windows(hk, lattice, r, "modification input")
     m = FilteredPhiModule(hk, lattice)
     if m.rank == 0:
@@ -299,8 +304,7 @@ def mv_check(row_a, row_b, r: int) -> MVReport:
     `height_functor_rank` from both ends force the equality; the common value
     is reported.
     """
-    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
-        raise InputError("r must be a non-negative integer")
+    _check_degree(r)
     a_objs, a_arrows = _parse_row(row_a, "A")
     b_objs, b_arrows = _parse_row(row_b, "B")
     violations = []

@@ -71,6 +71,8 @@ class HodgeData:
         for idx, basis in entries:
             if isinstance(idx, bool) or not isinstance(idx, int):
                 raise InputError("flag indices must be integers")
+            if isinstance(basis, str) or any(isinstance(row, str) for row in basis):
+                raise InputError("flag bases must be lists of rows, not strings")
             rows = [tuple(rat(x) for x in row) for row in basis]
             for row in rows:
                 if ncols is None:
@@ -169,6 +171,8 @@ class HodgeData:
         if "weights" in obj:
             return cls.from_weights(obj["weights"])
         if "flag" in obj:
+            if not isinstance(obj["flag"], list):
+                raise InputError("'flag' must be a list of {'index', 'basis'} entries")
             entries = []
             for e in obj["flag"]:
                 try:

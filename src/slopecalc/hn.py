@@ -24,17 +24,26 @@ it still certify.  Everything else falls back to a seeded, reproducible
 sample and verdicts are downgraded to "uncertified" - except that a genuinely
 verified violating subobject always certifies a negative answer.
 
-The deciders score lattice elements by pivots and ranks.  Every element, and
-every Fil^j of a flag, is a canonical reduced-row-echelon row tuple, so the
-coordinates of a vector of W are its entries at W's pivot columns, and it
-lies in W exactly when subtracting those multiples of W's rows leaves zero.
-t_N(W) is the valuation of the determinant of the restriction of phi read
-off that way, and t_H(W) = lo*k + sum over lo < j < hi of dim(Fil^j & W),
-where dim(Fil^j & W) is k minus the rank of W's rows reduced modulo Fil^j.
-No coordinates are solved for and no induced filtration is built.  Every
-witness and HN step the deciders pick this way is scored again from the
-definition by `sub_invariants` (restriction matrix, induced filtration), and
-a disagreement raises an internal error.
+`enumerate_subobjects` returns a `SubobjectLattice`: the canonical bases,
+the strategy that built them and whether verdicts on them certify.  In the
+two certified cases every element is a sum of parts (eigenlines or slope
+blocks) and carries its part bitmask, and the deciders score it from the
+parts: t_N(W) is the sum of the parts' t_N (the valuation of an eigenvalue,
+slope times size for a block), t_H(W) = lo*k + sum over lo < j < hi of
+dim(Fil^j & W), where dim(Fil^j & W) is k minus the rank of the parts'
+integer residues modulo Fil^j, and W contains W' exactly when W's mask
+holds the mask of W'.  Each part is reduced modulo each level once per
+decider call, and the echelon of a mask extends that of the mask without
+its lowest bit.  Other elements are scored by pivots: a vector of W lies in
+W exactly when subtracting multiples of W's rows at their pivots leaves
+zero, the coordinates of phi(b) are its entries at the pivots, and t_N is
+the valuation of their determinant.  All of this runs on integer rows, with
+phi cleared by one common denominator.  Every scored element is checked to
+be phi-stable by an integer residue, no coordinates are solved for and no
+induced filtration is built.  Every witness and HN step the deciders pick
+this way is scored again from the definition by `sub_invariants`
+(restriction matrix, induced filtration), and a disagreement raises an
+internal error.
 """
 
 from __future__ import annotations
@@ -53,6 +62,12 @@ from .rational import (
     RatMatrix,
     charpoly,
     complement_basis,
+    int_apply,
+    int_det,
+    int_echelon,
+    int_matrix,
+    int_residue,
+    int_row,
     rat_str,
     restriction_matrix,
     rref_rows,
@@ -211,6 +226,46 @@ def _canonical_order(bases):
     return tuple(sorted(set(bases), key=lambda b: (len(b), b)))
 
 
+class SubobjectLattice(tuple):
+    """The stable subspaces a decider ranges over; unpacks as (bases, certified).
+
+    `bases` are canonical reduced-row-echelon row tuples sorted by dimension
+    then lexicographically, always holding the zero subspace first and the
+    full one; `certified` says the list is complete.  `strategy` names how it
+    was built: "eigenlines", "blocks", "scalar-chain" or "sample".  For the
+    first two every element is the sum of some of the `parts` (eigenlines or
+    slope blocks, as row lists): `masks[i]` is the bitmask of the parts of
+    `bases[i]` and `part_tn[i]` the t_N of part i.  Otherwise `masks`,
+    `parts` and `part_tn` are None.
+    """
+
+    def __new__(cls, bases, certified, strategy, masks=None, parts=None, part_tn=None):
+        self = super().__new__(cls, (bases, certified))
+        self.bases, self.certified, self.strategy = bases, certified, strategy
+        self.masks, self.parts, self.part_tn = masks, parts, part_tn
+        self._echelons = {}
+        return self
+
+    @property
+    def decides(self) -> bool:
+        """Verdicts built on the lattice certify: it is complete, or it is the
+        scalar-Frobenius chain, which is degree-extremal in every dimension."""
+        return self.certified or self.strategy == "scalar-chain"
+
+    def elements(self):
+        """(basis, mask) pairs; the mask is None outside part lattices."""
+        return zip(self.bases, self.masks or itertools.repeat(None))
+
+    def leq(self, j: int, i: int) -> bool:
+        """Element j is a subspace of element i."""
+        if self.masks is not None:
+            return self.masks[j] & ~self.masks[i] == 0
+        echelon = self._echelons.get(i)
+        if echelon is None:
+            echelon = self._echelons[i] = _basis_echelon(self.bases[i])
+        return not any(any(int_residue(int_row(v), echelon)) for v in self.bases[j])
+
+
 def _support(vectors, owner) -> int:
     """Bitmask of the parts owner[j] in which some vector has a nonzero coordinate j."""
     mask = 0
@@ -221,29 +276,32 @@ def _support(vectors, owner) -> int:
     return mask
 
 
-def _n_closed_sums(parts, supports, ncols) -> tuple:
-    """Canonical spans of the N-closed unions of `parts`.
+def _n_closed_sums(parts, supports, part_tn, ncols, strategy) -> SubobjectLattice:
+    """Certified lattice of the N-closed sums of `parts`, with their masks.
 
     parts[i] is a list of rows and supports[i] the bitmask of the parts that
     N maps span(parts[i]) into.  A union is N-closed iff it holds the support
-    of each of its parts; only those unions are row-reduced.
+    of each of its parts; only those unions are row-reduced.  The parts are
+    independent, so distinct masks give distinct spans.
     """
     out = []
     for mask in range(1 << len(parts)):
         picked = [i for i in range(len(parts)) if mask >> i & 1]
         if all((supports[i] & ~mask) == 0 for i in picked):
-            out.append(rref_rows([row for i in picked for row in parts[i]], ncols))
-    return _canonical_order(out)
+            out.append((rref_rows([row for i in picked for row in parts[i]], ncols), mask))
+    out.sort(key=lambda t: (len(t[0]), t[0]))
+    bases = tuple(b for b, _ in out)
+    return SubobjectLattice(bases, True, strategy, tuple(m for _, m in out), parts, part_tn)
 
 
-def _eigenline_subobjects(m: PhiModule, roots, leftover: int) -> Optional[tuple]:
+def _eigenline_subobjects(m: PhiModule, roots, leftover: int) -> Optional[SubobjectLattice]:
     """Certified enumeration when eigenvalues are rational with distinct valuations.
 
     `roots, leftover` are `_rational_roots` of the characteristic polynomial.
     The support of N on an eigenline is read off in eigen-coordinates.
     """
     if m.rank == 0:
-        return ((),)
+        return SubobjectLattice(((),), True, "eigenlines", (0,), [], [])
     if leftover != 0 or any(mult != 1 for _, mult in roots):
         return None
     vals = [valuation(r, m.p) for r, _ in roots]
@@ -255,14 +313,16 @@ def _eigenline_subobjects(m: PhiModule, roots, leftover: int) -> Optional[tuple]
         ker = (m.phi - ident.scale(r)).nullspace()
         if len(ker) != 1:
             return None
+        if m.phi.apply(ker[0]) != tuple(r * x for x in ker[0]):
+            raise AssertionError(f"internal: {rat_str(r)}-eigenline is not fixed by phi")
         lines.append(ker[0])
     to_eigen = RatMatrix(lines).inverse().transpose()
     owner = range(len(lines))
     supports = [_support([to_eigen.apply(m.nilpotent.apply(v))], owner) for v in lines]
-    return _n_closed_sums([[v] for v in lines], supports, m.rank)
+    return _n_closed_sums([[v] for v in lines], supports, vals, m.rank, "eigenlines")
 
 
-def _block_subobjects(m: PhiModule, slopes) -> Optional[tuple]:
+def _block_subobjects(m: PhiModule, slopes) -> Optional[SubobjectLattice]:
     """Certified enumeration for multiplicity-free slope normal forms."""
     if not is_dm_normal(m, slopes):
         return None
@@ -273,7 +333,8 @@ def _block_subobjects(m: PhiModule, slopes) -> Optional[tuple]:
     owner = [k for k, (_, _, size) in enumerate(blocks) for _ in range(size)]
     parts = [std[off : off + size] for _, off, size in blocks]
     supports = [_support([m.nilpotent.apply(row) for row in part], owner) for part in parts]
-    return _n_closed_sums(parts, supports, m.rank)
+    part_tn = [s * size for s, _, size in blocks]  # v_p(det) of the block of x^h - p^a
+    return _n_closed_sums(parts, supports, part_tn, m.rank, "blocks")
 
 
 def _scalar_constant(phi: RatMatrix) -> Optional[Fraction]:
@@ -323,22 +384,21 @@ def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
     n = m.rank
     rng = random.Random(seed)
     found = {(), tuple(RatMatrix.identity(n).entries)}
+    phi, _ = int_matrix(mod.phi)
+    nil, _ = int_matrix(mod.nilpotent)
 
     def closure(vectors):
-        # echelon rows in insertion order: each row is zero at the pivots of
-        # the rows before it, so `_reduce` over them leaves the residue
-        rows, pivots = [], []
-        queue = list(vectors)
+        # Krylov closure on integer rows; phi and N each cleared by one
+        # common denominator, so they act as multiples of the same maps
+        echelon = []
+        queue = [int_row(v) for v in vectors]
         while queue:
             v = queue.pop()
-            r = _reduce(v, rows, pivots)
-            c = next((j for j, x in enumerate(r) if x), None)
-            if c is None:
-                continue
-            rows.append([x / r[c] for x in r])
-            pivots.append(c)
-            queue.extend((mod.phi.apply(v), mod.nilpotent.apply(v)))
-        return rref_rows(rows, n)
+            grown = int_echelon([v], echelon)
+            if len(grown) > len(echelon):
+                echelon = grown
+                queue.extend((int_apply(phi, v), int_apply(nil, v)))
+        return rref_rows([row for _, row in echelon], n)
 
     # structured candidates: eigenlines of any rational eigenvalues, N-kernels
     ident = RatMatrix.identity(n)
@@ -363,14 +423,15 @@ def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
     return _canonical_order(found)
 
 
-def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> tuple[tuple, bool]:
+def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> SubobjectLattice:
     """All stable subspaces (certified) or a reproducible sample.
 
-    Returns (bases, certified).  Bases are canonical reduced-row-echelon row
-    tuples sorted by dimension then lexicographically, always including the
-    zero and full subspaces.  Scalar Frobenius yields the flag-adapted chain,
-    flagged as a sample since the full subspace lattice is infinite.  The
-    characteristic polynomial is computed once and shared by every strategy.
+    Returns a `SubobjectLattice`, which unpacks as (bases, certified).  Bases
+    are canonical reduced-row-echelon row tuples sorted by dimension then
+    lexicographically, always including the zero and full subspaces.  Scalar
+    Frobenius yields the flag-adapted chain, flagged as a sample since the
+    full subspace lattice is infinite.  The characteristic polynomial is
+    computed once and shared by every strategy.
     """
     mod = m.module
     coeffs = charpoly(mod.phi)
@@ -379,17 +440,11 @@ def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> tuple[tuple, bo
     if lattice is None:
         lattice = _block_subobjects(mod, newton_slopes(mod, coeffs))
     if lattice is not None:
-        return lattice, True
+        return lattice
     chain = _scalar_flag_chain(m)
     if chain is not None:
-        return chain, False
-    return _sample_subobjects(m, seed, roots), False
-
-
-def _verdicts_certified(m: FilteredPhiModule, enum_certified: bool) -> bool:
-    """Scalar Frobenius still decides verdicts: the flag-adapted chain is
-    degree-extremal in every dimension even though the lattice is infinite."""
-    return enum_certified or _scalar_constant(m.module.phi) is not None
+        return SubobjectLattice(chain, False, "scalar-chain")
+    return SubobjectLattice(_sample_subobjects(m, seed, roots), False, "sample")
 
 
 # ---------------------------------------------------------------------------
@@ -419,64 +474,92 @@ def _pivots(basis) -> tuple:
     return tuple(next(c for c, x in enumerate(row) if x) for row in basis)
 
 
-def _reduce(v, basis, pivots) -> list:
-    """v minus its pivot multiples of the RREF rows `basis`; zero iff v is in their span."""
-    r = list(v)
-    for row, c in zip(basis, pivots):
-        f = r[c]
-        if f:
-            r = [a - f * b if b else a for a, b in zip(r, row)]
-    return r
+def _basis_echelon(basis) -> list:
+    """Integer echelon of canonical RREF rows (each is zero at the others' pivots)."""
+    return list(zip(_pivots(basis), (int_row(b) for b in basis)))
 
 
-def _contains(basis, pivots, v) -> bool:
-    return not any(_reduce(v, basis, pivots))
+def _part_ranks(lattice: SubobjectLattice, levels):
+    """`ranks(mask)`: the rank of the parts' residues modulo each level, in order.
 
-
-def _t_h_by_ranks(levels, lo: int, basis) -> int:
-    """t_H of span(basis): lo*k plus dim(Fil^j & W) for each level lo < j < hi.
-
-    `levels` holds (Fil^j, its pivots) for j = lo+1, ..., hi-1.
+    Each part is reduced modulo each level once; the echelon of a mask
+    extends that of the mask without its lowest bit by the residues of that
+    part.  The memo lives as long as the returned function.
     """
-    k = len(basis)
-    th = lo * k
-    for fil, pivots in levels:
-        residues = [r for r in (_reduce(b, fil, pivots) for b in basis) if any(r)]
-        rank = len(residues) if len(residues) < 2 else RatMatrix(residues).rank()
-        if rank == k:
-            break  # W meets Fil^j, and every later (smaller) level, in zero
-        th += k - rank
-    return th
+    residues = [
+        [[int_residue(int_row(v), level) for v in part] for part in lattice.parts]
+        for level in levels
+    ]
+    memos = [{0: []} for _ in levels]
+
+    def echelon_of(j, mask):
+        echelon = memos[j].get(mask)
+        if echelon is None:
+            low = mask & -mask
+            rest = echelon_of(j, mask ^ low)
+            echelon = memos[j][mask] = int_echelon(residues[j][low.bit_length() - 1], rest)
+        return echelon
+
+    return lambda mask: (len(echelon_of(j, mask)) for j in range(len(levels)))
 
 
-def lattice_scorer(m: FilteredPhiModule):
-    """Scorer of canonical stable bases by pivots and ranks.
+def lattice_scorer(m: FilteredPhiModule, lattice: Optional[SubobjectLattice] = None):
+    """Scorer of canonical stable bases by integer residues and ranks.
 
-    Returns `score(basis) -> (rank, t_H, t_N, degree)`, equal to
+    Returns `score(basis, mask=None) -> (rank, t_H, t_N, degree)`, equal to
     `sub_invariants` on every canonical (RREF) stable basis; raises
-    InputError on a basis that is not Frobenius-stable.  Flag form only.
+    InputError on a basis that is not Frobenius-stable.  When `lattice` is a
+    part lattice and `mask` the part bitmask of `basis` in it, the basis is
+    scored from its parts; otherwise by its pivots.  Flag form only.
     """
-    phi, p = m.module.phi, m.module.p
+    phi, den = int_matrix(m.module.phi)
+    p = m.module.p
     lo, hi = m.hodge.support()
-    levels = []
-    for j in range(lo + 1, hi):
-        fil = m.hodge.subspace_at(j)
-        levels.append((fil, _pivots(fil)))
+    levels = [_basis_echelon(m.hodge.subspace_at(j)) for j in range(lo + 1, hi)]
+    part_ranks = None
+    if lattice is not None and lattice.masks is not None:
+        part_ranks = _part_ranks(lattice, levels)
+        part_tn, sizes = lattice.part_tn, [len(part) for part in lattice.parts]
 
-    def score(basis):
+    def t_h(k, ranks):
+        th = lo * k
+        for rank in ranks:
+            if rank == k:
+                break  # W meets Fil^j, and every later (smaller) level, in zero
+            th += k - rank
+        return th
+
+    def by_pivots(rows, images, pivots):
+        # coordinates of phi(b_i) are its entries at the pivots; rows[i] and
+        # images[i] are d_i * b_i and den * d_i * phi(b_i), d_i = rows[i][pivot]
+        k = len(rows)
+        scale = den**k
+        for row, c in zip(rows, pivots):
+            scale *= row[c]
+        tn = valuation(Fraction(int_det([[img[c] for c in pivots] for img in images]), scale), p)
+        ranks = (len(int_echelon(int_residue(r, level) for r in rows)) for level in levels)
+        return t_h(k, ranks), tn
+
+    def by_parts(k, mask):
+        picked = [i for i in range(len(sizes)) if mask >> i & 1]
+        if sum(sizes[i] for i in picked) != k:
+            raise AssertionError("internal: part mask does not match the basis dimension")
+        return t_h(k, part_ranks(mask)), sum(part_tn[i] for i in picked)
+
+    def score(basis, mask=None):
         k = len(basis)
         if k == 0:
             return 0, 0, Fraction(0), Fraction(0)
-        pivots = _pivots(basis)
-        restr = []
-        for b in basis:
-            img = phi.apply(b)
-            if not _contains(basis, pivots, img):
-                raise InputError("subspace is not Frobenius-stable")
-            restr.append([img[c] for c in pivots])
-        tn = Fraction(valuation(RatMatrix(restr).det(), p))
-        th = _t_h_by_ranks(levels, lo, basis)
-        return k, th, tn, Fraction(th) - tn
+        echelon = _basis_echelon(basis)
+        rows = [row for _, row in echelon]
+        images = [int_apply(phi, r) for r in rows]
+        if any(any(int_residue(img, echelon)) for img in images):
+            raise InputError("subspace is not Frobenius-stable")
+        if mask is None or part_ranks is None:
+            th, tn = by_pivots(rows, images, [c for c, _ in echelon])
+        else:
+            th, tn = by_parts(k, mask)
+        return k, th, Fraction(tn), Fraction(th) - tn
 
     return score
 
@@ -492,15 +575,14 @@ def _recheck(m: FilteredPhiModule, basis, fast) -> None:
 
 def _first_violation(m: FilteredPhiModule, seed: int, bound) -> Verdict:
     """First enumerated subobject of degree > bound, re-checked, as a verdict."""
-    subs, enum_cert = enumerate_subobjects(m, seed)
-    score = lattice_scorer(m)
-    for basis in subs:
-        inv = score(basis)
+    lattice = enumerate_subobjects(m, seed)
+    score = lattice_scorer(m, lattice)
+    for basis, mask in lattice.elements():
+        inv = score(basis, mask)
         if inv[3] > bound:
             _recheck(m, basis, inv)
             return Verdict(STATUS_FALSE, basis)
-    certified = _verdicts_certified(m, enum_cert)
-    return Verdict(STATUS_TRUE if certified else STATUS_UNCERTIFIED)
+    return Verdict(STATUS_TRUE if lattice.decides else STATUS_UNCERTIFIED)
 
 
 def is_weakly_admissible(m: FilteredPhiModule, seed: int = 0) -> Verdict:
@@ -577,33 +659,31 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0) -> HNFiltration:
     if m.rank == 0:
         return HNFiltration((), True)
     m.hodge.require_flag("hn_filtration")
-    subs, enum_cert = enumerate_subobjects(m, seed)
-    certified = _verdicts_certified(m, enum_cert)
-    score = lattice_scorer(m)
-    inv = {basis: score(basis) for basis in subs}
-    pivots = {basis: _pivots(basis) for basis in subs}
+    lattice = enumerate_subobjects(m, seed)
+    score = lattice_scorer(m, lattice)
+    inv = [score(basis, mask) for basis, mask in lattice.elements()]
     steps = []
-    current: tuple = ()
+    current = 0  # index of the zero subspace, first in canonical order
     cur_rank, cur_deg = 0, Fraction(0)
     while cur_rank < m.rank:
         best = None
-        for basis in subs:
-            k, _, _, d = inv[basis]
-            if k <= cur_rank or not all(_contains(basis, pivots[basis], v) for v in current):
+        for i, basis in enumerate(lattice.bases):
+            k, _, _, d = inv[i]
+            if k <= cur_rank or not lattice.leq(current, i):
                 continue
             slope = (d - cur_deg) / (k - cur_rank)
             key = (-slope, -k, basis)
             if best is None or key < best[0]:
-                best = (key, basis, slope, k, d)
+                best = (key, i, slope, k, d)
         if best is None:
             raise AssertionError("internal: no extension step found")
-        _, basis, slope, k, d = best
+        _, current, slope, k, d = best
         steps.append(
-            HNStep(basis, slope, k, k - cur_rank, d - cur_deg)
+            HNStep(lattice.bases[current], slope, k, k - cur_rank, d - cur_deg)
         )
-        current, cur_rank, cur_deg = basis, k, d
-    for step in steps:
-        _recheck(m, step.basis, inv[step.basis])
+        _recheck(m, lattice.bases[current], inv[current])
+        cur_rank, cur_deg = k, d
+    certified = lattice.decides
     filt = HNFiltration(tuple(steps), certified)
     if certified:
         slopes = [s.slope for s in steps]

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .rational import (
     InputError,
     RatMatrix,
     charpoly,
     check_prime,
+    int_matmul,
+    int_matrix,
     newton_polygon,
     rat,
     rat_str,
@@ -65,9 +68,10 @@ FORM_DM_NORMAL = "dm-normal"
 class PhiModule:
     """A (phi, N)-module: prime p, invertible phi, nilpotent N.
 
-    Construction checks shapes and invertibility of phi; the commutation rule
-    and nilpotency of N are checked by `check_phi_n`, which reports a boolean
-    so near-miss pairs can be examined rather than rejected.
+    Construction checks shapes and invertibility of phi.  `from_obj`, the
+    JSON boundary, also rejects an N that breaks the commutation rule or is
+    not nilpotent; `from_matrices` leaves that to `check_phi_n`, which
+    reports a boolean so near-miss pairs can be examined rather than rejected.
     """
 
     p: int
@@ -124,26 +128,35 @@ class PhiModule:
             raise InputError(f"PhiModule JSON missing key {exc}") from exc
         n = obj.get("N")
         form = obj.get("form", FORM_MATRIX)
-        return cls.from_matrices(p, RatMatrix(phi), RatMatrix(n) if n is not None else None, form)
+        m = cls.from_matrices(p, RatMatrix(phi), RatMatrix(n) if n is not None else None, form)
+        fault = _monodromy_fault(m)
+        if fault:
+            raise InputError(fault)
+        return m
+
+
+def _monodromy_fault(m: PhiModule) -> Optional[str]:
+    """Why N breaks N.phi = p.phi.N or nilpotency, or None; N = 0 costs no product."""
+    if m.nilpotent.is_zero():
+        return None
+    (n, _), (phi, _) = int_matrix(m.nilpotent), int_matrix(m.phi)
+    if int_matmul(n, phi) != [[m.p * x for x in row] for row in int_matmul(phi, n)]:
+        return "N must satisfy N.phi = p.phi.N"
+    power = n
+    for _ in range(m.rank - 1):
+        power = int_matmul(power, n)
+        if not any(any(row) for row in power):
+            return None
+    return "N must be nilpotent"
 
 
 def check_phi_n(m: PhiModule) -> bool:
     """True iff N.phi = p.phi.N exactly, N is nilpotent, and phi is invertible."""
-    phi, n = m.phi, m.nilpotent
-    if phi.rows != n.rows:
+    if m.phi.rows != m.nilpotent.rows:
         raise InputError("phi and N must have equal size")
     if m.rank == 0:
         return True
-    if phi.det() == 0:
-        return False
-    if n @ phi != (phi @ n).scale(m.p):
-        return False
-    power = n
-    for _ in range(m.rank - 1):
-        if power.is_zero():
-            break
-        power = power @ n
-    return power.is_zero()
+    return m.phi.det() != 0 and _monodromy_fault(m) is None
 
 
 def newton_slopes(m: PhiModule, coeffs=None) -> SlopeMultiset:

@@ -1,8 +1,8 @@
 """Exact rational linear algebra and valuation polygons.
 
-All arithmetic is over `fractions.Fraction` and nothing here ever rounds.
-The only float in the module is `math.inf`, used as the conventional
-valuation of zero.
+All arithmetic is exact, over `fractions.Fraction` and Python ints (the
+elimination kernel), and nothing here ever rounds.  The only float in the
+module is `math.inf`, used as the conventional valuation of zero.
 
 Slope convention, used by everything downstream: `newton_polygon` returns
 the NEGATED slopes of the lower convex hull of the points ``(i, v_p(a_i))``.
@@ -32,7 +32,7 @@ class FlagRequiredError(InputError):
 
 def rat(x) -> Fraction:
     """Coerce x (int, Fraction, or string 'a/b' / 'a') to an exact Fraction."""
-    if isinstance(x, Fraction):
+    if type(x) is Fraction or isinstance(x, Fraction):  # the first test skips the ABC check
         return x
     if isinstance(x, bool):
         raise InputError(f"not a rational: {x!r}")
@@ -47,6 +47,20 @@ def rat(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational string {x!r}") from exc
     raise InputError(f"not a rational: {x!r} (floats are rejected)")
+
+
+def json_int(x, what: str) -> int:
+    """A JSON integer (not a bool, a string or a float), else InputError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{what} must be integers, got {x!r}")
+    return x
+
+
+def json_int_field(obj: dict, key: str, default=None) -> int:
+    """The integer field `key` of a JSON object; a missing key gives `default`."""
+    if key not in obj and default is not None:
+        return default
+    return json_int(obj.get(key), f"{key!r} fields")
 
 
 def rat_str(q: Fraction) -> str:
@@ -105,15 +119,21 @@ def valuation(q, p):
 class RatMatrix:
     """Immutable matrix of Fractions, row-major.
 
-    Determinants use fraction-free Bareiss elimination; everything else is
-    straightforward exact Gaussian elimination.  Products with a zero factor
-    are skipped, since the matrices met here are often sparse.  Sizes here
-    are desk-scale (rank <= ~12), nothing is tuned beyond that.
+    Elimination runs on Python ints: `rref` and `rank` first scale each row
+    by the lcm of its denominators and then keep every row gcd-primitive,
+    `det` is Bareiss elimination with exact integer division on those rows,
+    and Fractions are built once, when a reduced row-echelon form is
+    emitted.  Products with a zero factor are skipped, since the matrices met
+    here are often sparse.  Sizes here are desk-scale (rank <= ~12), nothing
+    is tuned beyond that.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, rows: Iterable[Iterable]):
+        rows = tuple(rows)
+        if any(isinstance(row, str) for row in rows):
+            raise InputError("matrix rows must be lists, not strings")
         ent = tuple(tuple(rat(x) for x in row) for row in rows)
         if ent:
             w = len(ent[0])
@@ -123,6 +143,13 @@ class RatMatrix:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RatMatrix is immutable")
+
+    @classmethod
+    def _trusted(cls, entries: tuple) -> "RatMatrix":
+        """Wrap a tuple of equal-length tuples of Fractions without re-checking it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", entries)
+        return self
 
     @property
     def rows(self) -> int:
@@ -183,7 +210,7 @@ class RatMatrix:
         return RatMatrix(out)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(list(zip(*self.entries))) if self.entries else RatMatrix([])
+        return RatMatrix._trusted(tuple(zip(*self.entries)))
 
     def trace(self) -> Fraction:
         self._need_square()
@@ -211,55 +238,29 @@ class RatMatrix:
             raise InputError(f"square matrix required, got {self.rows}x{self.cols}")
 
     def det(self) -> Fraction:
-        """Exact determinant via fraction-free Bareiss elimination."""
+        """Exact determinant: Bareiss elimination on the denominator-cleared rows,
+        divided by the product of the row multipliers."""
         self._need_square()
-        n = self.rows
-        if n == 0:
+        if self.rows == 0:
             return Fraction(1)
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = Fraction(1)
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-                m[i][k] = Fraction(0)
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        rows, scale = [], 1
+        for row in self.entries:
+            d = _row_denominator(row)
+            rows.append(_scaled(row, d))
+            scale *= d
+        return Fraction(int_det(rows), scale)
 
     def rref(self) -> tuple["RatMatrix", tuple]:
         """Reduced row-echelon form and the tuple of pivot columns."""
-        m = [list(r) for r in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            pr = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            if pv != 1:
-                m[r] = [x / pv if x else x for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return RatMatrix(m), tuple(pivots)
+        rows = [int_row(r) for r in self.entries]
+        pivots = _gauss_jordan(rows, self.cols)
+        out = [_normalized(row, c) for row, c in zip(rows, pivots)]
+        zero_row = (_ZERO,) * self.cols
+        out.extend(zero_row for _ in range(self.rows - len(pivots)))
+        return RatMatrix._trusted(tuple(out)), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(int_echelon(int_row(r) for r in self.entries))
 
     def inverse(self) -> "RatMatrix":
         self._need_square()
@@ -308,24 +309,172 @@ class RatMatrix:
 def charpoly(m: RatMatrix) -> list[Fraction]:
     """Exact characteristic polynomial of a square matrix.
 
-    Returned monic, coefficients in ascending degree order (Faddeev-LeVerrier;
-    divisions by integers are exact over the rationals).
+    Returned monic, coefficients in ascending degree order.  Faddeev-LeVerrier
+    runs on the integer matrix D*m, D the common denominator of all entries:
+    its coefficients c_k are integers, the trace division by k is exact, and
+    the coefficient of degree n-k of the polynomial of m is c_k / D^k.
     """
     if not isinstance(m, RatMatrix):
         m = RatMatrix(m)
     m._need_square()
     n = m.rows
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
     if n == 0:
-        return coeffs
-    mk = RatMatrix.identity(n)
+        return [Fraction(1)]
+    b, den = int_matrix(m)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = m @ mk
-        c = -mk.trace() / k
-        coeffs[n - k] = c
+        mk = int_matmul(b, mk)
+        c, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if rem:
+            raise AssertionError(f"internal: Faddeev-LeVerrier trace not divisible by {k}")
+        coeffs[n - k] = Fraction(c, den**k)
         if k < n:
-            mk = mk + RatMatrix.identity(n).scale(c)
+            for i in range(n):
+                mk[i][i] += c
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# integer rows
+#
+# Elimination is done on Python ints.  A rational row enters as the row times
+# the lcm of its denominators (`int_row`); a matrix that acts as a linear map
+# is cleared with ONE denominator for all of its entries (`int_matrix`), since
+# scaling its rows separately would change the map.  An echelon is a list of
+# (pivot column, gcd-primitive int row) in insertion order, each row zero at
+# the pivots of the rows before it; reducing a vector by its rows in that
+# order leaves a residue that is zero exactly when the vector lies in their
+# span.
+
+_ZERO = Fraction(0)
+
+
+def _row_denominator(row) -> int:
+    # a loop that skips denominators of 1 beats math.lcm on these short rows
+    d = 1
+    for x in row:
+        q = x.denominator
+        if q != 1 and d % q:
+            d = d * q // math.gcd(d, q)
+    return d
+
+
+def _scaled(row, d: int) -> list:
+    if d == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (d // x.denominator) if x else 0 for x in row]
+
+
+def int_row(v: Sequence) -> list:
+    """The rational row v times the lcm of its denominators, as a list of ints."""
+    return _scaled(v, _row_denominator(v))
+
+
+def int_matrix(m: RatMatrix) -> tuple[list, int]:
+    """(D*m as int rows, D) with D the common denominator of every entry of m."""
+    d = math.lcm(*[_row_denominator(row) for row in m.entries])
+    return [_scaled(row, d) for row in m.entries], d
+
+
+def int_apply(rows: Sequence, v: Sequence) -> list:
+    """The int matrix `rows` times the int column vector v."""
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(row[j] * x for j, x in nonzero) for row in rows]
+
+
+def int_matmul(a: Sequence, b: Sequence) -> list:
+    """Product of two int matrices given as row lists."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def _primitive(row: list) -> list:
+    g = math.gcd(*row)
+    return row if g < 2 else [a // g for a in row]
+
+
+def _normalized(row: Sequence, c: int) -> Row:
+    """The int row divided by its entry at column c, as Fractions."""
+    pv = row[c]
+    return tuple(Fraction(a, pv) if a else _ZERO for a in row)
+
+
+def int_residue(v: list, echelon: Sequence) -> list:
+    """v reduced by the rows of `echelon`: zero iff v lies in their span."""
+    for c, row in echelon:
+        f = v[c]
+        if f:
+            pv = row[c]
+            v = [pv * a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def int_echelon(rows: Iterable, echelon: Sequence = ()) -> list:
+    """`echelon` extended by the residues of `rows`; its length is the rank."""
+    out = list(echelon)
+    for v in rows:
+        r = int_residue(v, out)
+        c = next((j for j, a in enumerate(r) if a), None)
+        if c is not None:
+            out.append((c, _primitive(r)))
+    return out
+
+
+def _gauss_jordan(rows: list, ncols: int) -> list:
+    """Reduce int rows in place to reduced echelon form; returns the pivots.
+
+    Row i ends as a gcd-primitive multiple of row i of the rational RREF.
+    """
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r] = _primitive(rows[r])
+        pv = prow[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = _primitive([pv * a - f * b for a, b in zip(rows[i], prow)])
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def int_det(rows: list) -> int:
+    """Determinant of a square int matrix by Bareiss elimination (rows are consumed)."""
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            pr = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if pr is None:
+                return 0
+            rows[k], rows[pr] = rows[pr], rows[k]
+            sign = -sign
+        rk = rows[k]
+        pk = rk[k]
+        for i in range(k + 1, n):
+            ri = rows[i]
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pk - f * rk[j]) // prev
+        prev = pk
+    return sign * rows[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +581,13 @@ def newton_polygon(coefficients: Sequence, p: int) -> list[tuple[Fraction, int]]
 
 def rref_rows(rows: Iterable, ncols: int) -> tuple[Row, ...]:
     """Canonical RREF basis (nonzero rows only) of the span of `rows`."""
-    rows = [tuple(rat(x) for x in r) for r in rows]
+    rows = tuple(tuple(rat(x) for x in r) for r in rows)
     for r in rows:
         if len(r) != ncols:
             raise InputError("row length mismatch")
     if not rows:
         return ()
-    red, piv = RatMatrix(rows).rref()
+    red, piv = RatMatrix._trusted(rows).rref()
     return tuple(red.entries[i] for i in range(len(piv)))
 
 

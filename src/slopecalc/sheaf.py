@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .bc import Dimension, ZERO_DIM
-from .rational import InputError, rat, rat_str
+from .bc import ZERO_DIM, Dimension
+from .rational import InputError, json_int, json_int_field, rat, rat_str
 
 INFTY = "infty"
 
@@ -94,18 +94,23 @@ class FFSheaf:
     def from_obj(cls, obj) -> "FFSheaf":
         if not isinstance(obj, dict):
             raise InputError("sheaf JSON must be an object")
+        bundle, torsion = obj.get("bundle", []), obj.get("torsion", [])
+        if not isinstance(bundle, list) or not isinstance(torsion, list):
+            raise InputError("sheaf 'bundle' and 'torsion' must be lists")
         pairs = []
-        for b in obj.get("bundle", ()):
-            try:
-                pairs.append((rat(b["slope"]), b.get("copies", 1)))
-            except (TypeError, KeyError) as exc:
-                raise InputError("bundle entries need 'slope' (and 'copies')") from exc
-        torsion = []
-        for t in obj.get("torsion", ()):
-            if not isinstance(t, dict) or "lengths" not in t:
+        for b in bundle:
+            if not isinstance(b, dict) or "slope" not in b:
+                raise InputError("bundle entries need 'slope' (and 'copies')")
+            pairs.append((rat(b["slope"]), json_int_field(b, "copies", 1)))
+        tors = []
+        for t in torsion:
+            if not isinstance(t, dict) or not isinstance(t.get("lengths"), list):
                 raise InputError("torsion entries need 'point' and 'lengths'")
-            torsion.append((t.get("point", INFTY), tuple(t["lengths"])))
-        return cls.from_bundle(pairs, torsion)
+            point = t.get("point", INFTY)
+            if not isinstance(point, str):
+                raise InputError("torsion point labels must be nonempty strings")
+            tors.append((point, tuple(json_int(m, "torsion lengths") for m in t["lengths"])))
+        return cls.from_bundle(pairs, tors)
 
 
 def canonicalize(raw_slopes: Iterable, torsion: Iterable = ()) -> FFSheaf:

@@ -166,6 +166,76 @@ class TestInternalFaults:
         assert json.loads(err)["error"] == "internal: oracle: witness does not violate"
 
 
+class TestMalformedInput:
+    """Wrongly typed fields are input errors (exit 3), never answers or faults."""
+
+    HN_BAD_N = {
+        "module": {"p": 2, "phi": [["1", "0"], ["0", "2"]], "N": [["1", "0"], ["0", "0"]]},
+        "hodge": WA_TRUE["hodge"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("newton", {"coefficients": "12", "p": 2}),
+            ("bc-dim", {"summands": [{"type": "Ueff", "d": 1, "h": 1, "copies": "2"}]}),
+            ("bc-dim", {"summands": [{"type": "Qp", "n": "x"}]}),
+            ("cohdim", {"bundle": [{"slope": "1", "copies": "a"}]}),
+            ("hn", HN_BAD_N),
+            ("plot", {"weights": ["1", 2.5]}),
+            ("plot", {"vertices": [[0, "0"], [1.9, "1"]]}),
+            ("dichotomy", {"hk": WA_TRUE["module"], "lattice": WA_TRUE["hodge"], "r": "1"}),
+            ("hn", {"module": WA_TRUE["module"], "hodge": {"flag": 5, "rank": 2}}),
+            ("wa", {"module": {"p": 2, "phi": ["10", "02"]}, "hodge": WA_TRUE["hodge"]}),
+            ("wa", {"module": WA_TRUE["module"],
+                    "hodge": {"flag": [{"index": 1, "basis": ["01"]}], "rank": 2}}),
+        ],
+        ids=[
+            "newton-string", "bcdim-copies", "bcdim-qp-n", "cohdim-copies", "hn-bad-n",
+            "plot-weights", "plot-vertex-x", "dichotomy-r", "hn-flag-not-list",
+            "wa-string-phi-rows", "wa-string-basis-rows",
+        ],
+    )
+    def test_exits_three(self, capsys, command, payload):
+        code, out, err = run_cli(capsys, command, payload)
+        assert code == cli.EXIT_INPUT == 3 and out == ""
+        assert "traceback" not in json.loads(err)
+
+    def test_bool_is_not_an_integer(self, capsys):
+        payload = {"summands": [{"type": "Ueff", "d": 1, "h": 1, "copies": True}]}
+        assert run_cli(capsys, "bc-dim", payload)[0] == 3
+
+
+class TestOracleRescoring:
+    def test_underreporting_scorer_exits_four(self, capsys, monkeypatch):
+        # span(e1) has degree 1 > 0; a scorer one short of it makes the
+        # module look weakly admissible, which the oracle must refuse
+        payload = {
+            "module": WA_TRUE["module"],
+            "hodge": {"flag": [{"index": 1, "basis": [["1", "0"]]}], "rank": 2},
+        }
+        assert run_cli(capsys, "wa", payload)[0] == 1
+        honest = hn.lattice_scorer
+
+        def underreporting(m, lattice=None):
+            score = honest(m, lattice)
+
+            def lower(basis, mask=None):
+                k, th, tn, d = score(basis, mask)
+                return (k, th, tn, d - 1) if 0 < k < m.rank else (k, th, tn, d)
+
+            return lower
+
+        monkeypatch.setattr(hn, "lattice_scorer", underreporting)
+        code, out, _ = run_cli(capsys, "wa", payload)
+        assert (code, json.loads(out)["status"]) == (0, "certified-true")
+        code, out, err = run_cli(capsys, "wa", payload, "--oracle")
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == (
+            "internal: oracle: a subobject violates a certified-true verdict"
+        )
+
+
 def _python(*args, stdin=b""):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

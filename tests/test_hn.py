@@ -22,7 +22,14 @@ from slopecalc.hn import (
     sub_invariants,
     vst_dimension,
 )
-from slopecalc.isocrystal import PhiModule, SlopeMultiset, dual, from_slopes
+from slopecalc.isocrystal import (
+    PhiModule,
+    SlopeMultiset,
+    check_phi_n,
+    dm_blocks,
+    dual,
+    from_slopes,
+)
 from slopecalc.rational import FlagRequiredError, InputError, RatMatrix, restriction_matrix
 
 from _generators import (
@@ -380,3 +387,98 @@ class TestLatticeScorer:
             lattice_scorer(m)(((F(1), F(0)),))
         with pytest.raises(InputError):
             sub_invariants(m, ((F(1), F(0)),))
+
+
+def _eigen_module(rng, n, chain):
+    """S diag(lambda) S^-1 with distinct eigenvalue valuations, and its eigenvectors.
+
+    With `chain` the eigenvalues are 1, p, ..., p^(n-1) and N maps each
+    p^(i+1)-line into the p^i-line with a random coefficient in {0, 1, 2}.
+    """
+    if chain:
+        eig = [F(P) ** i for i in range(n)]
+    else:
+        eig = [F(rng.choice([1, -1, 3])) * F(P) ** e for e in rng.sample(range(-2, 5), n)]
+    e = [[F(0)] * n for _ in range(n)]
+    if chain:
+        for i in range(n - 1):
+            e[i][i + 1] = F(rng.choice([0, 1, 2]))
+    s = random_unimodular(rng, n)
+    diag = RatMatrix([[eig[i] if i == j else F(0) for j in range(n)] for i in range(n)])
+    mod = PhiModule(P, s @ diag @ s.inverse(), s @ RatMatrix(e) @ s.inverse())
+    return mod, [[col] for col in s.transpose().entries]
+
+
+def _span_lattice(parts, nil, n):
+    """Canonical spans of the unions of parts that N maps into themselves."""
+    from slopecalc.rational import rref_rows, span_contains
+
+    out = set()
+    for mask in range(1 << len(parts)):
+        span = rref_rows([row for i, part in enumerate(parts) if mask >> i & 1 for row in part], n)
+        if all(span_contains(span, nil.apply(v)) for v in span):
+            out.add(span)
+    return out
+
+
+class TestMaskLattice:
+    """Scores, containment and elements of part lattices against spans."""
+
+    @staticmethod
+    def agree(m, parts, strategy):
+        from slopecalc.rational import span_leq
+
+        lattice = enumerate_subobjects(m)
+        assert lattice.strategy == strategy and lattice.certified and lattice.decides
+        assert set(lattice.bases) == _span_lattice(parts, m.module.nilpotent, m.rank)
+        score = lattice_scorer(m, lattice)
+        for basis, mask in lattice.elements():
+            fast = score(basis, mask)
+            assert fast == sub_invariants(m, basis)
+            assert fast[1] == oracle_t_h(m.hodge, basis)
+        for j, small in enumerate(lattice.bases):
+            for i, big in enumerate(lattice.bases):
+                assert lattice.leq(j, i) == span_leq(small, big)
+        return lattice
+
+    @pytest.mark.parametrize("chain", [False, True])
+    def test_eigenline_modules(self, chain):
+        rng = random.Random(40 + chain)
+        sizes = []
+        for n in (3, 4, 5, 6):
+            mod, lines = _eigen_module(rng, n, chain)
+            assert check_phi_n(mod)
+            m = FilteredPhiModule(mod, random_flag(rng, n, -1, 3))
+            sizes.append(len(self.agree(m, lines, "eigenlines").bases))
+        # an N chain cuts the lattice below 2^n
+        assert (sizes != [8, 16, 32, 64]) == chain
+
+    def test_multiplicity_free_slope_normal_forms(self):
+        rng = random.Random(41)
+        for slopes in (
+            [(F(1, 2), 2), (F(0), 1), (F(2), 1)],
+            [(F(-1), 1), (F(1, 3), 3), (F(3, 2), 2)],
+            [(F(1, 4), 4), (F(2), 1), (F(1, 2), 2), (F(-1, 2), 2)],
+            [(F(0), 1), (F(1), 1), (F(2), 1), (F(1, 3), 3), (F(-3), 1)],
+        ):
+            mod = from_slopes(SlopeMultiset(slopes), P)
+            assert 4 <= mod.rank <= 9
+            m = FilteredPhiModule(mod, random_flag(rng, mod.rank, -1, 3))
+            std = RatMatrix.identity(mod.rank).entries
+            parts = [std[off : off + size] for _, off, size in dm_blocks(mod)]
+            lattice = self.agree(m, parts, "blocks")
+            assert len(lattice.bases) == 2 ** len(slopes)
+
+    def test_slope_normal_form_with_monodromy(self):
+        # blocks of slopes 1/2 and 3/2 (companions of x^2 - p and x^2 - p^3)
+        # with N mapping the second into the first: M.B = p.A.M for
+        # M = [[1, 0], [0, p]]; the slope-0 line is left alone
+        base = from_slopes(SlopeMultiset([(F(0), 1), (F(1, 2), 2), (F(3, 2), 2)]), P)
+        nil = [[F(0)] * 5 for _ in range(5)]
+        nil[1][3], nil[2][4] = F(1), F(P)
+        mod = PhiModule(P, base.phi, RatMatrix(nil), base.form)
+        assert check_phi_n(mod)
+        m = FilteredPhiModule(mod, random_flag(random.Random(42), 5, 0, 2))
+        std = RatMatrix.identity(5).entries
+        lattice = self.agree(m, [std[0:1], std[1:3], std[3:5]], "blocks")
+        assert len(lattice.bases) == 6  # the slope-3/2 block needs the slope-1/2 one

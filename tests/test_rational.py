@@ -295,3 +295,143 @@ class TestComplementErrors:
         outer = rref_rows([(F(0), F(1))], 2)
         with pytest.raises(InputError):
             complement_basis(inner, outer, 2)
+
+
+# ---------------------------------------------------------------------------
+# the integer-row kernel against from-scratch Fraction references
+
+
+def ref_rref(rows, ncols):
+    """Gauss-Jordan over Fractions: (all rows of the RREF, pivot columns)."""
+    rows = [[F(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return [tuple(r) for r in rows], tuple(pivots)
+
+
+def ref_charpoly(m: RatMatrix):
+    """Ascending coefficients from principal minors: c_{n-k} = (-1)^k sum det A[S, S]."""
+    import itertools
+
+    n = m.rows
+    coeffs = [F(0)] * (n + 1)
+    for k in range(n + 1):
+        total = F(0)
+        for sub in itertools.combinations(range(n), k):
+            minor = RatMatrix([[m.entries[i][j] for j in sub] for i in sub]) if sub else None
+            total += det_by_permutations(minor) if minor is not None else F(1)
+        coeffs[n - k] = (-1) ** k * total
+    return coeffs
+
+
+def ref_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b)] for row in a]
+
+
+def kernel_cases():
+    """Seeded matrices: a different denominator in each row, zero rows, rank
+    deficiency, non-square shapes, and the empty and 1x1 cases."""
+    import random
+
+    rng = random.Random(1968)
+    cases = [RatMatrix([]), RatMatrix([[F(0)]]), RatMatrix([[F(-7, 3)]]), RatMatrix([[], []])]
+    for shape in [(2, 2), (3, 3), (4, 4), (5, 5), (2, 3), (3, 5), (4, 2), (5, 3)] * 4:
+        r, c = shape
+        dens = rng.sample([1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 25], r)
+        rows = [[F(rng.randint(-9, 9), d) for _ in range(c)] for d in dens]
+        roll = rng.random()
+        if roll < 0.25 and r > 1:
+            rows[rng.randrange(r)] = [F(0)] * c  # a zero row
+        elif roll < 0.6 and r > 2:
+            i, j, k = rng.sample(range(r), 3)  # row i depends on rows j and k
+            a, b = F(rng.randint(-3, 3), 2), F(rng.randint(-3, 3), 7)
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+        cases.append(RatMatrix(rows))
+    return cases
+
+
+KERNEL_CASES = kernel_cases()
+
+
+class TestIntegerKernel:
+    def test_rref_and_rank(self):
+        for m in KERNEL_CASES:
+            red, piv = m.rref()
+            want_rows, want_piv = ref_rref(m.entries, m.cols)
+            assert (red.entries, piv) == (tuple(want_rows), want_piv), m
+            assert all(isinstance(x, F) for row in red.entries for x in row)
+            assert m.rank() == len(want_piv), m
+
+    def test_det(self):
+        for m in KERNEL_CASES:
+            if m.is_square():
+                assert m.det() == det_by_permutations(m), m
+            else:
+                with pytest.raises(InputError):
+                    m.det()
+
+    def test_charpoly(self):
+        for m in filter(RatMatrix.is_square, KERNEL_CASES):
+            got = charpoly(m)
+            assert got == ref_charpoly(m), m
+            assert all(isinstance(x, F) for x in got)
+
+    def test_nullspace(self):
+        for m in KERNEL_CASES:
+            basis = m.nullspace()
+            want_rows, want_piv = ref_rref(m.entries, m.cols)
+            assert len(basis) == m.cols - len(want_piv), m
+            for v in basis:
+                assert all(sum((a * x for a, x in zip(row, v)), F(0)) == 0 for row in m.entries)
+            assert list(basis) == ref_rref(basis, m.cols)[0][: len(basis)], m
+
+    def test_inverse(self):
+        singular = 0
+        for m in filter(RatMatrix.is_square, KERNEL_CASES[1:]):
+            if det_by_permutations(m) == 0:
+                singular += 1
+                with pytest.raises(InputError):
+                    m.inverse()
+                continue
+            inv = m.inverse().entries
+            ident = [[F(i == j) for j in range(m.rows)] for i in range(m.rows)]
+            assert ref_mul(m.entries, inv) == ident == ref_mul(inv, m.entries), m
+        assert singular > 0
+
+
+class TestSampledPathStability:
+    def test_repeated_eigenvalue_with_uneven_row_denominators(self):
+        # phi = S diag(1/2, 1/2, 1) S^-1 and N = S E S^-1 with E mapping the
+        # 1-line into the 1/2-plane, so N.phi = 2.phi.N; the rows of phi
+        # carry different denominators, so clearing them row by row would
+        # change the map the sampled closure grows under
+        from slopecalc.filtration import HodgeData
+        from slopecalc.hn import FilteredPhiModule, enumerate_subobjects
+        from slopecalc.isocrystal import PhiModule, check_phi_n
+
+        s = RatMatrix([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+        diag = RatMatrix([[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, 1]])
+        e = RatMatrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+        phi = s @ diag @ s.inverse()
+        nil = s @ e @ s.inverse()
+        assert len({max(x.denominator for x in row) for row in phi.entries}) > 1
+        mod = PhiModule.from_matrices(2, phi, nil)
+        assert check_phi_n(mod)
+        hodge = HodgeData.from_flag([(1, [[1, 1, 0], [0, 1, 2]]), (2, [[1, 1, 0]])], rank=3)
+        lattice = enumerate_subobjects(FilteredPhiModule(mod, hodge))
+        assert lattice.strategy == "sample" and not lattice.certified
+        assert len(lattice.bases) > 3
+        for basis in lattice.bases:
+            assert restriction_matrix(phi, basis) is not None
+            assert all(span_contains(basis, nil.apply(v)) for v in basis)
