@@ -469,14 +469,10 @@ def sub_invariants(m: FilteredPhiModule, basis) -> tuple[int, int, Fraction, Fra
     return k, th, tn, Fraction(th) - tn
 
 
-def _pivots(basis) -> tuple:
-    """Pivot columns of canonical reduced-row-echelon rows."""
-    return tuple(next(c for c, x in enumerate(row) if x) for row in basis)
-
-
 def _basis_echelon(basis) -> list:
     """Integer echelon of canonical RREF rows (each is zero at the others' pivots)."""
-    return list(zip(_pivots(basis), (int_row(b) for b in basis)))
+    rows = [int_row(b) for b in basis]
+    return [(next(c for c, a in enumerate(row) if a), row) for row in rows]
 
 
 def _part_ranks(lattice: SubobjectLattice, levels):
