@@ -104,9 +104,10 @@ class BCObject:
     def build(cls, ueff=(), uquot=(), torsion=(), qp=0) -> "BCObject":
         """Canonicalize raw piece data (merging duplicates, sorting)."""
 
-        def merge(pairs):
+        def merge(pairs, tag):
             acc: dict[tuple[int, int], int] = {}
             for d, h, c in pairs:
+                _check_pair(d, h, tag)  # before the slope d/h is formed for sorting
                 acc[(d, h)] = acc.get((d, h), 0) + c
             return tuple(
                 (d, h, c)
@@ -119,7 +120,7 @@ class BCObject:
         tt = tuple(
             (point, tuple(sorted(ls, reverse=True))) for point, ls in sorted(tors.items())
         )
-        return cls(merge(ueff), merge(uquot), tt, qp)
+        return cls(merge(ueff, "Ueff"), merge(uquot, "Uquot"), tt, qp)
 
     @classmethod
     def zero(cls) -> "BCObject":

@@ -44,6 +44,7 @@ EXIT_FALSE = 1
 EXIT_UNCERTIFIED = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
+SVG_MAX_SPAN = 1000  # grid units on either axis of an SVG plot
 
 
 def _verdict_exit(status: str) -> int:
@@ -306,6 +307,8 @@ def _svg(polygon: Polygon) -> str:
     x0, x1 = min(xs), max(xs)
     ylo = math.floor(min(ys))
     yhi = math.ceil(max(ys))
+    if max(x1 - x0, yhi - ylo) > SVG_MAX_SPAN:  # one grid line per unit
+        raise InputError(f"an SVG plot spans at most {SVG_MAX_SPAN} units; use --format json")
     width = (x1 - x0) * unit + 2 * margin
     height = (yhi - ylo) * unit + 2 * margin or 2 * margin
 

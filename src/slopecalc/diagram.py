@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bc import check_exact, curvature_nonpositive, dimension, height_functor_rank, parse_formal
+from .bc import BCObject, QBCObject, check_exact, curvature_nonpositive, dimension
+from .bc import height_functor_rank, parse_formal
 from .filtration import HodgeData
 from .hn import (
     STATUS_FALSE,
@@ -291,8 +292,13 @@ class MVReport:
 def _parse_row(obj, tag: str):
     if not isinstance(obj, dict) or "objects" not in obj or "arrows" not in obj:
         raise InputError(f"row {tag} needs 'objects' and 'arrows'")
-    objects = [o if not isinstance(o, dict) else parse_formal(o) for o in obj["objects"]]
-    return objects, obj["arrows"]
+    objects, arrows = obj["objects"], obj["arrows"]
+    if not isinstance(objects, list) or not isinstance(arrows, list):
+        raise InputError(f"row {tag}: 'objects' and 'arrows' must be lists")
+    objects = [parse_formal(o) if isinstance(o, dict) else o for o in objects]
+    if not all(isinstance(o, (BCObject, QBCObject)) for o in objects):
+        raise InputError(f"row {tag}: every object must be a JSON object")
+    return objects, arrows
 
 
 def mv_check(row_a, row_b, r: int) -> MVReport:

@@ -23,10 +23,11 @@ from .rational import (
     FlagRequiredError,
     InputError,
     RatMatrix,
-    coordinates,
+    is_row_list,
     rat,
     rat_str,
     rref_rows,
+    solve_coordinates,
     span_intersect,
     span_leq,
 )
@@ -56,6 +57,8 @@ class HodgeData:
 
     @classmethod
     def from_weights(cls, weights: Sequence[int]) -> "HodgeData":
+        if not isinstance(weights, (list, tuple)):
+            raise InputError(f"Hodge weights must be a list of integers, got {weights!r}")
         ws = []
         for w in weights:
             if isinstance(w, bool) or not isinstance(w, int):
@@ -71,8 +74,8 @@ class HodgeData:
         for idx, basis in entries:
             if isinstance(idx, bool) or not isinstance(idx, int):
                 raise InputError("flag indices must be integers")
-            if isinstance(basis, str) or any(isinstance(row, str) for row in basis):
-                raise InputError("flag bases must be lists of rows, not strings")
+            if not is_row_list(basis):
+                raise InputError("flag bases must be lists of row lists")
             rows = [tuple(rat(x) for x in row) for row in basis]
             for row in rows:
                 if ncols is None:
@@ -282,11 +285,8 @@ def induced_on_subspace(h: HodgeData, subspace: Sequence) -> HodgeData:
 
 
 def _in_coordinates(vectors, basis) -> tuple:
-    """Rewrite vectors of span(basis) in basis coordinates."""
-    out = []
-    for v in vectors:
-        c = coordinates(basis, v)
-        if c is None:
-            raise InputError("vector not in subspace")
-        out.append(c)
+    """Rewrite vectors of span(basis) in basis coordinates, all in one solve."""
+    out = solve_coordinates(basis, vectors)
+    if out is None:
+        raise InputError("vector not in subspace")
     return rref_rows(out, len(basis))

@@ -1,8 +1,11 @@
 """Exact rational linear algebra and valuation polygons.
 
-All arithmetic is exact, over `fractions.Fraction` and Python ints (the
-elimination kernel), and nothing here ever rounds.  The only float in the
-module is `math.inf`, used as the conventional valuation of zero.
+All arithmetic is exact, over `fractions.Fraction` and Python ints, and
+nothing here ever rounds.  The only float in the module is `math.inf`, used
+as the conventional valuation of zero.  Every elimination (`RatMatrix.rref`,
+`rank`, `det`, `nullspace`, and the row-space helpers: solving,
+containment, intersection) runs on integer rows, and Fractions are built
+only for the entries a function returns.
 
 Slope convention, used by everything downstream: `newton_polygon` returns
 the NEGATED slopes of the lower convex hull of the points ``(i, v_p(a_i))``.
@@ -47,6 +50,11 @@ def rat(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational string {x!r}") from exc
     raise InputError(f"not a rational: {x!r} (floats are rejected)")
+
+
+def is_row_list(x) -> bool:
+    """Whether x is a list (or tuple) of lists (or tuples), as matrices and bases are."""
+    return isinstance(x, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in x)
 
 
 def json_int(x, what: str) -> int:
@@ -130,10 +138,9 @@ class RatMatrix:
 
     __slots__ = ("entries",)
 
-    def __init__(self, rows: Iterable[Iterable]):
-        rows = tuple(rows)
-        if any(isinstance(row, str) for row in rows):
-            raise InputError("matrix rows must be lists, not strings")
+    def __init__(self, rows: Sequence[Sequence]):
+        if not is_row_list(rows):
+            raise InputError("a matrix must be a list of row lists")
         ent = tuple(tuple(rat(x) for x in row) for row in rows)
         if ent:
             w = len(ent[0])
@@ -274,17 +281,24 @@ class RatMatrix:
         return RatMatrix([row[n:] for row in red.entries])
 
     def nullspace(self) -> tuple[Row, ...]:
-        """Canonical (RREF'd) basis of the right kernel, as row vectors."""
-        red, piv = self.rref()
-        free = [c for c in range(self.cols) if c not in piv]
+        """Canonical (RREF'd) basis of the right kernel, as row vectors.
+
+        Kernel vector f (free column f) times the lcm L of the pivot entries
+        of the int RREF is an int row; one more elimination makes them canonical.
+        """
+        n = self.cols
+        rows = [int_row(r) for r in self.entries]
+        pivots = _gauss_jordan(rows, n)
+        lcm = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
         basis = []
-        for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for r, c in enumerate(piv):
-                v[c] = -red.entries[r][f]
-            basis.append(tuple(v))
-        return rref_rows(basis, self.cols)
+        for f in sorted(set(range(n)) - set(pivots)):
+            v = [0] * n
+            v[f] = lcm
+            for row, c in zip(rows, pivots):
+                if row[f]:
+                    v[c] = -row[f] * (lcm // row[c])
+            basis.append(v)
+        return tuple(_normalized(row, c) for row, c in zip(basis, _gauss_jordan(basis, n)))
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
         """Kronecker product self (x) other."""
@@ -576,44 +590,71 @@ def newton_polygon(coefficients: Sequence, p: int) -> list[tuple[Fraction, int]]
 # Subspaces are passed around as tuples of row vectors; the canonical form of
 # a subspace is the tuple of nonzero rows of its RREF, which makes equality,
 # hashing and the lexicographic tie-breaks used by the Harder-Narasimhan
-# machinery deterministic.
+# machinery deterministic.  Each query below is one elimination on integer
+# rows, and Fractions are built only for the entries returned: containment is
+# a zero residue modulo an `int_echelon`, solving is one `_gauss_jordan` of
+# the augmented transpose for all targets, an intersection one Zassenhaus
+# reduction.  Entries are coerced with `rat`, so strings 'a/b' work.
+
+
+def _rat_rows(rows: Iterable, ncols: int) -> tuple:
+    rows = tuple(tuple(map(rat, r)) for r in rows)
+    if any(len(r) != ncols for r in rows):
+        raise InputError("row length mismatch")
+    return rows
 
 
 def rref_rows(rows: Iterable, ncols: int) -> tuple[Row, ...]:
     """Canonical RREF basis (nonzero rows only) of the span of `rows`."""
-    rows = tuple(tuple(rat(x) for x in r) for r in rows)
-    for r in rows:
-        if len(r) != ncols:
-            raise InputError("row length mismatch")
+    rows = _rat_rows(rows, ncols)
     if not rows:
         return ()
     red, piv = RatMatrix._trusted(rows).rref()
     return tuple(red.entries[i] for i in range(len(piv)))
 
 
+def solve_coordinates(basis: Sequence[Row], targets: Sequence) -> Optional[tuple]:
+    """Coefficients of every target in the basis rows, or None if one is outside their span.
+
+    Row c of the augmented transpose [basis | targets] is the equation of
+    coordinate c, cleared by its own lcm (which keeps its solutions); a pivot
+    in a target column means that target is not in the span.  Unknowns
+    without a pivot (a dependent basis) are zero.
+    """
+    if not basis or not targets:
+        return None if any(rat(x) for t in targets for x in t) else tuple(() for _ in targets)
+    k, n = len(basis), len(basis[0])
+    cols = _rat_rows(list(basis) + list(targets), n)
+    rows = [int_row([col[c] for col in cols]) for c in range(n)]
+    pivots = _gauss_jordan(rows, len(cols))
+    if pivots and pivots[-1] >= k:
+        return None
+    out = []
+    for t in range(k, len(cols)):
+        coeffs = [_ZERO] * k
+        for row, c in zip(rows, pivots):
+            if row[t]:
+                coeffs[c] = Fraction(row[t], row[c])
+        out.append(tuple(coeffs))
+    return tuple(out)
+
+
 def coordinates(basis: Sequence[Row], v: Sequence) -> Optional[tuple]:
     """Coefficients of v in the given (independent) basis rows, or None."""
-    v = tuple(rat(x) for x in v)
-    if not basis:
-        return () if all(x == 0 for x in v) else None
-    n = len(basis[0])
-    aug = RatMatrix([[basis[r][c] for r in range(len(basis))] + [v[c]] for c in range(n)])
-    red, piv = aug.rref()
-    k = len(basis)
-    if k in piv:
-        return None  # inconsistent
-    coeffs = [Fraction(0)] * k
-    for r, c in enumerate(piv):
-        coeffs[c] = red.entries[r][k]
-    return tuple(coeffs)
+    solved = solve_coordinates(basis, [v])
+    return None if solved is None else solved[0]
 
 
 def span_contains(basis: Sequence[Row], v: Sequence) -> bool:
-    return coordinates(basis, v) is not None
+    return span_leq([v], basis)
 
 
 def span_leq(a: Sequence[Row], b: Sequence[Row]) -> bool:
-    return all(span_contains(b, v) for v in a)
+    """Whether span(a) <= span(b): b's echelon is built once for all of a."""
+    if not a:
+        return True
+    echelon = int_echelon(map(int_row, _rat_rows(b, len(a[0]))))
+    return not any(any(int_residue(int_row(v), echelon)) for v in _rat_rows(a, len(a[0])))
 
 
 def span_sum(a: Sequence[Row], b: Sequence[Row], ncols: int) -> tuple[Row, ...]:
@@ -621,18 +662,20 @@ def span_sum(a: Sequence[Row], b: Sequence[Row], ncols: int) -> tuple[Row, ...]:
 
 
 def span_intersect(a: Sequence[Row], b: Sequence[Row], ncols: int) -> tuple[Row, ...]:
-    """Canonical basis of the intersection of two row spaces."""
+    """Canonical basis of the intersection of two row spaces (Zassenhaus).
+
+    The reduced echelon form of the rows [a_i | a_i] and [b_j | 0] has a zero
+    left half exactly in its rows with a pivot at or past ncols, and their
+    right halves, divided by the pivot, are the RREF of span(a) & span(b).
+    """
     if not a or not b:
         return ()
-    stacked = RatMatrix(list(a) + list(b)).transpose()  # columns are the vectors
-    out = []
-    for c in stacked.nullspace():
-        v = [Fraction(0)] * ncols
-        for i, coef in enumerate(c[: len(a)]):
-            for j in range(ncols):
-                v[j] += coef * a[i][j]
-        out.append(tuple(v))
-    return rref_rows(out, ncols)
+    rows = [int_row(v + v) for v in _rat_rows(a, ncols)]
+    rows += [int_row(v) + [0] * ncols for v in _rat_rows(b, ncols)]
+    pivots = _gauss_jordan(rows, 2 * ncols)
+    return tuple(
+        _normalized(row[ncols:], c - ncols) for row, c in zip(rows, pivots) if c >= ncols
+    )
 
 
 def restriction_matrix(m: RatMatrix, basis: Sequence[Row]) -> Optional[RatMatrix]:
@@ -640,15 +683,10 @@ def restriction_matrix(m: RatMatrix, basis: Sequence[Row]) -> Optional[RatMatrix
 
     basis rows b_i; the returned k x k matrix A satisfies m(b_i) = sum_j A[i][j] b_j.
     """
-    rows = []
-    for v in basis:
-        c = coordinates(basis, m.apply(v))
-        if c is None:
-            return None
-        rows.append(c)
-    if not rows:
+    if not basis:
         return RatMatrix([])
-    return RatMatrix(rows)
+    rows = solve_coordinates(basis, [m.apply(v) for v in basis])
+    return None if rows is None else RatMatrix._trusted(rows)
 
 
 def complement_basis(inner: Sequence[Row], outer: Sequence[Row], ncols: int) -> tuple[Row, ...]:

@@ -53,14 +53,14 @@ class FFSheaf:
         acc: dict[Fraction, int] = {}
         for s, c in pairs:
             s = rat(s)
-            c = int(c)
+            c = json_int(c, "bundle copies")
             if c < 1:
                 raise InputError("bundle copies must be positive integers")
             acc[s] = acc.get(s, 0) + c
         bundle = tuple(sorted(acc.items(), key=lambda t: t[0], reverse=True))
         tors: dict[str, list[int]] = {}
         for point, lengths in torsion:
-            tors.setdefault(point, []).extend(int(m) for m in lengths)
+            tors.setdefault(point, []).extend(json_int(m, "torsion lengths") for m in lengths)
         tt = tuple((pt, tuple(sorted(ls, reverse=True))) for pt, ls in sorted(tors.items()))
         return cls(bundle, tt)
 
@@ -122,7 +122,7 @@ def canonicalize(raw_slopes: Iterable, torsion: Iterable = ()) -> FFSheaf:
     pairs = []
     for s, rank in raw_slopes:
         s = rat(s)
-        rank = int(rank)
+        rank = json_int(rank, "ranks")
         if rank < 1:
             raise InputError("ranks must be positive")
         h = s.denominator

@@ -65,6 +65,12 @@ class TestDimension:
         with pytest.raises(InputError):
             BCObject.build(ueff=[(2, 4, 1)])
 
+    @pytest.mark.parametrize("pieces", [{"ueff": [(2, 0, 1)]}, {"uquot": [(1, 0, 1)]}])
+    def test_zero_h_rejected_before_sorting(self, pieces):
+        # the merge sorts by the slope d/h, which must not be formed first
+        with pytest.raises(InputError):
+            BCObject.build(**pieces)
+
 
 class TestSlopes:
     def test_effective_slope(self):

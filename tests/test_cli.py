@@ -166,6 +166,10 @@ class TestInternalFaults:
         assert json.loads(err)["error"] == "internal: oracle: witness does not violate"
 
 
+MV = json.loads((ROOT / "tests" / "fixtures" / "mvcheck_identical.json").read_text())["input"]
+MV_OBJECTS = MV["row_a"]["objects"]
+
+
 class TestMalformedInput:
     """Wrongly typed fields are input errors (exit 3), never answers or faults."""
 
@@ -189,17 +193,42 @@ class TestMalformedInput:
             ("wa", {"module": {"p": 2, "phi": ["10", "02"]}, "hodge": WA_TRUE["hodge"]}),
             ("wa", {"module": WA_TRUE["module"],
                     "hodge": {"flag": [{"index": 1, "basis": ["01"]}], "rank": 2}}),
+            ("hn", {"module": {**WA_TRUE["module"], "N": 0}, "hodge": WA_TRUE["hodge"]}),
+            ("hn", {"module": {**WA_TRUE["module"], "phi": [["1", "0"], 0]},
+                    "hodge": WA_TRUE["hodge"]}),
+            ("hn", {"module": WA_TRUE["module"],
+                    "hodge": {"flag": [{"index": 1, "basis": True}], "rank": 2}}),
+            ("hn", {"module": WA_TRUE["module"],
+                    "hodge": {"flag": [{"index": 1, "basis": [True]}], "rank": 2}}),
+            ("hodge", {"hodge": {"weights": 0}}),
+            ("bc-dim", {"summands": [{"type": "Ueff", "d": 2, "h": 0, "copies": 1}]}),
+            ("mv-check", {**MV, "row_a": {**MV["row_a"], "objects": [None, *MV_OBJECTS[1:]]}}),
+            ("mv-check", {**MV, "row_a": {**MV["row_a"], "objects": ["x", *MV_OBJECTS[1:]]}}),
+            ("mv-check", {"r": 0, "row_a": {"objects": 0, "arrows": []},
+                          "row_b": {"objects": [{"summands": []}], "arrows": []}}),
+            ("mv-check", {"r": 0, "row_a": {"objects": [{"summands": []}], "arrows": None},
+                          "row_b": {"objects": [{"summands": []}], "arrows": []}}),
+            ("plot", {"weights": [0, 10**30]}),
+            ("plot", {"vertices": [[0, "0"], [10**30, "1"]]}),
         ],
         ids=[
             "newton-string", "bcdim-copies", "bcdim-qp-n", "cohdim-copies", "hn-bad-n",
             "plot-weights", "plot-vertex-x", "dichotomy-r", "hn-flag-not-list",
-            "wa-string-phi-rows", "wa-string-basis-rows",
+            "wa-string-phi-rows", "wa-string-basis-rows", "hn-n-not-a-matrix",
+            "hn-phi-row-not-a-list", "hn-flag-basis-bool", "hn-flag-basis-row-bool",
+            "hodge-weights-not-a-list", "bcdim-zero-h", "mvcheck-null-object",
+            "mvcheck-string-object", "mvcheck-objects-not-a-list", "mvcheck-arrows-null",
+            "plot-svg-weight-span", "plot-svg-vertex-span",
         ],
     )
     def test_exits_three(self, capsys, command, payload):
         code, out, err = run_cli(capsys, command, payload)
         assert code == cli.EXIT_INPUT == 3 and out == ""
         assert "traceback" not in json.loads(err)
+
+    def test_wide_plot_still_renders_as_json(self, capsys):
+        code, out, _ = run_cli(capsys, "plot", {"weights": [0, 10**30]}, "--format", "json")
+        assert code == 0 and json.loads(out)["vertices"][-1] == [2, str(10**30)]
 
     def test_bool_is_not_an_integer(self, capsys):
         payload = {"summands": [{"type": "Ueff", "d": 1, "h": 1, "copies": True}]}

@@ -1,0 +1,92 @@
+"""Seeded malformed-input fuzzing of the CLI.
+
+Each case takes one fixture of tests/fixtures, sets one field of its input (a
+value of an object or an element of a list, at any depth) to one of a fixed
+list of wrongly typed or extreme values, and runs it through the in-process
+`cli.run`.  Every run must end in an answer or an input error (exit 0-3),
+never in an internal fault (exit 4, whose report carries a traceback), and
+must finish within a time limit.  Stdlib only; the cases depend only on SEED.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import random
+import signal
+import sys
+
+from slopecalc import cli
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FIXTURES = [
+    json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted((ROOT / "tests" / "fixtures").glob("*.json"))
+]
+VALUES = (None, True, 1.5, "x", "1/0", [], {}, -1, 0, 10**30, [[1]], "2")
+SEED = 1
+CASES = 1500
+LIMIT_S = 10
+
+
+class Hang(BaseException):
+    """Raised by the alarm; a BaseException, so `cli.run` cannot turn it into exit 4."""
+
+
+def _paths(node, prefix=()):
+    """Every position below the root: object keys and list indices, depth first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _cases():
+    rng = random.Random(SEED)
+    for _ in range(CASES):
+        fixture = rng.choice(FIXTURES)
+        payload = json.loads(json.dumps(fixture["input"]))
+        path = rng.choice(list(_paths(payload)))
+        value = rng.choice(VALUES)
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        yield fixture["command"], json.dumps(payload)
+
+
+def _run(command, text):
+    """(exit code, stderr) of one in-process run, or (None, "hang") past LIMIT_S."""
+    def alarm(signum, frame):
+        raise Hang()
+
+    out, err = io.StringIO(), io.StringIO()
+    old_stdin, old_handler = sys.stdin, signal.signal(signal.SIGALRM, alarm)
+    sys.stdin = io.StringIO(text)
+    signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return cli.run([command, "--input", "-"]), err.getvalue()
+    except Hang:
+        return None, "hang"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old_handler)
+        sys.stdin = old_stdin
+
+
+def test_mutated_fixtures_never_fault_or_hang():
+    failures = {}
+    for command, text in _cases():
+        if (command, text) in failures:
+            continue
+        code, err = _run(command, text)
+        if code not in (0, 1, 2, 3) or "traceback" in err:
+            failures[(command, text)] = f"exit {code}: {err[:300]}"
+    report = [f"{cmd} {text}\n    {why}" for (cmd, text), why in list(failures.items())[:10]]
+    assert not failures, f"{len(failures)} distinct failing inputs, e.g.\n" + "\n".join(report)

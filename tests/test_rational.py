@@ -17,8 +17,10 @@ from slopecalc.rational import (
     rat_str,
     restriction_matrix,
     rref_rows,
+    solve_coordinates,
     span_contains,
     span_intersect,
+    span_leq,
     valuation,
 )
 
@@ -408,6 +410,194 @@ class TestIntegerKernel:
             ident = [[F(i == j) for j in range(m.rows)] for i in range(m.rows)]
             assert ref_mul(m.entries, inv) == ident == ref_mul(inv, m.entries), m
         assert singular > 0
+
+
+# ---------------------------------------------------------------------------
+# the row-space helpers against from-scratch Fraction references
+
+
+def ref_span(rows, ncols):
+    """Nonzero rows of the Fraction RREF: the canonical basis of span(rows)."""
+    red, piv = ref_rref(rows, ncols)
+    return red[: len(piv)]
+
+
+def ref_kernel(rows, ncols):
+    """Canonical basis of {x : r.x = 0 for every row r}, from the Fraction RREF."""
+    red, piv = ref_rref(rows, ncols)
+    out = []
+    for f in (c for c in range(ncols) if c not in piv):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for r, c in enumerate(piv):
+            v[c] = -red[r][f]
+        out.append(v)
+    return ref_span(out, ncols)
+
+
+def ref_contains(basis, v, ncols):
+    return len(ref_span(list(basis) + [v], ncols)) == len(ref_span(basis, ncols))
+
+
+def ref_coordinates(basis, v):
+    """Solve sum x_i basis_i = v over Fractions, free unknowns zero; None if inconsistent."""
+    k = len(basis)
+    aug = [[b[c] for b in basis] + [v[c]] for c in range(len(v))]
+    red, piv = ref_rref(aug, k + 1)
+    if k in piv:
+        return None
+    x = [F(0)] * k
+    for r, c in enumerate(piv):
+        x[c] = red[r][k]
+    return tuple(x)
+
+
+def ref_intersect(a, b, ncols):
+    # span(a) & span(b) = ann(ann(a) + ann(b))
+    return ref_kernel(ref_kernel(a, ncols) + ref_kernel(b, ncols), ncols)
+
+
+def ref_complement(inner, outer, ncols):
+    chosen = []
+    for v in ref_span(outer, ncols):
+        if not ref_contains(list(inner) + chosen, v, ncols):
+            chosen.append(v)
+    return tuple(chosen)
+
+
+def span_cases():
+    """Seeded (ncols, basis) pairs: a different denominator in each row, bases
+    that are not in RREF, dependent rows, zero rows, the empty basis and the
+    full space."""
+    import random
+
+    rng = random.Random(1993)
+    dens = [1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 25]
+    cases = []
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        k = rng.randint(0, n + 1)
+        rows = [[F(rng.randint(-6, 6), d) for _ in range(n)] for d in rng.sample(dens, k)]
+        roll = rng.random()
+        if roll < 0.2 and k:
+            rows[rng.randrange(k)] = [F(0)] * n
+        elif roll < 0.45 and k > 2:
+            i, j, l = rng.sample(range(k), 3)
+            a, b = F(rng.randint(-3, 3), 5), F(rng.randint(-3, 3), 11)
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[l])]
+        elif roll < 0.55:
+            rows = [[F(i == j, dens[i]) for j in range(n)] for i in range(n)]
+        cases.append((n, [tuple(r) for r in rows]))
+    return cases
+
+
+def krylov(m, v):
+    """span(v, mv, m^2 v, ...): the smallest m-stable subspace holding v."""
+    rows = [tuple(v)]
+    while True:
+        nxt = m.apply(rows[-1])
+        if ref_contains(rows, nxt, m.cols):
+            return rows
+        rows.append(nxt)
+
+
+SPAN_CASES = span_cases()
+
+
+class TestRowSpaceHelpers:
+    def vectors(self, n, basis, rng):
+        """In-span combinations, zero, unit vectors and random vectors."""
+        out = [tuple(F(0) for _ in range(n))]
+        out += [tuple(F(i == j) for j in range(n)) for i in range(n)]
+        out += [tuple(F(rng.randint(-4, 4), rng.choice([1, 3, 8])) for _ in range(n))]
+        if basis:
+            cs = [F(rng.randint(-3, 3), rng.choice([1, 2, 7])) for _ in basis]
+            out.append(tuple(sum((c * b[j] for c, b in zip(cs, basis)), F(0)) for j in range(n)))
+        return out
+
+    def test_coordinates_and_containment(self):
+        import random
+
+        rng = random.Random(7)
+        inside = outside = 0
+        for n, basis in SPAN_CASES:
+            targets = self.vectors(n, basis, rng)
+            want = [ref_coordinates(basis, v) if basis else
+                    (() if not any(v) else None) for v in targets]
+            for v, w in zip(targets, want):
+                assert coordinates(basis, v) == w, (basis, v)
+                assert span_contains(basis, v) == ref_contains(basis, v, n), (basis, v)
+                inside += w is not None
+                outside += w is None
+            joint = solve_coordinates(basis, targets)
+            assert joint == (None if None in want else tuple(want)), basis
+        assert inside and outside
+
+    def test_span_leq(self):
+        seen = set()
+        for (n, a), (m, b) in zip(SPAN_CASES, SPAN_CASES[1:] + SPAN_CASES[:1]):
+            pairs = [(a, a)]
+            if n == m:
+                pairs += [(a, b), (b, a), ([], b), (a, []), (a, ref_span(a, n) + ref_span(b, n))]
+            for x, y in pairs:
+                want = all(ref_contains(y, v, n) for v in x)
+                assert span_leq(x, y) == want, (x, y)
+                seen.add(want)
+        assert seen == {True, False}
+
+    def test_span_intersect(self):
+        nonzero = 0
+        for (n, a), (m, b) in zip(SPAN_CASES, SPAN_CASES[1:] + SPAN_CASES[:1]):
+            if n != m:
+                continue
+            for x, y in [(a, b), (b, a), (a, a), (a, []), ([], b)]:
+                want = tuple(ref_intersect(x, y, n)) if x and y else ()
+                got = span_intersect(x, y, n)
+                assert got == want, (x, y)
+                assert all(isinstance(e, F) for row in got for e in row)
+                nonzero += bool(want) and len(want) < n
+        assert nonzero
+
+    def test_nullspace(self):
+        for n, basis in SPAN_CASES:
+            if basis:
+                assert RatMatrix(basis).nullspace() == tuple(ref_kernel(basis, n)), basis
+
+    def test_restriction_matrix(self):
+        import random
+
+        rng = random.Random(11)
+        stable = unstable = 0
+        for n, basis in SPAN_CASES:
+            m = RatMatrix([[F(rng.randint(-3, 3), rng.choice([1, 2, 5])) for _ in range(n)]
+                           for _ in range(n)])
+            for sub in (basis, krylov(m, basis[0]) if basis and any(basis[0]) else []):
+                want = [ref_coordinates(sub, m.apply(b)) for b in sub]
+                got = restriction_matrix(m, sub)
+                if None in want:
+                    assert got is None, (m, sub)
+                    unstable += 1
+                else:
+                    assert got == RatMatrix([list(r) for r in want]), (m, sub)
+                    stable += bool(sub)
+        assert stable and unstable
+
+    def test_complement_basis(self):
+        for (n, a), (m, b) in zip(SPAN_CASES, SPAN_CASES[1:] + SPAN_CASES[:1]):
+            outer = list(a) + list(b) if n == m else list(a)
+            for inner in (a, ref_intersect(a, b, n) if n == m else [], []):
+                assert complement_basis(inner, outer, n) == ref_complement(inner, outer, n)
+
+    def test_string_entries_and_length_mismatch(self):
+        basis = [("1/2", "0", "1"), ("0", "3", "-1/4")]
+        assert coordinates(basis, ("1", "3", "7/4")) == (F(2), F(1))
+        assert span_contains(basis, ("1/2", "3", "3/4"))
+        assert span_intersect(basis, [("1", "0", "2")], 3) == ((F(1), F(0), F(2)),)
+        for call in (lambda: coordinates(basis, (1, 2)),
+                     lambda: span_contains(basis, (1, 2)),
+                     lambda: span_intersect(basis, [(1, 2)], 3)):
+            with pytest.raises(InputError):
+                call()
 
 
 class TestSampledPathStability:

@@ -44,6 +44,22 @@ class TestCanonicalize:
         s = canonicalize([(F(-1), 1), (F(1, 2), 2), (F(2), 1)])
         assert [sl for sl, _ in s.bundle] == [F(2), F(1, 2), F(-1)]
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FFSheaf.from_bundle([(F(1), 2.7)]),
+            lambda: FFSheaf.from_bundle([(F(1), True)]),
+            lambda: FFSheaf.from_bundle([(F(1), "2")]),
+            lambda: FFSheaf.from_bundle([], [("infty", [2.0])]),
+            lambda: canonicalize([(F(1, 2), 4.0)]),
+        ],
+        ids=["copies-float", "copies-bool", "copies-string", "torsion-float", "rank-float"],
+    )
+    def test_rejects_non_integer_counts(self, build):
+        # int() would read 2.7 copies as 2
+        with pytest.raises(InputError):
+            build()
+
 
 class TestTensor:
     def test_half_times_half(self):
