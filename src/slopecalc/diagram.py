@@ -14,6 +14,11 @@ independent routes and must agree:
   d       the computed height of the degree-r gluing equals the de Rham
           dimension (total height route).
 
+The verdicts stay separate per route, but in `battery` each degree of
+nonzero rank enumerates its subobject lattice once and builds its HN
+filtration once: `is_acyclic` runs on that lattice, and the modification
+and the height count are both read off that filtration.
+
 `dichotomy` classifies a single pair as "surjective" (vanishing H^1) or
 "positive-height-image" with the height deficit; exactly one branch fires.
 
@@ -35,10 +40,12 @@ from .hn import (
     STATUS_TRUE,
     STATUS_UNCERTIFIED,
     FilteredPhiModule,
+    HNFiltration,
     Verdict,
+    enumerate_subobjects,
     hn_filtration,
     is_acyclic,
-    vst_dimension,
+    vst_from_filtration,
 )
 from .isocrystal import PhiModule, newton_slopes
 from .rational import InputError
@@ -129,10 +136,11 @@ def build_modification(hk: PhiModule, lattice: HodgeData, r: int, seed: int = 0)
     """Sheaf whose slopes are the filtration-graded slopes of (hk, lattice)."""
     _check_degree(r)
     _check_windows(hk, lattice, r, "modification input")
-    m = FilteredPhiModule(hk, lattice)
-    if m.rank == 0:
-        return Modification(FFSheaf.from_bundle(()), True)
-    filt = hn_filtration(m, seed)
+    return modification_from_filtration(hn_filtration(FilteredPhiModule(hk, lattice), seed))
+
+
+def modification_from_filtration(filt: HNFiltration) -> Modification:
+    """`build_modification` read off a pair's HN filtration."""
     pairs = []
     for step in filt.steps:
         h = step.slope.denominator
@@ -209,28 +217,31 @@ def battery(s: SyntheticCohomology, seed: int = 0) -> BatteryReport:
 
     Uncertified sub-results mark the affected verdicts (and the report)
     uncertified rather than guessing; `consistent` compares the certified
-    verdicts only.
+    verdicts only.  Each degree of nonzero rank enumerates its lattice once
+    and builds its HN filtration once; the acyclicity verdict runs on that
+    lattice, the modification and the height count come from that
+    filtration.  The windows `build_modification` checks are not checked
+    again: `SyntheticCohomology` enforced stricter ones at construction.
     """
-    acyc_rm1 = is_acyclic(s.below, seed) if s.below.rank else Verdict(STATUS_TRUE)
-    acyc_r = is_acyclic(s.top, seed) if s.top.rank else Verdict(STATUS_TRUE)
-
-    mods = {}
+    acyc, mods, vst = {}, {}, {}
     for tag, m in (("r-1", s.below), ("r", s.top)):
-        mods[tag] = build_modification(m.module, m.hodge, s.r, seed)
+        acyc[tag], filt = Verdict(STATUS_TRUE), HNFiltration((), True)
+        if m.rank:
+            m.hodge.require_flag("is_acyclic")  # before enumerating, as is_acyclic does
+            lattice = enumerate_subobjects(m, seed)
+            acyc[tag] = is_acyclic(m, seed, lattice)
+            filt = hn_filtration(m, seed, lattice)
+        mods[tag], vst[tag] = modification_from_filtration(filt), vst_from_filtration(filt)
+    acyc_rm1, acyc_r = acyc["r-1"], acyc["r"]
     h1_rm1 = cohomology_dim(mods["r-1"].sheaf).h1
     h1_r = cohomology_dim(mods["r"].sheaf).h1
     a_cert = mods["r-1"].certified and mods["r"].certified
     a_true = not h1_rm1.quotient_type and not h1_r.quotient_type
     a_witness = (acyc_rm1.witness if h1_rm1.quotient_type else acyc_r.witness) or ()
 
-    vst_rm1 = vst_dimension(s.below, seed) if s.below.rank else None
-    vst_r = vst_dimension(s.top, seed) if s.top.rank else None
-    ht0_rm1 = vst_rm1.h0.ht if vst_rm1 else 0
-    ht0_r = vst_r.h0.ht if vst_r else 0
+    ht0_rm1, ht0_r = vst["r-1"].h0.ht, vst["r"].h0.ht
     rank_rm1, rank_r = s.below.rank, s.top.rank
-    heights_cert = (vst_rm1.certified if vst_rm1 else True) and (
-        vst_r.certified if vst_r else True
-    )
+    heights_cert = vst["r-1"].certified and vst["r"].certified
 
     ker_ht = ht0_rm1 - rank_rm1  # height of the comparison kernel
     coker_ht = rank_r - ht0_r  # height of the comparison cokernel

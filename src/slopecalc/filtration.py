@@ -7,7 +7,8 @@ span(basis of the last entry with index <= j) in between, and zero above the
 last listed index.  Weight i then has multiplicity dim Fil^i - dim Fil^{i+1}.
 
 Flags are canonicalized to a dense presentation (one entry per index across
-the jump window), so two presentations of the same filtration compare equal.
+the jump window), so two presentations of the same filtration compare equal;
+a window wider than `FLAG_MAX_SPAN` indices is an input error.
 
 Weight-only data suffices for slope bookkeeping; subobject tests need a flag
 and reject weights-only input with `FlagRequiredError`.
@@ -34,6 +35,7 @@ from .rational import (
 
 KIND_WEIGHTS = "weights"
 KIND_FLAG = "flag"
+FLAG_MAX_SPAN = 1000  # indices in the jump window of a flag; one dense entry each
 
 
 def _full_basis(n: int) -> tuple:
@@ -94,36 +96,24 @@ class HodgeData:
         raw = [(idx, rref_rows(rows, ncols)) for idx, rows in norm]
         if not raw:
             raise InputError("a flag on a nonzero space needs at least one entry")
-        prev = _full_basis(ncols)
+        full = prev = _full_basis(ncols)
         for _, basis in raw:
             if not span_leq(basis, prev):
                 raise InputError("flag subspaces must be nested")
             prev = basis
-
-        def fil(j):
-            if j < raw[0][0]:
-                return _full_basis(ncols)
-            if j > raw[-1][0]:
-                return ()
-            cur = _full_basis(ncols)
-            for idx, basis in raw:
-                if idx <= j:
-                    cur = basis
-                else:
-                    break
-            return cur
-
-        first, last = raw[0][0], raw[-1][0]
-        j1 = last
-        while j1 >= first and not fil(j1):
-            j1 -= 1
-        j0 = next((j for j in range(first, last + 1) if len(fil(j)) < ncols), j1)
-        j0 = min(j0, j1)
+        # Fil^j is raw[k]'s basis for j from its index up to ends[k]
+        first = raw[0][0]
+        ends = [idx - 1 for idx, _ in raw[1:]] + [raw[-1][0]]
+        j1 = next((e for (_, b), e in zip(raw[::-1], ends[::-1]) if b), first - 1)
+        j0 = min(next((idx for idx, b in raw if len(b) < ncols), j1), j1)
         if j1 < first:
             # the whole filtration dies at `first`: everything sits at weight first-1
-            flag = ((first - 1, _full_basis(ncols)),)
+            flag = ((first - 1, full),)
+        elif j1 - j0 >= FLAG_MAX_SPAN:
+            raise InputError(f"flag jump window {j0}..{j1} spans over {FLAG_MAX_SPAN} indices")
         else:
-            flag = tuple((j, fil(j)) for j in range(j0, j1 + 1))
+            spans = [(b, range(max(idx, j0), min(e, j1) + 1)) for (idx, b), e in zip(raw, ends)]
+            flag = tuple((j, b) for b, js in spans for j in js)
         weights = tuple(sorted(_flag_weights(flag, ncols)))
         return cls(KIND_FLAG, ncols, weights, flag)
 

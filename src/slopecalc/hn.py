@@ -154,9 +154,10 @@ def degree(m: FilteredPhiModule) -> Fraction:
 def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], int]:
     """Rational roots with multiplicities, plus the leftover (unsplit) degree.
 
-    Uses the rational root bound on an integer-cleared copy; gives up (returns
-    leftover = full remaining degree) if the divisor enumeration would need to
-    factor integers beyond 10**12.
+    Uses the rational root bound on an integer-cleared copy, evaluated at each
+    candidate in integers; deflates (in Fractions) only at a root.  Gives up
+    (returns leftover = full remaining degree) if the divisor enumeration
+    would need to factor integers beyond 10**12.
     """
     poly = list(coeffs)
     while poly and poly[-1] == 0:
@@ -178,6 +179,13 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, in
             candidates.add(Fraction(-a, b))
     roots = []
     for r in sorted(candidates):
+        # sum c_i a^i b^(d-i) by homogeneous Horner: zero iff a/b is a root (of
+        # the deflated poly too, as deflating removed only other roots)
+        acc, bpow = 0, 1
+        for c in reversed(ints):
+            acc, bpow = acc * r.numerator + c * bpow, bpow * r.denominator
+        if acc:
+            continue
         mult = 0
         while True:
             quo, rem = _deflate(poly, r)
@@ -185,8 +193,7 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, in
                 break
             poly = quo
             mult += 1
-        if mult:
-            roots.append((r, mult))
+        roots.append((r, mult))
     return roots, len(poly) - 1
 
 
@@ -569,9 +576,10 @@ def _recheck(m: FilteredPhiModule, basis, fast) -> None:
         )
 
 
-def _first_violation(m: FilteredPhiModule, seed: int, bound) -> Verdict:
+def _first_violation(m: FilteredPhiModule, seed: int, bound, lattice) -> Verdict:
     """First enumerated subobject of degree > bound, re-checked, as a verdict."""
-    lattice = enumerate_subobjects(m, seed)
+    if lattice is None:
+        lattice = enumerate_subobjects(m, seed)
     score = lattice_scorer(m, lattice)
     for basis, mask in lattice.elements():
         inv = score(basis, mask)
@@ -581,12 +589,13 @@ def _first_violation(m: FilteredPhiModule, seed: int, bound) -> Verdict:
     return Verdict(STATUS_TRUE if lattice.decides else STATUS_UNCERTIFIED)
 
 
-def is_weakly_admissible(m: FilteredPhiModule, seed: int = 0) -> Verdict:
+def is_weakly_admissible(m: FilteredPhiModule, seed: int = 0, lattice=None) -> Verdict:
     """Degree zero and no positive-degree stable subspace.
 
     Flag-form Hodge data is required.  The verdict certifies true only when
     the candidate list decides the question (certified enumeration or scalar
     Frobenius); a verified violating subobject certifies falsity regardless.
+    `lattice`, when given, replaces the enumeration; see `hn_filtration`.
     """
     if m.rank == 0:
         return Verdict(STATUS_TRUE)
@@ -594,20 +603,20 @@ def is_weakly_admissible(m: FilteredPhiModule, seed: int = 0) -> Verdict:
     if degree(m) != 0:
         full = tuple(RatMatrix.identity(m.rank).entries)
         return Verdict(STATUS_FALSE, full)
-    return _first_violation(m, seed, 0)
+    return _first_violation(m, seed, 0, lattice)
 
 
-def is_acyclic(m: FilteredPhiModule, seed: int = 0) -> Verdict:
+def is_acyclic(m: FilteredPhiModule, seed: int = 0, lattice=None) -> Verdict:
     """Every stable subspace has degree at most deg(M).
 
     Equivalently every quotient has non-negative degree, equivalently the
     minimal Harder-Narasimhan slope is >= 0.  A certified-false witness W
-    satisfies deg(M/W) < 0.
+    satisfies deg(M/W) < 0.  `lattice`: see `hn_filtration`.
     """
     if m.rank == 0:
         return Verdict(STATUS_TRUE)
     m.hodge.require_flag("is_acyclic")
-    return _first_violation(m, seed, degree(m))
+    return _first_violation(m, seed, degree(m), lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -646,16 +655,21 @@ class HNFiltration:
         return {"steps": [s.to_obj() for s in self.steps], "certified": self.certified}
 
 
-def hn_filtration(m: FilteredPhiModule, seed: int = 0) -> HNFiltration:
+def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltration:
     """Greedy maximal-destabilizing filtration over the enumerated lattice.
 
     Ties break by maximal slope, then maximal rank, then lexicographically
     smallest reduced-row-echelon basis; graded slopes strictly decrease.
+    `lattice`, when given, is used in place of `enumerate_subobjects(m,
+    seed)` and must be that lattice for the same Frobenius module.  It does
+    not depend on the flag, except for a "scalar-chain" lattice, which is
+    valid for the same flag only.
     """
     if m.rank == 0:
         return HNFiltration((), True)
     m.hodge.require_flag("hn_filtration")
-    lattice = enumerate_subobjects(m, seed)
+    if lattice is None:
+        lattice = enumerate_subobjects(m, seed)
     score = lattice_scorer(m, lattice)
     inv = [score(basis, mask) for basis, mask in lattice.elements()]
     steps = []
@@ -710,7 +724,11 @@ def vst_dimension(m: FilteredPhiModule, seed: int = 0) -> VstResult:
     Non-negative graded slopes d/h of rank e*h contribute (e*d, e*h); a
     negative slope makes H^1 nonzero.
     """
-    filt = hn_filtration(m, seed)
+    return vst_from_filtration(hn_filtration(m, seed))
+
+
+def vst_from_filtration(filt: HNFiltration) -> VstResult:
+    """`vst_dimension` read off a module's HN filtration."""
     dim = ht = 0
     h1 = False
     for step in filt.steps:
@@ -728,9 +746,9 @@ def vst_dimension(m: FilteredPhiModule, seed: int = 0) -> VstResult:
 # constructive filtration lowering
 
 
-def _positive_slope_step(m: FilteredPhiModule, seed: int) -> tuple:
+def _positive_slope_step(m: FilteredPhiModule, seed: int, lattice) -> tuple:
     """Basis of the filtration step collecting all graded slopes > 0."""
-    filt = hn_filtration(m, seed)
+    filt = hn_filtration(m, seed, lattice)
     best: tuple = ()
     for step in filt.steps:
         if step.slope > 0:
@@ -768,7 +786,7 @@ def _hyperplane_candidates(fil_top, protect, n):
         yield rref_rows(rows, n)
 
 
-def _lower_once(m: FilteredPhiModule, seed: int) -> FilteredPhiModule:
+def _lower_once(m: FilteredPhiModule, seed: int, lattice) -> FilteredPhiModule:
     """Remove one dimension from the top jump met by the positive-slope part.
 
     Every degree-zero quotient of an acyclic module factors through the
@@ -779,7 +797,7 @@ def _lower_once(m: FilteredPhiModule, seed: int) -> FilteredPhiModule:
     """
     n = m.rank
     hodge = m.hodge
-    wstar = _positive_slope_step(m, seed)
+    wstar = _positive_slope_step(m, seed, lattice)
     lo, hi = hodge.support()
     i0 = None
     inter = ()
@@ -803,7 +821,7 @@ def _lower_once(m: FilteredPhiModule, seed: int) -> FilteredPhiModule:
         except InputError:
             continue
         cand = FilteredPhiModule(m.module, new_hodge)
-        if is_acyclic(cand, seed).is_true:
+        if is_acyclic(cand, seed, lattice).is_true:
             return cand
     raise AssertionError(
         "internal: no acyclicity-preserving hyperplane found for a certified "
@@ -818,19 +836,25 @@ def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:
     a time from the top jump of the quotient modulo the maximal slope-zero
     subobject, checking at each step that acyclicity is preserved; the degree
     drops by exactly one per step, so the loop ends at degree zero, where
-    acyclic means weakly admissible.
+    acyclic means weakly admissible.  Phi never changes, so every step
+    shares one lattice.
     """
-    verdict = is_acyclic(m, seed)
+    if m.rank:
+        m.hodge.require_flag("is_acyclic")  # before enumerating, as is_acyclic does
+    lattice = enumerate_subobjects(m, seed)
+    verdict = is_acyclic(m, seed, lattice)
     if verdict.status != STATUS_TRUE:
         raise InputError(f"fn4_reduce needs a certified acyclic module (got {verdict.status})")
+    if lattice.strategy == "scalar-chain":
+        lattice = None  # adapted to the flag, which each step changes: rebuilt per module
     cur = m
     guard = 0
     while degree(cur) > 0:
-        cur = _lower_once(cur, seed)
+        cur = _lower_once(cur, seed, lattice)
         guard += 1
         if guard > 10000:  # pragma: no cover
             raise AssertionError("internal: lowering loop failed to terminate")
-    final = is_weakly_admissible(cur, seed)
+    final = is_weakly_admissible(cur, seed, lattice)
     if final.status != STATUS_TRUE:  # pragma: no cover
         raise AssertionError("internal: lowered module failed the admissibility check")
     lo, hi = m.hodge.support()

@@ -210,6 +210,10 @@ class TestMalformedInput:
                           "row_b": {"objects": [{"summands": []}], "arrows": []}}),
             ("plot", {"weights": [0, 10**30]}),
             ("plot", {"vertices": [[0, "0"], [10**30, "1"]]}),
+            ("hodge", {"hodge": {"flag": [{"index": 0, "basis": [["1", "0"]]},
+                                          {"index": 3_000_000, "basis": []}], "rank": 2}}),
+            ("hodge", {"hodge": {"flag": [{"index": 0, "basis": [["1", "0"]]},
+                                          {"index": 10**30, "basis": []}], "rank": 2}}),
         ],
         ids=[
             "newton-string", "bcdim-copies", "bcdim-qp-n", "cohdim-copies", "hn-bad-n",
@@ -218,7 +222,8 @@ class TestMalformedInput:
             "hn-phi-row-not-a-list", "hn-flag-basis-bool", "hn-flag-basis-row-bool",
             "hodge-weights-not-a-list", "bcdim-zero-h", "mvcheck-null-object",
             "mvcheck-string-object", "mvcheck-objects-not-a-list", "mvcheck-arrows-null",
-            "plot-svg-weight-span", "plot-svg-vertex-span",
+            "plot-svg-weight-span", "plot-svg-vertex-span", "hodge-flag-window",
+            "hodge-flag-huge-index",
         ],
     )
     def test_exits_three(self, capsys, command, payload):

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopecalc import diagram, hn
 from slopecalc.bc import BCObject, dimension
 from slopecalc.diagram import (
+    BatteryReport,
     SyntheticCohomology,
     battery,
     build_modification,
@@ -14,11 +16,21 @@ from slopecalc.diagram import (
     mv_check,
 )
 from slopecalc.filtration import HodgeData
-from slopecalc.hn import STATUS_TRUE, FilteredPhiModule, is_acyclic
-from slopecalc.isocrystal import PhiModule
-from slopecalc.rational import InputError
+from slopecalc.hn import (
+    STATUS_FALSE,
+    STATUS_TRUE,
+    STATUS_UNCERTIFIED,
+    FilteredPhiModule,
+    Verdict,
+    enumerate_subobjects,
+    is_acyclic,
+    vst_dimension,
+)
+from slopecalc.isocrystal import PhiModule, SlopeMultiset, from_slopes
+from slopecalc.rational import InputError, RatMatrix
+from slopecalc.sheaf import cohomology_dim
 
-from _generators import certified_filtered_instance
+from _generators import certified_filtered_instance, random_flag, random_unimodular
 
 P = 2
 
@@ -151,6 +163,131 @@ class TestBattery:
         rep = battery(SyntheticCohomology.build(r, FilteredPhiModule(mod, hodge)))
         if rep.certified:
             assert all(v.is_true for v in rep.verdicts().values())
+
+
+def battery_by_separate_calls(s, seed=0):
+    """The battery report assembled from one `is_acyclic`, `build_modification`
+    and `vst_dimension` call per degree, each enumerating on its own."""
+    def status(flag, certified, witness):
+        if not certified:
+            return Verdict(STATUS_UNCERTIFIED)
+        return Verdict(STATUS_TRUE) if flag else Verdict(STATUS_FALSE, witness or ())
+
+    degrees = (s.below, s.top)
+    acyc = [is_acyclic(m, seed) for m in degrees]
+    h1s, mod_cert, ht0, vst_cert = [], True, [], True
+    for m in degrees:
+        mod = build_modification(m.module, m.hodge, s.r, seed)
+        h1s.append(cohomology_dim(mod.sheaf).h1.quotient_type)
+        mod_cert = mod_cert and mod.certified
+        vst = vst_dimension(m, seed) if m.rank else None
+        ht0.append(vst.h0.ht if vst else 0)
+        vst_cert = vst_cert and (vst.certified if vst else True)
+    rank_rm1, rank_r = s.below.rank, s.top.rank
+    ker_ht, coker_ht = ht0[0] - rank_rm1, rank_r - ht0[1]
+    ht_glued = ht0[1] - (rank_rm1 - ht0[0])
+    a = status(not any(h1s), mod_cert, acyc[0].witness if h1s[0] else acyc[1].witness)
+    c = status(ker_ht == coker_ht == 0, vst_cert,
+               acyc[0].witness if ker_ht else acyc[1].witness)
+    d = status(ht_glued == rank_r, vst_cert, acyc[1].witness if coker_ht else acyc[0].witness)
+    if any(v.status == STATUS_FALSE for v in acyc):
+        b = Verdict(STATUS_FALSE, acyc[0].witness or acyc[1].witness or ())
+    else:
+        b = Verdict(STATUS_TRUE if all(v.is_true for v in acyc) else STATUS_UNCERTIFIED)
+    votes = {v.is_true for v in (a, b, c, d) if v.certified}
+    certified = all(v.certified for v in (a, b, c, d, *acyc))
+    return BatteryReport(a, acyc[0], acyc[1], c, d, len(votes) <= 1, certified, ht_glued, rank_r)
+
+
+def windowed(rng, r, rank_cap):
+    """Seeded eigenline pair with slopes and weights in [0, r]."""
+    return certified_filtered_instance(rng, max_rank=min(r + 1, rank_cap), weight_lo=0,
+                                       weight_hi=r, exp_lo=0, exp_hi=r)
+
+
+def battery_cases():
+    rng = random.Random(606)
+    cases = {
+        "r0-rank0-below": SyntheticCohomology.build(0, fm([[1]], [(0, [[1]])], 1)),
+        "stein": SyntheticCohomology.build(1, STEIN),
+        "proper": SyntheticCohomology.build(1, PROPER),
+        "certified-false": SyntheticCohomology.build(1, BAD),
+        "false-below": SyntheticCohomology.build(2, fm([[1]], [(1, [[1]])], 1), BAD),
+        "scalar-chain": SyntheticCohomology.build(
+            2, fm([[P, 0], [0, P]], [(1, [[1, 0], [0, 1]]), (2, [[1, 1]])], 2), PROPER
+        ),
+        "sample": SyntheticCohomology.build(
+            2, fm([[1, 1], [0, 1]], [(1, [[1, 1]])], 2), fm([[1, 1], [0, 1]], [(1, [[1, 0]])], 2)
+        ),
+    }
+    # eigenvalue 1 twice: a sampled lattice whose HN steps depend on the seed
+    rng_sample = random.Random(18)
+    conj = random_unimodular(rng_sample, 3)
+    phi = conj @ RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, P]]) @ conj.inverse()
+    cases["sample-seeded"] = SyntheticCohomology.build(2, FilteredPhiModule(
+        PhiModule(P, phi, RatMatrix([[0] * 3] * 3)), random_flag(rng_sample, 3, 0, 2)
+    ))
+    for k, slopes in enumerate(([(F(1, 2), 2), (F(0), 1)], [(F(3, 2), 2), (F(1), 1)])):
+        r = k + 1
+        top = from_slopes(SlopeMultiset(slopes), P)
+        below = from_slopes(SlopeMultiset([(F(r - 1), 1)]), P)
+        cases[f"blocks-{r}"] = SyntheticCohomology.build(
+            r, FilteredPhiModule(top, random_flag(rng, 3, 0, r)),
+            FilteredPhiModule(below, random_flag(rng, 1, 0, r - 1)),
+        )
+    for k in range(12):
+        r = rng.randint(1, 3)
+        cases[f"eigenlines-{k}"] = SyntheticCohomology.build(
+            r, windowed(rng, r, 3), windowed(rng, r - 1, 2) if r > 1 else None
+        )
+    return cases
+
+
+BATTERY_CASES = battery_cases()
+
+
+class TestBatteryShared:
+    """One lattice and one HN filtration per degree, same report as separate calls."""
+
+    def test_cases_cover_every_kind(self):
+        kinds = set()
+        for s in BATTERY_CASES.values():
+            for m in (s.below, s.top):
+                if m.rank:
+                    lattice = enumerate_subobjects(m)
+                    kinds.add(lattice.strategy)
+                    if lattice.strategy == "eigenlines":
+                        kinds.add("with N" if any(any(r) for r in m.module.nilpotent.entries)
+                                  else "without N")
+        assert kinds == {"eigenlines", "with N", "without N", "blocks", "scalar-chain", "sample"}
+        statuses = {v.status for s in BATTERY_CASES.values() for v in battery(s).verdicts().values()}
+        assert statuses == {STATUS_TRUE, STATUS_FALSE, STATUS_UNCERTIFIED}
+        s = BATTERY_CASES["sample-seeded"]
+        assert battery(s, 0).ht_glued != battery(s, 5).ht_glued
+
+    @pytest.mark.parametrize("name", sorted(BATTERY_CASES))
+    def test_equals_separate_calls(self, name):
+        s = BATTERY_CASES[name]
+        for seed in (0, 5):
+            assert battery(s, seed) == battery_by_separate_calls(s, seed)
+
+    @pytest.mark.parametrize("name", sorted(BATTERY_CASES))
+    def test_one_lattice_and_one_filtration_per_degree(self, name, monkeypatch):
+        calls = {"enumerate_subobjects": [], "hn_filtration": []}
+        for fn_name, seen in calls.items():
+            real = getattr(hn, fn_name)
+
+            def counted(m, *args, _real=real, _seen=seen):
+                _seen.append(m)
+                return _real(m, *args)
+
+            for module in (hn, diagram):
+                monkeypatch.setattr(module, fn_name, counted)
+        s = BATTERY_CASES[name]
+        battery(s)
+        degrees = [m for m in (s.below, s.top) if m.rank]
+        assert calls["enumerate_subobjects"] == degrees
+        assert calls["hn_filtration"] == degrees
 
 
 def split_row(parts):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopecalc.filtration import (
+    FLAG_MAX_SPAN,
     HodgeData,
     dual_hodge,
     induced_on_subspace,
     shift,
     t_h,
 )
-from slopecalc.rational import FlagRequiredError, InputError
+from slopecalc.rational import FlagRequiredError, InputError, RatMatrix, rref_rows
 
 from _generators import random_flag
 
@@ -67,6 +69,48 @@ class TestFlagSemantics:
         assert HodgeData.from_obj(h.to_obj()) == h
         w = HodgeData.from_weights([0, 2])
         assert HodgeData.from_obj(w.to_obj()) == w
+
+
+def dense_by_levels(entries, n):
+    """The canonical dense flag, reading Fil^j off the entries index by index."""
+    raw = sorted(((idx, rref_rows(rows, n)) for idx, rows in entries), key=lambda t: t[0])
+    full = rref_rows(RatMatrix.identity(n).entries, n)
+    first, last = raw[0][0], raw[-1][0]
+
+    def fil(j):
+        return next((b for idx, b in reversed(raw) if idx <= j), full) if j <= last else ()
+
+    window = range(first, last + 1)
+    j1 = max((j for j in window if fil(j)), default=first - 1)
+    if j1 < first:
+        return ((first - 1, full),)
+    j0 = min(next((j for j in window if len(fil(j)) < n), j1), j1)
+    return tuple((j, fil(j)) for j in range(j0, j1 + 1))
+
+
+class TestFlagWindow:
+    def test_sparse_entries_match_the_levels(self):
+        rng = random.Random(46)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            rows = RatMatrix.identity(n).entries
+            dims = sorted((rng.randint(0, n) for _ in range(rng.randint(1, 5))), reverse=True)
+            indices = sorted(rng.sample(range(-4, 12), len(dims)))
+            entries = [(j, rows[:d]) for j, d in zip(indices, dims)]
+            rng.shuffle(entries)
+            assert HodgeData.from_flag(entries, rank=n).flag == dense_by_levels(entries, n)
+
+    @pytest.mark.parametrize("far", [3_000_000, 10**30])
+    def test_far_apart_indices_rejected_quickly(self, far):
+        start = time.perf_counter()
+        with pytest.raises(InputError):
+            flag2([(0, [[1, 0]]), (far, [])])
+        assert time.perf_counter() - start < 1
+
+    def test_widest_window(self):
+        assert len(flag2([(0, [[1, 0]]), (FLAG_MAX_SPAN, [])]).flag) == FLAG_MAX_SPAN
+        with pytest.raises(InputError):
+            flag2([(0, [[1, 0]]), (FLAG_MAX_SPAN + 1, [])])
 
 
 class TestDual:

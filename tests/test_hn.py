@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopecalc import hn
 from slopecalc.filtration import HodgeData, dual_hodge, induced_on_subspace
 from slopecalc.hn import (
     STATUS_FALSE,
@@ -218,6 +220,41 @@ class TestFn4Reduce:
         with pytest.raises(InputError):
             fn4_reduce(diag1p([(1, [[1, 0]])]))
 
+    @staticmethod
+    def enumerations(monkeypatch):
+        """The modules `hn.enumerate_subobjects` is called on from now on."""
+        seen, real = [], hn.enumerate_subobjects
+
+        def counted(m, *args):
+            seen.append(m)
+            return real(m, *args)
+
+        monkeypatch.setattr(hn, "enumerate_subobjects", counted)
+        return seen
+
+    def test_one_enumeration_per_call(self, monkeypatch):
+        # conjugated diag(1, p, p^2): an eigenline lattice, several lowering steps
+        rng = random.Random(44)
+        conj = random_unimodular(rng, 3)
+        phi = conj @ RatMatrix([[1, 0, 0], [0, P, 0], [0, 0, P * P]]) @ conj.inverse()
+        while True:
+            m = FilteredPhiModule(PhiModule(P, phi, RatMatrix([[0] * 3] * 3)),
+                                  random_flag(rng, 3, 1, 3))
+            if degree(m) >= 2 and is_acyclic(m).status == STATUS_TRUE:
+                break
+        seen = self.enumerations(monkeypatch)
+        red = fn4_reduce(m)
+        assert seen == [m]
+        assert degree(red) == 0 and is_weakly_admissible(red).status == STATUS_TRUE
+
+    def test_scalar_chain_rebuilt_for_each_flag(self, monkeypatch):
+        # the scalar chain is adapted to the flag, so the final check enumerates
+        # on the lowered flag, not on the input's
+        m = mk([[P, 0], [0, P]], [(1, [[1, 0], [0, 1]]), (2, [[1, 0]])], 2)
+        seen = self.enumerations(monkeypatch)
+        red = fn4_reduce(m)
+        assert seen[0] is m and seen[-1].hodge == red.hodge != m.hodge
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6))
     def test_window_preserved_on_windowed_inputs(self, seed):
@@ -316,6 +353,74 @@ class TestRootExtractionLimits:
         assert not cert
         v = is_weakly_admissible(m)
         assert v.status in (STATUS_UNCERTIFIED, STATUS_FALSE)
+
+
+def _roots_by_deflation(coeffs):
+    """`_rational_roots` with every candidate tried by Fraction deflation."""
+    poly = list(coeffs)
+    while poly and poly[-1] == 0:
+        poly.pop()
+    deg = len(poly) - 1
+    if deg <= 0:
+        return [], 0
+    denom = math.lcm(*(c.denominator for c in poly))
+    ints = [int(c * denom) for c in poly]
+    lead, const = abs(ints[-1]), abs(next(i for i in ints if i))
+    if lead > 10**12 or const > 10**12:
+        return [], deg
+    divisors = hn._divisors
+    candidates = {F(s * a, b) for a in divisors(const) for b in divisors(lead) for s in (1, -1)}
+    roots = []
+    for r in sorted(candidates):
+        mult = 0
+        while True:
+            quo, rem = hn._deflate(poly, r)
+            if rem:
+                break
+            poly, mult = quo, mult + 1
+        if mult:
+            roots.append((r, mult))
+    return roots, len(poly) - 1
+
+
+def _poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestRationalRoots:
+    """The integer candidate test finds the roots Fraction deflation finds."""
+
+    POOL = [F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 4), F(-7, 2), F(4)]
+    QUADRATICS = [[F(-2), F(0), F(1)], [F(1), F(1), F(1)], [F(3), F(0), F(2)]]
+
+    def test_seeded_polynomials(self):
+        rng = random.Random(45)
+        seen = set()
+        for _ in range(300):
+            poly = [F(rng.choice([1, -3, 5, 12]), rng.choice([1, 2, 9]))]
+            for r in rng.sample(self.POOL, rng.randint(1, 4)):
+                mult = rng.choice([1, 1, 2, 3])
+                for _ in range(mult):
+                    poly = _poly_mul(poly, [-r, F(1)])
+                seen.update({"zero"} if r == 0 else set())
+                seen.update({"repeated"} if mult > 1 else set())
+                seen.update({"negative"} if r < 0 else set())
+                seen.update({"non-monic"} if r.denominator > 1 else set())
+            if rng.random() < 0.4:
+                poly = _poly_mul(poly, rng.choice(self.QUADRATICS))
+            assert hn._rational_roots(poly) == _roots_by_deflation(poly)
+        assert seen == {"zero", "repeated", "negative", "non-monic"}
+
+    @pytest.mark.parametrize("roots", [[F(10**7), F(3 * 10**5)], [F(1, 10**13), F(2)]])
+    def test_beyond_the_factoring_bound(self, roots):
+        poly = [F(1)]
+        for r in roots:
+            poly = _poly_mul(poly, [-r, F(1)])
+        assert hn._rational_roots(poly) == _roots_by_deflation(poly) == ([], 2)
 
 
 class TestSampleDeterminism:
