@@ -6,68 +6,58 @@ acyclicity deciders, formal coherent-sheaf and finite-Dimensional Vector
 Space bookkeeping, and a consistency battery for synthetic two-degree
 cohomology data.  Everything is computed over `fractions.Fraction`; no
 floating point arithmetic is used anywhere.
+
+Submodules load on first use (PEP 562): `slopecalc.PhiModule` imports
+`isocrystal` when it is first read, so a command that needs two modules
+compiles only those two.
 """
 
-from .bc import (
-    BCObject,
-    Dimension,
-    QBCObject,
-    canonical_filtration,
-    check_exact,
-    dimension,
-    ext_tables,
-    height_functor_rank,
-    hn_slopes,
-    label_b,
-    label_c,
-    label_qp,
-)
-from .diagram import (
-    BatteryReport,
-    SyntheticCohomology,
-    battery,
-    build_modification,
-    dichotomy,
-    mv_check,
-)
-from .filtration import HodgeData, dual_hodge, induced_on_subspace, shift, t_h
-from .hn import (
-    FilteredPhiModule,
-    HNFiltration,
-    Verdict,
-    degree,
-    enumerate_subobjects,
-    fn4_reduce,
-    hn_filtration,
-    is_acyclic,
-    is_weakly_admissible,
-    vst_dimension,
-)
-from .isocrystal import (
-    PhiModule,
-    SlopeMultiset,
-    check_phi_n,
-    det,
-    dual,
-    from_slopes,
-    newton_slopes,
-    t_n,
-    tensor,
-)
-from .rational import (
-    INFINITY,
-    FlagRequiredError,
-    InputError,
-    Polygon,
-    RatMatrix,
-    charpoly,
-    newton_polygon,
-    rat,
-    rat_str,
-    valuation,
-)
-from .sheaf import FFSheaf, canonicalize, cohomology_dim, hom_dim
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_SUBMODULES = ("bc", "diagram", "filtration", "hn", "isocrystal", "rational", "sheaf")
+
+# public name -> the submodule that defines it
+_OWNERS = {
+    name: module
+    for module, names in {
+        "bc": (
+            "BCObject QBCObject canonical_filtration check_exact dimension "
+            "ext_tables height_functor_rank hn_slopes label_b label_c label_qp"
+        ),
+        "diagram": (
+            "BatteryReport SyntheticCohomology battery build_modification dichotomy mv_check"
+        ),
+        "filtration": "HodgeData dual_hodge induced_on_subspace shift t_h",
+        "hn": (
+            "FilteredPhiModule HNFiltration Verdict degree enumerate_subobjects fn4_reduce "
+            "hn_filtration is_acyclic is_weakly_admissible vst_dimension"
+        ),
+        "isocrystal": (
+            "PhiModule SlopeMultiset check_phi_n det dual from_slopes newton_slopes t_n tensor"
+        ),
+        "rational": (
+            "Dimension INFINITY FlagRequiredError InputError Polygon RatMatrix charpoly "
+            "newton_polygon rat rat_str valuation"
+        ),
+        "sheaf": "FFSheaf canonicalize cohomology_dim hom_dim",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted((*_OWNERS, *_SUBMODULES))
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    owner = _OWNERS.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{owner}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

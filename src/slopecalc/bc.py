@@ -19,45 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .rational import InputError, json_int, json_int_field
+from .rational import ZERO_DIM, Dimension, InputError, json_int, json_int_field
 
 NEG_INFINITY = -math.inf
 
 INFTY = "infty"
-
-
-@dataclass(frozen=True)
-class Dimension:
-    """(dim, ht) pair with exact componentwise arithmetic."""
-
-    dim: int
-    ht: int
-
-    def __post_init__(self):
-        for v in (self.dim, self.ht):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise InputError(f"Dimension components must be integers, got {v!r}")
-
-    def __add__(self, other: "Dimension") -> "Dimension":
-        return Dimension(self.dim + other.dim, self.ht + other.ht)
-
-    def __sub__(self, other: "Dimension") -> "Dimension":
-        return Dimension(self.dim - other.dim, self.ht - other.ht)
-
-    def is_zero(self) -> bool:
-        return self.dim == 0 and self.ht == 0
-
-    def to_obj(self):
-        return {"dim": self.dim, "ht": self.ht}
-
-    @classmethod
-    def from_obj(cls, obj) -> "Dimension":
-        if not isinstance(obj, dict) or "dim" not in obj or "ht" not in obj:
-            raise InputError("Dimension JSON must be {'dim': int, 'ht': int}")
-        return cls(obj["dim"], obj["ht"])
-
-
-ZERO_DIM = Dimension(0, 0)
 
 
 def _check_pair(d: int, h: int, tag: str):

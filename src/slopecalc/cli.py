@@ -16,8 +16,10 @@ import json
 import sys
 from fractions import Fraction
 
-from . import bc, diagram, hn, isocrystal, sheaf
-from .filtration import HodgeData, dual_hodge, shift, t_h
+# Only `rational` loads with the CLI; each handler imports the modules its
+# command needs, so a call compiles no module it does not use.  Handlers look
+# library functions up in their modules at call time, so a function rebound
+# there (as a tracer or a test does) is the one called.
 from .rational import InputError, Polygon, json_int, rat, rat_str, valuation
 
 COMMANDS = (
@@ -48,6 +50,8 @@ SVG_MAX_SPAN = 1000  # grid units on either axis of an SVG plot
 
 
 def _verdict_exit(status: str) -> int:
+    from . import hn
+
     return {
         hn.STATUS_TRUE: EXIT_TRUE,
         hn.STATUS_FALSE: EXIT_FALSE,
@@ -99,6 +103,7 @@ def _oracle_newton(coeffs, p, got):
 def _oracle_verdict(m, verdict, seed, kind):
     """Stability of every element; a certified-true verdict is re-scored on every
     element by `sub_invariants`, a certified-false one on its witness."""
+    from . import hn
     from .rational import restriction_matrix, span_contains
 
     subs, _ = hn.enumerate_subobjects(m, seed)
@@ -142,6 +147,8 @@ def _cmd_newton(obj, seed, oracle):
 
 
 def _cmd_hodge(obj, seed, oracle):
+    from .filtration import HodgeData, dual_hodge, shift, t_h
+
     h = HodgeData.from_obj(_need(obj, "hodge"))
     out = {
         "t_h": t_h(h),
@@ -157,16 +164,22 @@ def _cmd_hodge(obj, seed, oracle):
     return out, EXIT_TRUE
 
 
-def _filtered(obj) -> hn.FilteredPhiModule:
-    return hn.FilteredPhiModule.from_obj(obj)
+def _filtered(obj):
+    from .hn import FilteredPhiModule
+
+    return FilteredPhiModule.from_obj(obj)
 
 
 def _cmd_hn(obj, seed, oracle):
+    from . import hn
+
     filt = hn.hn_filtration(_filtered(obj), seed)
     return filt.to_obj(), EXIT_TRUE if filt.certified else EXIT_UNCERTIFIED
 
 
 def _cmd_wa(obj, seed, oracle):
+    from . import hn
+
     m = _filtered(obj)
     v = hn.is_weakly_admissible(m, seed)
     if oracle:
@@ -175,6 +188,8 @@ def _cmd_wa(obj, seed, oracle):
 
 
 def _cmd_acyclic(obj, seed, oracle):
+    from . import hn
+
     m = _filtered(obj)
     v = hn.is_acyclic(m, seed)
     if oracle:
@@ -183,6 +198,8 @@ def _cmd_acyclic(obj, seed, oracle):
 
 
 def _cmd_fn4(obj, seed, oracle):
+    from . import hn
+
     m = _filtered(obj)
     reduced = hn.fn4_reduce(m, seed)
     verdict = hn.is_weakly_admissible(reduced, seed)
@@ -193,11 +210,15 @@ def _cmd_fn4(obj, seed, oracle):
 
 
 def _cmd_vst(obj, seed, oracle):
+    from . import hn
+
     res = hn.vst_dimension(_filtered(obj), seed)
     return res.to_obj(), EXIT_TRUE if res.certified else EXIT_UNCERTIFIED
 
 
 def _cmd_tensor(obj, seed, oracle):
+    from . import isocrystal
+
     a = isocrystal.PhiModule.from_obj(_need(obj, "a"))
     b = isocrystal.PhiModule.from_obj(_need(obj, "b"))
     out = isocrystal.tensor(a, b)
@@ -209,6 +230,8 @@ def _cmd_tensor(obj, seed, oracle):
 
 
 def _cmd_cohdim(obj, seed, oracle):
+    from . import sheaf
+
     s = sheaf.FFSheaf.from_obj(obj)
     dims = sheaf.cohomology_dim(s)
     if oracle:
@@ -217,11 +240,15 @@ def _cmd_cohdim(obj, seed, oracle):
 
 
 def _cmd_bc_dim(obj, seed, oracle):
+    from . import bc
+
     w = bc.parse_formal(obj)
     return bc.dimension(w).to_obj(), EXIT_TRUE
 
 
 def _cmd_canfil(obj, seed, oracle):
+    from . import bc
+
     w = bc.BCObject.from_obj(obj)
     gt0, eq0, lt0 = bc.canonical_filtration(w)
     if oracle:
@@ -231,6 +258,8 @@ def _cmd_canfil(obj, seed, oracle):
 
 
 def _cmd_ext(obj, seed, oracle):
+    from . import bc
+
     triple = bc.ext_tables(_need(obj, "x"), _need(obj, "y"), obj.get("k_degree", 1))
     if oracle and triple.unit is not None:
         scale = obj.get("k_degree", 1) if triple.unit == "K" else 1
@@ -240,6 +269,8 @@ def _cmd_ext(obj, seed, oracle):
 
 
 def _cmd_battery(obj, seed, oracle):
+    from . import diagram
+
     s = diagram.SyntheticCohomology.from_obj(obj)
     report = diagram.battery(s, seed)
     if not report.certified:
@@ -254,6 +285,9 @@ def _cmd_battery(obj, seed, oracle):
 
 
 def _cmd_dichotomy(obj, seed, oracle):
+    from . import diagram, isocrystal
+    from .filtration import HodgeData
+
     hk = isocrystal.PhiModule.from_obj(_need(obj, "hk"))
     lattice = HodgeData.from_obj(_need(obj, "lattice"))
     res = diagram.dichotomy(hk, lattice, _need(obj, "r"), seed)
@@ -267,6 +301,8 @@ def _cmd_dichotomy(obj, seed, oracle):
 
 
 def _cmd_mv_check(obj, seed, oracle):
+    from . import diagram
+
     report = diagram.mv_check(_need(obj, "row_a"), _need(obj, "row_b"), _need(obj, "r"))
     code = EXIT_TRUE if report.equal else EXIT_FALSE
     return report.to_obj(), code

@@ -49,15 +49,16 @@ internal error.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bc import Dimension
 from .filtration import HodgeData, _flag_from_chain, induced_on_subspace, t_h
 from .isocrystal import PhiModule, dm_blocks, is_dm_normal, newton_slopes, t_n
 from .rational import (
+    Dimension,
     InputError,
     RatMatrix,
     charpoly,
@@ -165,18 +166,15 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, in
     deg = len(poly) - 1
     if deg <= 0:
         return [], 0
-    denom = 1
-    for c in poly:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+    denom = math.lcm(*(c.denominator for c in poly))
     ints = [int(c * denom) for c in poly]
     lead, const = abs(ints[-1]), abs(next(i for i in ints if i != 0))
     if lead > 10**12 or const > 10**12:
         return [], deg
-    candidates = set()
-    for a in _divisors(const):
-        for b in _divisors(lead):
-            candidates.add(Fraction(a, b))
-            candidates.add(Fraction(-a, b))
+    lead_divisors = _divisors(lead)
+    candidates = {
+        Fraction(s * a, b) for a in _divisors(const) for b in lead_divisors for s in (1, -1)
+    }
     roots = []
     for r in sorted(candidates):
         # sum c_i a^i b^(d-i) by homogeneous Horner: zero iff a/b is a root (of
@@ -195,12 +193,6 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, in
             mult += 1
         roots.append((r, mult))
     return roots, len(poly) - 1
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n: int) -> list[int]:

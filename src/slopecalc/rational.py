@@ -79,6 +79,59 @@ def rat_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+class Dimension:
+    """(dim, ht) pair with exact componentwise arithmetic.
+
+    It lives here, not in `bc` (which re-exports it), so that `hn` and `sheaf`
+    can use it without loading `bc`; it is written out rather than as a
+    dataclass so that loading this module does not load `dataclasses`.
+    """
+
+    __slots__ = ("dim", "ht")
+
+    def __init__(self, dim: int, ht: int):
+        for v in (dim, ht):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise InputError(f"Dimension components must be integers, got {v!r}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "ht", ht)
+
+    def __setattr__(self, *a):  # pragma: no cover
+        raise AttributeError("Dimension is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not Dimension:
+            return NotImplemented
+        return (self.dim, self.ht) == (other.dim, other.ht)
+
+    def __hash__(self):
+        return hash((self.dim, self.ht))
+
+    def __repr__(self):
+        return f"Dimension(dim={self.dim!r}, ht={self.ht!r})"
+
+    def __add__(self, other: "Dimension") -> "Dimension":
+        return Dimension(self.dim + other.dim, self.ht + other.ht)
+
+    def __sub__(self, other: "Dimension") -> "Dimension":
+        return Dimension(self.dim - other.dim, self.ht - other.ht)
+
+    def is_zero(self) -> bool:
+        return self.dim == 0 and self.ht == 0
+
+    def to_obj(self):
+        return {"dim": self.dim, "ht": self.ht}
+
+    @classmethod
+    def from_obj(cls, obj) -> "Dimension":
+        if not isinstance(obj, dict) or "dim" not in obj or "ht" not in obj:
+            raise InputError("Dimension JSON must be {'dim': int, 'ht': int}")
+        return cls(obj["dim"], obj["ht"])
+
+
+ZERO_DIM = Dimension(0, 0)
+
+
 def is_prime(n: int) -> bool:
     if not isinstance(n, int) or n < 2:
         return False

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .bc import ZERO_DIM, Dimension
-from .rational import InputError, json_int, json_int_field, rat, rat_str
+from .rational import ZERO_DIM, Dimension, InputError, json_int, json_int_field, rat, rat_str
 
 INFTY = "infty"
 

@@ -1,0 +1,81 @@
+"""The package's public names, which its `__init__` resolves on first use."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import slopecalc
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+PUBLIC = [
+    "BCObject", "BatteryReport", "Dimension", "FFSheaf", "FilteredPhiModule",
+    "FlagRequiredError", "HNFiltration", "HodgeData", "INFINITY", "InputError",
+    "PhiModule", "Polygon", "QBCObject", "RatMatrix", "SlopeMultiset",
+    "SyntheticCohomology", "Verdict", "battery", "bc", "build_modification",
+    "canonical_filtration", "canonicalize", "charpoly", "check_exact", "check_phi_n",
+    "cohomology_dim", "degree", "det", "diagram", "dichotomy", "dimension", "dual",
+    "dual_hodge", "enumerate_subobjects", "ext_tables", "filtration", "fn4_reduce",
+    "from_slopes", "height_functor_rank", "hn", "hn_filtration", "hn_slopes", "hom_dim",
+    "induced_on_subspace", "is_acyclic", "is_weakly_admissible", "isocrystal", "label_b",
+    "label_c", "label_qp", "mv_check", "newton_polygon", "newton_slopes", "rat",
+    "rat_str", "rational", "sheaf", "shift", "t_h", "t_n", "tensor", "valuation",
+    "vst_dimension",
+]
+
+SUBMODULES = ("bc", "diagram", "filtration", "hn", "isocrystal", "rational", "sheaf")
+
+
+def test_all_lists_the_public_names():
+    assert slopecalc.__all__ == PUBLIC
+
+
+def test_each_public_name_resolves():
+    for name in PUBLIC:
+        value = getattr(slopecalc, name)
+        if name in SUBMODULES:
+            assert value is sys.modules[f"slopecalc.{name}"]
+        else:  # the object its defining submodule binds to the same name
+            owners = [m for m in SUBMODULES
+                      if getattr(sys.modules.get(f"slopecalc.{m}"), name, None) is value]
+            assert owners, name
+
+
+def test_det_is_the_isocrystal_determinant():
+    assert slopecalc.det is slopecalc.isocrystal.det
+
+
+def test_dimension_is_shared_by_bc_and_rational():
+    assert slopecalc.Dimension is slopecalc.bc.Dimension is slopecalc.rational.Dimension
+
+
+def test_dir_lists_the_public_names():
+    assert set(PUBLIC) <= set(dir(slopecalc))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError):
+        slopecalc.no_such_name
+    assert not hasattr(slopecalc, "no_such_name")
+
+
+def test_star_import_binds_every_name_in_a_fresh_process():
+    script = (
+        "import json, sys\n"
+        "from slopecalc import *\n"
+        f"missing = [n for n in {PUBLIC!r} if n not in globals()]\n"
+        "sys.stdout.write(json.dumps(missing))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

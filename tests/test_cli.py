@@ -301,3 +301,52 @@ class TestOracleUnderOptimize:
         proc = _python("-O", "-c", script)
         assert proc.returncode == 4 and proc.stdout == b""
         assert json.loads(proc.stderr)["error"].startswith("internal: oracle:")
+
+
+def _first_fixture(command):
+    for path in sorted((ROOT / "tests" / "fixtures").glob("*.json")):
+        spec = json.loads(path.read_text(encoding="utf-8"))
+        if spec["command"] == command:
+            return spec
+    raise LookupError(command)
+
+
+def _loaded_after(script, stdin=b""):
+    """The slopecalc modules a fresh interpreter holds after running `script`."""
+    script += (
+        "\nimport json, sys\n"
+        "ours = [m for m in sys.modules if m.split('.')[0] == 'slopecalc']\n"
+        "sys.stderr.write(json.dumps(ours))\n"
+    )
+    proc = _python("-c", script, stdin=stdin)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    return set(json.loads(proc.stderr.decode().splitlines()[-1]))
+
+
+def _loaded_by_command(command):
+    spec = _first_fixture(command)
+    script = f"from slopecalc import cli\ncli.run([{command!r}, '--input', '-'])"
+    return _loaded_after(script, stdin=json.dumps(spec["input"]).encode())
+
+
+class TestImportSet:
+    """A CLI call loads only the modules its command uses (each is compiled
+    per call where no bytecode cache is written)."""
+
+    def test_cli_import_loads_only_rational(self):
+        assert _loaded_after("import slopecalc.cli") == {
+            "slopecalc", "slopecalc.cli", "slopecalc.rational"
+        }
+
+    @pytest.mark.parametrize("command", ["newton", "plot"])
+    def test_polygon_commands_skip_the_deciders(self, command):
+        loaded = _loaded_by_command(command)
+        assert "slopecalc.cli" in loaded
+        for name in ("hn", "bc", "diagram", "sheaf"):
+            assert f"slopecalc.{name}" not in loaded
+
+    @pytest.mark.parametrize("command", ["hn", "wa", "acyclic", "fn4-reduce", "vst"])
+    def test_hn_family_skips_bc_and_diagram(self, command):
+        loaded = _loaded_by_command(command)
+        assert "slopecalc.hn" in loaded
+        assert not loaded & {"slopecalc.bc", "slopecalc.diagram"}

@@ -3,7 +3,8 @@
 Every fixture in tests/fixtures is run through the in-process `cli.run`, with
 its input on stdin, and its exit code and the SHA-256 of its stdout are
 compared with the digests recorded in bench/golden.json (written by
-`python3 bench/record_golden.py`), once plain and once with `--oracle`.
+`python3 bench/record_golden.py`), once plain and once with `--oracle`;
+one fixture per command also runs as a fresh process.
 Criterion 10 checks that a run agrees with itself; this checks that it
 agrees with the recorded answers.
 """
@@ -11,7 +12,9 @@ agrees with the recorded answers.
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -48,3 +51,28 @@ def test_every_fixture_passes_the_oracle(monkeypatch):
         want = GOLDEN[path.name]
         got = _run_fixture(path, monkeypatch, "--oracle")
         assert got == (want["exit"], want["stdout_sha256"]), path.name
+
+
+def _one_fixture_per_command():
+    first = {}
+    for path in FIXTURES:
+        first.setdefault(json.loads(path.read_text(encoding="utf-8"))["command"], path)
+    return sorted(first.values())
+
+
+@pytest.mark.parametrize("path", _one_fixture_per_command(), ids=lambda path: path.stem)
+def test_fresh_process_matches_golden(path):
+    """A command run as its own `python -m slopecalc` process, so that it
+    loads no module an earlier test has already imported."""
+    spec = json.loads(path.read_text(encoding="utf-8"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "slopecalc", spec["command"], "--input", "-"],
+        input=json.dumps(spec["input"]).encode(), capture_output=True, env=env, timeout=120,
+    )
+    want = GOLDEN[path.name]
+    got = (proc.returncode, hashlib.sha256(proc.stdout).hexdigest())
+    assert got == (want["exit"], want["stdout_sha256"]), proc.stderr
