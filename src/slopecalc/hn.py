@@ -8,42 +8,30 @@ in the literature; this one is forced by the degree-lowering algorithm below
 and is used consistently everywhere in this package.)
 
 Subobjects are Frobenius- and N-stable rational subspaces with the induced
-filtration.  Their enumeration is certified complete in two situations:
-
-  (a) all eigenvalues rational with pairwise distinct valuations
-      (stable subspaces are N-closed sums of eigenlines);
-  (b) slope normal form, multiplicity free (one block per slope; stable
-      subspaces are N-closed sums of blocks since distinct-slope block
-      polynomials are coprime and each block is irreducible).
-
-Scalar Frobenius is special: every subspace is stable (and N = 0 is forced),
-so no finite enumeration is complete and `enumerate_subobjects` reports its
-flag-adapted chain as a sample - but that chain realizes the extremal degree
-in every dimension, which is all the deciders consume, so verdicts built on
-it still certify.  Everything else falls back to a seeded, reproducible
-sample and verdicts are downgraded to "uncertified" - except that a genuinely
+filtration.  Their enumeration is certified complete when all eigenvalues are
+rational with pairwise distinct valuations (the N-closed sums of eigenlines)
+and for a multiplicity-free slope normal form (the N-closed sums of blocks:
+distinct-slope block polynomials are coprime and each block is irreducible).
+Scalar Frobenius makes every subspace stable (and forces N = 0), so no finite
+list is complete; its flag-adapted chain is reported as a sample, but it
+realizes the extremal degree in every dimension, which is all the deciders
+consume, so verdicts on it still certify.  Everything else falls back to a
+seeded, reproducible sample and "uncertified" verdicts, except that a
 verified violating subobject always certifies a negative answer.
 
-`enumerate_subobjects` returns a `SubobjectLattice`: the canonical bases,
-the strategy that built them and whether verdicts on them certify.  In the
-two certified cases every element is a sum of parts (eigenlines or slope
-blocks) and carries its part bitmask, and the deciders score it from the
-parts: t_N(W) is the sum of the parts' t_N (the valuation of an eigenvalue,
-slope times size for a block), t_H(W) = lo*k + sum over lo < j < hi of
-dim(Fil^j & W), where dim(Fil^j & W) is k minus the rank of the parts'
-integer residues modulo Fil^j, and W contains W' exactly when W's mask
-holds the mask of W'.  Each part is reduced modulo each level once per
-decider call, and the echelon of a mask extends that of the mask without
-its lowest bit.  Other elements are scored by pivots: a vector of W lies in
-W exactly when subtracting multiples of W's rows at their pivots leaves
-zero, the coordinates of phi(b) are its entries at the pivots, and t_N is
-the valuation of their determinant.  All of this runs on integer rows, with
-phi cleared by one common denominator.  Every scored element is checked to
-be phi-stable by an integer residue, no coordinates are solved for and no
-induced filtration is built.  Every witness and HN step the deciders pick
-this way is scored again from the definition by `sub_invariants`
-(restriction matrix, induced filtration), and a disagreement raises an
-internal error.
+In the two complete cases an element is a bitmask of parts (eigenlines or
+slope blocks), and the deciders work on masks: t_N(W) is the sum of the
+parts' t_N, t_H(W) = lo*k + the sum over lo < j < hi of dim(Fil^j & W), which
+is k minus the rank of the parts' integer residues modulo Fil^j, and W holds
+W' exactly when its mask holds that of W'.  Each part is checked to be
+phi-stable once per decider call, and by linearity so is every sum of parts.
+A canonical basis is row-reduced only for what a call returns or compares: a
+witness, the first in canonical order among the violators of least rank, and
+an HN step, with the elements it ties with in (slope, rank).  Other elements
+are scored by their pivots on integer rows, each checked to be stable by an
+integer residue.  Every witness and HN step is scored again from the
+definition by `sub_invariants` (restriction matrix, induced filtration), and
+a disagreement raises an internal error.
 """
 
 from __future__ import annotations
@@ -51,9 +39,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .filtration import HodgeData, _flag_from_chain, induced_on_subspace, t_h
 from .isocrystal import PhiModule, dm_blocks, is_dm_normal, newton_slopes, t_n
@@ -66,12 +55,16 @@ from .rational import (
     int_apply,
     int_det,
     int_echelon,
+    int_kernel,
     int_matrix,
     int_residue,
     int_row,
+    int_rref,
+    rat_rref,
     rat_str,
     restriction_matrix,
     rref_rows,
+    solve_coordinates,
     span_intersect,
     span_leq,
     span_sum,
@@ -197,16 +190,7 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, in
 
 def _divisors(n: int) -> list[int]:
     n = abs(n)
-    if n == 0:
-        return []
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+    return sorted({d for k in range(1, math.isqrt(n) + 1) if n % k == 0 for d in (k, n // k)})
 
 
 def _deflate(poly: Sequence[Fraction], r: Fraction):
@@ -225,44 +209,90 @@ def _canonical_order(bases):
     return tuple(sorted(set(bases), key=lambda b: (len(b), b)))
 
 
-class SubobjectLattice(tuple):
+class SubobjectLattice:
     """The stable subspaces a decider ranges over; unpacks as (bases, certified).
 
     `bases` are canonical reduced-row-echelon row tuples sorted by dimension
     then lexicographically, always holding the zero subspace first and the
     full one; `certified` says the list is complete.  `strategy` names how it
-    was built: "eigenlines", "blocks", "scalar-chain" or "sample".  For the
-    first two every element is the sum of some of the `parts` (eigenlines or
-    slope blocks, as row lists): `masks[i]` is the bitmask of the parts of
-    `bases[i]` and `part_tn[i]` the t_N of part i.  Otherwise `masks`,
-    `parts` and `part_tn` are None.
+    was built: "eigenlines", "blocks", "scalar-chain" or "sample".  `keys`
+    name the elements by ascending dimension.  In the first two, part
+    lattices, an element is a sum of `parts` (eigenlines or slope blocks, as
+    row lists), its key (in `masks`) is their bitmask and `part_tn[i]` is the
+    t_N of part i; `basis(key)` row-reduces an element on first use, and
+    `bases` has a length at once but builds every basis when an item is read.
+    Elsewhere a key is an index in `bases`, and `masks`, `parts` and `part_tn`
+    are None.
     """
 
-    def __new__(cls, bases, certified, strategy, masks=None, parts=None, part_tn=None):
-        self = super().__new__(cls, (bases, certified))
-        self.bases, self.certified, self.strategy = bases, certified, strategy
-        self.masks, self.parts, self.part_tn = masks, parts, part_tn
-        self._echelons = {}
-        return self
+    def __init__(self, bases, certified, strategy, masks=None, parts=None, part_tn=None, ncols=0):
+        self.certified, self.strategy = certified, strategy
+        self.masks, self.parts, self.part_tn, self.ncols = masks, parts, part_tn, ncols
+        self.keys = range(len(bases)) if masks is None else masks
+        self.bases = bases if masks is None else _CanonicalBases(self)
+        self._built, self._echelons, self._order = {}, {}, None
+
+    def __iter__(self):
+        return iter((self.bases, self.certified))
+
+    def __getitem__(self, i):
+        return (self.bases, self.certified)[i]
 
     @property
     def decides(self) -> bool:
-        """Verdicts built on the lattice certify: it is complete, or it is the
-        scalar-Frobenius chain, which is degree-extremal in every dimension."""
+        """Verdicts on it certify: it is complete, or the degree-extremal scalar chain."""
         return self.certified or self.strategy == "scalar-chain"
 
+    def basis(self, key) -> tuple:
+        """Canonical basis of the element named `key`."""
+        if self.masks is None:
+            return self.bases[key]
+        basis = self._built.get(key)
+        if basis is None:
+            rows = [row for i, part in enumerate(self.parts) if key >> i & 1 for row in part]
+            basis = self._built[key] = rref_rows(rows, self.ncols)
+            if len(basis) != len(rows):
+                raise AssertionError("internal: the lattice parts are not independent")
+        return basis
+
+    def below(self, small, big) -> bool:
+        """The element named `small` is a subspace of the one named `big`."""
+        if self.masks is not None:
+            return small & ~big == 0
+        echelon = self._echelons.get(big)
+        if echelon is None:
+            echelon = self._echelons[big] = _basis_echelon(self.bases[big])
+        return not any(any(int_residue(int_row(v), echelon)) for v in self.bases[small])
+
+    def _canonical(self):
+        """(bases, keys) in canonical order."""
+        if self._order is None:
+            named = sorted((len(b), b, key) for key in self.keys for b in [self.basis(key)])
+            self._order = tuple(b for _, b, _ in named), tuple(key for _, _, key in named)
+        return self._order
+
     def elements(self):
-        """(basis, mask) pairs; the mask is None outside part lattices."""
-        return zip(self.bases, self.masks or itertools.repeat(None))
+        """(basis, mask) pairs in canonical order; the mask is None outside part lattices."""
+        bases, keys = self._canonical()
+        return zip(bases, itertools.repeat(None) if self.masks is None else keys)
 
     def leq(self, j: int, i: int) -> bool:
-        """Element j is a subspace of element i."""
-        if self.masks is not None:
-            return self.masks[j] & ~self.masks[i] == 0
-        echelon = self._echelons.get(i)
-        if echelon is None:
-            echelon = self._echelons[i] = _basis_echelon(self.bases[i])
-        return not any(any(int_residue(int_row(v), echelon)) for v in self.bases[j])
+        """Element j of `bases` is a subspace of element i."""
+        keys = self._canonical()[1]
+        return self.below(keys[j], keys[i])
+
+
+class _CanonicalBases(Sequence):
+    """`bases` of a part lattice: its length needs no basis, an item needs them all."""
+
+    def __init__(self, lattice):
+        self.lattice = lattice
+
+    def __len__(self):
+        return len(self.lattice.keys)
+
+    def __getitem__(self, i):
+        return self.lattice._canonical()[0][i]
 
 
 def _support(vectors, owner) -> int:
@@ -276,49 +306,55 @@ def _support(vectors, owner) -> int:
 
 
 def _n_closed_sums(parts, supports, part_tn, ncols, strategy) -> SubobjectLattice:
-    """Certified lattice of the N-closed sums of `parts`, with their masks.
+    """Certified lattice of the N-closed sums of `parts`, as masks.
 
     parts[i] is a list of rows and supports[i] the bitmask of the parts that
     N maps span(parts[i]) into.  A union is N-closed iff it holds the support
-    of each of its parts; only those unions are row-reduced.  The parts are
-    independent, so distinct masks give distinct spans.
+    of each of its parts.  The parts are independent, so distinct masks give
+    distinct spans.
     """
-    out = []
-    for mask in range(1 << len(parts)):
-        picked = [i for i in range(len(parts)) if mask >> i & 1]
-        if all((supports[i] & ~mask) == 0 for i in picked):
-            out.append((rref_rows([row for i in picked for row in parts[i]], ncols), mask))
-    out.sort(key=lambda t: (len(t[0]), t[0]))
-    bases = tuple(b for b, _ in out)
-    return SubobjectLattice(bases, True, strategy, tuple(m for _, m in out), parts, part_tn)
+    need, dims = [0], [0]
+    for mask in range(1, 1 << len(parts)):
+        rest, low = mask & (mask - 1), (mask & -mask).bit_length() - 1
+        need.append(need[rest] | supports[low])
+        dims.append(dims[rest] + len(parts[low]))
+    masks = sorted((mask for mask, nd in enumerate(need) if nd & ~mask == 0), key=dims.__getitem__)
+    return SubobjectLattice(None, True, strategy, tuple(masks), parts, part_tn, ncols)
 
 
 def _eigenline_subobjects(m: PhiModule, roots, leftover: int) -> Optional[SubobjectLattice]:
     """Certified enumeration when eigenvalues are rational with distinct valuations.
 
     `roots, leftover` are `_rational_roots` of the characteristic polynomial.
-    The support of N on an eigenline is read off in eigen-coordinates.
+    With D*phi integral, the r-eigenline is the kernel of D*phi - D*r cleared
+    of its denominator.  The support of N on each eigenline is read off from
+    the coordinates of all N-images, solved for at once.
     """
-    if m.rank == 0:
-        return SubobjectLattice(((),), True, "eigenlines", (0,), [], [])
+    n = m.rank
+    if n == 0:
+        return SubobjectLattice(None, True, "eigenlines", (0,), [], [])
     if leftover != 0 or any(mult != 1 for _, mult in roots):
         return None
     vals = [valuation(r, m.p) for r, _ in roots]
     if len(set(vals)) != len(vals):
         return None
+    phi, den = int_matrix(m.phi)
     lines = []
-    ident = RatMatrix.identity(m.rank)
     for r, _ in roots:
-        ker = (m.phi - ident.scale(r)).nullspace()
+        a, b = r.numerator * den, r.denominator  # D*phi - D*r = (b*D*phi - a) / b
+        shifted = [[b * x - a * (i == j) for j, x in enumerate(row)] for i, row in enumerate(phi)]
+        ker = int_kernel(shifted, n)
         if len(ker) != 1:
             return None
-        if m.phi.apply(ker[0]) != tuple(r * x for x in ker[0]):
+        if [b * x for x in int_apply(phi, ker[0])] != [a * x for x in ker[0]]:
             raise AssertionError(f"internal: {rat_str(r)}-eigenline is not fixed by phi")
         lines.append(ker[0])
-    to_eigen = RatMatrix(lines).inverse().transpose()
-    owner = range(len(lines))
-    supports = [_support([to_eigen.apply(m.nilpotent.apply(v))], owner) for v in lines]
-    return _n_closed_sums([[v] for v in lines], supports, vals, m.rank, "eigenlines")
+    nil, _ = int_matrix(m.nilpotent)
+    coords = solve_coordinates(lines, [int_apply(nil, v) for v in lines])
+    if coords is None:
+        raise AssertionError("internal: the eigenlines do not span the module")
+    supports = [_support([c], range(n)) for c in coords]
+    return _n_closed_sums([[v] for v in lines], supports, vals, n, "eigenlines")
 
 
 def _block_subobjects(m: PhiModule, slopes) -> Optional[SubobjectLattice]:
@@ -364,14 +400,9 @@ def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[tuple]:
     adapted: list = []
     span: tuple = ()
     for j in range(hi, lo - 1, -1):
-        target = m.hodge.subspace_at(j)
-        for v in complement_basis(span, target, n):
-            adapted.append(v)
+        adapted.extend(complement_basis(span, m.hodge.subspace_at(j), n))
         span = rref_rows(adapted, n)
-    chain = [()]
-    for k in range(1, n + 1):
-        chain.append(rref_rows(adapted[:k], n))
-    return _canonical_order(chain)
+    return _canonical_order([()] + [rref_rows(adapted[:k], n) for k in range(1, n + 1)])
 
 
 def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
@@ -385,6 +416,7 @@ def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
     found = {(), tuple(RatMatrix.identity(n).entries)}
     phi, _ = int_matrix(mod.phi)
     nil, _ = int_matrix(mod.nilpotent)
+    bases = {}  # int_rref key -> the Fraction basis, one per distinct closure
 
     def closure(vectors):
         # Krylov closure on integer rows; phi and N each cleared by one
@@ -397,7 +429,11 @@ def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
             if len(grown) > len(echelon):
                 echelon = grown
                 queue.extend((int_apply(phi, v), int_apply(nil, v)))
-        return rref_rows([row for _, row in echelon], n)
+        key = int_rref([row for _, row in echelon], n)
+        basis = bases.get(key)
+        if basis is None:
+            basis = bases[key] = rat_rref(key)
+        return basis
 
     # structured candidates: eigenlines of any rational eigenvalues, N-kernels
     ident = RatMatrix.identity(n)
@@ -502,10 +538,10 @@ def lattice_scorer(m: FilteredPhiModule, lattice: Optional[SubobjectLattice] = N
     """Scorer of canonical stable bases by integer residues and ranks.
 
     Returns `score(basis, mask=None) -> (rank, t_H, t_N, degree)`, equal to
-    `sub_invariants` on every canonical (RREF) stable basis; raises
-    InputError on a basis that is not Frobenius-stable.  When `lattice` is a
-    part lattice and `mask` the part bitmask of `basis` in it, the basis is
-    scored from its parts; otherwise by its pivots.  Flag form only.
+    `sub_invariants` on every canonical (RREF) stable basis.  An element of a
+    part lattice named by `mask` is scored from its parts (`basis` may be
+    None), each checked once here to be Frobenius-stable; any other basis by
+    its pivots, checked itself to be stable (InputError if not).  Flag form only.
     """
     phi, den = int_matrix(m.module.phi)
     p = m.module.p
@@ -513,6 +549,10 @@ def lattice_scorer(m: FilteredPhiModule, lattice: Optional[SubobjectLattice] = N
     levels = [_basis_echelon(m.hodge.subspace_at(j)) for j in range(lo + 1, hi)]
     part_ranks = None
     if lattice is not None and lattice.masks is not None:
+        for part in lattice.parts:
+            echelon = int_echelon(map(int_row, part))
+            if any(any(int_residue(int_apply(phi, row), echelon)) for _, row in echelon):
+                raise AssertionError("internal: a lattice part is not Frobenius-stable")
         part_ranks = _part_ranks(lattice, levels)
         part_tn, sizes = lattice.part_tn, [len(part) for part in lattice.parts]
 
@@ -524,61 +564,75 @@ def lattice_scorer(m: FilteredPhiModule, lattice: Optional[SubobjectLattice] = N
             th += k - rank
         return th
 
-    def by_pivots(rows, images, pivots):
-        # coordinates of phi(b_i) are its entries at the pivots; rows[i] and
-        # images[i] are d_i * b_i and den * d_i * phi(b_i), d_i = rows[i][pivot]
-        k = len(rows)
-        scale = den**k
-        for row, c in zip(rows, pivots):
-            scale *= row[c]
-        tn = valuation(Fraction(int_det([[img[c] for c in pivots] for img in images]), scale), p)
-        ranks = (len(int_echelon(int_residue(r, level) for r in rows)) for level in levels)
-        return t_h(k, ranks), tn
-
-    def by_parts(k, mask):
-        picked = [i for i in range(len(sizes)) if mask >> i & 1]
-        if sum(sizes[i] for i in picked) != k:
-            raise AssertionError("internal: part mask does not match the basis dimension")
-        return t_h(k, part_ranks(mask)), sum(part_tn[i] for i in picked)
-
-    def score(basis, mask=None):
-        k = len(basis)
-        if k == 0:
-            return 0, 0, Fraction(0), Fraction(0)
+    def by_pivots(basis):
         echelon = _basis_echelon(basis)
         rows = [row for _, row in echelon]
         images = [int_apply(phi, r) for r in rows]
         if any(any(int_residue(img, echelon)) for img in images):
             raise InputError("subspace is not Frobenius-stable")
+        # coordinates of phi(b_i) are its entries at the pivots; rows[i] and
+        # images[i] are d_i * b_i and den * d_i * phi(b_i), d_i = rows[i][pivot]
+        k, pivots = len(rows), [c for c, _ in echelon]
+        scale = den**k
+        for row, c in zip(rows, pivots):
+            scale *= row[c]
+        tn = valuation(Fraction(int_det([[img[c] for c in pivots] for img in images]), scale), p)
+        ranks = (len(int_echelon(int_residue(r, level) for r in rows)) for level in levels)
+        return k, t_h(k, ranks), tn
+
+    def by_parts(mask):
+        picked = [i for i in range(len(sizes)) if mask >> i & 1]
+        k = sum(sizes[i] for i in picked)
+        return k, t_h(k, part_ranks(mask)), sum(part_tn[i] for i in picked)
+
+    def score(basis, mask=None):
         if mask is None or part_ranks is None:
-            th, tn = by_pivots(rows, images, [c for c, _ in echelon])
+            if not basis:
+                return 0, 0, Fraction(0), Fraction(0)
+            k, th, tn = by_pivots(basis)
         else:
-            th, tn = by_parts(k, mask)
+            k, th, tn = by_parts(mask)
+            if basis is not None and len(basis) != k:
+                raise AssertionError("internal: part mask does not match the basis dimension")
         return k, th, Fraction(tn), Fraction(th) - tn
 
     return score
+
+
+def _scored(m: FilteredPhiModule, lattice: SubobjectLattice):
+    """(key, (rank, t_H, t_N, degree)) of each element, by ascending rank, lazily."""
+    score = lattice_scorer(m, lattice)
+    if lattice.masks is None:
+        return ((key, score(lattice.bases[key])) for key in lattice.keys)
+    return ((key, score(None, key)) for key in lattice.keys)
 
 
 def _recheck(m: FilteredPhiModule, basis, fast) -> None:
     """Re-score a returned subspace from the definition; raise on disagreement."""
     slow = sub_invariants(m, basis)
     if slow != fast:
-        raise AssertionError(
-            f"internal: lattice scorer gave {fast} but the definition gives {slow}"
-        )
+        msg = f"internal: lattice scorer gave {fast} but the definition gives {slow}"
+        raise AssertionError(msg)
 
 
 def _first_violation(m: FilteredPhiModule, seed: int, bound, lattice) -> Verdict:
-    """First enumerated subobject of degree > bound, re-checked, as a verdict."""
+    """First subobject of degree > bound in canonical order, re-checked, as a verdict.
+
+    The scan stops after the least rank holding a violator, and only the
+    violators of that rank get a basis."""
     if lattice is None:
         lattice = enumerate_subobjects(m, seed)
-    score = lattice_scorer(m, lattice)
-    for basis, mask in lattice.elements():
-        inv = score(basis, mask)
+    bad = []
+    for key, inv in _scored(m, lattice):
+        if bad and inv[0] > bad[0][1][0]:
+            break
         if inv[3] > bound:
-            _recheck(m, basis, inv)
-            return Verdict(STATUS_FALSE, basis)
-    return Verdict(STATUS_TRUE if lattice.decides else STATUS_UNCERTIFIED)
+            bad.append((key, inv))
+    if not bad:
+        return Verdict(STATUS_TRUE if lattice.decides else STATUS_UNCERTIFIED)
+    basis, inv = min((lattice.basis(key), inv) for key, inv in bad)
+    _recheck(m, basis, inv)
+    return Verdict(STATUS_FALSE, basis)
 
 
 def is_weakly_admissible(m: FilteredPhiModule, seed: int = 0, lattice=None) -> Verdict:
@@ -662,28 +716,27 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
     m.hodge.require_flag("hn_filtration")
     if lattice is None:
         lattice = enumerate_subobjects(m, seed)
-    score = lattice_scorer(m, lattice)
-    inv = [score(basis, mask) for basis, mask in lattice.elements()]
+    scored = list(_scored(m, lattice))
     steps = []
-    current = 0  # index of the zero subspace, first in canonical order
+    current = scored[0][0]  # the zero subspace, the only element of rank 0
     cur_rank, cur_deg = 0, Fraction(0)
     while cur_rank < m.rank:
-        best = None
-        for i, basis in enumerate(lattice.bases):
-            k, _, _, d = inv[i]
-            if k <= cur_rank or not lattice.leq(current, i):
+        best, tied = None, []
+        for key, inv in scored:
+            k, d = inv[0], inv[3]
+            if k <= cur_rank or not lattice.below(current, key):
                 continue
-            slope = (d - cur_deg) / (k - cur_rank)
-            key = (-slope, -k, basis)
-            if best is None or key < best[0]:
-                best = (key, i, slope, k, d)
+            rank_key = ((d - cur_deg) / (k - cur_rank), k)
+            if best is None or rank_key > best:
+                best, tied = rank_key, [(key, inv)]
+            elif rank_key == best:
+                tied.append((key, inv))
         if best is None:
             raise AssertionError("internal: no extension step found")
-        _, current, slope, k, d = best
-        steps.append(
-            HNStep(lattice.bases[current], slope, k, k - cur_rank, d - cur_deg)
-        )
-        _recheck(m, lattice.bases[current], inv[current])
+        basis, current, inv = min((lattice.basis(key), key, inv) for key, inv in tied)
+        (slope, k), d = best, inv[3]
+        steps.append(HNStep(basis, slope, k, k - cur_rank, d - cur_deg))
+        _recheck(m, basis, inv)
         cur_rank, cur_deg = k, d
     certified = lattice.decides
     filt = HNFiltration(tuple(steps), certified)
@@ -740,14 +793,9 @@ def vst_from_filtration(filt: HNFiltration) -> VstResult:
 
 def _positive_slope_step(m: FilteredPhiModule, seed: int, lattice) -> tuple:
     """Basis of the filtration step collecting all graded slopes > 0."""
-    filt = hn_filtration(m, seed, lattice)
-    best: tuple = ()
-    for step in filt.steps:
-        if step.slope > 0:
-            best = step.basis
-        else:
-            break
-    return best
+    steps = hn_filtration(m, seed, lattice).steps
+    positive = list(itertools.takewhile(lambda s: s.slope > 0, steps))
+    return positive[-1].basis if positive else ()
 
 
 def _hyperplane_candidates(fil_top, protect, n):
@@ -767,14 +815,10 @@ def _hyperplane_candidates(fil_top, protect, n):
         if first < 0:
             continue  # normalize functionals up to sign
         ker = RatMatrix([list(coeffs)]).nullspace()  # k-1 rows in comp coordinates
-        rows = list(protect)
-        for cvec in ker:
-            rows.append(
-                tuple(
-                    sum((cvec[i] * comp[i][j] for i in range(k)), Fraction(0))
-                    for j in range(n)
-                )
-            )
+        rows = list(protect) + [
+            tuple(sum((cvec[i] * comp[i][j] for i in range(k)), Fraction(0)) for j in range(n))
+            for cvec in ker
+        ]
         yield rref_rows(rows, n)
 
 
@@ -805,9 +849,7 @@ def _lower_once(m: FilteredPhiModule, seed: int, lattice) -> FilteredPhiModule:
     for hyper in _hyperplane_candidates(fil_top, protect, n):
         if span_sum(hyper, inter, n) != rref_rows(fil_top, n):
             continue  # removed direction must come out of the positive part
-        chain = []
-        for j in range(lo, hi + 1):
-            chain.append((j, hyper if j == i0 else hodge.subspace_at(j)))
+        chain = [(j, hyper if j == i0 else hodge.subspace_at(j)) for j in range(lo, hi + 1)]
         try:
             new_hodge = _flag_from_chain(chain, n)
         except InputError:

@@ -336,21 +336,10 @@ class RatMatrix:
     def nullspace(self) -> tuple[Row, ...]:
         """Canonical (RREF'd) basis of the right kernel, as row vectors.
 
-        Kernel vector f (free column f) times the lcm L of the pivot entries
-        of the int RREF is an int row; one more elimination makes them canonical.
+        The kernel rows of `int_kernel`; one more elimination makes them canonical.
         """
         n = self.cols
-        rows = [int_row(r) for r in self.entries]
-        pivots = _gauss_jordan(rows, n)
-        lcm = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
-        basis = []
-        for f in sorted(set(range(n)) - set(pivots)):
-            v = [0] * n
-            v[f] = lcm
-            for row, c in zip(rows, pivots):
-                if row[f]:
-                    v[c] = -row[f] * (lcm // row[c])
-            basis.append(v)
+        basis = int_kernel([int_row(r) for r in self.entries], n)
         return tuple(_normalized(row, c) for row, c in zip(basis, _gauss_jordan(basis, n)))
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
@@ -520,6 +509,39 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def int_kernel(rows: list, ncols: int) -> list:
+    """Int basis of the right kernel of the int rows (consumed), by one elimination.
+
+    Kernel vector f (free column f) times the lcm L of the pivot entries of
+    the int RREF is an int row.
+    """
+    pivots = _gauss_jordan(rows, ncols)
+    lcm = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = lcm
+        for row, c in zip(rows, pivots):
+            if row[f]:
+                v[c] = -row[f] * (lcm // row[c])
+        basis.append(v)
+    return basis
+
+
+def int_rref(rows: list, ncols: int) -> tuple:
+    """Canonical key of the span of the int rows (consumed), by one elimination:
+    (pivot, RREF row as a gcd-primitive int tuple with a positive pivot) pairs."""
+    pivots = _gauss_jordan(rows, ncols)
+    return tuple(
+        (c, tuple(row) if row[c] > 0 else tuple(-a for a in row)) for row, c in zip(rows, pivots)
+    )
+
+
+def rat_rref(key: tuple) -> tuple[Row, ...]:
+    """The canonical RREF basis, as Fractions, of an `int_rref` key."""
+    return tuple(_normalized(row, c) for c, row in key)
 
 
 def int_det(rows: list) -> int:

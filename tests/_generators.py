@@ -32,14 +32,17 @@ def random_unimodular(rng: random.Random, n: int) -> RatMatrix:
     return RatMatrix(m)
 
 
-def random_flag(rng: random.Random, n: int, lo: int, hi: int) -> HodgeData:
-    """Full flag with jump indices drawn from [lo, hi] and small entries."""
+def random_flag(rng: random.Random, n: int, lo: int, hi: int, weights=None) -> HodgeData:
+    """Full flag with small entries and jump indices drawn from [lo, hi], or
+    the given `weights` (each at least lo)."""
     while True:
         rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         t = RatMatrix(rows)
         if t.det() != 0:
             break
-    weights = sorted((rng.randint(lo, hi) for _ in range(n)), reverse=True)
+    if weights is None:
+        weights = (rng.randint(lo, hi) for _ in range(n))
+    weights = sorted(weights, reverse=True)
     entries = []
     for j in range(lo, max(weights) + 1):
         basis = [t.entries[i] for i in range(n) if weights[i] >= j]

@@ -32,7 +32,14 @@ from slopecalc.isocrystal import (
     dual,
     from_slopes,
 )
-from slopecalc.rational import FlagRequiredError, InputError, RatMatrix, restriction_matrix
+from slopecalc.rational import (
+    FlagRequiredError,
+    InputError,
+    RatMatrix,
+    charpoly,
+    restriction_matrix,
+    valuation,
+)
 
 from _generators import (
     certified_filtered_instance,
@@ -587,3 +594,237 @@ class TestMaskLattice:
         std = RatMatrix.identity(5).entries
         lattice = self.agree(m, [std[0:1], std[1:3], std[3:5]], "blocks")
         assert len(lattice.bases) == 6  # the slope-3/2 block needs the slope-1/2 one
+
+
+def _reference(m):
+    """Deciders from the definition: every element built and scored by
+    `sub_invariants`, the first violator in canonical order as the witness,
+    and the greedy HN filtration keyed by (-slope, -rank, basis).  Returns
+    (verdict for a bound, HN steps, the bases tied with some step)."""
+    from slopecalc.rational import span_leq
+
+    lattice = enumerate_subobjects(m)
+    scored = [(basis, sub_invariants(m, basis)) for basis in lattice.bases]
+    decided = STATUS_TRUE if lattice.decides else STATUS_UNCERTIFIED
+
+    def verdict(bound):
+        witness = next((b for b, inv in scored if inv[3] > bound), None)
+        return Verdict(decided) if witness is None else Verdict(STATUS_FALSE, witness)
+
+    steps, ties, current, cur_rank, cur_deg = [], set(), (), 0, F(0)
+    while cur_rank < m.rank:
+        keyed = sorted(
+            (-(inv[3] - cur_deg) / (inv[0] - cur_rank), -inv[0], basis, inv)
+            for basis, inv in scored
+            if inv[0] > cur_rank and span_leq(current, basis)
+        )
+        neg_slope, neg_k, current, (k, _, _, d) = keyed[0]
+        ties |= {key[2] for key in keyed if key[:2] == keyed[0][:2]}
+        steps.append(hn.HNStep(current, -neg_slope, k, k - cur_rank, d - cur_deg))
+        cur_rank, cur_deg = k, d
+    return verdict, tuple(steps), ties
+
+
+def _snf_weights(slopes):
+    """Integer weights summing to a over each block of slope a/h and size h."""
+    out = []
+    for s, h in slopes:
+        q, r = divmod(int(s * h), h)
+        out += [q] * (h - r) + [q + 1] * r
+    return out
+
+
+def _weight_variants(rng, weights):
+    """Weights equal to the slopes; moved by +1 and -1, spread by three moves
+    of up to 2, and pinched (the extremes moved in until they are at most 1
+    apart, so that several subobjects violate at once), all keeping the
+    degree; and raised by +1."""
+    out = [list(weights)]
+    for moves, most in ((1, 1), (3, 2)):
+        moved = list(weights)
+        for _ in range(moves):
+            i, j = rng.sample(range(len(weights)), 2)
+            d = rng.randint(1, most)
+            moved[i] += d
+            moved[j] -= d
+        out.append(moved)
+    pinched = list(weights)
+    while max(pinched) - min(pinched) > 1:
+        pinched[pinched.index(max(pinched))] -= 1
+        pinched[pinched.index(min(pinched))] += 1
+    raised = list(weights)
+    raised[rng.randrange(len(weights))] += 1
+    return out + [pinched, raised]
+
+
+def _flagged(rng, mod, weights):
+    return FilteredPhiModule(mod, random_flag(rng, mod.rank, min(weights), max(weights), weights))
+
+
+def _reference_cases():
+    """Seeded eigenline modules of rank 3-7 (with and without an N chain),
+    multiplicity-free slope normal forms of rank 4-9, repeated eigenvalues (a
+    sample) and scalar Frobenius, each with the weight variants above; a case
+    is named by its strategy first."""
+    rng = random.Random(77)
+    cases = []
+
+    def add(strategy, mod, slopes):
+        for i, w in enumerate(_weight_variants(rng, slopes)):
+            cases.append((f"{strategy}/{mod.rank}/{len(cases)}-{i}", _flagged(rng, mod, w)))
+
+    for chain in (False, True):
+        for n in range(3, 8):
+            mod, _ = _eigen_module(rng, n, chain)
+            add("eigenlines", mod, [valuation(r, P) for r in _eigenvalues(mod)])
+    for slopes in (
+        [(F(1, 2), 2), (F(0), 1), (F(2), 1)],
+        [(F(-1), 1), (F(1, 3), 3), (F(3, 2), 2)],
+        [(F(0), 1), (F(1), 1), (F(2), 1), (F(1, 3), 3), (F(-3), 1)],
+        [(F(1, 4), 4), (F(2), 1), (F(1, 2), 2), (F(-1, 2), 2)],
+    ):
+        add("blocks", from_slopes(SlopeMultiset(slopes), P), _snf_weights(slopes))
+    for exps in ([0, 0, 1], [0, 0, 1, 2], [1, 1, 1, 0]):
+        s = random_unimodular(rng, len(exps))
+        diag = RatMatrix([[F(P) ** e if i == j else 0 for j, e in enumerate(exps)]
+                          for i in range(len(exps))])
+        zero = RatMatrix.zeros(len(exps), len(exps))
+        add("sample", PhiModule(P, s @ diag @ s.inverse(), zero), exps)
+    for n in (3, 4):
+        add("scalar-chain", PhiModule.from_matrices(P, RatMatrix.identity(n).scale(P)), [1] * n)
+    return cases
+
+
+def _eigenvalues(mod):
+    roots, leftover = hn._rational_roots(charpoly(mod.phi))
+    assert leftover == 0
+    return [r for r, _ in roots]
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+class TestReferenceDeciders:
+    """The mask deciders agree exactly with deciders that build every element."""
+
+    @pytest.mark.parametrize("name, m", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+    def test_agrees(self, name, m):
+        verdict, steps, _ = _reference(m)
+        lattice = enumerate_subobjects(m)
+        assert lattice.strategy == name.split("/")[0]
+        assert is_acyclic(m) == verdict(degree(m))
+        full = tuple(RatMatrix.identity(m.rank).entries)
+        wa = verdict(0) if degree(m) == 0 else Verdict(STATUS_FALSE, full)
+        assert is_weakly_admissible(m) == wa
+        assert hn_filtration(m) == hn.HNFiltration(steps, lattice.decides)
+
+    def test_cases_cover_both_verdicts(self):
+        seen = set()
+        for name, m in REFERENCE_CASES:
+            kind = name.split("/")[0]
+            seen.add((kind, "acyclic", is_acyclic(m).status))
+            if degree(m) == 0:
+                seen.add((kind, "wa", is_weakly_admissible(m).status))
+        for kind in ("eigenlines", "blocks"):
+            for query in ("acyclic", "wa"):
+                assert {(kind, query, STATUS_TRUE), (kind, query, STATUS_FALSE)} <= seen
+        assert any(len(hn_filtration(m).steps) > 2 for _, m in REFERENCE_CASES)
+
+    def test_cases_have_several_first_violators(self):
+        # the witness is then chosen among several elements of one rank
+        several = 0
+        for _, m in REFERENCE_CASES:
+            lattice = enumerate_subobjects(m)
+            if lattice.masks is not None and is_acyclic(m).status == STATUS_FALSE:
+                ranked = [sub_invariants(m, b) for b in lattice.bases]
+                rank = min(inv[0] for inv in ranked if inv[3] > degree(m))
+                several += sum(inv[0] == rank and inv[3] > degree(m) for inv in ranked) > 1
+        assert several >= 3
+
+    def test_hn_tie_breaks_by_smallest_basis(self):
+        # phi = 1 on Q^3, Fil^1 the plane of e1 and e2: both lines in it have
+        # slope 1, and a sample lattice without their sum ties them
+        m = mk([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [(1, [[1, 0, 0], [0, 1, 0]])], 3)
+        e1, e2 = ((F(1), F(0), F(0)),), ((F(0), F(1), F(0)),)
+        full = tuple(RatMatrix.identity(3).entries)
+        lattice = hn.SubobjectLattice(((), e2, e1, full), False, "sample")
+        first = hn_filtration(m, lattice=lattice).steps[0]
+        assert (first.basis, first.slope, first.rank) == (e2, 1, 1)
+
+
+class TestLazyLattice:
+    """Part lattices build a basis only for what a decider returns or compares."""
+
+    @staticmethod
+    def counted_rref(monkeypatch):
+        calls, real = [], hn.rref_rows
+
+        def counted(rows, ncols):
+            calls.append(len(rows))
+            return real(rows, ncols)
+
+        monkeypatch.setattr(hn, "rref_rows", counted)
+        return calls
+
+    @staticmethod
+    def eigen6(seed, moved):
+        rng = random.Random(seed)
+        mod, _ = _eigen_module(rng, 6, False)
+        slopes = [valuation(r, P) for r in _eigenvalues(mod)]
+        return _flagged(rng, mod, _weight_variants(rng, slopes)[1 if moved else 0])
+
+    def test_length_needs_no_basis(self, monkeypatch):
+        m = self.eigen6(1, False)
+        calls = self.counted_rref(monkeypatch)
+        lattice = enumerate_subobjects(m)
+        assert len(lattice[0]) == len(lattice.bases) == 64 and calls == []
+        bases, certified = lattice
+        assert certified and len(set(bases)) == 64 and len(calls) == 64
+
+    def test_certified_true_acyclic_builds_no_basis(self, monkeypatch):
+        m = next(m for m in (self.eigen6(s, False) for s in range(40))
+                 if is_acyclic(m).status == STATUS_TRUE)
+        lattice = enumerate_subobjects(m)
+        calls = self.counted_rref(monkeypatch)
+        assert is_acyclic(m, lattice=lattice).status == STATUS_TRUE
+        assert is_weakly_admissible(m, lattice=lattice).status == STATUS_TRUE
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hn_builds_only_steps_and_ties(self, seed, monkeypatch):
+        m = self.eigen6(seed, True)
+        _, steps, ties = _reference(m)
+        lattice = enumerate_subobjects(m)
+        calls = self.counted_rref(monkeypatch)
+        assert hn_filtration(m, lattice=lattice).steps == steps
+        assert len(calls) == len(ties) < len(lattice.keys)
+
+    def test_witness_builds_only_its_rank(self, monkeypatch):
+        for seed in range(40):
+            m = self.eigen6(seed, True)
+            verdict = is_acyclic(m)
+            if verdict.status == STATUS_FALSE:
+                break
+        lattice = enumerate_subobjects(m)
+        calls = self.counted_rref(monkeypatch)
+        assert is_acyclic(m, lattice=lattice) == verdict
+        rank = len(verdict.witness)
+        assert calls and set(calls) == {rank} and len(calls) <= math.comb(6, rank)
+
+    @pytest.mark.parametrize("kind", ["eigenlines", "blocks"])
+    def test_doctored_part_raises(self, kind):
+        if kind == "eigenlines":
+            m = self.eigen6(2, True)
+        else:
+            mod = from_slopes(SlopeMultiset([(F(1, 2), 2), (F(0), 1), (F(2), 1)]), P)
+            m = _flagged(random.Random(3), mod, [0, 1, 0, 2])
+        lattice = enumerate_subobjects(m)
+        assert lattice.strategy == kind
+        parts = [list(part) for part in lattice.parts]
+        # the first part plus a row of the second: still independent, not stable
+        parts[0][0] = tuple(a + b for a, b in zip(parts[0][0], parts[1][0]))
+        doctored = hn.SubobjectLattice(None, True, kind, lattice.masks, parts,
+                                       lattice.part_tn, m.rank)
+        for decide in (is_acyclic, hn_filtration):
+            with pytest.raises(AssertionError, match="not Frobenius-stable"):
+                decide(m, lattice=doctored)

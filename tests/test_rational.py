@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,11 @@ from slopecalc.rational import (
     charpoly,
     complement_basis,
     coordinates,
+    int_kernel,
+    int_row,
+    int_rref,
     newton_polygon,
+    rat_rref,
     rat,
     rat_str,
     restriction_matrix,
@@ -397,6 +402,23 @@ class TestIntegerKernel:
             for v in basis:
                 assert all(sum((a * x for a, x in zip(row, v)), F(0)) == 0 for row in m.entries)
             assert list(basis) == ref_rref(basis, m.cols)[0][: len(basis)], m
+
+    def test_int_kernel(self):
+        for m in KERNEL_CASES:
+            basis = int_kernel([int_row(r) for r in m.entries], m.cols)
+            assert all(isinstance(x, int) for v in basis for x in v)
+            assert rref_rows(basis, m.cols) == m.nullspace(), m
+
+    def test_int_rref_keys_spans(self):
+        # equal spans share a key however they are spanned, and the key gives the RREF
+        for m in KERNEL_CASES:
+            rows = [int_row(r) for r in m.entries]
+            key = int_rref(rows[:], m.cols)
+            assert rat_rref(key) == rref_rows(m.entries, m.cols), m
+            assert all(row[c] > 0 and math.gcd(*row) == 1 for c, row in key)
+            # the rows reversed, and row i replaced by 3 row i - row i-1 (3 - shift is invertible)
+            mixed = [[3 * a - b for a, b in zip(rows[i], rows[i - 1])] for i in range(len(rows))]
+            assert int_rref(rows[::-1], m.cols) == key == int_rref(mixed, m.cols), m
 
     def test_inverse(self):
         singular = 0
