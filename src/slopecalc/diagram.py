@@ -30,26 +30,19 @@ else in the window and non-positive curvature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .bc import BCObject, QBCObject, check_exact, curvature_nonpositive, dimension
 from .bc import height_functor_rank, parse_formal
-from .filtration import HodgeData
-from .hn import (
-    STATUS_FALSE,
-    STATUS_TRUE,
-    STATUS_UNCERTIFIED,
-    FilteredPhiModule,
-    HNFiltration,
-    Verdict,
-    enumerate_subobjects,
-    hn_filtration,
-    is_acyclic,
-    vst_from_filtration,
-)
-from .isocrystal import PhiModule, newton_slopes
 from .rational import InputError
-from .sheaf import FFSheaf, cohomology_dim
+
+# `filtration`, `hn`, `isocrystal` and `sheaf` are imported by the functions
+# that use them, so that `mv_check`, which needs only `bc`, loads none of them
+if TYPE_CHECKING:
+    from .filtration import HodgeData
+    from .hn import FilteredPhiModule, HNFiltration, Verdict
+    from .isocrystal import PhiModule
+    from .sheaf import FFSheaf
 
 
 def _check_degree(r) -> None:
@@ -58,6 +51,8 @@ def _check_degree(r) -> None:
 
 
 def _check_windows(hk: PhiModule, lattice: HodgeData, bound: int, what: str):
+    from .isocrystal import newton_slopes
+
     if hk.rank != lattice.rank:
         raise InputError(f"{what}: module rank {hk.rank} != lattice rank {lattice.rank}")
     for s, _ in newton_slopes(hk):
@@ -84,8 +79,12 @@ class SyntheticCohomology:
     @classmethod
     def build(cls, r: int, top: FilteredPhiModule, below: Optional[FilteredPhiModule] = None):
         if below is None:
+            from . import filtration, hn, isocrystal
+
             p = top.module.p
-            below = FilteredPhiModule(PhiModule.zero(p), HodgeData.from_weights([]))
+            below = hn.FilteredPhiModule(
+                isocrystal.PhiModule.zero(p), filtration.HodgeData.from_weights([])
+            )
         return cls(r, top, below)
 
     def to_obj(self):
@@ -99,13 +98,16 @@ class SyntheticCohomology:
 
     @staticmethod
     def _pair_from_obj(obj) -> FilteredPhiModule:
+        from . import filtration, hn, isocrystal
+
         if not isinstance(obj, dict):
             raise InputError("degree entries must be objects")
         if "hk" in obj and "lattice" in obj:
-            return FilteredPhiModule(
-                PhiModule.from_obj(obj["hk"]), HodgeData.from_obj(obj["lattice"])
+            return hn.FilteredPhiModule(
+                isocrystal.PhiModule.from_obj(obj["hk"]),
+                filtration.HodgeData.from_obj(obj["lattice"]),
             )
-        return FilteredPhiModule.from_obj(obj)
+        return hn.FilteredPhiModule.from_obj(obj)
 
     @classmethod
     def from_obj(cls, obj) -> "SyntheticCohomology":
@@ -134,13 +136,17 @@ class Modification:
 
 def build_modification(hk: PhiModule, lattice: HodgeData, r: int, seed: int = 0) -> Modification:
     """Sheaf whose slopes are the filtration-graded slopes of (hk, lattice)."""
+    from . import hn
+
     _check_degree(r)
     _check_windows(hk, lattice, r, "modification input")
-    return modification_from_filtration(hn_filtration(FilteredPhiModule(hk, lattice), seed))
+    return modification_from_filtration(hn.hn_filtration(hn.FilteredPhiModule(hk, lattice), seed))
 
 
 def modification_from_filtration(filt: HNFiltration) -> Modification:
     """`build_modification` read off a pair's HN filtration."""
+    from .sheaf import FFSheaf
+
     pairs = []
     for step in filt.steps:
         h = step.slope.denominator
@@ -167,6 +173,8 @@ def dichotomy(hk: PhiModule, lattice: HodgeData, r: int, seed: int = 0) -> Dicho
     the image misses a positive height, reported as the deficit (the rank of
     the negative-slope part).
     """
+    from .sheaf import cohomology_dim
+
     mod = build_modification(hk, lattice, r, seed)
     coh = cohomology_dim(mod.sheaf)
     if not coh.h1.quotient_type:
@@ -205,11 +213,13 @@ class BatteryReport:
 
 
 def _status(flag: bool, certified: bool, witness=None) -> Verdict:
+    from . import hn
+
     if not certified:
-        return Verdict(STATUS_UNCERTIFIED)
+        return hn.Verdict(hn.STATUS_UNCERTIFIED)
     if flag:
-        return Verdict(STATUS_TRUE)
-    return Verdict(STATUS_FALSE, witness if witness is not None else ())
+        return hn.Verdict(hn.STATUS_TRUE)
+    return hn.Verdict(hn.STATUS_FALSE, witness if witness is not None else ())
 
 
 def battery(s: SyntheticCohomology, seed: int = 0) -> BatteryReport:
@@ -223,15 +233,18 @@ def battery(s: SyntheticCohomology, seed: int = 0) -> BatteryReport:
     filtration.  The windows `build_modification` checks are not checked
     again: `SyntheticCohomology` enforced stricter ones at construction.
     """
+    from . import hn
+    from .sheaf import cohomology_dim
+
     acyc, mods, vst = {}, {}, {}
     for tag, m in (("r-1", s.below), ("r", s.top)):
-        acyc[tag], filt = Verdict(STATUS_TRUE), HNFiltration((), True)
+        acyc[tag], filt = hn.Verdict(hn.STATUS_TRUE), hn.HNFiltration((), True)
         if m.rank:
             m.hodge.require_flag("is_acyclic")  # before enumerating, as is_acyclic does
-            lattice = enumerate_subobjects(m, seed)
-            acyc[tag] = is_acyclic(m, seed, lattice)
-            filt = hn_filtration(m, seed, lattice)
-        mods[tag], vst[tag] = modification_from_filtration(filt), vst_from_filtration(filt)
+            lattice = hn.enumerate_subobjects(m, seed)
+            acyc[tag] = hn.is_acyclic(m, seed, lattice)
+            filt = hn.hn_filtration(m, seed, lattice)
+        mods[tag], vst[tag] = modification_from_filtration(filt), hn.vst_from_filtration(filt)
     acyc_rm1, acyc_r = acyc["r-1"], acyc["r"]
     h1_rm1 = cohomology_dim(mods["r-1"].sheaf).h1
     h1_r = cohomology_dim(mods["r"].sheaf).h1
@@ -257,12 +270,12 @@ def battery(s: SyntheticCohomology, seed: int = 0) -> BatteryReport:
     verdict_d = _status(d_true, heights_cert, d_witness)
 
     # the acyclicity statement is the conjunction of the per-degree verdicts
-    if STATUS_FALSE in (acyc_rm1.status, acyc_r.status):
-        b_statement = Verdict(STATUS_FALSE, (acyc_rm1.witness or acyc_r.witness) or ())
+    if hn.STATUS_FALSE in (acyc_rm1.status, acyc_r.status):
+        b_statement = hn.Verdict(hn.STATUS_FALSE, (acyc_rm1.witness or acyc_r.witness) or ())
     elif acyc_rm1.is_true and acyc_r.is_true:
-        b_statement = Verdict(STATUS_TRUE)
+        b_statement = hn.Verdict(hn.STATUS_TRUE)
     else:
-        b_statement = Verdict(STATUS_UNCERTIFIED)
+        b_statement = hn.Verdict(hn.STATUS_UNCERTIFIED)
     statements = (verdict_a, b_statement, verdict_cprime, verdict_d)
     votes = [v.is_true for v in statements if v.certified]
     consistent = len(set(votes)) <= 1

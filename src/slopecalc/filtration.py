@@ -24,12 +24,13 @@ from .rational import (
     FlagRequiredError,
     InputError,
     RatMatrix,
+    _gauss_jordan,
+    _rat_rows,
+    int_row,
     is_row_list,
     rat,
     rat_str,
     rref_rows,
-    solve_coordinates,
-    span_intersect,
     span_leq,
 )
 
@@ -38,8 +39,12 @@ KIND_FLAG = "flag"
 FLAG_MAX_SPAN = 1000  # indices in the jump window of a flag; one dense entry each
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _full_basis(n: int) -> tuple:
-    return tuple(tuple(Fraction(i == j) for j in range(n)) for i in range(n))
+    zeros = (_ZERO,) * n
+    return tuple(zeros[:i] + (_ONE,) + zeros[i + 1 :] for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -258,25 +263,48 @@ def shift(h: HodgeData, r: int) -> HodgeData:
 def induced_on_subspace(h: HodgeData, subspace: Sequence) -> HodgeData:
     """Filtration Fil^i intersect W, rewritten on W, with recomputed jumps.
 
-    Requires flag form; the subspace is given by independent row vectors of
-    the ambient space.  The result is flag-form of rank dim(W).
+    Requires flag form; the subspace W is spanned by the given row vectors of
+    the ambient space.  The result is flag-form of rank dim(W), in the
+    coordinates of W's canonical (RREF) basis.
+
+    W is row-reduced once, to int rows w_i = d_i * (RREF row i).  Levels are
+    nested, so the dense flag changes subspace only where its dimension
+    drops, and each distinct proper level [f] is met with W by one
+    elimination of the rows [w_i | e_i] over [f | 0]: its rows with a pivot
+    past column n have a zero left half, and their right halves a, for
+    which sum a_i w_i lies in Fil^j, span Fil^j & W.  In RREF coordinates
+    such a vector is (a_i d_i), so each of those rows, rescaled and divided
+    by its pivot entry, is a row of the canonical basis of the meet.
     """
     h.require_flag("induced_on_subspace")
-    w_basis = rref_rows([tuple(rat(x) for x in row) for row in subspace], h.rank)
-    k = len(w_basis)
+    n = h.rank
+    w = [int_row(v) for v in _rat_rows(subspace, n)]
+    pivots = _gauss_jordan(w, n)
+    k = len(pivots)
     if k == 0:
         return HodgeData(KIND_FLAG, 0, (), ())
+    scales = [row[c] for row, c in zip(w, pivots)]
+    tagged = [row + [int(i == t) for t in range(k)] for i, row in enumerate(w[:k])]
+    pad = [0] * k
+
+    def meet(level) -> tuple:
+        if len(level) == n:
+            return _full_basis(k)
+        if not level:
+            return ()
+        rows = tagged + [int_row(f) + pad for f in level]
+        out = []
+        for row, c in zip(rows, _gauss_jordan(rows, n + k)):
+            if c >= n:
+                a, pv = row[n:], row[c] * scales[c - n]
+                out.append(tuple(Fraction(x * d, pv) if x else _ZERO for x, d in zip(a, scales)))
+        return tuple(out)
+
     lo, hi = h.support()
-    chain = []
+    chain, dim, coords = [], None, ()
     for j in range(lo, hi + 1):
-        inter = span_intersect(h.subspace_at(j), w_basis, h.rank)
-        chain.append((j, _in_coordinates(inter, w_basis)))
+        level = h.subspace_at(j)
+        if len(level) != dim:
+            dim, coords = len(level), meet(level)
+        chain.append((j, coords))
     return _flag_from_chain(chain, k)
-
-
-def _in_coordinates(vectors, basis) -> tuple:
-    """Rewrite vectors of span(basis) in basis coordinates, all in one solve."""
-    out = solve_coordinates(basis, vectors)
-    if out is None:
-        raise InputError("vector not in subspace")
-    return rref_rows(out, len(basis))

@@ -30,8 +30,11 @@ witness, the first in canonical order among the violators of least rank, and
 an HN step, with the elements it ties with in (slope, rank).  Other elements
 are scored by their pivots on integer rows, each checked to be stable by an
 integer residue.  Every witness and HN step is scored again from the
-definition by `sub_invariants` (restriction matrix, induced filtration), and
-a disagreement raises an internal error.
+definition by `sub_invariants`, and a disagreement raises an internal error:
+t_N from the determinant of the restriction matrix of Frobenius (one
+elimination on integer rows for all the basis images) and t_H from the
+induced filtration (W row-reduced once, then one elimination per distinct
+level Fil^j), neither through the scorer.
 """
 
 from __future__ import annotations
@@ -413,49 +416,50 @@ def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
     mod = m.module
     n = m.rank
     rng = random.Random(seed)
-    found = {(), tuple(RatMatrix.identity(n).entries)}
     phi, _ = int_matrix(mod.phi)
     nil, _ = int_matrix(mod.nilpotent)
-    bases = {}  # int_rref key -> the Fraction basis, one per distinct closure
+    full = int_rref([[int(i == j) for j in range(n)] for i in range(n)], n)
+    found = {(): (), full: rat_rref(full)}  # int_rref key -> basis, per distinct closure
 
-    def closure(vectors):
-        # Krylov closure on integer rows; phi and N each cleared by one
-        # common denominator, so they act as multiples of the same maps
-        echelon = []
+    def closure(vectors, echelon=()):
+        # Krylov closure on integer rows, grown from the echelon of a stable
+        # subspace; phi and N each cleared by one common denominator, so
+        # they act as multiples of the same maps
+        echelon = list(echelon)
         queue = [int_row(v) for v in vectors]
-        while queue:
+        while queue and len(echelon) < n:
             v = queue.pop()
             grown = int_echelon([v], echelon)
             if len(grown) > len(echelon):
                 echelon = grown
                 queue.extend((int_apply(phi, v), int_apply(nil, v)))
         key = int_rref([row for _, row in echelon], n)
-        basis = bases.get(key)
-        if basis is None:
-            basis = bases[key] = rat_rref(key)
-        return basis
+        if key not in found:
+            found[key] = rat_rref(key)
 
     # structured candidates: eigenlines of any rational eigenvalues, N-kernels
     ident = RatMatrix.identity(n)
     for r, _mult in roots:
         for v in (mod.phi - ident.scale(r)).nullspace():
-            found.add(closure([v]))
+            closure([v])
     power = ident
     for _ in range(n):
         power = power @ mod.nilpotent
         ker = power.nullspace()
         if ker:
-            found.add(closure(list(ker)))
+            closure(list(ker))
     for _ in range(12 * max(n, 1)):
         v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
         if any(v):
-            found.add(closure([v]))
+            closure([v])
         if len(found) >= 64:
             break
-    singles = [b for b in found if b]
+    # pairs of the first ten nonzero closures in the iteration order of the
+    # set of their bases, each grown from the first one's closed echelon
+    singles = [b for b in set(found.values()) if b]
     for b1, b2 in itertools.combinations(singles[:10], 2):
-        found.add(closure(list(b1) + list(b2)))
-    return _canonical_order(found)
+        closure(b2, _basis_echelon(b1))
+    return _canonical_order(found.values())
 
 
 def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> SubobjectLattice:

@@ -757,11 +757,33 @@ def restriction_matrix(m: RatMatrix, basis: Sequence[Row]) -> Optional[RatMatrix
     """Matrix of m restricted to the span of `basis`, or None if not stable.
 
     basis rows b_i; the returned k x k matrix A satisfies m(b_i) = sum_j A[i][j] b_j.
+    m(b_i) is computed on int rows: with v_i = d_i * b_i (`int_row`) and D*m
+    cleared by one denominator, u_i = D * d_i * m(b_i).  One elimination of
+    the augmented transpose [v | u] solves u_i = sum_j X[i][j] v_j for all i
+    (None if a pivot lands in a target column), and A[i][j] is
+    X[i][j] * d_j / (D * d_i).
     """
     if not basis:
         return RatMatrix([])
-    rows = solve_coordinates(basis, [m.apply(v) for v in basis])
-    return None if rows is None else RatMatrix._trusted(rows)
+    m._need_square()
+    rows = _rat_rows(basis, m.cols)
+    mat, den = int_matrix(m)
+    scales = [_row_denominator(b) for b in rows]
+    ints = [_scaled(b, d) for b, d in zip(rows, scales)]
+    images = [int_apply(mat, v) for v in ints]
+    k = len(ints)
+    eqs = [[v[c] for v in ints] + [u[c] for u in images] for c in range(m.cols)]
+    pivots = _gauss_jordan(eqs, 2 * k)
+    if pivots and pivots[-1] >= k:
+        return None
+    out = []
+    for i, d in enumerate(scales):
+        coeffs = [_ZERO] * k
+        for row, c in zip(eqs, pivots):
+            if row[k + i]:
+                coeffs[c] = Fraction(row[k + i] * scales[c], row[c] * den * d)
+        out.append(tuple(coeffs))
+    return RatMatrix._trusted(tuple(out))
 
 
 def complement_basis(inner: Sequence[Row], outer: Sequence[Row], ncols: int) -> tuple[Row, ...]:

@@ -350,3 +350,8 @@ class TestImportSet:
         loaded = _loaded_by_command(command)
         assert "slopecalc.hn" in loaded
         assert not loaded & {"slopecalc.bc", "slopecalc.diagram"}
+
+    def test_mv_check_loads_only_bc_and_diagram(self):
+        assert _loaded_by_command("mv-check") == {
+            "slopecalc", "slopecalc.cli", "slopecalc.rational", "slopecalc.bc", "slopecalc.diagram"
+        }

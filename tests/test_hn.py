@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopecalc import hn
+from slopecalc import filtration, hn
 from slopecalc.filtration import HodgeData, dual_hodge, induced_on_subspace
 from slopecalc.hn import (
     STATUS_FALSE,
@@ -41,6 +41,8 @@ from slopecalc.rational import (
     valuation,
 )
 
+from _fraction_reference import induced_on_subspace as fraction_induced
+from _fraction_reference import sample_subobjects as fraction_sample
 from _generators import (
     certified_filtered_instance,
     diagonal_instance,
@@ -828,3 +830,88 @@ class TestLazyLattice:
         for decide in (is_acyclic, hn_filtration):
             with pytest.raises(AssertionError, match="not Frobenius-stable"):
                 decide(m, lattice=doctored)
+
+
+class TestRecheckCost:
+    """The definition-based re-check of returned steps and witnesses: one
+    induced filtration per re-check, one elimination per distinct Fil^j."""
+
+    @staticmethod
+    def counted(monkeypatch, module, name):
+        calls, real = [], getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_induced_filtration_per_recheck(self, seed, monkeypatch):
+        m = TestLazyLattice.eigen6(seed, True)
+        lattice = enumerate_subobjects(m)
+        rechecks = self.counted(monkeypatch, hn, "sub_invariants")
+        induced = self.counted(monkeypatch, hn, "induced_on_subspace")
+        steps = hn_filtration(m, lattice=lattice).steps
+        assert len(rechecks) == len(induced) == len(steps)
+        assert [basis for _, basis in rechecks] == [step.basis for step in steps]
+        witness = is_acyclic(m, lattice=lattice).witness
+        assert len(rechecks) == len(induced) == len(steps) + (witness is not None)
+
+    def test_recheck_is_independent_of_the_scorer(self, monkeypatch):
+        m = TestLazyLattice.eigen6(5, True)
+        lattice = enumerate_subobjects(m)
+        score = lattice_scorer(m, lattice)
+        want = [score(None, key) for key in lattice.keys]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the re-check used the lattice scorer")
+
+        monkeypatch.setattr(hn, "lattice_scorer", refuse)
+        monkeypatch.setattr(hn, "_part_ranks", refuse)
+        assert [sub_invariants(m, lattice.basis(key)) for key in lattice.keys] == want
+
+    def test_wide_flag_costs_one_elimination_per_distinct_level(self, monkeypatch):
+        # Fil^j is S3 for 0 <= j < 15, S2 up to 29, S1 up to 44 and zero from
+        # 45: a dense flag of 45 indices with three distinct proper levels
+        rows = [[1, 2, 0, 1], [0, 1, -1, 3], [2, 0, 1, 1]]
+        h = HodgeData.from_flag([(0, rows), (15, rows[:2]), (30, rows[:1]), (45, [])], rank=4)
+        assert len(h.flag) == 45 and len({basis for _, basis in h.flag}) == 3
+        w = [[1, 0, 0, 0], [0, 1, 1, 0], [F(1, 2), 1, 0, 2]]
+        eliminations = self.counted(monkeypatch, filtration, "_gauss_jordan")
+        got = induced_on_subspace(h, w)
+        # one row reduction of W (4 columns), then one elimination of
+        # [w_i | e_i] over [f | 0] (4 + 3 columns) per distinct proper level
+        assert [ncols for _, ncols in eliminations] == [4, 7, 7, 7]
+        monkeypatch.undo()
+        assert got == fraction_induced(h, w)
+
+
+class TestSampledLattice:
+    """The sampled lattice equals the Fraction reference's, element for element."""
+
+    @staticmethod
+    def with_n():
+        # phi = S diag(1/2, 1/2, 1) S^-1 and N = S E S^-1 with E mapping the
+        # 1-line into the 1/2-plane, so N.phi = 2.phi.N
+        s = RatMatrix([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+        diag = RatMatrix([[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, 1]])
+        e = RatMatrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+        mod = PhiModule.from_matrices(P, s @ diag @ s.inverse(), s @ e @ s.inverse())
+        return FilteredPhiModule(mod, random_flag(random.Random(1), 3, 0, 2))
+
+    def test_matches_reference(self):
+        cases = [m for name, m in REFERENCE_CASES if name.startswith("sample")][::5]
+        cases.append(self.with_n())
+        sizes = []
+        for m in cases:
+            roots, _ = hn._rational_roots(charpoly(m.module.phi))
+            for seed in (0, 5):
+                got = hn._sample_subobjects(m, seed, roots)
+                assert got == fraction_sample(m, seed, roots)
+                assert enumerate_subobjects(m, seed).strategy == "sample"
+                sizes.append(len(got))
+        # more than ten nonzero closures before pairing, so the order of
+        # the set that picks the pairs shows in the result
+        assert max(sizes) > 20
