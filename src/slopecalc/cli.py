@@ -106,7 +106,7 @@ def _oracle_verdict(m, verdict, seed, kind):
     from . import hn
     from .rational import restriction_matrix, span_contains
 
-    subs, _ = hn.enumerate_subobjects(m, seed)
+    subs = hn.enumerate_subobjects(m, seed).bases
     for basis in subs:
         _require(restriction_matrix(m.module.phi, basis) is not None, "unstable subspace")
         for v in basis:

@@ -75,7 +75,7 @@ class HodgeData:
 
     @classmethod
     def from_flag(cls, entries, rank: Optional[int] = None) -> "HodgeData":
-        """Build from (index, basis) pairs; see the module docstring for semantics."""
+        """Build from outside (index, basis) pairs, each checked; see the module docstring."""
         norm = []
         ncols = rank
         for idx, basis in entries:
@@ -101,26 +101,41 @@ class HodgeData:
         raw = [(idx, rref_rows(rows, ncols)) for idx, rows in norm]
         if not raw:
             raise InputError("a flag on a nonzero space needs at least one entry")
-        full = prev = _full_basis(ncols)
+        prev = _full_basis(ncols)
         for _, basis in raw:
             if not span_leq(basis, prev):
                 raise InputError("flag subspaces must be nested")
             prev = basis
-        # Fil^j is raw[k]'s basis for j from its index up to ends[k]
-        first = raw[0][0]
-        ends = [idx - 1 for idx, _ in raw[1:]] + [raw[-1][0]]
-        j1 = next((e for (_, b), e in zip(raw[::-1], ends[::-1]) if b), first - 1)
-        j0 = min(next((idx for idx, b in raw if len(b) < ncols), j1), j1)
+        return cls._from_chain(raw, ncols)
+
+    @classmethod
+    def _from_chain(cls, entries, rank: int) -> "HodgeData":
+        """Dense flag and weights from checked (index, basis) entries.
+
+        The entries are sorted by index, their bases canonical (RREF) and
+        nested, read as in the module docstring; none of that is checked
+        here.  The dense flag runs from j0, the first proper level (or j1 if
+        that is zero), to j1, the last nonzero one.
+        """
+        if rank == 0:
+            return cls(KIND_FLAG, 0, (), ())
+        # Fil^j is entries[k]'s basis for j from its index up to ends[k]
+        first = entries[0][0]
+        ends = [idx - 1 for idx, _ in entries[1:]] + [entries[-1][0]]
+        j1 = next((e for (_, b), e in zip(entries[::-1], ends[::-1]) if b), first - 1)
+        j0 = min(next((idx for idx, b in entries if len(b) < rank), j1), j1)
         if j1 < first:
             # the whole filtration dies at `first`: everything sits at weight first-1
-            flag = ((first - 1, full),)
+            flag = ((first - 1, _full_basis(rank)),)
         elif j1 - j0 >= FLAG_MAX_SPAN:
             raise InputError(f"flag jump window {j0}..{j1} spans over {FLAG_MAX_SPAN} indices")
         else:
-            spans = [(b, range(max(idx, j0), min(e, j1) + 1)) for (idx, b), e in zip(raw, ends)]
+            spans = [(b, range(max(idx, j0), min(e, j1) + 1)) for (idx, b), e in zip(entries, ends)]
             flag = tuple((j, b) for b, js in spans for j in js)
-        weights = tuple(sorted(_flag_weights(flag, ncols)))
-        return cls(KIND_FLAG, ncols, weights, flag)
+        # weight lo + i has multiplicity dim Fil^(lo+i) - dim Fil^(lo+i+1), Fil^lo ambient
+        lo, dims = flag[0][0] - 1, [rank] + [len(b) for _, b in flag] + [0]
+        weights = tuple(lo + i for i in range(len(dims) - 1) for _ in range(dims[i] - dims[i + 1]))
+        return cls(KIND_FLAG, rank, weights, flag)
 
     # -- flag access ---------------------------------------------------------
 
@@ -181,21 +196,6 @@ class HodgeData:
         raise InputError("HodgeData JSON needs 'weights' or 'flag'")
 
 
-def _flag_weights(flag, rank: int) -> list[int]:
-    """Recover the weight multiset from jump dimensions of a dense flag."""
-    dims = [(None, rank)]  # virtual Fil^{-infinity} = ambient
-    for idx, basis in flag:
-        dims.append((idx, len(basis)))
-    weights = []
-    for (_, d1), (i2, d2) in zip(dims, dims[1:]):
-        if d2 > d1:
-            raise InputError("flag subspaces must be descending")
-        weights.extend([i2 - 1] * (d1 - d2))
-    if flag:
-        weights.extend([flag[-1][0]] * len(flag[-1][1]))
-    return weights
-
-
 def t_h(h: HodgeData) -> int:
     """Multiplicity-weighted weight sum: sum of i * dim gr^i."""
     return sum(h.weights)
@@ -215,38 +215,13 @@ def dual_hodge(h: HodgeData) -> HodgeData:
         return h
     lo, hi = h.support()
     entries = [(j, _annihilator(h.subspace_at(1 - j), h.rank)) for j in range(1 - hi, 2 - lo)]
-    return _flag_from_chain(entries, h.rank)
+    return HodgeData._from_chain(entries, h.rank)
 
 
 def _annihilator(basis, n: int) -> tuple:
     if not basis:
         return _full_basis(n)
     return RatMatrix(list(basis)).nullspace()
-
-
-def _flag_from_chain(entries, rank: int) -> HodgeData:
-    """Flag-form HodgeData from a dense descending chain (j, basis).
-
-    The chain must start at the ambient space and end at zero.
-    """
-    if rank == 0:
-        return HodgeData(KIND_FLAG, 0, (), ())
-    jumps = []
-    prev_dim = rank
-    last_nonzero = None
-    for j, basis in entries:
-        if len(basis) < prev_dim:
-            jumps.append((j, basis))
-            prev_dim = len(basis)
-        if basis:
-            last_nonzero = (j, basis)
-    if last_nonzero is not None and jumps and jumps[-1][0] < last_nonzero[0]:
-        jumps.append(last_nonzero)
-    if last_nonzero is None:
-        jumps = [(entries[0][0], _full_basis(rank))] if entries else []
-        if not jumps:
-            raise InputError("empty chain")
-    return HodgeData.from_flag(jumps, rank=rank)
 
 
 def shift(h: HodgeData, r: int) -> HodgeData:
@@ -257,7 +232,7 @@ def shift(h: HodgeData, r: int) -> HodgeData:
         return HodgeData.from_weights([w + r for w in h.weights])
     if h.rank == 0:
         return h
-    return HodgeData.from_flag([(idx + r, basis) for idx, basis in h.flag], rank=h.rank)
+    return HodgeData._from_chain([(idx + r, basis) for idx, basis in h.flag], h.rank)
 
 
 def induced_on_subspace(h: HodgeData, subspace: Sequence) -> HodgeData:
@@ -269,7 +244,9 @@ def induced_on_subspace(h: HodgeData, subspace: Sequence) -> HodgeData:
 
     W is row-reduced once, to int rows w_i = d_i * (RREF row i).  Levels are
     nested, so the dense flag changes subspace only where its dimension
-    drops, and each distinct proper level [f] is met with W by one
+    drops; the meets with the distinct levels, from the ambient one at lo to
+    zero at hi, are passed to the flag builder as they come, canonical and
+    nested.  Each distinct proper level [f] is met with W by one
     elimination of the rows [w_i | e_i] over [f | 0]: its rows with a pivot
     past column n have a zero left half, and their right halves a, for
     which sum a_i w_i lies in Fil^j, span Fil^j & W.  In RREF coordinates
@@ -301,10 +278,10 @@ def induced_on_subspace(h: HodgeData, subspace: Sequence) -> HodgeData:
         return tuple(out)
 
     lo, hi = h.support()
-    chain, dim, coords = [], None, ()
+    chain, dim = [], None
     for j in range(lo, hi + 1):
         level = h.subspace_at(j)
         if len(level) != dim:
-            dim, coords = len(level), meet(level)
-        chain.append((j, coords))
-    return _flag_from_chain(chain, k)
+            dim = len(level)
+            chain.append((j, meet(level)))
+    return HodgeData._from_chain(chain, k)

@@ -19,11 +19,12 @@ consume, so verdicts on it still certify.  Everything else falls back to a
 seeded, reproducible sample and "uncertified" verdicts, except that a
 verified violating subobject always certifies a negative answer.
 
-In the two complete cases an element is a bitmask of parts (eigenlines or
-slope blocks), and the deciders work on masks: t_N(W) is the sum of the
-parts' t_N, t_H(W) = lo*k + the sum over lo < j < hi of dim(Fil^j & W), which
-is k minus the rank of the parts' integer residues modulo Fil^j, and W holds
-W' exactly when its mask holds that of W'.  Each part is checked to be
+In the two complete cases and in the scalar chain an element is a bitmask
+of parts (eigenlines, slope blocks or the chain's lines), and the deciders
+work on masks: t_N(W) is the sum of the parts' t_N, t_H(W) = lo*k + the sum
+over lo < j < hi of dim(Fil^j & W), which is k minus the rank of the parts'
+integer residues modulo Fil^j, and W holds W' exactly when its mask holds
+that of W'.  Each part is checked to be
 phi-stable once per decider call, and by linearity so is every sum of parts.
 A canonical basis is row-reduced only for what a call returns or compares: a
 witness, the first in canonical order among the violators of least rank, and
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .filtration import HodgeData, _flag_from_chain, induced_on_subspace, t_h
+from .filtration import HodgeData, induced_on_subspace, t_h
 from .isocrystal import PhiModule, dm_blocks, is_dm_normal, newton_slopes, t_n
 from .rational import (
     Dimension,
@@ -208,10 +209,6 @@ def _deflate(poly: Sequence[Fraction], r: Fraction):
     return out, rem
 
 
-def _canonical_order(bases):
-    return tuple(sorted(set(bases), key=lambda b: (len(b), b)))
-
-
 class SubobjectLattice:
     """The stable subspaces a decider ranges over; unpacks as (bases, certified).
 
@@ -219,13 +216,13 @@ class SubobjectLattice:
     then lexicographically, always holding the zero subspace first and the
     full one; `certified` says the list is complete.  `strategy` names how it
     was built: "eigenlines", "blocks", "scalar-chain" or "sample".  `keys`
-    name the elements by ascending dimension.  In the first two, part
-    lattices, an element is a sum of `parts` (eigenlines or slope blocks, as
-    row lists), its key (in `masks`) is their bitmask and `part_tn[i]` is the
-    t_N of part i; `basis(key)` row-reduces an element on first use, and
-    `bases` has a length at once but builds every basis when an item is read.
-    Elsewhere a key is an index in `bases`, and `masks`, `parts` and `part_tn`
-    are None.
+    name the elements by ascending dimension.  In the first three, part
+    lattices, an element is a sum of `parts` (eigenlines, slope blocks or the
+    lines of the flag-adapted chain, as row lists), its key (in `masks`) is
+    their bitmask and `part_tn[i]` is the t_N of part i; `basis(key)`
+    row-reduces an element on first use, and `bases` has a length at once but
+    builds every basis when an item is read.  In a sample a key is an index in
+    `bases`, and `masks`, `parts` and `part_tn` are None.
     """
 
     def __init__(self, bases, certified, strategy, masks=None, parts=None, part_tn=None, ncols=0):
@@ -234,9 +231,6 @@ class SubobjectLattice:
         self.keys = range(len(bases)) if masks is None else masks
         self.bases = bases if masks is None else _CanonicalBases(self)
         self._built, self._echelons, self._order = {}, {}, None
-
-    def __iter__(self):
-        return iter((self.bases, self.certified))
 
     def __getitem__(self, i):
         return (self.bases, self.certified)[i]
@@ -273,16 +267,6 @@ class SubobjectLattice:
             named = sorted((len(b), b, key) for key in self.keys for b in [self.basis(key)])
             self._order = tuple(b for _, b, _ in named), tuple(key for _, _, key in named)
         return self._order
-
-    def elements(self):
-        """(basis, mask) pairs in canonical order; the mask is None outside part lattices."""
-        bases, keys = self._canonical()
-        return zip(bases, itertools.repeat(None) if self.masks is None else keys)
-
-    def leq(self, j: int, i: int) -> bool:
-        """Element j of `bases` is a subspace of element i."""
-        keys = self._canonical()[1]
-        return self.below(keys[j], keys[i])
 
 
 class _CanonicalBases(Sequence):
@@ -383,29 +367,32 @@ def _scalar_constant(phi: RatMatrix) -> Optional[Fraction]:
     return c if phi == RatMatrix.identity(phi.rows).scale(c) else None
 
 
-def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[tuple]:
-    """Flag-adapted chain when Frobenius is scalar.
+def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[SubobjectLattice]:
+    """Flag-adapted chain when Frobenius is scalar, as a lattice of lines.
 
     Every subspace is stable (and N = 0 is forced), so a complete enumeration
     is impossible; the chain adapted to the flag realizes the maximal induced
     t_H in every dimension, which is all the deciders and the greedy
-    filtration compare against.  The enumeration itself is therefore reported
-    as a sample, but verdicts built on it may still certify.
+    filtration compare against.  The chain is therefore reported as a sample
+    (not `certified`), but verdicts built on it may still certify.  Its parts
+    are the adapted lines, from the top level down, each needing the one
+    before, so its masks are the prefixes 2^k - 1: listed here directly, where
+    `_n_closed_sums` would scan all 2^n masks to find them.
     """
-    phi = m.module.phi
-    n = m.rank
-    if n == 0:
-        return ((),)
-    if _scalar_constant(phi) is None:
+    c = _scalar_constant(m.module.phi)
+    if c is None:
         return None
     m.hodge.require_flag("subobject enumeration")
+    n = m.rank
     lo, hi = m.hodge.support()
-    adapted: list = []
-    span: tuple = ()
+    lines, prev = [], ()
     for j in range(hi, lo - 1, -1):
-        adapted.extend(complement_basis(span, m.hodge.subspace_at(j), n))
-        span = rref_rows(adapted, n)
-    return _canonical_order([()] + [rref_rows(adapted[:k], n) for k in range(1, n + 1)])
+        level = m.hodge.subspace_at(j)
+        lines.extend([v] for v in complement_basis(prev, level, n))
+        prev = level
+    masks = tuple((1 << k) - 1 for k in range(n + 1))
+    part_tn = [valuation(c, m.module.p)] * n
+    return SubobjectLattice(None, False, "scalar-chain", masks, lines, part_tn, n)
 
 
 def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
@@ -459,7 +446,7 @@ def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
     singles = [b for b in set(found.values()) if b]
     for b1, b2 in itertools.combinations(singles[:10], 2):
         closure(b2, _basis_echelon(b1))
-    return _canonical_order(found.values())
+    return tuple(sorted(found.values(), key=lambda b: (len(b), b)))
 
 
 def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> SubobjectLattice:
@@ -480,9 +467,9 @@ def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> SubobjectLattic
         lattice = _block_subobjects(mod, newton_slopes(mod, coeffs))
     if lattice is not None:
         return lattice
-    chain = _scalar_flag_chain(m)
-    if chain is not None:
-        return SubobjectLattice(chain, False, "scalar-chain")
+    lattice = _scalar_flag_chain(m)
+    if lattice is not None:
+        return lattice
     return SubobjectLattice(_sample_subobjects(m, seed, roots), False, "sample")
 
 
@@ -833,7 +820,12 @@ def _lower_once(m: FilteredPhiModule, seed: int, lattice) -> FilteredPhiModule:
     quotient by the positive-slope step W* (maps from slopes > 0 to slope 0
     vanish), so removing a direction inside W* leaves all such quotients
     untouched while every other quotient has integer degree >= 1 and can
-    afford the drop of one.  Acyclicity of the candidate is re-checked anyway.
+    afford the drop of one.  Let i0 be the top index where Fil^i0 meets W*.
+    The first candidate hyperplane H, with Fil^(i0+1) <= H < Fil^i0, whose
+    sum with Fil^i0 & W* is Fil^i0 removes such a direction, and one exists:
+    that meet is not inside Fil^(i0+1), so some coordinate functional on the
+    complement misses it.  H is acyclic by the argument above; that is
+    re-checked once, and a failure is an internal fault.
     """
     n = m.rank
     hodge = m.hodge
@@ -850,21 +842,21 @@ def _lower_once(m: FilteredPhiModule, seed: int, lattice) -> FilteredPhiModule:
         raise AssertionError("internal: positive degree but no lowerable jump")
     fil_top = hodge.subspace_at(i0)
     protect = hodge.subspace_at(i0 + 1)
-    for hyper in _hyperplane_candidates(fil_top, protect, n):
-        if span_sum(hyper, inter, n) != rref_rows(fil_top, n):
-            continue  # removed direction must come out of the positive part
-        chain = [(j, hyper if j == i0 else hodge.subspace_at(j)) for j in range(lo, hi + 1)]
-        try:
-            new_hodge = _flag_from_chain(chain, n)
-        except InputError:
-            continue
-        cand = FilteredPhiModule(m.module, new_hodge)
-        if is_acyclic(cand, seed, lattice).is_true:
-            return cand
-    raise AssertionError(
-        "internal: no acyclicity-preserving hyperplane found for a certified "
-        "acyclic module; this contradicts the degree-lowering invariant"
+    # the removed direction must come out of the positive part
+    hyper = next(
+        (h for h in _hyperplane_candidates(fil_top, protect, n) if span_sum(h, inter, n) == fil_top),
+        None,
     )
+    if hyper is None:
+        raise AssertionError("internal: no hyperplane of the top jump misses the positive part")
+    chain = [(j, hyper if j == i0 else hodge.subspace_at(j)) for j in range(lo, hi + 1)]
+    cand = FilteredPhiModule(m.module, HodgeData._from_chain(chain, n))
+    if not is_acyclic(cand, seed, lattice).is_true:
+        raise AssertionError(
+            "internal: the lowered module is not certified acyclic; this contradicts "
+            "the degree-lowering invariant"
+        )
+    return cand
 
 
 def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:

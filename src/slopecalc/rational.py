@@ -132,18 +132,39 @@ class Dimension:
 ZERO_DIM = Dimension(0, 0)
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below MR_LIMIT
+# (Sorenson and Webster, Math. Comp. 86 (2017), "Strong pseudoprimes to
+# twelve prime bases"); no base set is proven above it.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality: trial division by MR_BASES, then deterministic Miller-Rabin.
+
+    An n with no factor among the bases and n >= MR_LIMIT is an InputError.
+    """
     if not isinstance(n, int) or n < 2:
         return False
-    if n < 4:
+    for q in MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= MR_LIMIT:
+        raise InputError(f"primality is decided only below {MR_LIMIT}, got {n}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

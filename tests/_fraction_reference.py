@@ -5,8 +5,9 @@ These are the straightforward Fraction forms of three library functions:
 
   * `induced_on_subspace`: the subspace row-reduced to its canonical basis,
     then every index of the filtration's support intersected with it
-    (Zassenhaus, `span_intersect`) and the intersection rewritten in
-    subspace coordinates by one `solve_coordinates`;
+    (Zassenhaus, `span_intersect`), the intersection rewritten in subspace
+    coordinates by one `solve_coordinates`, and the chain validated by
+    `HodgeData.from_flag` rather than the library's internal flag builder;
   * `restriction_matrix`: the images m(b_i) computed over Fractions, then
     all of them solved for at once in the basis;
   * `hn._sample_subobjects`: every Krylov closure grown from scratch over
@@ -20,7 +21,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from slopecalc.filtration import KIND_FLAG, HodgeData, _flag_from_chain
+from slopecalc.filtration import KIND_FLAG, HodgeData
 from slopecalc.rational import (
     InputError,
     RatMatrix,
@@ -45,7 +46,7 @@ def induced_on_subspace(h: HodgeData, subspace) -> HodgeData:
         if coords is None:
             raise InputError("vector not in subspace")
         chain.append((j, rref_rows(coords, k)))
-    return _flag_from_chain(chain, k)
+    return HodgeData.from_flag(chain, rank=k)
 
 
 def restriction_matrix(m: RatMatrix, basis):

@@ -79,3 +79,21 @@ def test_star_import_binds_every_name_in_a_fresh_process():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_bench_tracer_layers_resolve():
+    """Every function the bench tracer wraps exists under the name it uses."""
+    import importlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, (modname, names) in tracer.LAYERS.items():
+        module = importlib.import_module(f"slopecalc.{modname}")
+        for name in names:
+            owner = module
+            for attr in name.split("."):
+                assert hasattr(owner, attr), f"{layer}: slopecalc.{modname}.{name} is gone"
+                owner = getattr(owner, attr)
+            assert callable(owner), f"{layer}: slopecalc.{modname}.{name} is not callable"

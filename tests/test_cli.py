@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -84,6 +85,18 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "newton", {"coefficients": ["1", "1"], "p": 6})
         assert code == 3
         assert json.loads(err)
+
+    def test_large_prime_answers_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "newton", {"coefficients": ["1", "0", "1"], "p": 2**61 - 1})
+        assert code == 0 and json.loads(out) == [["0", 2]]
+        assert time.perf_counter() - start < 1
+
+    def test_prime_beyond_the_proven_bound_rejected(self, capsys):
+        payload = {"coefficients": ["1", "1"], "p": 3317044064679887385962123}
+        code, _, err = run_cli(capsys, "newton", payload)
+        assert code == 3
+        assert "primality" in json.loads(err)["error"]
 
 
 class TestPlot:

@@ -16,7 +16,7 @@ from slopecalc.filtration import (
 )
 from slopecalc.rational import FlagRequiredError, InputError, RatMatrix, rref_rows
 
-from _generators import random_flag
+from _generators import random_flag, random_unimodular
 
 
 def flag2(entries, rank=2):
@@ -200,3 +200,63 @@ class TestInduced:
         ind = induced_on_subspace(h, rows)
         top = sorted(h.weights, reverse=True)[: ind.rank]
         assert t_h(ind) <= sum(top)
+
+
+def random_chain(rng, n, width):
+    """Dense chain of canonical, nested levels over `width` + 2 indices, from the
+    ambient space down to zero; levels repeat, and some chains drop from the
+    ambient space straight to zero."""
+    rows = random_unimodular(rng, n).entries
+    if rng.random() < 0.2:
+        full = rng.randint(0, width)
+        dims = [n] * full + [0] * (width - full)
+    else:
+        dims = sorted((rng.randint(0, n) for _ in range(width)), reverse=True)
+    start = rng.randint(-5, 5)
+    levels = [n] + dims + [0]
+    return [(start + i, rref_rows(rows[:d], n)) for i, d in enumerate(levels)]
+
+
+class TestChainBuilder:
+    """The internal flag builder against `from_flag`, which checks its input."""
+
+    def test_dense_chains_match_from_flag(self):
+        rng = random.Random(47)
+        for trial in range(240):
+            n = trial % 6
+            width = FLAG_MAX_SPAN if trial % 40 == 0 else rng.choice([0, 1, 2, 3, 7])
+            chain = random_chain(rng, n, width)
+            built = HodgeData._from_chain(chain, n)
+            assert built == HodgeData.from_flag(chain, rank=n)
+            if n:
+                assert built.flag == dense_by_levels(chain, n)
+            # weight j has multiplicity dim Fil^j - dim Fil^(j+1)
+            drops = zip(chain, chain[1:])
+            assert built.weights == tuple(j for (j, a), (_, b) in drops for _ in range(len(a) - len(b)))
+
+    def test_window_bound_shared_with_from_flag(self):
+        rows = RatMatrix.identity(2).entries
+        chain = [(0, rows)] + [(j, rows[:1]) for j in range(1, FLAG_MAX_SPAN + 2)]
+        chain.append((FLAG_MAX_SPAN + 2, ()))
+        with pytest.raises(InputError):
+            HodgeData.from_flag(chain, rank=2)
+        with pytest.raises(InputError):
+            HodgeData._from_chain(chain, 2)
+
+    def test_operations_equal_their_from_flag_rebuilds(self):
+        rng = random.Random(48)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            h = random_flag(rng, n, rng.randint(-3, 0), rng.randint(0, 4))
+            r = rng.randint(-3, 3)
+            sub = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            for out in (dual_hodge(h), shift(h, r), induced_on_subspace(h, sub)):
+                assert out == HodgeData.from_flag(list(out.flag), rank=out.rank)
+            assert shift(h, r) == HodgeData.from_flag([(j + r, b) for j, b in h.flag], rank=n)
+            lo, hi = h.support()
+            levels = [(j, h.subspace_at(1 - j)) for j in range(1 - hi, 2 - lo)]
+            annihilators = [
+                (j, RatMatrix(list(b)).nullspace() if b else RatMatrix.identity(n).entries)
+                for j, b in levels
+            ]
+            assert dual_hodge(h) == HodgeData.from_flag(annihilators, rank=n)

@@ -545,14 +545,16 @@ class TestMaskLattice:
         lattice = enumerate_subobjects(m)
         assert lattice.strategy == strategy and lattice.certified and lattice.decides
         assert set(lattice.bases) == _span_lattice(parts, m.module.nilpotent, m.rank)
+        bases = {key: lattice.basis(key) for key in lattice.keys}
+        assert list(lattice.bases) == sorted(bases.values(), key=lambda b: (len(b), b))
         score = lattice_scorer(m, lattice)
-        for basis, mask in lattice.elements():
+        for mask, basis in bases.items():
             fast = score(basis, mask)
             assert fast == sub_invariants(m, basis)
             assert fast[1] == oracle_t_h(m.hodge, basis)
-        for j, small in enumerate(lattice.bases):
-            for i, big in enumerate(lattice.bases):
-                assert lattice.leq(j, i) == span_leq(small, big)
+        for j, small in bases.items():
+            for i, big in bases.items():
+                assert lattice.below(j, i) == span_leq(small, big)
         return lattice
 
     @pytest.mark.parametrize("chain", [False, True])

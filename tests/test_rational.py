@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from slopecalc.rational import (
     INFINITY,
+    MR_LIMIT,
     InputError,
     Polygon,
     RatMatrix,
@@ -16,6 +18,7 @@ from slopecalc.rational import (
     int_kernel,
     int_row,
     int_rref,
+    is_prime,
     newton_polygon,
     rat_rref,
     rat,
@@ -43,6 +46,37 @@ def brute_valuation(q, p):
         q *= p
         v -= 1
     return v
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(200_000) if is_prime(n)] == [
+            n for n in range(200_000) if trial(n)
+        ]
+
+    def test_large_primes_accepted_quickly(self):
+        start = time.perf_counter()
+        for p in (2**61 - 1, 10**15 + 37):
+            assert is_prime(p)
+            assert valuation(F(p**3, 7), p) == 3
+        assert time.perf_counter() - start < 1
+
+    def test_pseudoprimes_rejected(self):
+        # a Carmichael number, then the least strong pseudoprimes to the
+        # bases 2, 3, 5, 7 and to the first nine primes
+        for n in (561, 3215031751, 3825123056546413051):
+            assert not is_prime(n)
+
+    def test_beyond_the_proven_bound(self):
+        # the bound is itself composite and a strong pseudoprime to all 13 bases
+        with pytest.raises(InputError):
+            is_prime(MR_LIMIT)
+        with pytest.raises(InputError):
+            valuation(1, MR_LIMIT + 142)
+        assert not is_prime(2 * MR_LIMIT)  # a factor among the bases still decides
 
 
 class TestValuation:
