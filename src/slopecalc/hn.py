@@ -19,6 +19,11 @@ consume, so verdicts on it still certify.  Everything else falls back to a
 seeded, reproducible sample and "uncertified" verdicts, except that a
 verified violating subobject always certifies a negative answer.
 
+The front end runs on Python ints: the rational roots of the characteristic
+polynomial by exact integer division, the eigenlines and the sampled
+closures on integer rows, and the N-closed sums of parts listed by a walk
+that visits only the closed masks.
+
 In the two complete cases and in the scalar chain an element is a bitmask
 of parts (eigenlines, slope blocks or the chain's lines), and the deciders
 work on masks: t_N(W) is the sum of the parts' t_N, t_H(W) = lo*k + the sum
@@ -54,12 +59,15 @@ from .rational import (
     Dimension,
     InputError,
     RatMatrix,
+    _gauss_jordan,
+    _primitive,
     charpoly,
     complement_basis,
     int_apply,
     int_det,
     int_echelon,
     int_kernel,
+    int_matmul,
     int_matrix,
     int_residue,
     int_row,
@@ -68,7 +76,6 @@ from .rational import (
     rat_str,
     restriction_matrix,
     rref_rows,
-    solve_coordinates,
     span_intersect,
     span_leq,
     span_sum,
@@ -152,8 +159,13 @@ def degree(m: FilteredPhiModule) -> Fraction:
 def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], int]:
     """Rational roots with multiplicities, plus the leftover (unsplit) degree.
 
-    Uses the rational root bound on an integer-cleared copy, evaluated at each
-    candidate in integers; deflates (in Fractions) only at a root.  Gives up
+    Runs on Python ints: the polynomial is cleared of denominators and its
+    zero roots are split off (they are not reported but count in the
+    leftover).  A root a/b in lowest terms has a | const and b | lead, of the
+    polynomial deflated so far; each such coprime pair, in both signs, is
+    tried by exact division by (b*x - a) over Z, which by Gauss's lemma
+    succeeds exactly at a root, and repeated for its multiplicity.  Fractions
+    are built only for the roots returned, in ascending order.  Gives up
     (returns leftover = full remaining degree) if the divisor enumeration
     would need to factor integers beyond 10**12.
     """
@@ -164,32 +176,31 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, in
     if deg <= 0:
         return [], 0
     denom = math.lcm(*(c.denominator for c in poly))
-    ints = [int(c * denom) for c in poly]
-    lead, const = abs(ints[-1]), abs(next(i for i in ints if i != 0))
+    ints = [c.numerator * (denom // c.denominator) for c in poly]
+    zeros = next(i for i, c in enumerate(ints) if c)
+    ints = ints[zeros:]
+    lead, const = abs(ints[-1]), abs(ints[0])
     if lead > 10**12 or const > 10**12:
         return [], deg
-    lead_divisors = _divisors(lead)
-    candidates = {
-        Fraction(s * a, b) for a in _divisors(const) for b in lead_divisors for s in (1, -1)
-    }
     roots = []
-    for r in sorted(candidates):
-        # sum c_i a^i b^(d-i) by homogeneous Horner: zero iff a/b is a root (of
-        # the deflated poly too, as deflating removed only other roots)
-        acc, bpow = 0, 1
-        for c in reversed(ints):
-            acc, bpow = acc * r.numerator + c * bpow, bpow * r.denominator
-        if acc:
-            continue
-        mult = 0
-        while True:
-            quo, rem = _deflate(poly, r)
-            if rem != 0:
+    lead_divisors = _divisors(lead)
+    for a in _divisors(const):
+        for b in lead_divisors:
+            if len(ints) == 1 or ints[0] % a:
                 break
-            poly = quo
-            mult += 1
-        roots.append((r, mult))
-    return roots, len(poly) - 1
+            if ints[-1] % b or math.gcd(a, b) != 1:
+                continue
+            for s in (a, -a):
+                mult = 0
+                while len(ints) > 1:
+                    quo = _divide_linear(ints, s, b)
+                    if quo is None:
+                        break
+                    ints, mult = quo, mult + 1
+                if mult:
+                    roots.append((Fraction(s, b), mult))
+    roots.sort()
+    return roots, zeros + len(ints) - 1
 
 
 def _divisors(n: int) -> list[int]:
@@ -197,16 +208,16 @@ def _divisors(n: int) -> list[int]:
     return sorted({d for k in range(1, math.isqrt(n) + 1) if n % k == 0 for d in (k, n // k)})
 
 
-def _deflate(poly: Sequence[Fraction], r: Fraction):
-    """Synthetic division of poly (ascending coeffs) by (x - r)."""
-    n = len(poly) - 1
-    out = [Fraction(0)] * n
-    acc = Fraction(0)
-    for i in range(n, 0, -1):
-        acc = poly[i] + acc * r
-        out[i - 1] = acc
-    rem = poly[0] + acc * r
-    return out, rem
+def _divide_linear(poly: list, a: int, b: int) -> Optional[list]:
+    """poly / (b*x - a) over Z (ascending int coefficients), or None if it does not divide."""
+    quo = [0] * (len(poly) - 1)
+    acc = 0
+    for i in range(len(poly) - 1, 0, -1):
+        acc, rem = divmod(poly[i] + a * acc, b)
+        if rem:
+            return None
+        quo[i - 1] = acc
+    return quo if poly[0] + a * acc == 0 else None
 
 
 class SubobjectLattice:
@@ -297,25 +308,48 @@ def _n_closed_sums(parts, supports, part_tn, ncols, strategy) -> SubobjectLattic
 
     parts[i] is a list of rows and supports[i] the bitmask of the parts that
     N maps span(parts[i]) into.  A union is N-closed iff it holds the support
-    of each of its parts.  The parts are independent, so distinct masks give
-    distinct spans.
+    of each of its parts.  N is nilpotent and maps each part into the parts
+    of slope or valuation one less, so the supports form no cycle; in an
+    order where every part follows the parts it needs, each closed union is
+    a closed union of earlier parts plus one part whose support it holds.
+    So the walk below lists only the closed masks, sorted by (dimension,
+    mask).  The parts are independent, so distinct masks give distinct spans.
     """
-    need, dims = [0], [0]
-    for mask in range(1, 1 << len(parts)):
-        rest, low = mask & (mask - 1), (mask & -mask).bit_length() - 1
-        need.append(need[rest] | supports[low])
-        dims.append(dims[rest] + len(parts[low]))
-    masks = sorted((mask for mask, nd in enumerate(need) if nd & ~mask == 0), key=dims.__getitem__)
-    return SubobjectLattice(None, True, strategy, tuple(masks), parts, part_tn, ncols)
+    k = len(parts)
+    order, placed = [], 0
+    while len(order) < k:
+        ready = [i for i in range(k) if not placed >> i & 1 and supports[i] & ~placed == 0]
+        if not ready:
+            raise AssertionError("internal: the N-supports of the lattice parts form a cycle")
+        order.extend(ready)
+        placed |= sum(1 << i for i in ready)
+    closed = [0]  # dimension << k | mask, so that sorting orders by (dimension, mask)
+    for i in order:
+        step, need = len(parts[i]) << k | 1 << i, supports[i]
+        closed += [e + step for e in closed if need & ~e == 0] if need else [e + step for e in closed]
+    low = (1 << k) - 1
+    masks = tuple(e & low for e in sorted(closed))
+    return SubobjectLattice(None, True, strategy, masks, parts, part_tn, ncols)
+
+
+def _eigenvectors(phi, den: int, r: Fraction) -> list:
+    """Int basis of the r-eigenspace, with phi given as `int_matrix` (D*phi, D).
+
+    It is the kernel of D*phi - D*r cleared of its denominator.
+    """
+    a, b = r.numerator * den, r.denominator  # D*phi - D*r = (b*D*phi - a) / b
+    shifted = [[b * x - a * (i == j) for j, x in enumerate(row)] for i, row in enumerate(phi)]
+    return int_kernel(shifted, len(phi))
 
 
 def _eigenline_subobjects(m: PhiModule, roots, leftover: int) -> Optional[SubobjectLattice]:
     """Certified enumeration when eigenvalues are rational with distinct valuations.
 
     `roots, leftover` are `_rational_roots` of the characteristic polynomial.
-    With D*phi integral, the r-eigenline is the kernel of D*phi - D*r cleared
-    of its denominator.  The support of N on each eigenline is read off from
-    the coordinates of all N-images, solved for at once.
+    The support of N on each eigenline is read off from the coordinates of
+    all N-images, solved for at once on integer rows: one elimination of
+    [lines | images], one equation per coordinate, leaves in row i a nonzero
+    in the column of image j iff line i is in its support.
     """
     n = m.rank
     if n == 0:
@@ -328,19 +362,19 @@ def _eigenline_subobjects(m: PhiModule, roots, leftover: int) -> Optional[Subobj
     phi, den = int_matrix(m.phi)
     lines = []
     for r, _ in roots:
-        a, b = r.numerator * den, r.denominator  # D*phi - D*r = (b*D*phi - a) / b
-        shifted = [[b * x - a * (i == j) for j, x in enumerate(row)] for i, row in enumerate(phi)]
-        ker = int_kernel(shifted, n)
+        ker = _eigenvectors(phi, den, r)
         if len(ker) != 1:
             return None
+        a, b = r.numerator * den, r.denominator
         if [b * x for x in int_apply(phi, ker[0])] != [a * x for x in ker[0]]:
             raise AssertionError(f"internal: {rat_str(r)}-eigenline is not fixed by phi")
         lines.append(ker[0])
     nil, _ = int_matrix(m.nilpotent)
-    coords = solve_coordinates(lines, [int_apply(nil, v) for v in lines])
-    if coords is None:
+    columns = lines + [int_apply(nil, v) for v in lines]
+    rows = [[v[c] for v in columns] for c in range(n)]
+    if _gauss_jordan(rows, 2 * n) != list(range(n)):
         raise AssertionError("internal: the eigenlines do not span the module")
-    supports = [_support([c], range(n)) for c in coords]
+    supports = [_support([[row[n + j] for row in rows]], range(n)) for j in range(n)]
     return _n_closed_sums([[v] for v in lines], supports, vals, n, "eigenlines")
 
 
@@ -351,10 +385,12 @@ def _block_subobjects(m: PhiModule, slopes) -> Optional[SubobjectLattice]:
     blocks = dm_blocks(m, slopes)
     if len({s for s, _, _ in blocks}) != len(blocks):
         return None  # a repeated slope block: not multiplicity free
-    std = RatMatrix.identity(m.rank).entries
+    n = m.rank
+    std = [[int(i == j) for j in range(n)] for i in range(n)]
+    images = list(zip(*m.nilpotent.entries))  # images[j] = N e_j, column j of N
     owner = [k for k, (_, _, size) in enumerate(blocks) for _ in range(size)]
     parts = [std[off : off + size] for _, off, size in blocks]
-    supports = [_support([m.nilpotent.apply(row) for row in part], owner) for part in parts]
+    supports = [_support(images[off : off + size], owner) for _, off, size in blocks]
     part_tn = [s * size for s, _, size in blocks]  # v_p(det) of the block of x^h - p^a
     return _n_closed_sums(parts, supports, part_tn, m.rank, "blocks")
 
@@ -364,7 +400,9 @@ def _scalar_constant(phi: RatMatrix) -> Optional[Fraction]:
     if phi.rows == 0:
         return Fraction(1)
     c = phi.entries[0][0]
-    return c if phi == RatMatrix.identity(phi.rows).scale(c) else None
+    scalar = all(x == c if i == j else not x for i, row in enumerate(phi.entries)
+                 for j, x in enumerate(row))
+    return c if scalar else None
 
 
 def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[SubobjectLattice]:
@@ -398,54 +436,72 @@ def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[SubobjectLattice]:
 def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
     """Seeded, reproducible sample of genuinely stable subspaces.
 
-    `roots` are the rational roots of the characteristic polynomial.
+    `roots` are the rational roots of the characteristic polynomial.  Every
+    closure is grown on integer rows and named by its `int_rref` key; Fractions
+    are built once per distinct closure.
     """
     mod = m.module
     n = m.rank
     rng = random.Random(seed)
-    phi, _ = int_matrix(mod.phi)
+    phi, den = int_matrix(mod.phi)
     nil, _ = int_matrix(mod.nilpotent)
+    has_n = any(any(row) for row in nil)
+    ops = (phi, nil) if has_n else (phi,)
     full = int_rref([[int(i == j) for j in range(n)] for i in range(n)], n)
     found = {(): (), full: rat_rref(full)}  # int_rref key -> basis, per distinct closure
 
-    def closure(vectors, echelon=()):
-        # Krylov closure on integer rows, grown from the echelon of a stable
-        # subspace; phi and N each cleared by one common denominator, so
-        # they act as multiples of the same maps
-        echelon = list(echelon)
-        queue = [int_row(v) for v in vectors]
-        while queue and len(echelon) < n:
-            v = queue.pop()
-            grown = int_echelon([v], echelon)
-            if len(grown) > len(echelon):
-                echelon = grown
-                queue.extend((int_apply(phi, v), int_apply(nil, v)))
-        key = int_rref([row for _, row in echelon], n)
+    def add(key):
         if key not in found:
             found[key] = rat_rref(key)
 
-    # structured candidates: eigenlines of any rational eigenvalues, N-kernels
-    ident = RatMatrix.identity(n)
+    def closure(vectors):
+        # Krylov closure on integer rows; phi and N each cleared by one
+        # common denominator, so they act as multiples of the same maps.  A
+        # closure of rank n is the full space, which is already found.
+        echelon, queue = [], list(vectors)
+        while queue:
+            v = int_residue(queue.pop(), echelon)
+            c = next((j for j, a in enumerate(v) if a), None)
+            if c is None:
+                continue
+            v = _primitive(v)
+            echelon.append((c, v))
+            if len(echelon) == n:
+                return
+            queue.extend(int_apply(op, v) for op in ops)
+        add(int_rref([row for _, row in echelon], n))
+
+    # structured candidates: the lines of the canonical eigenspace basis (as
+    # `RatMatrix.nullspace` gives it, up to scale) of each rational eigenvalue,
+    # and each proper N-power kernel, whose closure depends only on its span
     for r, _mult in roots:
-        for v in (mod.phi - ident.scale(r)).nullspace():
+        lines = _eigenvectors(phi, den, r)
+        _gauss_jordan(lines, n)
+        for v in lines:
             closure([v])
-    power = ident
-    for _ in range(n):
-        power = power @ mod.nilpotent
-        ker = power.nullspace()
-        if ker:
-            closure(list(ker))
+    if has_n:
+        power = nil
+        for _ in range(n):
+            ker = int_kernel(list(power), n)
+            if len(ker) == n:
+                break  # N^k = 0, and so is every higher power
+            if ker:
+                closure(ker)
+            power = int_matmul(power, nil)
     for _ in range(12 * max(n, 1)):
-        v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+        v = [rng.randint(-3, 3) for _ in range(n)]
         if any(v):
             closure([v])
         if len(found) >= 64:
             break
-    # pairs of the first ten nonzero closures in the iteration order of the
-    # set of their bases, each grown from the first one's closed echelon
-    singles = [b for b in set(found.values()) if b]
-    for b1, b2 in itertools.combinations(singles[:10], 2):
-        closure(b2, _basis_echelon(b1))
+    # sums of pairs of the first ten nonzero closures in the iteration order
+    # of the set of their bases: a sum of stable subspaces is stable, so it
+    # is the span of the two bases' rows
+    singles = [b for b in set(found.values()) if b][:10]
+    for rows1, rows2 in itertools.combinations([list(map(int_row, b)) for b in singles], 2):
+        key = int_rref(rows1 + rows2, n)
+        if len(key) < n:
+            add(key)
     return tuple(sorted(found.values(), key=lambda b: (len(b), b)))
 
 
@@ -457,7 +513,8 @@ def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> SubobjectLattic
     lexicographically, always including the zero and full subspaces.  Scalar
     Frobenius yields the flag-adapted chain, flagged as a sample since the
     full subspace lattice is infinite.  The characteristic polynomial is
-    computed once and shared by every strategy.
+    computed once and its rational roots, found on integers by
+    `_rational_roots`, are shared by every strategy.
     """
     mod = m.module
     coeffs = charpoly(mod.phi)

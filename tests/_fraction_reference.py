@@ -1,7 +1,9 @@
 """Test-only references for the integer-row code behind the re-check of
-subobjects and the sampled subobject lattice.
+subobjects, the sampled subobject lattice, the rational-root search and the
+closed-mask listing of part lattices.
 
-These are the straightforward Fraction forms of three library functions:
+These are the straightforward Fraction (or exhaustive) forms of five
+library functions:
 
   * `induced_on_subspace`: the subspace row-reduced to its canonical basis,
     then every index of the filtration's support intersected with it
@@ -12,12 +14,17 @@ These are the straightforward Fraction forms of three library functions:
     all of them solved for at once in the basis;
   * `hn._sample_subobjects`: every Krylov closure grown from scratch over
     Fractions and collected in a set of canonical bases, whose iteration
-    order picks the ten closures that are paired.
+    order picks the ten closures that are paired;
+  * `hn._rational_roots`: every candidate a/b with a | const and b | lead
+    (the same 10**12 give-up bound) tried by Fraction synthetic division;
+  * `hn._n_closed_sums`: all 2^n part masks scanned for N-closure, as the
+    library did before it walked the closed masks only.
 
 The library versions eliminate on integer rows and must return equal values.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -90,3 +97,57 @@ def sample_subobjects(m, seed: int, roots) -> tuple:
     for b1, b2 in itertools.combinations(singles[:10], 2):
         found.add(closure(list(b1) + list(b2)))
     return tuple(sorted(found, key=lambda b: (len(b), b)))
+
+
+def divisors(n: int) -> list[int]:
+    n = abs(n)
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return sorted(set(small) | {n // k for k in small})
+
+
+def deflate(poly, r: Fraction):
+    """Synthetic division of poly (ascending Fraction coeffs) by (x - r): (quotient, remainder)."""
+    n = len(poly) - 1
+    out = [Fraction(0)] * n
+    acc = Fraction(0)
+    for i in range(n, 0, -1):
+        acc = poly[i] + acc * r
+        out[i - 1] = acc
+    return out, poly[0] + acc * r
+
+
+def rational_roots(coeffs):
+    """Rational roots with multiplicities and the leftover degree, by deflation alone."""
+    poly = list(coeffs)
+    while poly and poly[-1] == 0:
+        poly.pop()
+    deg = len(poly) - 1
+    if deg <= 0:
+        return [], 0
+    denom = math.lcm(*(c.denominator for c in poly))
+    ints = [int(c * denom) for c in poly]
+    lead, const = abs(ints[-1]), abs(next(i for i in ints if i))
+    if lead > 10**12 or const > 10**12:
+        return [], deg
+    candidates = {Fraction(s * a, b) for a in divisors(const) for b in divisors(lead) for s in (1, -1)}
+    roots = []
+    for r in sorted(candidates):
+        mult = 0
+        while True:
+            quo, rem = deflate(poly, r)
+            if rem:
+                break
+            poly, mult = quo, mult + 1
+        if mult:
+            roots.append((r, mult))
+    return roots, len(poly) - 1
+
+
+def closed_masks(sizes, supports) -> tuple:
+    """Every mask holding the support of each of its parts, by (dimension, mask)."""
+    closed = []
+    for mask in range(1 << len(sizes)):
+        picked = [i for i in range(len(sizes)) if mask >> i & 1]
+        if all(supports[i] & ~mask == 0 for i in picked):
+            closed.append((sum(sizes[i] for i in picked), mask))
+    return tuple(mask for _, mask in sorted(closed))

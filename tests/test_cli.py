@@ -92,6 +92,24 @@ class TestExitCodes:
         assert code == 0 and json.loads(out) == [["0", 2]]
         assert time.perf_counter() - start < 1
 
+    def test_rank_32_slope_chain_answers_quickly(self, capsys):
+        # phi = diag(1, 2, ..., 2^31) with N moving each line to the one
+        # before: 33 N-closed sums of 32 slope blocks, no 2^32 mask scan
+        n = 32
+        phi = [[str(2**i) if i == j else "0" for j in range(n)] for i in range(n)]
+        nil = [["1" if j == i + 1 else "0" for j in range(n)] for i in range(n)]
+        ident = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+        payload = {
+            "module": {"p": 2, "phi": phi, "N": nil},
+            "hodge": {"flag": [{"index": 0, "basis": ident}, {"index": 1, "basis": ident[:16]}],
+                      "rank": n},
+        }
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "hn", payload)
+        assert time.perf_counter() - start < 10
+        filt = json.loads(out)
+        assert code == 0 and filt["certified"] and filt["steps"][-1]["rank"] == n
+
     def test_prime_beyond_the_proven_bound_rejected(self, capsys):
         payload = {"coefficients": ["1", "1"], "p": 3317044064679887385962123}
         code, _, err = run_cli(capsys, "newton", payload)

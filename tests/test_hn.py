@@ -38,10 +38,13 @@ from slopecalc.rational import (
     RatMatrix,
     charpoly,
     restriction_matrix,
+    rref_rows,
     valuation,
 )
 
+from _fraction_reference import closed_masks as fraction_closed_masks
 from _fraction_reference import induced_on_subspace as fraction_induced
+from _fraction_reference import rational_roots as fraction_roots
 from _fraction_reference import sample_subobjects as fraction_sample
 from _generators import (
     certified_filtered_instance,
@@ -364,34 +367,6 @@ class TestRootExtractionLimits:
         assert v.status in (STATUS_UNCERTIFIED, STATUS_FALSE)
 
 
-def _roots_by_deflation(coeffs):
-    """`_rational_roots` with every candidate tried by Fraction deflation."""
-    poly = list(coeffs)
-    while poly and poly[-1] == 0:
-        poly.pop()
-    deg = len(poly) - 1
-    if deg <= 0:
-        return [], 0
-    denom = math.lcm(*(c.denominator for c in poly))
-    ints = [int(c * denom) for c in poly]
-    lead, const = abs(ints[-1]), abs(next(i for i in ints if i))
-    if lead > 10**12 or const > 10**12:
-        return [], deg
-    divisors = hn._divisors
-    candidates = {F(s * a, b) for a in divisors(const) for b in divisors(lead) for s in (1, -1)}
-    roots = []
-    for r in sorted(candidates):
-        mult = 0
-        while True:
-            quo, rem = hn._deflate(poly, r)
-            if rem:
-                break
-            poly, mult = quo, mult + 1
-        if mult:
-            roots.append((r, mult))
-    return roots, len(poly) - 1
-
-
 def _poly_mul(a, b):
     out = [F(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -400,8 +375,15 @@ def _poly_mul(a, b):
     return out
 
 
+def _from_roots(roots, scale=F(1)):
+    poly = [scale]
+    for r in roots:
+        poly = _poly_mul(poly, [-r, F(1)])
+    return poly
+
+
 class TestRationalRoots:
-    """The integer candidate test finds the roots Fraction deflation finds."""
+    """The integer division search finds the roots Fraction deflation finds."""
 
     POOL = [F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 4), F(-7, 2), F(4)]
     QUADRATICS = [[F(-2), F(0), F(1)], [F(1), F(1), F(1)], [F(3), F(0), F(2)]]
@@ -421,15 +403,90 @@ class TestRationalRoots:
                 seen.update({"non-monic"} if r.denominator > 1 else set())
             if rng.random() < 0.4:
                 poly = _poly_mul(poly, rng.choice(self.QUADRATICS))
-            assert hn._rational_roots(poly) == _roots_by_deflation(poly)
+            assert hn._rational_roots(poly) == fraction_roots(poly)
         assert seen == {"zero", "repeated", "negative", "non-monic"}
+
+    def test_high_multiplicity_content_and_sign(self):
+        # integer-cleared polynomials with multiplicities up to 6, a content
+        # above one, a negative leading coefficient and zero low coefficients
+        # (zero roots are not reported but stay in the leftover degree)
+        rng = random.Random(46)
+        seen = set()
+        for _ in range(120):
+            roots = []
+            for r in rng.sample(self.POOL, rng.randint(1, 3)):
+                roots += [r] * rng.randint(1, 6)
+            scale = F(rng.choice([1, 6, -1, -10, 35]), rng.choice([1, 4]))
+            poly = _from_roots(roots, scale)
+            if rng.random() < 0.3:
+                poly = _poly_mul(poly, rng.choice(self.QUADRATICS))
+            denom = math.lcm(*(c.denominator for c in poly))
+            ints = [int(c * denom) for c in poly]
+            seen.update({"mult>=5"} if max(roots.count(r) for r in roots) >= 5 else set())
+            seen.update({"content"} if math.gcd(*ints) > 1 else set())
+            seen.update({"negative lead"} if ints[-1] < 0 else set())
+            seen.update({"zero low"} if ints[0] == 0 else set())
+            got = hn._rational_roots(poly)
+            assert got == fraction_roots(poly)
+            nonzero = [(r, roots.count(r)) for r in sorted(set(roots)) if r]
+            assert got[0] == nonzero
+            assert got[1] == len(poly) - 1 - sum(k for _, k in nonzero)
+        assert seen == {"mult>=5", "content", "negative lead", "zero low"}
+
+    def test_multiplicity_six_with_zero_roots(self):
+        poly = _from_roots([F(-2, 3)] * 6 + [F(0)] * 2 + [F(5)], F(-4))
+        assert hn._rational_roots(poly) == fraction_roots(poly) == ([(F(-2, 3), 6), (F(5), 1)], 2)
+
+    @pytest.mark.parametrize(
+        "roots, found",
+        [
+            ([F(10**6), F(10**6)], True),  # constant exactly 10**12
+            ([F(1, 10**12), F(1)], True),  # leading coefficient exactly 10**12
+            ([F(73), F(10**12 + 1, 73)], False),  # constant 10**12 + 1
+            ([F(1, 10**12 + 1), F(3)], False),  # leading coefficient 10**12 + 1
+        ],
+    )
+    def test_at_the_factoring_bound(self, roots, found):
+        poly = _from_roots(roots)
+        expected = ([(r, roots.count(r)) for r in sorted(set(roots))], 0) if found else ([], 2)
+        assert hn._rational_roots(poly) == fraction_roots(poly) == expected
 
     @pytest.mark.parametrize("roots", [[F(10**7), F(3 * 10**5)], [F(1, 10**13), F(2)]])
     def test_beyond_the_factoring_bound(self, roots):
-        poly = [F(1)]
-        for r in roots:
-            poly = _poly_mul(poly, [-r, F(1)])
-        assert hn._rational_roots(poly) == _roots_by_deflation(poly) == ([], 2)
+        poly = _from_roots(roots)
+        assert hn._rational_roots(poly) == fraction_roots(poly) == ([], 2)
+
+
+class TestClosedMasks:
+    """`_n_closed_sums` lists exactly the masks the 2^n scan finds, in its order."""
+
+    @staticmethod
+    def closed_sums(sizes, supports):
+        parts = [[(0,)] * size for size in sizes]
+        return hn._n_closed_sums(parts, supports, [0] * len(sizes), 1, "blocks").masks
+
+    def test_seeded_acyclic_supports(self):
+        rng = random.Random(47)
+        for _ in range(150):
+            k = rng.randint(0, 10)
+            sizes = [rng.choice([1, 1, 2, 3]) for _ in range(k)]
+            order = rng.sample(range(k), k)  # each part may need parts before it here
+            density = rng.choice([0.0, 0.15, 0.4])
+            supports = [0] * k
+            for pos, i in enumerate(order):
+                for j in order[:pos]:
+                    if rng.random() < density:
+                        supports[i] |= 1 << j
+            assert self.closed_sums(sizes, supports) == fraction_closed_masks(sizes, supports)
+
+    def test_chain_lists_its_prefixes(self):
+        supports = [0] + [1 << (i - 1) for i in range(1, 40)]
+        assert self.closed_sums([1] * 40, supports) == tuple((1 << k) - 1 for k in range(41))
+
+    @pytest.mark.parametrize("supports", [[0b10, 0b01], [0b1], [0b100, 0b001, 0b010, 0]])
+    def test_cycle_is_an_internal_fault(self, supports):
+        with pytest.raises(AssertionError, match="internal"):
+            self.closed_sums([1] * len(supports), supports)
 
 
 class TestSampleDeterminism:
@@ -903,17 +960,62 @@ class TestSampledLattice:
         mod = PhiModule.from_matrices(P, s @ diag @ s.inverse(), s @ e @ s.inverse())
         return FilteredPhiModule(mod, random_flag(random.Random(1), 3, 0, 2))
 
+    @staticmethod
+    def conjugated(eigenvalues, e=None, seed=1):
+        """S diag(eigenvalues) S^-1 with N = S e S^-1 for a dense S, and a random flag."""
+        n = len(eigenvalues)
+        lower = RatMatrix([[int(j <= i) for j in range(n)] for i in range(n)])
+        s = lower @ lower.transpose()
+        diag = RatMatrix([[eigenvalues[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        e = RatMatrix.zeros(n, n) if e is None else RatMatrix(e)
+        mod = PhiModule.from_matrices(P, s @ diag @ s.inverse(), s @ e @ s.inverse())
+        assert check_phi_n(mod)
+        return FilteredPhiModule(mod, random_flag(random.Random(seed), n, 0, 2))
+
+    def extra_cases(self):
+        # eigenvalue 2 of multiplicity 3: its eigenspace basis picks the lines
+        triple = self.conjugated([F(2), F(2), F(2), F(1, 2)])
+        # N: 1-line -> (1/2)-line -> (1/4)-line, so ker N < ker N^2 < ker N^3 = V
+        e = [[0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
+        chain = self.conjugated([F(1, 4), F(1, 2), F(1, 2), F(1)], e, seed=2)
+        # distinct valuations beyond the root search: no roots, and a random
+        # vector's closure is the full space
+        big = self.conjugated([F(1), F(2), F(4), F(2) ** 41], seed=3)
+        return {"triple": triple, "chain": chain, "big": big}
+
     def test_matches_reference(self):
         cases = [m for name, m in REFERENCE_CASES if name.startswith("sample")][::5]
         cases.append(self.with_n())
-        sizes = []
-        for m in cases:
+        extra = self.extra_cases()
+        sizes = {}
+        for name, m in [(None, m) for m in cases] + list(extra.items()):
             roots, _ = hn._rational_roots(charpoly(m.module.phi))
             for seed in (0, 5):
                 got = hn._sample_subobjects(m, seed, roots)
                 assert got == fraction_sample(m, seed, roots)
                 assert enumerate_subobjects(m, seed).strategy == "sample"
-                sizes.append(len(got))
+                sizes.setdefault(name, []).append(len(got))
         # more than ten nonzero closures before pairing, so the order of
         # the set that picks the pairs shows in the result
-        assert max(sizes) > 20
+        assert max(max(v) for v in sizes.values()) > 20
+
+    def test_extra_cases_reach_their_paths(self):
+        extra = self.extra_cases()
+        # each line of the canonical basis of the 2-eigenspace is a closure
+        phi = extra["triple"].module.phi
+        got = hn._sample_subobjects(extra["triple"], 0, [(F(2), 3), (F(1, 2), 1)])
+        lines = (phi - RatMatrix.identity(4).scale(2)).nullspace()
+        assert len(lines) == 3 and all(rref_rows([v], 4) in got for v in lines)
+        # so is each proper N-power kernel
+        m = extra["chain"].module
+        got = hn._sample_subobjects(extra["chain"], 0, hn._rational_roots(charpoly(m.phi))[0])
+        kernels = [m.nilpotent.nullspace(), (m.nilpotent @ m.nilpotent).nullspace()]
+        assert [len(k) for k in kernels] == [2, 3] and all(k in got for k in kernels)
+        # no roots, and the first random vector's closure is the full space
+        phi = extra["big"].module.phi
+        assert hn._rational_roots(charpoly(phi)) == ([], 4)
+        rng = random.Random(0)
+        krylov = [[F(rng.randint(-3, 3)) for _ in range(4)]]
+        for _ in range(3):
+            krylov.append(phi.apply(krylov[-1]))
+        assert len(rref_rows(krylov, 4)) == 4
