@@ -26,21 +26,23 @@ that visits only the closed masks.
 
 In the two complete cases and in the scalar chain an element is a bitmask
 of parts (eigenlines, slope blocks or the chain's lines), and the deciders
-work on masks: t_N(W) is the sum of the parts' t_N, t_H(W) = lo*k + the sum
-over lo < j < hi of dim(Fil^j & W), which is k minus the rank of the parts'
-integer residues modulo Fil^j, and W holds W' exactly when its mask holds
-that of W'.  Each part is checked to be
-phi-stable once per decider call, and by linearity so is every sum of parts.
-A canonical basis is row-reduced only for what a call returns or compares: a
-witness, the first in canonical order among the violators of least rank, and
-an HN step, with the elements it ties with in (slope, rank).  Other elements
-are scored by their pivots on integer rows, each checked to be stable by an
-integer residue.  Every witness and HN step is scored again from the
-definition by `sub_invariants`, and a disagreement raises an internal error:
-t_N from the determinant of the restriction matrix of Frobenius (one
-elimination on integer rows for all the basis images) and t_H from the
-induced filtration (W row-reduced once, then one elimination per distinct
-level Fil^j), neither through the scorer.
+work on masks: t_N(W) is the sum of the parts' t_N, and W holds W' exactly
+when its mask holds that of W'.  Each part is checked to be phi-stable once
+per decider call, and by linearity so is every sum of parts.  Other
+elements are scored by their pivots on integer rows, each checked to be
+stable by an integer residue.  t_H is read off one integer echelon per
+element, in coordinates adapted to the flag and ascending by weight, where
+Fil^j is spanned by the coordinates of weight >= j: dim(W & Fil^j) counts
+the leading columns of weight >= j, so t_H(W) is the sum of the weights of
+the leading columns.  Degrees stay ints through the deciders.  A canonical
+basis is row-reduced only for what a call returns or compares: a witness,
+the first in canonical order among the violators of least rank, and an HN
+step, with the elements it ties with in (slope, rank).  Every witness and
+HN step is scored again from the definition by `sub_invariants`, and a
+disagreement raises an internal error: t_N from the determinant of the
+restriction matrix of Frobenius (one elimination on integer rows for all
+the basis images) and t_H from the induced filtration (W row-reduced once,
+then one elimination per distinct level Fil^j), neither through the scorer.
 """
 
 from __future__ import annotations
@@ -391,7 +393,7 @@ def _block_subobjects(m: PhiModule, slopes) -> Optional[SubobjectLattice]:
     owner = [k for k, (_, _, size) in enumerate(blocks) for _ in range(size)]
     parts = [std[off : off + size] for _, off, size in blocks]
     supports = [_support(images[off : off + size], owner) for _, off, size in blocks]
-    part_tn = [s * size for s, _, size in blocks]  # v_p(det) of the block of x^h - p^a
+    part_tn = [int(s * size) for s, _, size in blocks]  # v_p(det) of the block of x^h - p^a
     return _n_closed_sums(parts, supports, part_tn, m.rank, "blocks")
 
 
@@ -426,8 +428,9 @@ def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[SubobjectLattice]:
     lines, prev = [], ()
     for j in range(hi, lo - 1, -1):
         level = m.hodge.subspace_at(j)
-        lines.extend([v] for v in complement_basis(prev, level, n))
-        prev = level
+        if len(level) != len(prev):
+            lines.extend([v] for v in complement_basis(prev, level, n))
+            prev = level
     masks = tuple((1 << k) - 1 for k in range(n + 1))
     part_tn = [valuation(c, m.module.p)] * n
     return SubobjectLattice(None, False, "scalar-chain", masks, lines, part_tn, n)
@@ -558,59 +561,52 @@ def _basis_echelon(basis) -> list:
     return [(next(c for c, a in enumerate(row) if a), row) for row in rows]
 
 
-def _part_ranks(lattice: SubobjectLattice, levels):
-    """`ranks(mask)`: the rank of the parts' residues modulo each level, in order.
+def _flag_coordinates(hodge: HodgeData) -> tuple[list, list]:
+    """(C, weights): int coordinates adapted to the flag, ascending by weight.
 
-    Each part is reduced modulo each level once; the echelon of a mask
-    extends that of the mask without its lowest bit by the residues of that
-    part.  The memo lives as long as the returned function.
+    Nested levels have nested pivot sets, so the canonical rows of Fil^j at
+    pivots new to it (weight j) extend those taken above to a basis B of it.
+    One elimination of [B^T | I] leaves in row i of its right half C a nonzero
+    multiple of row i of (B^T)^-1: `int_apply(C, v)[i]` is coordinate i of v.
     """
-    residues = [
-        [[int_residue(int_row(v), level) for v in part] for part in lattice.parts]
-        for level in levels
-    ]
-    memos = [{0: []} for _ in levels]
-
-    def echelon_of(j, mask):
-        echelon = memos[j].get(mask)
-        if echelon is None:
-            low = mask & -mask
-            rest = echelon_of(j, mask ^ low)
-            echelon = memos[j][mask] = int_echelon(residues[j][low.bit_length() - 1], rest)
-        return echelon
-
-    return lambda mask: (len(echelon_of(j, mask)) for j in range(len(levels)))
+    n = hodge.rank
+    found = {}  # pivot column -> (weight, int row), by descending weight
+    for j in sorted(set(hodge.weights), reverse=True):  # the distinct levels Fil^j
+        for row in hodge.subspace_at(j):
+            c = next(c for c, a in enumerate(row) if a)
+            if c not in found:
+                found[c] = j, int_row(row)
+    rows = [[r[i] for _, r in reversed(found.values())] + [int(i == t) for t in range(n)]
+            for i in range(n)]
+    _gauss_jordan(rows, 2 * n)
+    return [row[n:] for row in rows], [j for j, _ in reversed(found.values())]
 
 
 def lattice_scorer(m: FilteredPhiModule, lattice: Optional[SubobjectLattice] = None):
-    """Scorer of canonical stable bases by integer residues and ranks.
+    """`score(basis, mask=None) -> (rank, t_H, t_N, degree)`, all ints.
 
-    Returns `score(basis, mask=None) -> (rank, t_H, t_N, degree)`, equal to
-    `sub_invariants` on every canonical (RREF) stable basis.  An element of a
-    part lattice named by `mask` is scored from its parts (`basis` may be
-    None), each checked once here to be Frobenius-stable; any other basis by
-    its pivots, checked itself to be stable (InputError if not).  Flag form only.
+    Equals `sub_invariants` on every canonical (RREF) stable basis; t_H is the
+    weight sum of the leading columns in `_flag_coordinates`.  A part-lattice
+    element named by `mask` (`basis` may be None), with lowest part i, extends
+    the memo entry of the rest, (rank, t_H, t_N, lower): `lower` holds the
+    coordinates of the parts below the rest reduced modulo it, so part i's
+    rows there lead at new columns, and they reduce the parts below i in turn.
+    Each part is checked once to be Frobenius-stable.  Any other basis is
+    scored by its pivots, itself checked stable (InputError if not).  Flag form only.
     """
     phi, den = int_matrix(m.module.phi)
     p = m.module.p
-    lo, hi = m.hodge.support()
-    levels = [_basis_echelon(m.hodge.subspace_at(j)) for j in range(lo + 1, hi)]
-    part_ranks = None
+    coords, weights = _flag_coordinates(m.hodge)
+    memo = None
     if lattice is not None and lattice.masks is not None:
+        parts = []
         for part in lattice.parts:
-            echelon = int_echelon(map(int_row, part))
+            rows = [int_row(v) for v in part]
+            echelon = int_echelon(rows)
             if any(any(int_residue(int_apply(phi, row), echelon)) for _, row in echelon):
                 raise AssertionError("internal: a lattice part is not Frobenius-stable")
-        part_ranks = _part_ranks(lattice, levels)
-        part_tn, sizes = lattice.part_tn, [len(part) for part in lattice.parts]
-
-    def t_h(k, ranks):
-        th = lo * k
-        for rank in ranks:
-            if rank == k:
-                break  # W meets Fil^j, and every later (smaller) level, in zero
-            th += k - rank
-        return th
+            parts.append([int_apply(coords, row) for row in rows])
+        memo, part_tn = {0: (0, 0, 0, parts)}, lattice.part_tn
 
     def by_pivots(basis):
         echelon = _basis_echelon(basis)
@@ -621,28 +617,31 @@ def lattice_scorer(m: FilteredPhiModule, lattice: Optional[SubobjectLattice] = N
         # coordinates of phi(b_i) are its entries at the pivots; rows[i] and
         # images[i] are d_i * b_i and den * d_i * phi(b_i), d_i = rows[i][pivot]
         k, pivots = len(rows), [c for c, _ in echelon]
-        scale = den**k
-        for row, c in zip(rows, pivots):
-            scale *= row[c]
+        scale = den**k * math.prod(row[c] for c, row in echelon)
         tn = valuation(Fraction(int_det([[img[c] for c in pivots] for img in images]), scale), p)
-        ranks = (len(int_echelon(int_residue(r, level) for r in rows)) for level in levels)
-        return k, t_h(k, ranks), tn
+        return k, sum(weights[c] for c, _ in int_echelon(int_apply(coords, r) for r in rows)), tn
 
     def by_parts(mask):
-        picked = [i for i in range(len(sizes)) if mask >> i & 1]
-        k = sum(sizes[i] for i in picked)
-        return k, t_h(k, part_ranks(mask)), sum(part_tn[i] for i in picked)
+        entry = memo.get(mask)
+        if entry is None:
+            i = (mask & -mask).bit_length() - 1
+            k, th, tn, residues = by_parts(mask & (mask - 1))
+            new = int_echelon(residues[i])
+            lower = [[_primitive(int_residue(row, new)) for row in rows] for rows in residues[:i]]
+            th += sum(weights[c] for c, _ in new)
+            entry = memo[mask] = (k + len(new), th, tn + part_tn[i], lower)
+        return entry
 
     def score(basis, mask=None):
-        if mask is None or part_ranks is None:
+        if mask is None or memo is None:
             if not basis:
-                return 0, 0, Fraction(0), Fraction(0)
+                return 0, 0, 0, 0
             k, th, tn = by_pivots(basis)
         else:
-            k, th, tn = by_parts(mask)
+            k, th, tn, _ = by_parts(mask)
             if basis is not None and len(basis) != k:
                 raise AssertionError("internal: part mask does not match the basis dimension")
-        return k, th, Fraction(tn), Fraction(th) - tn
+        return k, th, tn, th - tn
 
     return score
 
@@ -670,7 +669,7 @@ def _first_violation(m: FilteredPhiModule, seed: int, bound, lattice) -> Verdict
     violators of that rank get a basis."""
     if lattice is None:
         lattice = enumerate_subobjects(m, seed)
-    bad = []
+    bound, bad = math.floor(bound), []  # integer degrees exceed bound iff they exceed its floor
     for key, inv in _scored(m, lattice):
         if bad and inv[0] > bad[0][1][0]:
             break
@@ -767,25 +766,26 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
     scored = list(_scored(m, lattice))
     steps = []
     current = scored[0][0]  # the zero subspace, the only element of rank 0
-    cur_rank, cur_deg = 0, Fraction(0)
+    cur_rank = cur_deg = 0
     while cur_rank < m.rank:
-        best, tied = None, []
+        best, tied = None, []  # best: (degree, rank) over the current step
         for key, inv in scored:
             k, d = inv[0], inv[3]
             if k <= cur_rank or not lattice.below(current, key):
                 continue
-            rank_key = ((d - cur_deg) / (k - cur_rank), k)
-            if best is None or rank_key > best:
-                best, tied = rank_key, [(key, inv)]
-            elif rank_key == best:
+            dd, dk = d - cur_deg, k - cur_rank
+            # sign of (slope, rank) against the best's, slopes cross-multiplied
+            order = 1 if best is None else dd * best[1] - best[0] * dk or dk - best[1]
+            if order > 0:
+                best, tied = (dd, dk), [(key, inv)]
+            elif order == 0:
                 tied.append((key, inv))
         if best is None:
             raise AssertionError("internal: no extension step found")
         basis, current, inv = min((lattice.basis(key), key, inv) for key, inv in tied)
-        (slope, k), d = best, inv[3]
-        steps.append(HNStep(basis, slope, k, k - cur_rank, d - cur_deg))
+        steps.append(HNStep(basis, Fraction(*best), inv[0], best[1], Fraction(best[0])))
         _recheck(m, basis, inv)
-        cur_rank, cur_deg = k, d
+        cur_rank, cur_deg = inv[0], inv[3]
     certified = lattice.decides
     filt = HNFiltration(tuple(steps), certified)
     if certified:

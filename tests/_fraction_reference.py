@@ -1,8 +1,8 @@
 """Test-only references for the integer-row code behind the re-check of
-subobjects, the sampled subobject lattice, the rational-root search and the
-closed-mask listing of part lattices.
+subobjects, the sampled subobject lattice, the rational-root search, the
+closed-mask listing of part lattices and the scoring of t_H.
 
-These are the straightforward Fraction (or exhaustive) forms of five
+These are the straightforward Fraction (or exhaustive) forms of six
 library functions:
 
   * `induced_on_subspace`: the subspace row-reduced to its canonical basis,
@@ -18,7 +18,12 @@ library functions:
   * `hn._rational_roots`: every candidate a/b with a | const and b | lead
     (the same 10**12 give-up bound) tried by Fraction synthetic division;
   * `hn._n_closed_sums`: all 2^n part masks scanned for N-closure, as the
-    library did before it walked the closed masks only.
+    library did before it walked the closed masks only;
+  * `hn.lattice_scorer`'s t_H, the weight sum of leading columns in
+    coordinates adapted to the flag: lo * dim W plus, for each index
+    lo < j < hi, dim(W & Fil^j) from the rank formula
+    dim W + dim Fil^j - dim(W + Fil^j), each rank by plain Fraction
+    elimination.
 
 The library versions eliminate on integer rows and must return equal values.
 """
@@ -151,3 +156,30 @@ def closed_masks(sizes, supports) -> tuple:
         if all(supports[i] & ~mask == 0 for i in picked):
             closed.append((sum(sizes[i] for i in picked), mask))
     return tuple(mask for _, mask in sorted(closed))
+
+
+def fraction_rank(rows) -> int:
+    """Rank of Fraction rows by Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def t_h_by_ranks(h: HodgeData, basis) -> int:
+    """t_H(W) = lo * dim W + the sum over lo < j < hi of dim(W & Fil^j)."""
+    k = fraction_rank(basis)
+    lo, hi = h.support()
+    total = lo * k
+    for j in range(lo + 1, hi):
+        level = h.subspace_at(j)
+        total += k + len(level) - fraction_rank(list(basis) + list(level))
+    return total

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopecalc import filtration, hn
-from slopecalc.filtration import HodgeData, dual_hodge, induced_on_subspace
+from slopecalc.filtration import HodgeData, dual_hodge, induced_on_subspace, t_h
 from slopecalc.hn import (
     STATUS_FALSE,
     STATUS_TRUE,
@@ -46,6 +46,7 @@ from _fraction_reference import closed_masks as fraction_closed_masks
 from _fraction_reference import induced_on_subspace as fraction_induced
 from _fraction_reference import rational_roots as fraction_roots
 from _fraction_reference import sample_subobjects as fraction_sample
+from _fraction_reference import t_h_by_ranks
 from _generators import (
     certified_filtered_instance,
     diagonal_instance,
@@ -928,7 +929,7 @@ class TestRecheckCost:
             raise AssertionError("the re-check used the lattice scorer")
 
         monkeypatch.setattr(hn, "lattice_scorer", refuse)
-        monkeypatch.setattr(hn, "_part_ranks", refuse)
+        monkeypatch.setattr(hn, "_flag_coordinates", refuse)
         assert [sub_invariants(m, lattice.basis(key)) for key in lattice.keys] == want
 
     def test_wide_flag_costs_one_elimination_per_distinct_level(self, monkeypatch):
@@ -945,6 +946,85 @@ class TestRecheckCost:
         assert [ncols for _, ncols in eliminations] == [4, 7, 7, 7]
         monkeypatch.undo()
         assert got == fraction_induced(h, w)
+
+
+class TestScoringCost:
+    """Scoring costs one integer echelon per element, however far apart the
+    flag's jumps lie."""
+
+    @pytest.mark.parametrize("kind", ["eigenlines", "scalar-chain"])
+    def test_cost_is_independent_of_the_weight_gap(self, kind, monkeypatch):
+        rng = random.Random(8)
+        if kind == "eigenlines":
+            mod = diagonal_instance(rng, P, 8, -4, 4, allow_n=False)
+        else:
+            mod = PhiModule.from_matrices(P, RatMatrix.identity(8).scale(P))
+        rows = random_unimodular(rng, 8).entries[:4]
+        counts = {}
+        for top in (1, 900):
+            # weights {0, top}: Fil^1 = ... = Fil^top = span(rows), Fil^(top+1) = 0,
+            # so `top` dense indices but two distinct levels whatever the gap
+            h = HodgeData.from_flag([(1, rows), (top + 1, [])], rank=8)
+            m = FilteredPhiModule(mod, h)
+            lattice = enumerate_subobjects(m)
+            assert lattice.strategy == kind and len(h.flag) == top
+            calls = [TestRecheckCost.counted(monkeypatch, hn, name)
+                     for name in ("int_echelon", "int_residue")]
+            hn_filtration(m, lattice=lattice)
+            monkeypatch.undo()
+            counts[top] = [len(c) for c in calls]
+        assert counts[1] == counts[900]
+
+
+class TestPivotWeights:
+    """t_H as the weight sum of leading columns in flag-adapted coordinates,
+    against the rank formula of `_fraction_reference` and the induced
+    filtration, on flags with repeated weights, gaps and negative weights."""
+
+    @staticmethod
+    def flag(rng, n):
+        lo = rng.randint(-6, 1)
+        pool = [lo, lo + 1, lo + rng.randint(2, 25), lo + rng.randint(2, 25)]
+        return random_flag(rng, n, lo, lo, [rng.choice(pool) for _ in range(n)])
+
+    @staticmethod
+    def agree(h, basis, th):
+        assert type(th) is int
+        assert th == t_h_by_ranks(h, basis) == t_h(induced_on_subspace(h, basis))
+
+    def test_random_subspaces(self):
+        # scalar Frobenius makes every subspace stable, so every one is scored by pivots
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            h = self.flag(rng, n)
+            score = lattice_scorer(FilteredPhiModule(
+                PhiModule.from_matrices(P, RatMatrix.identity(n).scale(P)), h))
+            for _ in range(4):
+                rows = [[F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)]
+                        for _ in range(rng.randint(1, n))]
+                basis = rref_rows(rows, n)
+                if basis:
+                    k, th, tn, d = score(basis)
+                    self.agree(h, basis, th)
+                    assert (k, tn, d) == (len(basis), k, th - k)
+
+    def test_part_lattices(self):
+        rng = random.Random(32)
+        for _ in range(12):
+            n = rng.randint(1, 5)
+            if rng.random() < 0.5:
+                mod = diagonal_instance(rng, P, n, -2, 3)
+            else:
+                mod = PhiModule.from_matrices(P, RatMatrix.identity(n).scale(P))
+            m = FilteredPhiModule(mod, self.flag(rng, n))
+            lattice = enumerate_subobjects(m)
+            assert lattice.masks is not None
+            score = lattice_scorer(m, lattice)
+            for key in lattice.keys:
+                basis = lattice.basis(key)
+                if basis:
+                    self.agree(m.hodge, basis, score(None, key)[1])
 
 
 class TestSampledLattice:
