@@ -207,15 +207,22 @@ def dual_hodge(h: HodgeData) -> HodgeData:
     The index shift makes the jump bookkeeping come out right: weight w of h
     becomes weight -w of the dual, so t_h negates and double duals return the
     original.  (This is the convention under which weak admissibility is
-    stable under duality.)
+    stable under duality.)  Levels are nested, so a dimension names a level:
+    one annihilator is computed per distinct level, at the index where the
+    dual first takes it.
     """
     if h.kind == KIND_WEIGHTS:
         return HodgeData.from_weights([-w for w in h.weights])
     if h.rank == 0:
         return h
     lo, hi = h.support()
-    entries = [(j, _annihilator(h.subspace_at(1 - j), h.rank)) for j in range(1 - hi, 2 - lo)]
-    return HodgeData._from_chain(entries, h.rank)
+    chain, dim = [], None
+    for j in range(1 - hi, 2 - lo):
+        level = h.subspace_at(1 - j)
+        if len(level) != dim:
+            dim = len(level)
+            chain.append((j, _annihilator(level, h.rank)))
+    return HodgeData._from_chain(chain, h.rank)
 
 
 def _annihilator(basis, n: int) -> tuple:

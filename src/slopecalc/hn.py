@@ -839,92 +839,68 @@ def vst_from_filtration(filt: HNFiltration) -> VstResult:
 # constructive filtration lowering
 
 
-def _positive_slope_step(m: FilteredPhiModule, seed: int, lattice) -> tuple:
-    """Basis of the filtration step collecting all graded slopes > 0."""
-    steps = hn_filtration(m, seed, lattice).steps
-    positive = list(itertools.takewhile(lambda s: s.slope > 0, steps))
-    return positive[-1].basis if positive else ()
+def _top_hyperplane(fil_top, protect, inter, n) -> tuple:
+    """Canonical basis of a hyperplane H, protect <= H < fil_top, with H + inter = fil_top.
 
-
-def _hyperplane_candidates(fil_top, protect, n):
-    """Codimension-one subspaces of span(fil_top) containing span(protect).
-
-    Deterministic finite family: kernels of small-integer functionals on a
-    complement of the protected part, lexicographic order.
+    `inter` lies in fil_top and meets span(protect) in zero.  With comp =
+    `complement_basis(protect, fil_top, n)` and z the least t such that inter
+    lies in span(protect + comp[:t+1]), H is protect plus the kernel, in comp
+    coordinates, of c = (0, ..., 0, 1, -2, ..., -2) with its 1 at index z:
+    the span of protect, comp[:z] and 2 comp[z] + comp[t] for t > z.  Of the
+    functionals with entries in -2..2 and a positive first nonzero entry, in
+    lexicographic order, c is the first that does not vanish on inter:
+      * every one with more leading zeros vanishes on inter;
+      * c.u = u_z, which is nonzero for some u in inter.
     """
     comp = complement_basis(protect, fil_top, n)
-    k = len(comp)
-    if k == 0:
-        return
-    for coeffs in itertools.product(range(-2, 3), repeat=k):
-        if all(c == 0 for c in coeffs):
-            continue
-        first = next(c for c in coeffs if c != 0)
-        if first < 0:
-            continue  # normalize functionals up to sign
-        ker = RatMatrix([list(coeffs)]).nullspace()  # k-1 rows in comp coordinates
-        rows = list(protect) + [
-            tuple(sum((cvec[i] * comp[i][j] for i in range(k)), Fraction(0)) for j in range(n))
-            for cvec in ker
-        ]
-        yield rref_rows(rows, n)
+    z = next((t for t in range(len(comp)) if span_leq(inter, protect + comp[: t + 1])), None)
+    if z is None:
+        raise AssertionError("internal: no hyperplane of the top jump misses the positive part")
+    twice = [2 * x for x in comp[z]]
+    rows = protect + comp[:z] + tuple(tuple(a + b for a, b in zip(twice, v)) for v in comp[z + 1 :])
+    hyper = rref_rows(rows, n)
+    if span_sum(hyper, inter, n) != fil_top:
+        raise AssertionError("internal: no hyperplane of the top jump misses the positive part")
+    return hyper
 
 
-def _lower_once(m: FilteredPhiModule, seed: int, lattice) -> FilteredPhiModule:
+def _lower_once(m: FilteredPhiModule, filt: HNFiltration) -> FilteredPhiModule:
     """Remove one dimension from the top jump met by the positive-slope part.
 
-    Every degree-zero quotient of an acyclic module factors through the
-    quotient by the positive-slope step W* (maps from slopes > 0 to slope 0
+    `filt` is the certified HN filtration of the acyclic module m.  Every
+    degree-zero quotient of m factors through the quotient by the step W*
+    collecting the graded slopes > 0 (maps from slopes > 0 to slope 0
     vanish), so removing a direction inside W* leaves all such quotients
     untouched while every other quotient has integer degree >= 1 and can
     afford the drop of one.  Let i0 be the top index where Fil^i0 meets W*.
-    The first candidate hyperplane H, with Fil^(i0+1) <= H < Fil^i0, whose
-    sum with Fil^i0 & W* is Fil^i0 removes such a direction, and one exists:
-    that meet is not inside Fil^(i0+1), so some coordinate functional on the
-    complement misses it.  H is acyclic by the argument above; that is
-    re-checked once, and a failure is an internal fault.
+    The new Fil^i0 is the hyperplane of `_top_hyperplane`, which holds
+    Fil^(i0+1) and misses that meet; one exists, since the meet is not
+    inside Fil^(i0+1).
     """
-    n = m.rank
-    hodge = m.hodge
-    wstar = _positive_slope_step(m, seed, lattice)
+    n, hodge = m.rank, m.hodge
+    wstar = next((s.basis for s in reversed(filt.steps) if s.slope > 0), ())
     lo, hi = hodge.support()
-    i0 = None
-    inter = ()
-    for j in range(hi, lo - 1, -1):
-        inter = span_intersect(hodge.subspace_at(j), wstar, n)
+    for i0 in range(hi, lo - 1, -1):
+        inter = span_intersect(hodge.subspace_at(i0), wstar, n)
         if inter:
-            i0 = j
             break
-    if i0 is None:
+    else:
         raise AssertionError("internal: positive degree but no lowerable jump")
-    fil_top = hodge.subspace_at(i0)
-    protect = hodge.subspace_at(i0 + 1)
-    # the removed direction must come out of the positive part
-    hyper = next(
-        (h for h in _hyperplane_candidates(fil_top, protect, n) if span_sum(h, inter, n) == fil_top),
-        None,
-    )
-    if hyper is None:
-        raise AssertionError("internal: no hyperplane of the top jump misses the positive part")
+    hyper = _top_hyperplane(hodge.subspace_at(i0), hodge.subspace_at(i0 + 1), inter, n)
     chain = [(j, hyper if j == i0 else hodge.subspace_at(j)) for j in range(lo, hi + 1)]
-    cand = FilteredPhiModule(m.module, HodgeData._from_chain(chain, n))
-    if not is_acyclic(cand, seed, lattice).is_true:
-        raise AssertionError(
-            "internal: the lowered module is not certified acyclic; this contradicts "
-            "the degree-lowering invariant"
-        )
-    return cand
+    return FilteredPhiModule(m.module, HodgeData._from_chain(chain, n))
 
 
 def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:
     """Shrink the filtration pointwise until the module is weakly admissible.
 
-    Requires a certified acyclic input.  Iteratively removes one dimension at
-    a time from the top jump of the quotient modulo the maximal slope-zero
-    subobject, checking at each step that acyclicity is preserved; the degree
-    drops by exactly one per step, so the loop ends at degree zero, where
-    acyclic means weakly admissible.  Phi never changes, so every step
-    shares one lattice.
+    Requires a certified acyclic input, whose degree d is then a
+    non-negative integer.  Each of d steps removes one dimension from the top
+    jump met by the positive-slope part of the current module's HN
+    filtration, which drops the degree by exactly one; that one filtration
+    also re-checks that the module it lowers is certified acyclic.  At degree
+    zero acyclic means weakly admissible, which is checked last.  Phi never
+    changes, so every step shares one lattice.
     """
     if m.rank:
         m.hodge.require_flag("is_acyclic")  # before enumerating, as is_acyclic does
@@ -934,13 +910,20 @@ def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:
         raise InputError(f"fn4_reduce needs a certified acyclic module (got {verdict.status})")
     if lattice.strategy == "scalar-chain":
         lattice = None  # adapted to the flag, which each step changes: rebuilt per module
+    deg = degree(m)
+    if deg.denominator != 1 or deg < 0:
+        raise AssertionError(f"internal: a certified acyclic module has degree {rat_str(deg)}")
     cur = m
-    guard = 0
-    while degree(cur) > 0:
-        cur = _lower_once(cur, seed, lattice)
-        guard += 1
-        if guard > 10000:  # pragma: no cover
-            raise AssertionError("internal: lowering loop failed to terminate")
+    for left in range(int(deg) - 1, -1, -1):
+        filt = hn_filtration(cur, seed, lattice)
+        if not filt.certified or filt.steps[-1].slope < 0:
+            raise AssertionError(
+                "internal: the lowered module is not certified acyclic; this contradicts "
+                "the degree-lowering invariant"
+            )
+        cur = _lower_once(cur, filt)
+        if degree(cur) != left:
+            raise AssertionError("internal: a lowering step did not drop the degree by one")
     final = is_weakly_admissible(cur, seed, lattice)
     if final.status != STATUS_TRUE:  # pragma: no cover
         raise AssertionError("internal: lowered module failed the admissibility check")

@@ -1,8 +1,9 @@
 """Test-only references for the integer-row code behind the re-check of
 subobjects, the sampled subobject lattice, the rational-root search, the
-closed-mask listing of part lattices and the scoring of t_H.
+closed-mask listing of part lattices, the scoring of t_H and the hyperplane
+of a lowering step.
 
-These are the straightforward Fraction (or exhaustive) forms of six
+These are the straightforward Fraction (or exhaustive) forms of seven
 library functions:
 
   * `induced_on_subspace`: the subspace row-reduced to its canonical basis,
@@ -23,7 +24,10 @@ library functions:
     coordinates adapted to the flag: lo * dim W plus, for each index
     lo < j < hi, dim(W & Fil^j) from the rank formula
     dim W + dim Fil^j - dim(W + Fil^j), each rank by plain Fraction
-    elimination.
+    elimination;
+  * `hn._top_hyperplane`: the kernels of the small-integer functionals on a
+    complement of the protected part, walked in lexicographic order until one
+    misses the positive part, as the library did before its closed form.
 
 The library versions eliminate on integer rows and must return equal values.
 """
@@ -37,6 +41,7 @@ from slopecalc.filtration import KIND_FLAG, HodgeData
 from slopecalc.rational import (
     InputError,
     RatMatrix,
+    complement_basis,
     rat,
     rref_rows,
     solve_coordinates,
@@ -183,3 +188,35 @@ def t_h_by_ranks(h: HodgeData, basis) -> int:
         level = h.subspace_at(j)
         total += k + len(level) - fraction_rank(list(basis) + list(level))
     return total
+
+
+def hyperplane_candidates(fil_top, protect, n):
+    """Codimension-one subspaces of span(fil_top) holding span(protect).
+
+    Kernels of the functionals with entries in -2..2 and a positive first
+    nonzero entry on `complement_basis(protect, fil_top, n)`, in
+    lexicographic order.  The walk is exhaustive (5^k tuples for a
+    complement of dimension k), so it is practical only for k up to about 6
+    or when an early candidate is the one wanted.
+    """
+    comp = complement_basis(protect, fil_top, n)
+    k = len(comp)
+    for coeffs in itertools.product(range(-2, 3), repeat=k):
+        first = next((c for c in coeffs if c), 0)
+        if first <= 0:
+            continue  # the zero functional, or one normalised up to sign
+        ker = RatMatrix([list(coeffs)]).nullspace()  # k-1 rows in comp coordinates
+        rows = list(protect) + [
+            tuple(sum((cvec[i] * comp[i][j] for i in range(k)), Fraction(0)) for j in range(n))
+            for cvec in ker
+        ]
+        yield rref_rows(rows, n)
+
+
+def top_hyperplane(fil_top, protect, inter, n):
+    """The first candidate whose sum with `inter` is all of span(fil_top)."""
+    return next(
+        (h for h in hyperplane_candidates(fil_top, protect, n)
+         if rref_rows(list(h) + list(inter), n) == fil_top),
+        None,
+    )

@@ -81,3 +81,16 @@ def certified_filtered_instance(rng: random.Random, p: int = 2, max_rank: int = 
     mod = diagonal_instance(rng, p, n, exp_lo, exp_hi)
     hodge = random_flag(rng, n, weight_lo, weight_hi)
     return FilteredPhiModule(mod, hodge)
+
+
+def one_level_family(n: int) -> FilteredPhiModule:
+    """phi = diag(2^(w-i)) for i < n, w = n // 2, N = 0, p = 2, Fil^w = V.
+
+    Certified acyclic of degree n(n-1)/2, with an eigenline lattice; the
+    first lowering step's top jump is all of V.
+    """
+    w = n // 2
+    phi = RatMatrix([[F(2) ** (w - i) if i == j else F(0) for j in range(n)] for i in range(n)])
+    nil = RatMatrix([[F(0)] * n for _ in range(n)])
+    return FilteredPhiModule(PhiModule(2, phi, nil),
+                             HodgeData.from_flag([(w, RatMatrix.identity(n).entries)], rank=n))

@@ -9,6 +9,8 @@ import pytest
 
 from slopecalc import cli, hn
 
+from _generators import one_level_family
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -301,14 +303,24 @@ class TestOracleRescoring:
         )
 
 
-def _python(*args, stdin=b""):
+def _python(*args, stdin=b"", timeout=120):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, *args], input=stdin, capture_output=True, env=env, timeout=120
+        [sys.executable, *args], input=stdin, capture_output=True, env=env, timeout=timeout
     )
+
+
+class TestFn4NoHang:
+    def test_rank_eleven_family_within_thirty_seconds(self):
+        # degree 55 with an 11-dimensional top jump: each step's hyperplane
+        # must come without a walk over the 5^11 small-integer functionals
+        stdin = json.dumps(one_level_family(11).to_obj()).encode()
+        proc = _python("-m", "slopecalc", "fn4-reduce", "--input", "-", stdin=stdin, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["verdict"]["status"] == "certified-true"
 
 
 class TestOracleUnderOptimize:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopecalc import filtration
 from slopecalc.filtration import (
     FLAG_MAX_SPAN,
     HodgeData,
@@ -150,6 +151,21 @@ class TestDual:
         rng = random.Random(seed)
         h = random_flag(rng, rng.randint(1, 3), 0, 3)
         assert t_h(dual_hodge(h)) == -t_h(h)
+
+    def test_one_annihilator_per_distinct_level(self, monkeypatch):
+        # rank 8, proper levels of dimension 6, 3 and 1 at 0, 1 and 900: the
+        # dense window has 903 indices but only five distinct levels, V and 0
+        # included
+        rows = RatMatrix.identity(8).entries
+        h = flag2([(0, rows[:6]), (1, rows[:3]), (900, rows[:1])], rank=8)
+        calls, real = [], filtration._annihilator
+        monkeypatch.setattr(filtration, "_annihilator", lambda b, n: calls.append(b) or real(b, n))
+        dual = dual_hodge(h)
+        assert len(calls) == 5
+        lo, hi = h.support()
+        dense = [(j, real(h.subspace_at(1 - j), 8)) for j in range(1 - hi, 2 - lo)]
+        assert dual == HodgeData.from_flag(dense, rank=8)
+        assert dual.weights == tuple(sorted(-w for w in h.weights))
 
 
 class TestShift:

@@ -37,8 +37,10 @@ from slopecalc.rational import (
     InputError,
     RatMatrix,
     charpoly,
+    complement_basis,
     restriction_matrix,
     rref_rows,
+    span_intersect,
     valuation,
 )
 
@@ -47,9 +49,11 @@ from _fraction_reference import induced_on_subspace as fraction_induced
 from _fraction_reference import rational_roots as fraction_roots
 from _fraction_reference import sample_subobjects as fraction_sample
 from _fraction_reference import t_h_by_ranks
+from _fraction_reference import top_hyperplane as fraction_hyperplane
 from _generators import (
     certified_filtered_instance,
     diagonal_instance,
+    one_level_family,
     random_flag,
     random_unimodular,
 )
@@ -299,6 +303,122 @@ class TestFn4Reduce:
                 from slopecalc.rational import span_contains
 
                 assert span_contains(big, v)
+
+    @staticmethod
+    def scorers(monkeypatch):
+        """A list that grows by one for each `hn.lattice_scorer` built from now on."""
+        built, real = [], hn.lattice_scorer
+
+        def counted(m, *args):
+            built.append(m)
+            return real(m, *args)
+
+        monkeypatch.setattr(hn, "lattice_scorer", counted)
+        return built
+
+    @pytest.mark.parametrize("m", [
+        one_level_family(4),
+        mk([[P, 0], [0, P]], [(1, [[1, 0], [0, 1]]), (2, [[1, 0]])], 2),  # scalar chain
+    ], ids=["eigenlines", "scalar-chain"])
+    def test_one_scorer_per_lowered_module(self, monkeypatch, m):
+        # the input's acyclicity check, one HN filtration per module of
+        # positive degree (its W* and its re-check) and the final check
+        d = int(degree(m))
+        built = self.scorers(monkeypatch)
+        red = fn4_reduce(m)
+        assert degree(red) == 0
+        assert len(built) == d + 2
+
+    def test_each_step_is_rechecked(self, monkeypatch):
+        m = one_level_family(3)
+        real = hn.hn_filtration
+        monkeypatch.setattr(hn, "hn_filtration",
+                            lambda *a: hn.HNFiltration(real(*a).steps, False))
+        with pytest.raises(AssertionError, match="not certified acyclic"):
+            fn4_reduce(m)
+        monkeypatch.setattr(hn, "hn_filtration", real)
+        monkeypatch.setattr(hn, "_lower_once", lambda cur, filt: cur)
+        with pytest.raises(AssertionError, match="did not drop the degree by one"):
+            fn4_reduce(m)
+
+    def test_equals_the_enumerator_driven_loop(self):
+        rng = random.Random(12)
+        cases = [one_level_family(8)] + [certified_filtered_instance(rng) for _ in range(12)]
+        lowered = 0
+        for m in cases:
+            if is_acyclic(m).status != STATUS_TRUE:
+                continue
+            red = fn4_reduce(m)
+            assert red == reference_fn4(m)
+            lowered += degree(m) > 0
+        assert lowered >= 3
+
+
+def reference_fn4(m):
+    """`fn4_reduce` with each hyperplane taken from the reference enumerator.
+
+    One HN filtration per step on a shared lattice, no re-checks; the flag
+    of each lowered module is rebuilt by `HodgeData.from_flag`.  Not for
+    scalar Frobenius, whose lattice depends on the flag.
+    """
+    lattice, n, cur = enumerate_subobjects(m), m.rank, m
+    while degree(cur) > 0:
+        steps = hn_filtration(cur, 0, lattice).steps
+        wstar = [s for s in steps if s.slope > 0][-1].basis
+        h = cur.hodge
+        lo, hi = h.support()
+        i0 = next(j for j in range(hi, lo - 1, -1) if span_intersect(h.subspace_at(j), wstar, n))
+        inter = span_intersect(h.subspace_at(i0), wstar, n)
+        hyper = fraction_hyperplane(h.subspace_at(i0), h.subspace_at(i0 + 1), inter, n)
+        chain = [(j, hyper if j == i0 else h.subspace_at(j)) for j in range(lo, hi + 1)]
+        cur = FilteredPhiModule(cur.module, HodgeData.from_flag(chain, rank=n))
+    return cur
+
+
+class TestTopHyperplane:
+    """`hn._top_hyperplane` is the first candidate of the reference enumerator
+    whose sum with the positive part is the whole top level."""
+
+    @staticmethod
+    def case(rng, n, k_protect):
+        """(fil_top, protect, inter, z) with inter inside protect + comp[:z+1], not + comp[:z]."""
+        while True:
+            rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            fil_top = rref_rows(rows, n)
+            if len(fil_top) > k_protect:
+                break
+        combos = [[rng.randint(-2, 2) for _ in fil_top] for _ in range(k_protect)]
+        protect = rref_rows([[sum(c * row[j] for c, row in zip(cs, fil_top)) for j in range(n)]
+                             for cs in combos], n)
+        comp = complement_basis(protect, fil_top, n)
+        z = rng.randrange(len(comp))
+        inter = []
+        for _ in range(rng.randint(1, z + 1)):
+            coeffs = [rng.randint(-2, 2) for _ in range(z)] + [rng.choice([-1, 1, 2])]
+            v = [sum(c * row[j] for c, row in zip(coeffs, comp)) for j in range(n)]
+            for row in protect:
+                c = rng.randint(-2, 2)
+                v = [a + c * b for a, b in zip(v, row)]
+            inter.append(v)
+        return fil_top, protect, rref_rows(inter, n), z
+
+    def test_seeded_cases_equal_the_enumerator(self):
+        rng = random.Random(1212)
+        seen = {"zero protect": 0, "nonzero protect": 0, "z below the top": 0}
+        for _ in range(120):
+            n = rng.randint(1, 6)
+            fil_top, protect, inter, z = self.case(rng, n, rng.randint(0, n - 1))
+            want = fraction_hyperplane(fil_top, protect, inter, n)
+            assert want is not None
+            assert hn._top_hyperplane(fil_top, protect, inter, n) == want
+            seen["nonzero protect" if protect else "zero protect"] += 1
+            seen["z below the top"] += z < len(fil_top) - len(protect) - 1
+        assert all(v >= 10 for v in seen.values()), seen
+
+    def test_rejects_a_positive_part_inside_the_level_above(self):
+        top = ((F(1), F(0)), (F(0), F(1)))
+        with pytest.raises(AssertionError, match="internal: no hyperplane"):
+            hn._top_hyperplane(top, top[:1], top[:1], 2)
 
 
 class TestVst:
