@@ -26,23 +26,25 @@ that visits only the closed masks.
 
 In the two complete cases and in the scalar chain an element is a bitmask
 of parts (eigenlines, slope blocks or the chain's lines), and the deciders
-work on masks: t_N(W) is the sum of the parts' t_N, and W holds W' exactly
-when its mask holds that of W'.  Each part is checked to be phi-stable once
-per decider call, and by linearity so is every sum of parts.  Other
-elements are scored by their pivots on integer rows, each checked to be
-stable by an integer residue.  t_H is read off one integer echelon per
-element, in coordinates adapted to the flag and ascending by weight, where
-Fil^j is spanned by the coordinates of weight >= j: dim(W & Fil^j) counts
-the leading columns of weight >= j, so t_H(W) is the sum of the weights of
-the leading columns.  Degrees stay ints through the deciders.  A canonical
-basis is row-reduced only for what a call returns or compares: a witness,
-the first in canonical order among the violators of least rank, and an HN
-step, with the elements it ties with in (slope, rank).  Every witness and
-HN step is scored again from the definition by `sub_invariants`, and a
-disagreement raises an internal error: t_N from the determinant of the
-restriction matrix of Frobenius (one elimination on integer rows for all
-the basis images) and t_H from the induced filtration (W row-reduced once,
-then one elimination per distinct level Fil^j), neither through the scorer.
+work on masks: t_N(W) is the sum of the parts' t_N.  Each part is checked
+to be phi-stable once per decider call, and by linearity so is every sum of
+parts.  Other elements are scored by their pivots on integer rows, each
+checked to be stable by an integer residue.  t_H is read off one integer
+echelon per element, in coordinates adapted to the flag and ascending by
+weight, where Fil^j is spanned by the coordinates of weight >= j:
+dim(W & Fil^j) counts the leading columns of weight >= j, so t_H(W) is the
+sum of the weights of the leading columns.  Degrees stay ints through the
+deciders.  The HN polygon is the upper concave hull of the largest degree
+at each rank, so `hn_filtration` is one scoring pass with no containment
+test but between its steps.  A canonical basis is row-reduced only for what
+a call returns or compares: a witness, the first in canonical order among
+the violators of least rank, and the elements of largest degree at the
+ranks of the hull's vertices.  Every witness and HN step is scored again
+from the definition by `sub_invariants`, and a disagreement raises an
+internal error: t_N from the determinant of the restriction matrix of
+Frobenius (one elimination on integer rows for all the basis images) and
+t_H from the induced filtration (W row-reduced once, then one elimination
+per distinct level Fil^j), neither through the scorer.
 """
 
 from __future__ import annotations
@@ -235,7 +237,10 @@ class SubobjectLattice:
     their bitmask and `part_tn[i]` is the t_N of part i; `basis(key)`
     row-reduces an element on first use, and `bases` has a length at once but
     builds every basis when an item is read.  In a sample a key is an index in
-    `bases`, and `masks`, `parts` and `part_tn` are None.
+    `bases`, and `masks`, `parts` and `part_tn` are None.  A lattice that
+    decides is closed under sum and intersection (the scalar chain is a
+    chain): `hn_filtration` relies on that to read the HN steps off the
+    largest degree at each rank, with no containment test on the lattice.
     """
 
     def __init__(self, bases, certified, strategy, masks=None, parts=None, part_tn=None, ncols=0):
@@ -243,7 +248,7 @@ class SubobjectLattice:
         self.masks, self.parts, self.part_tn, self.ncols = masks, parts, part_tn, ncols
         self.keys = range(len(bases)) if masks is None else masks
         self.bases = bases if masks is None else _CanonicalBases(self)
-        self._built, self._echelons, self._order = {}, {}, None
+        self._built, self._order = {}, None
 
     def __getitem__(self, i):
         return (self.bases, self.certified)[i]
@@ -264,15 +269,6 @@ class SubobjectLattice:
             if len(basis) != len(rows):
                 raise AssertionError("internal: the lattice parts are not independent")
         return basis
-
-    def below(self, small, big) -> bool:
-        """The element named `small` is a subspace of the one named `big`."""
-        if self.masks is not None:
-            return small & ~big == 0
-        echelon = self._echelons.get(big)
-        if echelon is None:
-            echelon = self._echelons[big] = _basis_echelon(self.bases[big])
-        return not any(any(int_residue(int_row(v), echelon)) for v in self.bases[small])
 
     def _canonical(self):
         """(bases, keys) in canonical order."""
@@ -412,12 +408,12 @@ def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[SubobjectLattice]:
 
     Every subspace is stable (and N = 0 is forced), so a complete enumeration
     is impossible; the chain adapted to the flag realizes the maximal induced
-    t_H in every dimension, which is all the deciders and the greedy
-    filtration compare against.  The chain is therefore reported as a sample
-    (not `certified`), but verdicts built on it may still certify.  Its parts
-    are the adapted lines, from the top level down, each needing the one
-    before, so its masks are the prefixes 2^k - 1: listed here directly, where
-    `_n_closed_sums` would scan all 2^n masks to find them.
+    t_H in every dimension, which is all the deciders and the HN hull read.
+    The chain is therefore reported as a sample (not `certified`), but
+    verdicts built on it may still certify.  Its parts are the adapted lines,
+    from the top level down, each needing the one before, so its masks are
+    the prefixes 2^k - 1: listed here directly, where `_n_closed_sums` would
+    scan all 2^n masks to find them.
     """
     c = _scalar_constant(m.module.phi)
     if c is None:
@@ -555,12 +551,6 @@ def sub_invariants(m: FilteredPhiModule, basis) -> tuple[int, int, Fraction, Fra
     return k, th, tn, Fraction(th) - tn
 
 
-def _basis_echelon(basis) -> list:
-    """Integer echelon of canonical RREF rows (each is zero at the others' pivots)."""
-    rows = [int_row(b) for b in basis]
-    return [(next(c for c, a in enumerate(row) if a), row) for row in rows]
-
-
 def _flag_coordinates(hodge: HodgeData) -> tuple[list, list]:
     """(C, weights): int coordinates adapted to the flag, ascending by weight.
 
@@ -609,8 +599,8 @@ def lattice_scorer(m: FilteredPhiModule, lattice: Optional[SubobjectLattice] = N
         memo, part_tn = {0: (0, 0, 0, parts)}, lattice.part_tn
 
     def by_pivots(basis):
-        echelon = _basis_echelon(basis)
-        rows = [row for _, row in echelon]
+        rows = [int_row(b) for b in basis]  # canonical RREF: each is zero at the others' pivots
+        echelon = [(next(c for c, a in enumerate(row) if a), row) for row in rows]
         images = [int_apply(phi, r) for r in rows]
         if any(any(int_residue(img, echelon)) for img in images):
             raise InputError("subspace is not Frobenius-stable")
@@ -749,10 +739,19 @@ class HNFiltration:
 
 
 def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltration:
-    """Greedy maximal-destabilizing filtration over the enumerated lattice.
+    """HN filtration read off the upper concave hull P of the points (r, M_r).
 
-    Ties break by maximal slope, then maximal rank, then lexicographically
-    smallest reduced-row-echelon basis; graded slopes strictly decrease.
+    M_r is the largest degree at rank r; one scoring pass keeps it and the
+    elements reaching it, and each vertex of P gives a step.  On a lattice
+    that decides, the family is closed under sum and intersection, where
+    degree is supermodular (t_H is, t_N is modular).  Two maximisers W != F at
+    a vertex r would give deg(W+F) + deg(W&F) >= 2 M_r, against
+    P(r+s) + P(r-s) < 2 P(r) for s = dim(W+F) - r; a vertex element not inside
+    the one at a later vertex fails the same way.  So each vertex has one
+    element and they nest, which is checked (an internal error otherwise).
+    A sample need not be closed: a vertex takes its first maximiser in
+    canonical order and is skipped if that misses the previous step, so the
+    steps still nest with strictly falling slopes.
     `lattice`, when given, is used in place of `enumerate_subobjects(m,
     seed)` and must be that lattice for the same Frobenius module.  It does
     not depend on the flag, except for a "scalar-chain" lattice, which is
@@ -763,36 +762,35 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
     m.hodge.require_flag("hn_filtration")
     if lattice is None:
         lattice = enumerate_subobjects(m, seed)
-    scored = list(_scored(m, lattice))
-    steps = []
-    current = scored[0][0]  # the zero subspace, the only element of rank 0
-    cur_rank = cur_deg = 0
-    while cur_rank < m.rank:
-        best, tied = None, []  # best: (degree, rank) over the current step
-        for key, inv in scored:
-            k, d = inv[0], inv[3]
-            if k <= cur_rank or not lattice.below(current, key):
-                continue
-            dd, dk = d - cur_deg, k - cur_rank
-            # sign of (slope, rank) against the best's, slopes cross-multiplied
-            order = 1 if best is None else dd * best[1] - best[0] * dk or dk - best[1]
-            if order > 0:
-                best, tied = (dd, dk), [(key, inv)]
-            elif order == 0:
-                tied.append((key, inv))
-        if best is None:
-            raise AssertionError("internal: no extension step found")
-        basis, current, inv = min((lattice.basis(key), key, inv) for key, inv in tied)
-        steps.append(HNStep(basis, Fraction(*best), inv[0], best[1], Fraction(best[0])))
+    best = {}  # rank -> [M_r, the (key, invariants) reaching it], by ascending rank
+    for key, inv in _scored(m, lattice):
+        top = best.get(inv[0])
+        if top is None or inv[3] > top[0]:
+            best[inv[0]] = [inv[3], [(key, inv)]]
+        elif inv[3] == top[0]:
+            top[1].append((key, inv))
+    hull = []  # vertices (r, M_r): a point on or under the chord past it is dropped
+    for k, (d, _) in best.items():
+        while len(hull) > 1 and (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0]) <= (
+            d - hull[-2][1]
+        ) * (hull[-1][0] - hull[-2][0]):
+            hull.pop()
+        hull.append((k, d))
+    steps, prev, cur_rank, cur_deg = [], (), 0, 0
+    for k, d in hull[1:]:
+        tied = best[k][1]
+        if lattice.decides and len(tied) != 1:
+            raise AssertionError(f"internal: {len(tied)} elements reach the HN vertex at rank {k}")
+        basis, inv = min((lattice.basis(key), inv) for key, inv in tied)
+        if not span_leq(prev, basis):
+            if lattice.decides:
+                raise AssertionError(f"internal: the HN vertex at rank {k} misses the step before")
+            continue
         _recheck(m, basis, inv)
-        cur_rank, cur_deg = inv[0], inv[3]
-    certified = lattice.decides
-    filt = HNFiltration(tuple(steps), certified)
-    if certified:
-        slopes = [s.slope for s in steps]
-        if any(s2 >= s1 for s1, s2 in zip(slopes, slopes[1:])):
-            raise AssertionError("internal: certified filtration has non-decreasing slopes")
-    return filt
+        dk, dd = k - cur_rank, d - cur_deg
+        steps.append(HNStep(basis, Fraction(dd, dk), k, dk, Fraction(dd)))
+        prev, cur_rank, cur_deg = basis, k, d
+    return HNFiltration(tuple(steps), lattice.decides)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Test-only references for the integer-row code behind the re-check of
 subobjects, the sampled subobject lattice, the rational-root search, the
-closed-mask listing of part lattices, the scoring of t_H and the hyperplane
-of a lowering step.
+closed-mask listing of part lattices, the scoring of t_H, the hyperplane
+of a lowering step and the HN filtration.
 
-These are the straightforward Fraction (or exhaustive) forms of seven
+These are the straightforward Fraction (or exhaustive) forms of eight
 library functions:
 
   * `induced_on_subspace`: the subspace row-reduced to its canonical basis,
@@ -27,7 +27,12 @@ library functions:
     elimination;
   * `hn._top_hyperplane`: the kernels of the small-integer functionals on a
     complement of the protected part, walked in lexicographic order until one
-    misses the positive part, as the library did before its closed form.
+    misses the positive part, as the library did before its closed form;
+  * `hn.hn_filtration`: the greedy walk the library ran before it read the
+    steps off the upper hull of the per-rank maximal degrees.  Each step is
+    the element containing the current one (by `span_leq`) of largest slope
+    over it, then largest rank, then smallest canonical basis, on the
+    degrees of `lattice_scorer`.
 
 The library versions eliminate on integer rows and must return equal values.
 """
@@ -38,6 +43,7 @@ import random
 from fractions import Fraction
 
 from slopecalc.filtration import KIND_FLAG, HodgeData
+from slopecalc.hn import HNFiltration, HNStep, lattice_scorer
 from slopecalc.rational import (
     InputError,
     RatMatrix,
@@ -46,6 +52,7 @@ from slopecalc.rational import (
     rref_rows,
     solve_coordinates,
     span_intersect,
+    span_leq,
 )
 
 
@@ -220,3 +227,26 @@ def top_hyperplane(fil_top, protect, inter, n):
          if rref_rows(list(h) + list(inter), n) == fil_top),
         None,
     )
+
+
+def greedy_filtration(m, lattice) -> HNFiltration:
+    """The greedy maximal-destabilizing walk over every element of `lattice`."""
+    score = lattice_scorer(m, lattice)
+    scored = [(lattice.basis(key), score(lattice.basis(key))) for key in lattice.keys]
+    steps, current, cur_rank, cur_deg = [], (), 0, 0
+    while cur_rank < m.rank:
+        best, tied = None, []  # best: (degree, rank) over the current step
+        for basis, (k, _, _, d) in scored:
+            if k <= cur_rank or not span_leq(current, basis):
+                continue
+            dd, dk = d - cur_deg, k - cur_rank
+            # sign of (slope, rank) against the best's, slopes cross-multiplied
+            order = 1 if best is None else dd * best[1] - best[0] * dk or dk - best[1]
+            if order > 0:
+                best, tied = (dd, dk), [basis]
+            elif order == 0:
+                tied.append(basis)
+        current = min(tied)
+        cur_rank, cur_deg = cur_rank + best[1], cur_deg + best[0]
+        steps.append(HNStep(current, Fraction(*best), cur_rank, best[1], Fraction(best[0])))
+    return HNFiltration(tuple(steps), lattice.decides)

@@ -10,6 +10,7 @@ import pytest
 from slopecalc import cli, hn
 
 from _generators import one_level_family
+from test_hn import _doubled_vertex, _unnested_vertex
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -198,6 +199,21 @@ class TestInternalFaults:
         assert code == 4 and out == ""
         assert json.loads(err)["error"] == "internal: oracle: witness does not violate"
 
+    @pytest.mark.parametrize(
+        "doctor, message",
+        [
+            (lambda: _unnested_vertex(True), "internal: the HN vertex at rank 2 misses"),
+            (_doubled_vertex, "internal: 2 elements reach the HN vertex"),
+        ],
+        ids=["unnested", "doubled"],
+    )
+    def test_doctored_hn_lattice_exits_four(self, capsys, monkeypatch, doctor, message):
+        m, lattice = doctor()
+        monkeypatch.setattr(hn, "enumerate_subobjects", lambda m, seed=0: lattice)
+        code, out, err = run_cli(capsys, "hn", m.to_obj())
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"].startswith(message)
+
 
 MV = json.loads((ROOT / "tests" / "fixtures" / "mvcheck_identical.json").read_text())["input"]
 MV_OBJECTS = MV["row_a"]["objects"]
@@ -344,6 +360,24 @@ class TestOracleUnderOptimize:
         proc = _python("-O", "-c", script)
         assert proc.returncode == 4 and proc.stdout == b""
         assert json.loads(proc.stderr)["error"].startswith("internal: oracle:")
+
+    def test_hn_vertex_check_exits_four_under_O(self):
+        # the check must raise explicitly, not by an assert statement
+        m, _ = _unnested_vertex(True)
+        script = (
+            "import io, json, sys\n"
+            "from slopecalc import cli, hn\n"
+            "from slopecalc.rational import RatMatrix\n"
+            "ident = tuple(tuple(row) for row in RatMatrix.identity(4).entries)\n"
+            "bases = ((), ident[:1], ident[1:3], ident)\n"
+            "hn.enumerate_subobjects = lambda m, seed=0: hn.SubobjectLattice(bases, True, 'sample')\n"
+            f"sys.stdin = io.StringIO(json.dumps({m.to_obj()!r}))\n"
+            "sys.exit(cli.run(['hn']))\n"
+        )
+        proc = _python("-O", "-c", script)
+        assert proc.returncode == 4 and proc.stdout == b""
+        error = json.loads(proc.stderr)["error"]
+        assert error.startswith("internal: the HN vertex at rank 2 misses")
 
 
 def _first_fixture(command):

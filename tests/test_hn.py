@@ -45,6 +45,7 @@ from slopecalc.rational import (
 )
 
 from _fraction_reference import closed_masks as fraction_closed_masks
+from _fraction_reference import greedy_filtration
 from _fraction_reference import induced_on_subspace as fraction_induced
 from _fraction_reference import rational_roots as fraction_roots
 from _fraction_reference import sample_subobjects as fraction_sample
@@ -681,14 +682,14 @@ class TestLatticeScorer:
             sub_invariants(m, ((F(1), F(0)),))
 
 
-def _eigen_module(rng, n, chain):
+def _eigen_module(rng, n, chain, low=0):
     """S diag(lambda) S^-1 with distinct eigenvalue valuations, and its eigenvectors.
 
-    With `chain` the eigenvalues are 1, p, ..., p^(n-1) and N maps each
+    With `chain` the eigenvalues are p^low, ..., p^(low+n-1) and N maps each
     p^(i+1)-line into the p^i-line with a random coefficient in {0, 1, 2}.
     """
     if chain:
-        eig = [F(P) ** i for i in range(n)]
+        eig = [F(P) ** (low + i) for i in range(n)]
     else:
         eig = [F(rng.choice([1, -1, 3])) * F(P) ** e for e in rng.sample(range(-2, 5), n)]
     e = [[F(0)] * n for _ in range(n)]
@@ -714,12 +715,10 @@ def _span_lattice(parts, nil, n):
 
 
 class TestMaskLattice:
-    """Scores, containment and elements of part lattices against spans."""
+    """Scores and elements of part lattices against spans."""
 
     @staticmethod
     def agree(m, parts, strategy):
-        from slopecalc.rational import span_leq
-
         lattice = enumerate_subobjects(m)
         assert lattice.strategy == strategy and lattice.certified and lattice.decides
         assert set(lattice.bases) == _span_lattice(parts, m.module.nilpotent, m.rank)
@@ -730,9 +729,6 @@ class TestMaskLattice:
             fast = score(basis, mask)
             assert fast == sub_invariants(m, basis)
             assert fast[1] == oracle_t_h(m.hodge, basis)
-        for j, small in bases.items():
-            for i, big in bases.items():
-                assert lattice.below(j, i) == span_leq(small, big)
         return lattice
 
     @pytest.mark.parametrize("chain", [False, True])
@@ -932,6 +928,117 @@ class TestReferenceDeciders:
         lattice = hn.SubobjectLattice(((), e2, e1, full), False, "sample")
         first = hn_filtration(m, lattice=lattice).steps[0]
         assert (first.basis, first.slope, first.rank) == (e2, 1, 1)
+
+
+def _assert_chain(m, filt):
+    """Each step contains the one before, ranks rise to the module's, slopes strictly fall."""
+    from slopecalc.rational import span_leq
+
+    prev, rank = (), 0
+    for step in filt.steps:
+        assert span_leq(prev, step.basis) and len(step.basis) == step.rank > rank
+        assert step.graded_rank == step.rank - rank
+        prev, rank = step.basis, step.rank
+    assert rank == m.rank
+    slopes = [s.slope for s in filt.steps]
+    assert all(s1 > s2 for s1, s2 in zip(slopes, slopes[1:]))
+
+
+def _hull_cases():
+    """Eigenline modules of rank 8-10 (with and without an N chain), multiplicity-free
+    slope normal forms of rank 8-11 and scalar chains of rank 3-8, with flags
+    whose weights lie near the slopes; a case is named by its strategy first."""
+    rng = random.Random(1303)
+    cases = []
+
+    def add(strategy, mod, slopes, variants):
+        for i, w in enumerate(_weight_variants(rng, slopes)[:variants]):
+            cases.append((f"{strategy}/{mod.rank}/{len(cases)}-{i}", _flagged(rng, mod, w)))
+
+    for n in (8, 9, 10):
+        mod = diagonal_instance(rng, P, n, -(n // 2), n // 2, allow_n=False)
+        add("eigenlines", mod, [valuation(r, P) for r in _eigenvalues(mod)], 3)
+        mod, _ = _eigen_module(rng, n, True, -(n // 2))  # within the root search's bound
+        add("eigenlines", mod, list(range(-(n // 2), n - n // 2)), 3)
+    for slopes in (
+        [(F(1, 2), 2), (F(0), 1), (F(2), 1), (F(-1), 1), (F(1, 3), 3)],
+        [(F(-1), 1), (F(1, 3), 3), (F(3, 2), 2), (F(2, 5), 5)],
+        [(F(0), 1), (F(1), 1), (F(2), 1), (F(1, 3), 3), (F(-3), 1), (F(5, 2), 2)],
+    ):
+        add("blocks", from_slopes(SlopeMultiset(slopes), P), _snf_weights(slopes), 5)
+    for n, a in ((3, 0), (5, 1), (8, -1)):
+        add("scalar-chain", PhiModule.from_matrices(P, RatMatrix.identity(n).scale(F(P) ** a)),
+            [a] * n, 5)
+    return cases
+
+
+HULL_CASES = _hull_cases()
+
+
+class TestHullAgainstGreedy:
+    """The hull's steps equal the greedy walk's beyond the ranks of `TestReferenceDeciders`."""
+
+    @pytest.mark.parametrize("name, m", HULL_CASES, ids=[c[0] for c in HULL_CASES])
+    def test_agrees(self, name, m):
+        lattice = enumerate_subobjects(m)
+        assert lattice.strategy == name.split("/")[0] and lattice.decides
+        filt = hn_filtration(m, lattice=lattice)
+        assert filt == greedy_filtration(m, lattice)
+        _assert_chain(m, filt)
+
+    def test_cases_have_long_filtrations(self):
+        lengths = {}
+        for name, m in HULL_CASES:
+            kind = name.split("/")[0]
+            lengths[kind] = max(lengths.get(kind, 0), len(hn_filtration(m).steps))
+        assert min(lengths.values()) >= 3, lengths
+
+
+def _unnested_vertex(certified):
+    """phi = 1 on Q^4 with weights (3, 3, 2, 0) on the standard basis, and the family
+    0, e1, span(e2, e3), Q^4 of degrees 0, 3, 5, 8: every point is a vertex of
+    the upper hull (slopes 3, 2, 3/2), and the one at rank 2 misses e1.  The
+    family is not closed under sums, so it is consistent only as a sample."""
+    ident = RatMatrix.identity(4).entries
+    e1, e2, e3, _ = (tuple(row) for row in ident)
+    m = mk(ident, [(1, [e1, e2, e3]), (3, [e1, e2])], 4)
+    lattice = hn.SubobjectLattice(((), (e1,), (e2, e3), tuple(ident)), certified, "sample")
+    return m, lattice
+
+
+def _doubled_vertex():
+    """A certified eigenline lattice listing the mask of an HN step twice."""
+    m = TestLazyLattice.eigen6(0, True)
+    lattice = enumerate_subobjects(m)
+    step = hn_filtration(m, lattice=lattice).steps[0]
+    vertex = next(key for key in lattice.keys if lattice.basis(key) == step.basis)
+    at = lattice.masks.index(vertex)
+    masks = lattice.masks[: at + 1] + lattice.masks[at:]
+    doubled = hn.SubobjectLattice(None, True, "eigenlines", masks, lattice.parts,
+                                  lattice.part_tn, m.rank)
+    return m, doubled
+
+
+class TestHullChecks:
+    """On a lattice that decides, a vertex element must be unique and hold the step before."""
+
+    def test_sample_skips_a_vertex_that_misses_the_step_before(self):
+        m, lattice = _unnested_vertex(False)
+        filt = hn_filtration(m, lattice=lattice)
+        assert [s.rank for s in filt.steps] == [1, 4]  # the rank-2 vertex is skipped
+        assert [s.slope for s in filt.steps] == [3, F(5, 3)]
+        assert not filt.certified
+        _assert_chain(m, filt)
+
+    def test_deciding_lattice_with_unnested_vertex_raises(self):
+        m, lattice = _unnested_vertex(True)
+        with pytest.raises(AssertionError, match="internal: the HN vertex at rank 2 misses"):
+            hn_filtration(m, lattice=lattice)
+
+    def test_vertex_listed_twice_raises(self):
+        m, doubled = _doubled_vertex()
+        with pytest.raises(AssertionError, match="internal: 2 elements reach the HN vertex"):
+            hn_filtration(m, lattice=doubled)
 
 
 class TestLazyLattice:
