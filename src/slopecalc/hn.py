@@ -13,27 +13,28 @@ rational with pairwise distinct valuations (the N-closed sums of eigenlines)
 and for a multiplicity-free slope normal form (the N-closed sums of blocks:
 distinct-slope block polynomials are coprime and each block is irreducible).
 Scalar Frobenius makes every subspace stable (and forces N = 0), so no finite
-list is complete; its flag-adapted chain is reported as a sample, but it
-realizes the extremal degree in every dimension, which is all the deciders
-consume, so verdicts on it still certify.  Everything else falls back to a
-seeded, reproducible sample and "uncertified" verdicts, except that a
-verified violating subobject always certifies a negative answer.
+list is complete; but its flag-adapted chain realizes the extremal degree in
+every dimension, which is all the deciders consume, so it is certified too: a
+lattice is `certified` when verdicts read off it are proofs.  Everything else
+falls back to a seeded, reproducible sample and "uncertified" verdicts,
+except that a verified violating subobject always certifies a negative
+answer.
 
 The front end runs on Python ints: the rational roots of the characteristic
 polynomial by exact integer division, the eigenlines and the sampled
 closures on integer rows, and the N-closed sums of parts listed by a walk
 that visits only the closed masks.
 
-In the two complete cases and in the scalar chain an element is a bitmask
-of parts (eigenlines, slope blocks or the chain's lines), and the deciders
-work on masks: t_N(W) is the sum of the parts' t_N.  Each part is checked
-to be phi-stable once per decider call, and by linearity so is every sum of
-parts.  Other elements are scored by their pivots on integer rows, each
-checked to be stable by an integer residue.  t_H is read off one integer
-echelon per element, in coordinates adapted to the flag and ascending by
-weight, where Fil^j is spanned by the coordinates of weight >= j:
-dim(W & Fil^j) counts the leading columns of weight >= j, so t_H(W) is the
-sum of the weights of the leading columns.  Degrees stay ints through the
+Every element is a bitmask of parts (eigenlines, slope blocks, the chain's
+lines, or in a sample the element itself as one part), and the deciders work
+on masks.  Each part is row-reduced once per decider call on integer rows,
+checked to be phi-stable by an integer residue, and its t_N, the valuation
+of the determinant of phi on it, read off its pivots; by linearity every sum
+of parts is stable, and t_N(W) is the sum of its parts' t_N.  t_H is read
+off one integer echelon per element, in coordinates adapted to the flag and
+ascending by weight, where Fil^j is spanned by the coordinates of weight
+>= j: dim(W & Fil^j) counts the leading columns of weight >= j, so t_H(W) is
+the sum of the weights of the leading columns.  Degrees stay ints through the
 deciders.  The HN polygon is the upper concave hull of the largest degree
 at each rank, so `hn_filtration` is one scoring pass with no containment
 test but between its steps.  A canonical basis is row-reduced only for what
@@ -65,6 +66,7 @@ from .rational import (
     RatMatrix,
     _gauss_jordan,
     _primitive,
+    _vp_int,
     charpoly,
     complement_basis,
     int_apply,
@@ -227,41 +229,43 @@ def _divide_linear(poly: list, a: int, b: int) -> Optional[list]:
 class SubobjectLattice:
     """The stable subspaces a decider ranges over; unpacks as (bases, certified).
 
-    `bases` are canonical reduced-row-echelon row tuples sorted by dimension
-    then lexicographically, always holding the zero subspace first and the
-    full one; `certified` says the list is complete.  `strategy` names how it
-    was built: "eigenlines", "blocks", "scalar-chain" or "sample".  `keys`
-    name the elements by ascending dimension.  In the first three, part
-    lattices, an element is a sum of `parts` (eigenlines, slope blocks or the
-    lines of the flag-adapted chain, as row lists), its key (in `masks`) is
-    their bitmask and `part_tn[i]` is the t_N of part i; `basis(key)`
-    row-reduces an element on first use, and `bases` has a length at once but
-    builds every basis when an item is read.  In a sample a key is an index in
-    `bases`, and `masks`, `parts` and `part_tn` are None.  A lattice that
-    decides is closed under sum and intersection (the scalar chain is a
-    chain): `hn_filtration` relies on that to read the HN steps off the
-    largest degree at each rank, with no containment test on the lattice.
+    Every element is a sum of `parts` (row lists: eigenlines, slope blocks,
+    the lines of the flag-adapted chain, or the closures of a sample), named
+    by the bitmask of its parts; `keys` lists those masks by ascending
+    dimension.  A sample's parts are its nonzero elements in canonical order,
+    so its keys are 0, 1, 2, 4, ...  `certified` says that verdicts read off
+    this family are proofs: the list is complete, or (the scalar chain) it
+    reaches the largest degree at every rank.  `strategy` names how it was
+    built: "eigenlines", "blocks", "scalar-chain" or "sample".  `basis(key)`
+    row-reduces an element on first use (a sample's are given); `bases`, the
+    canonical reduced-row-echelon bases sorted by dimension then
+    lexicographically (the zero subspace first and the full one), has a
+    length at once but builds every basis when an item is read.  A certified lattice is closed
+    under sum and intersection (the scalar chain is a chain): `hn_filtration`
+    relies on that to read the HN steps off the largest degree at each rank,
+    with no containment test on the lattice.
     """
 
-    def __init__(self, bases, certified, strategy, masks=None, parts=None, part_tn=None, ncols=0):
+    def __init__(self, parts, keys, certified, strategy, ncols):
+        self.parts, self.keys, self.ncols = parts, keys, ncols
         self.certified, self.strategy = certified, strategy
-        self.masks, self.parts, self.part_tn, self.ncols = masks, parts, part_tn, ncols
-        self.keys = range(len(bases)) if masks is None else masks
-        self.bases = bases if masks is None else _CanonicalBases(self)
+        self.bases = _CanonicalBases(self)
         self._built, self._order = {}, None
+
+    @classmethod
+    def sample(cls, bases, certified=False):
+        """The lattice of the canonical `bases` (zero and full included), one part each."""
+        parts = [b for b in bases if b]
+        keys = (0,) + tuple(1 << i for i in range(len(parts)))
+        lattice = cls(parts, keys, certified, "sample", len(parts[0][0]) if parts else 0)
+        lattice._built.update(zip(keys, [()] + parts))  # each element's basis is given
+        return lattice
 
     def __getitem__(self, i):
         return (self.bases, self.certified)[i]
 
-    @property
-    def decides(self) -> bool:
-        """Verdicts on it certify: it is complete, or the degree-extremal scalar chain."""
-        return self.certified or self.strategy == "scalar-chain"
-
     def basis(self, key) -> tuple:
         """Canonical basis of the element named `key`."""
-        if self.masks is None:
-            return self.bases[key]
         basis = self._built.get(key)
         if basis is None:
             rows = [row for i, part in enumerate(self.parts) if key >> i & 1 for row in part]
@@ -279,7 +283,7 @@ class SubobjectLattice:
 
 
 class _CanonicalBases(Sequence):
-    """`bases` of a part lattice: its length needs no basis, an item needs them all."""
+    """`bases` of a lattice: its length needs no basis, an item needs them all."""
 
     def __init__(self, lattice):
         self.lattice = lattice
@@ -301,7 +305,7 @@ def _support(vectors, owner) -> int:
     return mask
 
 
-def _n_closed_sums(parts, supports, part_tn, ncols, strategy) -> SubobjectLattice:
+def _n_closed_sums(parts, supports, ncols, strategy) -> SubobjectLattice:
     """Certified lattice of the N-closed sums of `parts`, as masks.
 
     parts[i] is a list of rows and supports[i] the bitmask of the parts that
@@ -327,7 +331,7 @@ def _n_closed_sums(parts, supports, part_tn, ncols, strategy) -> SubobjectLattic
         closed += [e + step for e in closed if need & ~e == 0] if need else [e + step for e in closed]
     low = (1 << k) - 1
     masks = tuple(e & low for e in sorted(closed))
-    return SubobjectLattice(None, True, strategy, masks, parts, part_tn, ncols)
+    return SubobjectLattice(parts, masks, True, strategy, ncols)
 
 
 def _eigenvectors(phi, den: int, r: Fraction) -> list:
@@ -351,11 +355,11 @@ def _eigenline_subobjects(m: PhiModule, roots, leftover: int) -> Optional[Subobj
     """
     n = m.rank
     if n == 0:
-        return SubobjectLattice(None, True, "eigenlines", (0,), [], [])
+        return SubobjectLattice([], (0,), True, "eigenlines", 0)
     if leftover != 0 or any(mult != 1 for _, mult in roots):
         return None
-    vals = [valuation(r, m.p) for r, _ in roots]
-    if len(set(vals)) != len(vals):
+    vals = {valuation(r, m.p) for r, _ in roots}
+    if len(vals) != len(roots):
         return None
     phi, den = int_matrix(m.phi)
     lines = []
@@ -373,7 +377,7 @@ def _eigenline_subobjects(m: PhiModule, roots, leftover: int) -> Optional[Subobj
     if _gauss_jordan(rows, 2 * n) != list(range(n)):
         raise AssertionError("internal: the eigenlines do not span the module")
     supports = [_support([[row[n + j] for row in rows]], range(n)) for j in range(n)]
-    return _n_closed_sums([[v] for v in lines], supports, vals, n, "eigenlines")
+    return _n_closed_sums([[v] for v in lines], supports, n, "eigenlines")
 
 
 def _block_subobjects(m: PhiModule, slopes) -> Optional[SubobjectLattice]:
@@ -389,34 +393,29 @@ def _block_subobjects(m: PhiModule, slopes) -> Optional[SubobjectLattice]:
     owner = [k for k, (_, _, size) in enumerate(blocks) for _ in range(size)]
     parts = [std[off : off + size] for _, off, size in blocks]
     supports = [_support(images[off : off + size], owner) for _, off, size in blocks]
-    part_tn = [int(s * size) for s, _, size in blocks]  # v_p(det) of the block of x^h - p^a
-    return _n_closed_sums(parts, supports, part_tn, m.rank, "blocks")
+    return _n_closed_sums(parts, supports, m.rank, "blocks")
 
 
-def _scalar_constant(phi: RatMatrix) -> Optional[Fraction]:
-    """The constant c when phi = c * identity, else None."""
-    if phi.rows == 0:
-        return Fraction(1)
-    c = phi.entries[0][0]
-    scalar = all(x == c if i == j else not x for i, row in enumerate(phi.entries)
-                 for j, x in enumerate(row))
-    return c if scalar else None
+def _is_scalar(phi: RatMatrix) -> bool:
+    """Whether phi is a constant times the identity."""
+    c = phi.entries[0][0] if phi.rows else 0
+    return all(x == c if i == j else not x for i, row in enumerate(phi.entries)
+               for j, x in enumerate(row))
 
 
 def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[SubobjectLattice]:
     """Flag-adapted chain when Frobenius is scalar, as a lattice of lines.
 
     Every subspace is stable (and N = 0 is forced), so a complete enumeration
-    is impossible; the chain adapted to the flag realizes the maximal induced
-    t_H in every dimension, which is all the deciders and the HN hull read.
-    The chain is therefore reported as a sample (not `certified`), but
-    verdicts built on it may still certify.  Its parts are the adapted lines,
+    is impossible; but t_N depends on the dimension alone, and the chain
+    adapted to the flag realizes the maximal induced t_H in every dimension,
+    which is all the deciders and the HN hull read, so it is `certified`:
+    verdicts read off it are proofs.  Its parts are the adapted lines,
     from the top level down, each needing the one before, so its masks are
     the prefixes 2^k - 1: listed here directly, where `_n_closed_sums` would
     scan all 2^n masks to find them.
     """
-    c = _scalar_constant(m.module.phi)
-    if c is None:
+    if not _is_scalar(m.module.phi):
         return None
     m.hodge.require_flag("subobject enumeration")
     n = m.rank
@@ -428,8 +427,7 @@ def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[SubobjectLattice]:
             lines.extend([v] for v in complement_basis(prev, level, n))
             prev = level
     masks = tuple((1 << k) - 1 for k in range(n + 1))
-    part_tn = [valuation(c, m.module.p)] * n
-    return SubobjectLattice(None, False, "scalar-chain", masks, lines, part_tn, n)
+    return SubobjectLattice(lines, masks, True, "scalar-chain", n)
 
 
 def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
@@ -507,13 +505,15 @@ def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
 def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> SubobjectLattice:
     """All stable subspaces (certified) or a reproducible sample.
 
-    Returns a `SubobjectLattice`, which unpacks as (bases, certified).  Bases
-    are canonical reduced-row-echelon row tuples sorted by dimension then
-    lexicographically, always including the zero and full subspaces.  Scalar
-    Frobenius yields the flag-adapted chain, flagged as a sample since the
-    full subspace lattice is infinite.  The characteristic polynomial is
-    computed once and its rational roots, found on integers by
-    `_rational_roots`, are shared by every strategy.
+    Returns a `SubobjectLattice` of parts named by masks, which unpacks as
+    (bases, certified).  Bases are canonical reduced-row-echelon row tuples
+    sorted by dimension then lexicographically, always including the zero
+    and full subspaces.  Scalar Frobenius yields the flag-adapted chain,
+    certified although the full subspace lattice is infinite, since it
+    reaches the largest degree at every rank.  A sample names each of its
+    elements by one part.  The characteristic polynomial is computed once
+    and its rational roots, found on integers by `_rational_roots`, are
+    shared by every strategy.
     """
     mod = m.module
     coeffs = charpoly(mod.phi)
@@ -526,7 +526,7 @@ def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> SubobjectLattic
     lattice = _scalar_flag_chain(m)
     if lattice is not None:
         return lattice
-    return SubobjectLattice(_sample_subobjects(m, seed, roots), False, "sample")
+    return SubobjectLattice.sample(_sample_subobjects(m, seed, roots))
 
 
 # ---------------------------------------------------------------------------
@@ -572,65 +572,55 @@ def _flag_coordinates(hodge: HodgeData) -> tuple[list, list]:
     return [row[n:] for row in rows], [j for j, _ in reversed(found.values())]
 
 
-def lattice_scorer(m: FilteredPhiModule, lattice: Optional[SubobjectLattice] = None):
-    """`score(basis, mask=None) -> (rank, t_H, t_N, degree)`, all ints.
+def lattice_scorer(m: FilteredPhiModule, lattice: SubobjectLattice):
+    """`score(key) -> (rank, t_H, t_N, degree)` of an element of `lattice`, all ints.
 
-    Equals `sub_invariants` on every canonical (RREF) stable basis; t_H is the
-    weight sum of the leading columns in `_flag_coordinates`.  A part-lattice
-    element named by `mask` (`basis` may be None), with lowest part i, extends
-    the memo entry of the rest, (rank, t_H, t_N, lower): `lower` holds the
-    coordinates of the parts below the rest reduced modulo it, so part i's
-    rows there lead at new columns, and they reduce the parts below i in turn.
-    Each part is checked once to be Frobenius-stable.  Any other basis is
-    scored by its pivots, itself checked stable (InputError if not).  Flag form only.
+    Equals `sub_invariants` on the element's canonical basis.  Each part is
+    row-reduced once on integer rows, checked to be Frobenius-stable, and
+    its t_N read off its pivots: the echelon rows r_i are triangular at
+    their pivots, so det(phi on the part) is the determinant of the images
+    phi(r_i) at the pivots over the product of the pivot entries.  Parts are
+    independent and stable, so t_N of a mask is the sum of its parts'.  t_H
+    is the weight sum of the leading columns of an integer echelon in
+    `_flag_coordinates`: a mask with lowest part i extends the entry of the
+    rest, (rank, t_H, t_N, lower), by part i's coordinates reduced modulo the
+    rest, which `lower` holds for the parts below the rest's lowest part.
+    A key keeps an entry (and builds its `lower` list) only when it is the
+    rest of another key, and so does every rest met on the way: a sample,
+    whose keys are single parts, keeps none but the zero mask's.  Flag form
+    only.
     """
     phi, den = int_matrix(m.module.phi)
     p = m.module.p
     coords, weights = _flag_coordinates(m.hodge)
-    memo = None
-    if lattice is not None and lattice.masks is not None:
-        parts = []
-        for part in lattice.parts:
-            rows = [int_row(v) for v in part]
-            echelon = int_echelon(rows)
-            if any(any(int_residue(int_apply(phi, row), echelon)) for _, row in echelon):
-                raise AssertionError("internal: a lattice part is not Frobenius-stable")
-            parts.append([int_apply(coords, row) for row in rows])
-        memo, part_tn = {0: (0, 0, 0, parts)}, lattice.part_tn
-
-    def by_pivots(basis):
-        rows = [int_row(b) for b in basis]  # canonical RREF: each is zero at the others' pivots
-        echelon = [(next(c for c, a in enumerate(row) if a), row) for row in rows]
-        images = [int_apply(phi, r) for r in rows]
+    residues, tns = [], []
+    for part in lattice.parts:
+        echelon = int_echelon(int_row(v) for v in part)
+        images = [int_apply(phi, row) for _, row in echelon]  # den * phi(r_i)
         if any(any(int_residue(img, echelon)) for img in images):
-            raise InputError("subspace is not Frobenius-stable")
-        # coordinates of phi(b_i) are its entries at the pivots; rows[i] and
-        # images[i] are d_i * b_i and den * d_i * phi(b_i), d_i = rows[i][pivot]
-        k, pivots = len(rows), [c for c, _ in echelon]
-        scale = den**k * math.prod(row[c] for c, row in echelon)
-        tn = valuation(Fraction(int_det([[img[c] for c in pivots] for img in images]), scale), p)
-        return k, sum(weights[c] for c, _ in int_echelon(int_apply(coords, r) for r in rows)), tn
+            raise AssertionError("internal: a lattice part is not Frobenius-stable")
+        det = int_det([[img[c] for c, _ in echelon] for img in images])  # phi invertible: det != 0
+        scale = den ** len(echelon) * math.prod(row[c] for c, row in echelon)
+        tns.append(_vp_int(abs(det), p) - _vp_int(abs(scale), p))
+        residues.append([int_apply(coords, row) for _, row in echelon])
+    extended = {key & (key - 1) for key in lattice.keys}  # the rest of some key
+    memo = {0: (0, 0, 0, residues)}
 
-    def by_parts(mask):
-        entry = memo.get(mask)
-        if entry is None:
+    def entry(mask, keep=True):
+        found = memo.get(mask)
+        if found is None:
             i = (mask & -mask).bit_length() - 1
-            k, th, tn, residues = by_parts(mask & (mask - 1))
-            new = int_echelon(residues[i])
-            lower = [[_primitive(int_residue(row, new)) for row in rows] for rows in residues[:i]]
-            th += sum(weights[c] for c, _ in new)
-            entry = memo[mask] = (k + len(new), th, tn + part_tn[i], lower)
-        return entry
+            k, th, tn, lower = entry(mask & (mask - 1))
+            new = int_echelon(lower[i])
+            k, th, tn = k + len(new), th + sum(weights[c] for c, _ in new), tn + tns[i]
+            if not keep:
+                return k, th, tn, None
+            lower = [[_primitive(int_residue(row, new)) for row in rows] for rows in lower[:i]]
+            found = memo[mask] = (k, th, tn, lower)
+        return found
 
-    def score(basis, mask=None):
-        if mask is None or memo is None:
-            if not basis:
-                return 0, 0, 0, 0
-            k, th, tn = by_pivots(basis)
-        else:
-            k, th, tn, _ = by_parts(mask)
-            if basis is not None and len(basis) != k:
-                raise AssertionError("internal: part mask does not match the basis dimension")
+    def score(key):
+        k, th, tn, _ = entry(key, key in extended)
         return k, th, tn, th - tn
 
     return score
@@ -639,9 +629,7 @@ def lattice_scorer(m: FilteredPhiModule, lattice: Optional[SubobjectLattice] = N
 def _scored(m: FilteredPhiModule, lattice: SubobjectLattice):
     """(key, (rank, t_H, t_N, degree)) of each element, by ascending rank, lazily."""
     score = lattice_scorer(m, lattice)
-    if lattice.masks is None:
-        return ((key, score(lattice.bases[key])) for key in lattice.keys)
-    return ((key, score(None, key)) for key in lattice.keys)
+    return ((key, score(key)) for key in lattice.keys)
 
 
 def _recheck(m: FilteredPhiModule, basis, fast) -> None:
@@ -666,7 +654,7 @@ def _first_violation(m: FilteredPhiModule, seed: int, bound, lattice) -> Verdict
         if inv[3] > bound:
             bad.append((key, inv))
     if not bad:
-        return Verdict(STATUS_TRUE if lattice.decides else STATUS_UNCERTIFIED)
+        return Verdict(STATUS_TRUE if lattice.certified else STATUS_UNCERTIFIED)
     basis, inv = min((lattice.basis(key), inv) for key, inv in bad)
     _recheck(m, basis, inv)
     return Verdict(STATUS_FALSE, basis)
@@ -675,9 +663,9 @@ def _first_violation(m: FilteredPhiModule, seed: int, bound, lattice) -> Verdict
 def is_weakly_admissible(m: FilteredPhiModule, seed: int = 0, lattice=None) -> Verdict:
     """Degree zero and no positive-degree stable subspace.
 
-    Flag-form Hodge data is required.  The verdict certifies true only when
-    the candidate list decides the question (certified enumeration or scalar
-    Frobenius); a verified violating subobject certifies falsity regardless.
+    Flag-form Hodge data is required.  The verdict certifies true only on a
+    `certified` lattice (a complete enumeration or the scalar chain); a
+    verified violating subobject certifies falsity regardless.
     `lattice`, when given, replaces the enumeration; see `hn_filtration`.
     """
     if m.rank == 0:
@@ -742,8 +730,8 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
     """HN filtration read off the upper concave hull P of the points (r, M_r).
 
     M_r is the largest degree at rank r; one scoring pass keeps it and the
-    elements reaching it, and each vertex of P gives a step.  On a lattice
-    that decides, the family is closed under sum and intersection, where
+    elements reaching it, and each vertex of P gives a step.  On a certified
+    lattice the family is closed under sum and intersection, where
     degree is supermodular (t_H is, t_N is modular).  Two maximisers W != F at
     a vertex r would give deg(W+F) + deg(W&F) >= 2 M_r, against
     P(r+s) + P(r-s) < 2 P(r) for s = dim(W+F) - r; a vertex element not inside
@@ -779,18 +767,18 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
     steps, prev, cur_rank, cur_deg = [], (), 0, 0
     for k, d in hull[1:]:
         tied = best[k][1]
-        if lattice.decides and len(tied) != 1:
+        if lattice.certified and len(tied) != 1:
             raise AssertionError(f"internal: {len(tied)} elements reach the HN vertex at rank {k}")
         basis, inv = min((lattice.basis(key), inv) for key, inv in tied)
         if not span_leq(prev, basis):
-            if lattice.decides:
+            if lattice.certified:
                 raise AssertionError(f"internal: the HN vertex at rank {k} misses the step before")
             continue
         _recheck(m, basis, inv)
         dk, dd = k - cur_rank, d - cur_deg
         steps.append(HNStep(basis, Fraction(dd, dk), k, dk, Fraction(dd)))
         prev, cur_rank, cur_deg = basis, k, d
-    return HNFiltration(tuple(steps), lattice.decides)
+    return HNFiltration(tuple(steps), lattice.certified)
 
 
 @dataclass(frozen=True)

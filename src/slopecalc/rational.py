@@ -709,36 +709,27 @@ def rref_rows(rows: Iterable, ncols: int) -> tuple[Row, ...]:
     return tuple(red.entries[i] for i in range(len(piv)))
 
 
-def solve_coordinates(basis: Sequence[Row], targets: Sequence) -> Optional[tuple]:
-    """Coefficients of every target in the basis rows, or None if one is outside their span.
-
-    Row c of the augmented transpose [basis | targets] is the equation of
-    coordinate c, cleared by its own lcm (which keeps its solutions); a pivot
-    in a target column means that target is not in the span.  Unknowns
-    without a pivot (a dependent basis) are zero.
-    """
-    if not basis or not targets:
-        return None if any(rat(x) for t in targets for x in t) else tuple(() for _ in targets)
-    k, n = len(basis), len(basis[0])
-    cols = _rat_rows(list(basis) + list(targets), n)
-    rows = [int_row([col[c] for col in cols]) for c in range(n)]
-    pivots = _gauss_jordan(rows, len(cols))
-    if pivots and pivots[-1] >= k:
-        return None
-    out = []
-    for t in range(k, len(cols)):
-        coeffs = [_ZERO] * k
-        for row, c in zip(rows, pivots):
-            if row[t]:
-                coeffs[c] = Fraction(row[t], row[c])
-        out.append(tuple(coeffs))
-    return tuple(out)
-
-
 def coordinates(basis: Sequence[Row], v: Sequence) -> Optional[tuple]:
-    """Coefficients of v in the given (independent) basis rows, or None."""
-    solved = solve_coordinates(basis, [v])
-    return None if solved is None else solved[0]
+    """Coefficients of v in the basis rows, or None if v is outside their span.
+
+    Row c of the augmented transpose [basis | v] is the equation of
+    coordinate c, cleared by its own lcm (which keeps its solutions); a pivot
+    in the last column means v is not in the span.  Unknowns without a pivot
+    (a dependent basis) are zero.
+    """
+    if not basis:
+        return None if any(rat(x) for x in v) else ()
+    k, n = len(basis), len(basis[0])
+    cols = _rat_rows(list(basis) + [v], n)
+    rows = [int_row([col[c] for col in cols]) for c in range(n)]
+    pivots = _gauss_jordan(rows, k + 1)
+    if pivots and pivots[-1] == k:
+        return None
+    coeffs = [_ZERO] * k
+    for row, c in zip(rows, pivots):
+        if row[k]:
+            coeffs[c] = Fraction(row[k], row[c])
+    return tuple(coeffs)
 
 
 def span_contains(basis: Sequence[Row], v: Sequence) -> bool:

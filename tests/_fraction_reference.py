@@ -9,10 +9,10 @@ library functions:
   * `induced_on_subspace`: the subspace row-reduced to its canonical basis,
     then every index of the filtration's support intersected with it
     (Zassenhaus, `span_intersect`), the intersection rewritten in subspace
-    coordinates by one `solve_coordinates`, and the chain validated by
+    coordinates by `fraction_coordinates`, and the chain validated by
     `HodgeData.from_flag` rather than the library's internal flag builder;
   * `restriction_matrix`: the images m(b_i) computed over Fractions, then
-    all of them solved for at once in the basis;
+    each solved for in the basis by `fraction_coordinates`;
   * `hn._sample_subobjects`: every Krylov closure grown from scratch over
     Fractions and collected in a set of canonical bases, whose iteration
     order picks the ten closures that are paired;
@@ -35,6 +35,8 @@ library functions:
     degrees of `lattice_scorer`.
 
 The library versions eliminate on integer rows and must return equal values.
+`fraction_coordinates` solves for coordinates by plain Fraction elimination,
+so no reference runs the library's integer elimination.
 """
 
 import itertools
@@ -50,7 +52,6 @@ from slopecalc.rational import (
     complement_basis,
     rat,
     rref_rows,
-    solve_coordinates,
     span_intersect,
     span_leq,
 )
@@ -66,8 +67,8 @@ def induced_on_subspace(h: HodgeData, subspace) -> HodgeData:
     chain = []
     for j in range(lo, hi + 1):
         inter = span_intersect(h.subspace_at(j), w_basis, h.rank)
-        coords = solve_coordinates(w_basis, inter)
-        if coords is None:
+        coords = [fraction_coordinates(w_basis, v) for v in inter]
+        if None in coords:
             raise InputError("vector not in subspace")
         chain.append((j, rref_rows(coords, k)))
     return HodgeData.from_flag(chain, rank=k)
@@ -76,8 +77,32 @@ def induced_on_subspace(h: HodgeData, subspace) -> HodgeData:
 def restriction_matrix(m: RatMatrix, basis):
     if not basis:
         return RatMatrix([])
-    rows = solve_coordinates(basis, [m.apply(v) for v in basis])
-    return None if rows is None else RatMatrix([list(r) for r in rows])
+    rows = [fraction_coordinates(basis, m.apply(v)) for v in basis]
+    return None if None in rows else RatMatrix([list(r) for r in rows])
+
+
+def fraction_coordinates(basis, v):
+    """x with sum x_i basis_i = v, free unknowns zero, or None if v is outside the span.
+
+    Gauss-Jordan over Fractions on the augmented transpose [basis^T | v]."""
+    k = len(basis)
+    rows = [[Fraction(b[c]) for b in basis] + [Fraction(v[c])] for c in range(len(v))]
+    x, r = [Fraction(0)] * k, 0
+    for c in range(k + 1):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        if c == k:
+            return None  # a pivot in the target column: v is outside the span
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [a / rows[r][c] for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    for row in rows[:r]:
+        x[next(c for c, a in enumerate(row) if a)] = row[k]
+    return tuple(x)
 
 
 def sample_subobjects(m, seed: int, roots) -> tuple:
@@ -232,7 +257,7 @@ def top_hyperplane(fil_top, protect, inter, n):
 def greedy_filtration(m, lattice) -> HNFiltration:
     """The greedy maximal-destabilizing walk over every element of `lattice`."""
     score = lattice_scorer(m, lattice)
-    scored = [(lattice.basis(key), score(lattice.basis(key))) for key in lattice.keys]
+    scored = [(lattice.basis(key), score(key)) for key in lattice.keys]
     steps, current, cur_rank, cur_deg = [], (), 0, 0
     while cur_rank < m.rank:
         best, tied = None, []  # best: (degree, rank) over the current step
@@ -249,4 +274,4 @@ def greedy_filtration(m, lattice) -> HNFiltration:
         current = min(tied)
         cur_rank, cur_deg = cur_rank + best[1], cur_deg + best[0]
         steps.append(HNStep(current, Fraction(*best), cur_rank, best[1], Fraction(best[0])))
-    return HNFiltration(tuple(steps), lattice.decides)
+    return HNFiltration(tuple(steps), lattice.certified)

@@ -84,12 +84,8 @@ def test_star_import_binds_every_name_in_a_fresh_process():
 def test_bench_tracer_layers_resolve():
     """Every function the bench tracer wraps exists under the name it uses."""
     import importlib
-    import importlib.util
 
-    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for layer, (modname, names) in tracer.LAYERS.items():
+    for layer, (modname, names) in _bench_tracer().LAYERS.items():
         module = importlib.import_module(f"slopecalc.{modname}")
         for name in names:
             owner = module
@@ -97,3 +93,38 @@ def test_bench_tracer_layers_resolve():
                 assert hasattr(owner, attr), f"{layer}: slopecalc.{modname}.{name} is gone"
                 owner = getattr(owner, attr)
             assert callable(owner), f"{layer}: slopecalc.{modname}.{name} is not callable"
+
+
+def _bench_tracer():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_no_dead_module_level_functions():
+    """Every module-level function of `src/slopecalc` is referenced by name
+    elsewhere in `src/` (not only from its own body), exported through
+    `slopecalc._OWNERS`, or wrapped by name by the bench tracer."""
+    import ast
+
+    defined, referenced = {}, set()
+    for path in sorted((ROOT / "src" / "slopecalc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            if own:
+                defined[own] = path.name
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else (
+                    node.attr if isinstance(node, ast.Attribute) else None)
+                if name and name != own:
+                    referenced.add(name)
+    wrapped = {name.split(".")[-1] for _, names in _bench_tracer().LAYERS.values()
+               for name in names}
+    kept = referenced | set(slopecalc._OWNERS) | wrapped
+    dead = sorted(f"{module}: {name}" for name, module in defined.items()
+                  if name not in kept and not name.startswith("__"))
+    assert dead == []

@@ -10,7 +10,7 @@ import pytest
 from slopecalc import cli, hn
 
 from _generators import one_level_family
-from test_hn import _doubled_vertex, _unnested_vertex
+from test_hn import _doubled_vertex, _unnested_vertex, _unstable_sample
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -204,8 +204,9 @@ class TestInternalFaults:
         [
             (lambda: _unnested_vertex(True), "internal: the HN vertex at rank 2 misses"),
             (_doubled_vertex, "internal: 2 elements reach the HN vertex"),
+            (_unstable_sample, "internal: a lattice part is not Frobenius-stable"),
         ],
-        ids=["unnested", "doubled"],
+        ids=["unnested", "doubled", "unstable-sample"],
     )
     def test_doctored_hn_lattice_exits_four(self, capsys, monkeypatch, doctor, message):
         m, lattice = doctor()
@@ -300,11 +301,11 @@ class TestOracleRescoring:
         assert run_cli(capsys, "wa", payload)[0] == 1
         honest = hn.lattice_scorer
 
-        def underreporting(m, lattice=None):
+        def underreporting(m, lattice):
             score = honest(m, lattice)
 
-            def lower(basis, mask=None):
-                k, th, tn, d = score(basis, mask)
+            def lower(key):
+                k, th, tn, d = score(key)
                 return (k, th, tn, d - 1) if 0 < k < m.rank else (k, th, tn, d)
 
             return lower
@@ -370,7 +371,7 @@ class TestOracleUnderOptimize:
             "from slopecalc.rational import RatMatrix\n"
             "ident = tuple(tuple(row) for row in RatMatrix.identity(4).entries)\n"
             "bases = ((), ident[:1], ident[1:3], ident)\n"
-            "hn.enumerate_subobjects = lambda m, seed=0: hn.SubobjectLattice(bases, True, 'sample')\n"
+            "hn.enumerate_subobjects = lambda m, seed=0: hn.SubobjectLattice.sample(bases, True)\n"
             f"sys.stdin = io.StringIO(json.dumps({m.to_obj()!r}))\n"
             "sys.exit(cli.run(['hn']))\n"
         )
@@ -378,6 +379,26 @@ class TestOracleUnderOptimize:
         assert proc.returncode == 4 and proc.stdout == b""
         error = json.loads(proc.stderr)["error"]
         assert error.startswith("internal: the HN vertex at rank 2 misses")
+
+    def test_unstable_sample_part_exits_four_under_O(self):
+        # a sampled element is a lattice part, checked by an explicit raise
+        m, _ = _unstable_sample()
+        script = (
+            "import io, json, sys\n"
+            "from fractions import Fraction\n"
+            "from slopecalc import cli, hn\n"
+            "from slopecalc.rational import RatMatrix\n"
+            "ident = tuple(tuple(row) for row in RatMatrix.identity(3).entries)\n"
+            "line = ((Fraction(1), Fraction(0), Fraction(1)),)\n"
+            "bases = ((), ident[:1], line, ident)\n"
+            "hn.enumerate_subobjects = lambda m, seed=0: hn.SubobjectLattice.sample(bases)\n"
+            f"sys.stdin = io.StringIO(json.dumps({m.to_obj()!r}))\n"
+            "sys.exit(cli.run(['hn']))\n"
+        )
+        proc = _python("-O", "-c", script)
+        assert proc.returncode == 4 and proc.stdout == b""
+        error = json.loads(proc.stderr)["error"]
+        assert error == "internal: a lattice part is not Frobenius-stable"
 
 
 def _first_fixture(command):

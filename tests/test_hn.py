@@ -95,10 +95,13 @@ class TestEnumerate:
         dims = sorted(len(b) for b in subs)
         assert dims == [0, 1, 1, 2]
 
-    def test_scalar_is_uncertified_sample(self):
+    def test_scalar_chain_is_certified(self):
+        # every line is stable, so no finite list is complete; the flag-adapted
+        # chain reaches the largest degree at every rank, so verdicts on it are proofs
         m = mk([[1, 0], [0, 1]], [(1, [[1, 0]])], 2)
-        subs, cert = enumerate_subobjects(m)
-        assert not cert  # every line is stable; no finite complete list exists
+        lattice = enumerate_subobjects(m)
+        subs, cert = lattice
+        assert cert and lattice.strategy == "scalar-chain" and len(subs) == 3
 
     def test_irreducible_block_certified(self):
         m = mk([[0, P], [1, 0]], [(1, [[1, 0]])], 2)
@@ -585,7 +588,7 @@ class TestClosedMasks:
     @staticmethod
     def closed_sums(sizes, supports):
         parts = [[(0,)] * size for size in sizes]
-        return hn._n_closed_sums(parts, supports, [0] * len(sizes), 1, "blocks").masks
+        return hn._n_closed_sums(parts, supports, 1, "blocks").keys
 
     def test_seeded_acyclic_supports(self):
         rng = random.Random(47)
@@ -616,21 +619,23 @@ class TestSampleDeterminism:
         m = mk([[1, 1], [0, 1]], [(0, [[1, 0], [0, 1]])], 2)
         a, ca = enumerate_subobjects(m, seed=5)
         b, cb = enumerate_subobjects(m, seed=5)
-        assert a == b and ca == cb and not ca
+        assert list(a) == list(b) and len(a) > 2 and ca == cb and not ca
 
 
 class TestLatticeScorer:
-    """The pivot-and-rank scorer agrees with the from-definition one."""
+    """The scorer agrees with the from-definition one on every element of
+    every strategy's lattice."""
 
     @staticmethod
     def agree(m):
-        subs, certified = enumerate_subobjects(m)
-        score = lattice_scorer(m)
-        for basis in subs:
-            fast = score(basis)
+        lattice = enumerate_subobjects(m)
+        score = lattice_scorer(m, lattice)
+        for key in lattice.keys:
+            basis = lattice.basis(key)
+            fast = score(key)
             assert fast == sub_invariants(m, basis)
             assert fast[1] == oracle_t_h(m.hodge, basis)
-        return subs, certified
+        return lattice
 
     @pytest.mark.parametrize("allow_n", [False, True])
     def test_eigenline_modules(self, allow_n):
@@ -640,8 +645,8 @@ class TestLatticeScorer:
             n = rng.randint(2, 5)
             mod = diagonal_instance(rng, P, n, -2, 3, allow_n=allow_n)
             m = FilteredPhiModule(mod, random_flag(rng, n, -1, 3))
-            _, certified = self.agree(m)
-            assert certified
+            lattice = self.agree(m)
+            assert lattice.strategy == "eigenlines" and lattice.certified
             with_n += not mod.nilpotent.is_zero()
         assert (with_n > 0) == allow_n
 
@@ -654,16 +659,18 @@ class TestLatticeScorer:
         ):
             mod = from_slopes(SlopeMultiset(slopes), P)
             m = FilteredPhiModule(mod, random_flag(rng, mod.rank, 0, 3))
-            subs, certified = self.agree(m)
-            assert certified and len(subs) == 2 ** len(slopes)
+            lattice = self.agree(m)
+            assert lattice.strategy == "blocks" and lattice.certified
+            assert len(lattice.keys) == 2 ** len(slopes)
 
     def test_scalar_frobenius(self):
         rng = random.Random(4)
         for n in (2, 3, 4):
             mod = PhiModule.from_matrices(P, RatMatrix.identity(n).scale(P))
             m = FilteredPhiModule(mod, random_flag(rng, n, 0, 3))
-            subs, certified = self.agree(m)
-            assert not certified and len(subs) == n + 1
+            lattice = self.agree(m)
+            assert lattice.strategy == "scalar-chain" and lattice.certified
+            assert len(lattice.keys) == n + 1
 
     def test_repeated_eigenvalue_sample(self):
         rng = random.Random(5)
@@ -671,15 +678,17 @@ class TestLatticeScorer:
         diag = RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, P]])
         mod = PhiModule(P, s @ diag @ s.inverse(), RatMatrix.zeros(3, 3))
         m = FilteredPhiModule(mod, random_flag(rng, 3, 0, 2))
-        subs, certified = self.agree(m)
-        assert not certified and len(subs) > 2
+        lattice = self.agree(m)
+        assert lattice.strategy == "sample" and not lattice.certified
+        assert len(lattice.keys) > 2
 
     def test_unstable_basis_raises(self):
         m = mk([[0, P], [1, 0]], [(1, [[1, 0]])], 2)
+        line = ((F(1), F(0)),)
+        with pytest.raises(AssertionError, match="internal: a lattice part is not Frobenius-stable"):
+            lattice_scorer(m, hn.SubobjectLattice.sample([(), line]))
         with pytest.raises(InputError):
-            lattice_scorer(m)(((F(1), F(0)),))
-        with pytest.raises(InputError):
-            sub_invariants(m, ((F(1), F(0)),))
+            sub_invariants(m, line)
 
 
 def _eigen_module(rng, n, chain, low=0):
@@ -720,13 +729,13 @@ class TestMaskLattice:
     @staticmethod
     def agree(m, parts, strategy):
         lattice = enumerate_subobjects(m)
-        assert lattice.strategy == strategy and lattice.certified and lattice.decides
+        assert lattice.strategy == strategy and lattice.certified
         assert set(lattice.bases) == _span_lattice(parts, m.module.nilpotent, m.rank)
         bases = {key: lattice.basis(key) for key in lattice.keys}
         assert list(lattice.bases) == sorted(bases.values(), key=lambda b: (len(b), b))
         score = lattice_scorer(m, lattice)
         for mask, basis in bases.items():
-            fast = score(basis, mask)
+            fast = score(mask)
             assert fast == sub_invariants(m, basis)
             assert fast[1] == oracle_t_h(m.hodge, basis)
         return lattice
@@ -783,7 +792,7 @@ def _reference(m):
 
     lattice = enumerate_subobjects(m)
     scored = [(basis, sub_invariants(m, basis)) for basis in lattice.bases]
-    decided = STATUS_TRUE if lattice.decides else STATUS_UNCERTIFIED
+    decided = STATUS_TRUE if lattice.certified else STATUS_UNCERTIFIED
 
     def verdict(bound):
         witness = next((b for b, inv in scored if inv[3] > bound), None)
@@ -894,7 +903,7 @@ class TestReferenceDeciders:
         full = tuple(RatMatrix.identity(m.rank).entries)
         wa = verdict(0) if degree(m) == 0 else Verdict(STATUS_FALSE, full)
         assert is_weakly_admissible(m) == wa
-        assert hn_filtration(m) == hn.HNFiltration(steps, lattice.decides)
+        assert hn_filtration(m) == hn.HNFiltration(steps, lattice.certified)
 
     def test_cases_cover_both_verdicts(self):
         seen = set()
@@ -913,7 +922,7 @@ class TestReferenceDeciders:
         several = 0
         for _, m in REFERENCE_CASES:
             lattice = enumerate_subobjects(m)
-            if lattice.masks is not None and is_acyclic(m).status == STATUS_FALSE:
+            if lattice.strategy != "sample" and is_acyclic(m).status == STATUS_FALSE:
                 ranked = [sub_invariants(m, b) for b in lattice.bases]
                 rank = min(inv[0] for inv in ranked if inv[3] > degree(m))
                 several += sum(inv[0] == rank and inv[3] > degree(m) for inv in ranked) > 1
@@ -925,7 +934,7 @@ class TestReferenceDeciders:
         m = mk([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [(1, [[1, 0, 0], [0, 1, 0]])], 3)
         e1, e2 = ((F(1), F(0), F(0)),), ((F(0), F(1), F(0)),)
         full = tuple(RatMatrix.identity(3).entries)
-        lattice = hn.SubobjectLattice(((), e2, e1, full), False, "sample")
+        lattice = hn.SubobjectLattice.sample(((), e2, e1, full))
         first = hn_filtration(m, lattice=lattice).steps[0]
         assert (first.basis, first.slope, first.rank) == (e2, 1, 1)
 
@@ -981,7 +990,7 @@ class TestHullAgainstGreedy:
     @pytest.mark.parametrize("name, m", HULL_CASES, ids=[c[0] for c in HULL_CASES])
     def test_agrees(self, name, m):
         lattice = enumerate_subobjects(m)
-        assert lattice.strategy == name.split("/")[0] and lattice.decides
+        assert lattice.strategy == name.split("/")[0] and lattice.certified
         filt = hn_filtration(m, lattice=lattice)
         assert filt == greedy_filtration(m, lattice)
         _assert_chain(m, filt)
@@ -1002,7 +1011,7 @@ def _unnested_vertex(certified):
     ident = RatMatrix.identity(4).entries
     e1, e2, e3, _ = (tuple(row) for row in ident)
     m = mk(ident, [(1, [e1, e2, e3]), (3, [e1, e2])], 4)
-    lattice = hn.SubobjectLattice(((), (e1,), (e2, e3), tuple(ident)), certified, "sample")
+    lattice = hn.SubobjectLattice.sample(((), (e1,), (e2, e3), tuple(ident)), certified)
     return m, lattice
 
 
@@ -1012,11 +1021,19 @@ def _doubled_vertex():
     lattice = enumerate_subobjects(m)
     step = hn_filtration(m, lattice=lattice).steps[0]
     vertex = next(key for key in lattice.keys if lattice.basis(key) == step.basis)
-    at = lattice.masks.index(vertex)
-    masks = lattice.masks[: at + 1] + lattice.masks[at:]
-    doubled = hn.SubobjectLattice(None, True, "eigenlines", masks, lattice.parts,
-                                  lattice.part_tn, m.rank)
+    at = lattice.keys.index(vertex)
+    keys = lattice.keys[: at + 1] + lattice.keys[at:]
+    doubled = hn.SubobjectLattice(lattice.parts, keys, True, "eigenlines", m.rank)
     return m, doubled
+
+
+def _unstable_sample():
+    """phi = diag(1, 1, p), whose lattice is a sample, with a sample lattice
+    listing the line of e1 + e3, which phi moves: phi(e1 + e3) = e1 + p e3."""
+    ident = RatMatrix.identity(3).entries
+    m = mk([[1, 0, 0], [0, 1, 0], [0, 0, P]], [(1, ident[:2]), (2, ident[:1])], 3)
+    line = ((F(1), F(0), F(1)),)
+    return m, hn.SubobjectLattice.sample(((), ident[:1], line, tuple(ident)))
 
 
 class TestHullChecks:
@@ -1070,6 +1087,15 @@ class TestLazyLattice:
         bases, certified = lattice
         assert certified and len(set(bases)) == 64 and len(calls) == 64
 
+    def test_sample_bases_need_no_elimination(self, monkeypatch):
+        # a sample is built from canonical bases, which its parts keep
+        m = TestSampledLattice.conjugated([F(2), F(2), F(2), F(1, 2)])
+        calls = self.counted_rref(monkeypatch)
+        lattice = enumerate_subobjects(m)
+        assert lattice.strategy == "sample" and calls == []
+        assert list(lattice.bases) == [lattice.basis(key) for key in lattice.keys]
+        assert len(lattice.keys) > 8 and calls == []
+
     def test_certified_true_acyclic_builds_no_basis(self, monkeypatch):
         m = next(m for m in (self.eigen6(s, False) for s in range(40))
                  if is_acyclic(m).status == STATUS_TRUE)
@@ -1100,20 +1126,28 @@ class TestLazyLattice:
         rank = len(verdict.witness)
         assert calls and set(calls) == {rank} and len(calls) <= math.comb(6, rank)
 
-    @pytest.mark.parametrize("kind", ["eigenlines", "blocks"])
+    @pytest.mark.parametrize("kind", ["eigenlines", "blocks", "scalar-chain", "sample"])
     def test_doctored_part_raises(self, kind):
-        if kind == "eigenlines":
-            m = self.eigen6(2, True)
+        if kind == "sample":
+            m, doctored = _unstable_sample()
+        elif kind == "scalar-chain":
+            # a scalar phi keeps every subspace, so the chain of one is
+            # passed with a diagonal phi that moves its lines
+            flag = [(1, [[1, 1, 0], [0, 1, 1]]), (2, [[1, 1, 0]])]
+            doctored = enumerate_subobjects(mk([[P, 0, 0], [0, P, 0], [0, 0, P]], flag, 3))
+            m = mk([[1, 0, 0], [0, P, 0], [0, 0, P * P]], flag, 3)
         else:
-            mod = from_slopes(SlopeMultiset([(F(1, 2), 2), (F(0), 1), (F(2), 1)]), P)
-            m = _flagged(random.Random(3), mod, [0, 1, 0, 2])
-        lattice = enumerate_subobjects(m)
-        assert lattice.strategy == kind
-        parts = [list(part) for part in lattice.parts]
-        # the first part plus a row of the second: still independent, not stable
-        parts[0][0] = tuple(a + b for a, b in zip(parts[0][0], parts[1][0]))
-        doctored = hn.SubobjectLattice(None, True, kind, lattice.masks, parts,
-                                       lattice.part_tn, m.rank)
+            if kind == "eigenlines":
+                m = self.eigen6(2, True)
+            else:
+                mod = from_slopes(SlopeMultiset([(F(1, 2), 2), (F(0), 1), (F(2), 1)]), P)
+                m = _flagged(random.Random(3), mod, [0, 1, 0, 2])
+            lattice = enumerate_subobjects(m)
+            parts = [list(part) for part in lattice.parts]
+            # the first part plus a row of the second: still independent, not stable
+            parts[0][0] = tuple(a + b for a, b in zip(parts[0][0], parts[1][0]))
+            doctored = hn.SubobjectLattice(parts, lattice.keys, True, kind, m.rank)
+        assert doctored.strategy == kind
         for decide in (is_acyclic, hn_filtration):
             with pytest.raises(AssertionError, match="not Frobenius-stable"):
                 decide(m, lattice=doctored)
@@ -1150,7 +1184,7 @@ class TestRecheckCost:
         m = TestLazyLattice.eigen6(5, True)
         lattice = enumerate_subobjects(m)
         score = lattice_scorer(m, lattice)
-        want = [score(None, key) for key in lattice.keys]
+        want = [score(key) for key in lattice.keys]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the re-check used the lattice scorer")
@@ -1203,6 +1237,22 @@ class TestScoringCost:
         assert counts[1] == counts[900]
 
 
+    def test_sample_builds_no_lower_lists(self, monkeypatch):
+        # a mask keeps the residues of the parts below it (each made
+        # primitive) only when another key extends it; no sample key does
+        rng = random.Random(9)
+        sample = TestSampledLattice.conjugated([F(2), F(2), F(2), F(1, 2)])
+        eigen = FilteredPhiModule(diagonal_instance(rng, P, 4, -2, 2, allow_n=False),
+                                  random_flag(rng, 4, 0, 3))
+        for m, kind in ((sample, "sample"), (eigen, "eigenlines")):
+            lattice = enumerate_subobjects(m)
+            assert lattice.strategy == kind and len(lattice.keys) > 8
+            reduced = TestRecheckCost.counted(monkeypatch, hn, "_primitive")
+            list(hn._scored(m, lattice))
+            monkeypatch.undo()
+            assert (len(reduced) == 0) == (kind == "sample")
+
+
 class TestPivotWeights:
     """t_H as the weight sum of leading columns in flag-adapted coordinates,
     against the rank formula of `_fraction_reference` and the induced
@@ -1220,19 +1270,19 @@ class TestPivotWeights:
         assert th == t_h_by_ranks(h, basis) == t_h(induced_on_subspace(h, basis))
 
     def test_random_subspaces(self):
-        # scalar Frobenius makes every subspace stable, so every one is scored by pivots
+        # scalar Frobenius makes every subspace stable, so each one is scored
+        # as the one part of a sample lattice
         rng = random.Random(31)
         for _ in range(40):
             n = rng.randint(1, 6)
             h = self.flag(rng, n)
-            score = lattice_scorer(FilteredPhiModule(
-                PhiModule.from_matrices(P, RatMatrix.identity(n).scale(P)), h))
+            m = FilteredPhiModule(PhiModule.from_matrices(P, RatMatrix.identity(n).scale(P)), h)
             for _ in range(4):
                 rows = [[F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)]
                         for _ in range(rng.randint(1, n))]
                 basis = rref_rows(rows, n)
                 if basis:
-                    k, th, tn, d = score(basis)
+                    k, th, tn, d = lattice_scorer(m, hn.SubobjectLattice.sample([(), basis]))(1)
                     self.agree(h, basis, th)
                     assert (k, tn, d) == (len(basis), k, th - k)
 
@@ -1246,12 +1296,11 @@ class TestPivotWeights:
                 mod = PhiModule.from_matrices(P, RatMatrix.identity(n).scale(P))
             m = FilteredPhiModule(mod, self.flag(rng, n))
             lattice = enumerate_subobjects(m)
-            assert lattice.masks is not None
             score = lattice_scorer(m, lattice)
             for key in lattice.keys:
                 basis = lattice.basis(key)
                 if basis:
-                    self.agree(m.hodge, basis, score(None, key)[1])
+                    self.agree(m.hodge, basis, score(key)[1])
 
 
 class TestSampledLattice:
