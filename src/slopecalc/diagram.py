@@ -15,9 +15,10 @@ independent routes and must agree:
           dimension (total height route).
 
 The verdicts stay separate per route, but in `battery` each degree of
-nonzero rank enumerates its subobject lattice once and builds its HN
-filtration once: `is_acyclic` runs on that lattice, and the modification
-and the height count are both read off that filtration.
+nonzero rank enumerates its subobject lattice once, sets up one scorer on it
+and builds its HN filtration once: `is_acyclic` runs on that lattice and
+scorer, and the modification and the height count are both read off that
+filtration.
 
 `dichotomy` classifies a single pair as "surjective" (vanishing H^1) or
 "positive-height-image" with the height deficit; exactly one branch fires.
@@ -227,8 +228,9 @@ def battery(s: SyntheticCohomology, seed: int = 0) -> BatteryReport:
 
     Uncertified sub-results mark the affected verdicts (and the report)
     uncertified rather than guessing; `consistent` compares the certified
-    verdicts only.  Each degree of nonzero rank enumerates its lattice once
-    and builds its HN filtration once; the acyclicity verdict runs on that
+    verdicts only.  Each degree of nonzero rank enumerates its lattice once,
+    scores it with one scorer (the lattice keeps it for the module) and
+    builds its HN filtration once; the acyclicity verdict runs on that
     lattice, the modification and the height count come from that
     filtration.  The windows `build_modification` checks are not checked
     again: `SyntheticCohomology` enforced stricter ones at construction.

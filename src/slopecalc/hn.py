@@ -35,17 +35,22 @@ off one integer echelon per element, in coordinates adapted to the flag and
 ascending by weight, where Fil^j is spanned by the coordinates of weight
 >= j: dim(W & Fil^j) counts the leading columns of weight >= j, so t_H(W) is
 the sum of the weights of the leading columns.  Degrees stay ints through the
-deciders.  The HN polygon is the upper concave hull of the largest degree
-at each rank, so `hn_filtration` is one scoring pass with no containment
-test but between its steps.  A canonical basis is row-reduced only for what
-a call returns or compares: a witness, the first in canonical order among
-the violators of least rank, and the elements of largest degree at the
-ranks of the hull's vertices.  Every witness and HN step is scored again
-from the definition by `sub_invariants`, and a disagreement raises an
-internal error: t_N from the determinant of the restriction matrix of
-Frobenius (one elimination on integer rows for all the basis images) and
-t_H from the induced filtration (W row-reduced once, then one elimination
-per distinct level Fil^j), neither through the scorer.
+deciders.  A lattice keeps the scorer of the module it was last scored for,
+so deciders run in turn on one module and one lattice (`battery`'s
+acyclicity check and HN filtration, `fn4_reduce`'s input check and first
+filtration) set up one scorer between them.  The HN polygon is the upper
+concave hull of the largest degree at each rank, so `hn_filtration` is one
+scoring pass with no containment test but between its steps.  A canonical
+basis is row-reduced only for what a call returns or compares: a witness,
+the first in canonical order among the violators of least rank, and the
+elements of largest degree at the ranks of the hull's vertices below V.
+Every witness and HN step is scored again from the definition by
+`sub_invariants`, and a disagreement raises an internal error: t_N from the
+determinant of the restriction matrix of Frobenius (one elimination on
+integer rows for all the basis images) and t_H from the induced filtration
+(W row-reduced once, then one elimination per distinct level Fil^j),
+neither through the scorer; V itself, the last HN step, against t_H(M)
+and t_N(M).
 """
 
 from __future__ import annotations
@@ -243,14 +248,16 @@ class SubobjectLattice:
     length at once but builds every basis when an item is read.  A certified lattice is closed
     under sum and intersection (the scalar chain is a chain): `hn_filtration`
     relies on that to read the HN steps off the largest degree at each rank,
-    with no containment test on the lattice.
+    with no containment test on the lattice.  `scorer(m)` holds one
+    `lattice_scorer` at a time, for the last module object it was asked for,
+    so deciders run in turn on the same module and lattice share it.
     """
 
     def __init__(self, parts, keys, certified, strategy, ncols):
         self.parts, self.keys, self.ncols = parts, keys, ncols
         self.certified, self.strategy = certified, strategy
         self.bases = _CanonicalBases(self)
-        self._built, self._order = {}, None
+        self._built, self._order, self._scorer = {}, None, None
 
     @classmethod
     def sample(cls, bases, certified=False):
@@ -273,6 +280,12 @@ class SubobjectLattice:
             if len(basis) != len(rows):
                 raise AssertionError("internal: the lattice parts are not independent")
         return basis
+
+    def scorer(self, m):
+        """`lattice_scorer(m, self)`, kept until a call with another module object."""
+        if self._scorer is None or self._scorer[0] is not m:
+            self._scorer = m, lattice_scorer(m, self)
+        return self._scorer[1]
 
     def _canonical(self):
         """(bases, keys) in canonical order."""
@@ -537,12 +550,17 @@ def sub_invariants(m: FilteredPhiModule, basis) -> tuple[int, int, Fraction, Fra
     """(rank, t_H, t_N, degree) of the stable subspace spanned by `basis`.
 
     Scores from the definition: the restriction matrix of Frobenius and the
-    induced filtration.  The deciders score by `lattice_scorer` and re-check
-    what they return with this.
+    induced filtration.  The canonical basis of V, the identity, is M itself:
+    it scores (n, t_H(M), t_N(M)) with no change of basis.  Any other rows,
+    n dependent ones included, take the general route.  The deciders score by
+    `lattice_scorer` and re-check what they return with this.
     """
     k = len(basis)
     if k == 0:
         return 0, 0, Fraction(0), Fraction(0)
+    if k == m.rank and all(list(row) == [i == j for j in range(k)] for i, row in enumerate(basis)):
+        th, tn = t_h(m.hodge), t_n(m.module)
+        return k, th, tn, Fraction(th) - tn
     restr = restriction_matrix(m.module.phi, basis)
     if restr is None:
         raise InputError("subspace is not Frobenius-stable")
@@ -628,7 +646,7 @@ def lattice_scorer(m: FilteredPhiModule, lattice: SubobjectLattice):
 
 def _scored(m: FilteredPhiModule, lattice: SubobjectLattice):
     """(key, (rank, t_H, t_N, degree)) of each element, by ascending rank, lazily."""
-    score = lattice_scorer(m, lattice)
+    score = lattice.scorer(m)
     return ((key, score(key)) for key in lattice.keys)
 
 
@@ -739,7 +757,9 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
     element and they nest, which is checked (an internal error otherwise).
     A sample need not be closed: a vertex takes its first maximiser in
     canonical order and is skipped if that misses the previous step, so the
-    steps still nest with strictly falling slopes.
+    steps still nest with strictly falling slopes.  The last vertex is V,
+    whose basis is the identity and holds every step; `sub_invariants`
+    re-checks it against t_H(M) and t_N(M).
     `lattice`, when given, is used in place of `enumerate_subobjects(m,
     seed)` and must be that lattice for the same Frobenius module.  It does
     not depend on the flag, except for a "scalar-chain" lattice, which is
@@ -769,11 +789,15 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
         tied = best[k][1]
         if lattice.certified and len(tied) != 1:
             raise AssertionError(f"internal: {len(tied)} elements reach the HN vertex at rank {k}")
-        basis, inv = min((lattice.basis(key), inv) for key, inv in tied)
-        if not span_leq(prev, basis):
-            if lattice.certified:
-                raise AssertionError(f"internal: the HN vertex at rank {k} misses the step before")
-            continue
+        if k == m.rank:
+            basis, inv = tuple(RatMatrix.identity(k).entries), tied[0][1]
+        else:
+            basis, inv = min((lattice.basis(key), inv) for key, inv in tied)
+            if not span_leq(prev, basis):
+                if lattice.certified:
+                    msg = f"internal: the HN vertex at rank {k} misses the step before"
+                    raise AssertionError(msg)
+                continue
         _recheck(m, basis, inv)
         dk, dd = k - cur_rank, d - cur_deg
         steps.append(HNStep(basis, Fraction(dd, dk), k, dk, Fraction(dd)))
@@ -886,7 +910,8 @@ def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:
     filtration, which drops the degree by exactly one; that one filtration
     also re-checks that the module it lowers is certified acyclic.  At degree
     zero acyclic means weakly admissible, which is checked last.  Phi never
-    changes, so every step shares one lattice.
+    changes, so every step shares one lattice; the input's check and the
+    first filtration, on the same module, share its scorer too.
     """
     if m.rank:
         m.hodge.require_flag("is_acyclic")  # before enumerating, as is_acyclic does

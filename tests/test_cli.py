@@ -319,6 +319,33 @@ class TestOracleRescoring:
             "internal: oracle: a subobject violates a certified-true verdict"
         )
 
+    def test_misreported_whole_space_exits_four(self, capsys, monkeypatch):
+        # V, the last HN step, is re-checked from t_H(M) and t_N(M) alone; a
+        # scorer that overstates only the full mask must be caught there
+        payload = {
+            "module": WA_TRUE["module"],
+            "hodge": {"flag": [{"index": 1, "basis": [["1", "0"]]}], "rank": 2},
+        }
+        m = hn.FilteredPhiModule.from_obj(payload)
+        honest = hn.lattice_scorer
+
+        def overstating(m, lattice):
+            score = honest(m, lattice)
+
+            def higher(key):
+                k, th, tn, d = score(key)
+                return (k, th + 1, tn, d + 1) if k == m.rank else (k, th, tn, d)
+
+            return higher
+
+        assert run_cli(capsys, "hn", payload)[0] == 0
+        monkeypatch.setattr(hn, "lattice_scorer", overstating)
+        with pytest.raises(AssertionError, match=r"internal: lattice scorer gave \(2, "):
+            hn.hn_filtration(m)
+        code, out, err = run_cli(capsys, "hn", payload)
+        assert code == cli.EXIT_INTERNAL == 4 and out == ""
+        assert json.loads(err)["error"].startswith("internal: lattice scorer gave (2, ")
+
 
 def _python(*args, stdin=b"", timeout=120):
     env = dict(os.environ)

@@ -30,7 +30,12 @@ from slopecalc.isocrystal import PhiModule, SlopeMultiset, from_slopes
 from slopecalc.rational import InputError, RatMatrix
 from slopecalc.sheaf import cohomology_dim
 
-from _generators import certified_filtered_instance, random_flag, random_unimodular
+from _generators import (
+    certified_filtered_instance,
+    diagonal_instance,
+    random_flag,
+    random_unimodular,
+)
 
 P = 2
 
@@ -246,6 +251,42 @@ def battery_cases():
 BATTERY_CASES = battery_cases()
 
 
+def seeded_pair(rng, kind, n, r):
+    """Eigenline ("eigen") or slope normal form ("snf") pair of rank n,
+    slopes and weights in [0, r]; an snf pair of rank 2 or 3 has a block of
+    slope a/2."""
+    if kind == "eigen":
+        mod = diagonal_instance(rng, P, n, 0, r)
+    else:
+        slopes = [(F(rng.randint(0, r)), 1)] if n != 2 else []
+        if n > 1:
+            slopes.append((F(rng.randrange(1, 2 * r, 2), 2), 2))
+        mod = from_slopes(SlopeMultiset(slopes), P)
+    return FilteredPhiModule(mod, random_flag(rng, n, 0, r))
+
+
+def seeded_pairs():
+    """Two-degree data with a top pair of each kind and rank 1-3 at r = 1-3
+    (an eigenline pair of rank n needs r >= n - 1), over a pair of the other
+    kind in degree r - 1 when r > 1."""
+    rng = random.Random(1515)
+    cases = {}
+    for r in (1, 2, 3):
+        for kind, other in (("eigen", "snf"), ("snf", "eigen")):
+            for n in range(1, 4):
+                if kind == "eigen" and n > r + 1:
+                    continue
+                below = None
+                if r > 1:
+                    below = seeded_pair(rng, other, rng.randint(1, 2), r - 1)
+                top = seeded_pair(rng, kind, n, r)
+                cases[f"{kind}{n}-r{r}"] = SyntheticCohomology.build(r, top, below)
+    return cases
+
+
+SEEDED_PAIRS = seeded_pairs()
+
+
 class TestBatteryShared:
     """One lattice and one HN filtration per degree, same report as separate calls."""
 
@@ -288,6 +329,30 @@ class TestBatteryShared:
         degrees = [m for m in (s.below, s.top) if m.rank]
         assert calls["enumerate_subobjects"] == degrees
         assert calls["hn_filtration"] == degrees
+
+    @pytest.mark.parametrize("name", sorted(BATTERY_CASES) + sorted(SEEDED_PAIRS))
+    def test_one_scorer_per_degree(self, name, monkeypatch):
+        # acyclicity and the HN filtration of a degree share its lattice's scorer
+        s = BATTERY_CASES[name] if name in BATTERY_CASES else SEEDED_PAIRS[name]
+        want = battery_by_separate_calls(s)
+        built, real = [], hn.lattice_scorer
+
+        def counted(m, *args):
+            built.append(m)
+            return real(m, *args)
+
+        monkeypatch.setattr(hn, "lattice_scorer", counted)
+        assert battery(s) == want
+        assert built == [m for m in (s.below, s.top) if m.rank]
+
+    def test_seeded_pairs_cover_both_kinds_and_every_rank(self):
+        # a rank-one slope normal form is an eigenline
+        strategies = {(enumerate_subobjects(m).strategy, m.rank)
+                      for s in SEEDED_PAIRS.values() for m in (s.below, s.top) if m.rank}
+        assert strategies == {("eigenlines", 1), ("eigenlines", 2), ("eigenlines", 3),
+                              ("blocks", 2), ("blocks", 3)}
+        statuses = {battery(s).verdict_b_r.status for s in SEEDED_PAIRS.values()}
+        assert statuses == {STATUS_TRUE, STATUS_FALSE}
 
 
 def split_row(parts):

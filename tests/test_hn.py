@@ -320,18 +320,20 @@ class TestFn4Reduce:
         monkeypatch.setattr(hn, "lattice_scorer", counted)
         return built
 
-    @pytest.mark.parametrize("m", [
-        one_level_family(4),
-        mk([[P, 0], [0, P]], [(1, [[1, 0], [0, 1]]), (2, [[1, 0]])], 2),  # scalar chain
+    @pytest.mark.parametrize("m, extra", [
+        # the input's acyclicity check and first HN filtration share one scorer
+        (one_level_family(4), 1),
+        # the scalar chain is rebuilt for the first filtration, so it does not
+        (mk([[P, 0], [0, P]], [(1, [[1, 0], [0, 1]]), (2, [[1, 0]])], 2), 2),
     ], ids=["eigenlines", "scalar-chain"])
-    def test_one_scorer_per_lowered_module(self, monkeypatch, m):
-        # the input's acyclicity check, one HN filtration per module of
-        # positive degree (its W* and its re-check) and the final check
+    def test_one_scorer_per_lowered_module(self, monkeypatch, m, extra):
+        # one HN filtration per module of positive degree (its W* and its
+        # re-check) and the final check, plus the input's acyclicity check
         d = int(degree(m))
         built = self.scorers(monkeypatch)
         red = fn4_reduce(m)
         assert degree(red) == 0
-        assert len(built) == d + 2
+        assert len(built) == d + extra
 
     def test_each_step_is_rechecked(self, monkeypatch):
         m = one_level_family(3)
@@ -1112,7 +1114,8 @@ class TestLazyLattice:
         lattice = enumerate_subobjects(m)
         calls = self.counted_rref(monkeypatch)
         assert hn_filtration(m, lattice=lattice).steps == steps
-        assert len(calls) == len(ties) < len(lattice.keys)
+        # every tie but V, the last step, whose basis is the identity
+        assert len(calls) == len(ties) - 1 < len(lattice.keys)
 
     def test_witness_builds_only_its_rank(self, monkeypatch):
         for seed in range(40):
@@ -1155,7 +1158,8 @@ class TestLazyLattice:
 
 class TestRecheckCost:
     """The definition-based re-check of returned steps and witnesses: one
-    induced filtration per re-check, one elimination per distinct Fil^j."""
+    induced filtration per re-check of a proper subspace, one elimination per
+    distinct Fil^j, and V checked against t_H(M) and t_N(M)."""
 
     @staticmethod
     def counted(monkeypatch, module, name):
@@ -1175,10 +1179,29 @@ class TestRecheckCost:
         rechecks = self.counted(monkeypatch, hn, "sub_invariants")
         induced = self.counted(monkeypatch, hn, "induced_on_subspace")
         steps = hn_filtration(m, lattice=lattice).steps
-        assert len(rechecks) == len(induced) == len(steps)
+        # V, the last step, is re-checked from t_H(M) and t_N(M), not induced
+        assert len(rechecks) == len(induced) + 1 == len(steps)
         assert [basis for _, basis in rechecks] == [step.basis for step in steps]
         witness = is_acyclic(m, lattice=lattice).witness
-        assert len(rechecks) == len(induced) == len(steps) + (witness is not None)
+        assert len(rechecks) == len(induced) + 1 == len(steps) + (witness is not None)
+
+    def test_whole_space_from_the_module_invariants(self, monkeypatch):
+        m = TestLazyLattice.eigen6(2, True)
+        ident = tuple(RatMatrix.identity(m.rank).entries)
+        want = (m.rank, t_h(m.hodge), hn.t_n(m.module), degree(m))
+        restrictions = self.counted(monkeypatch, hn, "restriction_matrix")
+        induced = self.counted(monkeypatch, hn, "induced_on_subspace")
+        assert sub_invariants(m, ident) == want
+        assert restrictions == induced == []
+        # another basis of V is scored from the definition, to the same result
+        assert sub_invariants(m, ident[1::-1] + ident[2:]) == want
+        assert len(restrictions) == len(induced) == 1
+        # n rows that are dependent do not name V
+        try:
+            got = sub_invariants(m, ident[:1] + ident[:1] + ident[2:])
+        except (ArithmeticError, InputError):
+            got = None
+        assert got != want
 
     def test_recheck_is_independent_of_the_scorer(self, monkeypatch):
         m = TestLazyLattice.eigen6(5, True)
