@@ -27,30 +27,27 @@ that visits only the closed masks.
 
 Every element is a bitmask of parts (eigenlines, slope blocks, the chain's
 lines, or in a sample the element itself as one part), and the deciders work
-on masks.  Each part is row-reduced once per decider call on integer rows,
-checked to be phi-stable by an integer residue, and its t_N, the valuation
-of the determinant of phi on it, read off its pivots; by linearity every sum
-of parts is stable, and t_N(W) is the sum of its parts' t_N.  t_H is read
-off one integer echelon per element, in coordinates adapted to the flag and
+on masks.  Each part is row-reduced once per scorer on integer rows, checked
+to be phi-stable by an integer residue, and its t_N, the valuation of the
+determinant of phi on it, read off its pivots; by linearity every sum of
+parts is stable, and t_N(W) is the sum of its parts' t_N.  t_H is read off
+one integer echelon per element, in coordinates adapted to the flag and
 ascending by weight, where Fil^j is spanned by the coordinates of weight
 >= j: dim(W & Fil^j) counts the leading columns of weight >= j, so t_H(W) is
-the sum of the weights of the leading columns.  Degrees stay ints through the
-deciders.  A lattice keeps the scorer of the module it was last scored for,
-so deciders run in turn on one module and one lattice (`battery`'s
-acyclicity check and HN filtration, `fn4_reduce`'s input check and first
-filtration) set up one scorer between them.  The HN polygon is the upper
-concave hull of the largest degree at each rank, so `hn_filtration` is one
-scoring pass with no containment test but between its steps.  A canonical
-basis is row-reduced only for what a call returns or compares: a witness,
-the first in canonical order among the violators of least rank, and the
-elements of largest degree at the ranks of the hull's vertices below V.
-Every witness and HN step is scored again from the definition by
-`sub_invariants`, and a disagreement raises an internal error: t_N from the
-determinant of the restriction matrix of Frobenius (one elimination on
-integer rows for all the basis images) and t_H from the induced filtration
-(W row-reduced once, then one elimination per distinct level Fil^j),
-neither through the scorer; V itself, the last HN step, against t_H(M)
-and t_N(M).
+the sum of their weights.  A decider scores the lattice by one depth-first
+walk over its closed masks, whose stack carries each element's invariants
+and the later parts reduced modulo it, so memory grows with the rank, not
+with the number of elements.  Degrees stay ints.  A lattice keeps the scorer
+of the module it was last scored for, so deciders run in turn on one module
+and lattice (`battery`, `fn4_reduce`) share it.  `hn_filtration` reads the
+HN polygon off the upper concave hull of the largest degree at each rank,
+with no containment test but between its steps.  A canonical basis is
+row-reduced only for what a call returns or compares: a witness, the first
+in canonical order among the violators of least rank, and the elements of
+largest degree at the hull's vertices below V.  Every witness and HN step
+is scored again from the definition by `sub_invariants` (the restriction
+matrix of Frobenius and the induced filtration, not the scorer; V against
+t_H(M) and t_N(M)), and a disagreement raises an internal error.
 """
 
 from __future__ import annotations
@@ -235,36 +232,36 @@ class SubobjectLattice:
     """The stable subspaces a decider ranges over; unpacks as (bases, certified).
 
     Every element is a sum of `parts` (row lists: eigenlines, slope blocks,
-    the lines of the flag-adapted chain, or the closures of a sample), named
-    by the bitmask of its parts; `keys` lists those masks by ascending
-    dimension.  A sample's parts are its nonzero elements in canonical order,
-    so its keys are 0, 1, 2, 4, ...  `certified` says that verdicts read off
-    this family are proofs: the list is complete, or (the scalar chain) it
-    reaches the largest degree at every rank.  `strategy` names how it was
-    built: "eigenlines", "blocks", "scalar-chain" or "sample".  `basis(key)`
-    row-reduces an element on first use (a sample's are given); `bases`, the
-    canonical reduced-row-echelon bases sorted by dimension then
-    lexicographically (the zero subspace first and the full one), has a
-    length at once but builds every basis when an item is read.  A certified lattice is closed
-    under sum and intersection (the scalar chain is a chain): `hn_filtration`
-    relies on that to read the HN steps off the largest degree at each rank,
-    with no containment test on the lattice.  `scorer(m)` holds one
-    `lattice_scorer` at a time, for the last module object it was asked for,
-    so deciders run in turn on the same module and lattice share it.
+    the lines of the flag-adapted chain, or a sample's nonzero elements in
+    canonical order), named by the bitmask of its parts; `keys` lists those
+    masks by ascending dimension.  `order` lists (part, requirement mask),
+    each part after the parts it needs; the elements are the masks holding
+    their parts' requirements, and the deciders walk them from there
+    (`lattice_scorer`).  A sample's parts never sum (`order` None), so its
+    keys are 0, 1, 2, 4, ...  `certified`: verdicts read off the family are
+    proofs, as it is complete or (the scalar chain) reaches the largest
+    degree at every rank; it is then closed under sum and intersection,
+    which `hn_filtration` relies on.  `strategy`: "eigenlines", "blocks",
+    "scalar-chain" or "sample".  `basis(key)` row-reduces an element on first
+    use (a sample's are given); `bases`, the canonical reduced-row-echelon
+    bases sorted by dimension then lexicographically, has a length at once
+    but builds every basis when an item is read.  `scorer(m)` keeps the
+    `lattice_scorer` of the last module object it was asked for, so deciders
+    run in turn share it.
     """
 
-    def __init__(self, parts, keys, certified, strategy, ncols):
-        self.parts, self.keys, self.ncols = parts, keys, ncols
+    def __init__(self, parts, keys, certified, strategy, ncols, order):
+        self.parts, self.keys, self.ncols, self.order = parts, keys, ncols, order
         self.certified, self.strategy = certified, strategy
         self.bases = _CanonicalBases(self)
-        self._built, self._order, self._scorer = {}, None, None
+        self._built, self._sorted, self._scorer = {}, None, None
 
     @classmethod
     def sample(cls, bases, certified=False):
         """The lattice of the canonical `bases` (zero and full included), one part each."""
         parts = [b for b in bases if b]
         keys = (0,) + tuple(1 << i for i in range(len(parts)))
-        lattice = cls(parts, keys, certified, "sample", len(parts[0][0]) if parts else 0)
+        lattice = cls(parts, keys, certified, "sample", len(parts[0][0]) if parts else 0, None)
         lattice._built.update(zip(keys, [()] + parts))  # each element's basis is given
         return lattice
 
@@ -289,10 +286,10 @@ class SubobjectLattice:
 
     def _canonical(self):
         """(bases, keys) in canonical order."""
-        if self._order is None:
+        if self._sorted is None:
             named = sorted((len(b), b, key) for key in self.keys for b in [self.basis(key)])
-            self._order = tuple(b for _, b, _ in named), tuple(key for _, _, key in named)
-        return self._order
+            self._sorted = tuple(b for _, b, _ in named), tuple(key for _, _, key in named)
+        return self._sorted
 
 
 class _CanonicalBases(Sequence):
@@ -328,7 +325,8 @@ def _n_closed_sums(parts, supports, ncols, strategy) -> SubobjectLattice:
     order where every part follows the parts it needs, each closed union is
     a closed union of earlier parts plus one part whose support it holds.
     So the walk below lists only the closed masks, sorted by (dimension,
-    mask).  The parts are independent, so distinct masks give distinct spans.
+    mask), and the lattice records that order with each part's support.
+    The parts are independent, so distinct masks give distinct spans.
     """
     k = len(parts)
     order, placed = [], 0
@@ -344,7 +342,8 @@ def _n_closed_sums(parts, supports, ncols, strategy) -> SubobjectLattice:
         closed += [e + step for e in closed if need & ~e == 0] if need else [e + step for e in closed]
     low = (1 << k) - 1
     masks = tuple(e & low for e in sorted(closed))
-    return SubobjectLattice(parts, masks, True, strategy, ncols)
+    order = tuple((i, supports[i]) for i in order)  # each part with its requirement mask
+    return SubobjectLattice(parts, masks, True, strategy, ncols, order)
 
 
 def _eigenvectors(phi, den: int, r: Fraction) -> list:
@@ -368,7 +367,7 @@ def _eigenline_subobjects(m: PhiModule, roots, leftover: int) -> Optional[Subobj
     """
     n = m.rank
     if n == 0:
-        return SubobjectLattice([], (0,), True, "eigenlines", 0)
+        return SubobjectLattice([], (0,), True, "eigenlines", 0, ())
     if leftover != 0 or any(mult != 1 for _, mult in roots):
         return None
     vals = {valuation(r, m.p) for r, _ in roots}
@@ -424,9 +423,8 @@ def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[SubobjectLattice]:
     adapted to the flag realizes the maximal induced t_H in every dimension,
     which is all the deciders and the HN hull read, so it is `certified`:
     verdicts read off it are proofs.  Its parts are the adapted lines,
-    from the top level down, each needing the one before, so its masks are
-    the prefixes 2^k - 1: listed here directly, where `_n_closed_sums` would
-    scan all 2^n masks to find them.
+    from the top level down, and `_n_closed_sums` builds it with line k
+    needing line k - 1, so its masks are the prefixes 2^k - 1.
     """
     if not _is_scalar(m.module.phi):
         return None
@@ -439,8 +437,7 @@ def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[SubobjectLattice]:
         if len(level) != len(prev):
             lines.extend([v] for v in complement_basis(prev, level, n))
             prev = level
-    masks = tuple((1 << k) - 1 for k in range(n + 1))
-    return SubobjectLattice(lines, masks, True, "scalar-chain", n)
+    return _n_closed_sums(lines, [k and 1 << (k - 1) for k in range(n)], n, "scalar-chain")
 
 
 def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
@@ -516,17 +513,12 @@ def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
 
 
 def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> SubobjectLattice:
-    """All stable subspaces (certified) or a reproducible sample.
+    """All stable subspaces (certified) or a reproducible sample, as a `SubobjectLattice`.
 
-    Returns a `SubobjectLattice` of parts named by masks, which unpacks as
-    (bases, certified).  Bases are canonical reduced-row-echelon row tuples
-    sorted by dimension then lexicographically, always including the zero
-    and full subspaces.  Scalar Frobenius yields the flag-adapted chain,
-    certified although the full subspace lattice is infinite, since it
-    reaches the largest degree at every rank.  A sample names each of its
-    elements by one part.  The characteristic polynomial is computed once
-    and its rational roots, found on integers by `_rational_roots`, are
-    shared by every strategy.
+    Its bases always include the zero and full subspaces.  Scalar Frobenius
+    yields the flag-adapted chain (`_scalar_flag_chain`).  The characteristic
+    polynomial is computed once and its rational roots, found on integers by
+    `_rational_roots`, are shared by every strategy.
     """
     mod = m.module
     coeffs = charpoly(mod.phi)
@@ -550,10 +542,11 @@ def sub_invariants(m: FilteredPhiModule, basis) -> tuple[int, int, Fraction, Fra
     """(rank, t_H, t_N, degree) of the stable subspace spanned by `basis`.
 
     Scores from the definition: the restriction matrix of Frobenius and the
-    induced filtration.  The canonical basis of V, the identity, is M itself:
-    it scores (n, t_H(M), t_N(M)) with no change of basis.  Any other rows,
-    n dependent ones included, take the general route.  The deciders score by
-    `lattice_scorer` and re-check what they return with this.
+    induced filtration.  Dependent rows are an input error: phi is invertible
+    and the restriction matrix has a zero column at each free row, so its
+    determinant is zero exactly then.  The canonical basis of V, the
+    identity, is M itself: it scores (n, t_H(M), t_N(M)) with no change of
+    basis.  The deciders score by `lattice_scorer` and re-check with this.
     """
     k = len(basis)
     if k == 0:
@@ -564,7 +557,10 @@ def sub_invariants(m: FilteredPhiModule, basis) -> tuple[int, int, Fraction, Fra
     restr = restriction_matrix(m.module.phi, basis)
     if restr is None:
         raise InputError("subspace is not Frobenius-stable")
-    tn = Fraction(valuation(restr.det(), m.module.p))
+    det = restr.det()
+    if not det:
+        raise InputError("subspace basis rows are linearly dependent")
+    tn = Fraction(valuation(det, m.module.p))
     th = t_h(induced_on_subspace(m.hodge, basis))
     return k, th, tn, Fraction(th) - tn
 
@@ -591,29 +587,30 @@ def _flag_coordinates(hodge: HodgeData) -> tuple[list, list]:
 
 
 def lattice_scorer(m: FilteredPhiModule, lattice: SubobjectLattice):
-    """`score(key) -> (rank, t_H, t_N, degree)` of an element of `lattice`, all ints.
+    """`walk(cap=None)`: each element of `lattice` once, as (key, (rank, t_H, t_N, degree)).
 
-    Equals `sub_invariants` on the element's canonical basis.  Each part is
-    row-reduced once on integer rows, checked to be Frobenius-stable, and
-    its t_N read off its pivots: the echelon rows r_i are triangular at
-    their pivots, so det(phi on the part) is the determinant of the images
-    phi(r_i) at the pivots over the product of the pivot entries.  Parts are
-    independent and stable, so t_N of a mask is the sum of its parts'.  t_H
-    is the weight sum of the leading columns of an integer echelon in
-    `_flag_coordinates`: a mask with lowest part i extends the entry of the
-    rest, (rank, t_H, t_N, lower), by part i's coordinates reduced modulo the
-    rest, which `lower` holds for the parts below the rest's lowest part.
-    A key keeps an entry (and builds its `lower` list) only when it is the
-    rest of another key, and so does every rest met on the way: a sample,
-    whose keys are single parts, keeps none but the zero mask's.  Flag form
-    only.
+    All ints, equal to `sub_invariants` on the element's canonical basis.  Per
+    module, each part is row-reduced once on integer rows, checked
+    Frobenius-stable, written in `_flag_coordinates`, and its t_N read off its
+    pivots: the echelon rows r_i are triangular there, so det(phi on it) is the
+    determinant of the images phi(r_i) at the pivots over the product of the
+    pivot entries.  t_N of a mask is the sum of its parts'.  Depth first, a
+    child adds a later part of `lattice.order` whose requirements the parent
+    holds (a sample's parts are children of the zero mask only), so each
+    closed mask is reached once.  The stack carries the parent's invariants
+    and its later parts reduced modulo it, reduced again modulo a child only
+    if it has children; the added part's echelon gives the new leading
+    columns, whose weights add to t_H.  Children are pushed in ascending
+    order, so the smallest subtree pops first; none of rank above `cap[0]` is
+    pushed, and the caller may lower it as the walk goes.  Flag form only.
     """
     phi, den = int_matrix(m.module.phi)
     p = m.module.p
     coords, weights = _flag_coordinates(m.hodge)
-    residues, tns = [], []
-    for part in lattice.parts:
-        echelon = int_echelon(int_row(v) for v in part)
+    order = lattice.order or tuple((i, 0) for i in range(len(lattice.parts)))
+    residues, tns = [], []  # by position in `order`
+    for i, _ in order:
+        echelon = int_echelon(int_row(v) for v in lattice.parts[i])
         images = [int_apply(phi, row) for _, row in echelon]  # den * phi(r_i)
         if any(any(int_residue(img, echelon)) for img in images):
             raise AssertionError("internal: a lattice part is not Frobenius-stable")
@@ -621,33 +618,35 @@ def lattice_scorer(m: FilteredPhiModule, lattice: SubobjectLattice):
         scale = den ** len(echelon) * math.prod(row[c] for c, row in echelon)
         tns.append(_vp_int(abs(det), p) - _vp_int(abs(scale), p))
         residues.append([int_apply(coords, row) for _, row in echelon])
-    extended = {key & (key - 1) for key in lattice.keys}  # the rest of some key
-    memo = {0: (0, 0, 0, residues)}
+    bits, needs = [1 << i for i, _ in order], [need for _, need in order]
+    sums, count = lattice.order is not None, len(order)  # a sample's parts never sum
 
-    def entry(mask, keep=True):
-        found = memo.get(mask)
-        if found is None:
-            i = (mask & -mask).bit_length() - 1
-            k, th, tn, lower = entry(mask & (mask - 1))
-            new = int_echelon(lower[i])
-            k, th, tn = k + len(new), th + sum(weights[c] for c, _ in new), tn + tns[i]
-            if not keep:
-                return k, th, tn, None
-            lower = [[_primitive(int_residue(row, new)) for row in rows] for rows in lower[:i]]
-            found = memo[mask] = (k, th, tn, lower)
-        return found
+    def walk(cap=None):
+        cap = cap or [m.rank]
+        yield 0, (0, 0, 0, 0)
+        # (parent mask, rank, t_H, t_N, position of later[0], later, position to add)
+        stack = [(0, 0, 0, 0, 0, residues, at) for at in range(count) if not needs[at]]
+        while stack:
+            mask, k, th, tn, base, later, at = stack.pop()
+            new = int_echelon(later[at - base])
+            mask, k, tn = mask | bits[at], k + len(new), tn + tns[at]
+            th += sum(weights[c] for c, _ in new)
+            yield mask, (k, th, tn, th - tn)
+            room = cap[0] - k
+            kids = [t for t in range(at + 1, count)
+                    if not needs[t] & ~mask and len(residues[t]) <= room] if sums else ()
+            if kids:
+                low = kids[0]
+                later = [[_primitive(int_residue(row, new)) for row in rows]
+                         for rows in later[low - base:]]
+                stack += [(mask, k, th, tn, low, later, t) for t in kids]
 
-    def score(key):
-        k, th, tn, _ = entry(key, key in extended)
-        return k, th, tn, th - tn
-
-    return score
+    return walk
 
 
-def _scored(m: FilteredPhiModule, lattice: SubobjectLattice):
-    """(key, (rank, t_H, t_N, degree)) of each element, by ascending rank, lazily."""
-    score = lattice.scorer(m)
-    return ((key, score(key)) for key in lattice.keys)
+def _scored(m: FilteredPhiModule, lattice: SubobjectLattice, cap=None):
+    """(key, (rank, t_H, t_N, degree)) of each element, by one walk of the lattice's scorer."""
+    return lattice.scorer(m)(cap)
 
 
 def _recheck(m: FilteredPhiModule, basis, fast) -> None:
@@ -661,15 +660,17 @@ def _recheck(m: FilteredPhiModule, basis, fast) -> None:
 def _first_violation(m: FilteredPhiModule, seed: int, bound, lattice) -> Verdict:
     """First subobject of degree > bound in canonical order, re-checked, as a verdict.
 
-    The scan stops after the least rank holding a violator, and only the
-    violators of that rank get a basis."""
+    One walk keeps the violators of the least violating rank found so far and
+    pushes no child above it; ranks grow along the walk, so every element up
+    to that rank is reached.  Only its violators get a basis."""
     if lattice is None:
         lattice = enumerate_subobjects(m, seed)
-    bound, bad = math.floor(bound), []  # integer degrees exceed bound iff they exceed its floor
-    for key, inv in _scored(m, lattice):
-        if bad and inv[0] > bad[0][1][0]:
-            break
-        if inv[3] > bound:
+    bound = math.floor(bound)  # integer degrees exceed bound iff they exceed its floor
+    cap, bad = [m.rank], []  # the least violating rank so far, and its violators
+    for key, inv in _scored(m, lattice, cap):
+        if inv[3] > bound and inv[0] <= cap[0]:
+            if inv[0] < cap[0]:
+                cap[0], bad = inv[0], []
             bad.append((key, inv))
     if not bad:
         return Verdict(STATUS_TRUE if lattice.certified else STATUS_UNCERTIFIED)
@@ -747,19 +748,19 @@ class HNFiltration:
 def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltration:
     """HN filtration read off the upper concave hull P of the points (r, M_r).
 
-    M_r is the largest degree at rank r; one scoring pass keeps it and the
-    elements reaching it, and each vertex of P gives a step.  On a certified
-    lattice the family is closed under sum and intersection, where
-    degree is supermodular (t_H is, t_N is modular).  Two maximisers W != F at
-    a vertex r would give deg(W+F) + deg(W&F) >= 2 M_r, against
-    P(r+s) + P(r-s) < 2 P(r) for s = dim(W+F) - r; a vertex element not inside
-    the one at a later vertex fails the same way.  So each vertex has one
-    element and they nest, which is checked (an internal error otherwise).
-    A sample need not be closed: a vertex takes its first maximiser in
-    canonical order and is skipped if that misses the previous step, so the
-    steps still nest with strictly falling slopes.  The last vertex is V,
-    whose basis is the identity and holds every step; `sub_invariants`
-    re-checks it against t_H(M) and t_N(M).
+    M_r is the largest degree at rank r; one walk of the lattice keeps it and
+    the elements reaching it, sorted by rank for the hull, and each vertex of
+    P gives a step.  On a certified lattice the family is closed under sum
+    and intersection, where degree is supermodular (t_H is, t_N is modular).
+    Two maximisers W != F at a vertex r would give deg(W+F) + deg(W&F) >=
+    2 M_r, against P(r+s) + P(r-s) < 2 P(r) for s = dim(W+F) - r; a vertex
+    element not inside the one at a later vertex fails the same way.  So each
+    vertex has one element and they nest, which is checked (an internal
+    error otherwise).  A sample need not be closed: a vertex takes its first
+    maximiser in canonical order and is skipped if that misses the previous
+    step, so the steps still nest with strictly falling slopes.  The last
+    vertex is V, whose basis is the identity and holds every step;
+    `sub_invariants` re-checks it against t_H(M) and t_N(M).
     `lattice`, when given, is used in place of `enumerate_subobjects(m,
     seed)` and must be that lattice for the same Frobenius module.  It does
     not depend on the flag, except for a "scalar-chain" lattice, which is
@@ -770,7 +771,7 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
     m.hodge.require_flag("hn_filtration")
     if lattice is None:
         lattice = enumerate_subobjects(m, seed)
-    best = {}  # rank -> [M_r, the (key, invariants) reaching it], by ascending rank
+    best = {}  # rank -> [M_r, the (key, invariants) reaching it]
     for key, inv in _scored(m, lattice):
         top = best.get(inv[0])
         if top is None or inv[3] > top[0]:
@@ -778,10 +779,9 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
         elif inv[3] == top[0]:
             top[1].append((key, inv))
     hull = []  # vertices (r, M_r): a point on or under the chord past it is dropped
-    for k, (d, _) in best.items():
-        while len(hull) > 1 and (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0]) <= (
-            d - hull[-2][1]
-        ) * (hull[-1][0] - hull[-2][0]):
+    for k, (d, _) in sorted(best.items()):
+        while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
+                                 <= (d - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
             hull.pop()
         hull.append((k, d))
     steps, prev, cur_rank, cur_deg = [], (), 0, 0

@@ -256,8 +256,7 @@ def top_hyperplane(fil_top, protect, inter, n):
 
 def greedy_filtration(m, lattice) -> HNFiltration:
     """The greedy maximal-destabilizing walk over every element of `lattice`."""
-    score = lattice_scorer(m, lattice)
-    scored = [(lattice.basis(key), score(key)) for key in lattice.keys]
+    scored = [(lattice.basis(key), inv) for key, inv in lattice_scorer(m, lattice)()]
     steps, current, cur_rank, cur_deg = [], (), 0, 0
     while cur_rank < m.rank:
         best, tied = None, []  # best: (degree, rank) over the current step

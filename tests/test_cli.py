@@ -302,11 +302,11 @@ class TestOracleRescoring:
         honest = hn.lattice_scorer
 
         def underreporting(m, lattice):
-            score = honest(m, lattice)
+            walk = honest(m, lattice)
 
-            def lower(key):
-                k, th, tn, d = score(key)
-                return (k, th, tn, d - 1) if 0 < k < m.rank else (k, th, tn, d)
+            def lower(cap=None):
+                for key, (k, th, tn, d) in walk(cap):
+                    yield key, ((k, th, tn, d - 1) if 0 < k < m.rank else (k, th, tn, d))
 
             return lower
 
@@ -330,11 +330,11 @@ class TestOracleRescoring:
         honest = hn.lattice_scorer
 
         def overstating(m, lattice):
-            score = honest(m, lattice)
+            walk = honest(m, lattice)
 
-            def higher(key):
-                k, th, tn, d = score(key)
-                return (k, th + 1, tn, d + 1) if k == m.rank else (k, th, tn, d)
+            def higher(cap=None):
+                for key, (k, th, tn, d) in walk(cap):
+                    yield key, ((k, th + 1, tn, d + 1) if k == m.rank else (k, th, tn, d))
 
             return higher
 

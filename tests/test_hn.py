@@ -631,10 +631,10 @@ class TestLatticeScorer:
     @staticmethod
     def agree(m):
         lattice = enumerate_subobjects(m)
-        score = lattice_scorer(m, lattice)
-        for key in lattice.keys:
+        scored = list(lattice_scorer(m, lattice)())
+        assert sorted(key for key, _ in scored) == sorted(lattice.keys)
+        for key, fast in scored:
             basis = lattice.basis(key)
-            fast = score(key)
             assert fast == sub_invariants(m, basis)
             assert fast[1] == oracle_t_h(m.hodge, basis)
         return lattice
@@ -693,6 +693,17 @@ class TestLatticeScorer:
             sub_invariants(m, line)
 
 
+class TestSubInvariants:
+    @pytest.mark.parametrize("rows", [[[1, 0, 0], [1, 0, 0]],
+                                      [[1, 0, 0], [0, 1, 0], [1, 1, 0]]])
+    def test_dependent_rows_are_an_input_error(self, rows):
+        # scalar phi keeps every subspace, so only the dependence is wrong
+        m = FilteredPhiModule(PhiModule.from_matrices(P, RatMatrix.identity(3).scale(P)),
+                              HodgeData.from_flag([(1, [[1, 0, 0]])], rank=3))
+        with pytest.raises(InputError, match="linearly dependent"):
+            sub_invariants(m, rows)
+
+
 def _eigen_module(rng, n, chain, low=0):
     """S diag(lambda) S^-1 with distinct eigenvalue valuations, and its eigenvectors.
 
@@ -735,9 +746,10 @@ class TestMaskLattice:
         assert set(lattice.bases) == _span_lattice(parts, m.module.nilpotent, m.rank)
         bases = {key: lattice.basis(key) for key in lattice.keys}
         assert list(lattice.bases) == sorted(bases.values(), key=lambda b: (len(b), b))
-        score = lattice_scorer(m, lattice)
+        scored = dict(lattice_scorer(m, lattice)())
+        assert scored.keys() == bases.keys()
         for mask, basis in bases.items():
-            fast = score(mask)
+            fast = scored[mask]
             assert fast == sub_invariants(m, basis)
             assert fast[1] == oracle_t_h(m.hodge, basis)
         return lattice
@@ -930,6 +942,32 @@ class TestReferenceDeciders:
                 several += sum(inv[0] == rank and inv[3] > degree(m) for inv in ranked) > 1
         assert several >= 3
 
+    def test_witness_is_a_least_rank_violator_met_last(self):
+        # phi = 1 on Q^3 with weights 1, 0, -1 on e1 + e2, e2, e3: the line of
+        # e1 + e2 and the plane of e1 and e2 both have degree 1.  The walk
+        # meets a sample's parts last first, so the plane, whose basis is the
+        # smaller, before the line, the first violator in canonical order
+        ident = RatMatrix.identity(3).entries
+        m = mk(ident, [(-1, ident), (0, ident[:2]), (1, [[1, 1, 0]])], 3)
+        line = ((F(1), F(1), F(0)),)
+        lattice = hn.SubobjectLattice.sample(((), line, tuple(ident[:2]), tuple(ident)))
+        assert degree(m) == 0 and tuple(ident[:2]) < line
+        assert is_weakly_admissible(m, lattice=lattice) == Verdict(STATUS_FALSE, line)
+
+    def test_witness_skips_a_larger_violator_pushed_earlier(self):
+        # phi = 1 on Q^4 with weights 1, 0, 1, -2 on e1, e2, e3, e4, and the
+        # part lattice of the line of e4, the plane of e1 and e2 and the line
+        # of e1 + e3, pushed in that order under the zero mask: the walk
+        # meets the last line, which violates, and then the plane, which
+        # violates at a larger rank with the smaller basis
+        ident = RatMatrix.identity(4).entries
+        e1, e2, e3, e4 = ident
+        m = mk(ident, [(-2, ident), (-1, [e1, e2, e3]), (1, [e1, e3])], 4)
+        line = ((F(1), F(0), F(1), F(0)),)
+        lattice = hn._n_closed_sums([[e4], [e1, e2], list(line)], [0, 0, 0], 4, "blocks")
+        assert degree(m) == 0 and (e1, e2) < line
+        assert is_weakly_admissible(m, lattice=lattice) == Verdict(STATUS_FALSE, line)
+
     def test_hn_tie_breaks_by_smallest_basis(self):
         # phi = 1 on Q^3, Fil^1 the plane of e1 and e2: both lines in it have
         # slope 1, and a sample lattice without their sum ties them
@@ -1018,14 +1056,14 @@ def _unnested_vertex(certified):
 
 
 def _doubled_vertex():
-    """A certified eigenline lattice listing the mask of an HN step twice."""
+    """A certified lattice listing an HN step of an eigenline module as two parts:
+    the elements of the module's lattice, one part each, with the step's twice."""
     m = TestLazyLattice.eigen6(0, True)
     lattice = enumerate_subobjects(m)
     step = hn_filtration(m, lattice=lattice).steps[0]
-    vertex = next(key for key in lattice.keys if lattice.basis(key) == step.basis)
-    at = lattice.keys.index(vertex)
-    keys = lattice.keys[: at + 1] + lattice.keys[at:]
-    doubled = hn.SubobjectLattice(lattice.parts, keys, True, "eigenlines", m.rank)
+    bases = list(lattice.bases)
+    at = bases.index(step.basis)
+    doubled = hn.SubobjectLattice.sample(bases[: at + 1] + bases[at:], certified=True)
     return m, doubled
 
 
@@ -1149,7 +1187,7 @@ class TestLazyLattice:
             parts = [list(part) for part in lattice.parts]
             # the first part plus a row of the second: still independent, not stable
             parts[0][0] = tuple(a + b for a, b in zip(parts[0][0], parts[1][0]))
-            doctored = hn.SubobjectLattice(parts, lattice.keys, True, kind, m.rank)
+            doctored = hn.SubobjectLattice(parts, lattice.keys, True, kind, m.rank, lattice.order)
         assert doctored.strategy == kind
         for decide in (is_acyclic, hn_filtration):
             with pytest.raises(AssertionError, match="not Frobenius-stable"):
@@ -1206,15 +1244,14 @@ class TestRecheckCost:
     def test_recheck_is_independent_of_the_scorer(self, monkeypatch):
         m = TestLazyLattice.eigen6(5, True)
         lattice = enumerate_subobjects(m)
-        score = lattice_scorer(m, lattice)
-        want = [score(key) for key in lattice.keys]
+        want = dict(lattice_scorer(m, lattice)())
 
         def refuse(*args, **kwargs):
             raise AssertionError("the re-check used the lattice scorer")
 
         monkeypatch.setattr(hn, "lattice_scorer", refuse)
         monkeypatch.setattr(hn, "_flag_coordinates", refuse)
-        assert [sub_invariants(m, lattice.basis(key)) for key in lattice.keys] == want
+        assert {key: sub_invariants(m, lattice.basis(key)) for key in lattice.keys} == want
 
     def test_wide_flag_costs_one_elimination_per_distinct_level(self, monkeypatch):
         # Fil^j is S3 for 0 <= j < 15, S2 up to 29, S1 up to 44 and zero from
@@ -1276,6 +1313,81 @@ class TestScoringCost:
             assert (len(reduced) == 0) == (kind == "sample")
 
 
+class TestWalk:
+    """The scorer's depth-first walk over the closed masks."""
+
+    @staticmethod
+    def kinds():
+        rng = random.Random(12)
+        blocks = from_slopes(SlopeMultiset([(F(1, 2), 2), (F(0), 1), (F(2), 1), (F(-1), 1)]), P)
+        scalar = PhiModule.from_matrices(P, RatMatrix.identity(5).scale(P))
+        return {
+            "eigenlines": FilteredPhiModule(_eigen_module(rng, 6, False)[0],
+                                            random_flag(rng, 6, -1, 3)),
+            "eigenlines/N": FilteredPhiModule(_eigen_module(rng, 6, True)[0],
+                                              random_flag(rng, 6, -1, 3)),
+            "blocks": FilteredPhiModule(blocks, random_flag(rng, 5, 0, 3)),
+            "scalar-chain": FilteredPhiModule(scalar, random_flag(rng, 5, 0, 3)),
+            "sample": TestSampledLattice.conjugated([F(2), F(2), F(2), F(1, 2)]),
+        }
+
+    @pytest.mark.parametrize("kind", ["eigenlines", "eigenlines/N", "blocks", "scalar-chain",
+                                      "sample"])
+    def test_visits_every_key_once(self, kind):
+        m = self.kinds()[kind]
+        lattice = enumerate_subobjects(m)
+        assert lattice.strategy == kind.split("/")[0] and len(lattice.keys) > 4
+        visited = [key for key, _ in lattice_scorer(m, lattice)()]
+        assert len(visited) == len(set(visited)) == len(lattice.keys)
+        assert set(visited) == set(lattice.keys)
+        if kind == "eigenlines/N":
+            assert len(lattice.keys) < 2 ** 6  # the chain closes fewer masks than all
+
+    def test_rank_14_scoring_peaks_under_a_megabyte(self):
+        # the rank-14 eigenline module of ROADMAP: 2^14 elements, scored on a
+        # stack that grows with the rank, not a table that grows with them
+        import tracemalloc
+
+        rng = random.Random(14)
+        mod = diagonal_instance(rng, P, 14, -7, 7, allow_n=False)
+        m = FilteredPhiModule(mod, random_flag(rng, 14, 0, 3))
+        lattice = enumerate_subobjects(m)
+        assert lattice.strategy == "eigenlines" and len(lattice.keys) == 2 ** 14
+        tracemalloc.start()
+        try:
+            filt = hn_filtration(m, lattice=lattice)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert filt.certified and len(filt.steps) > 3
+        assert peak < 2 ** 20
+
+    def test_line_violators_stop_the_walk_early(self, monkeypatch):
+        rng = random.Random(2)
+        m = FilteredPhiModule(diagonal_instance(rng, P, 8, -4, 4, allow_n=False),
+                              random_flag(rng, 8, 0, 3))
+        verdict = is_acyclic(m)
+        assert verdict.status == STATUS_FALSE and len(verdict.witness) == 1
+        scored, real = [], hn.lattice_scorer
+
+        def counted(m, lattice):
+            walk = real(m, lattice)
+
+            def counting(cap=None):
+                for key, inv in walk(cap):
+                    scored.append(key)
+                    yield key, inv
+
+            return counting
+
+        monkeypatch.setattr(hn, "lattice_scorer", counted)
+        lattice = enumerate_subobjects(m)
+        assert is_acyclic(m, lattice=lattice) == verdict
+        # every line is scored, and far from every element
+        assert {key for key in lattice.keys if key & (key - 1) == 0} <= set(scored)
+        assert len(scored) < len(lattice.keys) == 2 ** 8
+
+
 class TestPivotWeights:
     """t_H as the weight sum of leading columns in flag-adapted coordinates,
     against the rank formula of `_fraction_reference` and the induced
@@ -1305,7 +1417,8 @@ class TestPivotWeights:
                         for _ in range(rng.randint(1, n))]
                 basis = rref_rows(rows, n)
                 if basis:
-                    k, th, tn, d = lattice_scorer(m, hn.SubobjectLattice.sample([(), basis]))(1)
+                    walk = lattice_scorer(m, hn.SubobjectLattice.sample([(), basis]))
+                    k, th, tn, d = dict(walk())[1]
                     self.agree(h, basis, th)
                     assert (k, tn, d) == (len(basis), k, th - k)
 
@@ -1319,11 +1432,12 @@ class TestPivotWeights:
                 mod = PhiModule.from_matrices(P, RatMatrix.identity(n).scale(P))
             m = FilteredPhiModule(mod, self.flag(rng, n))
             lattice = enumerate_subobjects(m)
-            score = lattice_scorer(m, lattice)
-            for key in lattice.keys:
+            scored = dict(lattice_scorer(m, lattice)())
+            assert sorted(scored) == sorted(lattice.keys)
+            for key, (_, th, _, _) in scored.items():
                 basis = lattice.basis(key)
                 if basis:
-                    self.agree(m.hodge, basis, score(key)[1])
+                    self.agree(m.hodge, basis, th)
 
 
 class TestSampledLattice:
