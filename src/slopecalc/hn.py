@@ -20,10 +20,12 @@ falls back to a seeded, reproducible sample and "uncertified" verdicts,
 except that a verified violating subobject always certifies a negative
 answer.
 
-The front end runs on Python ints: the rational roots of the characteristic
-polynomial by exact integer division, the eigenlines and the sampled
-closures on integer rows, and the N-closed sums of parts listed by a walk
-that visits only the closed masks.
+The front end runs on Python ints: one `Spectrum` per call validates N and
+reads the characteristic polynomial of phi once (its rational roots, its
+Newton slopes on first use, and t_N(M), the valuation of its constant
+coefficient, which the lattice carries to the deciders); the eigenlines and
+the sampled closures are grown on integer rows, and the N-closed sums of
+parts are listed by a walk that visits only the closed masks.
 
 Every element is a bitmask of parts (eigenlines, slope blocks, the chain's
 lines, or in a sample the element itself as one part), and the deciders work
@@ -47,7 +49,7 @@ in canonical order among the violators of least rank, and the elements of
 largest degree at the hull's vertices below V.  Every witness and HN step
 is scored again from the definition by `sub_invariants` (the restriction
 matrix of Frobenius and the induced filtration, not the scorer; V against
-t_H(M) and t_N(M)), and a disagreement raises an internal error.
+t_H(M) and the lattice's t_N(M)), and a disagreement raises an internal error.
 """
 
 from __future__ import annotations
@@ -57,11 +59,12 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
 from .filtration import HodgeData, induced_on_subspace, t_h
-from .isocrystal import PhiModule, dm_blocks, is_dm_normal, newton_slopes, t_n
+from .isocrystal import PhiModule, _monodromy_fault, dm_blocks, is_dm_normal, newton_slopes, t_n
 from .rational import (
     Dimension,
     InputError,
@@ -82,6 +85,7 @@ from .rational import (
     int_rref,
     rat_rref,
     rat_str,
+    rational_roots,
     restriction_matrix,
     rref_rows,
     span_intersect,
@@ -164,68 +168,33 @@ def degree(m: FilteredPhiModule) -> Fraction:
 # subobject enumeration
 
 
-def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], int]:
-    """Rational roots with multiplicities, plus the leftover (unsplit) degree.
+class Spectrum:
+    """Frobenius's characteristic polynomial, read once per call and shared.
 
-    Runs on Python ints: the polynomial is cleared of denominators and its
-    zero roots are split off (they are not reported but count in the
-    leftover).  A root a/b in lowest terms has a | const and b | lead, of the
-    polynomial deflated so far; each such coprime pair, in both signs, is
-    tried by exact division by (b*x - a) over Z, which by Gauss's lemma
-    succeeds exactly at a root, and repeated for its multiplicity.  Fractions
-    are built only for the roots returned, in ascending order.  Gives up
-    (returns leftover = full remaining degree) if the divisor enumeration
-    would need to factor integers beyond 10**12.
+    Building it validates N (`_monodromy_fault`: an `InputError` if N breaks
+    N.phi = p.phi.N or is not nilpotent) and computes `coeffs` =
+    `charpoly(phi)` and `t_n` = t_N(M) = v_p(det phi), the valuation of the
+    constant coefficient.  `roots` (the rational roots with multiplicities
+    and the leftover degree, by `rational_roots`) and `slopes` (the Newton
+    slopes) are computed on first use.  `enumerate_subobjects` builds one or
+    takes the caller's, and its lattice carries `t_n`.
     """
-    poly = list(coeffs)
-    while poly and poly[-1] == 0:
-        poly.pop()
-    deg = len(poly) - 1
-    if deg <= 0:
-        return [], 0
-    denom = math.lcm(*(c.denominator for c in poly))
-    ints = [c.numerator * (denom // c.denominator) for c in poly]
-    zeros = next(i for i, c in enumerate(ints) if c)
-    ints = ints[zeros:]
-    lead, const = abs(ints[-1]), abs(ints[0])
-    if lead > 10**12 or const > 10**12:
-        return [], deg
-    roots = []
-    lead_divisors = _divisors(lead)
-    for a in _divisors(const):
-        for b in lead_divisors:
-            if len(ints) == 1 or ints[0] % a:
-                break
-            if ints[-1] % b or math.gcd(a, b) != 1:
-                continue
-            for s in (a, -a):
-                mult = 0
-                while len(ints) > 1:
-                    quo = _divide_linear(ints, s, b)
-                    if quo is None:
-                        break
-                    ints, mult = quo, mult + 1
-                if mult:
-                    roots.append((Fraction(s, b), mult))
-    roots.sort()
-    return roots, zeros + len(ints) - 1
 
+    def __init__(self, module: PhiModule):
+        fault = _monodromy_fault(module)
+        if fault:
+            raise InputError(fault)
+        self.module, self.coeffs = module, charpoly(module.phi)
+        const, p = self.coeffs[0], module.p
+        self.t_n = _vp_int(abs(const.numerator), p) - _vp_int(const.denominator, p)
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    return sorted({d for k in range(1, math.isqrt(n) + 1) if n % k == 0 for d in (k, n // k)})
+    @cached_property
+    def roots(self) -> tuple[list[tuple[Fraction, int]], int]:
+        return rational_roots(self.coeffs)
 
-
-def _divide_linear(poly: list, a: int, b: int) -> Optional[list]:
-    """poly / (b*x - a) over Z (ascending int coefficients), or None if it does not divide."""
-    quo = [0] * (len(poly) - 1)
-    acc = 0
-    for i in range(len(poly) - 1, 0, -1):
-        acc, rem = divmod(poly[i] + a * acc, b)
-        if rem:
-            return None
-        quo[i - 1] = acc
-    return quo if poly[0] + a * acc == 0 else None
+    @cached_property
+    def slopes(self):
+        return newton_slopes(self.module, self.coeffs)
 
 
 class SubobjectLattice:
@@ -247,12 +216,13 @@ class SubobjectLattice:
     bases sorted by dimension then lexicographically, has a length at once
     but builds every basis when an item is read.  `scorer(m)` keeps the
     `lattice_scorer` of the last module object it was asked for, so deciders
-    run in turn share it.
+    run in turn share it.  `t_n` is t_N(M), set by `enumerate_subobjects`
+    from the module's `Spectrum` (None on a lattice built otherwise).
     """
 
     def __init__(self, parts, keys, certified, strategy, ncols, order):
         self.parts, self.keys, self.ncols, self.order = parts, keys, ncols, order
-        self.certified, self.strategy = certified, strategy
+        self.certified, self.strategy, self.t_n = certified, strategy, None
         self.bases = _CanonicalBases(self)
         self._built, self._sorted, self._scorer = {}, None, None
 
@@ -359,7 +329,7 @@ def _eigenvectors(phi, den: int, r: Fraction) -> list:
 def _eigenline_subobjects(m: PhiModule, roots, leftover: int) -> Optional[SubobjectLattice]:
     """Certified enumeration when eigenvalues are rational with distinct valuations.
 
-    `roots, leftover` are `_rational_roots` of the characteristic polynomial.
+    `roots, leftover` are the `Spectrum.roots` of the module.
     The support of N on each eigenline is read off from the coordinates of
     all N-images, solved for at once on integer rows: one elimination of
     [lines | images], one equation per coordinate, leaves in row i a nonzero
@@ -512,33 +482,33 @@ def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
     return tuple(sorted(found.values(), key=lambda b: (len(b), b)))
 
 
-def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> SubobjectLattice:
+def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0, spectrum=None) -> SubobjectLattice:
     """All stable subspaces (certified) or a reproducible sample, as a `SubobjectLattice`.
 
     Its bases always include the zero and full subspaces.  Scalar Frobenius
-    yields the flag-adapted chain (`_scalar_flag_chain`).  The characteristic
-    polynomial is computed once and its rational roots, found on integers by
-    `_rational_roots`, are shared by every strategy.
+    yields the flag-adapted chain (`_scalar_flag_chain`).  `spectrum`, the
+    module's `Spectrum` when the caller already holds it, is built here
+    otherwise; every strategy reads its roots and slopes, and the lattice
+    carries its t_N(M).
     """
     mod = m.module
-    coeffs = charpoly(mod.phi)
-    roots, leftover = _rational_roots(coeffs)
-    lattice = _eigenline_subobjects(mod, roots, leftover)
+    spectrum = spectrum or Spectrum(mod)
+    lattice = _eigenline_subobjects(mod, *spectrum.roots)
     if lattice is None:
-        lattice = _block_subobjects(mod, newton_slopes(mod, coeffs))
-    if lattice is not None:
-        return lattice
-    lattice = _scalar_flag_chain(m)
-    if lattice is not None:
-        return lattice
-    return SubobjectLattice.sample(_sample_subobjects(m, seed, roots))
+        lattice = _block_subobjects(mod, spectrum.slopes)
+    if lattice is None:
+        lattice = _scalar_flag_chain(m)
+    if lattice is None:
+        lattice = SubobjectLattice.sample(_sample_subobjects(m, seed, spectrum.roots[0]))
+    lattice.t_n = spectrum.t_n
+    return lattice
 
 
 # ---------------------------------------------------------------------------
 # degrees of subobjects and the deciders
 
 
-def sub_invariants(m: FilteredPhiModule, basis) -> tuple[int, int, Fraction, Fraction]:
+def sub_invariants(m: FilteredPhiModule, basis, module_tn=None) -> tuple[int, int, Fraction, Fraction]:
     """(rank, t_H, t_N, degree) of the stable subspace spanned by `basis`.
 
     Scores from the definition: the restriction matrix of Frobenius and the
@@ -546,13 +516,16 @@ def sub_invariants(m: FilteredPhiModule, basis) -> tuple[int, int, Fraction, Fra
     and the restriction matrix has a zero column at each free row, so its
     determinant is zero exactly then.  The canonical basis of V, the
     identity, is M itself: it scores (n, t_H(M), t_N(M)) with no change of
-    basis.  The deciders score by `lattice_scorer` and re-check with this.
+    basis, t_N(M) being `module_tn` when the caller holds it (a lattice's
+    `t_n`) and v_p(det phi) otherwise.  The deciders score by
+    `lattice_scorer` and re-check with this.
     """
     k = len(basis)
     if k == 0:
         return 0, 0, Fraction(0), Fraction(0)
     if k == m.rank and all(list(row) == [i == j for j in range(k)] for i, row in enumerate(basis)):
-        th, tn = t_h(m.hodge), t_n(m.module)
+        th = t_h(m.hodge)
+        tn = t_n(m.module) if module_tn is None else Fraction(module_tn)
         return k, th, tn, Fraction(th) - tn
     restr = restriction_matrix(m.module.phi, basis)
     if restr is None:
@@ -649,22 +622,25 @@ def _scored(m: FilteredPhiModule, lattice: SubobjectLattice, cap=None):
     return lattice.scorer(m)(cap)
 
 
-def _recheck(m: FilteredPhiModule, basis, fast) -> None:
+def _module_tn(m: FilteredPhiModule, lattice: SubobjectLattice):
+    """t_N(M) as `lattice` carries it, or v_p(det phi) for a lattice built otherwise."""
+    return t_n(m.module) if lattice.t_n is None else lattice.t_n
+
+
+def _recheck(m: FilteredPhiModule, basis, fast, module_tn=None) -> None:
     """Re-score a returned subspace from the definition; raise on disagreement."""
-    slow = sub_invariants(m, basis)
+    slow = sub_invariants(m, basis, module_tn)
     if slow != fast:
         msg = f"internal: lattice scorer gave {fast} but the definition gives {slow}"
         raise AssertionError(msg)
 
 
-def _first_violation(m: FilteredPhiModule, seed: int, bound, lattice) -> Verdict:
+def _first_violation(m: FilteredPhiModule, bound, lattice) -> Verdict:
     """First subobject of degree > bound in canonical order, re-checked, as a verdict.
 
     One walk keeps the violators of the least violating rank found so far and
     pushes no child above it; ranks grow along the walk, so every element up
     to that rank is reached.  Only its violators get a basis."""
-    if lattice is None:
-        lattice = enumerate_subobjects(m, seed)
     bound = math.floor(bound)  # integer degrees exceed bound iff they exceed its floor
     cap, bad = [m.rank], []  # the least violating rank so far, and its violators
     for key, inv in _scored(m, lattice, cap):
@@ -686,14 +662,19 @@ def is_weakly_admissible(m: FilteredPhiModule, seed: int = 0, lattice=None) -> V
     `certified` lattice (a complete enumeration or the scalar chain); a
     verified violating subobject certifies falsity regardless.
     `lattice`, when given, replaces the enumeration; see `hn_filtration`.
+    The degree reads t_N(M) off the lattice's or, before enumerating, off
+    the module's `Spectrum`, which the enumeration then shares.
     """
     if m.rank == 0:
         return Verdict(STATUS_TRUE)
     m.hodge.require_flag("is_weakly_admissible")
-    if degree(m) != 0:
-        full = tuple(RatMatrix.identity(m.rank).entries)
-        return Verdict(STATUS_FALSE, full)
-    return _first_violation(m, seed, 0, lattice)
+    spectrum = Spectrum(m.module) if lattice is None else None
+    tn = spectrum.t_n if spectrum else _module_tn(m, lattice)
+    if t_h(m.hodge) != tn:
+        return Verdict(STATUS_FALSE, RatMatrix.identity(m.rank).entries)
+    if lattice is None:
+        lattice = enumerate_subobjects(m, seed, spectrum)
+    return _first_violation(m, 0, lattice)
 
 
 def is_acyclic(m: FilteredPhiModule, seed: int = 0, lattice=None) -> Verdict:
@@ -701,12 +682,15 @@ def is_acyclic(m: FilteredPhiModule, seed: int = 0, lattice=None) -> Verdict:
 
     Equivalently every quotient has non-negative degree, equivalently the
     minimal Harder-Narasimhan slope is >= 0.  A certified-false witness W
-    satisfies deg(M/W) < 0.  `lattice`: see `hn_filtration`.
+    satisfies deg(M/W) < 0.  `lattice`: see `hn_filtration`; deg(M) reads
+    t_N(M) off it.
     """
     if m.rank == 0:
         return Verdict(STATUS_TRUE)
     m.hodge.require_flag("is_acyclic")
-    return _first_violation(m, seed, degree(m), lattice)
+    if lattice is None:
+        lattice = enumerate_subobjects(m, seed)
+    return _first_violation(m, t_h(m.hodge) - _module_tn(m, lattice), lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +744,7 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
     maximiser in canonical order and is skipped if that misses the previous
     step, so the steps still nest with strictly falling slopes.  The last
     vertex is V, whose basis is the identity and holds every step;
-    `sub_invariants` re-checks it against t_H(M) and t_N(M).
+    `sub_invariants` re-checks it against t_H(M) and the lattice's t_N(M).
     `lattice`, when given, is used in place of `enumerate_subobjects(m,
     seed)` and must be that lattice for the same Frobenius module.  It does
     not depend on the flag, except for a "scalar-chain" lattice, which is
@@ -785,12 +769,13 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
             hull.pop()
         hull.append((k, d))
     steps, prev, cur_rank, cur_deg = [], (), 0, 0
+    module_tn = _module_tn(m, lattice)
     for k, d in hull[1:]:
         tied = best[k][1]
         if lattice.certified and len(tied) != 1:
             raise AssertionError(f"internal: {len(tied)} elements reach the HN vertex at rank {k}")
         if k == m.rank:
-            basis, inv = tuple(RatMatrix.identity(k).entries), tied[0][1]
+            basis, inv = RatMatrix.identity(k).entries, tied[0][1]
         else:
             basis, inv = min((lattice.basis(key), inv) for key, inv in tied)
             if not span_leq(prev, basis):
@@ -798,7 +783,7 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
                     msg = f"internal: the HN vertex at rank {k} misses the step before"
                     raise AssertionError(msg)
                 continue
-        _recheck(m, basis, inv)
+        _recheck(m, basis, inv, module_tn)
         dk, dd = k - cur_rank, d - cur_deg
         steps.append(HNStep(basis, Fraction(dd, dk), k, dk, Fraction(dd)))
         prev, cur_rank, cur_deg = basis, k, d
@@ -910,8 +895,8 @@ def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:
     filtration, which drops the degree by exactly one; that one filtration
     also re-checks that the module it lowers is certified acyclic.  At degree
     zero acyclic means weakly admissible, which is checked last.  Phi never
-    changes, so every step shares one lattice; the input's check and the
-    first filtration, on the same module, share its scorer too.
+    changes, so every step shares one lattice and its t_N(M); the input's
+    check and the first filtration, on the same module, share its scorer too.
     """
     if m.rank:
         m.hodge.require_flag("is_acyclic")  # before enumerating, as is_acyclic does
@@ -919,13 +904,14 @@ def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:
     verdict = is_acyclic(m, seed, lattice)
     if verdict.status != STATUS_TRUE:
         raise InputError(f"fn4_reduce needs a certified acyclic module (got {verdict.status})")
+    tn = _module_tn(m, lattice)
     if lattice.strategy == "scalar-chain":
         lattice = None  # adapted to the flag, which each step changes: rebuilt per module
-    deg = degree(m)
-    if deg.denominator != 1 or deg < 0:
-        raise AssertionError(f"internal: a certified acyclic module has degree {rat_str(deg)}")
+    deg = t_h(m.hodge) - tn
+    if deg < 0:
+        raise AssertionError(f"internal: a certified acyclic module has degree {deg}")
     cur = m
-    for left in range(int(deg) - 1, -1, -1):
+    for left in range(deg - 1, -1, -1):
         filt = hn_filtration(cur, seed, lattice)
         if not filt.certified or filt.steps[-1].slope < 0:
             raise AssertionError(
@@ -933,7 +919,7 @@ def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:
                 "the degree-lowering invariant"
             )
         cur = _lower_once(cur, filt)
-        if degree(cur) != left:
+        if t_h(cur.hodge) - tn != left:
             raise AssertionError("internal: a lowering step did not drop the degree by one")
     final = is_weakly_admissible(cur, seed, lattice)
     if final.status != STATUS_TRUE:  # pragma: no cover

@@ -18,6 +18,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .rational import (
+    _ONE,
+    _ZERO,
     InputError,
     RatMatrix,
     charpoly,
@@ -179,25 +181,18 @@ def t_n(m: PhiModule) -> Fraction:
     return Fraction(valuation(m.phi.det(), m.p))
 
 
-def _dm_block(num: int, den: int, p: int) -> RatMatrix:
-    """Companion block of x^den - p^num (slope num/den in lowest terms)."""
-    rows = [[Fraction(0)] * den for _ in range(den)]
-    for i in range(1, den):
-        rows[i][i - 1] = Fraction(1)
-    rows[0][den - 1] = Fraction(p) ** num
-    return RatMatrix(rows)
-
-
 def from_slopes(slopes: SlopeMultiset, p: int) -> PhiModule:
     """Slope normal form: one companion block of size h per h-fold slice of a/h.
 
     Each slope a/h (lowest terms) must appear with multiplicity divisible by
-    h; every h-sized slice contributes one block and N = 0.
+    h; every h-sized slice contributes one block and N = 0.  Each row is
+    built once, from shared Fraction constants, and wrapped without
+    re-coercion; `PhiModule` still checks that phi is invertible.
     """
     check_prime(p)
     if not isinstance(slopes, SlopeMultiset):
         slopes = SlopeMultiset(slopes)
-    blocks = []
+    blocks = []  # (size h, p^a) per block
     for s, mult in slopes:
         num, den = s.numerator, s.denominator
         if den > mult:
@@ -208,16 +203,17 @@ def from_slopes(slopes: SlopeMultiset, p: int) -> PhiModule:
             raise InputError(
                 f"multiplicity {mult} of slope {rat_str(s)} is not divisible by {den}"
             )
-        blocks.extend([_dm_block(num, den, p)] * (mult // den))
-    total = sum(b.rows for b in blocks)
-    rows = [[Fraction(0)] * total for _ in range(total)]
-    at = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.rows):
-                rows[at + i][at + j] = b.entries[i][j]
-        at += b.rows
-    return PhiModule(p, RatMatrix(rows), RatMatrix.zeros(total, total), FORM_DM_NORMAL)
+        blocks.extend([(den, Fraction(p) ** num)] * (mult // den))
+    total = sum(h for h, _ in blocks)
+    rows, at = [], 0
+    for h, top in blocks:
+        for i in range(h):  # row i: a 1 below the diagonal, row 0: p^a in the last column
+            row = [_ZERO] * total
+            row[at + (i - 1 if i else h - 1)] = _ONE if i else top
+            rows.append(tuple(row))
+        at += h
+    return PhiModule(p, RatMatrix._trusted(tuple(rows)), RatMatrix.zeros(total, total),
+                     FORM_DM_NORMAL)
 
 
 def dm_blocks(m: PhiModule, slopes=None) -> list[tuple[Fraction, int, int]]:

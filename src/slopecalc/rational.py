@@ -5,7 +5,8 @@ nothing here ever rounds.  The only float in the module is `math.inf`, used
 as the conventional valuation of zero.  Every elimination (`RatMatrix.rref`,
 `rank`, `det`, `nullspace`, and the row-space helpers: solving,
 containment, intersection) runs on integer rows, and Fractions are built
-only for the entries a function returns.
+only for the entries a function returns.  So does the polynomial section:
+the characteristic polynomial, its rational roots and its Newton polygon.
 
 Slope convention, used by everything downstream: `newton_polygon` returns
 the NEGATED slopes of the lower convex hull of the points ``(i, v_p(a_i))``.
@@ -245,11 +246,12 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)])
+        return cls._trusted(tuple(tuple(_ONE if i == j else _ZERO for j in range(n))
+                                  for i in range(n)))
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "RatMatrix":
-        return cls([[Fraction(0)] * c for _ in range(r)])
+        return cls._trusted(((_ZERO,) * c,) * r)
 
     def __eq__(self, other):
         return isinstance(other, RatMatrix) and self.entries == other.entries
@@ -383,35 +385,6 @@ class RatMatrix:
         return [[rat_str(x) for x in row] for row in self.entries]
 
 
-def charpoly(m: RatMatrix) -> list[Fraction]:
-    """Exact characteristic polynomial of a square matrix.
-
-    Returned monic, coefficients in ascending degree order.  Faddeev-LeVerrier
-    runs on the integer matrix D*m, D the common denominator of all entries:
-    its coefficients c_k are integers, the trace division by k is exact, and
-    the coefficient of degree n-k of the polynomial of m is c_k / D^k.
-    """
-    if not isinstance(m, RatMatrix):
-        m = RatMatrix(m)
-    m._need_square()
-    n = m.rows
-    if n == 0:
-        return [Fraction(1)]
-    b, den = int_matrix(m)
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    mk = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        mk = int_matmul(b, mk)
-        c, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
-        if rem:
-            raise AssertionError(f"internal: Faddeev-LeVerrier trace not divisible by {k}")
-        coeffs[n - k] = Fraction(c, den**k)
-        if k < n:
-            for i in range(n):
-                mk[i][i] += c
-    return coeffs
-
-
 # ---------------------------------------------------------------------------
 # integer rows
 #
@@ -424,7 +397,7 @@ def charpoly(m: RatMatrix) -> list[Fraction]:
 # order leaves a residue that is zero exactly when the vector lies in their
 # span.
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _row_denominator(row) -> int:
@@ -653,6 +626,107 @@ class Polygon:
         return out
 
 
+# ---------------------------------------------------------------------------
+# polynomials
+#
+# Coefficient lists are in ascending degree order.  The characteristic
+# polynomial, its rational roots and its Newton polygon all run on Python
+# ints; Fractions are built only for what they return.
+
+
+def charpoly(m: RatMatrix) -> list[Fraction]:
+    """Exact characteristic polynomial of a square matrix.
+
+    Returned monic, coefficients in ascending degree order.  Faddeev-LeVerrier
+    runs on the integer matrix D*m, D the common denominator of all entries:
+    its coefficients c_k are integers, the trace division by k is exact, and
+    the coefficient of degree n-k of the polynomial of m is c_k / D^k.
+    """
+    if not isinstance(m, RatMatrix):
+        m = RatMatrix(m)
+    m._need_square()
+    n = m.rows
+    if n == 0:
+        return [Fraction(1)]
+    b, den = int_matrix(m)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        mk = int_matmul(b, mk)
+        c, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if rem:
+            raise AssertionError(f"internal: Faddeev-LeVerrier trace not divisible by {k}")
+        coeffs[n - k] = Fraction(c, den**k)
+        if k < n:
+            for i in range(n):
+                mk[i][i] += c
+    return coeffs
+
+
+def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], int]:
+    """Rational roots with multiplicities, plus the leftover (unsplit) degree.
+
+    Runs on Python ints: the polynomial is cleared of denominators and its
+    zero roots are split off (they are not reported but count in the
+    leftover).  A root a/b in lowest terms has a | const and b | lead, of the
+    polynomial deflated so far; each such coprime pair, in both signs, is
+    tried by exact division by (b*x - a) over Z, which by Gauss's lemma
+    succeeds exactly at a root, and repeated for its multiplicity.  Fractions
+    are built only for the roots returned, in ascending order.  Gives up
+    (returns leftover = full remaining degree) if the divisor enumeration
+    would need to factor integers beyond 10**12.
+    """
+    poly = list(coeffs)
+    while poly and poly[-1] == 0:
+        poly.pop()
+    deg = len(poly) - 1
+    if deg <= 0:
+        return [], 0
+    denom = math.lcm(*(c.denominator for c in poly))
+    ints = [c.numerator * (denom // c.denominator) for c in poly]
+    zeros = next(i for i, c in enumerate(ints) if c)
+    ints = ints[zeros:]
+    lead, const = abs(ints[-1]), abs(ints[0])
+    if lead > 10**12 or const > 10**12:
+        return [], deg
+    roots = []
+    lead_divisors = _divisors(lead)
+    for a in _divisors(const):
+        for b in lead_divisors:
+            if len(ints) == 1 or ints[0] % a:
+                break
+            if ints[-1] % b or math.gcd(a, b) != 1:
+                continue
+            for s in (a, -a):
+                mult = 0
+                while len(ints) > 1:
+                    quo = _divide_linear(ints, s, b)
+                    if quo is None:
+                        break
+                    ints, mult = quo, mult + 1
+                if mult:
+                    roots.append((Fraction(s, b), mult))
+    roots.sort()
+    return roots, zeros + len(ints) - 1
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    return sorted({d for k in range(1, math.isqrt(n) + 1) if n % k == 0 for d in (k, n // k)})
+
+
+def _divide_linear(poly: list, a: int, b: int) -> Optional[list]:
+    """poly / (b*x - a) over Z (ascending int coefficients), or None if it does not divide."""
+    quo = [0] * (len(poly) - 1)
+    acc = 0
+    for i in range(len(poly) - 1, 0, -1):
+        acc, rem = divmod(poly[i] + a * acc, b)
+        if rem:
+            return None
+        quo[i - 1] = acc
+    return quo if poly[0] + a * acc == 0 else None
+
+
 def newton_polygon(coefficients: Sequence, p: int) -> list[tuple[Fraction, int]]:
     """Root valuations of a polynomial from its p-adic Newton polygon.
 
@@ -660,6 +734,10 @@ def newton_polygon(coefficients: Sequence, p: int) -> list[tuple[Fraction, int]]
     coefficients must be nonzero (strip zero roots before calling).  Returns
     (valuation, multiplicity) pairs sorted by ascending valuation; these are
     the NEGATED lower-hull slopes, and the multiplicities sum to the degree.
+    The hull of the integer points (i, v_p(a_i)) is built by one monotone
+    chain with integer cross products (a collinear middle point is dropped);
+    its slopes rise from left to right, so their negations, read from the
+    right, ascend.
     """
     check_prime(p)
     coeffs = [rat(c) for c in coefficients]
@@ -671,13 +749,16 @@ def newton_polygon(coefficients: Sequence, p: int) -> list[tuple[Fraction, int]]
         raise InputError("leading coefficient must be nonzero")
     if coeffs[0] == 0:
         raise InputError("constant coefficient must be nonzero (strip zero roots first)")
-    if len(coeffs) == 1:
-        return []
-    pts = [(i, valuation(c, p)) for i, c in enumerate(coeffs) if c != 0]
-    hull = Polygon.lower_hull(pts)
-    out = [(-s, m) for s, m in hull.slopes()]
-    out.sort(key=lambda t: t[0])
-    return out
+    hull: list[tuple[int, int]] = []
+    for x, c in enumerate(coeffs):
+        if c:
+            y = _vp_int(abs(c.numerator), p) - _vp_int(c.denominator, p)
+            while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                     <= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
+                hull.pop()
+            hull.append((x, y))
+    return [(Fraction(y1 - y2, x2 - x1), x2 - x1)
+            for (x1, y1), (x2, y2) in zip(reversed(hull[:-1]), reversed(hull[1:]))]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ library functions:
   * `hn._sample_subobjects`: every Krylov closure grown from scratch over
     Fractions and collected in a set of canonical bases, whose iteration
     order picks the ten closures that are paired;
-  * `hn._rational_roots`: every candidate a/b with a | const and b | lead
+  * `rational.rational_roots`: every candidate a/b with a | const and b | lead
     (the same 10**12 give-up bound) tried by Fraction synthetic division;
   * `hn._n_closed_sums`: all 2^n part masks scanned for N-closure, as the
     library did before it walked the closed masks only;

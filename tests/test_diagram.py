@@ -27,7 +27,7 @@ from slopecalc.hn import (
     vst_dimension,
 )
 from slopecalc.isocrystal import PhiModule, SlopeMultiset, from_slopes
-from slopecalc.rational import InputError, RatMatrix
+from slopecalc.rational import FlagRequiredError, InputError, RatMatrix
 from slopecalc.sheaf import cohomology_dim
 
 from _generators import (
@@ -353,6 +353,118 @@ class TestBatteryShared:
                               ("blocks", 2), ("blocks", 3)}
         statuses = {battery(s).verdict_b_r.status for s in SEEDED_PAIRS.values()}
         assert statuses == {STATUS_TRUE, STATUS_FALSE}
+
+
+def count_calls(monkeypatch, fn):
+    """The first argument of every call of `fn`, under every name a slopecalc
+    module binds it to (the callers import it by name)."""
+    import sys
+
+    seen = []
+
+    def counted(first, *args, **kwargs):
+        seen.append(first)
+        return fn(first, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.startswith("slopecalc"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return seen
+
+
+def dichotomy_cases():
+    """(name, module, hodge, r): every degree of the battery cases and seeded pairs."""
+    out = []
+    for name, s in sorted(BATTERY_CASES.items()) + sorted(SEEDED_PAIRS.items()):
+        out.append((f"{name}/r", s.top.module, s.top.hodge, s.r))
+        if s.below.rank:
+            out.append((f"{name}/r-1", s.below.module, s.below.hodge, s.r - 1))
+    return out
+
+
+DICHOTOMY_CASES = dichotomy_cases()
+
+
+class TestSpectralPass:
+    """One characteristic polynomial of phi per dichotomy call and per battery
+    degree, shared by the slope-window check and the enumeration."""
+
+    @pytest.mark.parametrize("name, mod, hodge, r", DICHOTOMY_CASES,
+                             ids=[c[0] for c in DICHOTOMY_CASES])
+    def test_dichotomy_runs_one_charpoly(self, name, mod, hodge, r, monkeypatch):
+        from slopecalc import isocrystal, rational
+
+        want = dichotomy(mod, hodge, r)
+        charpolys = count_calls(monkeypatch, rational.charpoly)
+        slopes = count_calls(monkeypatch, isocrystal.newton_slopes)
+        assert dichotomy(mod, hodge, r) == want
+        assert charpolys == [mod.phi]
+        assert slopes == [mod]
+
+    def test_dichotomy_cases_cover_every_strategy(self):
+        strategies = {enumerate_subobjects(FilteredPhiModule(mod, hodge)).strategy
+                      for _, mod, hodge, _ in DICHOTOMY_CASES}
+        assert strategies == {"eigenlines", "blocks", "scalar-chain", "sample"}
+
+    @pytest.mark.parametrize("name", sorted(BATTERY_CASES) + sorted(SEEDED_PAIRS))
+    def test_battery_runs_one_charpoly_per_degree(self, name, monkeypatch):
+        from slopecalc import isocrystal, rational
+
+        s = BATTERY_CASES[name] if name in BATTERY_CASES else SEEDED_PAIRS[name]
+        want = battery(s)
+        charpolys = count_calls(monkeypatch, rational.charpoly)
+        slopes = count_calls(monkeypatch, isocrystal.newton_slopes)
+        assert battery(s) == want
+        degrees = [m.module for m in (s.below, s.top) if m.rank]
+        assert charpolys == [mod.phi for mod in degrees]
+        # the Newton slopes only for a degree whose roots do not split it into eigenlines
+        assert len(slopes) == len(set(map(id, slopes))) and set(map(id, slopes)) <= set(map(id, degrees))
+
+    @pytest.mark.parametrize("name", sorted(BATTERY_CASES))
+    def test_acyclic_then_hn_take_module_tn_off_the_lattice(self, name, monkeypatch):
+        s = BATTERY_CASES[name]
+        for m in (s.below, s.top):
+            if not m.rank:
+                continue
+            want = is_acyclic(m), hn.hn_filtration(m)
+            lattice = enumerate_subobjects(m)
+            assert lattice.t_n == hn.t_n(m.module)
+            dets, real = [], RatMatrix.det
+
+            def counted(self):
+                dets.append(self)
+                return real(self)
+
+            monkeypatch.setattr(RatMatrix, "det", counted)
+            got = is_acyclic(m, lattice=lattice), hn.hn_filtration(m, lattice=lattice)
+            monkeypatch.setattr(RatMatrix, "det", real)
+            assert got == want
+            assert not any(d is m.module.phi or d == m.module.phi for d in dets)
+
+    @pytest.mark.parametrize("hk, hodge, error, message", [
+        # each input breaks every check from its own on: the first one reports
+        ([[8, 0], [0, 1]], HodgeData.from_weights([5]), InputError,
+         "modification input: module rank 2 != lattice rank 1"),
+        ([[8, 0], [0, 1]], HodgeData.from_weights([5, 0]), InputError,
+         "modification input: slope 3 outside [0, 1]"),
+        ([[1, 0], [0, 2]], HodgeData.from_weights([5, 0]), InputError,
+         "modification input: weight 5 outside [0, 1]"),
+        ([[1, 0], [0, 2]], HodgeData.from_weights([1, 0]), FlagRequiredError,
+         "hn_filtration requires flag-form Hodge data, got weights only"),
+    ], ids=["rank", "slope", "weight", "flag"])
+    def test_dichotomy_errors_keep_their_order(self, hk, hodge, error, message):
+        with pytest.raises(error) as info:
+            dichotomy(PhiModule.from_matrices(P, hk), hodge, 1)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_bad_monodromy_comes_after_the_rank_check(self):
+        bad = PhiModule.from_matrices(P, [[1, 0], [0, 4]], [[1, 0], [0, 0]])
+        with pytest.raises(InputError, match="module rank 2 != lattice rank 1"):
+            dichotomy(bad, HodgeData.from_weights([1]), 1)
+        with pytest.raises(InputError, match=r"N must satisfy N\.phi = p\.phi\.N"):
+            dichotomy(bad, HodgeData.from_weights([5, 0]), 1)
 
 
 def split_row(parts):

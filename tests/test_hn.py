@@ -38,6 +38,7 @@ from slopecalc.rational import (
     RatMatrix,
     charpoly,
     complement_basis,
+    rational_roots,
     restriction_matrix,
     rref_rows,
     span_intersect,
@@ -530,7 +531,7 @@ class TestRationalRoots:
                 seen.update({"non-monic"} if r.denominator > 1 else set())
             if rng.random() < 0.4:
                 poly = _poly_mul(poly, rng.choice(self.QUADRATICS))
-            assert hn._rational_roots(poly) == fraction_roots(poly)
+            assert rational_roots(poly) == fraction_roots(poly)
         assert seen == {"zero", "repeated", "negative", "non-monic"}
 
     def test_high_multiplicity_content_and_sign(self):
@@ -553,7 +554,7 @@ class TestRationalRoots:
             seen.update({"content"} if math.gcd(*ints) > 1 else set())
             seen.update({"negative lead"} if ints[-1] < 0 else set())
             seen.update({"zero low"} if ints[0] == 0 else set())
-            got = hn._rational_roots(poly)
+            got = rational_roots(poly)
             assert got == fraction_roots(poly)
             nonzero = [(r, roots.count(r)) for r in sorted(set(roots)) if r]
             assert got[0] == nonzero
@@ -562,7 +563,7 @@ class TestRationalRoots:
 
     def test_multiplicity_six_with_zero_roots(self):
         poly = _from_roots([F(-2, 3)] * 6 + [F(0)] * 2 + [F(5)], F(-4))
-        assert hn._rational_roots(poly) == fraction_roots(poly) == ([(F(-2, 3), 6), (F(5), 1)], 2)
+        assert rational_roots(poly) == fraction_roots(poly) == ([(F(-2, 3), 6), (F(5), 1)], 2)
 
     @pytest.mark.parametrize(
         "roots, found",
@@ -576,12 +577,12 @@ class TestRationalRoots:
     def test_at_the_factoring_bound(self, roots, found):
         poly = _from_roots(roots)
         expected = ([(r, roots.count(r)) for r in sorted(set(roots))], 0) if found else ([], 2)
-        assert hn._rational_roots(poly) == fraction_roots(poly) == expected
+        assert rational_roots(poly) == fraction_roots(poly) == expected
 
     @pytest.mark.parametrize("roots", [[F(10**7), F(3 * 10**5)], [F(1, 10**13), F(2)]])
     def test_beyond_the_factoring_bound(self, roots):
         poly = _from_roots(roots)
-        assert hn._rational_roots(poly) == fraction_roots(poly) == ([], 2)
+        assert rational_roots(poly) == fraction_roots(poly) == ([], 2)
 
 
 class TestClosedMasks:
@@ -702,6 +703,56 @@ class TestSubInvariants:
                               HodgeData.from_flag([(1, [[1, 0, 0]])], rank=3))
         with pytest.raises(InputError, match="linearly dependent"):
             sub_invariants(m, rows)
+
+
+class TestMonodromyValidation:
+    """A library module whose N breaks N.phi = p.phi.N is an input error: the
+    spectral pass checks it before any lattice is built or degree compared."""
+
+    CASES = {
+        # N = E11 neither twists phi nor is nilpotent; it used to reach the
+        # lattice builder and fail there as an internal fault
+        "not-nilpotent": ([[1, 0], [0, 4]], [[1, 0], [0, 0]]),
+        # nilpotent N that does not twist phi: eigenlines, and scalar phi,
+        # whose flag chain used to certify verdicts regardless of N
+        "nilpotent-eigenlines": ([[1, 0], [0, 4]], [[0, 1], [0, 0]]),
+        "nilpotent-scalar": ([[1, 0], [0, 1]], [[0, 1], [0, 0]]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_every_entry_point_raises_an_input_error(self, name):
+        from slopecalc import diagram
+
+        phi, nil = self.CASES[name]
+        mod = PhiModule.from_matrices(P, phi, nil)
+        assert not check_phi_n(mod)
+        # weight 1 on a line: degree 1 - v_p(det phi) is not 0 for the first
+        # two, so is_weakly_admissible would answer before enumerating
+        m = FilteredPhiModule(mod, HodgeData.from_flag([(1, [[1, 0]])], rank=2))
+        calls = [enumerate_subobjects, hn_filtration, is_acyclic, is_weakly_admissible,
+                 vst_dimension, fn4_reduce,
+                 lambda m: diagram.dichotomy(m.module, m.hodge, 2),
+                 lambda m: diagram.SyntheticCohomology.build(2, m)]
+        for call in calls:
+            with pytest.raises(InputError, match=r"^N must satisfy N\.phi = p\.phi\.N$"):
+                call(m)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_cli_exits_three(self, name, capsys, monkeypatch):
+        import io
+        import json
+
+        from slopecalc import cli
+
+        phi, nil = self.CASES[name]
+        m = FilteredPhiModule(PhiModule.from_matrices(P, phi, nil),
+                              HodgeData.from_flag([(1, [[1, 0]])], rank=2))
+        for command in ("hn", "acyclic", "wa"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(m.to_obj())))
+            code = cli.run([command, "--input", "-"])
+            out, err = capsys.readouterr()
+            assert (code, out) == (3, "")
+            assert json.loads(err)["error"] == "N must satisfy N.phi = p.phi.N"
 
 
 def _eigen_module(rng, n, chain, low=0):
@@ -897,7 +948,7 @@ def _reference_cases():
 
 
 def _eigenvalues(mod):
-    roots, leftover = hn._rational_roots(charpoly(mod.phi))
+    roots, leftover = rational_roots(charpoly(mod.phi))
     assert leftover == 0
     return [r for r, _ in roots]
 
@@ -1219,7 +1270,9 @@ class TestRecheckCost:
         steps = hn_filtration(m, lattice=lattice).steps
         # V, the last step, is re-checked from t_H(M) and t_N(M), not induced
         assert len(rechecks) == len(induced) + 1 == len(steps)
-        assert [basis for _, basis in rechecks] == [step.basis for step in steps]
+        # each re-check gets (m, basis, t_N(M)): V is re-checked against the lattice's
+        assert [args[1] for args in rechecks] == [step.basis for step in steps]
+        assert {args[2] for args in rechecks} == {lattice.t_n}
         witness = is_acyclic(m, lattice=lattice).witness
         assert len(rechecks) == len(induced) + 1 == len(steps) + (witness is not None)
 
@@ -1482,7 +1535,7 @@ class TestSampledLattice:
         extra = self.extra_cases()
         sizes = {}
         for name, m in [(None, m) for m in cases] + list(extra.items()):
-            roots, _ = hn._rational_roots(charpoly(m.module.phi))
+            roots, _ = rational_roots(charpoly(m.module.phi))
             for seed in (0, 5):
                 got = hn._sample_subobjects(m, seed, roots)
                 assert got == fraction_sample(m, seed, roots)
@@ -1501,12 +1554,12 @@ class TestSampledLattice:
         assert len(lines) == 3 and all(rref_rows([v], 4) in got for v in lines)
         # so is each proper N-power kernel
         m = extra["chain"].module
-        got = hn._sample_subobjects(extra["chain"], 0, hn._rational_roots(charpoly(m.phi))[0])
+        got = hn._sample_subobjects(extra["chain"], 0, rational_roots(charpoly(m.phi))[0])
         kernels = [m.nilpotent.nullspace(), (m.nilpotent @ m.nilpotent).nullspace()]
         assert [len(k) for k in kernels] == [2, 3] and all(k in got for k in kernels)
         # no roots, and the first random vector's closure is the full space
         phi = extra["big"].module.phi
-        assert hn._rational_roots(charpoly(phi)) == ([], 4)
+        assert rational_roots(charpoly(phi)) == ([], 4)
         rng = random.Random(0)
         krylov = [[F(rng.randint(-3, 3)) for _ in range(4)]]
         for _ in range(3):

@@ -119,6 +119,86 @@ class TestFromSlopes:
         assert not is_dm_normal(mk([[P, 0], [0, 1]]))  # blocks out of order
 
 
+def old_from_slopes(slopes, p):
+    """The slope normal form as it was built before: one coerced `RatMatrix`
+    per companion block, copied entry by entry into a coerced `RatMatrix`."""
+    blocks = []
+    for s, mult in slopes:
+        num, den = s.numerator, s.denominator
+        rows = [[F(0)] * den for _ in range(den)]
+        for i in range(1, den):
+            rows[i][i - 1] = F(1)
+        rows[0][den - 1] = F(p) ** num
+        blocks.extend([RatMatrix(rows)] * (mult // den))
+    total = sum(b.rows for b in blocks)
+    rows = [[F(0)] * total for _ in range(total)]
+    at = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.rows):
+                rows[at + i][at + j] = b.entries[i][j]
+        at += b.rows
+    return PhiModule(p, RatMatrix(rows), RatMatrix([[0] * total for _ in range(total)]),
+                     "dm-normal")
+
+
+@pytest.fixture
+def bench_gen(monkeypatch):
+    """bench/gen.py, imported without writing bytecode under bench/."""
+    import importlib
+    import pathlib
+    import sys
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    before = set(sys.modules)
+    try:
+        yield importlib.import_module("gen")
+    finally:
+        for name in set(sys.modules) - before:
+            if not name.startswith("slopecalc"):
+                del sys.modules[name]
+
+
+def generator_slope_sets(gen):
+    """Every multiplicity-free slope set the benchmark generators can draw:
+    hn-lattice's `snf_slopes` at each rank of SNF_BLOCKS, and battery-mix's
+    `_synthetic_pair` at each rank of PAIR_SNF_BLOCKS with slopes in [0, r],
+    r <= 3 (r - 1 for a lower degree)."""
+    import itertools
+
+    def sets(sizes, pool):
+        choices = [itertools.combinations([s for s in pool if s.denominator == h], sizes.count(h))
+                   for h in sorted(set(sizes))]
+        for parts in itertools.product(*choices):
+            yield tuple(sorted(s for part in parts for s in part))
+
+    out = set()
+    for sizes in gen.SNF_BLOCKS.values():
+        out.update(sets(sizes, gen.SNF_SLOPES))
+    for sizes in gen.PAIR_SNF_BLOCKS.values():
+        for bound in range(4):
+            out.update(sets(sizes, [s for s in gen.SNF_SLOPES if 0 <= s <= bound]))
+    return sorted(out)
+
+
+class TestFromSlopesAgainstTheOldConstruction:
+    def test_every_generator_slope_set(self, bench_gen):
+        slope_sets = generator_slope_sets(bench_gen)
+        assert len(slope_sets) > 3000
+        for chosen in slope_sets:
+            s = SlopeMultiset([(x, x.denominator) for x in chosen])
+            new, old = from_slopes(s, P), old_from_slopes(s, P)
+            assert new.to_obj() == old.to_obj()
+            assert new == old
+
+    def test_repeated_slopes_and_other_primes(self):
+        for slopes in ([(F(1, 2), 4), (F(0), 2)], [(F(-2, 3), 6)], [(F(5), 3), (F(1, 5), 5)]):
+            for p in (2, 3, 7):
+                s = SlopeMultiset(slopes)
+                assert from_slopes(s, p).to_obj() == old_from_slopes(s, p).to_obj()
+
+
 class TestTensorDualDet:
     def test_tensor_slopes(self):
         a = from_slopes(SlopeMultiset([(F(1, 2), 2)]), P)

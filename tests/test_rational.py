@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction as F
 
@@ -169,6 +170,55 @@ class TestNewtonPolygon:
         assert expand(newton_polygon(fg, p)) == sorted(
             expand(newton_polygon(f, p)) + expand(newton_polygon(g, p))
         )
+
+    @staticmethod
+    def polygon_route(coeffs, p):
+        """Root valuations by `Polygon.lower_hull` on Fraction points, the route
+        `newton_polygon` took before its integer hull."""
+        pts = [(i, valuation(c, p)) for i, c in enumerate(coeffs) if c]
+        return sorted(((-s, m) for s, m in Polygon.lower_hull(pts).slopes()), key=lambda t: t[0])
+
+    @staticmethod
+    def seeded_polynomial(rng, p, kind):
+        """Nonzero end coefficients; "collinear" puts every valuation on a line
+        of integer slope, "rational" gives coefficients denominators."""
+        deg = rng.randint(1, 9)
+        step, base = rng.randint(-3, 3), rng.randint(-4, 4)
+        coeffs = []
+        for i in range(deg + 1):
+            v = base + step * i if kind == "collinear" else rng.randint(-3, 6)
+            c = F(rng.choice([1, -1, 3, -7, 11]), rng.choice([1, 4, 9]) if kind == "rational" else 1)
+            coeffs.append(c * F(p) ** v)
+            if 0 < i < deg and rng.random() < 0.25:
+                coeffs[-1] = F(0)
+        return coeffs
+
+    @staticmethod
+    def off_vertex_on_hull(coeffs, p):
+        """Whether a point that is not a hull vertex lies on the lower hull."""
+        pts = [(i, valuation(c, p)) for i, c in enumerate(coeffs) if c]
+        vertices = Polygon.lower_hull(pts).vertices
+        return any((y - y1) * (x2 - x1) == (y2 - y1) * (x - x1)
+                   for (x1, y1), (x2, y2) in zip(vertices, vertices[1:])
+                   for x, y in pts if x1 < x < x2)
+
+    def test_integer_hull_equals_the_polygon_route_and_the_cli_walk(self):
+        from slopecalc.cli import _oracle_newton
+
+        rng = random.Random(1616)
+        seen = set()
+        for _ in range(600):
+            p = rng.choice([2, 3, 5])
+            coeffs = self.seeded_polynomial(rng, p, rng.choice(["plain", "rational", "collinear"]))
+            got = newton_polygon(coeffs, p)
+            assert got == self.polygon_route(coeffs, p)
+            _oracle_newton(coeffs, p, got)  # raises on disagreement
+            seen.update({"rational"} if any(c.denominator > 1 for c in coeffs) else set())
+            seen.update({"interior zero"} if 0 in coeffs[1:-1] else set())
+            seen.update({"collinear"} if self.off_vertex_on_hull(coeffs, p) else set())
+            seen.update({"one segment"} if len(got) == 1 else set())
+            seen.update({"several segments"} if len(got) > 2 else set())
+        assert seen == {"rational", "interior zero", "collinear", "one segment", "several segments"}
 
     @given(st.lists(st.integers(-20, 20), min_size=2, max_size=7), st.sampled_from([2, 5]))
     def test_multiplicities_sum_to_degree(self, coeffs, p):
