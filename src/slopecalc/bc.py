@@ -35,6 +35,11 @@ def _check_pair(d: int, h: int, tag: str):
         raise InputError(f"{tag}({d},{h}) must be in lowest terms")
 
 
+def _check_copies(c):
+    if json_int(c, "piece copies") < 1:
+        raise InputError("piece copies must be positive")
+
+
 @dataclass(frozen=True)
 class BCObject:
     """Split normal form: sorted piece data, canonical under direct sum."""
@@ -47,12 +52,10 @@ class BCObject:
     def __post_init__(self):
         for d, h, c in self.ueff:
             _check_pair(d, h, "Ueff")
-            if c < 1:
-                raise InputError("piece copies must be positive")
+            _check_copies(c)
         for d, h, c in self.uquot:
             _check_pair(d, h, "Uquot")
-            if c < 1:
-                raise InputError("piece copies must be positive")
+            _check_copies(c)
         for point, lengths in self.torsion:
             if not isinstance(point, str) or not point:
                 raise InputError("torsion point labels must be nonempty strings")
@@ -74,6 +77,7 @@ class BCObject:
             acc: dict[tuple[int, int], int] = {}
             for d, h, c in pairs:
                 _check_pair(d, h, tag)  # before the slope d/h is formed for sorting
+                _check_copies(c)  # before the sum, which reads True as 1 and absorbs a -1
                 acc[(d, h)] = acc.get((d, h), 0) + c
             return tuple(
                 (d, h, c)

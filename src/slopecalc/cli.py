@@ -1,10 +1,13 @@
 """Command-line interface: JSON in, JSON (or SVG) out.
 
 Exit codes: 0 certified-true / success, 1 certified-false, 2 uncertified,
-3 input error, 4 internal fault (a failed self-check or oracle check, or any
-other unexpected exception; nothing is written to stdout).  Errors of codes 3
-and 4 are reported as one JSON object on stderr.  Output is deterministic
-byte for byte for a fixed input and seed; `--oracle` re-derives results along
+3 input error (a malformed command line among them), 4 internal fault (a
+failed self-check or oracle check, or any other unexpected exception).
+Errors of codes 3 and 4 are reported as one JSON object on stderr, with
+nothing on stdout.  `HANDLERS` is the command table: a handler takes the
+parsed input and arguments and returns (result, exit code), and `run` writes
+a string result as it is and any other as JSON.  Output is deterministic byte
+for byte for a fixed input and seed; `--oracle` re-derives results along
 brute-force paths and checks agreement without changing the output; its
 checks raise explicitly, so they also run under `python -O`.
 """
@@ -22,25 +25,6 @@ from fractions import Fraction
 # there (as a tracer or a test does) is the one called.
 from .rational import InputError, Polygon, json_int, rat, rat_str, valuation
 
-COMMANDS = (
-    "newton",
-    "hodge",
-    "hn",
-    "wa",
-    "acyclic",
-    "fn4-reduce",
-    "vst",
-    "tensor",
-    "cohdim",
-    "bc-dim",
-    "canfil",
-    "ext",
-    "battery",
-    "dichotomy",
-    "mv-check",
-    "plot",
-)
-
 EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_UNCERTIFIED = 2
@@ -49,14 +33,11 @@ EXIT_INTERNAL = 4
 SVG_MAX_SPAN = 1000  # grid units on either axis of an SVG plot
 
 
-def _verdict_exit(status: str) -> int:
-    from . import hn
-
-    return {
-        hn.STATUS_TRUE: EXIT_TRUE,
-        hn.STATUS_FALSE: EXIT_FALSE,
-        hn.STATUS_UNCERTIFIED: EXIT_UNCERTIFIED,
-    }[status]
+def _exit_code(certified: bool, true: bool) -> int:
+    """A verdict's exit code: uncertified 2, else certified-true 0 and certified-false 1."""
+    if not certified:
+        return EXIT_UNCERTIFIED
+    return EXIT_TRUE if true else EXIT_FALSE
 
 
 def _need(obj, key):
@@ -135,18 +116,18 @@ def _oracle_cohdim(s, dims):
 # handlers
 
 
-def _cmd_newton(obj, seed, oracle):
+def _cmd_newton(obj, args):
     coeffs = _list(obj, "coefficients")
     p = _need(obj, "p")
     from .rational import newton_polygon
 
     got = newton_polygon(coeffs, p)
-    if oracle:
+    if args.oracle:
         _oracle_newton(coeffs, p, got)
     return [[rat_str(s), m] for s, m in got], EXIT_TRUE
 
 
-def _cmd_hodge(obj, seed, oracle):
+def _cmd_hodge(obj, args):
     from .filtration import HodgeData, dual_hodge, shift, t_h
 
     h = HodgeData.from_obj(_need(obj, "hodge"))
@@ -158,7 +139,7 @@ def _cmd_hodge(obj, seed, oracle):
     }
     if "shift" in obj:
         out["shifted"] = shift(h, obj["shift"]).to_obj()
-    if oracle:
+    if args.oracle:
         _require(t_h(dual_hodge(h)) == -t_h(h), "dual weight sum")
         _require(dual_hodge(dual_hodge(h)).weights == h.weights, "double dual")
     return out, EXIT_TRUE
@@ -170,142 +151,128 @@ def _filtered(obj):
     return FilteredPhiModule.from_obj(obj)
 
 
-def _cmd_hn(obj, seed, oracle):
+def _cmd_hn(obj, args):
     from . import hn
 
-    filt = hn.hn_filtration(_filtered(obj), seed)
-    return filt.to_obj(), EXIT_TRUE if filt.certified else EXIT_UNCERTIFIED
+    filt = hn.hn_filtration(_filtered(obj), args.seed)
+    return filt.to_obj(), _exit_code(filt.certified, True)
 
 
-def _cmd_wa(obj, seed, oracle):
-    from . import hn
-
-    m = _filtered(obj)
-    v = hn.is_weakly_admissible(m, seed)
-    if oracle:
-        _oracle_verdict(m, v, seed, "wa")
-    return v.to_obj(), _verdict_exit(v.status)
-
-
-def _cmd_acyclic(obj, seed, oracle):
+def _cmd_wa(obj, args):
     from . import hn
 
     m = _filtered(obj)
-    v = hn.is_acyclic(m, seed)
-    if oracle:
-        _oracle_verdict(m, v, seed, "acyclic")
-    return v.to_obj(), _verdict_exit(v.status)
+    v = hn.is_weakly_admissible(m, args.seed)
+    if args.oracle:
+        _oracle_verdict(m, v, args.seed, "wa")
+    return v.to_obj(), _exit_code(v.certified, v.is_true)
 
 
-def _cmd_fn4(obj, seed, oracle):
+def _cmd_acyclic(obj, args):
     from . import hn
 
     m = _filtered(obj)
-    reduced = hn.fn4_reduce(m, seed)
-    verdict = hn.is_weakly_admissible(reduced, seed)
-    return (
-        {"reduced": reduced.to_obj(), "verdict": verdict.to_obj()},
-        _verdict_exit(verdict.status),
-    )
+    v = hn.is_acyclic(m, args.seed)
+    if args.oracle:
+        _oracle_verdict(m, v, args.seed, "acyclic")
+    return v.to_obj(), _exit_code(v.certified, v.is_true)
 
 
-def _cmd_vst(obj, seed, oracle):
+def _cmd_fn4(obj, args):
+    """`fn4_reduce` raises unless its output is certified weakly admissible."""
     from . import hn
 
-    res = hn.vst_dimension(_filtered(obj), seed)
-    return res.to_obj(), EXIT_TRUE if res.certified else EXIT_UNCERTIFIED
+    reduced = hn.fn4_reduce(_filtered(obj), args.seed)
+    return {"reduced": reduced.to_obj(), "verdict": hn.Verdict(hn.STATUS_TRUE).to_obj()}, EXIT_TRUE
 
 
-def _cmd_tensor(obj, seed, oracle):
+def _cmd_vst(obj, args):
+    from . import hn
+
+    res = hn.vst_dimension(_filtered(obj), args.seed)
+    return res.to_obj(), _exit_code(res.certified, True)
+
+
+def _cmd_tensor(obj, args):
     from . import isocrystal
 
     a = isocrystal.PhiModule.from_obj(_need(obj, "a"))
     b = isocrystal.PhiModule.from_obj(_need(obj, "b"))
     out = isocrystal.tensor(a, b)
-    if oracle:
+    if args.oracle:
         lhs = isocrystal.t_n(out)
         rhs = b.rank * isocrystal.t_n(a) + a.rank * isocrystal.t_n(b)
         _require(lhs == rhs, "tensor degree additivity")
     return out.to_obj(), EXIT_TRUE
 
 
-def _cmd_cohdim(obj, seed, oracle):
+def _cmd_cohdim(obj, args):
     from . import sheaf
 
     s = sheaf.FFSheaf.from_obj(obj)
     dims = sheaf.cohomology_dim(s)
-    if oracle:
+    if args.oracle:
         _oracle_cohdim(s, dims)
     return dims.to_obj(), EXIT_TRUE
 
 
-def _cmd_bc_dim(obj, seed, oracle):
+def _cmd_bc_dim(obj, args):
     from . import bc
 
     w = bc.parse_formal(obj)
     return bc.dimension(w).to_obj(), EXIT_TRUE
 
 
-def _cmd_canfil(obj, seed, oracle):
+def _cmd_canfil(obj, args):
     from . import bc
 
     w = bc.BCObject.from_obj(obj)
     gt0, eq0, lt0 = bc.canonical_filtration(w)
-    if oracle:
+    if args.oracle:
         total = gt0.direct_sum(eq0).direct_sum(lt0)
         _require(bc.dimension(total) == bc.dimension(w), "filtration loses pieces")
     return {"gt0": gt0.to_obj(), "eq0": eq0.to_obj(), "lt0": lt0.to_obj()}, EXIT_TRUE
 
 
-def _cmd_ext(obj, seed, oracle):
+def _cmd_ext(obj, args):
     from . import bc
 
     triple = bc.ext_tables(_need(obj, "x"), _need(obj, "y"), obj.get("k_degree", 1))
-    if oracle and triple.unit is not None:
+    if args.oracle and triple.unit is not None:
         scale = obj.get("k_degree", 1) if triple.unit == "K" else 1
         chi = scale * (triple.ext0 - triple.ext1 + triple.ext2)
         _require(chi == triple.euler_qp, "Euler characteristic mismatch")
     return triple.to_obj(), EXIT_TRUE
 
 
-def _cmd_battery(obj, seed, oracle):
+def _cmd_battery(obj, args):
     from . import diagram
 
     s = diagram.SyntheticCohomology.from_obj(obj)
-    report = diagram.battery(s, seed)
-    if not report.certified:
-        code = EXIT_UNCERTIFIED
-    elif all(v.is_true for v in report.verdicts().values()):
-        code = EXIT_TRUE
-    else:
-        code = EXIT_FALSE
-    if oracle and report.certified:
+    report = diagram.battery(s, args.seed)
+    if args.oracle and report.certified:
         _require(report.consistent, "certified verdicts disagree")
-    return report.to_obj(), code
+    all_true = all(v.is_true for v in report.verdicts().values())
+    return report.to_obj(), _exit_code(report.certified, all_true)
 
 
-def _cmd_dichotomy(obj, seed, oracle):
+def _cmd_dichotomy(obj, args):
     from . import diagram, isocrystal
     from .filtration import HodgeData
 
     hk = isocrystal.PhiModule.from_obj(_need(obj, "hk"))
     lattice = HodgeData.from_obj(_need(obj, "lattice"))
-    res = diagram.dichotomy(hk, lattice, _need(obj, "r"), seed)
-    if not res.certified:
-        code = EXIT_UNCERTIFIED
-    else:
-        code = EXIT_TRUE if res.branch == "surjective" else EXIT_FALSE
-    if oracle:
+    res = diagram.dichotomy(hk, lattice, _need(obj, "r"), args.seed)
+    if args.oracle:
         _require((res.branch == "surjective") == (res.deficit == 0), "branch exclusivity")
-    return res.to_obj(), code
+    return res.to_obj(), _exit_code(res.certified, res.branch == "surjective")
 
 
-def _cmd_mv_check(obj, seed, oracle):
+def _cmd_mv_check(obj, args):
     from . import diagram
 
     report = diagram.mv_check(_need(obj, "row_a"), _need(obj, "row_b"), _need(obj, "r"))
-    code = EXIT_TRUE if report.equal else EXIT_FALSE
-    return report.to_obj(), code
+    return report.to_obj(), _exit_code(True, report.equal)
 
 
 def _plot_polygon(obj) -> Polygon:
@@ -386,6 +353,13 @@ def _svg(polygon: Polygon) -> str:
     return "\n".join(out) + "\n"
 
 
+def _cmd_plot(obj, args):
+    polygon = _plot_polygon(obj)
+    if args.format == "json":
+        return {"vertices": [[x, rat_str(y)] for x, y in polygon.vertices]}, EXIT_TRUE
+    return _svg(polygon), EXIT_TRUE
+
+
 HANDLERS = {
     "newton": _cmd_newton,
     "hodge": _cmd_hodge,
@@ -402,7 +376,25 @@ HANDLERS = {
     "battery": _cmd_battery,
     "dichotomy": _cmd_dichotomy,
     "mv-check": _cmd_mv_check,
+    "plot": _cmd_plot,
 }
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an input error, not by argparse's exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _read(path: str) -> str:
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read input: {exc}") from None
 
 
 def _emit_error(payload: dict, code: int = EXIT_INPUT) -> int:
@@ -411,47 +403,29 @@ def _emit_error(payload: dict, code: int = EXIT_INPUT) -> int:
 
 
 def run(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slopecalc",
         description="exact slope calculus on p-adic Hodge data (JSON in, JSON out)",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=HANDLERS)
     parser.add_argument("--input", default="-", help="input JSON file, or - for stdin")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled searches")
     parser.add_argument(
         "--oracle", action="store_true", help="cross-check against brute-force paths"
     )
     parser.add_argument("--format", choices=("json", "svg"), default=None)
-    args = parser.parse_args(argv)
-
     try:
-        if args.input == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    except OSError as exc:
-        return _emit_error({"error": f"cannot read input: {exc}"})
-
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return _emit_error(
-            {"error": f"malformed JSON: {exc.msg}", "line": exc.lineno, "column": exc.colno}
-        )
-
-    try:
-        if args.command == "plot":
-            polygon = _plot_polygon(obj)
-            if args.format == "json":
-                out = {"vertices": [[x, rat_str(y)] for x, y in polygon.vertices]}
-                sys.stdout.write(json.dumps(out, sort_keys=True) + "\n")
-            else:
-                sys.stdout.write(_svg(polygon))
-            return EXIT_TRUE
-        if args.format == "svg":
-            return _emit_error({"error": "--format svg applies to the plot command only"})
-        result, code = HANDLERS[args.command](obj, args.seed, args.oracle)
+        args = parser.parse_args(argv)
+        if args.format == "svg" and args.command != "plot":
+            raise InputError("--format svg applies to the plot command only")
+        text = _read(args.input)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            return _emit_error(
+                {"error": f"malformed JSON: {exc.msg}", "line": exc.lineno, "column": exc.colno}
+            )
+        result, code = HANDLERS[args.command](obj, args)
     except InputError as exc:
         return _emit_error({"error": str(exc)})
     except Exception as exc:  # an internal fault must not pass as certified-false
@@ -462,7 +436,9 @@ def run(argv=None) -> int:
             message = f"internal: {type(exc).__name__}: {message}"
         trace = "".join(traceback.format_exception(exc))
         return _emit_error({"error": message, "traceback": trace}, EXIT_INTERNAL)
-    sys.stdout.write(json.dumps(result, sort_keys=True) + "\n")
+    if not isinstance(result, str):
+        result = json.dumps(result, sort_keys=True) + "\n"
+    sys.stdout.write(result)
     return code
 
 

@@ -336,8 +336,6 @@ def _eigenline_subobjects(m: PhiModule, roots, leftover: int) -> Optional[Subobj
     in the column of image j iff line i is in its support.
     """
     n = m.rank
-    if n == 0:
-        return SubobjectLattice([], (0,), True, "eigenlines", 0, ())
     if leftover != 0 or any(mult != 1 for _, mult in roots):
         return None
     vals = {valuation(r, m.p) for r, _ in roots}
@@ -617,11 +615,6 @@ def lattice_scorer(m: FilteredPhiModule, lattice: SubobjectLattice):
     return walk
 
 
-def _scored(m: FilteredPhiModule, lattice: SubobjectLattice, cap=None):
-    """(key, (rank, t_H, t_N, degree)) of each element, by one walk of the lattice's scorer."""
-    return lattice.scorer(m)(cap)
-
-
 def _module_tn(m: FilteredPhiModule, lattice: SubobjectLattice):
     """t_N(M) as `lattice` carries it, or v_p(det phi) for a lattice built otherwise."""
     return t_n(m.module) if lattice.t_n is None else lattice.t_n
@@ -643,7 +636,7 @@ def _first_violation(m: FilteredPhiModule, bound, lattice) -> Verdict:
     to that rank is reached.  Only its violators get a basis."""
     bound = math.floor(bound)  # integer degrees exceed bound iff they exceed its floor
     cap, bad = [m.rank], []  # the least violating rank so far, and its violators
-    for key, inv in _scored(m, lattice, cap):
+    for key, inv in lattice.scorer(m)(cap):
         if inv[3] > bound and inv[0] <= cap[0]:
             if inv[0] < cap[0]:
                 cap[0], bad = inv[0], []
@@ -756,7 +749,7 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
     if lattice is None:
         lattice = enumerate_subobjects(m, seed)
     best = {}  # rank -> [M_r, the (key, invariants) reaching it]
-    for key, inv in _scored(m, lattice):
+    for key, inv in lattice.scorer(m)():
         top = best.get(inv[0])
         if top is None or inv[3] > top[0]:
             best[inv[0]] = [inv[3], [(key, inv)]]

@@ -26,6 +26,7 @@ from .rational import (
     check_prime,
     int_matmul,
     int_matrix,
+    json_int,
     newton_polygon,
     rat,
     rat_str,
@@ -43,7 +44,7 @@ class SlopeMultiset:
         merged: dict[Fraction, int] = {}
         for s, m in entries:
             s = rat(s)
-            m = int(m)
+            m = json_int(m, "slope multiplicities")
             if m <= 0:
                 raise InputError("slope multiplicities must be positive")
             merged[s] = merged.get(s, 0) + m

@@ -295,10 +295,6 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         return RatMatrix._trusted(tuple(zip(*self.entries)))
 
-    def trace(self) -> Fraction:
-        self._need_square()
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
-
     def apply(self, v: Sequence) -> Row:
         """Apply to a column vector given as a flat sequence; returns a tuple."""
         if len(v) != self.cols:

@@ -71,6 +71,15 @@ class TestDimension:
         with pytest.raises(InputError):
             BCObject.build(**pieces)
 
+    @pytest.mark.parametrize("copies", [2.5, True, "2"])
+    @pytest.mark.parametrize("kind", ["ueff", "uquot"])
+    def test_copies_must_be_integers(self, kind, copies):
+        # build's merge would sum True into 1, so it checks before summing
+        with pytest.raises(InputError, match="piece copies must be integers"):
+            BCObject.build(**{kind: [(1, 2, copies)]})
+        with pytest.raises(InputError, match="piece copies must be integers"):
+            BCObject(**{kind: ((1, 2, copies),)})
+
 
 class TestSlopes:
     def test_effective_slope(self):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import pathlib
@@ -166,6 +167,65 @@ def test_missing_input_file_reports_json(capsys):
     assert "error" in json.loads(captured.err)
 
 
+def test_undecodable_input_file_reports_json(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"p": "\xff"}')
+    code = cli.run(["newton", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert json.loads(captured.err)["error"].startswith("cannot read input: ")
+
+
+class TestMalformedCommandLine:
+    """A bad command line is an input error, reported like any other."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nosuch"],
+            [],
+            ["hn", "--seed", "abc"],
+            ["plot", "--format", "xml"],
+            ["newton", "--format", "svg"],
+        ],
+        ids=["unknown-command", "missing-command", "seed-not-int", "format-xml", "svg-not-plot"],
+    )
+    def test_exits_three_with_json_on_stderr(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(WA_TRUE)))
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT == 3 and captured.out == ""
+        assert list(json.loads(captured.err)) == ["error"]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: slopecalc")
+
+    def test_fresh_process_exits_three(self):
+        proc = _python("-m", "slopecalc", "nosuch")
+        assert proc.returncode == 3 and proc.stdout == b""
+        assert "invalid choice" in json.loads(proc.stderr)["error"]
+
+
+def test_fn4_reduce_decides_admissibility_once(capsys, monkeypatch):
+    # fn4_reduce's last step certifies its output weakly admissible; the
+    # command reports that verdict without deciding it again
+    callers = []
+    decide = hn.is_weakly_admissible
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(hn, "is_weakly_admissible", counted)
+    spec = json.loads((ROOT / "tests" / "fixtures" / "fn4_unit_line.json").read_text())
+    code, out, _ = run_cli(capsys, "fn4-reduce", spec["input"])
+    assert callers == ["fn4_reduce"]
+    assert code == 0 and json.loads(out)["verdict"] == {"status": "certified-true", "witness": None}
+
+
 class TestInternalFaults:
     @pytest.mark.parametrize(
         "fault, message",
@@ -252,6 +312,8 @@ class TestMalformedInput:
                     "hodge": {"flag": [{"index": 1, "basis": [True]}], "rank": 2}}),
             ("hodge", {"hodge": {"weights": 0}}),
             ("bc-dim", {"summands": [{"type": "Ueff", "d": 2, "h": 0, "copies": 1}]}),
+            ("bc-dim", {"summands": [{"type": "Ueff", "d": 1, "h": 2, "copies": 2},
+                                     {"type": "Ueff", "d": 1, "h": 2, "copies": -1}]}),
             ("mv-check", {**MV, "row_a": {**MV["row_a"], "objects": [None, *MV_OBJECTS[1:]]}}),
             ("mv-check", {**MV, "row_a": {**MV["row_a"], "objects": ["x", *MV_OBJECTS[1:]]}}),
             ("mv-check", {"r": 0, "row_a": {"objects": 0, "arrows": []},
@@ -270,7 +332,8 @@ class TestMalformedInput:
             "plot-weights", "plot-vertex-x", "dichotomy-r", "hn-flag-not-list",
             "wa-string-phi-rows", "wa-string-basis-rows", "hn-n-not-a-matrix",
             "hn-phi-row-not-a-list", "hn-flag-basis-bool", "hn-flag-basis-row-bool",
-            "hodge-weights-not-a-list", "bcdim-zero-h", "mvcheck-null-object",
+            "hodge-weights-not-a-list", "bcdim-zero-h", "bcdim-negative-copies-merged",
+            "mvcheck-null-object",
             "mvcheck-string-object", "mvcheck-objects-not-a-list", "mvcheck-arrows-null",
             "plot-svg-weight-span", "plot-svg-vertex-span", "hodge-flag-window",
             "hodge-flag-huge-index",

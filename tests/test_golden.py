@@ -30,6 +30,16 @@ def test_every_fixture_has_a_golden_record():
     assert sorted(path.name for path in FIXTURES) == sorted(GOLDEN)
 
 
+def test_every_command_has_a_golden_fixture():
+    """A command added to the CLI cannot skip the golden corpus."""
+    covered = {
+        json.loads(path.read_text(encoding="utf-8"))["command"]
+        for path in FIXTURES
+        if path.name in GOLDEN
+    }
+    assert set(cli.HANDLERS) - covered == set()
+
+
 def _run_fixture(path, monkeypatch, *flags):
     spec = json.loads(path.read_text(encoding="utf-8"))
     out = io.StringIO()

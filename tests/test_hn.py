@@ -1361,7 +1361,7 @@ class TestScoringCost:
             lattice = enumerate_subobjects(m)
             assert lattice.strategy == kind and len(lattice.keys) > 8
             reduced = TestRecheckCost.counted(monkeypatch, hn, "_primitive")
-            list(hn._scored(m, lattice))
+            list(lattice.scorer(m)())
             monkeypatch.undo()
             assert (len(reduced) == 0) == (kind == "sample")
 

@@ -103,6 +103,14 @@ class TestFromSlopes:
         with pytest.raises(InputError):
             from_slopes(SlopeMultiset([(F(1, 4), 2)]), P)
 
+    @pytest.mark.parametrize("mult", [2.9, True, "1"])
+    def test_multiplicities_must_be_integers(self, mult):
+        # int() would read 2.9 as 2, True as 1 and "1" as 1
+        with pytest.raises(InputError, match="slope multiplicities must be integers"):
+            SlopeMultiset([(F(1, 2), mult)])
+        with pytest.raises(InputError, match="slope multiplicities must be integers"):
+            from_slopes([(F(1, 2), mult)], P)
+
     def test_roundtrip_small(self):
         for slopes in (
             [(F(1, 2), 2)],
