@@ -35,7 +35,7 @@ _OWNERS = {
             "hn_filtration is_acyclic is_weakly_admissible vst_dimension"
         ),
         "isocrystal": (
-            "PhiModule SlopeMultiset check_phi_n det dual from_slopes newton_slopes t_n tensor"
+            "PhiModule SlopeMultiset det dual from_slopes newton_slopes t_n tensor"
         ),
         "rational": (
             "Dimension INFINITY FlagRequiredError InputError Polygon RatMatrix charpoly "

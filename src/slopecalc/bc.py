@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .rational import ZERO_DIM, Dimension, InputError, json_int, json_int_field
+from .rational import ZERO_DIM, Dimension, InputError, json_int, json_int_field, torsion_entry
 
 NEG_INFINITY = -math.inf
 
@@ -56,14 +56,8 @@ class BCObject:
         for d, h, c in self.uquot:
             _check_pair(d, h, "Uquot")
             _check_copies(c)
-        for point, lengths in self.torsion:
-            if not isinstance(point, str) or not point:
-                raise InputError("torsion point labels must be nonempty strings")
-            if not lengths:
-                raise InputError("torsion entries need at least one length")
-            for m in lengths:
-                if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-                    raise InputError("torsion lengths must be positive integers")
+        for entry in self.torsion:
+            torsion_entry(entry)
         if isinstance(self.qp, bool) or not isinstance(self.qp, int) or self.qp < 0:
             raise InputError("qp multiplicity must be a non-negative integer")
 
@@ -85,7 +79,8 @@ class BCObject:
             )
 
         tors: dict[str, list[int]] = {}
-        for point, lengths in torsion:
+        for entry in torsion:
+            point, lengths = torsion_entry(entry)  # before the sort, which compares them
             tors.setdefault(point, []).extend(lengths)
         tt = tuple(
             (point, tuple(sorted(ls, reverse=True))) for point, ls in sorted(tors.items())
@@ -135,12 +130,12 @@ class BCObject:
                 piece = (d, h, json_int_field(s, "copies", 1))
                 (ueff if t == "Ueff" else uquot).append(piece)
             elif t == "Tors":
-                point, lengths = s.get("point", INFTY), s.get("lengths", [])
-                if not isinstance(point, str) or not isinstance(lengths, list):
-                    raise InputError("a Tors summand needs a string 'point' and a list 'lengths'")
-                torsion.append((point, tuple(json_int(m, "Tors lengths") for m in lengths)))
+                torsion.append((s.get("point", INFTY), s.get("lengths", [])))
             elif t == "Qp":
-                qp += json_int_field(s, "n", 1)
+                n = json_int_field(s, "n", 1)
+                if n < 0:  # before the sum, which a negative n would cancel into
+                    raise InputError("qp multiplicity must be a non-negative integer")
+                qp += n
             else:
                 raise InputError(f"unknown summand tag {t!r}")
         return cls.build(ueff, uquot, torsion, qp)

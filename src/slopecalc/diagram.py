@@ -52,7 +52,11 @@ def _check_degree(r) -> None:
 
 
 def _check_windows(hk: PhiModule, lattice: HodgeData, bound: int, what: str) -> Spectrum:
-    """Check ranks, slopes and weights, in that order; returns the module's `Spectrum`."""
+    """Check ranks, slopes and weights, in that order; returns the module's `Spectrum`.
+
+    These follow the checks `PhiModule` made when hk was built (shapes, phi
+    invertible, N).
+    """
     from .hn import Spectrum
 
     if hk.rank != lattice.rank:

@@ -20,12 +20,13 @@ falls back to a seeded, reproducible sample and "uncertified" verdicts,
 except that a verified violating subobject always certifies a negative
 answer.
 
-The front end runs on Python ints: one `Spectrum` per call validates N and
-reads the characteristic polynomial of phi once (its rational roots, its
-Newton slopes on first use, and t_N(M), the valuation of its constant
-coefficient, which the lattice carries to the deciders); the eigenlines and
-the sampled closures are grown on integer rows, and the N-closed sums of
-parts are listed by a walk that visits only the closed masks.
+The front end runs on Python ints: one `Spectrum` per call reads the
+characteristic polynomial of phi once (its rational roots and, on first use,
+its Newton slopes); the eigenlines and the sampled closures are grown on
+integer rows, and the N-closed sums of parts are listed by a walk that
+visits only the closed masks.  N needs no check here, and t_N(M) no
+determinant: a `PhiModule` checks N when it is built and keeps t_N(M) as
+the int `tn`.
 
 Every element is a bitmask of parts (eigenlines, slope blocks, the chain's
 lines, or in a sample the element itself as one part), and the deciders work
@@ -49,7 +50,7 @@ in canonical order among the violators of least rank, and the elements of
 largest degree at the hull's vertices below V.  Every witness and HN step
 is scored again from the definition by `sub_invariants` (the restriction
 matrix of Frobenius and the induced filtration, not the scorer; V against
-t_H(M) and the lattice's t_N(M)), and a disagreement raises an internal error.
+t_H(M) and the module's t_N(M)), and a disagreement raises an internal error.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .filtration import HodgeData, induced_on_subspace, t_h
-from .isocrystal import PhiModule, _monodromy_fault, dm_blocks, is_dm_normal, newton_slopes, t_n
+from .isocrystal import PhiModule, dm_blocks, is_dm_normal, newton_slopes, t_n
 from .rational import (
     Dimension,
     InputError,
@@ -171,22 +172,14 @@ def degree(m: FilteredPhiModule) -> Fraction:
 class Spectrum:
     """Frobenius's characteristic polynomial, read once per call and shared.
 
-    Building it validates N (`_monodromy_fault`: an `InputError` if N breaks
-    N.phi = p.phi.N or is not nilpotent) and computes `coeffs` =
-    `charpoly(phi)` and `t_n` = t_N(M) = v_p(det phi), the valuation of the
-    constant coefficient.  `roots` (the rational roots with multiplicities
-    and the leftover degree, by `rational_roots`) and `slopes` (the Newton
-    slopes) are computed on first use.  `enumerate_subobjects` builds one or
-    takes the caller's, and its lattice carries `t_n`.
+    Building it computes `coeffs` = `charpoly(phi)`; `roots` (the rational
+    roots with multiplicities and the leftover degree, by `rational_roots`)
+    and `slopes` (the Newton slopes) are computed on first use.
+    `enumerate_subobjects` builds one or takes the caller's.
     """
 
     def __init__(self, module: PhiModule):
-        fault = _monodromy_fault(module)
-        if fault:
-            raise InputError(fault)
         self.module, self.coeffs = module, charpoly(module.phi)
-        const, p = self.coeffs[0], module.p
-        self.t_n = _vp_int(abs(const.numerator), p) - _vp_int(const.denominator, p)
 
     @cached_property
     def roots(self) -> tuple[list[tuple[Fraction, int]], int]:
@@ -216,13 +209,12 @@ class SubobjectLattice:
     bases sorted by dimension then lexicographically, has a length at once
     but builds every basis when an item is read.  `scorer(m)` keeps the
     `lattice_scorer` of the last module object it was asked for, so deciders
-    run in turn share it.  `t_n` is t_N(M), set by `enumerate_subobjects`
-    from the module's `Spectrum` (None on a lattice built otherwise).
+    run in turn share it.
     """
 
     def __init__(self, parts, keys, certified, strategy, ncols, order):
         self.parts, self.keys, self.ncols, self.order = parts, keys, ncols, order
-        self.certified, self.strategy, self.t_n = certified, strategy, None
+        self.certified, self.strategy = certified, strategy
         self.bases = _CanonicalBases(self)
         self._built, self._sorted, self._scorer = {}, None, None
 
@@ -486,8 +478,7 @@ def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0, spectrum=None) -> 
     Its bases always include the zero and full subspaces.  Scalar Frobenius
     yields the flag-adapted chain (`_scalar_flag_chain`).  `spectrum`, the
     module's `Spectrum` when the caller already holds it, is built here
-    otherwise; every strategy reads its roots and slopes, and the lattice
-    carries its t_N(M).
+    otherwise; every strategy reads its roots and slopes.
     """
     mod = m.module
     spectrum = spectrum or Spectrum(mod)
@@ -498,7 +489,6 @@ def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0, spectrum=None) -> 
         lattice = _scalar_flag_chain(m)
     if lattice is None:
         lattice = SubobjectLattice.sample(_sample_subobjects(m, seed, spectrum.roots[0]))
-    lattice.t_n = spectrum.t_n
     return lattice
 
 
@@ -506,7 +496,7 @@ def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0, spectrum=None) -> 
 # degrees of subobjects and the deciders
 
 
-def sub_invariants(m: FilteredPhiModule, basis, module_tn=None) -> tuple[int, int, Fraction, Fraction]:
+def sub_invariants(m: FilteredPhiModule, basis) -> tuple[int, int, Fraction, Fraction]:
     """(rank, t_H, t_N, degree) of the stable subspace spanned by `basis`.
 
     Scores from the definition: the restriction matrix of Frobenius and the
@@ -514,16 +504,14 @@ def sub_invariants(m: FilteredPhiModule, basis, module_tn=None) -> tuple[int, in
     and the restriction matrix has a zero column at each free row, so its
     determinant is zero exactly then.  The canonical basis of V, the
     identity, is M itself: it scores (n, t_H(M), t_N(M)) with no change of
-    basis, t_N(M) being `module_tn` when the caller holds it (a lattice's
-    `t_n`) and v_p(det phi) otherwise.  The deciders score by
-    `lattice_scorer` and re-check with this.
+    basis, t_N(M) being `t_n(m.module)`, which the module keeps.  The
+    deciders score by `lattice_scorer` and re-check with this.
     """
     k = len(basis)
     if k == 0:
         return 0, 0, Fraction(0), Fraction(0)
     if k == m.rank and all(list(row) == [i == j for j in range(k)] for i, row in enumerate(basis)):
-        th = t_h(m.hodge)
-        tn = t_n(m.module) if module_tn is None else Fraction(module_tn)
+        th, tn = t_h(m.hodge), t_n(m.module)
         return k, th, tn, Fraction(th) - tn
     restr = restriction_matrix(m.module.phi, basis)
     if restr is None:
@@ -615,14 +603,9 @@ def lattice_scorer(m: FilteredPhiModule, lattice: SubobjectLattice):
     return walk
 
 
-def _module_tn(m: FilteredPhiModule, lattice: SubobjectLattice):
-    """t_N(M) as `lattice` carries it, or v_p(det phi) for a lattice built otherwise."""
-    return t_n(m.module) if lattice.t_n is None else lattice.t_n
-
-
-def _recheck(m: FilteredPhiModule, basis, fast, module_tn=None) -> None:
+def _recheck(m: FilteredPhiModule, basis, fast) -> None:
     """Re-score a returned subspace from the definition; raise on disagreement."""
-    slow = sub_invariants(m, basis, module_tn)
+    slow = sub_invariants(m, basis)
     if slow != fast:
         msg = f"internal: lattice scorer gave {fast} but the definition gives {slow}"
         raise AssertionError(msg)
@@ -655,18 +638,15 @@ def is_weakly_admissible(m: FilteredPhiModule, seed: int = 0, lattice=None) -> V
     `certified` lattice (a complete enumeration or the scalar chain); a
     verified violating subobject certifies falsity regardless.
     `lattice`, when given, replaces the enumeration; see `hn_filtration`.
-    The degree reads t_N(M) off the lattice's or, before enumerating, off
-    the module's `Spectrum`, which the enumeration then shares.
+    The degree reads t_N(M) off the module, before any enumeration.
     """
     if m.rank == 0:
         return Verdict(STATUS_TRUE)
     m.hodge.require_flag("is_weakly_admissible")
-    spectrum = Spectrum(m.module) if lattice is None else None
-    tn = spectrum.t_n if spectrum else _module_tn(m, lattice)
-    if t_h(m.hodge) != tn:
+    if t_h(m.hodge) != m.module.tn:
         return Verdict(STATUS_FALSE, RatMatrix.identity(m.rank).entries)
     if lattice is None:
-        lattice = enumerate_subobjects(m, seed, spectrum)
+        lattice = enumerate_subobjects(m, seed)
     return _first_violation(m, 0, lattice)
 
 
@@ -676,14 +656,14 @@ def is_acyclic(m: FilteredPhiModule, seed: int = 0, lattice=None) -> Verdict:
     Equivalently every quotient has non-negative degree, equivalently the
     minimal Harder-Narasimhan slope is >= 0.  A certified-false witness W
     satisfies deg(M/W) < 0.  `lattice`: see `hn_filtration`; deg(M) reads
-    t_N(M) off it.
+    t_N(M) off the module.
     """
     if m.rank == 0:
         return Verdict(STATUS_TRUE)
     m.hodge.require_flag("is_acyclic")
     if lattice is None:
         lattice = enumerate_subobjects(m, seed)
-    return _first_violation(m, t_h(m.hodge) - _module_tn(m, lattice), lattice)
+    return _first_violation(m, t_h(m.hodge) - m.module.tn, lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +717,7 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
     maximiser in canonical order and is skipped if that misses the previous
     step, so the steps still nest with strictly falling slopes.  The last
     vertex is V, whose basis is the identity and holds every step;
-    `sub_invariants` re-checks it against t_H(M) and the lattice's t_N(M).
+    `sub_invariants` re-checks it against t_H(M) and the module's t_N(M).
     `lattice`, when given, is used in place of `enumerate_subobjects(m,
     seed)` and must be that lattice for the same Frobenius module.  It does
     not depend on the flag, except for a "scalar-chain" lattice, which is
@@ -762,7 +742,6 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
             hull.pop()
         hull.append((k, d))
     steps, prev, cur_rank, cur_deg = [], (), 0, 0
-    module_tn = _module_tn(m, lattice)
     for k, d in hull[1:]:
         tied = best[k][1]
         if lattice.certified and len(tied) != 1:
@@ -776,7 +755,7 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
                     msg = f"internal: the HN vertex at rank {k} misses the step before"
                     raise AssertionError(msg)
                 continue
-        _recheck(m, basis, inv, module_tn)
+        _recheck(m, basis, inv)
         dk, dd = k - cur_rank, d - cur_deg
         steps.append(HNStep(basis, Fraction(dd, dk), k, dk, Fraction(dd)))
         prev, cur_rank, cur_deg = basis, k, d
@@ -888,8 +867,9 @@ def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:
     filtration, which drops the degree by exactly one; that one filtration
     also re-checks that the module it lowers is certified acyclic.  At degree
     zero acyclic means weakly admissible, which is checked last.  Phi never
-    changes, so every step shares one lattice and its t_N(M); the input's
-    check and the first filtration, on the same module, share its scorer too.
+    changes, so every step shares one lattice and the module's t_N(M); the
+    input's check and the first filtration, on the same module, share its
+    scorer too.
     """
     if m.rank:
         m.hodge.require_flag("is_acyclic")  # before enumerating, as is_acyclic does
@@ -897,7 +877,7 @@ def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:
     verdict = is_acyclic(m, seed, lattice)
     if verdict.status != STATUS_TRUE:
         raise InputError(f"fn4_reduce needs a certified acyclic module (got {verdict.status})")
-    tn = _module_tn(m, lattice)
+    tn = m.module.tn
     if lattice.strategy == "scalar-chain":
         lattice = None  # adapted to the flag, which each step changes: rebuilt per module
     deg = t_h(m.hodge) - tn

@@ -1,7 +1,8 @@
 """Frobenius modules over a p-adic base with residue field F_p.
 
 A module is an invertible rational matrix phi together with a nilpotent
-operator N obeying the twisted commutation rule N.phi = p.phi.N.  Slopes are
+operator N obeying the twisted commutation rule N.phi = p.phi.N; construction
+checks all three, so no module that breaks them exists.  Slopes are
 always read off the characteristic polynomial of phi through the Newton
 polygon, never from eigenvectors, so everything stays exact and rational.
 
@@ -71,10 +72,11 @@ FORM_DM_NORMAL = "dm-normal"
 class PhiModule:
     """A (phi, N)-module: prime p, invertible phi, nilpotent N.
 
-    Construction checks shapes and invertibility of phi.  `from_obj`, the
-    JSON boundary, also rejects an N that breaks the commutation rule or is
-    not nilpotent; `from_matrices` leaves that to `check_phi_n`, which
-    reports a boolean so near-miss pairs can be examined rather than rejected.
+    Construction is the one validity check: shapes, phi invertible, then N
+    (N.phi = p.phi.N and nilpotency), each failure an `InputError`, however
+    the module is built.  It also keeps `tn` = t_N(M) = v_p(det phi), an int
+    off the determinant that the invertibility check takes; `tn` is not a
+    field, so equality, hashing, `repr` and `to_obj` do not see it.
     """
 
     p: int
@@ -92,8 +94,13 @@ class PhiModule:
             raise InputError("phi and N must have equal size")
         if self.form not in (FORM_MATRIX, FORM_DM_NORMAL):
             raise InputError(f"unknown form {self.form!r}")
-        if self.phi.rows > 0 and self.phi.det() == 0:
+        det = self.phi.det()  # 1 at rank 0
+        if det == 0:
             raise InputError("phi must be invertible")
+        fault = _monodromy_fault(self)
+        if fault:
+            raise InputError(fault)
+        object.__setattr__(self, "tn", valuation(det, self.p))
 
     @property
     def rank(self) -> int:
@@ -131,11 +138,7 @@ class PhiModule:
             raise InputError(f"PhiModule JSON missing key {exc}") from exc
         n = obj.get("N")
         form = obj.get("form", FORM_MATRIX)
-        m = cls.from_matrices(p, RatMatrix(phi), RatMatrix(n) if n is not None else None, form)
-        fault = _monodromy_fault(m)
-        if fault:
-            raise InputError(fault)
-        return m
+        return cls.from_matrices(p, RatMatrix(phi), RatMatrix(n) if n is not None else None, form)
 
 
 def _monodromy_fault(m: PhiModule) -> Optional[str]:
@@ -153,15 +156,6 @@ def _monodromy_fault(m: PhiModule) -> Optional[str]:
     return "N must be nilpotent"
 
 
-def check_phi_n(m: PhiModule) -> bool:
-    """True iff N.phi = p.phi.N exactly, N is nilpotent, and phi is invertible."""
-    if m.phi.rows != m.nilpotent.rows:
-        raise InputError("phi and N must have equal size")
-    if m.rank == 0:
-        return True
-    return m.phi.det() != 0 and _monodromy_fault(m) is None
-
-
 def newton_slopes(m: PhiModule, coeffs=None) -> SlopeMultiset:
     """Slope multiset of phi: root valuations of its characteristic polynomial.
 
@@ -176,10 +170,8 @@ def newton_slopes(m: PhiModule, coeffs=None) -> SlopeMultiset:
 
 
 def t_n(m: PhiModule) -> Fraction:
-    """v_p(det phi); equals the multiplicity-weighted sum of Newton slopes."""
-    if m.rank == 0:
-        return Fraction(0)
-    return Fraction(valuation(m.phi.det(), m.p))
+    """v_p(det phi), kept by construction; equals the multiplicity-weighted sum of Newton slopes."""
+    return Fraction(m.tn)
 
 
 def from_slopes(slopes: SlopeMultiset, p: int) -> PhiModule:

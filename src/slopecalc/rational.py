@@ -72,6 +72,25 @@ def json_int_field(obj: dict, key: str, default=None) -> int:
     return json_int(obj.get(key), f"{key!r} fields")
 
 
+def torsion_entry(entry) -> tuple[str, tuple]:
+    """One torsion entry (point, lengths), checked before any merge or sort.
+
+    The point is a nonempty string and the lengths a nonempty list or tuple
+    of positive integers; `bc` and `sheaf` apply this rule to raw entries and
+    to their normal forms.
+    """
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        raise InputError("a torsion entry is a (point, lengths) pair")
+    point, lengths = entry
+    if not isinstance(point, str) or not point:
+        raise InputError("torsion point labels must be nonempty strings")
+    if not isinstance(lengths, (list, tuple)) or not lengths:
+        raise InputError("torsion entries need a nonempty list of lengths")
+    if any(json_int(m, "torsion lengths") < 1 for m in lengths):
+        raise InputError("torsion lengths must be positive integers")
+    return point, tuple(lengths)
+
+
 def rat_str(q: Fraction) -> str:
     """Serialize a Fraction as 'a/b', or 'a' when the denominator is 1."""
     q = rat(q)

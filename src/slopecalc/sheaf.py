@@ -18,7 +18,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .rational import ZERO_DIM, Dimension, InputError, json_int, json_int_field, rat, rat_str
+from .rational import (
+    ZERO_DIM,
+    Dimension,
+    InputError,
+    json_int,
+    json_int_field,
+    rat,
+    rat_str,
+    torsion_entry,
+)
 
 INFTY = "infty"
 
@@ -36,13 +45,8 @@ class FFSheaf:
                 raise InputError("bundle slopes must be Fractions")
             if isinstance(c, bool) or not isinstance(c, int) or c < 1:
                 raise InputError("bundle copies must be positive integers")
-        for point, lengths in self.torsion:
-            if not isinstance(point, str) or not point:
-                raise InputError("torsion point labels must be nonempty strings")
-            if not lengths or any(
-                isinstance(m, bool) or not isinstance(m, int) or m < 1 for m in lengths
-            ):
-                raise InputError("torsion lengths must be positive integers")
+        for entry in self.torsion:
+            torsion_entry(entry)
 
     # -- constructors --------------------------------------------------------
 
@@ -58,8 +62,9 @@ class FFSheaf:
             acc[s] = acc.get(s, 0) + c
         bundle = tuple(sorted(acc.items(), key=lambda t: t[0], reverse=True))
         tors: dict[str, list[int]] = {}
-        for point, lengths in torsion:
-            tors.setdefault(point, []).extend(json_int(m, "torsion lengths") for m in lengths)
+        for entry in torsion:
+            point, lengths = torsion_entry(entry)  # before the sort, which compares them
+            tors.setdefault(point, []).extend(lengths)
         tt = tuple((pt, tuple(sorted(ls, reverse=True))) for pt, ls in sorted(tors.items()))
         return cls(bundle, tt)
 
@@ -101,15 +106,9 @@ class FFSheaf:
             if not isinstance(b, dict) or "slope" not in b:
                 raise InputError("bundle entries need 'slope' (and 'copies')")
             pairs.append((rat(b["slope"]), json_int_field(b, "copies", 1)))
-        tors = []
-        for t in torsion:
-            if not isinstance(t, dict) or not isinstance(t.get("lengths"), list):
-                raise InputError("torsion entries need 'point' and 'lengths'")
-            point = t.get("point", INFTY)
-            if not isinstance(point, str):
-                raise InputError("torsion point labels must be nonempty strings")
-            tors.append((point, tuple(json_int(m, "torsion lengths") for m in t["lengths"])))
-        return cls.from_bundle(pairs, tors)
+        if not all(isinstance(t, dict) for t in torsion):
+            raise InputError("torsion entries need 'point' and 'lengths'")
+        return cls.from_bundle(pairs, [(t.get("point", INFTY), t.get("lengths")) for t in torsion])
 
 
 def canonicalize(raw_slopes: Iterable, torsion: Iterable = ()) -> FFSheaf:

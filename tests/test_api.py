@@ -17,7 +17,7 @@ PUBLIC = [
     "FlagRequiredError", "HNFiltration", "HodgeData", "INFINITY", "InputError",
     "PhiModule", "Polygon", "QBCObject", "RatMatrix", "SlopeMultiset",
     "SyntheticCohomology", "Verdict", "battery", "bc", "build_modification",
-    "canonical_filtration", "canonicalize", "charpoly", "check_exact", "check_phi_n",
+    "canonical_filtration", "canonicalize", "charpoly", "check_exact",
     "cohomology_dim", "degree", "det", "diagram", "dichotomy", "dimension", "dual",
     "dual_hodge", "enumerate_subobjects", "ext_tables", "filtration", "fn4_reduce",
     "from_slopes", "height_functor_rank", "hn", "hn_filtration", "hn_slopes", "hom_dim",

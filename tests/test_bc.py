@@ -80,6 +80,21 @@ class TestDimension:
         with pytest.raises(InputError, match="piece copies must be integers"):
             BCObject(**{kind: ((1, 2, copies),)})
 
+    @pytest.mark.parametrize("torsion", [
+        [("x", (1, "a"))], [(1, (1,)), ("x", (1,))], [("x", 3)], [("x", ())],
+        [("x", (0,))], [("", (1,))], ["x"],
+    ], ids=["string-length", "int-point", "int-lengths", "no-lengths", "zero-length",
+            "empty-point", "not-a-pair"])
+    def test_torsion_entries_are_checked_before_the_merge(self, torsion):
+        # build sorts the merged entries, which must not compare a bad one first
+        with pytest.raises(InputError):
+            BCObject.build(torsion=torsion)
+
+    def test_negative_qp_summand_rejected(self):
+        obj = {"summands": [{"type": "Qp", "n": -1}, {"type": "Qp", "n": 2}]}
+        with pytest.raises(InputError, match="qp multiplicity must be a non-negative integer"):
+            BCObject.from_obj(obj)
+
 
 class TestSlopes:
     def test_effective_slope(self):

@@ -314,6 +314,7 @@ class TestMalformedInput:
             ("bc-dim", {"summands": [{"type": "Ueff", "d": 2, "h": 0, "copies": 1}]}),
             ("bc-dim", {"summands": [{"type": "Ueff", "d": 1, "h": 2, "copies": 2},
                                      {"type": "Ueff", "d": 1, "h": 2, "copies": -1}]}),
+            ("bc-dim", {"summands": [{"type": "Qp", "n": -1}, {"type": "Qp", "n": 2}]}),
             ("mv-check", {**MV, "row_a": {**MV["row_a"], "objects": [None, *MV_OBJECTS[1:]]}}),
             ("mv-check", {**MV, "row_a": {**MV["row_a"], "objects": ["x", *MV_OBJECTS[1:]]}}),
             ("mv-check", {"r": 0, "row_a": {"objects": 0, "arrows": []},
@@ -333,6 +334,7 @@ class TestMalformedInput:
             "wa-string-phi-rows", "wa-string-basis-rows", "hn-n-not-a-matrix",
             "hn-phi-row-not-a-list", "hn-flag-basis-bool", "hn-flag-basis-row-bool",
             "hodge-weights-not-a-list", "bcdim-zero-h", "bcdim-negative-copies-merged",
+            "bcdim-negative-qp-merged",
             "mvcheck-null-object",
             "mvcheck-string-object", "mvcheck-objects-not-a-list", "mvcheck-arrows-null",
             "plot-svg-weight-span", "plot-svg-vertex-span", "hodge-flag-window",

@@ -425,13 +425,15 @@ class TestSpectralPass:
 
     @pytest.mark.parametrize("name", sorted(BATTERY_CASES))
     def test_acyclic_then_hn_take_module_tn_off_the_lattice(self, name, monkeypatch):
+        # t_N(M) is read off the module, which kept it when it was built: no
+        # decider, and not `degree`, takes a determinant of phi
         s = BATTERY_CASES[name]
         for m in (s.below, s.top):
             if not m.rank:
                 continue
-            want = is_acyclic(m), hn.hn_filtration(m)
+            want = is_acyclic(m), hn.hn_filtration(m), hn.degree(m)
             lattice = enumerate_subobjects(m)
-            assert lattice.t_n == hn.t_n(m.module)
+            assert hn.t_n(m.module) == m.module.tn
             dets, real = [], RatMatrix.det
 
             def counted(self):
@@ -439,7 +441,8 @@ class TestSpectralPass:
                 return real(self)
 
             monkeypatch.setattr(RatMatrix, "det", counted)
-            got = is_acyclic(m, lattice=lattice), hn.hn_filtration(m, lattice=lattice)
+            got = (is_acyclic(m, lattice=lattice), hn.hn_filtration(m, lattice=lattice),
+                   hn.degree(m))
             monkeypatch.setattr(RatMatrix, "det", real)
             assert got == want
             assert not any(d is m.module.phi or d == m.module.phi for d in dets)
@@ -460,12 +463,46 @@ class TestSpectralPass:
             dichotomy(PhiModule.from_matrices(P, hk), hodge, 1)
         assert type(info.value) is error and str(info.value) == message
 
-    def test_bad_monodromy_comes_after_the_rank_check(self):
-        bad = PhiModule.from_matrices(P, [[1, 0], [0, 4]], [[1, 0], [0, 0]])
-        with pytest.raises(InputError, match="module rank 2 != lattice rank 1"):
-            dichotomy(bad, HodgeData.from_weights([1]), 1)
-        with pytest.raises(InputError, match=r"N must satisfy N\.phi = p\.phi\.N"):
-            dichotomy(bad, HodgeData.from_weights([5, 0]), 1)
+    def test_bad_monodromy_cannot_be_built(self, capsys, monkeypatch):
+        # the error order starts with construction: a bad N is reported
+        # before the rank mismatch that dichotomy would find next
+        import io
+        import json
+
+        from slopecalc import cli
+
+        with pytest.raises(InputError, match=r"^N must satisfy N\.phi = p\.phi\.N$"):
+            PhiModule.from_matrices(P, [[1, 0], [0, 4]], [[1, 0], [0, 0]])
+        hk = {"p": P, "phi": [["1", "0"], ["0", "4"]], "N": [["1", "0"], ["0", "0"]]}
+        payload = {"hk": hk, "lattice": {"weights": [1]}, "r": 1}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        code = cli.run(["dichotomy", "--input", "-"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "N must satisfy N.phi = p.phi.N"
+
+    @pytest.mark.parametrize("fixture", ["battery_two_degrees", "dichotomy_deficit"])
+    def test_monodromy_checked_once_per_module(self, fixture, monkeypatch):
+        # from parsing through the call, each module's N is checked once: when
+        # the module is built, by whichever constructor builds it
+        import json
+        import pathlib
+
+        from slopecalc import isocrystal
+
+        path = pathlib.Path(__file__).parent / "fixtures" / f"{fixture}.json"
+        inp = json.loads(path.read_text(encoding="utf-8"))["input"]
+        checked = count_calls(monkeypatch, isocrystal._monodromy_fault)  # keeps each module alive
+        if fixture.startswith("battery"):
+            s = SyntheticCohomology.from_obj(inp)
+            battery(s)
+            parsed = [s.top.module, s.below.module]
+        else:
+            hk = PhiModule.from_obj(inp["hk"])
+            dichotomy(hk, HodgeData.from_obj(inp["lattice"]), inp["r"])
+            parsed = [hk]
+        assert len({id(m) for m in checked}) == len(checked)
+        assert all(any(m is mod for m in checked) for mod in parsed)
 
 
 def split_row(parts):

@@ -27,7 +27,6 @@ from slopecalc.hn import (
 from slopecalc.isocrystal import (
     PhiModule,
     SlopeMultiset,
-    check_phi_n,
     dm_blocks,
     dual,
     from_slopes,
@@ -706,8 +705,8 @@ class TestSubInvariants:
 
 
 class TestMonodromyValidation:
-    """A library module whose N breaks N.phi = p.phi.N is an input error: the
-    spectral pass checks it before any lattice is built or degree compared."""
+    """A module whose N breaks N.phi = p.phi.N cannot be built: every
+    constructor raises the same input error, so no decider ever sees one."""
 
     CASES = {
         # N = E11 neither twists phi nor is nilpotent; it used to reach the
@@ -719,23 +718,30 @@ class TestMonodromyValidation:
         "nilpotent-scalar": ([[1, 0], [0, 1]], [[0, 1], [0, 0]]),
     }
 
+    @staticmethod
+    def as_json(name):
+        """The case as a filtered module's JSON, written out by hand."""
+        phi, nil = TestMonodromyValidation.CASES[name]
+        module = {"p": P, "phi": [[str(x) for x in row] for row in phi],
+                  "N": [[str(x) for x in row] for row in nil]}
+        return {"module": module, "hodge": {"flag": [{"index": 1, "basis": [["1", "0"]]}],
+                                            "rank": 2}}
+
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_every_entry_point_raises_an_input_error(self, name):
         from slopecalc import diagram
 
         phi, nil = self.CASES[name]
-        mod = PhiModule.from_matrices(P, phi, nil)
-        assert not check_phi_n(mod)
-        # weight 1 on a line: degree 1 - v_p(det phi) is not 0 for the first
-        # two, so is_weakly_admissible would answer before enumerating
-        m = FilteredPhiModule(mod, HodgeData.from_flag([(1, [[1, 0]])], rank=2))
-        calls = [enumerate_subobjects, hn_filtration, is_acyclic, is_weakly_admissible,
-                 vst_dimension, fn4_reduce,
-                 lambda m: diagram.dichotomy(m.module, m.hodge, 2),
-                 lambda m: diagram.SyntheticCohomology.build(2, m)]
-        for call in calls:
+        obj = self.as_json(name)
+        builds = [lambda: PhiModule(P, RatMatrix(phi), RatMatrix(nil)),
+                  lambda: PhiModule.from_matrices(P, phi, nil),
+                  lambda: PhiModule.from_obj(obj["module"]),
+                  lambda: FilteredPhiModule.from_obj(obj),
+                  lambda: diagram.SyntheticCohomology.from_obj(
+                      {"r": 2, "degrees": {"r": {"hk": obj["module"], "lattice": obj["hodge"]}}})]
+        for build in builds:
             with pytest.raises(InputError, match=r"^N must satisfy N\.phi = p\.phi\.N$"):
-                call(m)
+                build()
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_cli_exits_three(self, name, capsys, monkeypatch):
@@ -744,11 +750,8 @@ class TestMonodromyValidation:
 
         from slopecalc import cli
 
-        phi, nil = self.CASES[name]
-        m = FilteredPhiModule(PhiModule.from_matrices(P, phi, nil),
-                              HodgeData.from_flag([(1, [[1, 0]])], rank=2))
         for command in ("hn", "acyclic", "wa"):
-            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(m.to_obj())))
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(self.as_json(name))))
             code = cli.run([command, "--input", "-"])
             out, err = capsys.readouterr()
             assert (code, out) == (3, "")
@@ -811,7 +814,6 @@ class TestMaskLattice:
         sizes = []
         for n in (3, 4, 5, 6):
             mod, lines = _eigen_module(rng, n, chain)
-            assert check_phi_n(mod)
             m = FilteredPhiModule(mod, random_flag(rng, n, -1, 3))
             sizes.append(len(self.agree(m, lines, "eigenlines").bases))
         # an N chain cuts the lattice below 2^n
@@ -840,8 +842,7 @@ class TestMaskLattice:
         base = from_slopes(SlopeMultiset([(F(0), 1), (F(1, 2), 2), (F(3, 2), 2)]), P)
         nil = [[F(0)] * 5 for _ in range(5)]
         nil[1][3], nil[2][4] = F(1), F(P)
-        mod = PhiModule(P, base.phi, RatMatrix(nil), base.form)
-        assert check_phi_n(mod)
+        mod = PhiModule(P, base.phi, RatMatrix(nil), base.form)  # construction checks N
         m = FilteredPhiModule(mod, random_flag(random.Random(42), 5, 0, 2))
         std = RatMatrix.identity(5).entries
         lattice = self.agree(m, [std[0:1], std[1:3], std[3:5]], "blocks")
@@ -1248,7 +1249,7 @@ class TestLazyLattice:
 class TestRecheckCost:
     """The definition-based re-check of returned steps and witnesses: one
     induced filtration per re-check of a proper subspace, one elimination per
-    distinct Fil^j, and V checked against t_H(M) and t_N(M)."""
+    distinct Fil^j, and V checked against t_H(M) and the module's t_N(M)."""
 
     @staticmethod
     def counted(monkeypatch, module, name):
@@ -1267,12 +1268,13 @@ class TestRecheckCost:
         lattice = enumerate_subobjects(m)
         rechecks = self.counted(monkeypatch, hn, "sub_invariants")
         induced = self.counted(monkeypatch, hn, "induced_on_subspace")
+        tns = self.counted(monkeypatch, hn, "t_n")
         steps = hn_filtration(m, lattice=lattice).steps
         # V, the last step, is re-checked from t_H(M) and t_N(M), not induced
         assert len(rechecks) == len(induced) + 1 == len(steps)
-        # each re-check gets (m, basis, t_N(M)): V is re-checked against the lattice's
         assert [args[1] for args in rechecks] == [step.basis for step in steps]
-        assert {args[2] for args in rechecks} == {lattice.t_n}
+        # V's t_N(M) is `t_n(m.module)`, which the module kept when it was built
+        assert tns == [(m.module,)]
         witness = is_acyclic(m, lattice=lattice).witness
         assert len(rechecks) == len(induced) + 1 == len(steps) + (witness is not None)
 
@@ -1515,7 +1517,6 @@ class TestSampledLattice:
         diag = RatMatrix([[eigenvalues[i] if i == j else 0 for j in range(n)] for i in range(n)])
         e = RatMatrix.zeros(n, n) if e is None else RatMatrix(e)
         mod = PhiModule.from_matrices(P, s @ diag @ s.inverse(), s @ e @ s.inverse())
-        assert check_phi_n(mod)
         return FilteredPhiModule(mod, random_flag(random.Random(seed), n, 0, 2))
 
     def extra_cases(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from slopecalc.isocrystal import (
     PhiModule,
     SlopeMultiset,
-    check_phi_n,
     det,
     dual,
     from_slopes,
@@ -28,23 +28,32 @@ def mk(phi, nil=None, p=P, form="matrix"):
     return PhiModule.from_matrices(p, phi, nil, form)
 
 
+BAD_N = r"^N must satisfy N\.phi = p\.phi\.N$"
+
+
 class TestCheckPhiN:
+    """Construction checks phi and N, so no module that breaks them exists."""
+
     def test_zero_monodromy_always_valid(self):
-        assert check_phi_n(mk([[1, 0], [0, P]]))
+        m = mk([[1, 0], [0, P]])
+        assert m.nilpotent.is_zero() and m.tn == 1
 
     def test_elementary_monodromy(self):
         e12 = [[0, 1], [0, 0]]
         # N e_2 = e_1 sends the p-eigenline to the 1-eigenline: valid
-        assert check_phi_n(mk([[1, 0], [0, P]], e12))
+        m = mk([[1, 0], [0, P]], e12)
+        assert m.nilpotent @ m.phi == (m.phi @ m.nilpotent).scale(P)
         # swapped diagonal breaks the twisted commutation exactly
-        assert not check_phi_n(mk([[P, 0], [0, 1]], e12))
+        with pytest.raises(InputError, match=BAD_N):
+            mk([[P, 0], [0, 1]], e12)
 
     def test_singular_phi_rejected(self):
         with pytest.raises(InputError):
             mk([[0, 0], [0, 1]])
 
     def test_non_nilpotent_rejected(self):
-        assert not check_phi_n(mk([[1, 0], [0, 1]], [[1, 0], [0, 1]]))
+        with pytest.raises(InputError, match=BAD_N):
+            mk([[1, 0], [0, 1]], [[1, 0], [0, 1]])
 
     def test_size_mismatch(self):
         with pytest.raises(InputError):
@@ -81,6 +90,15 @@ class TestTN:
     def test_equals_slope_sum(self):
         m = mk([[0, 0, 6], [1, 0, 0], [0, 1, 0]])
         assert t_n(m) == sum(s * mult for s, mult in newton_slopes(m))
+
+    def test_kept_by_construction_outside_the_fields(self):
+        m = mk([[0, P], [1, 0]], [[0, 0], [0, 0]])
+        assert type(m.tn) is int and type(t_n(m)) is F and t_n(m) == m.tn == 1
+        assert t_n(PhiModule.zero(P)) == PhiModule.zero(P).tn == 0
+        assert [f.name for f in dataclasses.fields(m)] == ["p", "phi", "nilpotent", "form"]
+        assert "tn" not in repr(m) and "tn" not in m.to_obj()
+        twin = PhiModule.from_obj(m.to_obj())
+        assert twin == m and hash(twin) == hash(m) and twin.tn == m.tn
 
 
 class TestFromSlopes:
@@ -245,8 +263,9 @@ class TestTensorDualDet:
         rng = random.Random(seed)
         a = diagonal_instance(rng, P, rng.randint(1, 2), -1, 2)
         b = diagonal_instance(rng, P, rng.randint(1, 2), -1, 2)
-        assert check_phi_n(tensor(a, b))
-        assert check_phi_n(dual(a))
+        # construction checks the rule; checked here again from the matrices
+        for m in (tensor(a, b), dual(a)):
+            assert m.nilpotent @ m.phi == (m.phi @ m.nilpotent).scale(P)
 
 
 class TestJson:

@@ -23,6 +23,16 @@ slope_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 class TestCanonicalize:
+    @pytest.mark.parametrize("torsion", [
+        [("x", (1, "a"))], [(1, (1,)), ("x", (1,))], [("x", 3)], [("x", ())],
+        [("", (1,))], ["x"],
+    ], ids=["string-length", "int-point", "int-lengths", "no-lengths", "empty-point",
+            "not-a-pair"])
+    def test_torsion_entries_are_checked_before_the_merge(self, torsion):
+        # from_bundle sorts the merged entries, which must not compare a bad one first
+        with pytest.raises(InputError):
+            FFSheaf.from_bundle([], torsion)
+
     def test_half_slope(self):
         s = canonicalize([(F(1, 2), 4)])
         assert s.bundle == ((F(1, 2), 2),)
