@@ -19,7 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .rational import ZERO_DIM, Dimension, InputError, json_int, json_int_field, torsion_entry
+from .rational import (
+    ZERO_DIM,
+    Dimension,
+    InputError,
+    json_int,
+    json_int_field,
+    torsion_entry,
+    torsion_normal_form,
+)
 
 NEG_INFINITY = -math.inf
 
@@ -78,14 +86,8 @@ class BCObject:
                 for (d, h), c in sorted(acc.items(), key=lambda t: (Fraction(t[0][0], t[0][1]), t[0][1]))
             )
 
-        tors: dict[str, list[int]] = {}
-        for entry in torsion:
-            point, lengths = torsion_entry(entry)  # before the sort, which compares them
-            tors.setdefault(point, []).extend(lengths)
-        tt = tuple(
-            (point, tuple(sorted(ls, reverse=True))) for point, ls in sorted(tors.items())
-        )
-        return cls(merge(ueff, "Ueff"), merge(uquot, "Uquot"), tt, qp)
+        tors = torsion_normal_form(torsion)
+        return cls(merge(ueff, "Ueff"), merge(uquot, "Uquot"), tors, qp)
 
     @classmethod
     def zero(cls) -> "BCObject":

@@ -87,7 +87,8 @@ def _oracle_verdict(m, verdict, seed, kind):
     from . import hn
     from .rational import restriction_matrix, span_contains
 
-    subs = hn.enumerate_subobjects(m, seed).bases
+    lattice = hn.enumerate_subobjects(m, seed)
+    subs = [lattice.basis(key) for key in lattice.keys]
     for basis in subs:
         _require(restriction_matrix(m.module.phi, basis) is not None, "unstable subspace")
         for v in basis:

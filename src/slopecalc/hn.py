@@ -23,34 +23,34 @@ answer.
 The front end runs on Python ints: one `Spectrum` per call reads the
 characteristic polynomial of phi once (its rational roots and, on first use,
 its Newton slopes); the eigenlines and the sampled closures are grown on
-integer rows, and the N-closed sums of parts are listed by a walk that
-visits only the closed masks.  N needs no check here, and t_N(M) no
-determinant: a `PhiModule` checks N when it is built and keeps t_N(M) as
-the int `tn`.
+integer rows.  N needs no check here, and t_N(M) no determinant: a
+`PhiModule` checks N when it is built and keeps t_N(M) as the int `tn`.
 
 Every element is a bitmask of parts (eigenlines, slope blocks, the chain's
 lines, or in a sample the element itself as one part), and the deciders work
-on masks.  Each part is row-reduced once per scorer on integer rows, checked
-to be phi-stable by an integer residue, and its t_N, the valuation of the
-determinant of phi on it, read off its pivots; by linearity every sum of
-parts is stable, and t_N(W) is the sum of its parts' t_N.  t_H is read off
-one integer echelon per element, in coordinates adapted to the flag and
-ascending by weight, where Fil^j is spanned by the coordinates of weight
->= j: dim(W & Fil^j) counts the leading columns of weight >= j, so t_H(W) is
-the sum of their weights.  A decider scores the lattice by one depth-first
-walk over its closed masks, whose stack carries each element's invariants
-and the later parts reduced modulo it, so memory grows with the rank, not
-with the number of elements.  Degrees stay ints.  A lattice keeps the scorer
-of the module it was last scored for, so deciders run in turn on one module
-and lattice (`battery`, `fn4_reduce`) share it.  `hn_filtration` reads the
-HN polygon off the upper concave hull of the largest degree at each rank,
-with no containment test but between its steps.  A canonical basis is
-row-reduced only for what a call returns or compares: a witness, the first
-in canonical order among the violators of least rank, and the elements of
-largest degree at the hull's vertices below V.  Every witness and HN step
-is scored again from the definition by `sub_invariants` (the restriction
-matrix of Frobenius and the induced filtration, not the scorer; V against
-t_H(M) and the module's t_N(M)), and a disagreement raises an internal error.
+on masks.  A lattice is its parts and their requirement order; the list of
+all its masks is built only when read, and no decider reads it.  Each part
+is row-reduced once per scorer on integer rows, checked to be phi-stable by
+an integer residue, and its t_N, the valuation of the determinant of phi on
+it, read off its pivots; by linearity every sum of parts is stable, and
+t_N(W) is the sum of its parts' t_N.  t_H is read off one integer echelon per
+element, in coordinates adapted to the flag and ascending by weight, where
+Fil^j is spanned by the coordinates of weight >= j: dim(W & Fil^j) counts
+the leading columns of weight >= j, so t_H(W) is the sum of their weights.
+A decider scores the lattice by one depth-first walk over its closed masks,
+whose stack carries each element's invariants and the later parts reduced
+modulo it, so memory grows with the rank, not with the number of elements.
+Degrees stay ints.  A lattice keeps the scorer of the module it was last
+scored for, so deciders run in turn on one module and lattice (`battery`,
+`fn4_reduce`) share it.  `hn_filtration` reads the HN polygon off the upper
+concave hull of the largest degree at each rank, with no containment test
+but between its steps.  A canonical basis is row-reduced only for what a
+call returns or compares: a witness, the first in canonical order among the
+violators of least rank, and the elements of largest degree at the hull's
+vertices below V.  Every witness and HN step is scored again from the
+definition by `sub_invariants` (the restriction matrix of Frobenius and the
+induced filtration, not the scorer; V against t_H(M) and the module's
+t_N(M)), and a disagreement raises an internal error.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -191,44 +190,54 @@ class Spectrum:
 
 
 class SubobjectLattice:
-    """The stable subspaces a decider ranges over; unpacks as (bases, certified).
+    """The stable subspaces a decider ranges over: its parts and their order.
 
     Every element is a sum of `parts` (row lists: eigenlines, slope blocks,
     the lines of the flag-adapted chain, or a sample's nonzero elements in
-    canonical order), named by the bitmask of its parts; `keys` lists those
-    masks by ascending dimension.  `order` lists (part, requirement mask),
-    each part after the parts it needs; the elements are the masks holding
-    their parts' requirements, and the deciders walk them from there
-    (`lattice_scorer`).  A sample's parts never sum (`order` None), so its
-    keys are 0, 1, 2, 4, ...  `certified`: verdicts read off the family are
+    canonical order), named by the bitmask of its parts.  `order` lists
+    (part, requirement mask), each part after the parts it needs; the
+    elements are the masks holding their parts' requirements, and the
+    deciders walk them from there (`lattice_scorer`).  A sample's parts never
+    sum (`order` None).  `certified`: verdicts read off the family are
     proofs, as it is complete or (the scalar chain) reaches the largest
     degree at every rank; it is then closed under sum and intersection,
     which `hn_filtration` relies on.  `strategy`: "eigenlines", "blocks",
-    "scalar-chain" or "sample".  `basis(key)` row-reduces an element on first
-    use (a sample's are given); `bases`, the canonical reduced-row-echelon
-    bases sorted by dimension then lexicographically, has a length at once
-    but builds every basis when an item is read.  `scorer(m)` keeps the
-    `lattice_scorer` of the last module object it was asked for, so deciders
-    run in turn share it.
+    "scalar-chain" or "sample".  `keys` lists the masks on first read;
+    `basis(key)` row-reduces an element on first use (a sample's are given).
+    `scorer(m)` keeps the `lattice_scorer` of the last module object it was
+    asked for, so deciders run in turn share it.
     """
 
-    def __init__(self, parts, keys, certified, strategy, ncols, order):
-        self.parts, self.keys, self.ncols, self.order = parts, keys, ncols, order
+    def __init__(self, parts, certified, strategy, ncols, order):
+        self.parts, self.ncols, self.order = parts, ncols, order
         self.certified, self.strategy = certified, strategy
-        self.bases = _CanonicalBases(self)
-        self._built, self._sorted, self._scorer = {}, None, None
+        self._built, self._scorer = {}, None
 
     @classmethod
     def sample(cls, bases, certified=False):
         """The lattice of the canonical `bases` (zero and full included), one part each."""
         parts = [b for b in bases if b]
-        keys = (0,) + tuple(1 << i for i in range(len(parts)))
-        lattice = cls(parts, keys, certified, "sample", len(parts[0][0]) if parts else 0, None)
-        lattice._built.update(zip(keys, [()] + parts))  # each element's basis is given
+        lattice = cls(parts, certified, "sample", len(parts[0][0]) if parts else 0, None)
+        lattice._built.update(zip(lattice.keys, [()] + parts))  # each element's basis is given
         return lattice
 
+    @cached_property
+    def keys(self) -> tuple:
+        """Every element's mask, by (dimension, mask); a sample's are 0, 1, 2, 4, ..."""
+        k = len(self.parts)
+        if self.order is None:
+            return (0,) + tuple(1 << i for i in range(k))
+        closed = [0]  # dimension << k | mask, so that sorting orders by (dimension, mask)
+        for i, need in self.order:
+            step = len(self.parts[i]) << k | 1 << i
+            closed += [e + step for e in closed if not need & ~e]
+        low = (1 << k) - 1
+        return tuple(e & low for e in sorted(closed))
+
     def __getitem__(self, i):
-        return (self.bases, self.certified)[i]
+        # `len(lattice[0])` is the lattice size that bench/tracer.py reads;
+        # ROADMAP item 1 moves it to a size attribute and deletes this
+        return (self.keys, self.certified)[i]
 
     def basis(self, key) -> tuple:
         """Canonical basis of the element named `key`."""
@@ -245,26 +254,6 @@ class SubobjectLattice:
         if self._scorer is None or self._scorer[0] is not m:
             self._scorer = m, lattice_scorer(m, self)
         return self._scorer[1]
-
-    def _canonical(self):
-        """(bases, keys) in canonical order."""
-        if self._sorted is None:
-            named = sorted((len(b), b, key) for key in self.keys for b in [self.basis(key)])
-            self._sorted = tuple(b for _, b, _ in named), tuple(key for _, _, key in named)
-        return self._sorted
-
-
-class _CanonicalBases(Sequence):
-    """`bases` of a lattice: its length needs no basis, an item needs them all."""
-
-    def __init__(self, lattice):
-        self.lattice = lattice
-
-    def __len__(self):
-        return len(self.lattice.keys)
-
-    def __getitem__(self, i):
-        return self.lattice._canonical()[0][i]
 
 
 def _support(vectors, owner) -> int:
@@ -286,9 +275,9 @@ def _n_closed_sums(parts, supports, ncols, strategy) -> SubobjectLattice:
     of slope or valuation one less, so the supports form no cycle; in an
     order where every part follows the parts it needs, each closed union is
     a closed union of earlier parts plus one part whose support it holds.
-    So the walk below lists only the closed masks, sorted by (dimension,
-    mask), and the lattice records that order with each part's support.
-    The parts are independent, so distinct masks give distinct spans.
+    The lattice records that order with each part's support, from which the
+    deciders walk the closed masks and `keys` lists them.  The parts are
+    independent, so distinct masks give distinct spans.
     """
     k = len(parts)
     order, placed = [], 0
@@ -298,14 +287,8 @@ def _n_closed_sums(parts, supports, ncols, strategy) -> SubobjectLattice:
             raise AssertionError("internal: the N-supports of the lattice parts form a cycle")
         order.extend(ready)
         placed |= sum(1 << i for i in ready)
-    closed = [0]  # dimension << k | mask, so that sorting orders by (dimension, mask)
-    for i in order:
-        step, need = len(parts[i]) << k | 1 << i, supports[i]
-        closed += [e + step for e in closed if need & ~e == 0] if need else [e + step for e in closed]
-    low = (1 << k) - 1
-    masks = tuple(e & low for e in sorted(closed))
     order = tuple((i, supports[i]) for i in order)  # each part with its requirement mask
-    return SubobjectLattice(parts, masks, True, strategy, ncols, order)
+    return SubobjectLattice(parts, True, strategy, ncols, order)
 
 
 def _eigenvectors(phi, den: int, r: Fraction) -> list:
@@ -475,7 +458,7 @@ def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
 def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0, spectrum=None) -> SubobjectLattice:
     """All stable subspaces (certified) or a reproducible sample, as a `SubobjectLattice`.
 
-    Its bases always include the zero and full subspaces.  Scalar Frobenius
+    Its elements always include the zero and full subspaces.  Scalar Frobenius
     yields the flag-adapted chain (`_scalar_flag_chain`).  `spectrum`, the
     module's `Spectrum` when the caller already holds it, is built here
     otherwise; every strategy reads its roots and slopes.

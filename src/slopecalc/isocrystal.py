@@ -1,10 +1,11 @@
 """Frobenius modules over a p-adic base with residue field F_p.
 
-A module is an invertible rational matrix phi together with a nilpotent
-operator N obeying the twisted commutation rule N.phi = p.phi.N; construction
-checks all three, so no module that breaks them exists.  Slopes are
-always read off the characteristic polynomial of phi through the Newton
-polygon, never from eigenvectors, so everything stays exact and rational.
+A module is an invertible rational matrix phi together with an operator N
+obeying the twisted commutation rule N.phi = p.phi.N, which makes N
+nilpotent; construction checks both, so no module that breaks them exists.
+Slopes are always read off the characteristic polynomial of phi through the
+Newton polygon, never from eigenvectors, so everything stays exact and
+rational.
 
 The normal form produced by `from_slopes` realizes the slope a/h (lowest
 terms) as the companion block of x^h - p^a: basis e_1, ..., e_h with
@@ -72,11 +73,12 @@ FORM_DM_NORMAL = "dm-normal"
 class PhiModule:
     """A (phi, N)-module: prime p, invertible phi, nilpotent N.
 
-    Construction is the one validity check: shapes, phi invertible, then N
-    (N.phi = p.phi.N and nilpotency), each failure an `InputError`, however
-    the module is built.  It also keeps `tn` = t_N(M) = v_p(det phi), an int
-    off the determinant that the invertibility check takes; `tn` is not a
-    field, so equality, hashing, `repr` and `to_obj` do not see it.
+    Construction is the one validity check: shapes, phi invertible, then
+    N.phi = p.phi.N, which makes N nilpotent; each failure is an
+    `InputError`, however the module is built.  It also keeps `tn` = t_N(M)
+    = v_p(det phi), an int off the determinant that the invertibility check
+    takes; `tn` is not a field, so equality, hashing, `repr` and `to_obj` do
+    not see it.
     """
 
     p: int
@@ -142,18 +144,18 @@ class PhiModule:
 
 
 def _monodromy_fault(m: PhiModule) -> Optional[str]:
-    """Why N breaks N.phi = p.phi.N or nilpotency, or None; N = 0 costs no product."""
+    """Why N breaks N.phi = p.phi.N, or None; N = 0 costs no product.
+
+    The rule makes N nilpotent, so that is not checked: with phi invertible,
+    N = p.phi.N.phi^-1 is similar to pN, so the eigenvalues of N are closed
+    under multiplication by p, and a finite set of them so closed is {0}.
+    """
     if m.nilpotent.is_zero():
         return None
     (n, _), (phi, _) = int_matrix(m.nilpotent), int_matrix(m.phi)
     if int_matmul(n, phi) != [[m.p * x for x in row] for row in int_matmul(phi, n)]:
         return "N must satisfy N.phi = p.phi.N"
-    power = n
-    for _ in range(m.rank - 1):
-        power = int_matmul(power, n)
-        if not any(any(row) for row in power):
-            return None
-    return "N must be nilpotent"
+    return None
 
 
 def newton_slopes(m: PhiModule, coeffs=None) -> SlopeMultiset:
@@ -209,14 +211,14 @@ def from_slopes(slopes: SlopeMultiset, p: int) -> PhiModule:
                      FORM_DM_NORMAL)
 
 
-def dm_blocks(m: PhiModule, slopes=None) -> list[tuple[Fraction, int, int]]:
+def dm_blocks(m: PhiModule, slopes: SlopeMultiset) -> list[tuple[Fraction, int, int]]:
     """Block layout (slope, offset, size) of a module in slope normal form.
 
-    `slopes`, when given, is `newton_slopes(m)`.
+    `slopes` is `newton_slopes(m)`.
     """
     out = []
     at = 0
-    for s, mult in slopes if slopes is not None else newton_slopes(m):
+    for s, mult in slopes:
         den = s.denominator
         for _ in range(mult // den):
             out.append((s, at, den))
@@ -224,15 +226,15 @@ def dm_blocks(m: PhiModule, slopes=None) -> list[tuple[Fraction, int, int]]:
     return out
 
 
-def is_dm_normal(m: PhiModule, slopes=None) -> bool:
+def is_dm_normal(m: PhiModule, slopes: SlopeMultiset) -> bool:
     """True iff phi equals the canonical slope-normal-form matrix byte for byte.
 
-    `slopes`, when given, is `newton_slopes(m)`.
+    `slopes` is `newton_slopes(m)`.
     """
     if m.rank == 0:
         return True
     try:
-        canon = from_slopes(slopes if slopes is not None else newton_slopes(m), m.p)
+        canon = from_slopes(slopes, m.p)
     except InputError:
         return False
     return m.phi == canon.phi

@@ -91,6 +91,15 @@ def torsion_entry(entry) -> tuple[str, tuple]:
     return point, tuple(lengths)
 
 
+def torsion_normal_form(entries) -> tuple:
+    """((point, lengths descending), ...) by point: checked `entries` merged by point."""
+    tors: dict[str, list[int]] = {}
+    for entry in entries:
+        point, lengths = torsion_entry(entry)  # before the sort, which compares them
+        tors.setdefault(point, []).extend(lengths)
+    return tuple((pt, tuple(sorted(ls, reverse=True))) for pt, ls in sorted(tors.items()))
+
+
 def rat_str(q: Fraction) -> str:
     """Serialize a Fraction as 'a/b', or 'a' when the denominator is 1."""
     q = rat(q)

@@ -27,6 +27,7 @@ from .rational import (
     rat,
     rat_str,
     torsion_entry,
+    torsion_normal_form,
 )
 
 INFTY = "infty"
@@ -61,12 +62,7 @@ class FFSheaf:
                 raise InputError("bundle copies must be positive integers")
             acc[s] = acc.get(s, 0) + c
         bundle = tuple(sorted(acc.items(), key=lambda t: t[0], reverse=True))
-        tors: dict[str, list[int]] = {}
-        for entry in torsion:
-            point, lengths = torsion_entry(entry)  # before the sort, which compares them
-            tors.setdefault(point, []).extend(lengths)
-        tt = tuple((pt, tuple(sorted(ls, reverse=True))) for pt, ls in sorted(tors.items()))
-        return cls(bundle, tt)
+        return cls(bundle, torsion_normal_form(torsion))
 
     def is_zero(self) -> bool:
         return not self.bundle and not self.torsion

@@ -105,16 +105,17 @@ def _bench_tracer():
 
 
 def test_no_dead_module_level_functions():
-    """Every module-level function of `src/slopecalc` is referenced by name
-    elsewhere in `src/` (not only from its own body), exported through
-    `slopecalc._OWNERS`, or wrapped by name by the bench tracer."""
+    """Every module-level function and class of `src/slopecalc` is referenced
+    by name elsewhere in `src/` (not only from its own body), exported
+    through `slopecalc._OWNERS`, or wrapped by name by the bench tracer."""
     import ast
 
     defined, referenced = {}, set()
+    tops = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for path in sorted((ROOT / "src" / "slopecalc").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
-            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            own = top.name if isinstance(top, tops) else None
             if own:
                 defined[own] = path.name
             for node in ast.walk(top):

@@ -30,6 +30,7 @@ from slopecalc.isocrystal import (
     dm_blocks,
     dual,
     from_slopes,
+    newton_slopes,
 )
 from slopecalc.rational import (
     FlagRequiredError,
@@ -74,6 +75,11 @@ def diag1p(flag_entries):
     return mk([[1, 0], [0, P]], flag_entries, 2)
 
 
+def elements(lattice):
+    """The canonical bases of a lattice's elements, sorted by (dimension, basis)."""
+    return sorted(map(lattice.basis, lattice.keys), key=lambda b: (len(b), b))
+
+
 class TestDegree:
     def test_rank_one_matched(self):
         m = mk([[P]], [(1, [[1]])], 1)
@@ -89,7 +95,8 @@ class TestDegree:
 
 class TestEnumerate:
     def test_distinct_valuations_certified(self):
-        subs, cert = enumerate_subobjects(diag1p([(1, [[0, 1]])]))
+        lattice = enumerate_subobjects(diag1p([(1, [[0, 1]])]))
+        subs, cert = elements(lattice), lattice.certified
         assert cert
         assert len(subs) == 4
         dims = sorted(len(b) for b in subs)
@@ -100,12 +107,13 @@ class TestEnumerate:
         # chain reaches the largest degree at every rank, so verdicts on it are proofs
         m = mk([[1, 0], [0, 1]], [(1, [[1, 0]])], 2)
         lattice = enumerate_subobjects(m)
-        subs, cert = lattice
+        subs, cert = elements(lattice), lattice.certified
         assert cert and lattice.strategy == "scalar-chain" and len(subs) == 3
 
     def test_irreducible_block_certified(self):
         m = mk([[0, P], [1, 0]], [(1, [[1, 0]])], 2)
-        subs, cert = enumerate_subobjects(m)
+        lattice = enumerate_subobjects(m)
+        subs, cert = elements(lattice), lattice.certified
         assert cert
         assert sorted(len(b) for b in subs) == [0, 2]
 
@@ -113,7 +121,8 @@ class TestEnumerate:
         # N sends the p-eigenline to the 1-eigenline, so span(e2) alone is
         # not a subobject but span(e1) still is
         m = mk([[1, 0], [0, P]], [(1, [[0, 1]])], 2, nil=[[0, 1], [0, 0]])
-        subs, cert = enumerate_subobjects(m)
+        lattice = enumerate_subobjects(m)
+        subs, cert = elements(lattice), lattice.certified
         assert cert
         dims = sorted(len(b) for b in subs)
         assert dims == [0, 1, 2]
@@ -488,8 +497,7 @@ class TestRootExtractionLimits:
         # verdict degrades to a sampled, uncertified answer instead of hanging
         q = 10 ** 7
         m = mk([[q, 0], [0, 3 * q]], [(0, [[1, 0], [0, 1]])], 2)
-        subs, cert = enumerate_subobjects(m)
-        assert not cert
+        assert not enumerate_subobjects(m).certified
         v = is_weakly_admissible(m)
         assert v.status in (STATUS_UNCERTIFIED, STATUS_FALSE)
 
@@ -619,9 +627,9 @@ class TestClosedMasks:
 class TestSampleDeterminism:
     def test_fixed_seed_reproducible(self):
         m = mk([[1, 1], [0, 1]], [(0, [[1, 0], [0, 1]])], 2)
-        a, ca = enumerate_subobjects(m, seed=5)
-        b, cb = enumerate_subobjects(m, seed=5)
-        assert list(a) == list(b) and len(a) > 2 and ca == cb and not ca
+        a, b = enumerate_subobjects(m, seed=5), enumerate_subobjects(m, seed=5)
+        assert elements(a) == elements(b) and len(a.keys) > 2
+        assert a.certified == b.certified and not a.certified
 
 
 class TestLatticeScorer:
@@ -797,9 +805,9 @@ class TestMaskLattice:
     def agree(m, parts, strategy):
         lattice = enumerate_subobjects(m)
         assert lattice.strategy == strategy and lattice.certified
-        assert set(lattice.bases) == _span_lattice(parts, m.module.nilpotent, m.rank)
+        assert set(elements(lattice)) == _span_lattice(parts, m.module.nilpotent, m.rank)
         bases = {key: lattice.basis(key) for key in lattice.keys}
-        assert list(lattice.bases) == sorted(bases.values(), key=lambda b: (len(b), b))
+        assert len(set(bases.values())) == len(bases)  # distinct masks, distinct spans
         scored = dict(lattice_scorer(m, lattice)())
         assert scored.keys() == bases.keys()
         for mask, basis in bases.items():
@@ -815,7 +823,7 @@ class TestMaskLattice:
         for n in (3, 4, 5, 6):
             mod, lines = _eigen_module(rng, n, chain)
             m = FilteredPhiModule(mod, random_flag(rng, n, -1, 3))
-            sizes.append(len(self.agree(m, lines, "eigenlines").bases))
+            sizes.append(len(self.agree(m, lines, "eigenlines").keys))
         # an N chain cuts the lattice below 2^n
         assert (sizes != [8, 16, 32, 64]) == chain
 
@@ -831,9 +839,10 @@ class TestMaskLattice:
             assert 4 <= mod.rank <= 9
             m = FilteredPhiModule(mod, random_flag(rng, mod.rank, -1, 3))
             std = RatMatrix.identity(mod.rank).entries
-            parts = [std[off : off + size] for _, off, size in dm_blocks(mod)]
+            blocks = dm_blocks(mod, newton_slopes(mod))
+            parts = [std[off : off + size] for _, off, size in blocks]
             lattice = self.agree(m, parts, "blocks")
-            assert len(lattice.bases) == 2 ** len(slopes)
+            assert len(lattice.keys) == 2 ** len(slopes)
 
     def test_slope_normal_form_with_monodromy(self):
         # blocks of slopes 1/2 and 3/2 (companions of x^2 - p and x^2 - p^3)
@@ -846,7 +855,7 @@ class TestMaskLattice:
         m = FilteredPhiModule(mod, random_flag(random.Random(42), 5, 0, 2))
         std = RatMatrix.identity(5).entries
         lattice = self.agree(m, [std[0:1], std[1:3], std[3:5]], "blocks")
-        assert len(lattice.bases) == 6  # the slope-3/2 block needs the slope-1/2 one
+        assert len(lattice.keys) == 6  # the slope-3/2 block needs the slope-1/2 one
 
 
 def _reference(m):
@@ -857,7 +866,7 @@ def _reference(m):
     from slopecalc.rational import span_leq
 
     lattice = enumerate_subobjects(m)
-    scored = [(basis, sub_invariants(m, basis)) for basis in lattice.bases]
+    scored = [(basis, sub_invariants(m, basis)) for basis in elements(lattice)]
     decided = STATUS_TRUE if lattice.certified else STATUS_UNCERTIFIED
 
     def verdict(bound):
@@ -989,7 +998,7 @@ class TestReferenceDeciders:
         for _, m in REFERENCE_CASES:
             lattice = enumerate_subobjects(m)
             if lattice.strategy != "sample" and is_acyclic(m).status == STATUS_FALSE:
-                ranked = [sub_invariants(m, b) for b in lattice.bases]
+                ranked = [sub_invariants(m, b) for b in elements(lattice)]
                 rank = min(inv[0] for inv in ranked if inv[3] > degree(m))
                 several += sum(inv[0] == rank and inv[3] > degree(m) for inv in ranked) > 1
         assert several >= 3
@@ -1113,7 +1122,7 @@ def _doubled_vertex():
     m = TestLazyLattice.eigen6(0, True)
     lattice = enumerate_subobjects(m)
     step = hn_filtration(m, lattice=lattice).steps[0]
-    bases = list(lattice.bases)
+    bases = elements(lattice)
     at = bases.index(step.basis)
     doubled = hn.SubobjectLattice.sample(bases[: at + 1] + bases[at:], certified=True)
     return m, doubled
@@ -1150,6 +1159,61 @@ class TestHullChecks:
             hn_filtration(m, lattice=doubled)
 
 
+class TestElementsOnDemand:
+    """No decider lists the elements of a certified lattice: `keys`, computed
+    on first read, stays unread.  The certified reference cases cover
+    eigenlines with and without N, slope blocks and scalar chains."""
+
+    CASES = [m for name, m in REFERENCE_CASES if not name.startswith("sample")]
+
+    @staticmethod
+    def listed(lattice):
+        return "keys" in vars(lattice)
+
+    @staticmethod
+    def wrapped_enumeration(monkeypatch):
+        lattices, real = [], hn.enumerate_subobjects
+
+        def wrapped(*args, **kwargs):
+            lattices.append(real(*args, **kwargs))
+            return lattices[-1]
+
+        # `battery` and `fn4_reduce` look it up on the hn module at call time
+        monkeypatch.setattr(hn, "enumerate_subobjects", wrapped)
+        return lattices
+
+    def test_deciders(self):
+        kinds, statuses = set(), set()
+        for m in self.CASES:
+            lattice = enumerate_subobjects(m)
+            kinds.add(lattice.strategy)
+            assert lattice.certified and not self.listed(lattice)
+            for decide in (is_weakly_admissible, is_acyclic, hn_filtration):
+                statuses.add(getattr(decide(m, lattice=lattice), "status", None))
+                assert not self.listed(lattice), decide.__name__
+        assert kinds == {"eigenlines", "blocks", "scalar-chain"}
+        assert {STATUS_TRUE, STATUS_FALSE} <= statuses
+
+    def test_fn4_reduce(self, monkeypatch):
+        acyclic = [m for m in self.CASES if is_acyclic(m).status == STATUS_TRUE]
+        lattices = self.wrapped_enumeration(monkeypatch)
+        for m in acyclic:
+            fn4_reduce(m)
+        assert {lattice.strategy for lattice in lattices} == {"eigenlines", "blocks", "scalar-chain"}
+        assert not any(map(self.listed, lattices))
+
+    def test_battery(self, monkeypatch):
+        from slopecalc.diagram import battery
+        from test_diagram import BATTERY_CASES
+
+        lattices = self.wrapped_enumeration(monkeypatch)
+        for s in BATTERY_CASES.values():
+            battery(s)
+        certified = [lattice for lattice in lattices if lattice.certified]
+        assert {lattice.strategy for lattice in certified} == {"eigenlines", "blocks", "scalar-chain"}
+        assert not any(map(self.listed, certified))
+
+
 class TestLazyLattice:
     """Part lattices build a basis only for what a decider returns or compares."""
 
@@ -1175,9 +1239,10 @@ class TestLazyLattice:
         m = self.eigen6(1, False)
         calls = self.counted_rref(monkeypatch)
         lattice = enumerate_subobjects(m)
-        assert len(lattice[0]) == len(lattice.bases) == 64 and calls == []
-        bases, certified = lattice
-        assert certified and len(set(bases)) == 64 and len(calls) == 64
+        assert len(lattice[0]) == len(lattice.keys) == 64 and calls == []
+        keys, certified = lattice  # unpacking yields the keys, which need no basis
+        assert keys == lattice.keys and certified and calls == []
+        assert len(set(elements(lattice))) == 64 and len(calls) == 64
 
     def test_sample_bases_need_no_elimination(self, monkeypatch):
         # a sample is built from canonical bases, which its parts keep
@@ -1185,7 +1250,7 @@ class TestLazyLattice:
         calls = self.counted_rref(monkeypatch)
         lattice = enumerate_subobjects(m)
         assert lattice.strategy == "sample" and calls == []
-        assert list(lattice.bases) == [lattice.basis(key) for key in lattice.keys]
+        assert elements(lattice) == [lattice.basis(key) for key in lattice.keys]
         assert len(lattice.keys) > 8 and calls == []
 
     def test_certified_true_acyclic_builds_no_basis(self, monkeypatch):
@@ -1239,7 +1304,7 @@ class TestLazyLattice:
             parts = [list(part) for part in lattice.parts]
             # the first part plus a row of the second: still independent, not stable
             parts[0][0] = tuple(a + b for a, b in zip(parts[0][0], parts[1][0]))
-            doctored = hn.SubobjectLattice(parts, lattice.keys, True, kind, m.rank, lattice.order)
+            doctored = hn.SubobjectLattice(parts, True, kind, m.rank, lattice.order)
         assert doctored.strategy == kind
         for decide in (is_acyclic, hn_filtration):
             with pytest.raises(AssertionError, match="not Frobenius-stable"):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
@@ -58,6 +59,40 @@ class TestCheckPhiN:
     def test_size_mismatch(self):
         with pytest.raises(InputError):
             PhiModule(P, RatMatrix([[1]]), RatMatrix([[0, 0], [0, 0]]))
+
+
+def _int_power_vanishes(nil: RatMatrix) -> bool:
+    """N^rank = 0, by integer products of N cleared of its denominators."""
+    den = math.lcm(*(x.denominator for row in nil.entries for x in row))
+    a = [[int(x * den) for x in row] for row in nil.entries]
+    power = a
+    for _ in range(nil.rows - 1):
+        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in power]
+    return not any(any(row) for row in power)
+
+
+class TestMonodromyIsNilpotent:
+    """N.phi = p.phi.N with phi invertible makes N nilpotent (N is similar
+    to pN), so construction checks the rule alone."""
+
+    def test_generated_chains(self):
+        from test_hn import _eigen_module
+
+        rng, chains = random.Random(61), 0
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            mods = [diagonal_instance(rng, P, n, -3, 4), _eigen_module(rng, n, True)[0]]
+            for m in mods:
+                if not m.nilpotent.is_zero():
+                    chains += 1
+                    assert _int_power_vanishes(m.nilpotent)
+        assert chains > 100
+
+    def test_idempotent_near_miss(self):
+        # E11 is not nilpotent; with phi = diag(1, 4) it breaks the rule
+        assert not _int_power_vanishes(RatMatrix([[1, 0], [0, 0]]))
+        with pytest.raises(InputError, match=BAD_N):
+            mk([[1, 0], [0, 4]], [[1, 0], [0, 0]])
 
 
 class TestNewtonSlopes:
@@ -140,9 +175,12 @@ class TestFromSlopes:
             assert newton_slopes(from_slopes(s, P)) == s
 
     def test_dm_normal_recognition(self):
-        assert is_dm_normal(from_slopes(SlopeMultiset([(F(1, 2), 2)]), P))
-        assert is_dm_normal(mk([[0, P], [1, 0]]))  # same matrix, plain form
-        assert not is_dm_normal(mk([[P, 0], [0, 1]]))  # blocks out of order
+        def normal(m):
+            return is_dm_normal(m, newton_slopes(m))
+
+        assert normal(from_slopes(SlopeMultiset([(F(1, 2), 2)]), P))
+        assert normal(mk([[0, P], [1, 0]]))  # same matrix, plain form
+        assert not normal(mk([[P, 0], [0, 1]]))  # blocks out of order
 
 
 def old_from_slopes(slopes, p):

@@ -723,7 +723,7 @@ class TestSampledPathStability:
         hodge = HodgeData.from_flag([(1, [[1, 1, 0], [0, 1, 2]]), (2, [[1, 1, 0]])], rank=3)
         lattice = enumerate_subobjects(FilteredPhiModule(mod, hodge))
         assert lattice.strategy == "sample" and not lattice.certified
-        assert len(lattice.bases) > 3
-        for basis in lattice.bases:
+        assert len(lattice.keys) > 3
+        for basis in map(lattice.basis, lattice.keys):
             assert restriction_matrix(phi, basis) is not None
             assert all(span_contains(basis, nil.apply(v)) for v in basis)
