@@ -41,7 +41,7 @@ from .rational import InputError
 # that use them, so that `mv_check`, which needs only `bc`, loads none of them
 if TYPE_CHECKING:
     from .filtration import HodgeData
-    from .hn import FilteredPhiModule, HNFiltration, Spectrum, Verdict
+    from .hn import FilteredPhiModule, HNFiltration, Verdict
     from .isocrystal import PhiModule
     from .sheaf import FFSheaf
 
@@ -51,24 +51,23 @@ def _check_degree(r) -> None:
         raise InputError("r must be a non-negative integer")
 
 
-def _check_windows(hk: PhiModule, lattice: HodgeData, bound: int, what: str) -> Spectrum:
-    """Check ranks, slopes and weights, in that order; returns the module's `Spectrum`.
+def _check_windows(hk: PhiModule, lattice: HodgeData, bound: int, what: str) -> None:
+    """Check ranks, slopes and weights, in that order.
 
     These follow the checks `PhiModule` made when hk was built (shapes, phi
-    invertible, N).
+    invertible, N).  The slopes come from hk's kept characteristic
+    polynomial, which later enumerations of hk reuse.
     """
-    from .hn import Spectrum
+    from .isocrystal import newton_slopes
 
     if hk.rank != lattice.rank:
         raise InputError(f"{what}: module rank {hk.rank} != lattice rank {lattice.rank}")
-    spectrum = Spectrum(hk)
-    for s, _ in spectrum.slopes:
+    for s, _ in newton_slopes(hk):
         if s < 0 or s > bound:
             raise InputError(f"{what}: slope {s} outside [0, {bound}]")
     for w in lattice.weights:
         if w < 0 or w > bound:
             raise InputError(f"{what}: weight {w} outside [0, {bound}]")
-    return spectrum
 
 
 @dataclass(frozen=True)
@@ -145,17 +144,15 @@ class Modification:
 def build_modification(hk: PhiModule, lattice: HodgeData, r: int, seed: int = 0) -> Modification:
     """Sheaf whose slopes are the filtration-graded slopes of (hk, lattice).
 
-    One `Spectrum` of hk serves the slope-window check and the enumeration.
+    The windows are checked first, then `hn_filtration` requires the flag;
+    the window check and the enumeration share hk's characteristic
+    polynomial, which the module keeps.
     """
     from . import hn
 
     _check_degree(r)
-    spectrum = _check_windows(hk, lattice, r, "modification input")
-    m, subobjects = hn.FilteredPhiModule(hk, lattice), None
-    if m.rank:
-        m.hodge.require_flag("hn_filtration")  # before enumerating, as hn_filtration does
-        subobjects = hn.enumerate_subobjects(m, seed, spectrum)
-    return modification_from_filtration(hn.hn_filtration(m, seed, subobjects))
+    _check_windows(hk, lattice, r, "modification input")
+    return modification_from_filtration(hn.hn_filtration(hn.FilteredPhiModule(hk, lattice), seed))
 
 
 def modification_from_filtration(filt: HNFiltration) -> Modification:
@@ -186,8 +183,9 @@ def dichotomy(hk: PhiModule, lattice: HodgeData, r: int, seed: int = 0) -> Dicho
 
     "surjective" exactly when the modification has vanishing H^1; otherwise
     the image misses a positive height, reported as the deficit (the rank of
-    the negative-slope part).  One spectral pass over hk per call: one
-    characteristic polynomial, and at most one Newton polygon.
+    the negative-slope part).  hk keeps its characteristic polynomial, so
+    repeated calls compute it once; the window check takes the Newton
+    polygon, as does an enumeration that reads slope blocks.
     """
     from .sheaf import cohomology_dim
 

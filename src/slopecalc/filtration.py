@@ -28,6 +28,7 @@ from .rational import (
     _rat_rows,
     int_row,
     is_row_list,
+    json_int,
     rat,
     rat_str,
     rref_rows,
@@ -66,21 +67,19 @@ class HodgeData:
     def from_weights(cls, weights: Sequence[int]) -> "HodgeData":
         if not isinstance(weights, (list, tuple)):
             raise InputError(f"Hodge weights must be a list of integers, got {weights!r}")
-        ws = []
-        for w in weights:
-            if isinstance(w, bool) or not isinstance(w, int):
-                raise InputError(f"Hodge weights must be integers, got {w!r}")
-            ws.append(w)
+        ws = [json_int(w, "Hodge weights") for w in weights]
         return cls(KIND_WEIGHTS, len(ws), tuple(sorted(ws)), None)
 
     @classmethod
     def from_flag(cls, entries, rank: Optional[int] = None) -> "HodgeData":
-        """Build from outside (index, basis) pairs, each checked; see the module docstring."""
+        """Build from outside (index, basis) pairs and an optional non-negative
+        int `rank` (else the rows' length), each checked; see the module docstring."""
+        if rank is not None and json_int(rank, "flag ranks") < 0:
+            raise InputError(f"flag rank must be non-negative, got {rank}")
         norm = []
         ncols = rank
         for idx, basis in entries:
-            if isinstance(idx, bool) or not isinstance(idx, int):
-                raise InputError("flag indices must be integers")
+            json_int(idx, "flag indices")
             if not is_row_list(basis):
                 raise InputError("flag bases must be lists of row lists")
             rows = [tuple(rat(x) for x in row) for row in basis]
@@ -233,8 +232,7 @@ def _annihilator(basis, n: int) -> tuple:
 
 def shift(h: HodgeData, r: int) -> HodgeData:
     """Shift every weight / jump index up by r."""
-    if isinstance(r, bool) or not isinstance(r, int):
-        raise InputError("shift amount must be an integer")
+    json_int(r, "shift amounts")
     if h.kind == KIND_WEIGHTS:
         return HodgeData.from_weights([w + r for w in h.weights])
     if h.rank == 0:

@@ -20,11 +20,11 @@ falls back to a seeded, reproducible sample and "uncertified" verdicts,
 except that a verified violating subobject always certifies a negative
 answer.
 
-The front end runs on Python ints: one `Spectrum` per call reads the
-characteristic polynomial of phi once (its rational roots and, on first use,
-its Newton slopes); the eigenlines and the sampled closures are grown on
-integer rows.  N needs no check here, and t_N(M) no determinant: a
-`PhiModule` checks N when it is built and keeps t_N(M) as the int `tn`.
+The front end runs on Python ints: an enumeration reads the rational roots
+of phi's characteristic polynomial, kept by the `PhiModule` as `coeffs`, and
+its Newton slopes only if the eigenlines do not certify; the eigenlines and
+the sampled closures are grown on integer rows.  N needs no check here, and
+t_N(M) no determinant: the module checks N when built and keeps t_N(M), `tn`.
 
 Every element is a bitmask of parts (eigenlines, slope blocks, the chain's
 lines, or in a sample the element itself as one part), and the deciders work
@@ -72,7 +72,6 @@ from .rational import (
     _gauss_jordan,
     _primitive,
     _vp_int,
-    charpoly,
     complement_basis,
     int_apply,
     int_det,
@@ -166,27 +165,6 @@ def degree(m: FilteredPhiModule) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # subobject enumeration
-
-
-class Spectrum:
-    """Frobenius's characteristic polynomial, read once per call and shared.
-
-    Building it computes `coeffs` = `charpoly(phi)`; `roots` (the rational
-    roots with multiplicities and the leftover degree, by `rational_roots`)
-    and `slopes` (the Newton slopes) are computed on first use.
-    `enumerate_subobjects` builds one or takes the caller's.
-    """
-
-    def __init__(self, module: PhiModule):
-        self.module, self.coeffs = module, charpoly(module.phi)
-
-    @cached_property
-    def roots(self) -> tuple[list[tuple[Fraction, int]], int]:
-        return rational_roots(self.coeffs)
-
-    @cached_property
-    def slopes(self):
-        return newton_slopes(self.module, self.coeffs)
 
 
 class SubobjectLattice:
@@ -304,7 +282,7 @@ def _eigenvectors(phi, den: int, r: Fraction) -> list:
 def _eigenline_subobjects(m: PhiModule, roots, leftover: int) -> Optional[SubobjectLattice]:
     """Certified enumeration when eigenvalues are rational with distinct valuations.
 
-    `roots, leftover` are the `Spectrum.roots` of the module.
+    `roots, leftover` are `rational_roots` of the module's `coeffs`.
     The support of N on each eigenline is read off from the coordinates of
     all N-images, solved for at once on integer rows: one elimination of
     [lines | images], one equation per coordinate, leaves in row i a nonzero
@@ -455,23 +433,23 @@ def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
     return tuple(sorted(found.values(), key=lambda b: (len(b), b)))
 
 
-def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0, spectrum=None) -> SubobjectLattice:
+def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> SubobjectLattice:
     """All stable subspaces (certified) or a reproducible sample, as a `SubobjectLattice`.
 
     Its elements always include the zero and full subspaces.  Scalar Frobenius
-    yields the flag-adapted chain (`_scalar_flag_chain`).  `spectrum`, the
-    module's `Spectrum` when the caller already holds it, is built here
-    otherwise; every strategy reads its roots and slopes.
+    yields the flag-adapted chain (`_scalar_flag_chain`).  The rational roots
+    of the module's kept characteristic polynomial are found once; the
+    Newton slopes are read only when the eigenlines do not certify.
     """
     mod = m.module
-    spectrum = spectrum or Spectrum(mod)
-    lattice = _eigenline_subobjects(mod, *spectrum.roots)
+    roots, leftover = rational_roots(mod.coeffs)
+    lattice = _eigenline_subobjects(mod, roots, leftover)
     if lattice is None:
-        lattice = _block_subobjects(mod, spectrum.slopes)
+        lattice = _block_subobjects(mod, newton_slopes(mod))
     if lattice is None:
         lattice = _scalar_flag_chain(m)
     if lattice is None:
-        lattice = SubobjectLattice.sample(_sample_subobjects(m, seed, spectrum.roots[0]))
+        lattice = SubobjectLattice.sample(_sample_subobjects(m, seed, roots))
     return lattice
 
 

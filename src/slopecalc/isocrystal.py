@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .rational import (
@@ -77,8 +78,10 @@ class PhiModule:
     N.phi = p.phi.N, which makes N nilpotent; each failure is an
     `InputError`, however the module is built.  It also keeps `tn` = t_N(M)
     = v_p(det phi), an int off the determinant that the invertibility check
-    takes; `tn` is not a field, so equality, hashing, `repr` and `to_obj` do
-    not see it.
+    takes, and `coeffs` = `charpoly(phi)`, computed on first use, so each
+    module object computes its characteristic polynomial at most once.
+    Neither is a field, so equality, hashing, `repr` and `to_obj` do not see
+    them.
     """
 
     p: int
@@ -107,6 +110,11 @@ class PhiModule:
     @property
     def rank(self) -> int:
         return self.phi.rows
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        """Characteristic polynomial of phi, ascending Fractions; (1,) at rank 0."""
+        return tuple(charpoly(self.phi))
 
     @classmethod
     def from_matrices(cls, p, phi, nilpotent=None, form=FORM_MATRIX) -> "PhiModule":
@@ -158,17 +166,15 @@ def _monodromy_fault(m: PhiModule) -> Optional[str]:
     return None
 
 
-def newton_slopes(m: PhiModule, coeffs=None) -> SlopeMultiset:
+def newton_slopes(m: PhiModule) -> SlopeMultiset:
     """Slope multiset of phi: root valuations of its characteristic polynomial.
 
-    Basis-independent, since the characteristic polynomial is.  A caller
-    that already holds `charpoly(m.phi)` passes it as `coeffs`.
+    Basis-independent, since the characteristic polynomial is; it is read
+    off the module's kept `coeffs`.
     """
     if m.rank == 0:
         return SlopeMultiset(())
-    if coeffs is None:
-        coeffs = charpoly(m.phi)
-    return SlopeMultiset(newton_polygon(coeffs, m.p))
+    return SlopeMultiset(newton_polygon(m.coeffs, m.p))
 
 
 def t_n(m: PhiModule) -> Fraction:

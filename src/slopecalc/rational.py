@@ -120,8 +120,7 @@ class Dimension:
 
     def __init__(self, dim: int, ht: int):
         for v in (dim, ht):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise InputError(f"Dimension components must be integers, got {v!r}")
+            json_int(v, "Dimension components")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "ht", ht)
 

@@ -350,6 +350,20 @@ class TestMalformedInput:
         code, out, _ = run_cli(capsys, "plot", {"weights": [0, 10**30]}, "--format", "json")
         assert code == 0 and json.loads(out)["vertices"][-1] == [2, str(10**30)]
 
+    @pytest.mark.parametrize("rank", [1.0, 2.0, True, "2", -1])
+    @pytest.mark.parametrize("row", [["1", "0"], ["1"]], ids=["two-columns", "one-column"])
+    @pytest.mark.parametrize("command", ["hodge", "wa"])
+    def test_flag_rank_is_checked(self, capsys, command, rank, row):
+        hodge = {"flag": [{"index": 1, "basis": [row]}], "rank": rank}
+        payload = {"hodge": hodge}
+        if command == "wa":
+            n = len(row)
+            payload["module"] = {"p": 2, "phi": [[str(int(i == j)) for j in range(n)]
+                                                 for i in range(n)]}
+        code, out, err = run_cli(capsys, command, payload)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert "flag rank" in json.loads(err)["error"]
+
     def test_bool_is_not_an_integer(self, capsys):
         payload = {"summands": [{"type": "Ueff", "d": 1, "h": 1, "copies": True}]}
         assert run_cli(capsys, "bc-dim", payload)[0] == 3

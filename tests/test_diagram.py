@@ -387,21 +387,39 @@ def dichotomy_cases():
 DICHOTOMY_CASES = dichotomy_cases()
 
 
+def fresh(mod):
+    """A twin of mod that has not computed its characteristic polynomial."""
+    twin = PhiModule.from_obj(mod.to_obj())
+    assert twin == mod and "coeffs" not in vars(twin)
+    return twin
+
+
+def reads_slopes(mod, hodge):
+    """Whether an enumeration of (mod, hodge) takes the Newton polygon: it
+    does when the eigenlines do not certify."""
+    return enumerate_subobjects(FilteredPhiModule(mod, hodge)).strategy != "eigenlines"
+
+
 class TestSpectralPass:
-    """One characteristic polynomial of phi per dichotomy call and per battery
-    degree, shared by the slope-window check and the enumeration."""
+    """`rational.charpoly` runs at most once per `PhiModule` object, which
+    keeps it as `coeffs`: a dichotomy on a new module runs it once however
+    often it is repeated, and a battery input runs it once per degree, when
+    `SyntheticCohomology` checks its windows, so `battery` runs none.  The
+    Newton polygon, O(n) on integer valuations, is taken once per consumer:
+    the window check and the block enumerator."""
 
     @pytest.mark.parametrize("name, mod, hodge, r", DICHOTOMY_CASES,
                              ids=[c[0] for c in DICHOTOMY_CASES])
     def test_dichotomy_runs_one_charpoly(self, name, mod, hodge, r, monkeypatch):
         from slopecalc import isocrystal, rational
 
-        want = dichotomy(mod, hodge, r)
+        want, per_call = dichotomy(mod, hodge, r), 1 + reads_slopes(mod, hodge)
+        twin = fresh(mod)
         charpolys = count_calls(monkeypatch, rational.charpoly)
         slopes = count_calls(monkeypatch, isocrystal.newton_slopes)
-        assert dichotomy(mod, hodge, r) == want
-        assert charpolys == [mod.phi]
-        assert slopes == [mod]
+        assert dichotomy(twin, hodge, r) == dichotomy(twin, hodge, r) == want
+        assert len(charpolys) == 1 and charpolys[0] is twin.phi
+        assert len(slopes) == 2 * per_call and all(m is twin for m in slopes)
 
     def test_dichotomy_cases_cover_every_strategy(self):
         strategies = {enumerate_subobjects(FilteredPhiModule(mod, hodge)).strategy
@@ -414,14 +432,39 @@ class TestSpectralPass:
 
         s = BATTERY_CASES[name] if name in BATTERY_CASES else SEEDED_PAIRS[name]
         want = battery(s)
+        reading = [reads_slopes(m.module, m.hodge) for m in (s.below, s.top) if m.rank]
         charpolys = count_calls(monkeypatch, rational.charpoly)
         slopes = count_calls(monkeypatch, isocrystal.newton_slopes)
-        assert battery(s) == want
-        degrees = [m.module for m in (s.below, s.top) if m.rank]
-        assert charpolys == [mod.phi for mod in degrees]
-        # the Newton slopes at most once per degree, for one not split into eigenlines
-        ids = [id(mod) for mod in slopes]
-        assert len(ids) == len(set(ids)) and set(ids) <= {id(mod) for mod in degrees}
+        twin = SyntheticCohomology.from_obj(s.to_obj())
+        degrees = [m.module for m in (twin.below, twin.top) if m.rank]
+        checked = [m.module.phi for m in (twin.top, twin.below) if m.rank]
+        assert charpolys == checked  # by the window checks, degree r first
+        del charpolys[:], slopes[:]
+        assert battery(twin) == battery(twin) == want
+        assert charpolys == []
+        # per battery call, the Newton slopes once for each degree whose
+        # enumeration reads slope blocks
+        once = [mod for mod, reads in zip(degrees, reading) if reads]
+        assert [id(mod) for mod in slopes] == [id(mod) for mod in 2 * once]
+
+    @pytest.mark.parametrize("name", sorted(BATTERY_CASES))
+    def test_enumeration_and_deciders_share_one_charpoly(self, name, monkeypatch):
+        from slopecalc import rational
+
+        charpolys = count_calls(monkeypatch, rational.charpoly)
+        s = BATTERY_CASES[name]
+        for m in (s.below, s.top):
+            if not m.rank:
+                continue
+            twin = FilteredPhiModule(fresh(m.module), m.hodge)
+            del charpolys[:]
+            enumerate_subobjects(twin)
+            enumerate_subobjects(twin, seed=3)
+            for decide in (hn.is_weakly_admissible, is_acyclic, hn.hn_filtration, vst_dimension):
+                decide(twin)
+            if is_acyclic(twin).status == STATUS_TRUE:
+                hn.fn4_reduce(twin)  # lowers the flag of the same module
+            assert len(charpolys) == 1 and charpolys[0] is twin.module.phi
 
     @pytest.mark.parametrize("name", sorted(BATTERY_CASES))
     def test_acyclic_then_hn_take_module_tn_off_the_lattice(self, name, monkeypatch):

@@ -65,6 +65,37 @@ class TestFlagSemantics:
         with pytest.raises(InputError):
             HodgeData.from_weights([F(1, 2)])
 
+    @pytest.mark.parametrize("rank, message", [
+        (1.0, "flag ranks must be integers, got 1.0"),
+        (2.0, "flag ranks must be integers, got 2.0"),
+        (True, "flag ranks must be integers, got True"),
+        ("2", "flag ranks must be integers, got '2'"),
+        (-1, "flag rank must be non-negative, got -1"),
+    ])
+    @pytest.mark.parametrize("row", [[1, 0], [1]], ids=["two-columns", "one-column"])
+    def test_malformed_rank_rejected(self, rank, message, row):
+        with pytest.raises(InputError) as info:
+            HodgeData.from_flag([(1, [row])], rank=rank)
+        assert str(info.value) == message
+        with pytest.raises(InputError) as info:
+            HodgeData.from_obj({"flag": [{"index": 1, "basis": [row]}], "rank": rank})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: HodgeData.from_weights([0, 2.0]), "Hodge weights must be integers, got 2.0"),
+        (lambda: HodgeData.from_weights([True]), "Hodge weights must be integers, got True"),
+        (lambda: flag2([(1.0, [[1, 0]])]), "flag indices must be integers, got 1.0"),
+        (lambda: flag2([("1", [[1, 0]])]), "flag indices must be integers, got '1'"),
+        (lambda: shift(flag2([(1, [[1, 0]])]), 2.0), "shift amounts must be integers, got 2.0"),
+        (lambda: shift(HodgeData.from_weights([0]), True),
+         "shift amounts must be integers, got True"),
+    ], ids=["weight-float", "weight-bool", "index-float", "index-string", "shift-float",
+            "shift-bool"])
+    def test_one_integer_rule(self, build, message):
+        with pytest.raises(InputError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_json_roundtrip(self):
         h = flag2([(1, [[1, 0]])])
         assert HodgeData.from_obj(h.to_obj()) == h

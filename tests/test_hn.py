@@ -481,6 +481,20 @@ class TestDuality:
             assert v.status == STATUS_TRUE
 
 
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_hn_slopes_negate_and_reverse(self, n):
+        # ROADMAP's eigenline module of rank n and its dual: HN(M*) has the
+        # slopes -mu of HN(M) in reverse order, with the same graded ranks
+        rng = random.Random(n)
+        mod = diagonal_instance(rng, 2, n, -(n // 2), n // 2, allow_n=False)
+        m = FilteredPhiModule(mod, random_flag(rng, n, 0, 3))
+        dual_m = FilteredPhiModule(dual(mod), dual_hodge(m.hodge))
+        filt, dual_filt = hn_filtration(m), hn_filtration(dual_m)
+        assert filt.certified and dual_filt.certified
+        assert len(filt.steps) > 1
+        assert dual_filt.slopes() == [(-s, k) for s, k in reversed(filt.slopes())]
+
+
 class TestVerdictType:
     def test_false_needs_witness(self):
         with pytest.raises(InputError):

@@ -18,7 +18,7 @@ from slopecalc.isocrystal import (
     t_n,
     tensor,
 )
-from slopecalc.rational import InputError, RatMatrix
+from slopecalc.rational import InputError, RatMatrix, charpoly
 
 from _generators import diagonal_instance, random_unimodular
 
@@ -134,6 +134,15 @@ class TestTN:
         assert "tn" not in repr(m) and "tn" not in m.to_obj()
         twin = PhiModule.from_obj(m.to_obj())
         assert twin == m and hash(twin) == hash(m) and twin.tn == m.tn
+        # coeffs = charpoly(phi), computed on first use and then kept
+        before = (repr(m), m.to_obj(), hash(m))
+        assert "coeffs" not in vars(m) and "coeffs" not in vars(twin)
+        assert m.coeffs == tuple(charpoly(m.phi)) == (F(-P), F(0), F(1))
+        assert m.coeffs is m.coeffs and "coeffs" in vars(m)
+        assert "coeffs" not in repr(m) and "coeffs" not in m.to_obj()
+        assert (repr(m), m.to_obj(), hash(m)) == before
+        assert twin == m and hash(twin) == hash(m) and "coeffs" not in vars(twin)
+        assert PhiModule.zero(P).coeffs == (F(1),)
 
 
 class TestFromSlopes:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from slopecalc.rational import (
     INFINITY,
+    Dimension,
     MR_LIMIT,
     InputError,
     Polygon,
@@ -727,3 +728,11 @@ class TestSampledPathStability:
         for basis in map(lattice.basis, lattice.keys):
             assert restriction_matrix(phi, basis) is not None
             assert all(span_contains(basis, nil.apply(v)) for v in basis)
+
+
+@pytest.mark.parametrize("dim, ht", [(1.0, 0), (0, 2.0), (True, 0), ("2", 0)])
+def test_dimension_components_are_integers(dim, ht):
+    bad = dim if ht == 0 else ht
+    with pytest.raises(InputError) as info:
+        Dimension(dim, ht)
+    assert str(info.value) == f"Dimension components must be integers, got {bad!r}"
