@@ -35,17 +35,12 @@ INFTY = "infty"
 
 
 def _check_pair(d: int, h: int, tag: str):
-    if not (isinstance(d, int) and isinstance(h, int)) or isinstance(d, bool) or isinstance(h, bool):
-        raise InputError(f"{tag} parameters must be integers")
+    json_int(d, f"{tag} parameters")
+    json_int(h, f"{tag} parameters")
     if d < 1 or h < 1:
         raise InputError(f"{tag}({d},{h}) needs d >= 1 and h >= 1")
     if math.gcd(d, h) != 1:
         raise InputError(f"{tag}({d},{h}) must be in lowest terms")
-
-
-def _check_copies(c):
-    if json_int(c, "piece copies") < 1:
-        raise InputError("piece copies must be positive")
 
 
 @dataclass(frozen=True)
@@ -60,14 +55,13 @@ class BCObject:
     def __post_init__(self):
         for d, h, c in self.ueff:
             _check_pair(d, h, "Ueff")
-            _check_copies(c)
+            json_int(c, "piece copies", 1)
         for d, h, c in self.uquot:
             _check_pair(d, h, "Uquot")
-            _check_copies(c)
+            json_int(c, "piece copies", 1)
         for entry in self.torsion:
             torsion_entry(entry)
-        if isinstance(self.qp, bool) or not isinstance(self.qp, int) or self.qp < 0:
-            raise InputError("qp multiplicity must be a non-negative integer")
+        json_int(self.qp, "qp multiplicities", 0)
 
     # -- constructors --------------------------------------------------------
 
@@ -79,7 +73,7 @@ class BCObject:
             acc: dict[tuple[int, int], int] = {}
             for d, h, c in pairs:
                 _check_pair(d, h, tag)  # before the slope d/h is formed for sorting
-                _check_copies(c)  # before the sum, which reads True as 1 and absorbs a -1
+                json_int(c, "piece copies", 1)  # before the sum: True reads as 1, a -1 is absorbed
                 acc[(d, h)] = acc.get((d, h), 0) + c
             return tuple(
                 (d, h, c)
@@ -134,10 +128,8 @@ class BCObject:
             elif t == "Tors":
                 torsion.append((s.get("point", INFTY), s.get("lengths", [])))
             elif t == "Qp":
-                n = json_int_field(s, "n", 1)
-                if n < 0:  # before the sum, which a negative n would cancel into
-                    raise InputError("qp multiplicity must be a non-negative integer")
-                qp += n
+                # checked before the sum, which a negative n would cancel into
+                qp += json_int(s.get("n", 1), "qp multiplicities", 0)
             else:
                 raise InputError(f"unknown summand tag {t!r}")
         return cls.build(ueff, uquot, torsion, qp)
@@ -152,8 +144,7 @@ class QBCObject:
 
     def __post_init__(self):
         for m in self.torsion_core:
-            if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-                raise InputError("torsion core lengths must be positive integers")
+            json_int(m, "torsion core lengths", 1)
 
     @classmethod
     def build(cls, core: Iterable[int], quotient: BCObject) -> "QBCObject":
@@ -373,20 +364,11 @@ def _norm_label(lbl) -> dict:
         raise InputError("labels must be objects with a 'kind' field")
     kind = lbl["kind"]
     if kind == "C":
-        j = lbl.get("twist", 0)
-        if isinstance(j, bool) or not isinstance(j, int):
-            raise InputError("C twist must be an integer")
-        return {"kind": "C", "twist": j}
+        return {"kind": "C", "twist": json_int(lbl.get("twist", 0), "C twists")}
     if kind == "B":
-        k = lbl.get("k")
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise InputError("B label needs integer k >= 1")
-        return {"kind": "B", "k": k}
+        return {"kind": "B", "k": json_int(lbl.get("k"), "B label lengths k", 1)}
     if kind == "Qp":
-        n = lbl.get("n", 1)
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise InputError("Qp label needs integer n >= 1")
-        return {"kind": "Qp", "n": n}
+        return {"kind": "Qp", "n": json_int(lbl.get("n", 1), "Qp label multiplicities n", 1)}
     raise InputError(f"unsupported label kind {kind!r}")
 
 
@@ -437,8 +419,7 @@ def ext_tables(x, y, k_degree: int = 1) -> ExtTriple:
     dimensions are filled in only for tabulated pairs and marked unknown
     otherwise.
     """
-    if isinstance(k_degree, bool) or not isinstance(k_degree, int) or k_degree < 1:
-        raise InputError("the base field degree must be a positive integer")
+    json_int(k_degree, "base field degrees", 1)
     x, y = _norm_label(x), _norm_label(y)
     euler = -k_degree * label_height(x) * label_height(y)
     if x["kind"] == "B" and y["kind"] == "C":

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .bc import BCObject, QBCObject, check_exact, curvature_nonpositive, dimension
 from .bc import height_functor_rank, parse_formal
-from .rational import InputError
+from .rational import InputError, json_int
 
 # `filtration`, `hn`, `isocrystal` and `sheaf` are imported by the functions
 # that use them, so that `mv_check`, which needs only `bc`, loads none of them
@@ -44,11 +44,6 @@ if TYPE_CHECKING:
     from .hn import FilteredPhiModule, HNFiltration, Verdict
     from .isocrystal import PhiModule
     from .sheaf import FFSheaf
-
-
-def _check_degree(r) -> None:
-    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
-        raise InputError("r must be a non-negative integer")
 
 
 def _check_windows(hk: PhiModule, lattice: HodgeData, bound: int, what: str) -> None:
@@ -79,7 +74,7 @@ class SyntheticCohomology:
     below: FilteredPhiModule  # degree r-1; rank zero when absent
 
     def __post_init__(self):
-        _check_degree(self.r)
+        json_int(self.r, "degrees r", 0)
         _check_windows(self.top.module, self.top.hodge, self.r, "degree r")
         _check_windows(self.below.module, self.below.hodge, max(self.r - 1, 0), "degree r-1")
 
@@ -150,7 +145,7 @@ def build_modification(hk: PhiModule, lattice: HodgeData, r: int, seed: int = 0)
     """
     from . import hn
 
-    _check_degree(r)
+    json_int(r, "degrees r", 0)
     _check_windows(hk, lattice, r, "modification input")
     return modification_from_filtration(hn.hn_filtration(hn.FilteredPhiModule(hk, lattice), seed))
 
@@ -349,7 +344,7 @@ def mv_check(row_a, row_b, r: int) -> MVReport:
     `height_functor_rank` from both ends force the equality; the common value
     is reported.
     """
-    _check_degree(r)
+    json_int(r, "degrees r", 0)
     a_objs, a_arrows = _parse_row(row_a, "A")
     b_objs, b_arrows = _parse_row(row_b, "B")
     violations = []

@@ -74,8 +74,8 @@ class HodgeData:
     def from_flag(cls, entries, rank: Optional[int] = None) -> "HodgeData":
         """Build from outside (index, basis) pairs and an optional non-negative
         int `rank` (else the rows' length), each checked; see the module docstring."""
-        if rank is not None and json_int(rank, "flag ranks") < 0:
-            raise InputError(f"flag rank must be non-negative, got {rank}")
+        if rank is not None:
+            json_int(rank, "flag ranks", 0)
         norm = []
         ncols = rank
         for idx, basis in entries:

@@ -8,13 +8,16 @@ in the literature; this one is forced by the degree-lowering algorithm below
 and is used consistently everywhere in this package.)
 
 Subobjects are Frobenius- and N-stable rational subspaces with the induced
-filtration.  Their enumeration is certified complete when all eigenvalues are
-rational with pairwise distinct valuations (the N-closed sums of eigenlines)
-and for a multiplicity-free slope normal form (the N-closed sums of blocks:
+filtration.  When the characteristic polynomial is squarefree with coprime
+factors irreducible over Q, the stable subspaces are exactly the sums of
+their kernels, so the enumeration is certified complete in two cases: all
+eigenvalues rational and distinct (the N-closed sums of eigenlines), and a
+multiplicity-free slope normal form (the N-closed sums of blocks:
 distinct-slope block polynomials are coprime and each block is irreducible).
-Scalar Frobenius makes every subspace stable (and forces N = 0), so no finite
-list is complete; but its flag-adapted chain realizes the extremal degree in
-every dimension, which is all the deciders consume, so it is certified too: a
+One builder, `_parts_lattice`, takes either list of parts.  Scalar Frobenius
+makes every subspace stable (and forces N = 0), so no finite list is
+complete; but its flag-adapted chain realizes the extremal degree in every
+dimension, which is all the deciders consume, so it is certified too: a
 lattice is `certified` when verdicts read off it are proofs.  Everything else
 falls back to a seeded, reproducible sample and "uncertified" verdicts,
 except that a verified violating subobject always certifies a negative
@@ -22,9 +25,10 @@ answer.
 
 The front end runs on Python ints: an enumeration reads the rational roots
 of phi's characteristic polynomial, kept by the `PhiModule` as `coeffs`, and
-its Newton slopes only if the eigenlines do not certify; the eigenlines and
-the sampled closures are grown on integer rows.  N needs no check here, and
-t_N(M) no determinant: the module checks N when built and keeps t_N(M), `tn`.
+its Newton slopes only if some root is repeated or irrational; the
+eigenlines, the parts' N-supports and the sampled closures are computed on
+integer rows.  N needs no check here, and t_N(M) no determinant: the module
+checks N when built and keeps t_N(M), `tn`.
 
 Every element is a bitmask of parts (eigenlines, slope blocks, the chain's
 lines, or in a sample the element itself as one part), and the deciders work
@@ -172,14 +176,16 @@ class SubobjectLattice:
 
     Every element is a sum of `parts` (row lists: eigenlines, slope blocks,
     the lines of the flag-adapted chain, or a sample's nonzero elements in
-    canonical order), named by the bitmask of its parts.  `order` lists
-    (part, requirement mask), each part after the parts it needs; the
-    elements are the masks holding their parts' requirements, and the
+    canonical order), named by the bitmask of its parts.  `order` lists (part,
+    requirement mask), each part after the parts it needs; for the eigenlines
+    (distinct rational eigenvalues, of any valuations) and the blocks a part
+    requires its N-support, which `_parts_lattice` reads off one elimination.
+    The elements are the masks holding their parts' requirements, and the
     deciders walk them from there (`lattice_scorer`).  A sample's parts never
-    sum (`order` None).  `certified`: verdicts read off the family are
-    proofs, as it is complete or (the scalar chain) reaches the largest
-    degree at every rank; it is then closed under sum and intersection,
-    which `hn_filtration` relies on.  `strategy`: "eigenlines", "blocks",
+    sum (`order` None).  `certified`: verdicts read off the family are proofs,
+    as it is complete or (the scalar chain) reaches the largest degree at
+    every rank; it is then closed under sum and intersection, which
+    `hn_filtration` relies on.  `strategy`: "eigenlines", "blocks",
     "scalar-chain" or "sample".  `keys` lists the masks on first read;
     `basis(key)` row-reduces an element on first use (a sample's are given).
     `scorer(m)` keeps the `lattice_scorer` of the last module object it was
@@ -234,16 +240,6 @@ class SubobjectLattice:
         return self._scorer[1]
 
 
-def _support(vectors, owner) -> int:
-    """Bitmask of the parts owner[j] in which some vector has a nonzero coordinate j."""
-    mask = 0
-    for v in vectors:
-        for j, x in enumerate(v):
-            if x:
-                mask |= 1 << owner[j]
-    return mask
-
-
 def _n_closed_sums(parts, supports, ncols, strategy) -> SubobjectLattice:
     """Certified lattice of the N-closed sums of `parts`, as masks.
 
@@ -279,54 +275,30 @@ def _eigenvectors(phi, den: int, r: Fraction) -> list:
     return int_kernel(shifted, len(phi))
 
 
-def _eigenline_subobjects(m: PhiModule, roots, leftover: int) -> Optional[SubobjectLattice]:
-    """Certified enumeration when eigenvalues are rational with distinct valuations.
+def _parts_lattice(m: PhiModule, parts, strategy) -> SubobjectLattice:
+    """Certified lattice of the N-closed sums of `parts`, int row lists forming a basis.
 
-    `roots, leftover` are `rational_roots` of the module's `coeffs`.
-    The support of N on each eigenline is read off from the coordinates of
-    all N-images, solved for at once on integer rows: one elimination of
-    [lines | images], one equation per coordinate, leaves in row i a nonzero
-    in the column of image j iff line i is in its support.
+    The N-support of every part is read off the coordinates of the N-images
+    of all its rows, solved for at once on integer rows: one elimination of
+    [vectors | images], one equation per coordinate, leaves in row i a
+    nonzero in the column of image j iff vector i has a nonzero coordinate
+    in it.  N = 0 maps every part to zero and needs no elimination.
     """
     n = m.rank
-    if leftover != 0 or any(mult != 1 for _, mult in roots):
-        return None
-    vals = {valuation(r, m.p) for r, _ in roots}
-    if len(vals) != len(roots):
-        return None
-    phi, den = int_matrix(m.phi)
-    lines = []
-    for r, _ in roots:
-        ker = _eigenvectors(phi, den, r)
-        if len(ker) != 1:
-            return None
-        a, b = r.numerator * den, r.denominator
-        if [b * x for x in int_apply(phi, ker[0])] != [a * x for x in ker[0]]:
-            raise AssertionError(f"internal: {rat_str(r)}-eigenline is not fixed by phi")
-        lines.append(ker[0])
-    nil, _ = int_matrix(m.nilpotent)
-    columns = lines + [int_apply(nil, v) for v in lines]
-    rows = [[v[c] for v in columns] for c in range(n)]
-    if _gauss_jordan(rows, 2 * n) != list(range(n)):
-        raise AssertionError("internal: the eigenlines do not span the module")
-    supports = [_support([[row[n + j] for row in rows]], range(n)) for j in range(n)]
-    return _n_closed_sums([[v] for v in lines], supports, n, "eigenlines")
-
-
-def _block_subobjects(m: PhiModule, slopes) -> Optional[SubobjectLattice]:
-    """Certified enumeration for multiplicity-free slope normal forms."""
-    if not is_dm_normal(m, slopes):
-        return None
-    blocks = dm_blocks(m, slopes)
-    if len({s for s, _, _ in blocks}) != len(blocks):
-        return None  # a repeated slope block: not multiplicity free
-    n = m.rank
-    std = [[int(i == j) for j in range(n)] for i in range(n)]
-    images = list(zip(*m.nilpotent.entries))  # images[j] = N e_j, column j of N
-    owner = [k for k, (_, _, size) in enumerate(blocks) for _ in range(size)]
-    parts = [std[off : off + size] for _, off, size in blocks]
-    supports = [_support(images[off : off + size], owner) for _, off, size in blocks]
-    return _n_closed_sums(parts, supports, m.rank, "blocks")
+    supports = [0] * len(parts)
+    if not m.nilpotent.is_zero():
+        nil, _ = int_matrix(m.nilpotent)
+        vectors = [v for part in parts for v in part]
+        owner = [k for k, part in enumerate(parts) for _ in part]
+        columns = vectors + [int_apply(nil, v) for v in vectors]
+        rows = [[v[c] for v in columns] for c in range(n)]
+        if len(vectors) != n or _gauss_jordan(rows, 2 * n) != list(range(n)):
+            raise AssertionError("internal: the lattice parts are not a basis of the module")
+        for i, row in enumerate(rows):
+            for j in range(n):
+                if row[n + j]:
+                    supports[owner[j]] |= 1 << owner[i]
+    return _n_closed_sums(parts, supports, n, strategy)
 
 
 def _is_scalar(phi: RatMatrix) -> bool:
@@ -436,18 +408,27 @@ def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
 def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> SubobjectLattice:
     """All stable subspaces (certified) or a reproducible sample, as a `SubobjectLattice`.
 
-    Its elements always include the zero and full subspaces.  Scalar Frobenius
-    yields the flag-adapted chain (`_scalar_flag_chain`).  The rational roots
-    of the module's kept characteristic polynomial are found once; the
-    Newton slopes are read only when the eigenlines do not certify.
+    Its elements always include the zero and full subspaces.  Two recognisers
+    feed `_parts_lattice`: simple rational roots of the module's kept
+    characteristic polynomial and no other factor give the eigenlines, and
+    otherwise a multiplicity-free slope normal form (`is_dm_normal`, distinct
+    slopes) gives its coordinate blocks (`dm_blocks`).  Scalar Frobenius
+    yields the flag-adapted chain (`_scalar_flag_chain`), and anything else
+    a sample.  The roots are found once; the Newton slopes are read only
+    when some root is repeated or irrational.
     """
-    mod = m.module
+    mod, n = m.module, m.rank
     roots, leftover = rational_roots(mod.coeffs)
-    lattice = _eigenline_subobjects(mod, roots, leftover)
-    if lattice is None:
-        lattice = _block_subobjects(mod, newton_slopes(mod))
-    if lattice is None:
-        lattice = _scalar_flag_chain(m)
+    if leftover == 0 and all(mult == 1 for _, mult in roots):
+        phi, den = int_matrix(mod.phi)
+        return _parts_lattice(mod, [_eigenvectors(phi, den, r) for r, _ in roots], "eigenlines")
+    slopes = newton_slopes(mod)
+    if is_dm_normal(mod, slopes):
+        blocks = dm_blocks(mod, slopes)
+        if len({s for s, _, _ in blocks}) == len(blocks):  # multiplicity free
+            std = [[int(i == j) for j in range(n)] for i in range(n)]
+            return _parts_lattice(mod, [std[off : off + size] for _, off, size in blocks], "blocks")
+    lattice = _scalar_flag_chain(m)
     if lattice is None:
         lattice = SubobjectLattice.sample(_sample_subobjects(m, seed, roots))
     return lattice

@@ -47,9 +47,7 @@ class SlopeMultiset:
         merged: dict[Fraction, int] = {}
         for s, m in entries:
             s = rat(s)
-            m = json_int(m, "slope multiplicities")
-            if m <= 0:
-                raise InputError("slope multiplicities must be positive")
+            m = json_int(m, "slope multiplicities", 1)
             merged[s] = merged.get(s, 0) + m
         object.__setattr__(
             self, "entries", tuple(sorted(merged.items(), key=lambda t: t[0]))

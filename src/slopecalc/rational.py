@@ -58,10 +58,12 @@ def is_row_list(x) -> bool:
     return isinstance(x, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in x)
 
 
-def json_int(x, what: str) -> int:
-    """A JSON integer (not a bool, a string or a float), else InputError."""
+def json_int(x, what: str, low: Optional[int] = None) -> int:
+    """A JSON integer (not a bool, a string or a float), at least any `low`; else InputError."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise InputError(f"{what} must be integers, got {x!r}")
+    if low is not None and x < low:
+        raise InputError(f"{what} must be >= {low}, got {x}")
     return x
 
 
@@ -86,8 +88,8 @@ def torsion_entry(entry) -> tuple[str, tuple]:
         raise InputError("torsion point labels must be nonempty strings")
     if not isinstance(lengths, (list, tuple)) or not lengths:
         raise InputError("torsion entries need a nonempty list of lengths")
-    if any(json_int(m, "torsion lengths") < 1 for m in lengths):
-        raise InputError("torsion lengths must be positive integers")
+    for m in lengths:
+        json_int(m, "torsion lengths", 1)
     return point, tuple(lengths)
 
 
@@ -197,7 +199,7 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p) -> int:
-    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+    if not is_prime(json_int(p, "primes p")):
         raise InputError(f"p must be a prime integer >= 2, got {p!r}")
     return p
 

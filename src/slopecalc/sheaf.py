@@ -44,8 +44,7 @@ class FFSheaf:
         for s, c in self.bundle:
             if not isinstance(s, Fraction):
                 raise InputError("bundle slopes must be Fractions")
-            if isinstance(c, bool) or not isinstance(c, int) or c < 1:
-                raise InputError("bundle copies must be positive integers")
+            json_int(c, "bundle copies", 1)
         for entry in self.torsion:
             torsion_entry(entry)
 
@@ -57,9 +56,7 @@ class FFSheaf:
         acc: dict[Fraction, int] = {}
         for s, c in pairs:
             s = rat(s)
-            c = json_int(c, "bundle copies")
-            if c < 1:
-                raise InputError("bundle copies must be positive integers")
+            c = json_int(c, "bundle copies", 1)
             acc[s] = acc.get(s, 0) + c
         bundle = tuple(sorted(acc.items(), key=lambda t: t[0], reverse=True))
         return cls(bundle, torsion_normal_form(torsion))
@@ -116,9 +113,7 @@ def canonicalize(raw_slopes: Iterable, torsion: Iterable = ()) -> FFSheaf:
     pairs = []
     for s, rank in raw_slopes:
         s = rat(s)
-        rank = json_int(rank, "ranks")
-        if rank < 1:
-            raise InputError("ranks must be positive")
+        rank = json_int(rank, "ranks", 1)
         h = s.denominator
         if rank % h != 0:
             raise InputError(

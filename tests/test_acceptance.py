@@ -18,9 +18,11 @@ from slopecalc.bc import BCObject, Dimension, QBCObject, check_exact, dimension,
 from slopecalc.diagram import SyntheticCohomology, battery, dichotomy
 from slopecalc.filtration import HodgeData
 from slopecalc.hn import (
+    STATUS_FALSE,
     STATUS_TRUE,
     FilteredPhiModule,
     degree,
+    enumerate_subobjects,
     fn4_reduce,
     is_acyclic,
     is_weakly_admissible,
@@ -97,6 +99,14 @@ def gen_certified(rng, p=2, max_rank=3, weight_lo=0, weight_hi=3, exp_lo=-2, exp
         exponents = sorted(exponents)
         units = [units[0]] * n
     eig = [F(units[i]) * F(p) ** exponents[i] for i in range(n)]
+    return _conjugated(rng, p, eig, weight_lo, weight_hi)
+
+
+def _conjugated(rng, p, eig, weight_lo, weight_hi):
+    """S diag(eig) S^-1 with N between eigenlines of eigenvalue ratio p, drawn at
+    random, and a random full flag; returns (module, eig, eigenvector rows, N
+    in eigenline coordinates)."""
+    n = len(eig)
     nil = [[F(0)] * n for _ in range(n)]
     if rng.random() < 0.5:
         for i in range(n):
@@ -228,6 +238,56 @@ def test_criterion_02_weak_admissibility_oracle_agreement():
     elapsed = time.time() - t0
     report(2, agree == total and elapsed < 30.0,
            f"{agree}/{total} oracle agreements in {elapsed:.1f}s (< 30s)")
+
+
+def gen_equal_valuation(rng, p=2):
+    """Conjugated diagonal of rank 2-4 whose distinct eigenvalues u p^e, for
+    two or three units u among 1, -1, 3, share a valuation; the rest are
+    u p^(e+1), so that N may map their lines into the shared valuation."""
+    n = rng.randint(2, 4)
+    k = rng.randint(2, min(n, 3))
+    e = rng.randint(-2, 2)
+    eig = [F(u) * F(p) ** e for u in rng.sample([1, -1, 3], k)]
+    eig += [F(u) * F(p) ** (e + 1) for u in rng.sample([1, -1, 3], n - k)]
+    return _conjugated(rng, p, eig, 0, 3)
+
+
+def _oracle_degree(m, witness, eig, eigvecs, nil):
+    """Degree of the witness by the oracle's t_H and t_N, or None if it spans
+    none of the oracle's stable subspaces."""
+    for rows, tn in oracle_stable_subsets(eig, eigvecs, nil, m.module.p):
+        if o_rank(rows) == o_rank(witness) == o_rank(list(rows) + list(witness)):
+            return oracle_t_h(m.hodge, witness) - tn
+    return None
+
+
+def test_equal_valuation_eigenlines_agree_with_the_oracles():
+    """Distinct rational eigenvalues certify whatever their valuations: the
+    stable subspaces are the sums of the eigenlines."""
+    rng = random.Random(20261019)
+    shapes, refuted, with_n = set(), 0, 0
+    for _ in range(120):
+        m, eig, eigvecs, nil = gen_equal_valuation(rng)
+        lattice = enumerate_subobjects(m)
+        assert lattice.strategy == "eigenlines" and lattice.certified
+        wa, acyclic = is_weakly_admissible(m), is_acyclic(m)
+        assert wa.certified and acyclic.certified
+        assert wa.is_true == oracle_wa(m, eig, eigvecs, nil)
+        assert acyclic.is_true == oracle_acyclic(m, eig, eigvecs, nil)
+        whole = _oracle_degree(m, RatMatrix.identity(m.rank).entries, eig, eigvecs, nil)
+        if wa.status == STATUS_FALSE:
+            # a positive-degree subobject, or V itself when its degree is not zero
+            d = _oracle_degree(m, wa.witness, eig, eigvecs, nil)
+            assert d > 0 or (len(wa.witness) == m.rank and d != 0)
+            refuted += 1
+        if acyclic.status == STATUS_FALSE:
+            assert _oracle_degree(m, acyclic.witness, eig, eigvecs, nil) > whole
+            refuted += 1
+        shapes.add((m.rank, acyclic.status))
+        with_n += any(any(row) for row in nil)
+    assert {r for r, _ in shapes} == {2, 3, 4}
+    assert {s for _, s in shapes} == {STATUS_TRUE, STATUS_FALSE}
+    assert refuted >= 20 and with_n >= 10
 
 
 def test_criterion_03_filtration_lowering_equivalence():

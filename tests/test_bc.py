@@ -92,7 +92,7 @@ class TestDimension:
 
     def test_negative_qp_summand_rejected(self):
         obj = {"summands": [{"type": "Qp", "n": -1}, {"type": "Qp", "n": 2}]}
-        with pytest.raises(InputError, match="qp multiplicity must be a non-negative integer"):
+        with pytest.raises(InputError, match="qp multiplicities must be >= 0, got -1"):
             BCObject.from_obj(obj)
 
 

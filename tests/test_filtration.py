@@ -70,7 +70,7 @@ class TestFlagSemantics:
         (2.0, "flag ranks must be integers, got 2.0"),
         (True, "flag ranks must be integers, got True"),
         ("2", "flag ranks must be integers, got '2'"),
-        (-1, "flag rank must be non-negative, got -1"),
+        (-1, "flag ranks must be >= 0, got -1"),
     ])
     @pytest.mark.parametrize("row", [[1, 0], [1]], ids=["two-columns", "one-column"])
     def test_malformed_rank_rejected(self, rank, message, row):

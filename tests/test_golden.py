@@ -4,7 +4,8 @@ Every fixture in tests/fixtures is run through the in-process `cli.run`, with
 its input on stdin, and its exit code and the SHA-256 of its stdout are
 compared with the digests recorded in bench/golden.json (written by
 `python3 bench/record_golden.py`), once plain and once with `--oracle`;
-one fixture per command also runs as a fresh process.
+one fixture per command also runs as a fresh process, and the whole corpus
+once more in one `python -O` process.
 Criterion 10 checks that a run agrees with itself; this checks that it
 agrees with the recorded answers.
 """
@@ -63,6 +64,14 @@ def test_every_fixture_passes_the_oracle(monkeypatch):
         assert got == (want["exit"], want["stdout_sha256"]), path.name
 
 
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def _one_fixture_per_command():
     first = {}
     for path in FIXTURES:
@@ -75,14 +84,44 @@ def test_fresh_process_matches_golden(path):
     """A command run as its own `python -m slopecalc` process, so that it
     loads no module an earlier test has already imported."""
     spec = json.loads(path.read_text(encoding="utf-8"))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "slopecalc", spec["command"], "--input", "-"],
-        input=json.dumps(spec["input"]).encode(), capture_output=True, env=env, timeout=120,
+        input=json.dumps(spec["input"]).encode(), capture_output=True, env=_env(), timeout=120,
     )
     want = GOLDEN[path.name]
     got = (proc.returncode, hashlib.sha256(proc.stdout).hexdigest())
     assert got == (want["exit"], want["stdout_sha256"]), proc.stderr
+
+
+# Every fixture through the in-process `cli.run`, plain and with --oracle; prints
+# whether asserts are on, the number of runs and each run whose record differs.
+_CORPUS_SCRIPT = """
+import hashlib, io, json, pathlib, sys
+from slopecalc import cli
+root = pathlib.Path(sys.argv[1])
+golden = json.loads((root / "bench" / "golden.json").read_text(encoding="utf-8"))
+runs, bad = 0, []
+for path in sorted((root / "tests" / "fixtures").glob("*.json")):
+    spec = json.loads(path.read_text(encoding="utf-8"))
+    want = [golden[path.name]["exit"], golden[path.name]["stdout_sha256"]]
+    for flags in ([], ["--oracle"]):
+        sys.stdin, sys.stdout = io.StringIO(json.dumps(spec["input"])), io.StringIO()
+        code = cli.run([spec["command"], "--input", "-", *flags])
+        got = [code, hashlib.sha256(sys.stdout.getvalue().encode()).hexdigest()]
+        runs += 1
+        if got != want:
+            bad.append([path.name, flags, *got])
+sys.stdout = sys.__stdout__
+print(json.dumps({"asserts": __debug__, "runs": runs, "bad": bad}))
+"""
+
+
+def test_golden_corpus_under_optimize():
+    """One `python -O` process matches every golden record, plain and with
+    --oracle, so that no check behind an answer rests on an assert statement."""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORPUS_SCRIPT, str(ROOT)],
+        capture_output=True, env=_env(), timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"asserts": False, "runs": 2 * len(FIXTURES), "bad": []}

@@ -102,6 +102,15 @@ class TestEnumerate:
         dims = sorted(len(b) for b in subs)
         assert dims == [0, 1, 1, 2]
 
+    def test_equal_valuations_certified(self):
+        # 1 and 3 are distinct units at p = 2, so the two eigenlines are the
+        # only stable lines although their valuations agree
+        s = random_unimodular(random.Random(5), 2)
+        mod = PhiModule.from_matrices(P, s @ RatMatrix([[1, 0], [0, 3]]) @ s.inverse())
+        m = FilteredPhiModule(mod, random_flag(random.Random(5), 2, 0, 1))
+        lines = [[col] for col in s.transpose().entries]
+        assert len(TestMaskLattice.agree(m, lines, "eigenlines").keys) == 4
+
     def test_scalar_chain_is_certified(self):
         # every line is stable, so no finite list is complete; the flag-adapted
         # chain reaches the largest degree at every rank, so verdicts on it are proofs
@@ -968,6 +977,14 @@ def _reference_cases():
         add("sample", PhiModule(P, s @ diag @ s.inverse(), zero), exps)
     for n in (3, 4):
         add("scalar-chain", PhiModule.from_matrices(P, RatMatrix.identity(n).scale(P)), [1] * n)
+    # distinct eigenvalues 2, -2 and 6 of one valuation, and 4, whose line N
+    # maps into the 2-line
+    e = [[F(0)] * 4 for _ in range(4)]
+    e[0][3] = F(1)
+    s = random_unimodular(rng, 4)
+    diag = RatMatrix([[F(x) if i == j else 0 for j in range(4)] for i, x in enumerate([2, -2, 6, 4])])
+    add("eigenlines", PhiModule(P, s @ diag @ s.inverse(), s @ RatMatrix(e) @ s.inverse()),
+        [1, 1, 1, 2])
     return cases
 
 
