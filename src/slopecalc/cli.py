@@ -426,6 +426,8 @@ def run(argv=None) -> int:
             return _emit_error(
                 {"error": f"malformed JSON: {exc.msg}", "line": exc.lineno, "column": exc.colno}
             )
+        except (RecursionError, ValueError) as exc:  # too deep, or an int past the digit limit
+            return _emit_error({"error": f"malformed JSON: {exc}"})
         result, code = HANDLERS[args.command](obj, args)
     except InputError as exc:
         return _emit_error({"error": str(exc)})

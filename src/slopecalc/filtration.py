@@ -6,9 +6,12 @@ indices, meaning Fil^j is the ambient space below the first listed index,
 span(basis of the last entry with index <= j) in between, and zero above the
 last listed index.  Weight i then has multiplicity dim Fil^i - dim Fil^{i+1}.
 
-Flags are canonicalized to a dense presentation (one entry per index across
-the jump window), so two presentations of the same filtration compare equal;
-a window wider than `FLAG_MAX_SPAN` indices is an input error.
+A flag is kept as its levels: the pairs (j, Fil^j) at the indices j where
+the filtration changes, from the ambient space at lo to zero at hi, with
+canonical (RREF) bases, so two presentations of the same filtration compare
+equal.  The dense window, one entry per index strictly between lo and hi, is
+laid out only for output; a window wider than `FLAG_MAX_SPAN` indices is an
+input error.
 
 Weight-only data suffices for slope bookkeeping; subobject tests need a flag
 and reject weights-only input with `FlagRequiredError`.
@@ -16,8 +19,11 @@ and reject weights-only input with `FlagRequiredError`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .rational import (
@@ -55,7 +61,7 @@ class HodgeData:
     kind: str
     rank: int
     weights: tuple  # sorted tuple of ints (always derivable)
-    flag: Optional[tuple] = None  # dense canonical ((index, basis-rows), ...)
+    levels: Optional[tuple] = None  # canonical ((index, basis-rows), ...), ambient to zero
 
     def __post_init__(self):
         if self.kind not in (KIND_WEIGHTS, KIND_FLAG):
@@ -109,32 +115,33 @@ class HodgeData:
 
     @classmethod
     def _from_chain(cls, entries, rank: int) -> "HodgeData":
-        """Dense flag and weights from checked (index, basis) entries.
+        """Levels and weights from checked (index, basis) entries.
 
         The entries are sorted by index, their bases canonical (RREF) and
         nested, read as in the module docstring; none of that is checked
-        here.  The dense flag runs from j0, the first proper level (or j1 if
-        that is zero), to j1, the last nonzero one.
+        here.  An entry of the same dimension as the one before is dropped,
+        and the ambient level goes at lo = min(first proper index, hi - 1) - 1,
+        so the dense window lo < j < hi is never empty.
         """
         if rank == 0:
             return cls(KIND_FLAG, 0, (), ())
-        # Fil^j is entries[k]'s basis for j from its index up to ends[k]
-        first = entries[0][0]
-        ends = [idx - 1 for idx, _ in entries[1:]] + [entries[-1][0]]
-        j1 = next((e for (_, b), e in zip(entries[::-1], ends[::-1]) if b), first - 1)
-        j0 = min(next((idx for idx, b in entries if len(b) < rank), j1), j1)
-        if j1 < first:
-            # the whole filtration dies at `first`: everything sits at weight first-1
-            flag = ((first - 1, _full_basis(rank)),)
-        elif j1 - j0 >= FLAG_MAX_SPAN:
-            raise InputError(f"flag jump window {j0}..{j1} spans over {FLAG_MAX_SPAN} indices")
-        else:
-            spans = [(b, range(max(idx, j0), min(e, j1) + 1)) for (idx, b), e in zip(entries, ends)]
-            flag = tuple((j, b) for b, js in spans for j in js)
-        # weight lo + i has multiplicity dim Fil^(lo+i) - dim Fil^(lo+i+1), Fil^lo ambient
-        lo, dims = flag[0][0] - 1, [rank] + [len(b) for _, b in flag] + [0]
-        weights = tuple(lo + i for i in range(len(dims) - 1) for _ in range(dims[i] - dims[i + 1]))
-        return cls(KIND_FLAG, rank, weights, flag)
+        levels, dim = [], rank
+        for idx, basis in entries:
+            if len(basis) != dim:
+                levels.append((idx, basis))
+                dim = len(basis)
+        if dim:
+            levels.append((entries[-1][0] + 1, ()))
+        hi = levels[-1][0]
+        lo = min(levels[0][0], hi - 1) - 1
+        if hi - lo - 2 >= FLAG_MAX_SPAN:
+            msg = f"flag jump window {lo + 1}..{hi - 1} spans over {FLAG_MAX_SPAN} indices"
+            raise InputError(msg)
+        levels.insert(0, (lo, _full_basis(rank)))
+        # weight j - 1 has multiplicity dim Fil^(j-1) - dim Fil^j, j a level past lo
+        drops = zip(levels, levels[1:])
+        weights = tuple(j - 1 for (_, a), (j, b) in drops for _ in range(len(a) - len(b)))
+        return cls(KIND_FLAG, rank, weights, tuple(levels))
 
     # -- flag access ---------------------------------------------------------
 
@@ -145,23 +152,24 @@ class HodgeData:
     def subspace_at(self, j: int) -> tuple:
         """Canonical basis of Fil^j (flag form only)."""
         self.require_flag("subspace_at")
-        if self.rank == 0 or not self.flag:
-            return ()
-        if j < self.flag[0][0]:
-            return _full_basis(self.rank)
-        if j > self.flag[-1][0]:
-            return ()
-        return self.flag[j - self.flag[0][0]][1]
+        k = bisect_right(self.levels, j, key=itemgetter(0))
+        return self.levels[k - 1][1] if k else _full_basis(self.rank)
 
     def support(self) -> tuple[int, int]:
         """(lo, hi) with Fil^lo ambient and Fil^hi zero."""
         if self.kind == KIND_FLAG:
-            if not self.flag:
-                return (0, 0)
-            return (self.flag[0][0] - 1, self.flag[-1][0] + 1)
+            return (self.levels[0][0], self.levels[-1][0]) if self.levels else (0, 0)
         if not self.weights:
             return (0, 0)
         return (min(self.weights), max(self.weights) + 1)
+
+    @cached_property
+    def flag(self) -> Optional[tuple]:
+        """Dense flag ((j, Fil^j) for lo < j < hi), as `to_obj` writes it; None for weights."""
+        if self.kind == KIND_WEIGHTS:
+            return None
+        lo, hi = self.support()
+        return tuple((j, self.subspace_at(j)) for j in range(lo + 1, hi))
 
     # -- serialization -------------------------------------------------------
 
@@ -206,22 +214,15 @@ def dual_hodge(h: HodgeData) -> HodgeData:
     The index shift makes the jump bookkeeping come out right: weight w of h
     becomes weight -w of the dual, so t_h negates and double duals return the
     original.  (This is the convention under which weak admissibility is
-    stable under duality.)  Levels are nested, so a dimension names a level:
-    one annihilator is computed per distinct level, at the index where the
-    dual first takes it.
+    stable under duality.)  A level Fil^j that holds up to index j' - 1, j'
+    the next level's index, gives the dual its annihilator from index 2 - j'
+    on: one annihilator per level but the zero one, whose annihilator is the
+    ambient space the dual starts with.
     """
     if h.kind == KIND_WEIGHTS:
         return HodgeData.from_weights([-w for w in h.weights])
-    if h.rank == 0:
-        return h
-    lo, hi = h.support()
-    chain, dim = [], None
-    for j in range(1 - hi, 2 - lo):
-        level = h.subspace_at(1 - j)
-        if len(level) != dim:
-            dim = len(level)
-            chain.append((j, _annihilator(level, h.rank)))
-    return HodgeData._from_chain(chain, h.rank)
+    chain = [(2 - nxt, _annihilator(b, h.rank)) for (_, b), (nxt, _) in zip(h.levels, h.levels[1:])]
+    return HodgeData._from_chain(chain[::-1], h.rank)
 
 
 def _annihilator(basis, n: int) -> tuple:
@@ -235,9 +236,7 @@ def shift(h: HodgeData, r: int) -> HodgeData:
     json_int(r, "shift amounts")
     if h.kind == KIND_WEIGHTS:
         return HodgeData.from_weights([w + r for w in h.weights])
-    if h.rank == 0:
-        return h
-    return HodgeData._from_chain([(idx + r, basis) for idx, basis in h.flag], h.rank)
+    return HodgeData._from_chain([(idx + r, basis) for idx, basis in h.levels], h.rank)
 
 
 def induced_on_subspace(h: HodgeData, subspace: Sequence) -> HodgeData:
@@ -247,16 +246,15 @@ def induced_on_subspace(h: HodgeData, subspace: Sequence) -> HodgeData:
     the ambient space.  The result is flag-form of rank dim(W), in the
     coordinates of W's canonical (RREF) basis.
 
-    W is row-reduced once, to int rows w_i = d_i * (RREF row i).  Levels are
-    nested, so the dense flag changes subspace only where its dimension
-    drops; the meets with the distinct levels, from the ambient one at lo to
-    zero at hi, are passed to the flag builder as they come, canonical and
-    nested.  Each distinct proper level [f] is met with W by one
-    elimination of the rows [w_i | e_i] over [f | 0]: its rows with a pivot
-    past column n have a zero left half, and their right halves a, for
-    which sum a_i w_i lies in Fil^j, span Fil^j & W.  In RREF coordinates
-    such a vector is (a_i d_i), so each of those rows, rescaled and divided
-    by its pivot entry, is a row of the canonical basis of the meet.
+    W is row-reduced once, to int rows w_i = d_i * (RREF row i).  The meets
+    with the levels, from the ambient one at lo to zero at hi, are passed to
+    the flag builder as they come, canonical and nested.  Each proper level
+    [f] is met with W by one elimination of the rows [w_i | e_i] over
+    [f | 0]: its rows with a pivot past column n have a zero left half, and
+    their right halves a, for which sum a_i w_i lies in Fil^j, span Fil^j & W.
+    In RREF coordinates such a vector is (a_i d_i), so each of those rows,
+    rescaled and divided by its pivot entry, is a row of the canonical basis
+    of the meet.
     """
     h.require_flag("induced_on_subspace")
     n = h.rank
@@ -282,11 +280,4 @@ def induced_on_subspace(h: HodgeData, subspace: Sequence) -> HodgeData:
                 out.append(tuple(Fraction(x * d, pv) if x else _ZERO for x, d in zip(a, scales)))
         return tuple(out)
 
-    lo, hi = h.support()
-    chain, dim = [], None
-    for j in range(lo, hi + 1):
-        level = h.subspace_at(j)
-        if len(level) != dim:
-            dim = len(level)
-            chain.append((j, meet(level)))
-    return HodgeData._from_chain(chain, k)
+    return HodgeData._from_chain([(j, meet(level)) for j, level in h.levels], k)

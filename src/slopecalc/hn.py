@@ -86,6 +86,7 @@ from .rational import (
     int_residue,
     int_row,
     int_rref,
+    lower_hull_vertices,
     rat_rref,
     rat_str,
     rational_roots,
@@ -323,13 +324,10 @@ def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[SubobjectLattice]:
         return None
     m.hodge.require_flag("subobject enumeration")
     n = m.rank
-    lo, hi = m.hodge.support()
     lines, prev = [], ()
-    for j in range(hi, lo - 1, -1):
-        level = m.hodge.subspace_at(j)
-        if len(level) != len(prev):
-            lines.extend([v] for v in complement_basis(prev, level, n))
-            prev = level
+    for _, level in reversed(m.hodge.levels):
+        lines.extend([v] for v in complement_basis(prev, level, n))
+        prev = level
     return _n_closed_sums(lines, [k and 1 << (k - 1) for k in range(n)], n, "scalar-chain")
 
 
@@ -469,18 +467,20 @@ def sub_invariants(m: FilteredPhiModule, basis) -> tuple[int, int, Fraction, Fra
 def _flag_coordinates(hodge: HodgeData) -> tuple[list, list]:
     """(C, weights): int coordinates adapted to the flag, ascending by weight.
 
-    Nested levels have nested pivot sets, so the canonical rows of Fil^j at
-    pivots new to it (weight j) extend those taken above to a basis B of it.
+    Nested levels have nested pivot sets, so the canonical rows of a level at
+    pivots new to it extend those taken above to a basis B of it; their
+    weight is the next level's index - 1, the last index the level holds.
     One elimination of [B^T | I] leaves in row i of its right half C a nonzero
     multiple of row i of (B^T)^-1: `int_apply(C, v)[i]` is coordinate i of v.
     """
     n = hodge.rank
     found = {}  # pivot column -> (weight, int row), by descending weight
-    for j in sorted(set(hodge.weights), reverse=True):  # the distinct levels Fil^j
-        for row in hodge.subspace_at(j):
+    levels = hodge.levels
+    for (_, level), (nxt, _) in zip(levels[-2::-1], levels[::-1]):  # from the top
+        for row in level:
             c = next(c for c, a in enumerate(row) if a)
             if c not in found:
-                found[c] = j, int_row(row)
+                found[c] = nxt - 1, int_row(row)
     rows = [[r[i] for _, r in reversed(found.values())] + [int(i == t) for t in range(n)]
             for i in range(n)]
     _gauss_jordan(rows, 2 * n)
@@ -677,15 +677,10 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
             best[inv[0]] = [inv[3], [(key, inv)]]
         elif inv[3] == top[0]:
             top[1].append((key, inv))
-    hull = []  # vertices (r, M_r): a point on or under the chord past it is dropped
-    for k, (d, _) in sorted(best.items()):
-        while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
-                                 <= (d - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
-            hull.pop()
-        hull.append((k, d))
+    hull = lower_hull_vertices((k, -d) for k, (d, _) in sorted(best.items()))  # P, upside down
     steps, prev, cur_rank, cur_deg = [], (), 0, 0
-    for k, d in hull[1:]:
-        tied = best[k][1]
+    for k, _ in hull[1:]:
+        d, tied = best[k]
         if lattice.certified and len(tied) != 1:
             raise AssertionError(f"internal: {len(tied)} elements reach the HN vertex at rank {k}")
         if k == m.rank:
@@ -781,22 +776,23 @@ def _lower_once(m: FilteredPhiModule, filt: HNFiltration) -> FilteredPhiModule:
     collecting the graded slopes > 0 (maps from slopes > 0 to slope 0
     vanish), so removing a direction inside W* leaves all such quotients
     untouched while every other quotient has integer degree >= 1 and can
-    afford the drop of one.  Let i0 be the top index where Fil^i0 meets W*.
+    afford the drop of one.  Let i0 be the top index where Fil^i0 meets W*:
+    one below the index of the level after the top level that meets it.
     The new Fil^i0 is the hyperplane of `_top_hyperplane`, which holds
     Fil^(i0+1) and misses that meet; one exists, since the meet is not
-    inside Fil^(i0+1).
+    inside Fil^(i0+1).  That level keeps its indices below i0.
     """
-    n, hodge = m.rank, m.hodge
+    n, levels = m.rank, m.hodge.levels
     wstar = next((s.basis for s in reversed(filt.steps) if s.slope > 0), ())
-    lo, hi = hodge.support()
-    for i0 in range(hi, lo - 1, -1):
-        inter = span_intersect(hodge.subspace_at(i0), wstar, n)
+    for k in range(len(levels) - 2, -1, -1):
+        inter = span_intersect(levels[k][1], wstar, n)
         if inter:
             break
     else:
         raise AssertionError("internal: positive degree but no lowerable jump")
-    hyper = _top_hyperplane(hodge.subspace_at(i0), hodge.subspace_at(i0 + 1), inter, n)
-    chain = [(j, hyper if j == i0 else hodge.subspace_at(j)) for j in range(lo, hi + 1)]
+    (start, top), (nxt, protect) = levels[k], levels[k + 1]
+    hyper = ((nxt - 1, _top_hyperplane(top, protect, inter, n)),)
+    chain = levels[: k + (start < nxt - 1)] + hyper + levels[k + 1 :]  # split if it starts below
     return FilteredPhiModule(m.module, HodgeData._from_chain(chain, n))
 
 
@@ -839,8 +835,8 @@ def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:
     final = is_weakly_admissible(cur, seed, lattice)
     if final.status != STATUS_TRUE:  # pragma: no cover
         raise AssertionError("internal: lowered module failed the admissibility check")
-    lo, hi = m.hodge.support()
-    for j in range(lo, hi + 1):
-        if not span_leq(cur.hodge.subspace_at(j), m.hodge.subspace_at(j)):  # pragma: no cover
+    levels = cur.hodge.levels  # each against m at its top index, where m is least
+    for (_, level), (nxt, _) in zip(levels, levels[1:]):
+        if not span_leq(level, m.hodge.subspace_at(nxt - 1)):  # pragma: no cover
             raise AssertionError("internal: lowered filtration escaped the original")
     return cur

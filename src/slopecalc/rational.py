@@ -589,6 +589,21 @@ def int_det(rows: list) -> int:
 # polygons
 
 
+def lower_hull_vertices(points: Iterable) -> list:
+    """Vertices of the lower convex hull of points (x, y) with rising x.
+
+    One monotone chain with exact cross products: a middle point on or above
+    the chord past it is dropped, so a collinear one is not a vertex.
+    """
+    hull = []
+    for x, y in points:
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                 <= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
+            hull.pop()
+        hull.append((x, y))
+    return hull
+
+
 class Polygon:
     """Lower-convex polygon: integer x's strictly increasing, slopes non-decreasing."""
 
@@ -628,20 +643,9 @@ class Polygon:
             y = rat(y)
             if x not in best or y < best[x]:
                 best[x] = y
-        pts = sorted(best.items())
-        if not pts:
+        if not best:
             raise InputError("no points")
-        hull: list[tuple[int, Fraction]] = []
-        for p in pts:
-            while len(hull) >= 2:
-                (x1, y1), (x2, y2) = hull[-2], hull[-1]
-                # cross <= 0: turning clockwise or collinear, pop
-                if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) <= 0:
-                    hull.pop()
-                else:
-                    break
-            hull.append(p)
-        return cls(hull)
+        return cls(lower_hull_vertices(sorted(best.items())))
 
     def slopes(self) -> list[tuple[Fraction, int]]:
         """Segment slopes with their integer horizontal runs, left to right."""
@@ -759,8 +763,7 @@ def newton_polygon(coefficients: Sequence, p: int) -> list[tuple[Fraction, int]]
     coefficients must be nonzero (strip zero roots before calling).  Returns
     (valuation, multiplicity) pairs sorted by ascending valuation; these are
     the NEGATED lower-hull slopes, and the multiplicities sum to the degree.
-    The hull of the integer points (i, v_p(a_i)) is built by one monotone
-    chain with integer cross products (a collinear middle point is dropped);
+    The hull of the integer points (i, v_p(a_i)) is `lower_hull_vertices`;
     its slopes rise from left to right, so their negations, read from the
     right, ascend.
     """
@@ -774,14 +777,8 @@ def newton_polygon(coefficients: Sequence, p: int) -> list[tuple[Fraction, int]]
         raise InputError("leading coefficient must be nonzero")
     if coeffs[0] == 0:
         raise InputError("constant coefficient must be nonzero (strip zero roots first)")
-    hull: list[tuple[int, int]] = []
-    for x, c in enumerate(coeffs):
-        if c:
-            y = _vp_int(abs(c.numerator), p) - _vp_int(c.denominator, p)
-            while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
-                                     <= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
-                hull.pop()
-            hull.append((x, y))
+    hull = lower_hull_vertices((x, _vp_int(abs(c.numerator), p) - _vp_int(c.denominator, p))
+                               for x, c in enumerate(coeffs) if c)
     return [(Fraction(y1 - y2, x2 - x1), x2 - x1)
             for (x1, y1), (x2, y2) in zip(reversed(hull[:-1]), reversed(hull[1:]))]
 
@@ -907,17 +904,17 @@ def restriction_matrix(m: RatMatrix, basis: Sequence[Row]) -> Optional[RatMatrix
 def complement_basis(inner: Sequence[Row], outer: Sequence[Row], ncols: int) -> tuple[Row, ...]:
     """Deterministic complement of span(inner) inside span(outer).
 
-    Greedily extends `inner` by RREF basis rows of `outer`; requires
+    Greedily extends `inner` by RREF basis rows of `outer`, each tested
+    against one integer echelon that grows by the rows chosen; requires
     span(inner) <= span(outer).
     """
     if not span_leq(inner, outer):
         raise InputError("inner space is not contained in outer space")
-    current = list(inner)
+    echelon = int_echelon(map(int_row, _rat_rows(inner, ncols)))
     chosen = []
-    cur_span = rref_rows(current, ncols)
     for v in rref_rows(outer, ncols):
-        if not span_contains(cur_span, v):
+        grown = int_echelon([int_row(v)], echelon)
+        if len(grown) > len(echelon):
             chosen.append(v)
-            current.append(v)
-            cur_span = rref_rows(current, ncols)
+            echelon = grown
     return tuple(chosen)

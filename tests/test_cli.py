@@ -80,6 +80,15 @@ class TestExitCodes:
         report = json.loads(err)
         assert "error" in report and report["line"] == 1
 
+    @pytest.mark.parametrize("stdin", [
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"coefficients": [' + b"1" * 5000 + b', 1], "p": 2}',
+    ], ids=["nesting-past-the-recursion-limit", "integer-past-the-digit-limit"])
+    def test_json_past_the_interpreter_limits_exits_three(self, stdin):
+        proc = _python("-m", "slopecalc", "newton", stdin=stdin)
+        assert proc.returncode == 3 and proc.stdout == b""
+        assert json.loads(proc.stderr)["error"].startswith("malformed JSON: ")
+
     def test_schema_error_exits_three(self, capsys):
         code, _, err = run_cli(capsys, "newton", {"p": 2})
         assert code == 3

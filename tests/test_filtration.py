@@ -71,7 +71,7 @@ class TestFlagSemantics:
         (True, "flag ranks must be integers, got True"),
         ("2", "flag ranks must be integers, got '2'"),
         (-1, "flag ranks must be >= 0, got -1"),
-    ])
+    ], ids=["rank-float-1", "rank-float-2", "rank-bool", "rank-string", "rank-negative"])
     @pytest.mark.parametrize("row", [[1, 0], [1]], ids=["two-columns", "one-column"])
     def test_malformed_rank_rejected(self, rank, message, row):
         with pytest.raises(InputError) as info:
@@ -145,6 +145,34 @@ class TestFlagWindow:
             flag2([(0, [[1, 0]]), (FLAG_MAX_SPAN + 1, [])])
 
 
+class TestLevels:
+    """The flag is kept as its levels, and the dense window is derived from them."""
+
+    def test_random_flags_rebuild_from_their_levels(self):
+        rng = random.Random(49)
+        rows = RatMatrix.identity(2).entries
+        widest = flag2([(-3, rows[:1]), (FLAG_MAX_SPAN - 3, [])])
+        single = flag2([(4, rows), (5, [])])
+        assert single.support() == (3, 5) and single.flag == ((4, single.levels[0][1]),)
+        cases = [widest, single]
+        for trial in range(240):
+            n = trial % 6
+            width = FLAG_MAX_SPAN if trial % 40 == 0 else rng.choice([0, 1, 2, 3, 7])
+            cases.append(HodgeData.from_flag(random_chain(rng, n, width), rank=n))
+        assert len(widest.flag) == FLAG_MAX_SPAN
+        for h in cases:
+            n = h.rank
+            assert HodgeData.from_flag(list(h.levels), rank=n) == h
+            lo, hi = h.support()
+            full, dense = rref_rows(RatMatrix.identity(n).entries, n), dict(h.flag)
+            if n:
+                assert h.levels[0] == (lo, full) and h.levels[-1] == (hi, ())
+                dims = [len(b) for _, b in h.levels]
+                assert dims == sorted(set(dims), reverse=True)
+            for j in range(lo - 2, hi + 3):
+                assert h.subspace_at(j) == (full if j <= lo else dense.get(j, ()))
+
+
 class TestDual:
     # The annihilator-of-Fil^{1-i} recipe negates weights: that is the unique
     # convention making double duals the identity AND weak admissibility
@@ -185,14 +213,14 @@ class TestDual:
 
     def test_one_annihilator_per_distinct_level(self, monkeypatch):
         # rank 8, proper levels of dimension 6, 3 and 1 at 0, 1 and 900: the
-        # dense window has 903 indices but only five distinct levels, V and 0
-        # included
+        # dense window has 903 indices but only five levels, V and 0 included;
+        # the zero level's annihilator is the ambient space, not computed
         rows = RatMatrix.identity(8).entries
         h = flag2([(0, rows[:6]), (1, rows[:3]), (900, rows[:1])], rank=8)
         calls, real = [], filtration._annihilator
         monkeypatch.setattr(filtration, "_annihilator", lambda b, n: calls.append(b) or real(b, n))
         dual = dual_hodge(h)
-        assert len(calls) == 5
+        assert len(calls) == 4
         lo, hi = h.support()
         dense = [(j, real(h.subspace_at(1 - j), 8)) for j in range(1 - hi, 2 - lo)]
         assert dual == HodgeData.from_flag(dense, rank=8)

@@ -385,18 +385,46 @@ def reference_fn4(m):
     of each lowered module is rebuilt by `HodgeData.from_flag`.  Not for
     scalar Frobenius, whose lattice depends on the flag.
     """
-    lattice, n, cur = enumerate_subobjects(m), m.rank, m
+    lattice, cur = enumerate_subobjects(m), m
     while degree(cur) > 0:
-        steps = hn_filtration(cur, 0, lattice).steps
-        wstar = [s for s in steps if s.slope > 0][-1].basis
-        h = cur.hodge
-        lo, hi = h.support()
-        i0 = next(j for j in range(hi, lo - 1, -1) if span_intersect(h.subspace_at(j), wstar, n))
-        inter = span_intersect(h.subspace_at(i0), wstar, n)
-        hyper = fraction_hyperplane(h.subspace_at(i0), h.subspace_at(i0 + 1), inter, n)
-        chain = [(j, hyper if j == i0 else h.subspace_at(j)) for j in range(lo, hi + 1)]
-        cur = FilteredPhiModule(cur.module, HodgeData.from_flag(chain, rank=n))
+        cur = reference_lower_once(cur, hn_filtration(cur, 0, lattice).steps)[0]
     return cur
+
+
+def reference_lower_once(m, steps):
+    """(`hn._lower_once` by the reference enumerator on the dense window, whether
+    the lowered level also holds at i0 - 1), given m's HN steps."""
+    n, h = m.rank, m.hodge
+    wstar = [s for s in steps if s.slope > 0][-1].basis
+    lo, hi = h.support()
+    i0 = next(j for j in range(hi, lo - 1, -1) if span_intersect(h.subspace_at(j), wstar, n))
+    inter = span_intersect(h.subspace_at(i0), wstar, n)
+    hyper = fraction_hyperplane(h.subspace_at(i0), h.subspace_at(i0 + 1), inter, n)
+    chain = [(j, hyper if j == i0 else h.subspace_at(j)) for j in range(lo, hi + 1)]
+    split = h.subspace_at(i0 - 1) == h.subspace_at(i0)
+    return FilteredPhiModule(m.module, HodgeData.from_flag(chain, rank=n)), split
+
+
+class TestLowerOnce:
+    def test_wide_windows_equal_the_reference_chain(self):
+        # windows over 10 indices wide; the level lowered at i0 either holds
+        # below i0 too (and is split there) or starts at i0
+        rng = random.Random(1213)
+        seen = {True: 0, False: 0}
+        for _ in range(400):
+            n = rng.randint(2, 4)
+            h = random_flag(rng, n, 0, 16)
+            lo, hi = h.support()
+            m = FilteredPhiModule(diagonal_instance(rng, 2, n, -1, 2), h)
+            if hi - lo - 1 <= 10 or degree(m) <= 0 or is_acyclic(m).status != STATUS_TRUE:
+                continue
+            filt = hn_filtration(m)
+            want, split = reference_lower_once(m, filt.steps)
+            assert hn._lower_once(m, filt) == want
+            seen[split] += 1
+            if min(seen.values()) >= 5:
+                break
+        assert min(seen.values()) >= 5, seen
 
 
 class TestTopHyperplane:
