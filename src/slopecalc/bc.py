@@ -15,7 +15,6 @@ for additivity.  A quasi object adds a torsion core whose height is ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -23,6 +22,7 @@ from .rational import (
     ZERO_DIM,
     Dimension,
     InputError,
+    Record,
     json_int,
     json_int_field,
     torsion_entry,
@@ -43,8 +43,7 @@ def _check_pair(d: int, h: int, tag: str):
         raise InputError(f"{tag}({d},{h}) must be in lowest terms")
 
 
-@dataclass(frozen=True)
-class BCObject:
+class BCObject(Record):
     """Split normal form: sorted piece data, canonical under direct sum."""
 
     ueff: tuple = ()  # ((d, h, copies), ...) sorted by slope d/h then h
@@ -135,8 +134,7 @@ class BCObject:
         return cls.build(ueff, uquot, torsion, qp)
 
 
-@dataclass(frozen=True)
-class QBCObject:
+class QBCObject(Record):
     """Extension of a split object by a torsion core; height ignores the core."""
 
     torsion_core: tuple  # lengths, sorted descending
@@ -149,9 +147,6 @@ class QBCObject:
     @classmethod
     def build(cls, core: Iterable[int], quotient: BCObject) -> "QBCObject":
         return cls(tuple(sorted(core, reverse=True)), quotient)
-
-    def to_obj(self):
-        return {"torsion_core": list(self.torsion_core), "quotient": self.quotient.to_obj()}
 
     @classmethod
     def from_obj(cls, obj) -> "QBCObject":
@@ -315,15 +310,11 @@ def check_exact(sequence: Sequence[Formal], arrows: Sequence[dict]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HeightRank:
+class HeightRank(Record):
     """Rank of the de Rham-valued Hom functor, with a certification marker."""
 
     value: int
     certified: bool
-
-    def to_obj(self):
-        return {"value": self.value, "certified": self.certified}
 
 
 def height_functor_rank(w: Formal, ext_correction: Optional[int] = None) -> HeightRank:
@@ -377,8 +368,7 @@ def label_height(lbl) -> int:
     return lbl["n"] if lbl["kind"] == "Qp" else 0
 
 
-@dataclass(frozen=True)
-class ExtTriple:
+class ExtTriple(Record):
     """Per-degree Ext dimensions (or None when untabulated) plus Euler data.
 
     `unit` records the coefficient field of the per-degree entries ("K" or
@@ -393,15 +383,6 @@ class ExtTriple:
 
     def triple(self):
         return (self.ext0, self.ext1, self.ext2)
-
-    def to_obj(self):
-        return {
-            "ext0": self.ext0,
-            "ext1": self.ext1,
-            "ext2": self.ext2,
-            "unit": self.unit,
-            "euler_qp": self.euler_qp,
-        }
 
 
 def _tate_split(k: int, j: int) -> tuple[int, int, int]:

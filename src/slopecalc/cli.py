@@ -357,7 +357,7 @@ def _svg(polygon: Polygon) -> str:
 def _cmd_plot(obj, args):
     polygon = _plot_polygon(obj)
     if args.format == "json":
-        return {"vertices": [[x, rat_str(y)] for x, y in polygon.vertices]}, EXIT_TRUE
+        return polygon.to_obj(), EXIT_TRUE
     return _svg(polygon), EXIT_TRUE
 
 
@@ -429,6 +429,11 @@ def run(argv=None) -> int:
         except (RecursionError, ValueError) as exc:  # too deep, or an int past the digit limit
             return _emit_error({"error": f"malformed JSON: {exc}"})
         result, code = HANDLERS[args.command](obj, args)
+        if not isinstance(result, str):
+            try:
+                result = json.dumps(result, sort_keys=True) + "\n"
+            except ValueError as exc:  # an int past the digit limit
+                raise InputError(f"result too large to print: {exc}") from None
     except InputError as exc:
         return _emit_error({"error": str(exc)})
     except Exception as exc:  # an internal fault must not pass as certified-false
@@ -439,8 +444,6 @@ def run(argv=None) -> int:
             message = f"internal: {type(exc).__name__}: {message}"
         trace = "".join(traceback.format_exception(exc))
         return _emit_error({"error": message, "traceback": trace}, EXIT_INTERNAL)
-    if not isinstance(result, str):
-        result = json.dumps(result, sort_keys=True) + "\n"
     sys.stdout.write(result)
     return code
 

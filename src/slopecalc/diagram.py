@@ -30,12 +30,11 @@ else in the window and non-positive curvature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .bc import BCObject, QBCObject, check_exact, curvature_nonpositive, dimension
 from .bc import height_functor_rank, parse_formal
-from .rational import InputError, json_int
+from .rational import InputError, Record, json_int
 
 # `filtration`, `hn`, `isocrystal` and `sheaf` are imported by the functions
 # that use them, so that `mv_check`, which needs only `bc`, loads none of them
@@ -65,8 +64,7 @@ def _check_windows(hk: PhiModule, lattice: HodgeData, bound: int, what: str) -> 
             raise InputError(f"{what}: weight {w} outside [0, {bound}]")
 
 
-@dataclass(frozen=True)
-class SyntheticCohomology:
+class SyntheticCohomology(Record):
     """Per-degree Frobenius/lattice data for degrees r-1 and r."""
 
     r: int
@@ -125,15 +123,11 @@ class SyntheticCohomology:
         return cls.build(obj["r"], top, below)
 
 
-@dataclass(frozen=True)
-class Modification:
+class Modification(Record):
     """Bundle attached to a pair, in classification normal form."""
 
     sheaf: FFSheaf
     certified: bool
-
-    def to_obj(self):
-        return {"sheaf": self.sheaf.to_obj(), "certified": self.certified}
 
 
 def build_modification(hk: PhiModule, lattice: HodgeData, r: int, seed: int = 0) -> Modification:
@@ -163,14 +157,10 @@ def modification_from_filtration(filt: HNFiltration) -> Modification:
     return Modification(FFSheaf.from_bundle(pairs), filt.certified)
 
 
-@dataclass(frozen=True)
-class DichotomyResult:
+class DichotomyResult(Record):
     branch: str  # "surjective" | "positive-height-image"
     deficit: int  # height deficit of the image; 0 on the surjective branch
     certified: bool
-
-    def to_obj(self):
-        return {"branch": self.branch, "deficit": self.deficit, "certified": self.certified}
 
 
 def dichotomy(hk: PhiModule, lattice: HodgeData, r: int, seed: int = 0) -> DichotomyResult:
@@ -191,8 +181,7 @@ def dichotomy(hk: PhiModule, lattice: HodgeData, r: int, seed: int = 0) -> Dicho
     return DichotomyResult("positive-height-image", coh.h1.ht, mod.certified)
 
 
-@dataclass(frozen=True)
-class BatteryReport:
+class BatteryReport(Record):
     verdict_a: Verdict
     verdict_b_rm1: Verdict
     verdict_b_r: Verdict
@@ -211,14 +200,6 @@ class BatteryReport:
             "verdict_cprime": self.verdict_cprime,
             "verdict_d": self.verdict_d,
         }
-
-    def to_obj(self):
-        out = {name: v.to_obj() for name, v in self.verdicts().items()}
-        out["consistent"] = self.consistent
-        out["certified"] = self.certified
-        out["ht_glued"] = self.ht_glued
-        out["dim_de_rham"] = self.dim_de_rham
-        return out
 
 
 def _status(flag: bool, certified: bool, witness=None) -> Verdict:
@@ -307,20 +288,11 @@ def battery(s: SyntheticCohomology, seed: int = 0) -> BatteryReport:
 # aligned-rows height bookkeeping
 
 
-@dataclass(frozen=True)
-class MVReport:
+class MVReport(Record):
     equal: Optional[bool]
     value: Optional[int]
     violations: tuple
     certified: bool
-
-    def to_obj(self):
-        return {
-            "equal": self.equal,
-            "value": self.value,
-            "violations": list(self.violations),
-            "certified": self.certified,
-        }
 
 
 def _parse_row(obj, tag: str):

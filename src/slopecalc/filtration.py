@@ -20,7 +20,6 @@ and reject weights-only input with `FlagRequiredError`.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -30,6 +29,7 @@ from .rational import (
     FlagRequiredError,
     InputError,
     RatMatrix,
+    Record,
     _gauss_jordan,
     _rat_rows,
     int_row,
@@ -54,8 +54,7 @@ def _full_basis(n: int) -> tuple:
     return tuple(zeros[:i] + (_ONE,) + zeros[i + 1 :] for i in range(n))
 
 
-@dataclass(frozen=True)
-class HodgeData:
+class HodgeData(Record):
     """Weight multiset or full flag presentation of a Hodge filtration."""
 
     kind: str

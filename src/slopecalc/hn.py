@@ -62,7 +62,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional
@@ -73,6 +72,7 @@ from .rational import (
     Dimension,
     InputError,
     RatMatrix,
+    Record,
     _gauss_jordan,
     _primitive,
     _vp_int,
@@ -103,8 +103,7 @@ STATUS_FALSE = "certified-false"
 STATUS_UNCERTIFIED = "uncertified"
 
 
-@dataclass(frozen=True)
-class FilteredPhiModule:
+class FilteredPhiModule(Record):
     """A Frobenius module together with rank-consistent Hodge data."""
 
     module: PhiModule
@@ -120,9 +119,6 @@ class FilteredPhiModule:
     def rank(self) -> int:
         return self.module.rank
 
-    def to_obj(self):
-        return {"module": self.module.to_obj(), "hodge": self.hodge.to_obj()}
-
     @classmethod
     def from_obj(cls, obj) -> "FilteredPhiModule":
         if not isinstance(obj, dict):
@@ -133,8 +129,7 @@ class FilteredPhiModule:
             raise InputError(f"filtered module JSON missing key {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Decision with certification status and, when negative, a witness."""
 
     status: str
@@ -612,8 +607,7 @@ def is_acyclic(m: FilteredPhiModule, seed: int = 0, lattice=None) -> Verdict:
 # the canonical filtration
 
 
-@dataclass(frozen=True)
-class HNStep:
+class HNStep(Record):
     """One filtration step: cumulative subspace, graded slope/rank/degree."""
 
     basis: tuple
@@ -632,16 +626,12 @@ class HNStep:
         }
 
 
-@dataclass(frozen=True)
-class HNFiltration:
+class HNFiltration(Record):
     steps: tuple  # HNStep, graded slopes strictly decreasing
     certified: bool
 
     def slopes(self) -> list[tuple[Fraction, int]]:
         return [(s.slope, s.graded_rank) for s in self.steps]
-
-    def to_obj(self):
-        return {"steps": [s.to_obj() for s in self.steps], "certified": self.certified}
 
 
 def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltration:
@@ -699,20 +689,12 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
     return HNFiltration(tuple(steps), lattice.certified)
 
 
-@dataclass(frozen=True)
-class VstResult:
+class VstResult(Record):
     """Global-sections Dimension of the associated modification."""
 
     h0: Dimension
     h1_nonvanishing: bool
     certified: bool
-
-    def to_obj(self):
-        return {
-            "h0": self.h0.to_obj(),
-            "h1_nonvanishing": self.h1_nonvanishing,
-            "certified": self.certified,
-        }
 
 
 def vst_dimension(m: FilteredPhiModule, seed: int = 0) -> VstResult:

@@ -15,7 +15,6 @@ ascending slope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -25,6 +24,7 @@ from .rational import (
     _ZERO,
     InputError,
     RatMatrix,
+    Record,
     charpoly,
     check_prime,
     int_matmul,
@@ -37,8 +37,7 @@ from .rational import (
 )
 
 
-@dataclass(frozen=True)
-class SlopeMultiset:
+class SlopeMultiset(Record):
     """Sorted multiset of rational slopes with positive multiplicities."""
 
     entries: tuple  # ((slope: Fraction, multiplicity: int), ...), slope ascending
@@ -68,8 +67,7 @@ FORM_MATRIX = "matrix"
 FORM_DM_NORMAL = "dm-normal"
 
 
-@dataclass(frozen=True)
-class PhiModule:
+class PhiModule(Record):
     """A (phi, N)-module: prime p, invertible phi, nilpotent N.
 
     Construction is the one validity check: shapes, phi invertible, then

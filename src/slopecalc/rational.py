@@ -103,42 +103,118 @@ def torsion_normal_form(entries) -> tuple:
 
 
 def rat_str(q: Fraction) -> str:
-    """Serialize a Fraction as 'a/b', or 'a' when the denominator is 1."""
+    """Serialize a Fraction as 'a/b', or 'a' when the denominator is 1.
+
+    A part past the interpreter's int-to-str digit limit is an InputError.
+    """
     q = rat(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:
+        raise InputError(f"result too large to print: {exc}") from None
 
 
-class Dimension:
-    """(dim, ht) pair with exact componentwise arithmetic.
+class Record:
+    """Immutable record whose fields are its class body's annotations, in order.
 
-    It lives here, not in `bc` (which re-exports it), so that `hn` and `sheaf`
-    can use it without loading `bc`; it is written out rather than as a
-    dataclass so that loading this module does not load `dataclasses`.
+    A class attribute named like a field is its default.  Construction sets
+    the fields, then runs `__post_init__` if the class has one; `==`, `hash`,
+    `repr` and `to_obj` read the fields only.  Instances keep a `__dict__`, so
+    `cached_property` and `object.__setattr__` can keep values that are not
+    fields.  It stands in for `dataclasses`, whose import loads `inspect` and
+    `ast`.
     """
 
-    __slots__ = ("dim", "ht")
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
 
-    def __init__(self, dim: int, ht: int):
-        for v in (dim, ht):
-            json_int(v, "Dimension components")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "ht", ht)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Dimension is immutable")
+    # `__init__`, `==` and `hash` compile the class's own on first use, as
+    # `dataclasses` writes them: a shared `*args` __init__ was about 5% slower
+    # on battery-mix, and `==` by `operator.attrgetter` about 20% slower on an
+    # HNStep (CHANGES.md).  Compiling on first use spares a CLI call the
+    # classes it never builds or compares.
+    def __init__(self, *args, **kwargs):
+        _define_init(type(self)).__init__(self, *args, **kwargs)
 
     def __eq__(self, other):
-        if type(other) is not Dimension:
-            return NotImplemented
-        return (self.dim, self.ht) == (other.dim, other.ht)
+        return _define_comparisons(type(self)).__eq__(self, other)
 
     def __hash__(self):
-        return hash((self.dim, self.ht))
+        return _define_comparisons(type(self)).__hash__(self)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def __repr__(self):
-        return f"Dimension(dim={self.dim!r}, ht={self.ht!r})"
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def to_obj(self):
+        """The fields by name as JSON: a record by its `to_obj`, a tuple as a list."""
+        return {f: _json_value(getattr(self, f)) for f in self._fields}
+
+
+def _define(cls, lines: list) -> type:
+    """Compile the functions in `lines` and set them on `cls` as its methods."""
+    namespace = {"_body": vars(cls), "_set": object.__setattr__}
+    exec("\n".join(lines), namespace)
+    for name, function in list(namespace.items()):
+        if name.startswith("__") and callable(function):
+            function.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, function)
+    return cls
+
+
+def _define_init(cls) -> type:
+    """Give `cls` an `__init__` that sets each field, then runs any `__post_init__`.
+
+    A field without a default after one with a default is a SyntaxError here.
+    """
+    body = vars(cls)
+    params = "".join(f", {f}=_body[{f!r}]" if f in body else f", {f}" for f in cls._fields)
+    post = ["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+    return _define(cls, [f"def __init__(self{params}):",
+                         *(f"    _set(self, {f!r}, {f})" for f in cls._fields), *post])
+
+
+def _define_comparisons(cls) -> type:
+    """Give `cls` its `__eq__` and `__hash__` over the tuple of its fields."""
+    mine, theirs = (", ".join(f"{who}.{f}" for f in cls._fields) + "," for who in ("self", "other"))
+    return _define(cls, ["def __eq__(self, other):",
+                         "    if other.__class__ is not self.__class__:",
+                         "        return NotImplemented",
+                         f"    return ({mine}) == ({theirs})",
+                         "def __hash__(self):",
+                         f"    return hash(({mine}))"])
+
+
+def _json_value(value):
+    """A field value as `Record.to_obj` writes it: a Fraction by `rat_str`."""
+    if isinstance(value, Record):
+        return value.to_obj()
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return rat_str(value) if type(value) is Fraction else value
+
+
+class Dimension(Record):
+    """(dim, ht) pair of integers with exact componentwise arithmetic.
+
+    It lives here, not in `bc` (which re-exports it), so that `hn` and `sheaf`
+    can use it without loading `bc`.
+    """
+
+    dim: int
+    ht: int
+
+    def __post_init__(self):
+        json_int(self.dim, "Dimension components")
+        json_int(self.ht, "Dimension components")
 
     def __add__(self, other: "Dimension") -> "Dimension":
         return Dimension(self.dim + other.dim, self.ht + other.ht)
@@ -148,9 +224,6 @@ class Dimension:
 
     def is_zero(self) -> bool:
         return self.dim == 0 and self.ht == 0
-
-    def to_obj(self):
-        return {"dim": self.dim, "ht": self.ht}
 
     @classmethod
     def from_obj(cls, obj) -> "Dimension":
@@ -604,13 +677,13 @@ def lower_hull_vertices(points: Iterable) -> list:
     return hull
 
 
-class Polygon:
+class Polygon(Record):
     """Lower-convex polygon: integer x's strictly increasing, slopes non-decreasing."""
 
-    __slots__ = ("vertices",)
+    vertices: tuple  # (x, y) pairs; any iterable of them is kept as a tuple
 
-    def __init__(self, vertices: Iterable):
-        vs = tuple((int(x), rat(y)) for x, y in vertices)
+    def __post_init__(self):
+        vs = tuple((int(x), rat(y)) for x, y in self.vertices)
         for (x1, _), (x2, _) in zip(vs, vs[1:]):
             if x2 <= x1:
                 raise InputError("polygon x-coordinates must strictly increase")
@@ -621,15 +694,6 @@ class Polygon:
             if s2 < s1:
                 raise InputError("polygon is not convex from below")
         object.__setattr__(self, "vertices", vs)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Polygon is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Polygon) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
 
     def __repr__(self):
         return f"Polygon{list(self.vertices)!r}"

@@ -14,7 +14,6 @@ the sign, reading it as Dimension (|d|, -h).  Torsion of length m adds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -22,6 +21,7 @@ from .rational import (
     ZERO_DIM,
     Dimension,
     InputError,
+    Record,
     json_int,
     json_int_field,
     rat,
@@ -33,8 +33,7 @@ from .rational import (
 INFTY = "infty"
 
 
-@dataclass(frozen=True)
-class FFSheaf:
+class FFSheaf(Record):
     """Classification normal form: bundle summands plus torsion by point."""
 
     bundle: tuple = ()  # ((slope: Fraction, copies: int), ...) slope descending
@@ -141,8 +140,7 @@ def tensor(a: FFSheaf, b: FFSheaf) -> FFSheaf:
     return FFSheaf.from_bundle(pairs)
 
 
-@dataclass(frozen=True)
-class QuotientDim:
+class QuotientDim(Record):
     """H^1 size recorded with non-negative components and a type marker."""
 
     dim: int
@@ -153,17 +151,10 @@ class QuotientDim:
         """The Dimension seen by Banach-Colmez bookkeeping: (dim, -ht)."""
         return Dimension(self.dim, -self.ht)
 
-    def to_obj(self):
-        return {"dim": self.dim, "ht": self.ht, "quotient_type": self.quotient_type}
 
-
-@dataclass(frozen=True)
-class CohomologyDims:
+class CohomologyDims(Record):
     h0: Dimension
     h1: QuotientDim
-
-    def to_obj(self):
-        return {"h0": self.h0.to_obj(), "h1": self.h1.to_obj()}
 
 
 def cohomology_dim(s: FFSheaf) -> CohomologyDims:
@@ -182,8 +173,7 @@ def cohomology_dim(s: FFSheaf) -> CohomologyDims:
     return CohomologyDims(h0, QuotientDim(h1_dim, h1_ht, h1_dim > 0 or h1_ht > 0))
 
 
-@dataclass(frozen=True)
-class HomDims:
+class HomDims(Record):
     """Size of a Hom space between two sheaves in classification form.
 
     `dimension` is the Dimension of the Hom space as a finite-Dimensional
@@ -194,9 +184,6 @@ class HomDims:
 
     dimension: Dimension
     qp_dim: Optional[int]
-
-    def to_obj(self):
-        return {"dimension": self.dimension.to_obj(), "qp_dim": self.qp_dim}
 
 
 def hom_dim(a: FFSheaf, b: FFSheaf) -> HomDims:

@@ -37,6 +37,9 @@ WA_TRUE = {
 }
 
 
+BIG_DIGITS = "1" + "0" * 3000
+
+
 class TestExitCodes:
     def test_wa_true_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "wa", WA_TRUE)
@@ -88,6 +91,17 @@ class TestExitCodes:
         proc = _python("-m", "slopecalc", "newton", stdin=stdin)
         assert proc.returncode == 3 and proc.stdout == b""
         assert json.loads(proc.stderr)["error"].startswith("malformed JSON: ")
+
+    @pytest.mark.parametrize("command, payload", [
+        ("tensor", {"a": {"p": 2, "phi": [[BIG_DIGITS]]}, "b": {"p": 2, "phi": [[BIG_DIGITS]]}}),
+        ("bc-dim", {"summands": [{"type": "Ueff", "d": int(BIG_DIGITS),
+                                  "h": int(BIG_DIGITS) + 1, "copies": int(BIG_DIGITS)}]}),
+    ], ids=["rational-past-the-digit-limit", "integer-past-the-digit-limit"])
+    def test_result_past_the_digit_limit_exits_three(self, command, payload):
+        # each input number has 3001 digits; the result has one of 6001
+        proc = _python("-m", "slopecalc", command, stdin=json.dumps(payload).encode())
+        assert proc.returncode == 3 and proc.stdout == b""
+        assert json.loads(proc.stderr)["error"].startswith("result too large to print: ")
 
     def test_schema_error_exits_three(self, capsys):
         code, _, err = run_cli(capsys, "newton", {"p": 2})
@@ -524,22 +538,33 @@ def _first_fixture(command):
     raise LookupError(command)
 
 
-def _loaded_after(script, stdin=b""):
-    """The slopecalc modules a fresh interpreter holds after running `script`."""
-    script += (
-        "\nimport json, sys\n"
-        "ours = [m for m in sys.modules if m.split('.')[0] == 'slopecalc']\n"
-        "sys.stderr.write(json.dumps(ours))\n"
-    )
+def _modules_after(script, stdin=b""):
+    """Every module a fresh interpreter holds after running `script`."""
+    script += "\nimport json, sys\nsys.stderr.write(json.dumps(list(sys.modules)))\n"
     proc = _python("-c", script, stdin=stdin)
     assert proc.returncode in (0, 1, 2), proc.stderr
     return set(json.loads(proc.stderr.decode().splitlines()[-1]))
 
 
-def _loaded_by_command(command):
+def _loaded_after(script, stdin=b""):
+    """The slopecalc modules a fresh interpreter holds after running `script`."""
+    return {m for m in _modules_after(script, stdin) if m.split(".")[0] == "slopecalc"}
+
+
+def _command_script(command):
     spec = _first_fixture(command)
     script = f"from slopecalc import cli\ncli.run([{command!r}, '--input', '-'])"
-    return _loaded_after(script, stdin=json.dumps(spec["input"]).encode())
+    return script, json.dumps(spec["input"]).encode()
+
+
+def _loaded_by_command(command):
+    return _loaded_after(*_command_script(command))
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """The modules `python -c pass` already holds, which differ by host (`site`)."""
+    return _modules_after("pass")
 
 
 class TestImportSet:
@@ -568,3 +593,9 @@ class TestImportSet:
         assert _loaded_by_command("mv-check") == {
             "slopecalc", "slopecalc.cli", "slopecalc.rational", "slopecalc.bc", "slopecalc.diagram"
         }
+
+    @pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+    def test_no_command_loads_dataclasses_or_inspect(self, command, bare_modules):
+        # importing dataclasses loads inspect, ast, dis and tokenize
+        heavy = {"dataclasses", "inspect"} - bare_modules
+        assert not _modules_after(*_command_script(command)) & heavy

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -130,7 +129,7 @@ class TestTN:
         m = mk([[0, P], [1, 0]], [[0, 0], [0, 0]])
         assert type(m.tn) is int and type(t_n(m)) is F and t_n(m) == m.tn == 1
         assert t_n(PhiModule.zero(P)) == PhiModule.zero(P).tn == 0
-        assert [f.name for f in dataclasses.fields(m)] == ["p", "phi", "nilpotent", "form"]
+        assert list(m._fields) == ["p", "phi", "nilpotent", "form"]
         assert "tn" not in repr(m) and "tn" not in m.to_obj()
         twin = PhiModule.from_obj(m.to_obj())
         assert twin == m and hash(twin) == hash(m) and twin.tn == m.tn
