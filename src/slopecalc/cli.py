@@ -14,7 +14,6 @@ checks raise explicitly, so they also run under `python -O`.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
@@ -381,11 +380,83 @@ HANDLERS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a malformed command line as an input error, not by argparse's exit 2."""
+USAGE = "usage: slopecalc COMMAND [--input FILE|-] [--seed N] [--oracle] [--format json|svg]"
+FORMATS = ("json", "svg")
 
-    def error(self, message):
-        raise InputError(message)
+
+class _Args:
+    """A parsed command line, as `run` hands it to a handler."""
+
+    def __init__(self):
+        self.command = None
+        self.input = "-"
+        self.seed = 0
+        self.oracle = False
+        self.format = None
+
+
+def _help() -> str:
+    return (f"{USAGE}\n\nexact slope calculus on p-adic Hodge data (JSON in, JSON out)\n\n"
+            f"commands: {', '.join(HANDLERS)}\n\n"
+            "options:\n"
+            "  --input FILE|-     input JSON file, or - for stdin (the default)\n"
+            "  --seed N           seed for sampled searches (default 0)\n"
+            "  --oracle           cross-check against brute-force paths\n"
+            "  --format json|svg  what plot writes (default svg)\n")
+
+
+def _choice(what: str, value: str, choices) -> str:
+    if value not in choices:
+        listed = ", ".join(repr(c) for c in choices)
+        raise InputError(f"argument {what}: invalid choice: {value!r} (choose from {listed})")
+    return value
+
+
+def _is_option(token: str) -> bool:
+    """Whether a token is an option name; "-" (stdin) and "-3" are values."""
+    return token.startswith("-") and token != "-" and not token[1:].isdigit()
+
+
+def _parse(argv) -> _Args:
+    """Parse USAGE's grammar: options before or after the command, each as
+    `--opt value` or `--opt=value`.  An abbreviated or unknown option, `--`
+    among them, a second command or a bad value is an InputError (reported
+    in argparse's words); `-h` or `--help` prints the help and exits 0."""
+    args = _Args()
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help())
+            raise SystemExit(0)
+        if not _is_option(token):
+            if args.command is not None:
+                raise InputError(f"unrecognized arguments: {token}")
+            args.command = _choice("command", token, HANDLERS)
+            continue
+        name, given, value = token.partition("=")
+        if name == "--oracle":
+            if given:
+                raise InputError(f"argument --oracle: ignored explicit argument {value!r}")
+            args.oracle = True
+            continue
+        if name not in ("--input", "--seed", "--format"):
+            raise InputError(f"unrecognized arguments: {token}")
+        if not given:
+            value = next(tokens, None)
+            if value is None or _is_option(value):
+                raise InputError(f"argument {name}: expected one argument")
+        if name == "--input":
+            args.input = value
+        elif name == "--format":
+            args.format = _choice("--format", value, FORMATS)
+        else:
+            try:
+                args.seed = int(value)
+            except ValueError:
+                raise InputError(f"argument --seed: invalid int value: {value!r}") from None
+    if args.command is None:
+        raise InputError("the following arguments are required: command")
+    return args
 
 
 def _read(path: str) -> str:
@@ -404,19 +475,8 @@ def _emit_error(payload: dict, code: int = EXIT_INPUT) -> int:
 
 
 def run(argv=None) -> int:
-    parser = _Parser(
-        prog="slopecalc",
-        description="exact slope calculus on p-adic Hodge data (JSON in, JSON out)",
-    )
-    parser.add_argument("command", choices=HANDLERS)
-    parser.add_argument("--input", default="-", help="input JSON file, or - for stdin")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled searches")
-    parser.add_argument(
-        "--oracle", action="store_true", help="cross-check against brute-force paths"
-    )
-    parser.add_argument("--format", choices=("json", "svg"), default=None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         if args.format == "svg" and args.command != "plot":
             raise InputError("--format svg applies to the plot command only")
         text = _read(args.input)
