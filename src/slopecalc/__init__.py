@@ -16,12 +16,16 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("bc", "diagram", "filtration", "hn", "isocrystal", "rational", "sheaf")
+_SUBMODULES = ("base", "bc", "diagram", "filtration", "hn", "isocrystal", "rational", "sheaf")
 
 # public name -> the submodule that defines it
 _OWNERS = {
     name: module
     for module, names in {
+        "base": (
+            "Dimension INFINITY FlagRequiredError InputError Polygon newton_polygon rat rat_str "
+            "valuation"
+        ),
         "bc": (
             "BCObject QBCObject canonical_filtration check_exact dimension "
             "ext_tables height_functor_rank hn_slopes label_b label_c label_qp"
@@ -37,10 +41,7 @@ _OWNERS = {
         "isocrystal": (
             "PhiModule SlopeMultiset det dual from_slopes newton_slopes t_n tensor"
         ),
-        "rational": (
-            "Dimension INFINITY FlagRequiredError InputError Polygon RatMatrix charpoly "
-            "newton_polygon rat rat_str valuation"
-        ),
+        "rational": "RatMatrix charpoly",
         "sheaf": "FFSheaf canonicalize cohomology_dim hom_dim",
     }.items()
     for name in names.split()

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .rational import (
+from .base import (
     ZERO_DIM,
     Dimension,
     InputError,

@@ -18,11 +18,11 @@ import json
 import sys
 from fractions import Fraction
 
-# Only `rational` loads with the CLI; each handler imports the modules its
+# Only `base` loads with the CLI; each handler imports the modules its
 # command needs, so a call compiles no module it does not use.  Handlers look
 # library functions up in their modules at call time, so a function rebound
 # there (as a tracer or a test does) is the one called.
-from .rational import InputError, Polygon, json_int, rat, rat_str, valuation
+from .base import InputError, Polygon, json_int, rat, rat_str, valuation
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -119,7 +119,7 @@ def _oracle_cohdim(s, dims):
 def _cmd_newton(obj, args):
     coeffs = _list(obj, "coefficients")
     p = _need(obj, "p")
-    from .rational import newton_polygon
+    from .base import newton_polygon
 
     got = newton_polygon(coeffs, p)
     if args.oracle:

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .bc import BCObject, QBCObject, check_exact, curvature_nonpositive, dimension
 from .bc import height_functor_rank, parse_formal
-from .rational import InputError, Record, json_int
+from .base import InputError, Record, json_int
 
 # `filtration`, `hn`, `isocrystal` and `sheaf` are imported by the functions
 # that use them, so that `mv_check`, which needs only `bc`, loads none of them

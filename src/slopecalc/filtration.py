@@ -25,21 +25,8 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .rational import (
-    FlagRequiredError,
-    InputError,
-    RatMatrix,
-    Record,
-    _gauss_jordan,
-    _rat_rows,
-    int_row,
-    is_row_list,
-    json_int,
-    rat,
-    rat_str,
-    rref_rows,
-    span_leq,
-)
+from .base import FlagRequiredError, InputError, Record, is_row_list, json_int, rat, rat_str
+from .rational import RatMatrix, _gauss_jordan, _rat_rows, int_row, rref_rows, span_leq
 
 KIND_WEIGHTS = "weights"
 KIND_FLAG = "flag"

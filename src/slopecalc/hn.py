@@ -68,14 +68,11 @@ from typing import Optional
 
 from .filtration import HodgeData, induced_on_subspace, t_h
 from .isocrystal import PhiModule, dm_blocks, is_dm_normal, newton_slopes, t_n
+from .base import Dimension, InputError, Record, _vp_int, lower_hull_vertices, rat_str, valuation
 from .rational import (
-    Dimension,
-    InputError,
     RatMatrix,
-    Record,
     _gauss_jordan,
     _primitive,
-    _vp_int,
     complement_basis,
     int_apply,
     int_det,
@@ -86,16 +83,13 @@ from .rational import (
     int_residue,
     int_row,
     int_rref,
-    lower_hull_vertices,
     rat_rref,
-    rat_str,
     rational_roots,
     restriction_matrix,
     rref_rows,
     span_intersect,
     span_leq,
     span_sum,
-    valuation,
 )
 
 STATUS_TRUE = "certified-true"

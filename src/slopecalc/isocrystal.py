@@ -19,22 +19,17 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .rational import (
-    _ONE,
-    _ZERO,
+from .base import (
     InputError,
-    RatMatrix,
     Record,
-    charpoly,
     check_prime,
-    int_matmul,
-    int_matrix,
     json_int,
     newton_polygon,
     rat,
     rat_str,
     valuation,
 )
+from .rational import _ONE, _ZERO, RatMatrix, charpoly, int_matmul, int_matrix
 
 
 class SlopeMultiset(Record):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .rational import (
+from .base import (
     ZERO_DIM,
     Dimension,
     InputError,

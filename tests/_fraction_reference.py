@@ -46,15 +46,8 @@ from fractions import Fraction
 
 from slopecalc.filtration import KIND_FLAG, HodgeData
 from slopecalc.hn import HNFiltration, HNStep, lattice_scorer
-from slopecalc.rational import (
-    InputError,
-    RatMatrix,
-    complement_basis,
-    rat,
-    rref_rows,
-    span_intersect,
-    span_leq,
-)
+from slopecalc.base import InputError, rat
+from slopecalc.rational import RatMatrix, complement_basis, rref_rows, span_intersect, span_leq
 
 
 def induced_on_subspace(h: HodgeData, subspace) -> HodgeData:

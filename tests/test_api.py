@@ -16,7 +16,7 @@ PUBLIC = [
     "BCObject", "BatteryReport", "Dimension", "FFSheaf", "FilteredPhiModule",
     "FlagRequiredError", "HNFiltration", "HodgeData", "INFINITY", "InputError",
     "PhiModule", "Polygon", "QBCObject", "RatMatrix", "SlopeMultiset",
-    "SyntheticCohomology", "Verdict", "battery", "bc", "build_modification",
+    "SyntheticCohomology", "Verdict", "base", "battery", "bc", "build_modification",
     "canonical_filtration", "canonicalize", "charpoly", "check_exact",
     "cohomology_dim", "degree", "det", "diagram", "dichotomy", "dimension", "dual",
     "dual_hodge", "enumerate_subobjects", "ext_tables", "filtration", "fn4_reduce",
@@ -27,7 +27,7 @@ PUBLIC = [
     "vst_dimension",
 ]
 
-SUBMODULES = ("bc", "diagram", "filtration", "hn", "isocrystal", "rational", "sheaf")
+SUBMODULES = ("base", "bc", "diagram", "filtration", "hn", "isocrystal", "rational", "sheaf")
 
 
 def test_all_lists_the_public_names():
@@ -49,8 +49,8 @@ def test_det_is_the_isocrystal_determinant():
     assert slopecalc.det is slopecalc.isocrystal.det
 
 
-def test_dimension_is_shared_by_bc_and_rational():
-    assert slopecalc.Dimension is slopecalc.bc.Dimension is slopecalc.rational.Dimension
+def test_dimension_is_shared_by_bc_and_base():
+    assert slopecalc.Dimension is slopecalc.bc.Dimension is slopecalc.base.Dimension
 
 
 def test_dir_lists_the_public_names():

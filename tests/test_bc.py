@@ -20,7 +20,7 @@ from slopecalc.bc import (
     label_c,
     label_qp,
 )
-from slopecalc.rational import InputError
+from slopecalc.base import InputError
 
 
 def ueff(d, h, c=1):

@@ -210,8 +210,15 @@ class TestMalformedCommandLine:
             ["hn", "--seed", "abc"],
             ["plot", "--format", "xml"],
             ["newton", "--format", "svg"],
+            ["hn", "--input"],
+            ["hn", "--bogus"],
+            ["hn", "--inp", "-"],
+            ["hn", "wa"],
+            ["--oracle=1"],
         ],
-        ids=["unknown-command", "missing-command", "seed-not-int", "format-xml", "svg-not-plot"],
+        ids=["unknown-command", "missing-command", "seed-not-int", "format-xml", "svg-not-plot",
+             "input-without-value", "unknown-option", "abbreviated-option", "second-command",
+             "oracle-with-value"],
     )
     def test_exits_three_with_json_on_stderr(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(WA_TRUE)))
@@ -230,6 +237,27 @@ class TestMalformedCommandLine:
         proc = _python("-m", "slopecalc", "nosuch")
         assert proc.returncode == 3 and proc.stdout == b""
         assert "invalid choice" in json.loads(proc.stderr)["error"]
+
+
+def test_equals_form_and_options_before_the_command_read_the_same(capsys, monkeypatch):
+    runs = []
+    for argv in (
+        ["wa", "--input", "-", "--seed", "3", "--oracle"],
+        ["wa", "--input=-", "--seed=3", "--oracle"],
+        ["--oracle", "--seed", "3", "--input", "-", "wa"],
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(WA_TRUE)))
+        runs.append((cli.run(argv), capsys.readouterr()))
+    assert runs[0][0] == 0 and runs[0][1].out
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_readme_usage_line_is_the_first_line_of_help(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    with pytest.raises(SystemExit):
+        cli.run(["--help"])
+    assert block.strip().splitlines()[0] == capsys.readouterr().out.splitlines()[0]
 
 
 def test_fn4_reduce_decides_admissibility_once(capsys, monkeypatch):
@@ -571,9 +599,9 @@ class TestImportSet:
     """A CLI call loads only the modules its command uses (each is compiled
     per call where no bytecode cache is written)."""
 
-    def test_cli_import_loads_only_rational(self):
+    def test_cli_import_loads_only_base(self):
         assert _loaded_after("import slopecalc.cli") == {
-            "slopecalc", "slopecalc.cli", "slopecalc.rational"
+            "slopecalc", "slopecalc.cli", "slopecalc.base"
         }
 
     @pytest.mark.parametrize("command", ["newton", "plot"])
@@ -591,11 +619,23 @@ class TestImportSet:
 
     def test_mv_check_loads_only_bc_and_diagram(self):
         assert _loaded_by_command("mv-check") == {
-            "slopecalc", "slopecalc.cli", "slopecalc.rational", "slopecalc.bc", "slopecalc.diagram"
+            "slopecalc", "slopecalc.cli", "slopecalc.base", "slopecalc.bc", "slopecalc.diagram"
         }
+
+    @pytest.mark.parametrize(
+        "command", ["newton", "plot", "cohdim", "bc-dim", "canfil", "ext", "mv-check"]
+    )
+    def test_commands_without_matrices_skip_rational(self, command):
+        assert "slopecalc.rational" not in _loaded_by_command(command)
 
     @pytest.mark.parametrize("command", sorted(cli.HANDLERS))
     def test_no_command_loads_dataclasses_or_inspect(self, command, bare_modules):
         # importing dataclasses loads inspect, ast, dis and tokenize
         heavy = {"dataclasses", "inspect"} - bare_modules
+        assert not _modules_after(*_command_script(command)) & heavy
+
+    @pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+    def test_no_command_loads_argparse_or_gettext(self, command, bare_modules):
+        # the command line is parsed by hand; argparse loads gettext and locale
+        heavy = {"argparse", "gettext"} - bare_modules
         assert not _modules_after(*_command_script(command)) & heavy

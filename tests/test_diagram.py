@@ -27,7 +27,8 @@ from slopecalc.hn import (
     vst_dimension,
 )
 from slopecalc.isocrystal import PhiModule, SlopeMultiset, from_slopes
-from slopecalc.rational import FlagRequiredError, InputError, RatMatrix
+from slopecalc.base import FlagRequiredError, InputError
+from slopecalc.rational import RatMatrix
 from slopecalc.sheaf import cohomology_dim
 
 from _generators import (

@@ -15,7 +15,8 @@ from slopecalc.filtration import (
     shift,
     t_h,
 )
-from slopecalc.rational import FlagRequiredError, InputError, RatMatrix, rref_rows
+from slopecalc.base import FlagRequiredError, InputError
+from slopecalc.rational import RatMatrix, rref_rows
 
 from _generators import random_flag, random_unimodular
 

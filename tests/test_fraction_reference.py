@@ -8,14 +8,8 @@ import pytest
 
 import _fraction_reference as ref
 from slopecalc.filtration import HodgeData, induced_on_subspace
-from slopecalc.rational import (
-    FlagRequiredError,
-    InputError,
-    RatMatrix,
-    complement_basis,
-    restriction_matrix,
-    span_intersect,
-)
+from slopecalc.base import FlagRequiredError, InputError
+from slopecalc.rational import RatMatrix, complement_basis, restriction_matrix, span_intersect
 
 DENS = [1, 1, 2, 3, 4, 5, 7, 9]
 

@@ -32,9 +32,8 @@ from slopecalc.isocrystal import (
     from_slopes,
     newton_slopes,
 )
+from slopecalc.base import FlagRequiredError, InputError, valuation
 from slopecalc.rational import (
-    FlagRequiredError,
-    InputError,
     RatMatrix,
     charpoly,
     complement_basis,
@@ -42,7 +41,6 @@ from slopecalc.rational import (
     restriction_matrix,
     rref_rows,
     span_intersect,
-    valuation,
 )
 
 from _fraction_reference import closed_masks as fraction_closed_masks

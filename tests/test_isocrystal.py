@@ -17,7 +17,8 @@ from slopecalc.isocrystal import (
     t_n,
     tensor,
 )
-from slopecalc.rational import InputError, RatMatrix, charpoly
+from slopecalc.base import InputError
+from slopecalc.rational import RatMatrix, charpoly
 
 from _generators import diagonal_instance, random_unimodular
 

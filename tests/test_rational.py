@@ -7,12 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopecalc.rational import (
+from slopecalc.base import (
     INFINITY,
-    Dimension,
     MR_LIMIT,
+    Dimension,
     InputError,
     Polygon,
+    is_prime,
+    newton_polygon,
+    rat,
+    rat_str,
+    valuation,
+)
+from slopecalc.rational import (
     RatMatrix,
     charpoly,
     complement_basis,
@@ -20,17 +27,12 @@ from slopecalc.rational import (
     int_kernel,
     int_row,
     int_rref,
-    is_prime,
-    newton_polygon,
     rat_rref,
-    rat,
-    rat_str,
     restriction_matrix,
     rref_rows,
     span_contains,
     span_intersect,
     span_leq,
-    valuation,
 )
 
 

@@ -1,4 +1,4 @@
-"""`rational.Record`, the base of the library's immutable records."""
+"""`base.Record`, the base of the library's immutable records."""
 
 from fractions import Fraction as F
 
@@ -8,7 +8,7 @@ from slopecalc.bc import BCObject, HeightRank
 from slopecalc.filtration import HodgeData
 from slopecalc.hn import HNStep, Verdict
 from slopecalc.isocrystal import PhiModule
-from slopecalc.rational import Dimension, Record
+from slopecalc.base import Dimension, Record
 from slopecalc.sheaf import QuotientDim
 
 ROW = ((F(1), F(0)),)

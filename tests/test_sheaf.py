@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopecalc.bc import Dimension
-from slopecalc.rational import InputError
+from slopecalc.base import InputError
 from slopecalc.sheaf import (
     FFSheaf,
     canonicalize,
