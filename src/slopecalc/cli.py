@@ -8,8 +8,10 @@ nothing on stdout.  `HANDLERS` is the command table: a handler takes the
 parsed input and arguments and returns (result, exit code), and `run` writes
 a string result as it is and any other as JSON.  Output is deterministic byte
 for byte for a fixed input and seed; `--oracle` re-derives results along
-brute-force paths and checks agreement without changing the output; its
-checks raise explicitly, so they also run under `python -O`.
+brute-force paths and checks agreement without changing the output.  Its
+checks are in `oracle`, which only a call with `--oracle` loads, and raise
+explicitly, so they also run under `python -O`.  The command line is
+parsed here, by `_parse`, so that no call loads `argparse`.
 """
 
 from __future__ import annotations
@@ -53,66 +55,6 @@ def _list(obj, key) -> list:
 
 
 # ---------------------------------------------------------------------------
-# oracle cross-checks (raise on disagreement; never alter output)
-
-
-def _require(ok: bool, what: str) -> None:
-    """An oracle check that `python -O` keeps: failure is an internal fault."""
-    if not ok:
-        raise AssertionError(f"internal: oracle: {what}")
-
-
-def _oracle_newton(coeffs, p, got):
-    pts = [(i, valuation(c, p)) for i, c in enumerate(coeffs) if rat(c) != 0]
-    walk = []
-    cur = 0
-    while cur < len(pts) - 1:
-        x0, y0 = pts[cur]
-        best = None
-        for j in range(cur + 1, len(pts)):
-            x1, y1 = pts[j]
-            s = Fraction(y1 - y0, x1 - x0)
-            if best is None or s < best[0] or (s == best[0] and x1 > pts[best[1]][0]):
-                best = (s, j)
-        walk.append((-best[0], pts[best[1]][0] - x0))
-        cur = best[1]
-    walk.sort(key=lambda t: t[0])
-    _require(walk == got, "envelope walk disagrees with hull slopes")
-
-
-def _oracle_verdict(m, verdict, seed, kind):
-    """Stability of every element; a certified-true verdict is re-scored on every
-    element by `sub_invariants`, a certified-false one on its witness."""
-    from . import hn
-    from .rational import restriction_matrix, span_contains
-
-    lattice = hn.enumerate_subobjects(m, seed)
-    subs = [lattice.basis(key) for key in lattice.keys]
-    for basis in subs:
-        _require(restriction_matrix(m.module.phi, basis) is not None, "unstable subspace")
-        for v in basis:
-            _require(span_contains(basis, m.module.nilpotent.apply(v)), "not N-stable")
-    total = hn.degree(m)
-    bound = 0 if kind == "wa" else total
-    if verdict.status == hn.STATUS_TRUE:
-        _require(kind != "wa" or total == 0, "weakly admissible module of nonzero degree")
-        for basis in subs:
-            _, _, _, d = hn.sub_invariants(m, basis)
-            _require(d <= bound, "a subobject violates a certified-true verdict")
-    if verdict.status == hn.STATUS_FALSE and verdict.witness:
-        _, _, _, d = hn.sub_invariants(m, verdict.witness)
-        if kind == "wa":
-            _require(total != 0 or d > 0, "witness does not violate")
-        else:
-            _require(d > total, "witness does not violate")
-
-
-def _oracle_cohdim(s, dims):
-    _require(dims.h0.dim - dims.h1.dim == s.degree(), "Euler degree mismatch")
-    _require(dims.h0.ht + dims.h1.ht == s.rank(), "Euler rank mismatch")
-
-
-# ---------------------------------------------------------------------------
 # handlers
 
 
@@ -123,7 +65,7 @@ def _cmd_newton(obj, args):
 
     got = newton_polygon(coeffs, p)
     if args.oracle:
-        _oracle_newton(coeffs, p, got)
+        args.oracle.check_newton(coeffs, p, got)
     return [[rat_str(s), m] for s, m in got], EXIT_TRUE
 
 
@@ -140,8 +82,7 @@ def _cmd_hodge(obj, args):
     if "shift" in obj:
         out["shifted"] = shift(h, obj["shift"]).to_obj()
     if args.oracle:
-        _require(t_h(dual_hodge(h)) == -t_h(h), "dual weight sum")
-        _require(dual_hodge(dual_hodge(h)).weights == h.weights, "double dual")
+        args.oracle.check_hodge(h)
     return out, EXIT_TRUE
 
 
@@ -164,7 +105,7 @@ def _cmd_wa(obj, args):
     m = _filtered(obj)
     v = hn.is_weakly_admissible(m, args.seed)
     if args.oracle:
-        _oracle_verdict(m, v, args.seed, "wa")
+        args.oracle.check_verdict(m, v, args.seed, "wa")
     return v.to_obj(), _exit_code(v.certified, v.is_true)
 
 
@@ -174,7 +115,7 @@ def _cmd_acyclic(obj, args):
     m = _filtered(obj)
     v = hn.is_acyclic(m, args.seed)
     if args.oracle:
-        _oracle_verdict(m, v, args.seed, "acyclic")
+        args.oracle.check_verdict(m, v, args.seed, "acyclic")
     return v.to_obj(), _exit_code(v.certified, v.is_true)
 
 
@@ -200,9 +141,7 @@ def _cmd_tensor(obj, args):
     b = isocrystal.PhiModule.from_obj(_need(obj, "b"))
     out = isocrystal.tensor(a, b)
     if args.oracle:
-        lhs = isocrystal.t_n(out)
-        rhs = b.rank * isocrystal.t_n(a) + a.rank * isocrystal.t_n(b)
-        _require(lhs == rhs, "tensor degree additivity")
+        args.oracle.check_tensor(a, b, out)
     return out.to_obj(), EXIT_TRUE
 
 
@@ -212,7 +151,7 @@ def _cmd_cohdim(obj, args):
     s = sheaf.FFSheaf.from_obj(obj)
     dims = sheaf.cohomology_dim(s)
     if args.oracle:
-        _oracle_cohdim(s, dims)
+        args.oracle.check_cohdim(s, dims)
     return dims.to_obj(), EXIT_TRUE
 
 
@@ -229,8 +168,7 @@ def _cmd_canfil(obj, args):
     w = bc.BCObject.from_obj(obj)
     gt0, eq0, lt0 = bc.canonical_filtration(w)
     if args.oracle:
-        total = gt0.direct_sum(eq0).direct_sum(lt0)
-        _require(bc.dimension(total) == bc.dimension(w), "filtration loses pieces")
+        args.oracle.check_canfil(w, gt0, eq0, lt0)
     return {"gt0": gt0.to_obj(), "eq0": eq0.to_obj(), "lt0": lt0.to_obj()}, EXIT_TRUE
 
 
@@ -238,10 +176,8 @@ def _cmd_ext(obj, args):
     from . import bc
 
     triple = bc.ext_tables(_need(obj, "x"), _need(obj, "y"), obj.get("k_degree", 1))
-    if args.oracle and triple.unit is not None:
-        scale = obj.get("k_degree", 1) if triple.unit == "K" else 1
-        chi = scale * (triple.ext0 - triple.ext1 + triple.ext2)
-        _require(chi == triple.euler_qp, "Euler characteristic mismatch")
+    if args.oracle:
+        args.oracle.check_ext(triple, obj.get("k_degree", 1))
     return triple.to_obj(), EXIT_TRUE
 
 
@@ -250,8 +186,8 @@ def _cmd_battery(obj, args):
 
     s = diagram.SyntheticCohomology.from_obj(obj)
     report = diagram.battery(s, args.seed)
-    if args.oracle and report.certified:
-        _require(report.consistent, "certified verdicts disagree")
+    if args.oracle:
+        args.oracle.check_battery(report)
     all_true = all(v.is_true for v in report.verdicts().values())
     return report.to_obj(), _exit_code(report.certified, all_true)
 
@@ -264,7 +200,7 @@ def _cmd_dichotomy(obj, args):
     lattice = HodgeData.from_obj(_need(obj, "lattice"))
     res = diagram.dichotomy(hk, lattice, _need(obj, "r"), args.seed)
     if args.oracle:
-        _require((res.branch == "surjective") == (res.deficit == 0), "branch exclusivity")
+        args.oracle.check_dichotomy(res)
     return res.to_obj(), _exit_code(res.certified, res.branch == "surjective")
 
 
@@ -385,13 +321,14 @@ FORMATS = ("json", "svg")
 
 
 class _Args:
-    """A parsed command line, as `run` hands it to a handler."""
+    """A parsed command line, as `run` hands it to a handler; `oracle` is the
+    `oracle` module under `--oracle`, else None."""
 
     def __init__(self):
         self.command = None
         self.input = "-"
         self.seed = 0
-        self.oracle = False
+        self.oracle = None
         self.format = None
 
 
@@ -437,7 +374,9 @@ def _parse(argv) -> _Args:
         if name == "--oracle":
             if given:
                 raise InputError(f"argument --oracle: ignored explicit argument {value!r}")
-            args.oracle = True
+            from . import oracle  # the checks compile only for a call that runs them
+
+            args.oracle = oracle
             continue
         if name not in ("--input", "--seed", "--format"):
             raise InputError(f"unrecognized arguments: {token}")

@@ -1,0 +1,107 @@
+"""The CLI's `--oracle` cross-checks, loaded only by a call that asks for them.
+
+Each check re-derives a command's result along a brute-force path, or tests
+an identity the result must satisfy, and raises on disagreement; none
+changes the output.  The checks raise explicitly rather than by `assert`, so
+they also run under `python -O`, and a failure is an internal fault (exit 4).
+Like the handlers, a check imports the modules it needs when it runs.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .base import rat, valuation
+
+
+def require(ok: bool, what: str) -> None:
+    """An oracle check that `python -O` keeps: failure is an internal fault."""
+    if not ok:
+        raise AssertionError(f"internal: oracle: {what}")
+
+
+def check_newton(coeffs, p, got):
+    """The Newton slopes by a walk along the lower envelope, one edge at a time."""
+    pts = [(i, valuation(c, p)) for i, c in enumerate(coeffs) if rat(c) != 0]
+    walk = []
+    cur = 0
+    while cur < len(pts) - 1:
+        x0, y0 = pts[cur]
+        best = None
+        for j in range(cur + 1, len(pts)):
+            x1, y1 = pts[j]
+            s = Fraction(y1 - y0, x1 - x0)
+            if best is None or s < best[0] or (s == best[0] and x1 > pts[best[1]][0]):
+                best = (s, j)
+        walk.append((-best[0], pts[best[1]][0] - x0))
+        cur = best[1]
+    walk.sort(key=lambda t: t[0])
+    require(walk == got, "envelope walk disagrees with hull slopes")
+
+
+def check_hodge(h):
+    from .filtration import dual_hodge, t_h
+
+    require(t_h(dual_hodge(h)) == -t_h(h), "dual weight sum")
+    require(dual_hodge(dual_hodge(h)).weights == h.weights, "double dual")
+
+
+def check_verdict(m, verdict, seed, kind):
+    """Stability of every element; a certified-true verdict is re-scored on every
+    element by `sub_invariants`, a certified-false one on its witness."""
+    from . import hn
+    from .rational import restriction_matrix, span_contains
+
+    lattice = hn.enumerate_subobjects(m, seed)
+    subs = [lattice.basis(key) for key in lattice.keys]
+    for basis in subs:
+        require(restriction_matrix(m.module.phi, basis) is not None, "unstable subspace")
+        for v in basis:
+            require(span_contains(basis, m.module.nilpotent.apply(v)), "not N-stable")
+    total = hn.degree(m)
+    bound = 0 if kind == "wa" else total
+    if verdict.status == hn.STATUS_TRUE:
+        require(kind != "wa" or total == 0, "weakly admissible module of nonzero degree")
+        for basis in subs:
+            _, _, _, d = hn.sub_invariants(m, basis)
+            require(d <= bound, "a subobject violates a certified-true verdict")
+    if verdict.status == hn.STATUS_FALSE and verdict.witness:
+        _, _, _, d = hn.sub_invariants(m, verdict.witness)
+        if kind == "wa":
+            require(total != 0 or d > 0, "witness does not violate")
+        else:
+            require(d > total, "witness does not violate")
+
+
+def check_tensor(a, b, product):
+    from .isocrystal import t_n
+
+    require(t_n(product) == b.rank * t_n(a) + a.rank * t_n(b), "tensor degree additivity")
+
+
+def check_cohdim(s, dims):
+    require(dims.h0.dim - dims.h1.dim == s.degree(), "Euler degree mismatch")
+    require(dims.h0.ht + dims.h1.ht == s.rank(), "Euler rank mismatch")
+
+
+def check_canfil(w, gt0, eq0, lt0):
+    from .bc import dimension
+
+    total = gt0.direct_sum(eq0).direct_sum(lt0)
+    require(dimension(total) == dimension(w), "filtration loses pieces")
+
+
+def check_ext(triple, k_degree):
+    if triple.unit is not None:
+        scale = k_degree if triple.unit == "K" else 1
+        chi = scale * (triple.ext0 - triple.ext1 + triple.ext2)
+        require(chi == triple.euler_qp, "Euler characteristic mismatch")
+
+
+def check_battery(report):
+    if report.certified:
+        require(report.consistent, "certified verdicts disagree")
+
+
+def check_dichotomy(res):
+    require((res.branch == "surjective") == (res.deficit == 0), "branch exclusivity")

@@ -639,3 +639,10 @@ class TestImportSet:
         # the command line is parsed by hand; argparse loads gettext and locale
         heavy = {"argparse", "gettext"} - bare_modules
         assert not _modules_after(*_command_script(command)) & heavy
+
+    @pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+    def test_oracle_module_loads_only_under_oracle(self, command):
+        assert "slopecalc.oracle" not in _loaded_by_command(command)
+        script, stdin = _command_script(command)
+        checked = script.replace("'--input', '-'", "'--input', '-', '--oracle'")
+        assert "slopecalc.oracle" in _loaded_after(checked, stdin)

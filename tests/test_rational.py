@@ -206,7 +206,7 @@ class TestNewtonPolygon:
                    for x, y in pts if x1 < x < x2)
 
     def test_integer_hull_equals_the_polygon_route_and_the_cli_walk(self):
-        from slopecalc.cli import _oracle_newton
+        from slopecalc.oracle import check_newton
 
         rng = random.Random(1616)
         seen = set()
@@ -215,7 +215,7 @@ class TestNewtonPolygon:
             coeffs = self.seeded_polynomial(rng, p, rng.choice(["plain", "rational", "collinear"]))
             got = newton_polygon(coeffs, p)
             assert got == self.polygon_route(coeffs, p)
-            _oracle_newton(coeffs, p, got)  # raises on disagreement
+            check_newton(coeffs, p, got)  # raises on disagreement
             seen.update({"rational"} if any(c.denominator > 1 for c in coeffs) else set())
             seen.update({"interior zero"} if 0 in coeffs[1:-1] else set())
             seen.update({"collinear"} if self.off_vertex_on_hull(coeffs, p) else set())
