@@ -2,8 +2,8 @@
 
 Rational-exact Newton polygons, Frobenius modules with monodromy, Hodge
 filtrations, Harder-Narasimhan filtrations with weak-admissibility and
-acyclicity deciders, formal coherent-sheaf and finite-Dimensional Vector
-Space bookkeeping, and a consistency battery for synthetic two-degree
+acyclicity deciders, formal coherent-sheaf and finite-dimensional vector
+space bookkeeping, and a consistency battery for synthetic two-degree
 cohomology data.  Everything is computed over `fractions.Fraction`; no
 floating point arithmetic is used anywhere.
 

@@ -1,4 +1,4 @@
-"""Formal finite-Dimensional objects: split normal forms and exact bookkeeping.
+"""Formal finite-dimensional objects: split normal forms and exact bookkeeping.
 
 Objects here are purely formal: a direct sum of stable pieces tagged
 
@@ -169,19 +169,21 @@ def parse_formal(obj) -> Formal:
 
 
 def dimension(w: Formal) -> Dimension:
-    """Componentwise Dimension; for quasi objects the height of the quotient only."""
+    """Componentwise Dimension; for quasi objects the height of the quotient only.
+
+    The components are summed as ints and one Dimension is built at the end.
+    """
+    dim = 0
     if isinstance(w, QBCObject):
-        inner = dimension(w.quotient)
-        return Dimension(inner.dim + sum(w.torsion_core), inner.ht)
-    total = ZERO_DIM
+        dim, w = sum(w.torsion_core), w.quotient
+    ht = w.qp
     for d, h, c in w.ueff:
-        total += Dimension(c * d, c * h)
+        dim, ht = dim + c * d, ht + c * h
     for d, h, c in w.uquot:
-        total += Dimension(c * d, -c * h)
+        dim, ht = dim + c * d, ht - c * h
     for _, lengths in w.torsion:
-        total += Dimension(sum(lengths), 0)
-    total += Dimension(0, w.qp)
-    return total
+        dim += sum(lengths)
+    return Dimension(dim, ht)
 
 
 def hn_slopes(w: BCObject) -> list:

@@ -2,7 +2,7 @@
 
 Degree convention: deg = t_H - t_N.  Under it a rank-one module is
 "non-negative" exactly when its Hodge weight is at least its Frobenius slope,
-shrinking a filtration lowers the degree, and the global-sections Dimension
+shrinking a filtration lowers the degree, and the global-sections dimension
 bookkeeping of `vst_dimension` is coherent.  (The opposite sign also appears
 in the literature; this one is forced by the degree-lowering algorithm below
 and is used consistently everywhere in this package.)

@@ -4,7 +4,7 @@ A sheaf is a direct sum of stable bundles O(d/h) (slope in lowest terms,
 rank h, degree d) plus torsion modules of finite length at labeled points,
 with "infty" distinguished.  Only the classification data is stored.
 
-Cohomology Dimensions follow the standard table: a non-negative slope d/h
+Cohomology dimensions follow the standard table: a non-negative slope d/h
 contributes (d, h) to H^0 and nothing to H^1; a negative slope contributes
 nothing to H^0 and a quotient-type H^1 recorded here with non-negative
 components (|d|, h) and a marker - consumers on the Banach-Colmez side apply
@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .base import (
-    ZERO_DIM,
     Dimension,
     InputError,
     Record,
@@ -159,24 +158,25 @@ class CohomologyDims(Record):
 
 def cohomology_dim(s: FFSheaf) -> CohomologyDims:
     """Dimensions of global sections and the first cohomology, summand by summand."""
-    h0 = ZERO_DIM
-    h1_dim = h1_ht = 0
+    h0_dim = h0_ht = h1_dim = h1_ht = 0
     for slope, copies in s.bundle:
         d, h = slope.numerator, slope.denominator
         if slope >= 0:
-            h0 += Dimension(copies * d, copies * h)
+            h0_dim += copies * d
+            h0_ht += copies * h
         else:
             h1_dim += copies * (-d)
             h1_ht += copies * h
     for _, lengths in s.torsion:
-        h0 += Dimension(sum(lengths), 0)
-    return CohomologyDims(h0, QuotientDim(h1_dim, h1_ht, h1_dim > 0 or h1_ht > 0))
+        h0_dim += sum(lengths)
+    h1 = QuotientDim(h1_dim, h1_ht, h1_dim > 0 or h1_ht > 0)
+    return CohomologyDims(Dimension(h0_dim, h0_ht), h1)
 
 
 class HomDims(Record):
     """Size of a Hom space between two sheaves in classification form.
 
-    `dimension` is the Dimension of the Hom space as a finite-Dimensional
+    `dimension` is the Dimension of the Hom space as a finite-dimensional
     object; `qp_dim` is its vector-space dimension when that is finite (the
     dim component vanishes), e.g. h^2 for the endomorphisms of a stable
     bundle of rank h, which form a division algebra.
@@ -193,20 +193,19 @@ def hom_dim(a: FFSheaf, b: FFSheaf) -> HomDims:
     supported at distinct points receives and admits no maps; torsion-to-
     bundle maps vanish; bundle-to-torsion maps have length rank * length.
     """
-    total = ZERO_DIM
+    dim = ht = 0
     for s1, c1 in a.bundle:
         for s2, c2 in b.bundle:
             s = s2 - s1
             n = (s1.denominator * s2.denominator) // s.denominator
             if s >= 0:
-                total += Dimension(
-                    c1 * c2 * n * s.numerator, c1 * c2 * n * s.denominator
-                )
+                dim += c1 * c2 * n * s.numerator
+                ht += c1 * c2 * n * s.denominator
         for pt, lengths in b.torsion:
-            total += Dimension(c1 * s1.denominator * sum(lengths), 0)
+            dim += c1 * s1.denominator * sum(lengths)
     for pt1, lengths1 in a.torsion:
         for pt2, lengths2 in b.torsion:
             if pt1 != pt2:
                 continue
-            total += Dimension(sum(min(m1, m2) for m1 in lengths1 for m2 in lengths2), 0)
-    return HomDims(total, total.ht if total.dim == 0 else None)
+            dim += sum(min(m1, m2) for m1 in lengths1 for m2 in lengths2)
+    return HomDims(Dimension(dim, ht), ht if dim == 0 else None)
