@@ -169,10 +169,7 @@ def parse_formal(obj) -> Formal:
 
 
 def dimension(w: Formal) -> Dimension:
-    """Componentwise Dimension; for quasi objects the height of the quotient only.
-
-    The components are summed as ints and one Dimension is built at the end.
-    """
+    """Componentwise Dimension; for quasi objects the height of the quotient only."""
     dim = 0
     if isinstance(w, QBCObject):
         dim, w = sum(w.torsion_core), w.quotient
