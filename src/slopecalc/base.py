@@ -35,21 +35,33 @@ class FlagRequiredError(InputError):
 
 
 def rat(x) -> Fraction:
-    """Coerce x (int, Fraction, or string 'a/b' / 'a') to an exact Fraction."""
-    if type(x) is Fraction or isinstance(x, Fraction):  # the first test skips the ABC check
+    """Coerce x (int, Fraction, or string 'a/b' / 'a') to an exact Fraction.
+
+    A string is what `fractions.Fraction` reads on the running interpreter,
+    less any '.', 'e' or 'E', with surrounding whitespace stripped.  A plain
+    one, ASCII digits with an optional leading '-' and an optional '/digits',
+    is read by `int` without `Fraction`'s regex, to the same value or the
+    same error (a zero denominator, a part past the int-to-str digit limit).
+    """
+    if type(x) is Fraction:  # the exact-type tests skip the ABC check
+        return x
+    if isinstance(x, str):  # no str is a Fraction, so this may precede the subclass test
+        s = x.strip()
+        if "." in s or "e" in s or "E" in s:
+            raise InputError(f"rationals must be exact 'a/b' strings, got {x!r}")
+        num, slash, den = s.partition("/")
+        try:
+            if s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad rational string {x!r}") from exc
+    if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise InputError(f"not a rational: {x!r}")
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        s = x.strip()
-        if "." in s or "e" in s or "E" in s:
-            raise InputError(f"rationals must be exact 'a/b' strings, got {x!r}")
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational string {x!r}") from exc
     raise InputError(f"not a rational: {x!r} (floats are rejected)")
 
 

@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .base import FlagRequiredError, InputError, Record, is_row_list, json_int, rat, rat_str
-from .rational import RatMatrix, _gauss_jordan, _rat_rows, int_row, rref_rows, span_leq
+from .rational import RatMatrix, _gauss_jordan, _normalized, _rat_rows, int_residue, int_row
 
 KIND_WEIGHTS = "weights"
 KIND_FLAG = "flag"
@@ -65,7 +65,13 @@ class HodgeData(Record):
     @classmethod
     def from_flag(cls, entries, rank: Optional[int] = None) -> "HodgeData":
         """Build from outside (index, basis) pairs and an optional non-negative
-        int `rank` (else the rows' length), each checked; see the module docstring."""
+        int `rank` (else the rows' length), each checked; see the module docstring.
+
+        Each entry, in index order, is row-reduced once on integer rows: its
+        canonical basis is that echelon's rows divided by their pivots, and
+        it is nested in the entry before when each of its echelon rows leaves
+        a zero residue modulo the echelon before.
+        """
         if rank is not None:
             json_int(rank, "flag ranks", 0)
         norm = []
@@ -74,7 +80,7 @@ class HodgeData(Record):
             json_int(idx, "flag indices")
             if not is_row_list(basis):
                 raise InputError("flag bases must be lists of row lists")
-            rows = [tuple(rat(x) for x in row) for row in basis]
+            rows = [tuple(map(rat, row)) for row in basis]
             for row in rows:
                 if ncols is None:
                     ncols = len(row)
@@ -89,14 +95,16 @@ class HodgeData(Record):
         for (i1, _), (i2, _) in zip(norm, norm[1:]):
             if i1 == i2:
                 raise InputError(f"duplicate flag index {i1}")
-        raw = [(idx, rref_rows(rows, ncols)) for idx, rows in norm]
-        if not raw:
+        if not norm:
             raise InputError("a flag on a nonzero space needs at least one entry")
-        prev = _full_basis(ncols)
-        for _, basis in raw:
-            if not span_leq(basis, prev):
+        raw, prev = [], None
+        for idx, rows in norm:
+            rows = [int_row(row) for row in rows]
+            echelon = list(zip(_gauss_jordan(rows, ncols), rows))
+            if prev is not None and any(any(int_residue(row, prev)) for _, row in echelon):
                 raise InputError("flag subspaces must be nested")
-            prev = basis
+            raw.append((idx, tuple(_normalized(row, c) for c, row in echelon)))
+            prev = echelon
         return cls._from_chain(raw, ncols)
 
     @classmethod

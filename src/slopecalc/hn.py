@@ -117,10 +117,17 @@ class FilteredPhiModule(Record):
     def from_obj(cls, obj) -> "FilteredPhiModule":
         if not isinstance(obj, dict):
             raise InputError("filtered module JSON must be an object")
-        try:
-            return cls(PhiModule.from_obj(obj["module"]), HodgeData.from_obj(obj["hodge"]))
-        except KeyError as exc:
-            raise InputError(f"filtered module JSON missing key {exc}") from exc
+        module = PhiModule.from_obj(_field(obj, "module"))
+        return cls(module, HodgeData.from_obj(_field(obj, "hodge")))
+
+
+def _field(obj: dict, key: str):
+    """obj[key]; a missing key is an InputError, while a KeyError raised in
+    building from the value stays an internal fault."""
+    try:
+        return obj[key]
+    except KeyError as exc:
+        raise InputError(f"filtered module JSON missing key {exc}") from exc
 
 
 class Verdict(Record):

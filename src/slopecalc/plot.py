@@ -1,0 +1,93 @@
+"""The `plot` command's polygon reader and SVG writer, loaded only by `plot`.
+
+`polygon_from_obj` reads a valuation polygon from the plot input: the Newton
+polygon of coefficients at a prime p, the Hodge polygon of integer weights,
+or given vertices.  `svg` draws it on a unit grid, byte for byte the same
+for the same polygon.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from .base import InputError, Polygon, json_int, rat, rat_str, valuation
+from .cli import _list, _need
+
+SVG_MAX_SPAN = 1000  # grid units on either axis of an SVG plot
+
+
+def polygon_from_obj(obj) -> Polygon:
+    if not isinstance(obj, dict):
+        raise InputError("plot input must be a JSON object")
+    if "coefficients" in obj:
+        pts = [
+            (i, valuation(c, _need(obj, "p")))
+            for i, c in enumerate(_list(obj, "coefficients"))
+            if rat(c) != 0
+        ]
+        return Polygon.lower_hull(pts)
+    if "weights" in obj:
+        ws = sorted(json_int(w, "plot weights") for w in _list(obj, "weights"))
+        acc = 0
+        verts = [(0, Fraction(0))]
+        for i, w in enumerate(ws, start=1):
+            acc += w
+            verts.append((i, Fraction(acc)))
+        return Polygon(verts)
+    if "vertices" in obj:
+        vertices = _list(obj, "vertices")
+        if not all(isinstance(v, list) and len(v) == 2 for v in vertices):
+            raise InputError("plot vertices must be [x, y] pairs")
+        return Polygon([(json_int(x, "vertex x-coordinates"), rat(y)) for x, y in vertices])
+    raise InputError("plot input needs 'coefficients'+'p', 'weights' or 'vertices'")
+
+
+def svg(polygon: Polygon) -> str:
+    unit, margin = 40, 30
+    xs = [x for x, _ in polygon.vertices]
+    ys = [y for _, y in polygon.vertices]
+    x0, x1 = min(xs), max(xs)
+    ylo = math.floor(min(ys))
+    yhi = math.ceil(max(ys))
+    if max(x1 - x0, yhi - ylo) > SVG_MAX_SPAN:  # one grid line per unit
+        raise InputError(f"an SVG plot spans at most {SVG_MAX_SPAN} units; use --format json")
+    width = (x1 - x0) * unit + 2 * margin
+    height = (yhi - ylo) * unit + 2 * margin or 2 * margin
+
+    def fx(x):
+        return float((x - x0) * unit + margin)
+
+    def fy(y):
+        return float((Fraction(yhi) - Fraction(y)) * unit + margin)
+
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+    ]
+    for gx in range(x0, x1 + 1):
+        out.append(
+            f'<line x1="{fx(gx):g}" y1="{fy(yhi):g}" x2="{fx(gx):g}" y2="{fy(ylo):g}" '
+            'stroke="#dddddd" stroke-width="1"/>'
+        )
+    for gy in range(ylo, yhi + 1):
+        out.append(
+            f'<line x1="{fx(x0):g}" y1="{fy(gy):g}" x2="{fx(x1):g}" y2="{fy(gy):g}" '
+            'stroke="#dddddd" stroke-width="1"/>'
+        )
+    pts = " ".join(f"{fx(x):g},{fy(y):g}" for x, y in polygon.vertices)
+    out.append(
+        f'<polyline points="{pts}" fill="none" stroke="#1f4e9c" stroke-width="2"/>'
+    )
+    for x, y in polygon.vertices:
+        out.append(
+            f'<circle cx="{fx(x):g}" cy="{fy(y):g}" r="3" fill="#1f4e9c"/>'
+        )
+        out.append(
+            f'<text x="{fx(x) + 5:g}" y="{fy(y) - 5:g}" font-size="10" '
+            f'font-family="monospace" fill="#333333">({x},{rat_str(y)})</text>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

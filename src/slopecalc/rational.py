@@ -42,7 +42,7 @@ class RatMatrix:
     def __init__(self, rows: Sequence[Sequence]):
         if not is_row_list(rows):
             raise InputError("a matrix must be a list of row lists")
-        ent = tuple(tuple(rat(x) for x in row) for row in rows)
+        ent = tuple(tuple(map(rat, row)) for row in rows)
         if ent:
             w = len(ent[0])
             if any(len(r) != w for r in ent):

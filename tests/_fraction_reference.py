@@ -1,10 +1,15 @@
-"""Test-only references for the integer-row code behind the re-check of
-subobjects, the sampled subobject lattice, the rational-root search, the
-closed-mask listing of part lattices, the scoring of t_H, the hyperplane
-of a lowering step and the HN filtration.
+"""Test-only references for the integer-row code behind the reading of
+rationals and flags, the re-check of subobjects, the sampled subobject
+lattice, the rational-root search, the closed-mask listing of part lattices,
+the scoring of t_H, the hyperplane of a lowering step and the HN filtration.
 
-These are the straightforward Fraction (or exhaustive) forms of eight
+These are the straightforward Fraction (or exhaustive) forms of ten
 library functions:
+
+  * `base.rat`: every string read by `fractions.Fraction` and its regex;
+  * `HodgeData.from_flag`: each entry row-reduced to its canonical basis by
+    `rref_rows`, and the nesting of each in the one before checked by
+    `span_leq`, the ambient space standing before the first;
 
   * `induced_on_subspace`: the subspace row-reduced to its canonical basis,
     then every index of the filtration's support intersected with it
@@ -46,8 +51,61 @@ from fractions import Fraction
 
 from slopecalc.filtration import KIND_FLAG, HodgeData
 from slopecalc.hn import HNFiltration, HNStep, lattice_scorer
-from slopecalc.base import InputError, rat
+from slopecalc.base import InputError, is_row_list, json_int
 from slopecalc.rational import RatMatrix, complement_basis, rref_rows, span_intersect, span_leq
+
+
+def rat(x) -> Fraction:
+    if type(x) is Fraction or isinstance(x, Fraction):
+        return x
+    if isinstance(x, bool):
+        raise InputError(f"not a rational: {x!r}")
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        s = x.strip()
+        if "." in s or "e" in s or "E" in s:
+            raise InputError(f"rationals must be exact 'a/b' strings, got {x!r}")
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad rational string {x!r}") from exc
+    raise InputError(f"not a rational: {x!r} (floats are rejected)")
+
+
+def from_flag(entries, rank=None) -> HodgeData:
+    if rank is not None:
+        json_int(rank, "flag ranks", 0)
+    norm = []
+    ncols = rank
+    for idx, basis in entries:
+        json_int(idx, "flag indices")
+        if not is_row_list(basis):
+            raise InputError("flag bases must be lists of row lists")
+        rows = [tuple(rat(x) for x in row) for row in basis]
+        for row in rows:
+            if ncols is None:
+                ncols = len(row)
+            elif len(row) != ncols:
+                raise InputError("flag basis rows have inconsistent length")
+        norm.append((idx, rows))
+    if ncols is None:
+        raise InputError("flag rank cannot be inferred; pass rank explicitly")
+    if ncols == 0:
+        return HodgeData(KIND_FLAG, 0, (), ())
+    norm.sort(key=lambda t: t[0])
+    for (i1, _), (i2, _) in zip(norm, norm[1:]):
+        if i1 == i2:
+            raise InputError(f"duplicate flag index {i1}")
+    raw = [(idx, rref_rows(rows, ncols)) for idx, rows in norm]
+    if not raw:
+        raise InputError("a flag on a nonzero space needs at least one entry")
+    prev = tuple(RatMatrix.identity(ncols).entries)
+    for _, basis in raw:
+        if not span_leq(basis, prev):
+            raise InputError("flag subspaces must be nested")
+        prev = basis
+    return HodgeData._from_chain(raw, ncols)
 
 
 def induced_on_subspace(h: HodgeData, subspace) -> HodgeData:

@@ -297,6 +297,25 @@ class TestInternalFaults:
         assert report["error"] == message
         assert "broken" in report["traceback"]
 
+    def test_key_error_inside_the_parse_exits_four(self, capsys, monkeypatch):
+        # only the lookups of "module" and "hodge" are input errors
+        from slopecalc.filtration import HodgeData
+
+        def broken(obj):
+            raise KeyError("injected")
+
+        monkeypatch.setattr(HodgeData, "from_obj", broken)
+        code, out, err = run_cli(capsys, "wa", WA_TRUE)
+        assert code == cli.EXIT_INTERNAL and out == ""
+        assert json.loads(err)["error"] == "internal: KeyError: 'injected'"
+
+    @pytest.mark.parametrize("key", ["module", "hodge"])
+    def test_missing_module_or_hodge_exits_three(self, capsys, key):
+        payload = {k: v for k, v in WA_TRUE.items() if k != key}
+        code, out, err = run_cli(capsys, "wa", payload)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == f"filtered module JSON missing key {key!r}"
+
     def test_failed_oracle_exits_four(self, capsys, monkeypatch):
         # span(e1) has degree 0, so it cannot witness that WA_TRUE is not
         # weakly admissible; the oracle must reject the doctored verdict
@@ -610,6 +629,10 @@ class TestImportSet:
         assert "slopecalc.cli" in loaded
         for name in ("hn", "bc", "diagram", "sheaf"):
             assert f"slopecalc.{name}" not in loaded
+
+    @pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+    def test_only_plot_loads_the_svg_writer(self, command):
+        assert ("slopecalc.plot" in _loaded_by_command(command)) == (command == "plot")
 
     @pytest.mark.parametrize("command", ["hn", "wa", "acyclic", "fn4-reduce", "vst"])
     def test_hn_family_skips_bc_and_diagram(self, command):

@@ -18,6 +18,7 @@ from slopecalc.filtration import (
 from slopecalc.base import FlagRequiredError, InputError
 from slopecalc.rational import RatMatrix, rref_rows
 
+import _fraction_reference as ref
 from _generators import random_flag, random_unimodular
 
 
@@ -336,3 +337,117 @@ class TestChainBuilder:
                 for j, b in levels
             ]
             assert dual_hodge(h) == HodgeData.from_flag(annihilators, rank=n)
+
+
+def _entry_string(rng, x: F):
+    """x as JSON writes it: usually the string 'a/b' or 'a', sometimes an int."""
+    if x.denominator == 1 and rng.random() < 0.3:
+        return int(x)
+    return str(x) if rng.random() < 0.9 else f" {x} "
+
+
+def _flag_object(rng):
+    """A seeded flag JSON object, valid or malformed: nested chains in mixed
+    presentations (dependent, zero and repeated rows), with some entries made
+    ragged, unnested, duplicated, mistyped or dropped."""
+    n = rng.randint(0, 5)
+    base = [[F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 7])) for _ in range(n)]
+            for _ in range(n)]
+    dims = sorted((rng.randint(0, n) for _ in range(rng.randint(0, 4))), reverse=True)
+    index = rng.randint(-3, 3)
+    entries = []
+    for d in dims:
+        rows = [list(r) for r in base[:d]]
+        if rows and rng.random() < 0.4:  # a dependent row
+            c = F(rng.randint(-2, 2), rng.choice([1, 5]))
+            rows.append([a + c * b for a, b in zip(rows[0], rows[-1])])
+        if rng.random() < 0.2:
+            rows.append([F(0)] * n)
+        if rng.random() < 0.15:  # a row outside the level before
+            rows.append([F(rng.randint(-3, 3)) for _ in range(n)])
+        rng.shuffle(rows)
+        entries.append({"index": index,
+                        "basis": [[_entry_string(rng, x) for x in row] for row in rows]})
+        index += rng.choice([0, 1, 1, 1, 2]) if rng.random() < 0.1 else rng.choice([1, 2])
+    fault = rng.random()
+    if entries and fault < 0.08:  # ragged
+        row = next((r for e in entries for r in e["basis"] if r), None)
+        if row is not None and rng.random() < 0.5:
+            row.pop()
+        elif row is not None:
+            row.append("1")
+    elif entries and fault < 0.14:
+        entries[rng.randrange(len(entries))]["index"] = rng.choice([1.0, True, "1"])
+    elif entries and fault < 0.2:
+        row = next((r for e in entries for r in e["basis"] if r), None)
+        if row is not None:
+            row[0] = rng.choice(["1.5", "x", "1/0", None, 2.0])
+    elif entries and fault < 0.24:
+        entries[0]["basis"] = "not rows"
+    rng.shuffle(entries)
+    obj = {"flag": entries}
+    if rng.random() < 0.6:
+        obj["rank"] = n if rng.random() < 0.9 else rng.choice([n + 1, max(n - 1, 0), -1])
+    return obj
+
+
+def _flag_outcome(build):
+    try:
+        h = build()
+    except InputError as exc:
+        return ("raises", type(exc), str(exc))
+    return ("value", h, repr(h), h.to_obj(), hash(h))
+
+
+class TestFromFlagParity:
+    """`from_flag`'s one integer elimination per entry against the parent
+    form, `rref_rows` per entry and `span_leq` nesting (`_fraction_reference`)."""
+
+    def test_seeded_flags_match_the_reference(self):
+        rng = random.Random(26)
+        kinds = {"value": 0, "raises": 0}
+        for _ in range(3000):
+            obj = _flag_object(rng)
+            entries = [(e["index"], e["basis"]) for e in obj["flag"]]
+            want = _flag_outcome(lambda: ref.from_flag(entries, rank=obj.get("rank")))
+            got = _flag_outcome(lambda: HodgeData.from_obj(obj))
+            assert got == want, obj
+            kinds[got[0]] += 1
+        assert min(kinds.values()) > 500  # both valid and malformed flags are covered
+
+    @pytest.mark.parametrize("entries, rank", [
+        ([], 2),
+        ([], 0),
+        ([(0, [])], None),
+        ([(3, [[1, 0]])], 0),
+        ([(0, [])], 0),
+        ([(0, [[1, 2], [2, 4]]), (1, [[3, 6]])], None),
+        ([(1, [[1, 0]]), (1, [[1, 0]])], 2),
+        ([(0, [[1, 0]]), (1, [[0, 1]])], 2),
+        ([(0, [[1, 0], [0]])], None),
+        ([(0, [[0, 0]]), (1, [[1, 0]])], 2),
+        ([(2, [["1/2", "-3/4", "0"]]), (0, [[1, 0, 0], [0, 1, 0]])], 3),
+    ], ids=["none", "none-rank-0", "empty-basis", "rank-0", "rank-0-empty", "dependent",
+            "duplicate", "unnested", "ragged", "zero-then-line", "unsorted"])
+    def test_edge_cases_match_the_reference(self, entries, rank):
+        want = _flag_outcome(lambda: ref.from_flag(entries, rank=rank))
+        assert _flag_outcome(lambda: HodgeData.from_flag(entries, rank=rank)) == want
+
+
+def test_from_flag_runs_one_elimination_per_entry(monkeypatch):
+    import slopecalc.rational as rational
+
+    def forbidden(*args):
+        raise AssertionError("from_flag must not call rref_rows or span_leq")
+
+    monkeypatch.setattr(rational, "rref_rows", forbidden)
+    monkeypatch.setattr(rational, "span_leq", forbidden)
+    assert not hasattr(filtration, "rref_rows") and not hasattr(filtration, "span_leq")
+    calls = []
+    real = filtration._gauss_jordan
+    monkeypatch.setattr(filtration, "_gauss_jordan", lambda rows, n: calls.append(n) or real(rows, n))
+    entries = [(0, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), (1, [[1, 1, 0], [0, 1, 0]]),
+               (2, [[2, 2, 0], [1, 1, 0]]), (3, [])]
+    h = HodgeData.from_flag(entries, rank=3)
+    assert h.weights == (0, 1, 2)
+    assert calls == [3, 3, 3, 3]
