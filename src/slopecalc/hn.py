@@ -7,13 +7,15 @@ bookkeeping of `vst_dimension` is coherent.  (The opposite sign also appears
 in the literature; this one is forced by the degree-lowering algorithm below
 and is used consistently everywhere in this package.)
 
-Subobjects are Frobenius- and N-stable rational subspaces with the induced
-filtration.  When the characteristic polynomial is squarefree with coprime
-factors irreducible over Q, the stable subspaces are exactly the sums of
-their kernels, so the enumeration is certified complete in two cases: all
-eigenvalues rational and distinct (the N-closed sums of eigenlines), and a
-multiplicity-free slope normal form (the N-closed sums of blocks:
-distinct-slope block polynomials are coprime and each block is irreducible).
+Subobjects are Frobenius- and N-stable Q_p-subspaces (Fontaine's weak
+admissibility, over K_0 = Q_p) with the induced filtration.  When the
+characteristic polynomial is squarefree with coprime factors irreducible over
+Q_p, the stable subspaces are exactly the sums of their kernels, so the
+enumeration is certified complete in two cases: all eigenvalues rational and
+distinct (the N-closed sums of eigenlines), and a multiplicity-free slope
+normal form (the N-closed sums of blocks: distinct-slope block polynomials
+are coprime, and x^h - p^a with gcd(a, h) = 1 is irreducible over Q_p).  A
+Q-irreducible factor that splits over Q_p (x^2 - 2 at p = 7) is sampled.
 One builder, `_parts_lattice`, takes either list of parts.  Scalar Frobenius
 makes every subspace stable (and forces N = 0), so no finite list is
 complete; but its flag-adapted chain realizes the extremal degree in every
@@ -131,7 +133,8 @@ def _field(obj: dict, key: str):
 
 
 class Verdict(Record):
-    """Decision with certification status and, when negative, a witness."""
+    """Decision with certification status and, when negative, a witness; it
+    is about the stable Q_p-subspaces, and a rational witness violates there."""
 
     status: str
     witness: Optional[tuple] = None  # subobject basis rows
@@ -355,8 +358,10 @@ def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
         echelon, queue = [], list(vectors)
         while queue:
             v = int_residue(queue.pop(), echelon)
-            c = next((j for j, a in enumerate(v) if a), None)
-            if c is None:
+            for c, a in enumerate(v):
+                if a:
+                    break
+            else:
                 continue
             v = _primitive(v)
             echelon.append((c, v))
@@ -527,7 +532,8 @@ def lattice_scorer(m: FilteredPhiModule, lattice: SubobjectLattice):
             mask, k, th, tn, base, later, at = stack.pop()
             new = int_echelon(later[at - base])
             mask, k, tn = mask | bits[at], k + len(new), tn + tns[at]
-            th += sum(weights[c] for c, _ in new)
+            for c, _ in new:
+                th += weights[c]
             yield mask, (k, th, tn, th - tn)
             room = cap[0] - k
             kids = [t for t in range(at + 1, count)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .base import InputError, is_row_list, rat, rat_str
@@ -217,7 +218,7 @@ class RatMatrix:
 # (pivot column, gcd-primitive int row) in insertion order, each row zero at
 # the pivots of the rows before it; reducing a vector by its rows in that
 # order leaves a residue that is zero exactly when the vector lies in their
-# span.
+# span.  Per-entry loops run in builtins: `sum(map(mul, ...))`, `for` pivots.
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -250,9 +251,8 @@ def int_matrix(m: RatMatrix) -> tuple[list, int]:
 
 
 def int_apply(rows: Sequence, v: Sequence) -> list:
-    """The int matrix `rows` times the int column vector v."""
-    nonzero = [(j, x) for j, x in enumerate(v) if x]
-    return [sum(row[j] * x for j, x in nonzero) for row in rows]
+    """The int matrix `rows` times the int column vector v, zero entries included."""
+    return [sum(map(mul, row, v)) for row in rows]
 
 
 def int_matmul(a: Sequence, b: Sequence) -> list:
@@ -295,9 +295,10 @@ def int_echelon(rows: Iterable, echelon: Sequence = ()) -> list:
     out = list(echelon)
     for v in rows:
         r = int_residue(v, out)
-        c = next((j for j, a in enumerate(r) if a), None)
-        if c is not None:
-            out.append((c, _primitive(r)))
+        for c, a in enumerate(r):
+            if a:
+                out.append((c, _primitive(r)))
+                break
     return out
 
 
@@ -312,8 +313,10 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            if rows[pr][c]:
+                break
+        else:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         prow = rows[r] = _primitive(rows[r])

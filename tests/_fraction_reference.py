@@ -3,7 +3,7 @@ rationals and flags, the re-check of subobjects, the sampled subobject
 lattice, the rational-root search, the closed-mask listing of part lattices,
 the scoring of t_H, the hyperplane of a lowering step and the HN filtration.
 
-These are the straightforward Fraction (or exhaustive) forms of ten
+Most are the straightforward Fraction (or exhaustive) forms of ten
 library functions:
 
   * `base.rat`: every string read by `fractions.Fraction` and its regex;
@@ -42,6 +42,13 @@ library functions:
 The library versions eliminate on integer rows and must return equal values.
 `fraction_coordinates` solves for coordinates by plain Fraction elimination,
 so no reference runs the library's integer elimination.
+
+The integer-row kernel of `rational` (`int_apply`, `_primitive`,
+`int_residue`, `int_echelon`, `_gauss_jordan`, `int_kernel`, `int_rref`,
+`int_det`) is kept here as it was written before its per-entry loops moved
+into builtins: generator products that skip zero entries and `next(...)`
+pivot searches.  The library must return the same integers, of the same
+types, with the same pivots and the same effects on the rows it mutates.
 """
 
 import itertools
@@ -325,3 +332,100 @@ def greedy_filtration(m, lattice) -> HNFiltration:
         cur_rank, cur_deg = cur_rank + best[1], cur_deg + best[0]
         steps.append(HNStep(current, Fraction(*best), cur_rank, best[1], Fraction(best[0])))
     return HNFiltration(tuple(steps), lattice.certified)
+
+
+# ---------------------------------------------------------------------------
+# the integer-row kernel, in its generator form
+
+
+def int_apply(rows, v) -> list:
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(row[j] * x for j, x in nonzero) for row in rows]
+
+
+def _primitive(row: list) -> list:
+    g = math.gcd(*row)
+    return row if g < 2 else [a // g for a in row]
+
+
+def int_residue(v: list, echelon) -> list:
+    for c, row in echelon:
+        f = v[c]
+        if f:
+            pv = row[c]
+            v = [pv * a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def int_echelon(rows, echelon=()) -> list:
+    out = list(echelon)
+    for v in rows:
+        r = int_residue(v, out)
+        c = next((j for j, a in enumerate(r) if a), None)
+        if c is not None:
+            out.append((c, _primitive(r)))
+    return out
+
+
+def _gauss_jordan(rows: list, ncols: int) -> list:
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r] = _primitive(rows[r])
+        pv = prow[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = _primitive([pv * a - f * b for a, b in zip(rows[i], prow)])
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def int_kernel(rows: list, ncols: int) -> list:
+    pivots = _gauss_jordan(rows, ncols)
+    lcm = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = lcm
+        for row, c in zip(rows, pivots):
+            if row[f]:
+                v[c] = -row[f] * (lcm // row[c])
+        basis.append(v)
+    return basis
+
+
+def int_rref(rows: list, ncols: int) -> tuple:
+    pivots = _gauss_jordan(rows, ncols)
+    return tuple(
+        (c, tuple(row) if row[c] > 0 else tuple(-a for a in row)) for row, c in zip(rows, pivots)
+    )
+
+
+def int_det(rows: list) -> int:
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            pr = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if pr is None:
+                return 0
+            rows[k], rows[pr] = rows[pr], rows[k]
+            sign = -sign
+        rk = rows[k]
+        pk = rk[k]
+        for i in range(k + 1, n):
+            ri = rows[i]
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pk - f * rk[j]) // prev
+        prev = pk
+    return sign * rows[n - 1][n - 1]

@@ -530,6 +530,45 @@ class TestDuality:
         assert dual_filt.slopes() == [(-s, k) for s, k in reversed(filt.slopes())]
 
 
+class TestFieldOfDefinition:
+    """Subobjects are Q_p-subspaces.  Each module below has a factor
+    irreducible over Q that splits over Q_7, so some stable Q_7-lines lie in
+    no rational lattice: neither may come back certified-true."""
+
+    @staticmethod
+    def modules():
+        # phi = (7) + companion(x^2 + x/7 + 1), Fil^1 = span(1, 1, 1), weights
+        # (1, 0, 0): weakly admissible over Q, but over Q_7 the root of
+        # valuation -1 gives a line with t_N = -1 and t_H = 0, of degree +1
+        split = FilteredPhiModule(
+            PhiModule.from_matrices(7, [[7, 0, 0], [0, 0, -1], [0, 1, F(-1, 7)]]),
+            HodgeData.from_flag([(0, RatMatrix.identity(3).entries), (1, [[1, 1, 1]])], rank=3),
+        )
+        # x^2 - 2: both roots are 7-adic units, as 3^2 = 2 mod 7; weights (1, -1)
+        units = FilteredPhiModule(
+            PhiModule.from_matrices(7, [[0, 2], [1, 0]]),
+            HodgeData.from_flag([(-1, RatMatrix.identity(2).entries), (0, [[1, 0]]),
+                                 (1, [[1, 0]])], rank=2),
+        )
+        return {"split": split, "units": units}
+
+    @pytest.mark.parametrize("name", ["split", "units"])
+    def test_never_certified_true(self, name):
+        m = self.modules()[name]
+        assert degree(m) == 0 and enumerate_subobjects(m).strategy == "sample"
+        assert is_weakly_admissible(m).status != STATUS_TRUE
+        assert is_acyclic(m).status != STATUS_TRUE
+        filt = hn_filtration(m)
+        assert not (filt.certified and len(filt.steps) == 1)
+
+    def test_split_module_has_a_slope_below_its_weights(self):
+        # Mazur's inequality fails over Q_7: the Newton slopes (-1, 1, 1) start
+        # below the Hodge weights (0, 0, 1)
+        m = self.modules()["split"]
+        assert list(newton_slopes(m.module)) == [(F(-1), 1), (F(1), 2)]
+        assert sorted(m.hodge.weights) == [0, 0, 1]
+
+
 class TestVerdictType:
     def test_false_needs_witness(self):
         with pytest.raises(InputError):
