@@ -65,6 +65,27 @@ def rat(x) -> Fraction:
     raise InputError(f"not a rational: {x!r} (floats are rejected)")
 
 
+class RatMemo(dict):
+    """`rat` with a memo of the strings it read: each distinct entry string
+    is read once per memo, that is once per matrix or flag.
+
+    Only exact `str` values are keys, as `row` looks up nothing else: `True`,
+    `1` and `1.0` hash and compare alike, so every other value goes through
+    `rat` each time, to the same value or the same error.  A string that
+    does not read is not kept, so it raises again wherever it repeats.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, s: str) -> Fraction:
+        q = self[s] = rat(s)
+        return q
+
+    def row(self, row) -> tuple:
+        """`tuple(map(rat, row))`, with each exact-str entry read through the memo."""
+        return tuple([self[x] if type(x) is str else rat(x) for x in row])
+
+
 def is_row_list(x) -> bool:
     """Whether x is a list (or tuple) of lists (or tuples), as matrices and bases are."""
     return isinstance(x, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in x)

@@ -25,7 +25,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .base import FlagRequiredError, InputError, Record, is_row_list, json_int, rat, rat_str
+from .base import FlagRequiredError, InputError, RatMemo, Record, is_row_list, json_int, rat_str
 from .rational import RatMatrix, _gauss_jordan, _normalized, _rat_rows, int_residue, int_row
 
 KIND_WEIGHTS = "weights"
@@ -34,6 +34,19 @@ FLAG_MAX_SPAN = 1000  # indices in the jump window of a flag; one dense entry ea
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+_STR_ONLY = frozenset((str,))
+
+
+def _int_row(row, memo: RatMemo, seen: dict) -> list:
+    """The integer row of an outside flag row; a row of exact strings is
+    looked up in `seen` first, and kept there."""
+    if {*map(type, row)} != _STR_ONLY:
+        return int_row(memo.row(row))
+    key = tuple(row)
+    out = seen.get(key)
+    if out is None:
+        out = seen[key] = int_row(memo.row(key))
+    return out
 
 
 def _full_basis(n: int) -> tuple:
@@ -67,20 +80,24 @@ class HodgeData(Record):
         """Build from outside (index, basis) pairs and an optional non-negative
         int `rank` (else the rows' length), each checked; see the module docstring.
 
+        Each distinct entry string is read once and each distinct row of
+        strings made an integer row once, however many entries repeat it.
         Each entry, in index order, is row-reduced once on integer rows: its
         canonical basis is that echelon's rows divided by their pivots, and
         it is nested in the entry before when each of its echelon rows leaves
-        a zero residue modulo the echelon before.
+        a zero residue modulo the echelon before.  A nested entry of the same
+        dimension as the one before is the same subspace and shares its basis.
         """
         if rank is not None:
             json_int(rank, "flag ranks", 0)
+        memo, seen = RatMemo(), {}
         norm = []
         ncols = rank
         for idx, basis in entries:
             json_int(idx, "flag indices")
             if not is_row_list(basis):
                 raise InputError("flag bases must be lists of row lists")
-            rows = [tuple(map(rat, row)) for row in basis]
+            rows = [_int_row(row, memo, seen) for row in basis]
             for row in rows:
                 if ncols is None:
                     ncols = len(row)
@@ -97,13 +114,15 @@ class HodgeData(Record):
                 raise InputError(f"duplicate flag index {i1}")
         if not norm:
             raise InputError("a flag on a nonzero space needs at least one entry")
-        raw, prev = [], None
+        raw, prev, basis = [], None, _full_basis(ncols)
         for idx, rows in norm:
-            rows = [int_row(row) for row in rows]
+            rows = [row.copy() for row in rows]  # the int rows may be shared
             echelon = list(zip(_gauss_jordan(rows, ncols), rows))
             if prev is not None and any(any(int_residue(row, prev)) for _, row in echelon):
                 raise InputError("flag subspaces must be nested")
-            raw.append((idx, tuple(_normalized(row, c) for c, row in echelon)))
+            if len(echelon) != len(basis):  # else the subspace of the entry before
+                basis = tuple(_normalized(row, c) for c, row in echelon)
+            raw.append((idx, basis))
             prev = echelon
         return cls._from_chain(raw, ncols)
 

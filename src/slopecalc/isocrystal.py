@@ -2,7 +2,9 @@
 
 A module is an invertible rational matrix phi together with an operator N
 obeying the twisted commutation rule N.phi = p.phi.N, which makes N
-nilpotent; construction checks both, so no module that breaks them exists.
+nilpotent; construction checks both, except where `tensor`, `dual` or `det`
+builds a module that its valid arguments make valid, so no module that
+breaks them exists.
 Slopes are always read off the characteristic polynomial of phi through the
 Newton polygon, never from eigenvectors, so everything stays exact and
 rational.
@@ -67,12 +69,16 @@ class PhiModule(Record):
 
     Construction is the one validity check: shapes, phi invertible, then
     N.phi = p.phi.N, which makes N nilpotent; each failure is an
-    `InputError`, however the module is built.  It also keeps `tn` = t_N(M)
-    = v_p(det phi), an int off the determinant that the invertibility check
-    takes, and `coeffs` = `charpoly(phi)`, computed on first use, so each
-    module object computes its characteristic polynomial at most once.
-    Neither is a field, so equality, hashing, `repr` and `to_obj` do not see
-    them.
+    `InputError`.  It also keeps `tn` = t_N(M) = v_p(det phi), an int off
+    the determinant that the invertibility check takes, and `coeffs` =
+    `charpoly(phi)`, computed on first use, so each module object computes
+    its characteristic polynomial at most once.  Neither is a field, so
+    equality, hashing, `repr` and `to_obj` do not see them.
+
+    `tensor`, `dual` and `det` build their result by the trusted path,
+    `_trusted`, which runs none of these checks and is given `tn`: each
+    takes valid modules, whose validity implies the result's (see each), so
+    no invalid module exists either way.
     """
 
     p: int
@@ -97,6 +103,16 @@ class PhiModule(Record):
         if fault:
             raise InputError(fault)
         object.__setattr__(self, "tn", valuation(det, self.p))
+
+    @classmethod
+    def _trusted(cls, p: int, phi: RatMatrix, nilpotent: RatMatrix, tn: int) -> "PhiModule":
+        """A matrix-form module that is valid by construction, with t_N(M) = tn;
+        nothing is checked."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, (p, phi, nilpotent, FORM_MATRIX)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "tn", tn)
+        return self
 
     @property
     def rank(self) -> int:
@@ -238,29 +254,40 @@ def is_dm_normal(m: PhiModule, slopes: SlopeMultiset) -> bool:
 
 
 def tensor(a: PhiModule, b: PhiModule) -> PhiModule:
-    """Tensor product: Kronecker phi's, Leibniz rule for N."""
+    """Tensor product: Kronecker phi's, Leibniz rule for N.
+
+    Built by the trusted path, with no determinant and no matrix product:
+    for ranks n of a and m of b, det(phi_a (x) phi_b) = det(phi_a)^m
+    det(phi_b)^n is nonzero, so t_N = m t_N(a) + n t_N(b), and each term of
+    N_a (x) 1 + 1 (x) N_b satisfies N.phi = p.phi.N, so their sum does.
+    """
     if a.p != b.p:
         raise InputError("tensor requires modules over the same prime")
+    n, m = a.rank, b.rank
     phi = a.phi.kron(b.phi)
-    n = a.nilpotent.kron(RatMatrix.identity(b.rank)) + RatMatrix.identity(a.rank).kron(
-        b.nilpotent
-    )
-    return PhiModule(a.p, phi, n, FORM_MATRIX)
+    nil = a.nilpotent.kron(RatMatrix.identity(m)) + RatMatrix.identity(n).kron(b.nilpotent)
+    return PhiModule._trusted(a.p, phi, nil, m * a.tn + n * b.tn)
 
 
 def dual(a: PhiModule) -> PhiModule:
-    """Dual module: phi becomes transpose-inverse, N becomes minus transpose."""
+    """Dual module: phi becomes transpose-inverse, N becomes minus transpose.
+
+    Built by the trusted path: det(phi^-T) = 1/det(phi), so t_N = -t_N(a),
+    and transposing N.phi = p.phi.N and conjugating by phi^-T gives the rule
+    for -N^T and phi^-T.
+    """
     if a.rank == 0:
         return a
-    return PhiModule(
-        a.p, a.phi.inverse().transpose(), -a.nilpotent.transpose(), FORM_MATRIX
-    )
+    return PhiModule._trusted(a.p, a.phi.inverse().transpose(), -a.nilpotent.transpose(), -a.tn)
 
 
 def det(a: PhiModule) -> PhiModule:
-    """Top exterior power: rank one, phi acts by det(phi), N by the zero trace."""
+    """Top exterior power: rank one, phi acts by det(phi), N by the zero trace.
+
+    Built by the trusted path: det(phi) is nonzero with valuation t_N(a), and
+    N = 0 satisfies the rule.
+    """
     if a.rank == 0:
         return a
-    return PhiModule(
-        a.p, RatMatrix([[a.phi.det()]]), RatMatrix.zeros(1, 1), FORM_MATRIX
-    )
+    phi = RatMatrix._trusted(((a.phi.det(),),))
+    return PhiModule._trusted(a.p, phi, RatMatrix.zeros(1, 1), a.tn)

@@ -74,9 +74,15 @@ def check_verdict(m, verdict, seed, kind):
 
 
 def check_tensor(a, b, product):
-    from .isocrystal import t_n
+    """The checks that building the product skips: the rule N.phi = p.phi.N,
+    and the valuation of its own determinant (infinite for a zero one), which
+    must be m t_N(a) + n t_N(b) for ranks n of a and m of b, and the t_N it
+    was given."""
+    from .isocrystal import _monodromy_fault
 
-    require(t_n(product) == b.rank * t_n(a) + a.rank * t_n(b), "tensor degree additivity")
+    require(_monodromy_fault(product) is None, "tensor product breaks N.phi = p.phi.N")
+    vp = valuation(product.phi.det(), product.p)
+    require(vp == product.tn == b.rank * a.tn + a.rank * b.tn, "tensor degree additivity")
 
 
 def check_cohdim(s, dims):

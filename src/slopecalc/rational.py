@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .base import InputError, is_row_list, rat, rat_str
+from .base import InputError, RatMemo, is_row_list, rat, rat_str
 
 Row = tuple  # a row vector: tuple of Fractions
 
@@ -43,7 +43,7 @@ class RatMatrix:
     def __init__(self, rows: Sequence[Sequence]):
         if not is_row_list(rows):
             raise InputError("a matrix must be a list of row lists")
-        ent = tuple(tuple(map(rat, row)) for row in rows)
+        ent = tuple(map(RatMemo().row, rows))
         if ent:
             w = len(ent[0])
             if any(len(r) != w for r in ent):
@@ -189,20 +189,16 @@ class RatMatrix:
         return tuple(_normalized(row, c) for row, c in zip(basis, _gauss_jordan(basis, n)))
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
-        """Kronecker product self (x) other."""
+        """Kronecker product self (x) other; a zero factor costs no product."""
+        zeros = (_ZERO,) * other.cols
         out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                out.append(
-                    [
-                        self.entries[i][j] * other.entries[k][l]
-                        for j in range(self.cols)
-                        for l in range(other.cols)
-                    ]
-                )
-        if not out:
-            return RatMatrix([])
-        return RatMatrix(out)
+        for ra in self.entries:
+            for rb in other.entries:
+                row = []
+                for x in ra:
+                    row.extend([x * y if y else _ZERO for y in rb] if x else zeros)
+                out.append(tuple(row))
+        return RatMatrix._trusted(tuple(out))
 
     def to_strings(self) -> list[list[str]]:
         return [[rat_str(x) for x in row] for row in self.entries]

@@ -329,6 +329,28 @@ class TestInternalFaults:
         assert code == 4 and out == ""
         assert json.loads(err)["error"] == "internal: oracle: witness does not violate"
 
+    @pytest.mark.parametrize("doctor, message", [
+        (lambda out: (out.phi.scale(out.p), out.nilpotent), "tensor degree additivity"),
+        (lambda out: (out.phi, out.phi), "tensor product breaks N.phi = p.phi.N"),
+    ], ids=["phi-times-p", "n-is-phi"])
+    def test_doctored_tensor_product_exits_four(self, capsys, monkeypatch, doctor, message):
+        # the product keeps the t_N the formula gives, so only the oracle's
+        # own determinant and products can see the doctored matrices
+        from slopecalc import isocrystal
+
+        real = isocrystal.tensor
+
+        def doctored(a, b):
+            out = real(a, b)
+            return isocrystal.PhiModule._trusted(out.p, *doctor(out), out.tn)
+
+        monkeypatch.setattr(isocrystal, "tensor", doctored)
+        payload = json.loads((ROOT / "tests" / "fixtures" / "tensor_half_half.json").read_text())
+        assert run_cli(capsys, "tensor", payload["input"])[0] == 0
+        code, out, err = run_cli(capsys, "tensor", payload["input"], "--oracle")
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == f"internal: oracle: {message}"
+
     @pytest.mark.parametrize(
         "doctor, message",
         [

@@ -20,6 +20,8 @@ from slopecalc.rational import RatMatrix, rref_rows
 
 import _fraction_reference as ref
 from _generators import random_flag, random_unimodular
+from test_parse_once import DenseFlagParity
+from test_parse_once import flag_outcome as _flag_outcome
 
 
 def flag2(entries, rank=2):
@@ -391,17 +393,10 @@ def _flag_object(rng):
     return obj
 
 
-def _flag_outcome(build):
-    try:
-        h = build()
-    except InputError as exc:
-        return ("raises", type(exc), str(exc))
-    return ("value", h, repr(h), h.to_obj(), hash(h))
-
-
-class TestFromFlagParity:
+class TestFromFlagParity(DenseFlagParity):
     """`from_flag`'s one integer elimination per entry against the parent
-    form, `rref_rows` per entry and `span_leq` nesting (`_fraction_reference`)."""
+    form, `rref_rows` per entry and `span_leq` nesting (`_fraction_reference`);
+    the dense flags of `test_parse_once.DenseFlagParity` too."""
 
     def test_seeded_flags_match_the_reference(self):
         rng = random.Random(26)

@@ -29,7 +29,12 @@ from fractions import Fraction as F
 import pytest
 
 import test_hn
-from _generators import certified_filtered_instance, random_flag, random_unimodular
+from _generators import (
+    certified_filtered_instance,
+    diagonal_instance,
+    random_flag,
+    random_unimodular,
+)
 from slopecalc.filtration import HodgeData, shift, t_h
 from slopecalc.hn import (
     STATUS_FALSE,
@@ -193,3 +198,46 @@ def test_known_exceptions_still_show():
                     elements != {moved_lattice.basis(key) for key in moved_lattice.keys}:
                 shown.add((strategy, name))
     assert shown == set(KNOWN_EXCEPTIONS)
+
+
+def direct_sum(m1, m2):
+    """M1 (+) M2: block-diagonal phi and N, and Fil^j = Fil^j M1 (+) Fil^j M2."""
+    n1, n2 = m1.rank, m2.rank
+
+    def block(a, b):
+        return RatMatrix([list(r) + [F(0)] * n2 for r in a.entries] +
+                         [[F(0)] * n1 + list(r) for r in b.entries])
+
+    (lo1, hi1), (lo2, hi2) = m1.hodge.support(), m2.hodge.support()
+    flag = [(j, [v + (F(0),) * n2 for v in m1.hodge.subspace_at(j)] +
+             [(F(0),) * n1 + v for v in m2.hodge.subspace_at(j)])
+            for j in range(min(lo1, lo2), max(hi1, hi2) + 1)]
+    a, b = m1.module, m2.module
+    return FilteredPhiModule(PhiModule(a.p, block(a.phi, b.phi), block(a.nilpotent, b.nilpotent)),
+                             HodgeData.from_flag(flag, rank=n1 + n2))
+
+
+def test_direct_sum_of_eigenline_modules_at_rank_16():
+    # the HN filtration of M1 (+) M2 has the slopes of both, the ranks added
+    # at a slope they share; past brute force (2^16 subobjects), and in a
+    # basis that mixes the summands.  The second summand's phi is scaled by
+    # the unit 5, so that the sixteen eigenvalues stay distinct.
+    rng = random.Random(15)
+    m1 = FilteredPhiModule(diagonal_instance(rng, P, 8, -4, 4, allow_n=False),
+                           random_flag(rng, 8, 0, 3))
+    m2 = unit_scaling(FilteredPhiModule(diagonal_instance(rng, P, 8, -4, 4, allow_n=False),
+                                        random_flag(rng, 8, 0, 3)), F(5))
+    merged = {}
+    for m in (m1, m2):
+        hn = hn_filtration(m)
+        assert hn.certified
+        for slope, rank in hn.slopes():
+            merged[slope] = merged.get(slope, 0) + rank
+    assert len(merged) < len(hn_filtration(m1).slopes()) + len(hn_filtration(m2).slopes())
+    total = change_of_basis(direct_sum(m1, m2), random_unimodular(rng, 16))
+    assert total.module.nilpotent.is_zero() and total.rank == 16
+    lattice = enumerate_subobjects(total)
+    assert (lattice.strategy, lattice.certified) == ("eigenlines", True)
+    hn = hn_filtration(total, lattice=lattice)
+    assert hn.certified
+    assert hn.slopes() == sorted(merged.items(), reverse=True)

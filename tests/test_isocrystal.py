@@ -310,9 +310,63 @@ class TestTensorDualDet:
         rng = random.Random(seed)
         a = diagonal_instance(rng, P, rng.randint(1, 2), -1, 2)
         b = diagonal_instance(rng, P, rng.randint(1, 2), -1, 2)
-        # construction checks the rule; checked here again from the matrices
+        # tensor builds its product unchecked, dual by the checked
+        # constructor; the rule is checked here from the matrices
         for m in (tensor(a, b), dual(a)):
             assert m.nilpotent @ m.phi == (m.phi @ m.nilpotent).scale(P)
+
+
+def _factors(seed, lo=1, hi=4):
+    """Two conjugated diagonals, often with a nonzero N."""
+    rng = random.Random(seed)
+    a = diagonal_instance(rng, P, rng.randint(lo, hi), -2, 3)
+    b = diagonal_instance(rng, P, rng.randint(lo, hi), -2, 3)
+    return a, b
+
+
+def _checked(m):
+    """The module rebuilt by the checked constructor."""
+    return PhiModule(m.p, m.phi, m.nilpotent, m.form)
+
+
+class TestTrustedPath:
+    """`tensor`, `dual` and `det` build their result by the trusted path,
+    which must give the module, and the t_N, that the checked constructor
+    gives."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_checked_construction(self, seed):
+        a, b = _factors(seed)
+        for out in (tensor(a, b), dual(a), det(b)):
+            checked = _checked(out)
+            assert out == checked and out.tn == checked.tn
+            assert out.to_obj() == checked.to_obj()
+        assert tensor(a, b).tn == b.rank * a.tn + a.rank * b.tn
+
+    def test_rank_zero_factors(self):
+        z, a = PhiModule.zero(P), mk([[P, 0], [0, 1]], [[0, 0], [1, 0]])
+        for x, y in ((z, a), (a, z), (z, z)):
+            out = tensor(x, y)
+            assert out.rank == 0 and out.tn == 0 and out == _checked(out)
+        assert dual(z) is z and det(z) is z
+
+    def test_tensor_runs_no_determinant_or_matrix_product(self, monkeypatch):
+        import slopecalc.isocrystal as isocrystal
+        import slopecalc.rational as rational
+
+        def forbidden(*args):
+            raise AssertionError("tensor must not take a determinant or a matrix product")
+
+        factors = [_factors(seed, 3, 5) for seed in range(4)]
+        assert any(not (a.nilpotent.is_zero() and b.nilpotent.is_zero()) for a, b in factors)
+        for owner, name in [(RatMatrix, "det"), (RatMatrix, "__matmul__"), (rational, "int_det"),
+                            (rational, "int_matmul"), (isocrystal, "int_matmul"),
+                            (isocrystal, "_monodromy_fault"), (rational, "charpoly")]:
+            monkeypatch.setattr(owner, name, forbidden)
+        products = [tensor(a, b) for a, b in factors]
+        monkeypatch.undo()
+        for out in products:
+            assert out == _checked(out)
 
 
 class TestJson:
