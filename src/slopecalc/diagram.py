@@ -15,10 +15,9 @@ independent routes and must agree:
           dimension (total height route).
 
 The verdicts stay separate per route, but in `battery` each degree of
-nonzero rank enumerates its subobject lattice once, sets up one scorer on it
-and builds its HN filtration once: `is_acyclic` runs on that lattice and
-scorer, and the modification and the height count are both read off that
-filtration.
+nonzero rank builds its HN filtration once, on the lattice and scorer that
+its `is_acyclic` left on the module, and the modification and the height
+count are both read off that filtration.
 
 `dichotomy` classifies a single pair as "surjective" (vanishing H^1) or
 "positive-height-image" with the height deficit; exactly one branch fires.
@@ -217,10 +216,9 @@ def battery(s: SyntheticCohomology, seed: int = 0) -> BatteryReport:
 
     Uncertified sub-results mark the affected verdicts (and the report)
     uncertified rather than guessing; `consistent` compares the certified
-    verdicts only.  Each degree of nonzero rank enumerates its lattice once,
-    scores it with one scorer (the lattice keeps it for the module) and
-    builds its HN filtration once; the acyclicity verdict runs on that
-    lattice, the modification and the height count come from that
+    verdicts only.  Each degree of nonzero rank builds its HN filtration once,
+    after its acyclicity verdict and on the lattice and scorer that the
+    module keeps; the modification and the height count come from that
     filtration.  The windows `build_modification` checks are not checked
     again: `SyntheticCohomology` enforced stricter ones at construction.
     """
@@ -231,10 +229,7 @@ def battery(s: SyntheticCohomology, seed: int = 0) -> BatteryReport:
     for tag, m in (("r-1", s.below), ("r", s.top)):
         acyc[tag], filt = hn.Verdict(hn.STATUS_TRUE), hn.HNFiltration((), True)
         if m.rank:
-            m.hodge.require_flag("is_acyclic")  # before enumerating, as is_acyclic does
-            lattice = hn.enumerate_subobjects(m, seed)
-            acyc[tag] = hn.is_acyclic(m, seed, lattice)
-            filt = hn.hn_filtration(m, seed, lattice)
+            acyc[tag], filt = hn.is_acyclic(m, seed), hn.hn_filtration(m, seed)
         mods[tag], vst[tag] = modification_from_filtration(filt), hn.vst_from_filtration(filt)
     acyc_rm1, acyc_r = acyc["r-1"], acyc["r"]
     h1_rm1 = cohomology_dim(mods["r-1"].sheaf).h1

@@ -46,17 +46,19 @@ the leading columns of weight >= j, so t_H(W) is the sum of their weights.
 A decider scores the lattice by one depth-first walk over its closed masks,
 whose stack carries each element's invariants and the later parts reduced
 modulo it, so memory grows with the rank, not with the number of elements.
-Degrees stay ints.  A lattice keeps the scorer of the module it was last
-scored for, so deciders run in turn on one module and lattice (`battery`,
-`fn4_reduce`) share it.  `hn_filtration` reads the HN polygon off the upper
-concave hull of the largest degree at each rank, with no containment test
-but between its steps.  A canonical basis is row-reduced only for what a
-call returns or compares: a witness, the first in canonical order among the
-violators of least rank, and the elements of largest degree at the hull's
-vertices below V.  Every witness and HN step is scored again from the
-definition by `sub_invariants` (the restriction matrix of Frobenius and the
-induced filtration, not the scorer; V against t_H(M) and the module's
-t_N(M)), and a disagreement raises an internal error.
+Degrees stay ints.  A decider takes the module alone: its lattice is a
+function of the module, which `_scored` keeps it on, so no caller passes one
+(the `PhiModule` keeps `tn`, `coeffs` and the lattices that read only phi
+and N, the `FilteredPhiModule` its scorers and the scalar chain, which reads
+the flag).  `hn_filtration` reads the HN polygon off the upper concave hull
+of the largest degree at each rank, with no containment test but between its
+steps.  A canonical basis is row-reduced only for what a call returns or
+compares: a witness, the first in canonical order among the violators of
+least rank, and the elements of largest degree at the hull's vertices below
+V.  Every witness and HN step is scored again from the definition by
+`sub_invariants` (the restriction matrix of Frobenius and the induced
+filtration, not the scorer; V against t_H(M) and the module's t_N(M)), and a
+disagreement raises an internal error.
 """
 
 from __future__ import annotations
@@ -114,6 +116,11 @@ class FilteredPhiModule(Record):
     @property
     def rank(self) -> int:
         return self.module.rank
+
+    @cached_property
+    def scored(self) -> dict:
+        """seed -> (lattice, walk) that `_scored` keeps; not a field, like `PhiModule.lattices`."""
+        return {}
 
     @classmethod
     def from_obj(cls, obj) -> "FilteredPhiModule":
@@ -188,14 +195,12 @@ class SubobjectLattice:
     `hn_filtration` relies on.  `strategy`: "eigenlines", "blocks",
     "scalar-chain" or "sample".  `keys` lists the masks on first read;
     `basis(key)` row-reduces an element on first use (a sample's are given).
-    `scorer(m)` keeps the `lattice_scorer` of the last module object it was
-    asked for, so deciders run in turn share it.
     """
 
     def __init__(self, parts, certified, strategy, ncols, order):
         self.parts, self.ncols, self.order = parts, ncols, order
         self.certified, self.strategy = certified, strategy
-        self._built, self._scorer = {}, None
+        self._built = {}
 
     @classmethod
     def sample(cls, bases, certified=False):
@@ -232,12 +237,6 @@ class SubobjectLattice:
             if len(basis) != len(rows):
                 raise AssertionError("internal: the lattice parts are not independent")
         return basis
-
-    def scorer(self, m):
-        """`lattice_scorer(m, self)`, kept until a call with another module object."""
-        if self._scorer is None or self._scorer[0] is not m:
-            self._scorer = m, lattice_scorer(m, self)
-        return self._scorer[1]
 
 
 def _n_closed_sums(parts, supports, ncols, strategy) -> SubobjectLattice:
@@ -301,13 +300,6 @@ def _parts_lattice(m: PhiModule, parts, strategy) -> SubobjectLattice:
     return _n_closed_sums(parts, supports, n, strategy)
 
 
-def _is_scalar(phi: RatMatrix) -> bool:
-    """Whether phi is a constant times the identity."""
-    c = phi.entries[0][0] if phi.rows else 0
-    return all(x == c if i == j else not x for i, row in enumerate(phi.entries)
-               for j, x in enumerate(row))
-
-
 def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[SubobjectLattice]:
     """Flag-adapted chain when Frobenius is scalar, as a lattice of lines.
 
@@ -319,8 +311,9 @@ def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[SubobjectLattice]:
     from the top level down, and `_n_closed_sums` builds it with line k
     needing line k - 1, so its masks are the prefixes 2^k - 1.
     """
-    if not _is_scalar(m.module.phi):
-        return None
+    phi = m.module.phi.entries
+    if any(x != phi[0][0] if i == j else x for i, r in enumerate(phi) for j, x in enumerate(r)):
+        return None  # phi is not a constant times the identity
     m.hodge.require_flag("subobject enumeration")
     n = m.rank
     lines, prev = [], ()
@@ -427,10 +420,7 @@ def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> SubobjectLattic
         if len({s for s, _, _ in blocks}) == len(blocks):  # multiplicity free
             std = [[int(i == j) for j in range(n)] for i in range(n)]
             return _parts_lattice(mod, [std[off : off + size] for _, off, size in blocks], "blocks")
-    lattice = _scalar_flag_chain(m)
-    if lattice is None:
-        lattice = SubobjectLattice.sample(_sample_subobjects(m, seed, roots))
-    return lattice
+    return _scalar_flag_chain(m) or SubobjectLattice.sample(_sample_subobjects(m, seed, roots))
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +512,10 @@ def lattice_scorer(m: FilteredPhiModule, lattice: SubobjectLattice):
         residues.append([int_apply(coords, row) for _, row in echelon])
     bits, needs = [1 << i for i, _ in order], [need for _, need in order]
     sums, count = lattice.order is not None, len(order)  # a sample's parts never sum
+    rank = m.rank  # the walk keeps no reference to m, which keeps the walk
 
     def walk(cap=None):
-        cap = cap or [m.rank]
+        cap = cap or [rank]
         yield 0, (0, 0, 0, 0)
         # (parent mask, rank, t_H, t_N, position of later[0], later, position to add)
         stack = [(0, 0, 0, 0, 0, residues, at) for at in range(count) if not needs[at]]
@@ -547,6 +538,22 @@ def lattice_scorer(m: FilteredPhiModule, lattice: SubobjectLattice):
     return walk
 
 
+def _scored(m: FilteredPhiModule, seed: int) -> tuple:
+    """(lattice, walk) of `m` for `seed`, the one place a decider gets them.
+
+    `enumerate_subobjects` runs once per module and seed.  The `PhiModule`
+    keeps every lattice but the scalar chain, which reads the flag; the
+    `FilteredPhiModule` keeps the lattice with its `lattice_scorer` walk.
+    """
+    got = m.scored.get(seed)
+    if got is None:
+        lattice = m.module.lattices.get(seed) or enumerate_subobjects(m, seed)
+        if lattice.strategy != "scalar-chain":
+            m.module.lattices[seed] = lattice
+        got = m.scored[seed] = lattice, lattice_scorer(m, lattice)
+    return got
+
+
 def _recheck(m: FilteredPhiModule, basis, fast) -> None:
     """Re-score a returned subspace from the definition; raise on disagreement."""
     slow = sub_invariants(m, basis)
@@ -555,15 +562,16 @@ def _recheck(m: FilteredPhiModule, basis, fast) -> None:
         raise AssertionError(msg)
 
 
-def _first_violation(m: FilteredPhiModule, bound, lattice) -> Verdict:
+def _first_violation(m: FilteredPhiModule, bound, seed: int) -> Verdict:
     """First subobject of degree > bound in canonical order, re-checked, as a verdict.
 
     One walk keeps the violators of the least violating rank found so far and
     pushes no child above it; ranks grow along the walk, so every element up
     to that rank is reached.  Only its violators get a basis."""
     bound = math.floor(bound)  # integer degrees exceed bound iff they exceed its floor
+    lattice, walk = _scored(m, seed)
     cap, bad = [m.rank], []  # the least violating rank so far, and its violators
-    for key, inv in lattice.scorer(m)(cap):
+    for key, inv in walk(cap):
         if inv[3] > bound and inv[0] <= cap[0]:
             if inv[0] < cap[0]:
                 cap[0], bad = inv[0], []
@@ -575,39 +583,33 @@ def _first_violation(m: FilteredPhiModule, bound, lattice) -> Verdict:
     return Verdict(STATUS_FALSE, basis)
 
 
-def is_weakly_admissible(m: FilteredPhiModule, seed: int = 0, lattice=None) -> Verdict:
+def is_weakly_admissible(m: FilteredPhiModule, seed: int = 0) -> Verdict:
     """Degree zero and no positive-degree stable subspace.
 
     Flag-form Hodge data is required.  The verdict certifies true only on a
     `certified` lattice (a complete enumeration or the scalar chain); a
-    verified violating subobject certifies falsity regardless.
-    `lattice`, when given, replaces the enumeration; see `hn_filtration`.
-    The degree reads t_N(M) off the module, before any enumeration.
+    verified violating subobject certifies falsity regardless.  The degree
+    reads t_N(M) off the module, before the lattice (`_scored`) is read.
     """
     if m.rank == 0:
         return Verdict(STATUS_TRUE)
     m.hodge.require_flag("is_weakly_admissible")
     if t_h(m.hodge) != m.module.tn:
         return Verdict(STATUS_FALSE, RatMatrix.identity(m.rank).entries)
-    if lattice is None:
-        lattice = enumerate_subobjects(m, seed)
-    return _first_violation(m, 0, lattice)
+    return _first_violation(m, 0, seed)
 
 
-def is_acyclic(m: FilteredPhiModule, seed: int = 0, lattice=None) -> Verdict:
+def is_acyclic(m: FilteredPhiModule, seed: int = 0) -> Verdict:
     """Every stable subspace has degree at most deg(M).
 
     Equivalently every quotient has non-negative degree, equivalently the
     minimal Harder-Narasimhan slope is >= 0.  A certified-false witness W
-    satisfies deg(M/W) < 0.  `lattice`: see `hn_filtration`; deg(M) reads
-    t_N(M) off the module.
+    satisfies deg(M/W) < 0.  deg(M) reads t_N(M) off the module.
     """
     if m.rank == 0:
         return Verdict(STATUS_TRUE)
     m.hodge.require_flag("is_acyclic")
-    if lattice is None:
-        lattice = enumerate_subobjects(m, seed)
-    return _first_violation(m, t_h(m.hodge) - m.module.tn, lattice)
+    return _first_violation(m, t_h(m.hodge) - m.module.tn, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +643,7 @@ class HNFiltration(Record):
         return [(s.slope, s.graded_rank) for s in self.steps]
 
 
-def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltration:
+def hn_filtration(m: FilteredPhiModule, seed: int = 0) -> HNFiltration:
     """HN filtration read off the upper concave hull P of the points (r, M_r).
 
     M_r is the largest degree at rank r; one walk of the lattice keeps it and
@@ -657,18 +659,14 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0, lattice=None) -> HNFiltra
     step, so the steps still nest with strictly falling slopes.  The last
     vertex is V, whose basis is the identity and holds every step;
     `sub_invariants` re-checks it against t_H(M) and the module's t_N(M).
-    `lattice`, when given, is used in place of `enumerate_subobjects(m,
-    seed)` and must be that lattice for the same Frobenius module.  It does
-    not depend on the flag, except for a "scalar-chain" lattice, which is
-    valid for the same flag only.
+    The lattice is the one `_scored` keeps for the module and seed.
     """
     if m.rank == 0:
         return HNFiltration((), True)
     m.hodge.require_flag("hn_filtration")
-    if lattice is None:
-        lattice = enumerate_subobjects(m, seed)
+    lattice, walk = _scored(m, seed)
     best = {}  # rank -> [M_r, the (key, invariants) reaching it]
-    for key, inv in lattice.scorer(m)():
+    for key, inv in walk():
         top = best.get(inv[0])
         if top is None or inv[3] > top[0]:
             best[inv[0]] = [inv[3], [(key, inv)]]
@@ -794,25 +792,21 @@ def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:
     filtration, which drops the degree by exactly one; that one filtration
     also re-checks that the module it lowers is certified acyclic.  At degree
     zero acyclic means weakly admissible, which is checked last.  Phi never
-    changes, so every step shares one lattice and the module's t_N(M); the
+    changes, so every step shares the module's t_N(M) and the lattice it
+    keeps (the scalar chain, which reads the flag, is built per step); the
     input's check and the first filtration, on the same module, share its
     scorer too.
     """
-    if m.rank:
-        m.hodge.require_flag("is_acyclic")  # before enumerating, as is_acyclic does
-    lattice = enumerate_subobjects(m, seed)
-    verdict = is_acyclic(m, seed, lattice)
+    verdict = is_acyclic(m, seed)
     if verdict.status != STATUS_TRUE:
         raise InputError(f"fn4_reduce needs a certified acyclic module (got {verdict.status})")
     tn = m.module.tn
-    if lattice.strategy == "scalar-chain":
-        lattice = None  # adapted to the flag, which each step changes: rebuilt per module
     deg = t_h(m.hodge) - tn
     if deg < 0:
         raise AssertionError(f"internal: a certified acyclic module has degree {deg}")
     cur = m
     for left in range(deg - 1, -1, -1):
-        filt = hn_filtration(cur, seed, lattice)
+        filt = hn_filtration(cur, seed)
         if not filt.certified or filt.steps[-1].slope < 0:
             raise AssertionError(
                 "internal: the lowered module is not certified acyclic; this contradicts "
@@ -821,7 +815,7 @@ def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:
         cur = _lower_once(cur, filt)
         if t_h(cur.hodge) - tn != left:
             raise AssertionError("internal: a lowering step did not drop the degree by one")
-    final = is_weakly_admissible(cur, seed, lattice)
+    final = is_weakly_admissible(cur, seed)
     if final.status != STATUS_TRUE:  # pragma: no cover
         raise AssertionError("internal: lowered module failed the admissibility check")
     levels = cur.hodge.levels  # each against m at its top index, where m is least

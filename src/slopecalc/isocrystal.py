@@ -2,9 +2,9 @@
 
 A module is an invertible rational matrix phi together with an operator N
 obeying the twisted commutation rule N.phi = p.phi.N, which makes N
-nilpotent; construction checks both, except where `tensor`, `dual` or `det`
-builds a module that its valid arguments make valid, so no module that
-breaks them exists.
+nilpotent; construction checks both, except where `tensor`, `dual`, `det`
+or `from_slopes` builds a module that its valid arguments make valid, so no
+module that breaks them exists.
 Slopes are always read off the characteristic polynomial of phi through the
 Newton polygon, never from eigenvectors, so everything stays exact and
 rational.
@@ -24,14 +24,14 @@ from typing import Optional
 from .base import (
     InputError,
     Record,
+    _vp_int,
     check_prime,
     json_int,
     newton_polygon,
     rat,
     rat_str,
-    valuation,
 )
-from .rational import _ONE, _ZERO, RatMatrix, charpoly, int_matmul, int_matrix
+from .rational import _ONE, _ZERO, RatMatrix, charpoly, int_det, int_matmul, int_matrix
 
 
 class SlopeMultiset(Record):
@@ -69,16 +69,16 @@ class PhiModule(Record):
 
     Construction is the one validity check: shapes, phi invertible, then
     N.phi = p.phi.N, which makes N nilpotent; each failure is an
-    `InputError`.  It also keeps `tn` = t_N(M) = v_p(det phi), an int off
-    the determinant that the invertibility check takes, and `coeffs` =
-    `charpoly(phi)`, computed on first use, so each module object computes
-    its characteristic polynomial at most once.  Neither is a field, so
-    equality, hashing, `repr` and `to_obj` do not see them.
+    `InputError`; both read one conversion of phi to integer rows.  It also
+    keeps `tn` = t_N(M) = v_p(det phi), an int off that determinant;
+    `coeffs` = `charpoly(phi)`, computed on first use, so each module object
+    computes it at most once; and `lattices`, which `hn` fills.  None is a
+    field, so equality, hashing, `repr` and `to_obj` do not see them.
 
-    `tensor`, `dual` and `det` build their result by the trusted path,
-    `_trusted`, which runs none of these checks and is given `tn`: each
-    takes valid modules, whose validity implies the result's (see each), so
-    no invalid module exists either way.
+    `tensor`, `dual`, `det` and `from_slopes` build their result by the
+    trusted path, `_trusted`, which runs none of these checks and is given
+    `tn`: each takes valid input, which implies the result's validity (see
+    each), so no invalid module exists either way.
     """
 
     p: int
@@ -96,20 +96,21 @@ class PhiModule(Record):
             raise InputError("phi and N must have equal size")
         if self.form not in (FORM_MATRIX, FORM_DM_NORMAL):
             raise InputError(f"unknown form {self.form!r}")
-        det = self.phi.det()  # 1 at rank 0
+        phi, den = int_matrix(self.phi)  # one conversion for the determinant and the rule
+        det = int_det([row[:] for row in phi]) if phi else 1  # det(D*phi) = D^n det(phi)
         if det == 0:
             raise InputError("phi must be invertible")
-        fault = _monodromy_fault(self)
+        fault = _monodromy_fault(self, phi)
         if fault:
             raise InputError(fault)
-        object.__setattr__(self, "tn", valuation(det, self.p))
+        object.__setattr__(self, "tn", _vp_int(abs(det), self.p) - len(phi) * _vp_int(den, self.p))
 
     @classmethod
-    def _trusted(cls, p: int, phi: RatMatrix, nilpotent: RatMatrix, tn: int) -> "PhiModule":
-        """A matrix-form module that is valid by construction, with t_N(M) = tn;
-        nothing is checked."""
+    def _trusted(cls, p: int, phi: RatMatrix, nilpotent: RatMatrix, tn: int,
+                 form: str = FORM_MATRIX) -> "PhiModule":
+        """A module that is valid by construction, with t_N(M) = tn; nothing is checked."""
         self = object.__new__(cls)
-        for name, value in zip(cls._fields, (p, phi, nilpotent, FORM_MATRIX)):
+        for name, value in zip(cls._fields, (p, phi, nilpotent, form)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "tn", tn)
         return self
@@ -122,6 +123,11 @@ class PhiModule(Record):
     def coeffs(self) -> tuple:
         """Characteristic polynomial of phi, ascending Fractions; (1,) at rank 0."""
         return tuple(charpoly(self.phi))
+
+    @cached_property
+    def lattices(self) -> dict:
+        """seed -> the subobject lattice `hn` enumerated for it, when it reads only phi and N."""
+        return {}
 
     @classmethod
     def from_matrices(cls, p, phi, nilpotent=None, form=FORM_MATRIX) -> "PhiModule":
@@ -158,16 +164,17 @@ class PhiModule(Record):
         return cls.from_matrices(p, RatMatrix(phi), RatMatrix(n) if n is not None else None, form)
 
 
-def _monodromy_fault(m: PhiModule) -> Optional[str]:
+def _monodromy_fault(m: PhiModule, phi: list) -> Optional[str]:
     """Why N breaks N.phi = p.phi.N, or None; N = 0 costs no product.
 
-    The rule makes N nilpotent, so that is not checked: with phi invertible,
+    `phi` is m's phi as `int_matrix` rows, and N is cleared of denominators
+    too: the rule holds for nonzero multiples of phi and N alike.  The rule makes N nilpotent, so that is not checked: with phi invertible,
     N = p.phi.N.phi^-1 is similar to pN, so the eigenvalues of N are closed
     under multiplication by p, and a finite set of them so closed is {0}.
     """
     if m.nilpotent.is_zero():
         return None
-    (n, _), (phi, _) = int_matrix(m.nilpotent), int_matrix(m.phi)
+    n, _ = int_matrix(m.nilpotent)
     if int_matmul(n, phi) != [[m.p * x for x in row] for row in int_matmul(phi, n)]:
         return "N must satisfy N.phi = p.phi.N"
     return None
@@ -195,12 +202,13 @@ def from_slopes(slopes: SlopeMultiset, p: int) -> PhiModule:
     Each slope a/h (lowest terms) must appear with multiplicity divisible by
     h; every h-sized slice contributes one block and N = 0.  Each row is
     built once, from shared Fraction constants, and wrapped without
-    re-coercion; `PhiModule` still checks that phi is invertible.
+    re-coercion.  It is built by the trusted path: the block of x^h - p^a
+    has determinant +-p^a, so t_N is the sum of the a, and N = 0 obeys the rule.
     """
     check_prime(p)
     if not isinstance(slopes, SlopeMultiset):
         slopes = SlopeMultiset(slopes)
-    blocks = []  # (size h, p^a) per block
+    blocks = []  # (size h, a, p^a) per block
     for s, mult in slopes:
         num, den = s.numerator, s.denominator
         if den > mult:
@@ -211,17 +219,17 @@ def from_slopes(slopes: SlopeMultiset, p: int) -> PhiModule:
             raise InputError(
                 f"multiplicity {mult} of slope {rat_str(s)} is not divisible by {den}"
             )
-        blocks.extend([(den, Fraction(p) ** num)] * (mult // den))
-    total = sum(h for h, _ in blocks)
+        blocks.extend([(den, num, Fraction(p) ** num)] * (mult // den))
+    total = sum(h for h, _, _ in blocks)
     rows, at = [], 0
-    for h, top in blocks:
+    for h, _, top in blocks:
         for i in range(h):  # row i: a 1 below the diagonal, row 0: p^a in the last column
             row = [_ZERO] * total
             row[at + (i - 1 if i else h - 1)] = _ONE if i else top
             rows.append(tuple(row))
         at += h
-    return PhiModule(p, RatMatrix._trusted(tuple(rows)), RatMatrix.zeros(total, total),
-                     FORM_DM_NORMAL)
+    return PhiModule._trusted(p, RatMatrix._trusted(tuple(rows)), RatMatrix.zeros(total, total),
+                              sum(a for _, a, _ in blocks), FORM_DM_NORMAL)
 
 
 def dm_blocks(m: PhiModule, slopes: SlopeMultiset) -> list[tuple[Fraction, int, int]]:

@@ -79,8 +79,10 @@ def check_tensor(a, b, product):
     must be m t_N(a) + n t_N(b) for ranks n of a and m of b, and the t_N it
     was given."""
     from .isocrystal import _monodromy_fault
+    from .rational import int_matrix
 
-    require(_monodromy_fault(product) is None, "tensor product breaks N.phi = p.phi.N")
+    fault = _monodromy_fault(product, int_matrix(product.phi)[0])
+    require(fault is None, "tensor product breaks N.phi = p.phi.N")
     vp = valuation(product.phi.det(), product.p)
     require(vp == product.tn == b.rank * a.tn + a.rank * b.tn, "tensor degree additivity")
 

@@ -78,6 +78,19 @@ def elements(lattice):
     return sorted(map(lattice.basis, lattice.keys), key=lambda b: (len(b), b))
 
 
+def twin(m):
+    """A copy of `m` on a rebuilt module: it keeps no lattice or scorer yet."""
+    return FilteredPhiModule(PhiModule.from_obj(m.module.to_obj()), m.hodge)
+
+
+def inject(monkeypatch, lattice):
+    """Make `lattice` the one the deciders read on a module not decided on
+    before: they enumerate through `hn.enumerate_subobjects`, once per module
+    and seed, so replacing it injects the lattice, as the CLI tests do."""
+    monkeypatch.setattr(hn, "enumerate_subobjects", lambda m, seed=0: lattice)
+    return lattice
+
+
 class TestDegree:
     def test_rank_one_matched(self):
         m = mk([[P]], [(1, [[1]])], 1)
@@ -279,6 +292,7 @@ class TestFn4Reduce:
                                   random_flag(rng, 3, 1, 3))
             if degree(m) >= 2 and is_acyclic(m).status == STATUS_TRUE:
                 break
+        m = twin(m)  # the check above left m's lattice on it
         seen = self.enumerations(monkeypatch)
         red = fn4_reduce(m)
         assert seen == [m]
@@ -336,20 +350,21 @@ class TestFn4Reduce:
         monkeypatch.setattr(hn, "lattice_scorer", counted)
         return built
 
-    @pytest.mark.parametrize("m, extra", [
-        # the input's acyclicity check and first HN filtration share one scorer
-        (one_level_family(4), 1),
-        # the scalar chain is rebuilt for the first filtration, so it does not
-        (mk([[P, 0], [0, P]], [(1, [[1, 0], [0, 1]]), (2, [[1, 0]])], 2), 2),
+    @pytest.mark.parametrize("make", [
+        lambda: one_level_family(4),
+        lambda: mk([[P, 0], [0, P]], [(1, [[1, 0], [0, 1]]), (2, [[1, 0]])], 2),
     ], ids=["eigenlines", "scalar-chain"])
-    def test_one_scorer_per_lowered_module(self, monkeypatch, m, extra):
+    def test_one_scorer_per_lowered_module(self, monkeypatch, make):
         # one HN filtration per module of positive degree (its W* and its
-        # re-check) and the final check, plus the input's acyclicity check
+        # re-check) and the final check; the input keeps its lattice and
+        # scorer, the scalar chain too, so its acyclicity check and first
+        # HN filtration share one scorer
+        m = make()
         d = int(degree(m))
         built = self.scorers(monkeypatch)
         red = fn4_reduce(m)
         assert degree(red) == 0
-        assert len(built) == d + extra
+        assert len(built) == d + 1
 
     def test_each_step_is_rechecked(self, monkeypatch):
         m = one_level_family(3)
@@ -379,13 +394,13 @@ class TestFn4Reduce:
 def reference_fn4(m):
     """`fn4_reduce` with each hyperplane taken from the reference enumerator.
 
-    One HN filtration per step on a shared lattice, no re-checks; the flag
-    of each lowered module is rebuilt by `HodgeData.from_flag`.  Not for
-    scalar Frobenius, whose lattice depends on the flag.
+    One HN filtration per step, on the lattice that m's Frobenius module
+    keeps, no re-checks; the flag of each lowered module is rebuilt by
+    `HodgeData.from_flag`.
     """
-    lattice, cur = enumerate_subobjects(m), m
+    cur = m
     while degree(cur) > 0:
-        cur = reference_lower_once(cur, hn_filtration(cur, 0, lattice).steps)[0]
+        cur = reference_lower_once(cur, hn_filtration(cur).steps)[0]
     return cur
 
 
@@ -1099,7 +1114,7 @@ class TestReferenceDeciders:
                 several += sum(inv[0] == rank and inv[3] > degree(m) for inv in ranked) > 1
         assert several >= 3
 
-    def test_witness_is_a_least_rank_violator_met_last(self):
+    def test_witness_is_a_least_rank_violator_met_last(self, monkeypatch):
         # phi = 1 on Q^3 with weights 1, 0, -1 on e1 + e2, e2, e3: the line of
         # e1 + e2 and the plane of e1 and e2 both have degree 1.  The walk
         # meets a sample's parts last first, so the plane, whose basis is the
@@ -1107,11 +1122,11 @@ class TestReferenceDeciders:
         ident = RatMatrix.identity(3).entries
         m = mk(ident, [(-1, ident), (0, ident[:2]), (1, [[1, 1, 0]])], 3)
         line = ((F(1), F(1), F(0)),)
-        lattice = hn.SubobjectLattice.sample(((), line, tuple(ident[:2]), tuple(ident)))
+        inject(monkeypatch, hn.SubobjectLattice.sample(((), line, tuple(ident[:2]), tuple(ident))))
         assert degree(m) == 0 and tuple(ident[:2]) < line
-        assert is_weakly_admissible(m, lattice=lattice) == Verdict(STATUS_FALSE, line)
+        assert is_weakly_admissible(m) == Verdict(STATUS_FALSE, line)
 
-    def test_witness_skips_a_larger_violator_pushed_earlier(self):
+    def test_witness_skips_a_larger_violator_pushed_earlier(self, monkeypatch):
         # phi = 1 on Q^4 with weights 1, 0, 1, -2 on e1, e2, e3, e4, and the
         # part lattice of the line of e4, the plane of e1 and e2 and the line
         # of e1 + e3, pushed in that order under the zero mask: the walk
@@ -1121,18 +1136,18 @@ class TestReferenceDeciders:
         e1, e2, e3, e4 = ident
         m = mk(ident, [(-2, ident), (-1, [e1, e2, e3]), (1, [e1, e3])], 4)
         line = ((F(1), F(0), F(1), F(0)),)
-        lattice = hn._n_closed_sums([[e4], [e1, e2], list(line)], [0, 0, 0], 4, "blocks")
+        inject(monkeypatch, hn._n_closed_sums([[e4], [e1, e2], list(line)], [0, 0, 0], 4, "blocks"))
         assert degree(m) == 0 and (e1, e2) < line
-        assert is_weakly_admissible(m, lattice=lattice) == Verdict(STATUS_FALSE, line)
+        assert is_weakly_admissible(m) == Verdict(STATUS_FALSE, line)
 
-    def test_hn_tie_breaks_by_smallest_basis(self):
+    def test_hn_tie_breaks_by_smallest_basis(self, monkeypatch):
         # phi = 1 on Q^3, Fil^1 the plane of e1 and e2: both lines in it have
         # slope 1, and a sample lattice without their sum ties them
         m = mk([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [(1, [[1, 0, 0], [0, 1, 0]])], 3)
         e1, e2 = ((F(1), F(0), F(0)),), ((F(0), F(1), F(0)),)
         full = tuple(RatMatrix.identity(3).entries)
-        lattice = hn.SubobjectLattice.sample(((), e2, e1, full))
-        first = hn_filtration(m, lattice=lattice).steps[0]
+        inject(monkeypatch, hn.SubobjectLattice.sample(((), e2, e1, full)))
+        first = hn_filtration(m).steps[0]
         assert (first.basis, first.slope, first.rank) == (e2, 1, 1)
 
 
@@ -1188,7 +1203,7 @@ class TestHullAgainstGreedy:
     def test_agrees(self, name, m):
         lattice = enumerate_subobjects(m)
         assert lattice.strategy == name.split("/")[0] and lattice.certified
-        filt = hn_filtration(m, lattice=lattice)
+        filt = hn_filtration(m)
         assert filt == greedy_filtration(m, lattice)
         _assert_chain(m, filt)
 
@@ -1214,14 +1229,14 @@ def _unnested_vertex(certified):
 
 def _doubled_vertex():
     """A certified lattice listing an HN step of an eigenline module as two parts:
-    the elements of the module's lattice, one part each, with the step's twice."""
+    the elements of the module's lattice, one part each, with the step's twice;
+    the module is a twin of the one decided on, and keeps no lattice."""
     m = TestLazyLattice.eigen6(0, True)
-    lattice = enumerate_subobjects(m)
-    step = hn_filtration(m, lattice=lattice).steps[0]
-    bases = elements(lattice)
+    step = hn_filtration(m).steps[0]
+    bases = elements(enumerate_subobjects(m))
     at = bases.index(step.basis)
     doubled = hn.SubobjectLattice.sample(bases[: at + 1] + bases[at:], certified=True)
-    return m, doubled
+    return twin(m), doubled
 
 
 def _unstable_sample():
@@ -1236,23 +1251,26 @@ def _unstable_sample():
 class TestHullChecks:
     """On a lattice that decides, a vertex element must be unique and hold the step before."""
 
-    def test_sample_skips_a_vertex_that_misses_the_step_before(self):
+    def test_sample_skips_a_vertex_that_misses_the_step_before(self, monkeypatch):
         m, lattice = _unnested_vertex(False)
-        filt = hn_filtration(m, lattice=lattice)
+        inject(monkeypatch, lattice)
+        filt = hn_filtration(m)
         assert [s.rank for s in filt.steps] == [1, 4]  # the rank-2 vertex is skipped
         assert [s.slope for s in filt.steps] == [3, F(5, 3)]
         assert not filt.certified
         _assert_chain(m, filt)
 
-    def test_deciding_lattice_with_unnested_vertex_raises(self):
+    def test_deciding_lattice_with_unnested_vertex_raises(self, monkeypatch):
         m, lattice = _unnested_vertex(True)
+        inject(monkeypatch, lattice)
         with pytest.raises(AssertionError, match="internal: the HN vertex at rank 2 misses"):
-            hn_filtration(m, lattice=lattice)
+            hn_filtration(m)
 
-    def test_vertex_listed_twice_raises(self):
+    def test_vertex_listed_twice_raises(self, monkeypatch):
         m, doubled = _doubled_vertex()
+        inject(monkeypatch, doubled)
         with pytest.raises(AssertionError, match="internal: 2 elements reach the HN vertex"):
-            hn_filtration(m, lattice=doubled)
+            hn_filtration(m)
 
 
 class TestElementsOnDemand:
@@ -1278,20 +1296,20 @@ class TestElementsOnDemand:
         monkeypatch.setattr(hn, "enumerate_subobjects", wrapped)
         return lattices
 
-    def test_deciders(self):
-        kinds, statuses = set(), set()
-        for m in self.CASES:
-            lattice = enumerate_subobjects(m)
-            kinds.add(lattice.strategy)
-            assert lattice.certified and not self.listed(lattice)
+    def test_deciders(self, monkeypatch):
+        statuses = set()
+        lattices = self.wrapped_enumeration(monkeypatch)
+        for m in map(twin, self.CASES):
             for decide in (is_weakly_admissible, is_acyclic, hn_filtration):
-                statuses.add(getattr(decide(m, lattice=lattice), "status", None))
-                assert not self.listed(lattice), decide.__name__
-        assert kinds == {"eigenlines", "blocks", "scalar-chain"}
+                statuses.add(getattr(decide(m), "status", None))
+                assert not any(map(self.listed, lattices)), decide.__name__
+        # every module is enumerated, once
+        assert len(lattices) == len(self.CASES) and all(lat.certified for lat in lattices)
+        assert {lattice.strategy for lattice in lattices} == {"eigenlines", "blocks", "scalar-chain"}
         assert {STATUS_TRUE, STATUS_FALSE} <= statuses
 
     def test_fn4_reduce(self, monkeypatch):
-        acyclic = [m for m in self.CASES if is_acyclic(m).status == STATUS_TRUE]
+        acyclic = [twin(m) for m in self.CASES if is_acyclic(m).status == STATUS_TRUE]
         lattices = self.wrapped_enumeration(monkeypatch)
         for m in acyclic:
             fn4_reduce(m)
@@ -1299,12 +1317,12 @@ class TestElementsOnDemand:
         assert not any(map(self.listed, lattices))
 
     def test_battery(self, monkeypatch):
-        from slopecalc.diagram import battery
+        from slopecalc.diagram import SyntheticCohomology, battery
         from test_diagram import BATTERY_CASES
 
         lattices = self.wrapped_enumeration(monkeypatch)
         for s in BATTERY_CASES.values():
-            battery(s)
+            battery(SyntheticCohomology.from_obj(s.to_obj()))  # modules that keep no lattice
         certified = [lattice for lattice in lattices if lattice.certified]
         assert {lattice.strategy for lattice in certified} == {"eigenlines", "blocks", "scalar-chain"}
         assert not any(map(self.listed, certified))
@@ -1350,21 +1368,21 @@ class TestLazyLattice:
         assert len(lattice.keys) > 8 and calls == []
 
     def test_certified_true_acyclic_builds_no_basis(self, monkeypatch):
-        m = next(m for m in (self.eigen6(s, False) for s in range(40))
-                 if is_acyclic(m).status == STATUS_TRUE)
-        lattice = enumerate_subobjects(m)
+        m = twin(next(m for m in (self.eigen6(s, False) for s in range(40))
+                      if is_acyclic(m).status == STATUS_TRUE))
+        inject(monkeypatch, enumerate_subobjects(m))
         calls = self.counted_rref(monkeypatch)
-        assert is_acyclic(m, lattice=lattice).status == STATUS_TRUE
-        assert is_weakly_admissible(m, lattice=lattice).status == STATUS_TRUE
+        assert is_acyclic(m).status == STATUS_TRUE
+        assert is_weakly_admissible(m).status == STATUS_TRUE
         assert calls == []
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hn_builds_only_steps_and_ties(self, seed, monkeypatch):
         m = self.eigen6(seed, True)
         _, steps, ties = _reference(m)
-        lattice = enumerate_subobjects(m)
+        lattice = inject(monkeypatch, enumerate_subobjects(m))
         calls = self.counted_rref(monkeypatch)
-        assert hn_filtration(m, lattice=lattice).steps == steps
+        assert hn_filtration(m).steps == steps
         # every tie but V, the last step, whose basis is the identity
         assert len(calls) == len(ties) - 1 < len(lattice.keys)
 
@@ -1374,14 +1392,15 @@ class TestLazyLattice:
             verdict = is_acyclic(m)
             if verdict.status == STATUS_FALSE:
                 break
-        lattice = enumerate_subobjects(m)
+        m = twin(m)
+        inject(monkeypatch, enumerate_subobjects(m))
         calls = self.counted_rref(monkeypatch)
-        assert is_acyclic(m, lattice=lattice) == verdict
+        assert is_acyclic(m) == verdict
         rank = len(verdict.witness)
         assert calls and set(calls) == {rank} and len(calls) <= math.comb(6, rank)
 
     @pytest.mark.parametrize("kind", ["eigenlines", "blocks", "scalar-chain", "sample"])
-    def test_doctored_part_raises(self, kind):
+    def test_doctored_part_raises(self, kind, monkeypatch):
         if kind == "sample":
             m, doctored = _unstable_sample()
         elif kind == "scalar-chain":
@@ -1402,9 +1421,10 @@ class TestLazyLattice:
             parts[0][0] = tuple(a + b for a, b in zip(parts[0][0], parts[1][0]))
             doctored = hn.SubobjectLattice(parts, True, kind, m.rank, lattice.order)
         assert doctored.strategy == kind
+        inject(monkeypatch, doctored)
         for decide in (is_acyclic, hn_filtration):
             with pytest.raises(AssertionError, match="not Frobenius-stable"):
-                decide(m, lattice=doctored)
+                decide(twin(m))
 
 
 class TestRecheckCost:
@@ -1426,17 +1446,17 @@ class TestRecheckCost:
     @pytest.mark.parametrize("seed", range(3))
     def test_one_induced_filtration_per_recheck(self, seed, monkeypatch):
         m = TestLazyLattice.eigen6(seed, True)
-        lattice = enumerate_subobjects(m)
+        inject(monkeypatch, enumerate_subobjects(m))
         rechecks = self.counted(monkeypatch, hn, "sub_invariants")
         induced = self.counted(monkeypatch, hn, "induced_on_subspace")
         tns = self.counted(monkeypatch, hn, "t_n")
-        steps = hn_filtration(m, lattice=lattice).steps
+        steps = hn_filtration(m).steps
         # V, the last step, is re-checked from t_H(M) and t_N(M), not induced
         assert len(rechecks) == len(induced) + 1 == len(steps)
         assert [args[1] for args in rechecks] == [step.basis for step in steps]
         # V's t_N(M) is `t_n(m.module)`, which the module kept when it was built
         assert tns == [(m.module,)]
-        witness = is_acyclic(m, lattice=lattice).witness
+        witness = is_acyclic(m).witness
         assert len(rechecks) == len(induced) + 1 == len(steps) + (witness is not None)
 
     def test_whole_space_from_the_module_invariants(self, monkeypatch):
@@ -1502,12 +1522,12 @@ class TestScoringCost:
             # weights {0, top}: Fil^1 = ... = Fil^top = span(rows), Fil^(top+1) = 0,
             # so `top` dense indices but two distinct levels whatever the gap
             h = HodgeData.from_flag([(1, rows), (top + 1, [])], rank=8)
-            m = FilteredPhiModule(mod, h)
-            lattice = enumerate_subobjects(m)
+            m = twin(FilteredPhiModule(mod, h))  # each flag on a module of its own
+            lattice = inject(monkeypatch, enumerate_subobjects(m))
             assert lattice.strategy == kind and len(h.flag) == top
             calls = [TestRecheckCost.counted(monkeypatch, hn, name)
                      for name in ("int_echelon", "int_residue")]
-            hn_filtration(m, lattice=lattice)
+            hn_filtration(m)
             monkeypatch.undo()
             counts[top] = [len(c) for c in calls]
         assert counts[1] == counts[900]
@@ -1524,7 +1544,7 @@ class TestScoringCost:
             lattice = enumerate_subobjects(m)
             assert lattice.strategy == kind and len(lattice.keys) > 8
             reduced = TestRecheckCost.counted(monkeypatch, hn, "_primitive")
-            list(lattice.scorer(m)())
+            list(lattice_scorer(m, lattice)())
             monkeypatch.undo()
             assert (len(reduced) == 0) == (kind == "sample")
 
@@ -1559,7 +1579,7 @@ class TestWalk:
         if kind == "eigenlines/N":
             assert len(lattice.keys) < 2 ** 6  # the chain closes fewer masks than all
 
-    def test_rank_14_scoring_peaks_under_a_megabyte(self):
+    def test_rank_14_scoring_peaks_under_a_megabyte(self, monkeypatch):
         # the rank-14 eigenline module of ROADMAP: 2^14 elements, scored on a
         # stack that grows with the rank, not a table that grows with them
         import tracemalloc
@@ -1569,9 +1589,10 @@ class TestWalk:
         m = FilteredPhiModule(mod, random_flag(rng, 14, 0, 3))
         lattice = enumerate_subobjects(m)
         assert lattice.strategy == "eigenlines" and len(lattice.keys) == 2 ** 14
+        inject(monkeypatch, lattice)
         tracemalloc.start()
         try:
-            filt = hn_filtration(m, lattice=lattice)
+            filt = hn_filtration(m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1597,11 +1618,84 @@ class TestWalk:
             return counting
 
         monkeypatch.setattr(hn, "lattice_scorer", counted)
-        lattice = enumerate_subobjects(m)
-        assert is_acyclic(m, lattice=lattice) == verdict
+        m = twin(m)  # the verdict above left m's scorer on it
+        lattice = inject(monkeypatch, enumerate_subobjects(m))
+        assert is_acyclic(m) == verdict
         # every line is scored, and far from every element
         assert {key for key in lattice.keys if key & (key - 1) == 0} <= set(scored)
         assert len(scored) < len(lattice.keys) == 2 ** 8
+
+
+class TestKeptLattice:
+    """A decider takes the module alone.  `hn.enumerate_subobjects` runs once
+    per module and seed: the `PhiModule` keeps a lattice that reads only phi
+    and N, and the `FilteredPhiModule` keeps the scalar chain, which reads
+    the flag, and one scorer per lattice.  (`fn4_reduce` enumerates once
+    over all its steps: `TestFn4Reduce.test_one_enumeration_per_call`.)"""
+
+    @staticmethod
+    def calls(monkeypatch, name):
+        """The (module, seed) of every call of `hn.<name>` from now on."""
+        seen, real = [], getattr(hn, name)
+
+        def counted(m, *args):
+            seen.append((m, args[0] if name == "enumerate_subobjects" else None))
+            return real(m, *args)
+
+        monkeypatch.setattr(hn, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["eigenlines", "eigenlines/N", "blocks", "scalar-chain",
+                                      "sample"])
+    def test_three_deciders_enumerate_and_score_once(self, kind, monkeypatch):
+        m = TestWalk.kinds()[kind]
+        want = [decide(twin(m)) for decide in (is_weakly_admissible, is_acyclic, hn_filtration)]
+        enumerations = self.calls(monkeypatch, "enumerate_subobjects")
+        scorers = self.calls(monkeypatch, "lattice_scorer")
+        got = [decide(m) for decide in (is_weakly_admissible, is_acyclic, hn_filtration)]
+        assert got == want
+        assert enumerations == [(m, 0)] and scorers == [(m, None)]
+        assert vst_dimension(m) == vst_dimension(twin(m)) and len(enumerations) == 2
+
+    def test_two_flags_on_one_eigenline_module_enumerate_once(self, monkeypatch):
+        rng = random.Random(18)
+        mod = diagonal_instance(rng, P, 6, -3, 3, allow_n=False)
+        flags = [FilteredPhiModule(mod, random_flag(rng, 6, -1, 3)) for _ in range(2)]
+        want = [(is_acyclic(twin(m)), hn_filtration(twin(m))) for m in flags]
+        enumerations = self.calls(monkeypatch, "enumerate_subobjects")
+        scorers = self.calls(monkeypatch, "lattice_scorer")
+        assert [(is_acyclic(m), hn_filtration(m)) for m in flags] == want
+        assert enumerations == [(flags[0], 0)] and scorers == [(m, None) for m in flags]
+        assert list(mod.lattices) == [0] and mod.lattices[0].strategy == "eigenlines"
+
+    def test_scalar_phi_enumerates_once_per_flag(self, monkeypatch):
+        # phi = 1 at p = 2, Fil^0 = <e1> for a and <e2> for b: b's own chain
+        # gives its HN slopes 0 and -1; a's chain would give one step of slope
+        # -1/2, and no call can hand a's lattice to b's decider any more
+        mod = PhiModule.from_matrices(P, [[1, 0], [0, 1]])
+        a, b = (FilteredPhiModule(mod, HodgeData.from_flag([(0, [line])], rank=2))
+                for line in ([1, 0], [0, 1]))
+        enumerations = self.calls(monkeypatch, "enumerate_subobjects")
+        filts = [hn_filtration(m) for m in (a, b, a, b)]
+        assert is_acyclic(b) == Verdict(STATUS_FALSE, ())  # deg(M) = -1 < deg(0)
+        assert enumerations == [(a, 0), (b, 0)] and mod.lattices == {}
+        assert filts[:2] == filts[2:]
+        for m, filt, line in ((a, filts[0], (F(1), F(0))), (b, filts[1], (F(0), F(1)))):
+            assert filt.certified and filt.slopes() == [(0, 1), (-1, 1)]
+            assert filt.steps[0].basis == (line,) and m.scored[0][0].strategy == "scalar-chain"
+        with pytest.raises(TypeError):
+            hn_filtration(b, 0, enumerate_subobjects(a))
+
+    def test_a_second_seed_on_a_sample_enumerates_again(self, monkeypatch):
+        m = TestSampledLattice.conjugated([F(2), F(2), F(2), F(1, 2)])
+        want = {seed: (hn_filtration(twin(m), seed), is_acyclic(twin(m), seed)) for seed in (0, 5)}
+        enumerations = self.calls(monkeypatch, "enumerate_subobjects")
+        for seed in (0, 5, 0, 5):
+            assert (hn_filtration(m, seed), is_acyclic(m, seed)) == want[seed]
+        assert enumerations == [(m, 0), (m, 5)]
+        assert {seed: lattice.strategy for seed, lattice in m.module.lattices.items()} == {
+            0: "sample", 5: "sample"}
+        assert m.module.lattices[0].keys != m.module.lattices[5].keys
 
 
 class TestPivotWeights:

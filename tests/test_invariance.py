@@ -238,6 +238,6 @@ def test_direct_sum_of_eigenline_modules_at_rank_16():
     assert total.module.nilpotent.is_zero() and total.rank == 16
     lattice = enumerate_subobjects(total)
     assert (lattice.strategy, lattice.certified) == ("eigenlines", True)
-    hn = hn_filtration(total, lattice=lattice)
+    hn = hn_filtration(total)
     assert hn.certified
     assert hn.slopes() == sorted(merged.items(), reverse=True)

@@ -183,6 +183,33 @@ class TestFromSlopes:
             s = SlopeMultiset(slopes)
             assert newton_slopes(from_slopes(s, P)) == s
 
+    def test_trusted_module_equals_the_validated_one(self):
+        # from_slopes takes no determinant and checks no rule: its module and
+        # t_N equal those that validation takes from the same matrices
+        rng = random.Random(26)
+        for _ in range(60):
+            p, slopes = rng.choice((2, 3, 5, 7)), {}
+            for _ in range(rng.randint(0, 4)):
+                s = F(rng.randint(-6, 6), rng.randint(1, 4))
+                slopes[s] = slopes.get(s, 0) + s.denominator * rng.randint(1, 2)
+            m = from_slopes(SlopeMultiset(slopes.items()), p)
+            checked = PhiModule(p, m.phi, m.nilpotent, m.form)
+            assert m == checked and m.form == "dm-normal"
+            assert m.tn == checked.tn == sum(s * k for s, k in slopes.items())
+
+    def test_recognition_takes_no_determinant_or_rule_check(self, monkeypatch):
+        import slopecalc.isocrystal as isocrystal
+
+        def forbidden(*args):
+            raise AssertionError("recognition must not validate the normal form it builds")
+
+        m = mk(from_slopes(SlopeMultiset([(F(1, 2), 2), (F(2), 1), (F(-1, 3), 3)]), P).phi.entries)
+        slopes = newton_slopes(m)
+        for owner, name in [(RatMatrix, "det"), (isocrystal, "int_det"),
+                            (isocrystal, "_monodromy_fault")]:
+            monkeypatch.setattr(owner, name, forbidden)
+        assert is_dm_normal(m, slopes) and from_slopes(slopes, P).tn == m.tn
+
     def test_dm_normal_recognition(self):
         def normal(m):
             return is_dm_normal(m, newton_slopes(m))

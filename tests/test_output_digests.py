@@ -46,3 +46,11 @@ def test_library_outputs_match_the_pins(output_digests):
         "the library outputs of the benchmark workloads changed; a deliberate "
         "output change updates PINNED here and is recorded in CHANGES.md"
     )
+
+
+def test_answers_do_not_depend_on_call_history(output_digests):
+    # each item parsed once and called twice on the same objects: the second
+    # pass reads the lattices and scorers the first left on its modules
+    got = [f"{w} seed={s} items={n} sha256={d}" for w, s, n, d in output_digests.digests(2)]
+    want = [f"{w} seed={s} items={n} sha256={d}" for w, s, n, d in PINNED for _ in range(2)]
+    assert got == want
