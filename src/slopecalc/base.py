@@ -156,8 +156,9 @@ class Record:
     the fields, then runs `__post_init__` if the class has one; `==`, `hash`,
     `repr` and `to_obj` read the fields only.  Instances keep a `__dict__`, so
     `cached_property` and `object.__setattr__` can keep values that are not
-    fields.  It stands in for `dataclasses`, whose import loads `inspect` and
-    `ast`.
+    fields; a copy (`pickle`, `copy.deepcopy`) is built from the fields alone,
+    so it drops them and construction recomputes what it keeps.  It stands in
+    for `dataclasses`, whose import loads `inspect` and `ast`.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -182,6 +183,9 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

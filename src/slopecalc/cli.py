@@ -7,11 +7,12 @@ Errors of codes 3 and 4 are reported as one JSON object on stderr, with
 nothing on stdout.  `HANDLERS` is the command table: a handler takes the
 parsed input and arguments and returns (result, exit code), and `run` writes
 a string result as it is and any other as JSON.  Output is deterministic byte
-for byte for a fixed input and seed; `--oracle` re-derives results along
-brute-force paths and checks agreement without changing the output.  Its
-checks are in `oracle`, which only a call with `--oracle` loads, and raise
-explicitly, so they also run under `python -O`.  The command line is
-parsed here, by `_parse`, so that no call loads `argparse`.
+for byte for a fixed input: `--seed N` is checked to be an int and ignored.
+`--oracle` re-derives results along brute-force paths and checks agreement
+without changing the output.  Its checks are in `oracle`, which only a call
+with `--oracle` loads, and raise explicitly, so they also run under
+`python -O`.  The command line is parsed here, by `_parse`, so that no call
+loads `argparse`.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _filtered(obj):
 def _cmd_hn(obj, args):
     from . import hn
 
-    filt = hn.hn_filtration(_filtered(obj), args.seed)
+    filt = hn.hn_filtration(_filtered(obj))
     return filt.to_obj(), _exit_code(filt.certified, True)
 
 
@@ -101,9 +102,9 @@ def _cmd_wa(obj, args):
     from . import hn
 
     m = _filtered(obj)
-    v = hn.is_weakly_admissible(m, args.seed)
+    v = hn.is_weakly_admissible(m)
     if args.oracle:
-        args.oracle.check_verdict(m, v, args.seed, "wa")
+        args.oracle.check_verdict(m, v, "wa")
     return v.to_obj(), _exit_code(v.certified, v.is_true)
 
 
@@ -111,9 +112,9 @@ def _cmd_acyclic(obj, args):
     from . import hn
 
     m = _filtered(obj)
-    v = hn.is_acyclic(m, args.seed)
+    v = hn.is_acyclic(m)
     if args.oracle:
-        args.oracle.check_verdict(m, v, args.seed, "acyclic")
+        args.oracle.check_verdict(m, v, "acyclic")
     return v.to_obj(), _exit_code(v.certified, v.is_true)
 
 
@@ -121,14 +122,14 @@ def _cmd_fn4(obj, args):
     """`fn4_reduce` raises unless its output is certified weakly admissible."""
     from . import hn
 
-    reduced = hn.fn4_reduce(_filtered(obj), args.seed)
+    reduced = hn.fn4_reduce(_filtered(obj))
     return {"reduced": reduced.to_obj(), "verdict": hn.Verdict(hn.STATUS_TRUE).to_obj()}, EXIT_TRUE
 
 
 def _cmd_vst(obj, args):
     from . import hn
 
-    res = hn.vst_dimension(_filtered(obj), args.seed)
+    res = hn.vst_dimension(_filtered(obj))
     return res.to_obj(), _exit_code(res.certified, True)
 
 
@@ -183,7 +184,7 @@ def _cmd_battery(obj, args):
     from . import diagram
 
     s = diagram.SyntheticCohomology.from_obj(obj)
-    report = diagram.battery(s, args.seed)
+    report = diagram.battery(s)
     if args.oracle:
         args.oracle.check_battery(report)
     all_true = all(v.is_true for v in report.verdicts().values())
@@ -196,7 +197,7 @@ def _cmd_dichotomy(obj, args):
 
     hk = isocrystal.PhiModule.from_obj(_need(obj, "hk"))
     lattice = HodgeData.from_obj(_need(obj, "lattice"))
-    res = diagram.dichotomy(hk, lattice, _need(obj, "r"), args.seed)
+    res = diagram.dichotomy(hk, lattice, _need(obj, "r"))
     if args.oracle:
         args.oracle.check_dichotomy(res)
     return res.to_obj(), _exit_code(res.certified, res.branch == "surjective")
@@ -249,7 +250,6 @@ class _Args:
     def __init__(self):
         self.command = None
         self.input = "-"
-        self.seed = 0
         self.oracle = None
         self.format = None
 
@@ -259,7 +259,7 @@ def _help() -> str:
             f"commands: {', '.join(HANDLERS)}\n\n"
             "options:\n"
             "  --input FILE|-     input JSON file, or - for stdin (the default)\n"
-            "  --seed N           seed for sampled searches (default 0)\n"
+            "  --seed N           accepted and ignored: results depend on the input alone\n"
             "  --oracle           cross-check against brute-force paths\n"
             "  --format json|svg  what plot writes (default svg)\n")
 
@@ -310,9 +310,9 @@ def _parse(argv) -> _Args:
             args.input = value
         elif name == "--format":
             args.format = _choice("--format", value, FORMATS)
-        else:
+        else:  # --seed: an int, or an input error, and then unused
             try:
-                args.seed = int(value)
+                int(value)
             except ValueError:
                 raise InputError(f"argument --seed: invalid int value: {value!r}") from None
     if args.command is None:

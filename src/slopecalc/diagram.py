@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .bc import BCObject, QBCObject, check_exact, curvature_nonpositive, dimension
-from .bc import height_functor_rank, parse_formal
 from .base import InputError, Record, json_int
 
-# `filtration`, `hn`, `isocrystal` and `sheaf` are imported by the functions
-# that use them, so that `mv_check`, which needs only `bc`, loads none of them
+# `bc`, `filtration`, `hn`, `isocrystal` and `sheaf` are imported by the
+# functions that use them, so that `mv_check`, which needs only `bc`, loads
+# none of the others, and `battery` and `dichotomy` do not load `bc`
 if TYPE_CHECKING:
     from .filtration import HodgeData
     from .hn import FilteredPhiModule, HNFiltration, Verdict
@@ -129,7 +128,7 @@ class Modification(Record):
     certified: bool
 
 
-def build_modification(hk: PhiModule, lattice: HodgeData, r: int, seed: int = 0) -> Modification:
+def build_modification(hk: PhiModule, lattice: HodgeData, r: int) -> Modification:
     """Sheaf whose slopes are the filtration-graded slopes of (hk, lattice).
 
     The windows are checked first, then `hn_filtration` requires the flag;
@@ -140,7 +139,7 @@ def build_modification(hk: PhiModule, lattice: HodgeData, r: int, seed: int = 0)
 
     json_int(r, "degrees r", 0)
     _check_windows(hk, lattice, r, "modification input")
-    return modification_from_filtration(hn.hn_filtration(hn.FilteredPhiModule(hk, lattice), seed))
+    return modification_from_filtration(hn.hn_filtration(hn.FilteredPhiModule(hk, lattice)))
 
 
 def modification_from_filtration(filt: HNFiltration) -> Modification:
@@ -162,7 +161,7 @@ class DichotomyResult(Record):
     certified: bool
 
 
-def dichotomy(hk: PhiModule, lattice: HodgeData, r: int, seed: int = 0) -> DichotomyResult:
+def dichotomy(hk: PhiModule, lattice: HodgeData, r: int) -> DichotomyResult:
     """Exhaustive-and-exclusive classification of a single pair.
 
     "surjective" exactly when the modification has vanishing H^1; otherwise
@@ -173,7 +172,7 @@ def dichotomy(hk: PhiModule, lattice: HodgeData, r: int, seed: int = 0) -> Dicho
     """
     from .sheaf import cohomology_dim
 
-    mod = build_modification(hk, lattice, r, seed)
+    mod = build_modification(hk, lattice, r)
     coh = cohomology_dim(mod.sheaf)
     if not coh.h1.quotient_type:
         return DichotomyResult("surjective", 0, mod.certified)
@@ -211,7 +210,7 @@ def _status(flag: bool, certified: bool, witness=None) -> Verdict:
     return hn.Verdict(hn.STATUS_FALSE, witness if witness is not None else ())
 
 
-def battery(s: SyntheticCohomology, seed: int = 0) -> BatteryReport:
+def battery(s: SyntheticCohomology) -> BatteryReport:
     """Compute all verdicts along independent routes and compare them.
 
     Uncertified sub-results mark the affected verdicts (and the report)
@@ -229,7 +228,7 @@ def battery(s: SyntheticCohomology, seed: int = 0) -> BatteryReport:
     for tag, m in (("r-1", s.below), ("r", s.top)):
         acyc[tag], filt = hn.Verdict(hn.STATUS_TRUE), hn.HNFiltration((), True)
         if m.rank:
-            acyc[tag], filt = hn.is_acyclic(m, seed), hn.hn_filtration(m, seed)
+            acyc[tag], filt = hn.is_acyclic(m), hn.hn_filtration(m)
         mods[tag], vst[tag] = modification_from_filtration(filt), hn.vst_from_filtration(filt)
     acyc_rm1, acyc_r = acyc["r-1"], acyc["r"]
     h1_rm1 = cohomology_dim(mods["r-1"].sheaf).h1
@@ -291,6 +290,8 @@ class MVReport(Record):
 
 
 def _parse_row(obj, tag: str):
+    from .bc import BCObject, QBCObject, parse_formal
+
     if not isinstance(obj, dict) or "objects" not in obj or "arrows" not in obj:
         raise InputError(f"row {tag} needs 'objects' and 'arrows'")
     objects, arrows = obj["objects"], obj["arrows"]
@@ -311,6 +312,8 @@ def mv_check(row_a, row_b, r: int) -> MVReport:
     `height_functor_rank` from both ends force the equality; the common value
     is reported.
     """
+    from .bc import check_exact, curvature_nonpositive, dimension, height_functor_rank
+
     json_int(r, "degrees r", 0)
     a_objs, a_arrows = _parse_row(row_a, "A")
     b_objs, b_arrows = _parse_row(row_b, "B")

@@ -21,7 +21,7 @@ makes every subspace stable (and forces N = 0), so no finite list is
 complete; but its flag-adapted chain realizes the extremal degree in every
 dimension, which is all the deciders consume, so it is certified too: a
 lattice is `certified` when verdicts read off it are proofs.  Everything else
-falls back to a seeded, reproducible sample and "uncertified" verdicts,
+falls back to a sample, fixed by the module, and "uncertified" verdicts,
 except that a verified violating subobject always certifies a negative
 answer.
 
@@ -46,19 +46,19 @@ the leading columns of weight >= j, so t_H(W) is the sum of their weights.
 A decider scores the lattice by one depth-first walk over its closed masks,
 whose stack carries each element's invariants and the later parts reduced
 modulo it, so memory grows with the rank, not with the number of elements.
-Degrees stay ints.  A decider takes the module alone: its lattice is a
-function of the module, which `_scored` keeps it on, so no caller passes one
-(the `PhiModule` keeps `tn`, `coeffs` and the lattices that read only phi
-and N, the `FilteredPhiModule` its scorers and the scalar chain, which reads
-the flag).  `hn_filtration` reads the HN polygon off the upper concave hull
-of the largest degree at each rank, with no containment test but between its
-steps.  A canonical basis is row-reduced only for what a call returns or
-compares: a witness, the first in canonical order among the violators of
-least rank, and the elements of largest degree at the hull's vertices below
-V.  Every witness and HN step is scored again from the definition by
-`sub_invariants` (the restriction matrix of Frobenius and the induced
-filtration, not the scorer; V against t_H(M) and the module's t_N(M)), and a
-disagreement raises an internal error.
+Degrees stay ints.  A decider takes the module alone and its answer depends
+on the module alone: the lattice is a function of the module, which keeps
+it, so no caller passes one (the `PhiModule` keeps `tn`, `coeffs` and a
+lattice that reads only phi and N, the `FilteredPhiModule` its one lattice
+and scorer, `scored`).  `hn_filtration` reads the HN polygon off the upper
+concave hull of the largest degree at each rank, with no containment test
+but between its steps.  A canonical basis is row-reduced only for what a
+call returns or compares: a witness, the first in canonical order among the
+violators of least rank, and the elements of largest degree at the hull's
+vertices below V.  Every witness and HN step is scored again from the
+definition by `sub_invariants` (the restriction matrix of Frobenius and the
+induced filtration, not the scorer; V against t_H(M) and the module's
+t_N(M)), and a disagreement raises an internal error.
 """
 
 from __future__ import annotations
@@ -118,9 +118,16 @@ class FilteredPhiModule(Record):
         return self.module.rank
 
     @cached_property
-    def scored(self) -> dict:
-        """seed -> (lattice, walk) that `_scored` keeps; not a field, like `PhiModule.lattices`."""
-        return {}
+    def scored(self) -> tuple:
+        """(lattice, walk): the deciders' lattice and its `lattice_scorer` walk; not a field.
+
+        `enumerate_subobjects` runs once per module: the `PhiModule` keeps
+        every lattice but the scalar chain, which reads the flag.
+        """
+        lattice = self.module.lattice or enumerate_subobjects(self)
+        if lattice.strategy != "scalar-chain":
+            object.__setattr__(self.module, "lattice", lattice)
+        return lattice, lattice_scorer(self, lattice)
 
     @classmethod
     def from_obj(cls, obj) -> "FilteredPhiModule":
@@ -323,16 +330,20 @@ def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[SubobjectLattice]:
     return _n_closed_sums(lines, [k and 1 << (k - 1) for k in range(n)], n, "scalar-chain")
 
 
-def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
-    """Seeded, reproducible sample of genuinely stable subspaces.
+_SAMPLE_SEED = 0  # seed of the sample's random vectors: a verdict depends on the module alone
 
-    `roots` are the rational roots of the characteristic polynomial.  Every
-    closure is grown on integer rows and named by its `int_rref` key; Fractions
-    are built once per distinct closure.
+
+def _sample_subobjects(m: FilteredPhiModule, roots) -> tuple:
+    """A sample of genuinely stable subspaces, the same on every call for a module.
+
+    `roots` are the rational roots of the characteristic polynomial; the
+    random vectors come from `_SAMPLE_SEED`.  Every closure is grown on
+    integer rows and named by its `int_rref` key; Fractions are built once
+    per distinct closure.
     """
     mod = m.module
     n = m.rank
-    rng = random.Random(seed)
+    rng = random.Random(_SAMPLE_SEED)
     phi, den = int_matrix(mod.phi)
     nil, _ = int_matrix(mod.nilpotent)
     has_n = any(any(row) for row in nil)
@@ -397,8 +408,8 @@ def _sample_subobjects(m: FilteredPhiModule, seed: int, roots) -> tuple:
     return tuple(sorted(found.values(), key=lambda b: (len(b), b)))
 
 
-def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> SubobjectLattice:
-    """All stable subspaces (certified) or a reproducible sample, as a `SubobjectLattice`.
+def enumerate_subobjects(m: FilteredPhiModule) -> SubobjectLattice:
+    """All stable subspaces (certified) or a fixed sample, as a `SubobjectLattice`.
 
     Its elements always include the zero and full subspaces.  Two recognisers
     feed `_parts_lattice`: simple rational roots of the module's kept
@@ -420,7 +431,7 @@ def enumerate_subobjects(m: FilteredPhiModule, seed: int = 0) -> SubobjectLattic
         if len({s for s, _, _ in blocks}) == len(blocks):  # multiplicity free
             std = [[int(i == j) for j in range(n)] for i in range(n)]
             return _parts_lattice(mod, [std[off : off + size] for _, off, size in blocks], "blocks")
-    return _scalar_flag_chain(m) or SubobjectLattice.sample(_sample_subobjects(m, seed, roots))
+    return _scalar_flag_chain(m) or SubobjectLattice.sample(_sample_subobjects(m, roots))
 
 
 # ---------------------------------------------------------------------------
@@ -538,22 +549,6 @@ def lattice_scorer(m: FilteredPhiModule, lattice: SubobjectLattice):
     return walk
 
 
-def _scored(m: FilteredPhiModule, seed: int) -> tuple:
-    """(lattice, walk) of `m` for `seed`, the one place a decider gets them.
-
-    `enumerate_subobjects` runs once per module and seed.  The `PhiModule`
-    keeps every lattice but the scalar chain, which reads the flag; the
-    `FilteredPhiModule` keeps the lattice with its `lattice_scorer` walk.
-    """
-    got = m.scored.get(seed)
-    if got is None:
-        lattice = m.module.lattices.get(seed) or enumerate_subobjects(m, seed)
-        if lattice.strategy != "scalar-chain":
-            m.module.lattices[seed] = lattice
-        got = m.scored[seed] = lattice, lattice_scorer(m, lattice)
-    return got
-
-
 def _recheck(m: FilteredPhiModule, basis, fast) -> None:
     """Re-score a returned subspace from the definition; raise on disagreement."""
     slow = sub_invariants(m, basis)
@@ -562,14 +557,14 @@ def _recheck(m: FilteredPhiModule, basis, fast) -> None:
         raise AssertionError(msg)
 
 
-def _first_violation(m: FilteredPhiModule, bound, seed: int) -> Verdict:
+def _first_violation(m: FilteredPhiModule, bound) -> Verdict:
     """First subobject of degree > bound in canonical order, re-checked, as a verdict.
 
     One walk keeps the violators of the least violating rank found so far and
     pushes no child above it; ranks grow along the walk, so every element up
     to that rank is reached.  Only its violators get a basis."""
     bound = math.floor(bound)  # integer degrees exceed bound iff they exceed its floor
-    lattice, walk = _scored(m, seed)
+    lattice, walk = m.scored
     cap, bad = [m.rank], []  # the least violating rank so far, and its violators
     for key, inv in walk(cap):
         if inv[3] > bound and inv[0] <= cap[0]:
@@ -583,23 +578,23 @@ def _first_violation(m: FilteredPhiModule, bound, seed: int) -> Verdict:
     return Verdict(STATUS_FALSE, basis)
 
 
-def is_weakly_admissible(m: FilteredPhiModule, seed: int = 0) -> Verdict:
+def is_weakly_admissible(m: FilteredPhiModule) -> Verdict:
     """Degree zero and no positive-degree stable subspace.
 
     Flag-form Hodge data is required.  The verdict certifies true only on a
     `certified` lattice (a complete enumeration or the scalar chain); a
     verified violating subobject certifies falsity regardless.  The degree
-    reads t_N(M) off the module, before the lattice (`_scored`) is read.
+    reads t_N(M) off the module, before the lattice (`scored`) is read.
     """
     if m.rank == 0:
         return Verdict(STATUS_TRUE)
     m.hodge.require_flag("is_weakly_admissible")
     if t_h(m.hodge) != m.module.tn:
         return Verdict(STATUS_FALSE, RatMatrix.identity(m.rank).entries)
-    return _first_violation(m, 0, seed)
+    return _first_violation(m, 0)
 
 
-def is_acyclic(m: FilteredPhiModule, seed: int = 0) -> Verdict:
+def is_acyclic(m: FilteredPhiModule) -> Verdict:
     """Every stable subspace has degree at most deg(M).
 
     Equivalently every quotient has non-negative degree, equivalently the
@@ -609,7 +604,7 @@ def is_acyclic(m: FilteredPhiModule, seed: int = 0) -> Verdict:
     if m.rank == 0:
         return Verdict(STATUS_TRUE)
     m.hodge.require_flag("is_acyclic")
-    return _first_violation(m, t_h(m.hodge) - m.module.tn, seed)
+    return _first_violation(m, t_h(m.hodge) - m.module.tn)
 
 
 # ---------------------------------------------------------------------------
@@ -625,15 +620,6 @@ class HNStep(Record):
     graded_rank: int
     graded_degree: Fraction
 
-    def to_obj(self):
-        return {
-            "basis": [[rat_str(x) for x in row] for row in self.basis],
-            "slope": rat_str(self.slope),
-            "rank": self.rank,
-            "graded_rank": self.graded_rank,
-            "graded_degree": rat_str(self.graded_degree),
-        }
-
 
 class HNFiltration(Record):
     steps: tuple  # HNStep, graded slopes strictly decreasing
@@ -643,7 +629,7 @@ class HNFiltration(Record):
         return [(s.slope, s.graded_rank) for s in self.steps]
 
 
-def hn_filtration(m: FilteredPhiModule, seed: int = 0) -> HNFiltration:
+def hn_filtration(m: FilteredPhiModule) -> HNFiltration:
     """HN filtration read off the upper concave hull P of the points (r, M_r).
 
     M_r is the largest degree at rank r; one walk of the lattice keeps it and
@@ -659,12 +645,12 @@ def hn_filtration(m: FilteredPhiModule, seed: int = 0) -> HNFiltration:
     step, so the steps still nest with strictly falling slopes.  The last
     vertex is V, whose basis is the identity and holds every step;
     `sub_invariants` re-checks it against t_H(M) and the module's t_N(M).
-    The lattice is the one `_scored` keeps for the module and seed.
+    The lattice is the one the module keeps (`scored`).
     """
     if m.rank == 0:
         return HNFiltration((), True)
     m.hodge.require_flag("hn_filtration")
-    lattice, walk = _scored(m, seed)
+    lattice, walk = m.scored
     best = {}  # rank -> [M_r, the (key, invariants) reaching it]
     for key, inv in walk():
         top = best.get(inv[0])
@@ -702,13 +688,13 @@ class VstResult(Record):
     certified: bool
 
 
-def vst_dimension(m: FilteredPhiModule, seed: int = 0) -> VstResult:
+def vst_dimension(m: FilteredPhiModule) -> VstResult:
     """Dimension of H^0 of the slope decomposition attached to the module.
 
     Non-negative graded slopes d/h of rank e*h contribute (e*d, e*h); a
     negative slope makes H^1 nonzero.
     """
-    return vst_from_filtration(hn_filtration(m, seed))
+    return vst_from_filtration(hn_filtration(m))
 
 
 def vst_from_filtration(filt: HNFiltration) -> VstResult:
@@ -783,7 +769,7 @@ def _lower_once(m: FilteredPhiModule, filt: HNFiltration) -> FilteredPhiModule:
     return FilteredPhiModule(m.module, HodgeData._from_chain(chain, n))
 
 
-def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:
+def fn4_reduce(m: FilteredPhiModule) -> FilteredPhiModule:
     """Shrink the filtration pointwise until the module is weakly admissible.
 
     Requires a certified acyclic input, whose degree d is then a
@@ -797,7 +783,7 @@ def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:
     input's check and the first filtration, on the same module, share its
     scorer too.
     """
-    verdict = is_acyclic(m, seed)
+    verdict = is_acyclic(m)
     if verdict.status != STATUS_TRUE:
         raise InputError(f"fn4_reduce needs a certified acyclic module (got {verdict.status})")
     tn = m.module.tn
@@ -806,7 +792,7 @@ def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:
         raise AssertionError(f"internal: a certified acyclic module has degree {deg}")
     cur = m
     for left in range(deg - 1, -1, -1):
-        filt = hn_filtration(cur, seed)
+        filt = hn_filtration(cur)
         if not filt.certified or filt.steps[-1].slope < 0:
             raise AssertionError(
                 "internal: the lowered module is not certified acyclic; this contradicts "
@@ -815,7 +801,7 @@ def fn4_reduce(m: FilteredPhiModule, seed: int = 0) -> FilteredPhiModule:
         cur = _lower_once(cur, filt)
         if t_h(cur.hodge) - tn != left:
             raise AssertionError("internal: a lowering step did not drop the degree by one")
-    final = is_weakly_admissible(cur, seed)
+    final = is_weakly_admissible(cur)
     if final.status != STATUS_TRUE:  # pragma: no cover
         raise AssertionError("internal: lowered module failed the admissibility check")
     levels = cur.hodge.levels  # each against m at its top index, where m is least

@@ -72,7 +72,7 @@ class PhiModule(Record):
     `InputError`; both read one conversion of phi to integer rows.  It also
     keeps `tn` = t_N(M) = v_p(det phi), an int off that determinant;
     `coeffs` = `charpoly(phi)`, computed on first use, so each module object
-    computes it at most once; and `lattices`, which `hn` fills.  None is a
+    computes it at most once; and `lattice`, which `hn` sets.  None is a
     field, so equality, hashing, `repr` and `to_obj` do not see them.
 
     `tensor`, `dual`, `det` and `from_slopes` build their result by the
@@ -85,6 +85,7 @@ class PhiModule(Record):
     phi: RatMatrix
     nilpotent: RatMatrix
     form: str = FORM_MATRIX
+    lattice = None  # not a field: the lattice `hn` enumerated, when it reads only phi and N
 
     def __post_init__(self):
         check_prime(self.p)
@@ -123,11 +124,6 @@ class PhiModule(Record):
     def coeffs(self) -> tuple:
         """Characteristic polynomial of phi, ascending Fractions; (1,) at rank 0."""
         return tuple(charpoly(self.phi))
-
-    @cached_property
-    def lattices(self) -> dict:
-        """seed -> the subobject lattice `hn` enumerated for it, when it reads only phi and N."""
-        return {}
 
     @classmethod
     def from_matrices(cls, p, phi, nilpotent=None, form=FORM_MATRIX) -> "PhiModule":

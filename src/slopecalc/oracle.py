@@ -46,13 +46,13 @@ def check_hodge(h):
     require(dual_hodge(dual_hodge(h)).weights == h.weights, "double dual")
 
 
-def check_verdict(m, verdict, seed, kind):
+def check_verdict(m, verdict, kind):
     """Stability of every element; a certified-true verdict is re-scored on every
     element by `sub_invariants`, a certified-false one on its witness."""
     from . import hn
     from .rational import restriction_matrix, span_contains
 
-    lattice = hn.enumerate_subobjects(m, seed)
+    lattice = hn.enumerate_subobjects(m)
     subs = [lattice.basis(key) for key in lattice.keys]
     for basis in subs:
         require(restriction_matrix(m.module.phi, basis) is not None, "unstable subspace")

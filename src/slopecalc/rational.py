@@ -38,7 +38,7 @@ class RatMatrix:
     is tuned beyond that.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_ints")  # `_ints`: the conversion `int_matrix` keeps
 
     def __init__(self, rows: Sequence[Sequence]):
         if not is_row_list(rows):
@@ -52,6 +52,9 @@ class RatMatrix:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RatMatrix is immutable")
+
+    def __reduce__(self):  # a copy (`pickle`, `copy.deepcopy`) drops `_ints`
+        return RatMatrix, (self.entries,)
 
     @classmethod
     def _trusted(cls, entries: tuple) -> "RatMatrix":
@@ -241,9 +244,14 @@ def int_row(v: Sequence) -> list:
 
 
 def int_matrix(m: RatMatrix) -> tuple[list, int]:
-    """(D*m as int rows, D) with D the common denominator of every entry of m."""
-    d = math.lcm(*[_row_denominator(row) for row in m.entries])
-    return [_scaled(row, d) for row in m.entries], d
+    """(D*m as int rows, D) with D the common denominator of every entry of m.
+
+    Kept on m, so each matrix is converted once: callers must not change the rows.
+    """
+    if not hasattr(m, "_ints"):
+        d = math.lcm(*[_row_denominator(row) for row in m.entries])
+        object.__setattr__(m, "_ints", ([_scaled(row, d) for row in m.entries], d))
+    return m._ints
 
 
 def int_apply(rows: Sequence, v: Sequence) -> list:

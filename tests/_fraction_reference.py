@@ -163,9 +163,9 @@ def fraction_coordinates(basis, v):
     return tuple(x)
 
 
-def sample_subobjects(m, seed: int, roots) -> tuple:
+def sample_subobjects(m, roots) -> tuple:
     mod, n = m.module, m.rank
-    rng = random.Random(seed)
+    rng = random.Random(0)
     found = {(), tuple(RatMatrix.identity(n).entries)}
 
     def closure(vectors):

@@ -227,6 +227,12 @@ class TestMalformedCommandLine:
         assert code == cli.EXIT_INPUT == 3 and captured.out == ""
         assert list(json.loads(captured.err)) == ["error"]
 
+    def test_a_seed_that_is_not_an_int_keeps_its_message(self, capsys):
+        # a seed is checked, then ignored (tests/test_golden.py)
+        code, out, err = run_cli(capsys, "hn", WA_TRUE, "--seed", "abc")
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "argument --seed: invalid int value: 'abc'"}
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.run(["--help"])
@@ -319,7 +325,7 @@ class TestInternalFaults:
     def test_failed_oracle_exits_four(self, capsys, monkeypatch):
         # span(e1) has degree 0, so it cannot witness that WA_TRUE is not
         # weakly admissible; the oracle must reject the doctored verdict
-        def doctored(m, seed=0):
+        def doctored(m):
             return hn.Verdict(hn.STATUS_FALSE, ((1, 0),))
 
         monkeypatch.setattr(hn, "is_weakly_admissible", doctored)
@@ -362,7 +368,7 @@ class TestInternalFaults:
     )
     def test_doctored_hn_lattice_exits_four(self, capsys, monkeypatch, doctor, message):
         m, lattice = doctor()
-        monkeypatch.setattr(hn, "enumerate_subobjects", lambda m, seed=0: lattice)
+        monkeypatch.setattr(hn, "enumerate_subobjects", lambda m: lattice)
         code, out, err = run_cli(capsys, "hn", m.to_obj())
         assert code == 4 and out == ""
         assert json.loads(err)["error"].startswith(message)
@@ -552,7 +558,7 @@ class TestOracleUnderOptimize:
         script = (
             "import io, json, sys\n"
             "from slopecalc import cli, hn\n"
-            "hn.is_weakly_admissible = lambda m, seed=0: hn.Verdict(hn.STATUS_FALSE, ((1, 0),))\n"
+            "hn.is_weakly_admissible = lambda m: hn.Verdict(hn.STATUS_FALSE, ((1, 0),))\n"
             f"sys.stdin = io.StringIO(json.dumps({WA_TRUE!r}))\n"
             "sys.exit(cli.run(['wa', '--oracle']))\n"
         )
@@ -569,7 +575,7 @@ class TestOracleUnderOptimize:
             "from slopecalc.rational import RatMatrix\n"
             "ident = tuple(tuple(row) for row in RatMatrix.identity(4).entries)\n"
             "bases = ((), ident[:1], ident[1:3], ident)\n"
-            "hn.enumerate_subobjects = lambda m, seed=0: hn.SubobjectLattice.sample(bases, True)\n"
+            "hn.enumerate_subobjects = lambda m: hn.SubobjectLattice.sample(bases, True)\n"
             f"sys.stdin = io.StringIO(json.dumps({m.to_obj()!r}))\n"
             "sys.exit(cli.run(['hn']))\n"
         )
@@ -589,7 +595,7 @@ class TestOracleUnderOptimize:
             "ident = tuple(tuple(row) for row in RatMatrix.identity(3).entries)\n"
             "line = ((Fraction(1), Fraction(0), Fraction(1)),)\n"
             "bases = ((), ident[:1], line, ident)\n"
-            "hn.enumerate_subobjects = lambda m, seed=0: hn.SubobjectLattice.sample(bases)\n"
+            "hn.enumerate_subobjects = lambda m: hn.SubobjectLattice.sample(bases)\n"
             f"sys.stdin = io.StringIO(json.dumps({m.to_obj()!r}))\n"
             "sys.exit(cli.run(['hn']))\n"
         )
@@ -661,6 +667,11 @@ class TestImportSet:
         loaded = _loaded_by_command(command)
         assert "slopecalc.hn" in loaded
         assert not loaded & {"slopecalc.bc", "slopecalc.diagram"}
+
+    @pytest.mark.parametrize("command", ["battery", "dichotomy"])
+    def test_battery_and_dichotomy_skip_bc(self, command):
+        loaded = _loaded_by_command(command)
+        assert "slopecalc.diagram" in loaded and "slopecalc.bc" not in loaded
 
     def test_mv_check_loads_only_bc_and_diagram(self):
         assert _loaded_by_command("mv-check") == {

@@ -3,7 +3,8 @@
 Every fixture in tests/fixtures is run through the in-process `cli.run`, with
 its input on stdin, and its exit code and the SHA-256 of its stdout are
 compared with the digests recorded in bench/golden.json (written by
-`python3 bench/record_golden.py`), once plain and once with `--oracle`;
+`python3 bench/record_golden.py`), once plain and once with `--oracle`,
+and with `--seed 7` and `--seed=3` against the plain run (a seed is ignored);
 one fixture per command also runs as a fresh process, and the whole corpus
 once more in one `python -O` process.
 Criterion 10 checks that a run agrees with itself; this checks that it
@@ -54,6 +55,14 @@ def _run_fixture(path, monkeypatch, *flags):
 def test_fixture_matches_golden(path, monkeypatch):
     want = GOLDEN[path.name]
     assert _run_fixture(path, monkeypatch) == (want["exit"], want["stdout_sha256"])
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda path: path.stem)
+def test_seed_changes_no_output(path, monkeypatch):
+    """`--seed N` is checked to be an int and ignored: no output depends on it."""
+    want = _run_fixture(path, monkeypatch)
+    assert _run_fixture(path, monkeypatch, "--seed", "7") == want
+    assert _run_fixture(path, monkeypatch, "--seed=3") == want
 
 
 def test_every_fixture_passes_the_oracle(monkeypatch):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopecalc import filtration, hn
+from slopecalc import filtration, hn, oracle
 from slopecalc.filtration import HodgeData, dual_hodge, induced_on_subspace, t_h
 from slopecalc.hn import (
     STATUS_FALSE,
@@ -37,6 +39,7 @@ from slopecalc.rational import (
     RatMatrix,
     charpoly,
     complement_basis,
+    int_matrix,
     rational_roots,
     restriction_matrix,
     rref_rows,
@@ -85,9 +88,9 @@ def twin(m):
 
 def inject(monkeypatch, lattice):
     """Make `lattice` the one the deciders read on a module not decided on
-    before: they enumerate through `hn.enumerate_subobjects`, once per module
-    and seed, so replacing it injects the lattice, as the CLI tests do."""
-    monkeypatch.setattr(hn, "enumerate_subobjects", lambda m, seed=0: lattice)
+    before: they enumerate through `hn.enumerate_subobjects`, once per
+    module, so replacing it injects the lattice, as the CLI tests do."""
+    monkeypatch.setattr(hn, "enumerate_subobjects", lambda m: lattice)
     return lattice
 
 
@@ -729,8 +732,9 @@ class TestClosedMasks:
 
 class TestSampleDeterminism:
     def test_fixed_seed_reproducible(self):
+        # the sample is a function of the module: rebuilt copies sample alike
         m = mk([[1, 1], [0, 1]], [(0, [[1, 0], [0, 1]])], 2)
-        a, b = enumerate_subobjects(m, seed=5), enumerate_subobjects(m, seed=5)
+        a, b = enumerate_subobjects(m), enumerate_subobjects(twin(m))
         assert elements(a) == elements(b) and len(a.keys) > 2
         assert a.certified == b.certified and not a.certified
 
@@ -1628,18 +1632,19 @@ class TestWalk:
 
 class TestKeptLattice:
     """A decider takes the module alone.  `hn.enumerate_subobjects` runs once
-    per module and seed: the `PhiModule` keeps a lattice that reads only phi
-    and N, and the `FilteredPhiModule` keeps the scalar chain, which reads
-    the flag, and one scorer per lattice.  (`fn4_reduce` enumerates once
-    over all its steps: `TestFn4Reduce.test_one_enumeration_per_call`.)"""
+    per module: the `PhiModule` keeps a lattice that reads only phi and N,
+    and the `FilteredPhiModule` keeps its one lattice, the scalar chain
+    among them, which reads the flag, with its one scorer.  (`fn4_reduce`
+    enumerates once over all its steps:
+    `TestFn4Reduce.test_one_enumeration_per_call`.)"""
 
     @staticmethod
     def calls(monkeypatch, name):
-        """The (module, seed) of every call of `hn.<name>` from now on."""
+        """The module of every call of `hn.<name>` from now on."""
         seen, real = [], getattr(hn, name)
 
         def counted(m, *args):
-            seen.append((m, args[0] if name == "enumerate_subobjects" else None))
+            seen.append(m)
             return real(m, *args)
 
         monkeypatch.setattr(hn, name, counted)
@@ -1654,7 +1659,7 @@ class TestKeptLattice:
         scorers = self.calls(monkeypatch, "lattice_scorer")
         got = [decide(m) for decide in (is_weakly_admissible, is_acyclic, hn_filtration)]
         assert got == want and vst_dimension(m) == hn.vst_from_filtration(got[2])
-        assert enumerations == [(m, 0)] and scorers == [(m, None)]
+        assert enumerations == [m] and scorers == [m]
 
     def test_two_flags_on_one_eigenline_module_enumerate_once(self, monkeypatch):
         rng = random.Random(18)
@@ -1664,8 +1669,9 @@ class TestKeptLattice:
         enumerations = self.calls(monkeypatch, "enumerate_subobjects")
         scorers = self.calls(monkeypatch, "lattice_scorer")
         assert [(is_acyclic(m), hn_filtration(m)) for m in flags] == want
-        assert enumerations == [(flags[0], 0)] and scorers == [(m, None) for m in flags]
-        assert list(mod.lattices) == [0] and mod.lattices[0].strategy == "eigenlines"
+        assert enumerations == [flags[0]] and scorers == flags
+        assert mod.lattice.strategy == "eigenlines"
+        assert all(m.scored[0] is mod.lattice for m in flags)
 
     def test_scalar_phi_enumerates_once_per_flag(self, monkeypatch):
         # phi = 1 at p = 2, Fil^0 = <e1> for a and <e2> for b: b's own chain
@@ -1677,24 +1683,82 @@ class TestKeptLattice:
         enumerations = self.calls(monkeypatch, "enumerate_subobjects")
         filts = [hn_filtration(m) for m in (a, b, a, b)]
         assert is_acyclic(b) == Verdict(STATUS_FALSE, ())  # deg(M) = -1 < deg(0)
-        assert enumerations == [(a, 0), (b, 0)] and mod.lattices == {}
+        assert enumerations == [a, b] and mod.lattice is None
         assert filts[:2] == filts[2:]
         for m, filt, line in ((a, filts[0], (F(1), F(0))), (b, filts[1], (F(0), F(1)))):
             assert filt.certified and filt.slopes() == [(0, 1), (-1, 1)]
-            assert filt.steps[0].basis == (line,) and m.scored[0][0].strategy == "scalar-chain"
+            assert filt.steps[0].basis == (line,) and m.scored[0].strategy == "scalar-chain"
         with pytest.raises(TypeError):
-            hn_filtration(b, 0, enumerate_subobjects(a))
+            hn_filtration(b, enumerate_subobjects(a))
 
-    def test_a_second_seed_on_a_sample_enumerates_again(self, monkeypatch):
-        m = TestSampledLattice.conjugated([F(2), F(2), F(2), F(1, 2)])
-        want = {seed: (hn_filtration(twin(m), seed), is_acyclic(twin(m), seed)) for seed in (0, 5)}
-        enumerations = self.calls(monkeypatch, "enumerate_subobjects")
-        for seed in (0, 5, 0, 5):
-            assert (hn_filtration(m, seed), is_acyclic(m, seed)) == want[seed]
-        assert enumerations == [(m, 0), (m, 5)]
-        assert {seed: lattice.strategy for seed, lattice in m.module.lattices.items()} == {
-            0: "sample", 5: "sample"}
-        assert m.module.lattices[0].keys != m.module.lattices[5].keys
+
+class TestKeptIntRows:
+    """`rational.int_matrix` keeps each matrix's integer rows on it: the
+    conversion that validation makes of phi (and of a nonzero N) serves the
+    enumeration, the sample, the scorer and every re-check, and no caller
+    changes the rows it is handed."""
+
+    KINDS = ["eigenlines", "eigenlines/N", "blocks", "scalar-chain", "sample"]
+
+    @staticmethod
+    def run_everything(m):
+        for kind, decide in (("wa", is_weakly_admissible), ("acyclic", is_acyclic)):
+            oracle.check_verdict(m, decide(m), kind)
+        vst_dimension(m)
+        if is_acyclic(m).status == STATUS_TRUE:
+            fn4_reduce(m)
+        hn._sample_subobjects(m, rational_roots(m.module.coeffs)[0])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_conversion_per_matrix(self, kind, monkeypatch):
+        from slopecalc import rational
+
+        seen, real = [], rational._row_denominator
+
+        def counted(row):
+            seen.append(row)
+            return real(row)
+
+        monkeypatch.setattr(rational, "_row_denominator", counted)
+        m = twin(TestWalk.kinds()[kind])
+        self.run_everything(m)
+        for mat in (m.module.phi, m.module.nilpotent):  # a conversion reads row 0 once
+            assert sum(row is mat.entries[0] for row in seen) == 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_the_kept_rows_equal_a_fresh_conversion(self, kind):
+        m = twin(TestWalk.kinds()[kind])
+        self.run_everything(m)
+        for mat in (m.module.phi, m.module.nilpotent):
+            assert int_matrix(mat) == int_matrix(RatMatrix(mat.entries))
+
+
+class TestCopies:
+    """A module survives `pickle` and `copy.deepcopy`, before and after a
+    decider: the copy is built from the fields alone, so it keeps none of the
+    lattice, scorer and characteristic polynomial, and it decides alike."""
+
+    @staticmethod
+    def eigen8():
+        rng = random.Random(8)
+        mod = diagonal_instance(rng, P, 8, -4, 4, allow_n=False)
+        return FilteredPhiModule(mod, random_flag(rng, 8, 0, 3))
+
+    @pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_round_trip_before_and_after_a_decider(self, copy_of):
+        m = self.eigen8()
+        deciders = (is_weakly_admissible, is_acyclic, hn_filtration)
+        want = [decide(twin(m)) for decide in deciders]
+        before = copy_of(m)
+        assert hn_filtration(m) == want[2] and m.scored[0].strategy == "eigenlines"
+        after = copy_of(m)
+        for c in (before, after):
+            assert c == m and c.module.tn == m.module.tn
+            assert copy_of(c.module.phi) == m.module.phi
+            assert c.module.lattice is None and "coeffs" not in vars(c.module)
+            assert "scored" not in vars(c)
+            assert [decide(c) for decide in deciders] == want
 
 
 class TestPivotWeights:
@@ -1788,28 +1852,27 @@ class TestSampledLattice:
         cases = [m for name, m in REFERENCE_CASES if name.startswith("sample")][::5]
         cases.append(self.with_n())
         extra = self.extra_cases()
-        sizes = {}
-        for name, m in [(None, m) for m in cases] + list(extra.items()):
+        sizes = []
+        for m in cases + list(extra.values()):
             roots, _ = rational_roots(charpoly(m.module.phi))
-            for seed in (0, 5):
-                got = hn._sample_subobjects(m, seed, roots)
-                assert got == fraction_sample(m, seed, roots)
-                assert enumerate_subobjects(m, seed).strategy == "sample"
-                sizes.setdefault(name, []).append(len(got))
+            got = hn._sample_subobjects(m, roots)
+            assert got == fraction_sample(m, roots)
+            assert enumerate_subobjects(m).strategy == "sample"
+            sizes.append(len(got))
         # more than ten nonzero closures before pairing, so the order of
         # the set that picks the pairs shows in the result
-        assert max(max(v) for v in sizes.values()) > 20
+        assert max(sizes) > 20
 
     def test_extra_cases_reach_their_paths(self):
         extra = self.extra_cases()
         # each line of the canonical basis of the 2-eigenspace is a closure
         phi = extra["triple"].module.phi
-        got = hn._sample_subobjects(extra["triple"], 0, [(F(2), 3), (F(1, 2), 1)])
+        got = hn._sample_subobjects(extra["triple"], [(F(2), 3), (F(1, 2), 1)])
         lines = (phi - RatMatrix.identity(4).scale(2)).nullspace()
         assert len(lines) == 3 and all(rref_rows([v], 4) in got for v in lines)
         # so is each proper N-power kernel
         m = extra["chain"].module
-        got = hn._sample_subobjects(extra["chain"], 0, rational_roots(charpoly(m.phi))[0])
+        got = hn._sample_subobjects(extra["chain"], rational_roots(charpoly(m.phi))[0])
         kernels = [m.nilpotent.nullspace(), (m.nilpotent @ m.nilpotent).nullspace()]
         assert [len(k) for k in kernels] == [2, 3] and all(k in got for k in kernels)
         # no roots, and the first random vector's closure is the full space
