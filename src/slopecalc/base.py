@@ -3,8 +3,9 @@
 All arithmetic is exact, over `fractions.Fraction` and Python ints, and
 nothing here ever rounds.  The only float in the module is `math.inf`, used
 as the conventional valuation of zero.  This module holds the error types,
-the checks and coercions of JSON input (`rat`, `json_int`, the torsion
-helpers) and `rat_str`, `Record` (the base of every immutable record) and
+the checks and coercions of JSON input (`rat`, `json_int`, the object
+reader `json_key`/`json_list`, the torsion helpers and their point `INFTY`)
+and `rat_str`, `Record` (the base of every immutable record) and
 `Dimension`, exact primality and p-adic valuations, and the valuation
 polygons: `lower_hull_vertices`, `Polygon` and `newton_polygon`.  It builds
 no matrix, so a command without linear algebra (`newton`, `plot`,
@@ -100,11 +101,35 @@ def json_int(x, what: str, low: Optional[int] = None) -> int:
     return x
 
 
+def json_key(obj, key: str, what: str):
+    """obj[key] of the JSON object `what`; a non-object or a missing key is an InputError.
+
+    Only membership is checked, so a KeyError raised while building from the
+    value stays an internal fault.
+    """
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} JSON must be an object")
+    if key not in obj:
+        raise InputError(f"{what} JSON missing key {key!r}")
+    return obj[key]
+
+
+def json_list(obj, key: str, what: str) -> list:
+    """`json_key`, whose value must be a JSON list."""
+    value = json_key(obj, key, what)
+    if not isinstance(value, list):
+        raise InputError(f"{key!r} must be a JSON list")
+    return value
+
+
 def json_int_field(obj: dict, key: str, default=None) -> int:
     """The integer field `key` of a JSON object; a missing key gives `default`."""
     if key not in obj and default is not None:
         return default
     return json_int(obj.get(key), f"{key!r} fields")
+
+
+INFTY = "infty"  # the distinguished torsion point
 
 
 def torsion_entry(entry) -> tuple[str, tuple]:
@@ -264,9 +289,7 @@ class Dimension(Record):
 
     @classmethod
     def from_obj(cls, obj) -> "Dimension":
-        if not isinstance(obj, dict) or "dim" not in obj or "ht" not in obj:
-            raise InputError("Dimension JSON must be {'dim': int, 'ht': int}")
-        return cls(obj["dim"], obj["ht"])
+        return cls(json_key(obj, "dim", "Dimension"), json_key(obj, "ht", "Dimension"))
 
 
 ZERO_DIM = Dimension(0, 0)
@@ -359,7 +382,7 @@ class Polygon(Record):
     vertices: tuple  # (x, y) pairs; any iterable of them is kept as a tuple
 
     def __post_init__(self):
-        vs = tuple((int(x), rat(y)) for x, y in self.vertices)
+        vs = tuple((json_int(x, "vertex x-coordinates"), rat(y)) for x, y in self.vertices)
         for (x1, _), (x2, _) in zip(vs, vs[1:]):
             if x2 <= x1:
                 raise InputError("polygon x-coordinates must strictly increase")
@@ -379,7 +402,7 @@ class Polygon(Record):
         """Lower convex hull of a finite point set (monotone chain, exact)."""
         best: dict[int, Fraction] = {}
         for x, y in points:
-            x = int(x)
+            x = json_int(x, "vertex x-coordinates")
             y = rat(y)
             if x not in best or y < best[x]:
                 best[x] = y

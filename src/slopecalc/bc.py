@@ -19,19 +19,20 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .base import (
+    INFTY,
     ZERO_DIM,
     Dimension,
     InputError,
     Record,
     json_int,
     json_int_field,
+    json_key,
+    json_list,
     torsion_entry,
     torsion_normal_form,
 )
 
 NEG_INFINITY = -math.inf
-
-INFTY = "infty"
 
 
 def _check_pair(d: int, h: int, tag: str):
@@ -113,13 +114,9 @@ class BCObject(Record):
 
     @classmethod
     def from_obj(cls, obj) -> "BCObject":
-        if not isinstance(obj, dict) or not isinstance(obj.get("summands"), list):
-            raise InputError("BC JSON must be {'summands': [...]}")
         ueff, uquot, torsion, qp = [], [], [], 0
-        for s in obj["summands"]:
-            if not isinstance(s, dict) or "type" not in s:
-                raise InputError("each summand needs a 'type' tag")
-            t = s["type"]
+        for s in json_list(obj, "summands", "BC"):
+            t = json_key(s, "type", "summand")
             if t in ("Ueff", "Uquot"):
                 d, h = json_int_field(s, "d"), json_int_field(s, "h")
                 piece = (d, h, json_int_field(s, "copies", 1))
@@ -150,13 +147,12 @@ class QBCObject(Record):
 
     @classmethod
     def from_obj(cls, obj) -> "QBCObject":
-        if not isinstance(obj, dict) or "quotient" not in obj:
-            raise InputError("quasi object JSON needs 'torsion_core' and 'quotient'")
+        quotient = json_key(obj, "quotient", "quasi object")
         core = obj.get("torsion_core", [])
         if not isinstance(core, list):
             raise InputError("'torsion_core' must be a list of positive integers")
         core = [json_int(m, "torsion core lengths") for m in core]
-        return cls.build(core, BCObject.from_obj(obj["quotient"]))
+        return cls.build(core, BCObject.from_obj(quotient))
 
 
 Formal = Union[BCObject, QBCObject]
@@ -267,10 +263,9 @@ def check_exact(sequence: Sequence[Formal], arrows: Sequence[dict]) -> bool:
         raise InputError(f"expected {len(seq) - 1} arrows, got {len(arrows)}")
     kers, ims = [], []
     for a in arrows:
-        if not isinstance(a, dict) or "ker" not in a or "im" not in a:
-            raise InputError("each arrow needs declared 'ker' and 'im' Dimensions")
-        k = a["ker"] if isinstance(a["ker"], Dimension) else Dimension.from_obj(a["ker"])
-        i = a["im"] if isinstance(a["im"], Dimension) else Dimension.from_obj(a["im"])
+        k, i = json_key(a, "ker", "arrow"), json_key(a, "im", "arrow")
+        k = k if isinstance(k, Dimension) else Dimension.from_obj(k)
+        i = i if isinstance(i, Dimension) else Dimension.from_obj(i)
         if k.dim < 0 or i.dim < 0:
             raise InputError("declared kernel/image dims must be non-negative")
         kers.append(k)
@@ -350,9 +345,7 @@ def label_qp(n: int = 1) -> dict:
 
 
 def _norm_label(lbl) -> dict:
-    if not isinstance(lbl, dict) or "kind" not in lbl:
-        raise InputError("labels must be objects with a 'kind' field")
-    kind = lbl["kind"]
+    kind = json_key(lbl, "kind", "label")
     if kind == "C":
         return {"kind": "C", "twist": json_int(lbl.get("twist", 0), "C twists")}
     if kind == "B":

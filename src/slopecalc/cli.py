@@ -5,8 +5,9 @@ Exit codes: 0 certified-true / success, 1 certified-false, 2 uncertified,
 failed self-check or oracle check, or any other unexpected exception).
 Errors of codes 3 and 4 are reported as one JSON object on stderr, with
 nothing on stdout.  `HANDLERS` is the command table: a handler takes the
-parsed input and arguments and returns (result, exit code), and `run` writes
-a string result as it is and any other as JSON.  Output is deterministic byte
+parsed input, whose keys it reads by `base.json_key` and `json_list`, and
+the arguments, and returns (result, exit code); `run` writes a string
+result as it is and any other as JSON.  Output is deterministic byte
 for byte for a fixed input: `--seed N` is checked to be an int and ignored.
 `--oracle` re-derives results along brute-force paths and checks agreement
 without changing the output.  Its checks are in `oracle`, which only a call
@@ -24,7 +25,7 @@ import sys
 # command needs, so a call compiles no module it does not use.  Handlers look
 # library functions up in their modules at call time, so a function rebound
 # there (as a tracer or a test does) is the one called.
-from .base import InputError, rat_str
+from .base import InputError, json_key, json_list, rat_str
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -40,26 +41,13 @@ def _exit_code(certified: bool, true: bool) -> int:
     return EXIT_TRUE if true else EXIT_FALSE
 
 
-def _need(obj, key):
-    if not isinstance(obj, dict) or key not in obj:
-        raise InputError(f"input JSON needs the key {key!r}")
-    return obj[key]
-
-
-def _list(obj, key) -> list:
-    value = _need(obj, key)
-    if not isinstance(value, list):
-        raise InputError(f"{key!r} must be a JSON list")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # handlers
 
 
 def _cmd_newton(obj, args):
-    coeffs = _list(obj, "coefficients")
-    p = _need(obj, "p")
+    coeffs = json_list(obj, "coefficients", "input")
+    p = json_key(obj, "p", "input")
     from .base import newton_polygon
 
     got = newton_polygon(coeffs, p)
@@ -71,7 +59,7 @@ def _cmd_newton(obj, args):
 def _cmd_hodge(obj, args):
     from .filtration import HodgeData, dual_hodge, shift, t_h
 
-    h = HodgeData.from_obj(_need(obj, "hodge"))
+    h = HodgeData.from_obj(json_key(obj, "hodge", "input"))
     out = {
         "t_h": t_h(h),
         "weights": list(h.weights),
@@ -136,8 +124,8 @@ def _cmd_vst(obj, args):
 def _cmd_tensor(obj, args):
     from . import isocrystal
 
-    a = isocrystal.PhiModule.from_obj(_need(obj, "a"))
-    b = isocrystal.PhiModule.from_obj(_need(obj, "b"))
+    a = isocrystal.PhiModule.from_obj(json_key(obj, "a", "input"))
+    b = isocrystal.PhiModule.from_obj(json_key(obj, "b", "input"))
     out = isocrystal.tensor(a, b)
     if args.oracle:
         args.oracle.check_tensor(a, b, out)
@@ -174,7 +162,8 @@ def _cmd_canfil(obj, args):
 def _cmd_ext(obj, args):
     from . import bc
 
-    triple = bc.ext_tables(_need(obj, "x"), _need(obj, "y"), obj.get("k_degree", 1))
+    x, y = json_key(obj, "x", "input"), json_key(obj, "y", "input")
+    triple = bc.ext_tables(x, y, obj.get("k_degree", 1))
     if args.oracle:
         args.oracle.check_ext(triple, obj.get("k_degree", 1))
     return triple.to_obj(), EXIT_TRUE
@@ -195,9 +184,9 @@ def _cmd_dichotomy(obj, args):
     from . import diagram, isocrystal
     from .filtration import HodgeData
 
-    hk = isocrystal.PhiModule.from_obj(_need(obj, "hk"))
-    lattice = HodgeData.from_obj(_need(obj, "lattice"))
-    res = diagram.dichotomy(hk, lattice, _need(obj, "r"))
+    hk = isocrystal.PhiModule.from_obj(json_key(obj, "hk", "input"))
+    lattice = HodgeData.from_obj(json_key(obj, "lattice", "input"))
+    res = diagram.dichotomy(hk, lattice, json_key(obj, "r", "input"))
     if args.oracle:
         args.oracle.check_dichotomy(res)
     return res.to_obj(), _exit_code(res.certified, res.branch == "surjective")
@@ -206,7 +195,8 @@ def _cmd_dichotomy(obj, args):
 def _cmd_mv_check(obj, args):
     from . import diagram
 
-    report = diagram.mv_check(_need(obj, "row_a"), _need(obj, "row_b"), _need(obj, "r"))
+    rows = json_key(obj, "row_a", "input"), json_key(obj, "row_b", "input")
+    report = diagram.mv_check(*rows, json_key(obj, "r", "input"))
     return report.to_obj(), _exit_code(True, report.equal)
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .base import InputError, Record, json_int
+from .base import InputError, Record, json_int, json_key, json_list
 
 # `bc`, `filtration`, `hn`, `isocrystal` and `sheaf` are imported by the
 # functions that use them, so that `mv_check`, which needs only `bc`, loads
@@ -109,16 +109,13 @@ class SyntheticCohomology(Record):
 
     @classmethod
     def from_obj(cls, obj) -> "SyntheticCohomology":
-        if not isinstance(obj, dict) or "r" not in obj or "degrees" not in obj:
-            raise InputError("synthetic data JSON needs 'r' and 'degrees'")
-        degrees = obj["degrees"]
-        if not isinstance(degrees, dict) or "r" not in degrees:
-            raise InputError("'degrees' needs at least the 'r' entry")
-        top = cls._pair_from_obj(degrees["r"])
+        r = json_key(obj, "r", "synthetic data")
+        degrees = json_key(obj, "degrees", "synthetic data")
+        top = cls._pair_from_obj(json_key(degrees, "r", "degrees"))
         below = None
         if degrees.get("r-1") is not None:
             below = cls._pair_from_obj(degrees["r-1"])
-        return cls.build(obj["r"], top, below)
+        return cls.build(r, top, below)
 
 
 class Modification(Record):
@@ -292,11 +289,8 @@ class MVReport(Record):
 def _parse_row(obj, tag: str):
     from .bc import BCObject, QBCObject, parse_formal
 
-    if not isinstance(obj, dict) or "objects" not in obj or "arrows" not in obj:
-        raise InputError(f"row {tag} needs 'objects' and 'arrows'")
-    objects, arrows = obj["objects"], obj["arrows"]
-    if not isinstance(objects, list) or not isinstance(arrows, list):
-        raise InputError(f"row {tag}: 'objects' and 'arrows' must be lists")
+    what = f"row {tag}"
+    objects, arrows = json_list(obj, "objects", what), json_list(obj, "arrows", what)
     objects = [parse_formal(o) if isinstance(o, dict) else o for o in objects]
     if not all(isinstance(o, (BCObject, QBCObject)) for o in objects):
         raise InputError(f"row {tag}: every object must be a JSON object")

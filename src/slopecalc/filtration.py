@@ -7,11 +7,11 @@ span(basis of the last entry with index <= j) in between, and zero above the
 last listed index.  Weight i then has multiplicity dim Fil^i - dim Fil^{i+1}.
 
 A flag is kept as its levels: the pairs (j, Fil^j) at the indices j where
-the filtration changes, from the ambient space at lo to zero at hi, with
-canonical (RREF) bases, so two presentations of the same filtration compare
-equal.  The dense window, one entry per index strictly between lo and hi, is
-laid out only for output; a window wider than `FLAG_MAX_SPAN` indices is an
-input error.
+the filtration changes, from the ambient space at lo (the rows of
+`RatMatrix.identity`) to zero at hi, with canonical (RREF) bases, so two
+presentations of the same filtration compare equal.  The dense window, one
+entry per index strictly between lo and hi, is laid out only for output; a
+window wider than `FLAG_MAX_SPAN` indices is an input error.
 
 Weight-only data suffices for slope bookkeeping; subobject tests need a flag
 and reject weights-only input with `FlagRequiredError`.
@@ -26,14 +26,12 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .base import FlagRequiredError, InputError, RatMemo, Record, is_row_list, json_int, rat_str
-from .rational import RatMatrix, _gauss_jordan, _normalized, _rat_rows, int_residue, int_row
+from .rational import _ZERO, RatMatrix, _gauss_jordan, _normalized, _rat_rows, int_residue, int_row
 
 KIND_WEIGHTS = "weights"
 KIND_FLAG = "flag"
 FLAG_MAX_SPAN = 1000  # indices in the jump window of a flag; one dense entry each
 
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 _STR_ONLY = frozenset((str,))
 
 
@@ -47,11 +45,6 @@ def _int_row(row, memo: RatMemo, seen: dict) -> list:
     if out is None:
         out = seen[key] = int_row(memo.row(key))
     return out
-
-
-def _full_basis(n: int) -> tuple:
-    zeros = (_ZERO,) * n
-    return tuple(zeros[:i] + (_ONE,) + zeros[i + 1 :] for i in range(n))
 
 
 class HodgeData(Record):
@@ -114,7 +107,7 @@ class HodgeData(Record):
                 raise InputError(f"duplicate flag index {i1}")
         if not norm:
             raise InputError("a flag on a nonzero space needs at least one entry")
-        raw, prev, basis = [], None, _full_basis(ncols)
+        raw, prev, basis = [], None, RatMatrix.identity(ncols).entries
         for idx, rows in norm:
             rows = [row.copy() for row in rows]  # the int rows may be shared
             echelon = list(zip(_gauss_jordan(rows, ncols), rows))
@@ -150,7 +143,7 @@ class HodgeData(Record):
         if hi - lo - 2 >= FLAG_MAX_SPAN:
             msg = f"flag jump window {lo + 1}..{hi - 1} spans over {FLAG_MAX_SPAN} indices"
             raise InputError(msg)
-        levels.insert(0, (lo, _full_basis(rank)))
+        levels.insert(0, (lo, RatMatrix.identity(rank).entries))
         # weight j - 1 has multiplicity dim Fil^(j-1) - dim Fil^j, j a level past lo
         drops = zip(levels, levels[1:])
         weights = tuple(j - 1 for (_, a), (j, b) in drops for _ in range(len(a) - len(b)))
@@ -166,7 +159,7 @@ class HodgeData(Record):
         """Canonical basis of Fil^j (flag form only)."""
         self.require_flag("subspace_at")
         k = bisect_right(self.levels, j, key=itemgetter(0))
-        return self.levels[k - 1][1] if k else _full_basis(self.rank)
+        return self.levels[k - 1][1] if k else RatMatrix.identity(self.rank).entries
 
     def support(self) -> tuple[int, int]:
         """(lo, hi) with Fil^lo ambient and Fil^hi zero."""
@@ -240,7 +233,7 @@ def dual_hodge(h: HodgeData) -> HodgeData:
 
 def _annihilator(basis, n: int) -> tuple:
     if not basis:
-        return _full_basis(n)
+        return RatMatrix.identity(n).entries
     return RatMatrix(list(basis)).nullspace()
 
 
@@ -282,7 +275,7 @@ def induced_on_subspace(h: HodgeData, subspace: Sequence) -> HodgeData:
 
     def meet(level) -> tuple:
         if len(level) == n:
-            return _full_basis(k)
+            return RatMatrix.identity(k).entries
         if not level:
             return ()
         rows = tagged + [int_row(f) + pad for f in level]

@@ -72,7 +72,7 @@ from typing import Optional
 
 from .filtration import HodgeData, induced_on_subspace, t_h
 from .isocrystal import PhiModule, dm_blocks, is_dm_normal, newton_slopes, t_n
-from .base import Dimension, InputError, Record, _vp_int, lower_hull_vertices, rat_str, valuation
+from .base import Dimension, InputError, Record, _vp_int, json_key, lower_hull_vertices, valuation
 from .rational import (
     RatMatrix,
     _gauss_jordan,
@@ -131,19 +131,8 @@ class FilteredPhiModule(Record):
 
     @classmethod
     def from_obj(cls, obj) -> "FilteredPhiModule":
-        if not isinstance(obj, dict):
-            raise InputError("filtered module JSON must be an object")
-        module = PhiModule.from_obj(_field(obj, "module"))
-        return cls(module, HodgeData.from_obj(_field(obj, "hodge")))
-
-
-def _field(obj: dict, key: str):
-    """obj[key]; a missing key is an InputError, while a KeyError raised in
-    building from the value stays an internal fault."""
-    try:
-        return obj[key]
-    except KeyError as exc:
-        raise InputError(f"filtered module JSON missing key {exc}") from exc
+        module = PhiModule.from_obj(json_key(obj, "module", "filtered module"))
+        return cls(module, HodgeData.from_obj(json_key(obj, "hodge", "filtered module")))
 
 
 class Verdict(Record):
@@ -167,18 +156,10 @@ class Verdict(Record):
     def is_true(self) -> bool:
         return self.status == STATUS_TRUE
 
-    def to_obj(self):
-        return {
-            "status": self.status,
-            "witness": None
-            if self.witness is None
-            else [[rat_str(x) for x in row] for row in self.witness],
-        }
 
-
-def degree(m: FilteredPhiModule) -> Fraction:
-    """deg = t_H - t_N, exact (an integer for honest inputs)."""
-    return Fraction(t_h(m.hodge)) - t_n(m.module)
+def degree(m: FilteredPhiModule) -> int:
+    """deg = t_H - t_N, an int: the module keeps t_N(M) = v_p(det phi), `tn`."""
+    return t_h(m.hodge) - m.module.tn
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +380,12 @@ def _sample_subobjects(m: FilteredPhiModule, roots) -> tuple:
             break
     # sums of pairs of the first ten nonzero closures in the iteration order
     # of the set of their bases: a sum of stable subspaces is stable, so it
-    # is the span of the two bases' rows
-    singles = [b for b in set(found.values()) if b][:10]
-    for rows1, rows2 in itertools.combinations([list(map(int_row, b)) for b in singles], 2):
-        key = int_rref(rows1 + rows2, n)
+    # is the span of the rows of the two `int_rref` keys, each a basis row
+    # cleared of its denominators (gcd-primitive with a positive pivot)
+    key_of = {b: key for key, b in found.items()}
+    singles = [key_of[b] for b in set(found.values()) if b][:10]
+    for key1, key2 in itertools.combinations(singles, 2):
+        key = int_rref([list(row) for _, row in key1 + key2], n)
         if len(key) < n:
             add(key)
     return tuple(sorted(found.values(), key=lambda b: (len(b), b)))
@@ -557,13 +540,12 @@ def _recheck(m: FilteredPhiModule, basis, fast) -> None:
         raise AssertionError(msg)
 
 
-def _first_violation(m: FilteredPhiModule, bound) -> Verdict:
+def _first_violation(m: FilteredPhiModule, bound: int) -> Verdict:
     """First subobject of degree > bound in canonical order, re-checked, as a verdict.
 
     One walk keeps the violators of the least violating rank found so far and
     pushes no child above it; ranks grow along the walk, so every element up
     to that rank is reached.  Only its violators get a basis."""
-    bound = math.floor(bound)  # integer degrees exceed bound iff they exceed its floor
     lattice, walk = m.scored
     cap, bad = [m.rank], []  # the least violating rank so far, and its violators
     for key, inv in walk(cap):
@@ -589,7 +571,7 @@ def is_weakly_admissible(m: FilteredPhiModule) -> Verdict:
     if m.rank == 0:
         return Verdict(STATUS_TRUE)
     m.hodge.require_flag("is_weakly_admissible")
-    if t_h(m.hodge) != m.module.tn:
+    if degree(m) != 0:
         return Verdict(STATUS_FALSE, RatMatrix.identity(m.rank).entries)
     return _first_violation(m, 0)
 
@@ -604,7 +586,7 @@ def is_acyclic(m: FilteredPhiModule) -> Verdict:
     if m.rank == 0:
         return Verdict(STATUS_TRUE)
     m.hodge.require_flag("is_acyclic")
-    return _first_violation(m, t_h(m.hodge) - m.module.tn)
+    return _first_violation(m, degree(m))
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +768,7 @@ def fn4_reduce(m: FilteredPhiModule) -> FilteredPhiModule:
     verdict = is_acyclic(m)
     if verdict.status != STATUS_TRUE:
         raise InputError(f"fn4_reduce needs a certified acyclic module (got {verdict.status})")
-    tn = m.module.tn
-    deg = t_h(m.hodge) - tn
+    deg = degree(m)
     if deg < 0:
         raise AssertionError(f"internal: a certified acyclic module has degree {deg}")
     cur = m
@@ -799,7 +780,7 @@ def fn4_reduce(m: FilteredPhiModule) -> FilteredPhiModule:
                 "the degree-lowering invariant"
             )
         cur = _lower_once(cur, filt)
-        if t_h(cur.hodge) - tn != left:
+        if degree(cur) != left:
             raise AssertionError("internal: a lowering step did not drop the degree by one")
     final = is_weakly_admissible(cur)
     if final.status != STATUS_TRUE:  # pragma: no cover

@@ -27,6 +27,7 @@ from .base import (
     _vp_int,
     check_prime,
     json_int,
+    json_key,
     newton_polygon,
     rat,
     rat_str,
@@ -48,10 +49,6 @@ class SlopeMultiset(Record):
         object.__setattr__(
             self, "entries", tuple(sorted(merged.items(), key=lambda t: t[0]))
         )
-
-    @property
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -148,13 +145,7 @@ class PhiModule(Record):
 
     @classmethod
     def from_obj(cls, obj) -> "PhiModule":
-        if not isinstance(obj, dict):
-            raise InputError("PhiModule JSON must be an object")
-        try:
-            p = obj["p"]
-            phi = obj["phi"]
-        except KeyError as exc:
-            raise InputError(f"PhiModule JSON missing key {exc}") from exc
+        p, phi = json_key(obj, "p", "PhiModule"), json_key(obj, "phi", "PhiModule")
         n = obj.get("N")
         form = obj.get("form", FORM_MATRIX)
         return cls.from_matrices(p, RatMatrix(phi), RatMatrix(n) if n is not None else None, form)

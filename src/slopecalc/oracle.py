@@ -47,12 +47,13 @@ def check_hodge(h):
 
 
 def check_verdict(m, verdict, kind):
-    """Stability of every element; a certified-true verdict is re-scored on every
+    """Stability of every element of the lattice the verdict was read from (the
+    module keeps it, `scored`); a certified-true verdict is re-scored on every
     element by `sub_invariants`, a certified-false one on its witness."""
     from . import hn
     from .rational import restriction_matrix, span_contains
 
-    lattice = hn.enumerate_subobjects(m)
+    lattice = m.scored[0]
     subs = [lattice.basis(key) for key in lattice.keys]
     for basis in subs:
         require(restriction_matrix(m.module.phi, basis) is not None, "unstable subspace")

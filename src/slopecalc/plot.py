@@ -2,8 +2,9 @@
 
 `polygon_from_obj` reads a valuation polygon from the plot input: the Newton
 polygon of coefficients at a prime p, the Hodge polygon of integer weights,
-or given vertices.  `svg` draws it on a unit grid, byte for byte the same
-for the same polygon.
+or given vertices, its keys by `base.json_key` and `json_list`, as the CLI
+reads its own, so that it imports nothing from `cli`.  `svg` draws it on a
+unit grid, byte for byte the same for the same polygon.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .base import InputError, Polygon, json_int, rat, rat_str, valuation
-from .cli import _list, _need
+from .base import InputError, Polygon, json_int, json_key, json_list, rat, rat_str, valuation
 
 SVG_MAX_SPAN = 1000  # grid units on either axis of an SVG plot
 
@@ -22,13 +22,13 @@ def polygon_from_obj(obj) -> Polygon:
         raise InputError("plot input must be a JSON object")
     if "coefficients" in obj:
         pts = [
-            (i, valuation(c, _need(obj, "p")))
-            for i, c in enumerate(_list(obj, "coefficients"))
+            (i, valuation(c, json_key(obj, "p", "input")))
+            for i, c in enumerate(json_list(obj, "coefficients", "input"))
             if rat(c) != 0
         ]
         return Polygon.lower_hull(pts)
     if "weights" in obj:
-        ws = sorted(json_int(w, "plot weights") for w in _list(obj, "weights"))
+        ws = sorted(json_int(w, "plot weights") for w in json_list(obj, "weights", "input"))
         acc = 0
         verts = [(0, Fraction(0))]
         for i, w in enumerate(ws, start=1):
@@ -36,10 +36,10 @@ def polygon_from_obj(obj) -> Polygon:
             verts.append((i, Fraction(acc)))
         return Polygon(verts)
     if "vertices" in obj:
-        vertices = _list(obj, "vertices")
+        vertices = json_list(obj, "vertices", "input")
         if not all(isinstance(v, list) and len(v) == 2 for v in vertices):
             raise InputError("plot vertices must be [x, y] pairs")
-        return Polygon([(json_int(x, "vertex x-coordinates"), rat(y)) for x, y in vertices])
+        return Polygon(vertices)  # which reads each x by `json_int` and each y by `rat`
     raise InputError("plot input needs 'coefficients'+'p', 'weights' or 'vertices'")
 
 

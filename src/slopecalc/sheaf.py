@@ -18,18 +18,18 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .base import (
+    INFTY,
     Dimension,
     InputError,
     Record,
     json_int,
     json_int_field,
+    json_key,
     rat,
     rat_str,
     torsion_entry,
     torsion_normal_form,
 )
-
-INFTY = "infty"
 
 
 class FFSheaf(Record):
@@ -94,9 +94,8 @@ class FFSheaf(Record):
             raise InputError("sheaf 'bundle' and 'torsion' must be lists")
         pairs = []
         for b in bundle:
-            if not isinstance(b, dict) or "slope" not in b:
-                raise InputError("bundle entries need 'slope' (and 'copies')")
-            pairs.append((rat(b["slope"]), json_int_field(b, "copies", 1)))
+            slope = rat(json_key(b, "slope", "bundle entry"))
+            pairs.append((slope, json_int_field(b, "copies", 1)))
         if not all(isinstance(t, dict) for t in torsion):
             raise InputError("torsion entries need 'point' and 'lengths'")
         return cls.from_bundle(pairs, [(t.get("point", INFTY), t.get("lengths")) for t in torsion])

@@ -104,6 +104,15 @@ def _bench_tracer():
     return tracer
 
 
+def _parsed(*folders):
+    """(path, AST) of every Python file under the given folders of the repository."""
+    import ast
+
+    for folder in folders:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_no_dead_module_level_functions():
     """Every module-level function and class of `src/slopecalc` is referenced
     by name elsewhere in `src/` (not only from its own body), exported
@@ -112,8 +121,7 @@ def test_no_dead_module_level_functions():
 
     defined, referenced = {}, set()
     tops = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    for path in sorted((ROOT / "src" / "slopecalc").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for path, tree in _parsed("src/slopecalc"):
         for top in tree.body:
             own = top.name if isinstance(top, tops) else None
             if own:
@@ -129,3 +137,35 @@ def test_no_dead_module_level_functions():
     dead = sorted(f"{module}: {name}" for name, module in defined.items()
                   if name not in kept and not name.startswith("__"))
     assert dead == []
+
+
+def test_no_dead_methods():
+    """Every method of a `src/slopecalc` class, dunders aside, is referenced as
+    an attribute somewhere in `src/`, `tests/` or `bench/`."""
+    import ast
+
+    attributes = {node.attr for _, tree in _parsed("src", "tests", "bench")
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    dead = sorted(f"{path.name}: {cls.name}.{f.name}"
+                  for path, tree in _parsed("src/slopecalc")
+                  for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for f in cls.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not f.name.startswith("__") and f.name not in attributes)
+    assert dead == []
+
+
+def test_no_constant_assigned_in_two_modules():
+    """A module-level constant (an upper-case name) is assigned in one `src/slopecalc`
+    module, and the others import it."""
+    import ast
+    import re
+
+    owners = {}
+    for path, tree in _parsed("src/slopecalc"):
+        for top in tree.body:
+            targets = (top.targets if isinstance(top, ast.Assign)
+                       else [top.target] if isinstance(top, ast.AnnAssign) else [])
+            for node in (n for t in targets for n in ast.walk(t)):
+                if isinstance(node, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", node.id):
+                    owners.setdefault(node.id, set()).add(path.name)
+    assert sorted(name for name, modules in owners.items() if len(modules) > 1) == []

@@ -468,6 +468,19 @@ class TestMalformedInput:
 
 
 class TestOracleRescoring:
+    @pytest.mark.parametrize("command, fixture", [("wa", "wa_true"), ("acyclic", "acyclic_false")])
+    def test_the_oracle_checks_the_lattice_of_the_verdict(self, capsys, monkeypatch, command,
+                                                         fixture):
+        # one enumeration per call: the oracle reads the lattice the module keeps
+        spec = json.loads((ROOT / "tests" / "fixtures" / f"{fixture}.json").read_text())
+        made, real = [], hn.enumerate_subobjects
+        monkeypatch.setattr(hn, "enumerate_subobjects", lambda m: made.append(m) or real(m))
+        plain = run_cli(capsys, command, spec["input"])
+        assert len(made) == 1
+        made.clear()
+        assert run_cli(capsys, command, spec["input"], "--oracle") == plain
+        assert len(made) == 1
+
     def test_underreporting_scorer_exits_four(self, capsys, monkeypatch):
         # span(e1) has degree 1 > 0; a scorer one short of it makes the
         # module look weakly admissible, which the oracle must refuse
@@ -650,6 +663,9 @@ class TestImportSet:
         assert _loaded_after("import slopecalc.cli") == {
             "slopecalc", "slopecalc.cli", "slopecalc.base"
         }
+
+    def test_plot_import_loads_no_cli(self):
+        assert "slopecalc.cli" not in _loaded_after("import slopecalc.plot")
 
     @pytest.mark.parametrize("command", ["newton", "plot"])
     def test_polygon_commands_skip_the_deciders(self, command):

@@ -106,6 +106,13 @@ class TestDegree:
     def test_rank_two(self):
         assert degree(diag1p([(1, [[0, 1]])])) == 0
 
+    @pytest.mark.parametrize("kind", ["eigenlines", "blocks", "scalar-chain", "sample"])
+    def test_an_int_on_every_strategy(self, kind):
+        m = TestWalk.kinds()[kind]
+        assert enumerate_subobjects(m).strategy == kind
+        assert type(degree(m)) is int
+        assert degree(m) == t_h(m.hodge) - valuation(m.module.phi.det(), P)
+
 
 class TestEnumerate:
     def test_distinct_valuations_certified(self):

@@ -321,6 +321,14 @@ class TestPolygon:
         with pytest.raises(InputError):
             Polygon([(0, F(0)), (0, F(1))])
 
+    @pytest.mark.parametrize("x", [1.5, 2.9, True])
+    def test_rejects_an_x_that_is_not_an_int(self, x):
+        # read as `int(x)`, 1.5 and 2.9 were truncated and True read as 1
+        with pytest.raises(InputError, match="vertex x-coordinates must be integers"):
+            Polygon([(0, F(0)), (x, F(1))])
+        with pytest.raises(InputError, match="vertex x-coordinates must be integers"):
+            Polygon.lower_hull([(0, 0), (x, 1)])
+
     @settings(max_examples=50)
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(-5, 5)), min_size=1, max_size=8))
     def test_hull_below_all_points(self, pts):

@@ -8,7 +8,7 @@ from slopecalc.bc import BCObject, HeightRank
 from slopecalc.filtration import HodgeData
 from slopecalc.hn import HNStep, Verdict
 from slopecalc.isocrystal import PhiModule
-from slopecalc.base import Dimension, Record
+from slopecalc.base import Dimension, Record, rat_str
 from slopecalc.sheaf import QuotientDim
 
 ROW = ((F(1), F(0)),)
@@ -161,3 +161,15 @@ class TestCompiledMethods:
 
         with pytest.raises(SyntaxError):
             Bad(1, 2)
+
+
+class TestToObj:
+    @pytest.mark.parametrize("witness", [None, (), ((F(1), F(-1, 2)), (F(0), F(3)))],
+                             ids=["none", "empty", "fraction-basis"])
+    def test_a_verdict_writes_the_status_and_the_witness_rows_by_rat_str(self, witness):
+        # the form `Verdict` once wrote by hand, before `Record.to_obj` wrote it
+        rows = None if witness is None else [[rat_str(x) for x in row] for row in witness]
+        assert "to_obj" not in vars(Verdict)
+        assert Verdict("certified-false" if witness else "certified-true", witness).to_obj() == {
+            "status": "certified-false" if witness else "certified-true", "witness": rows,
+        }
