@@ -4,11 +4,11 @@ All arithmetic is exact, over `fractions.Fraction` and Python ints, and
 nothing here ever rounds.  The only float in the module is `math.inf`, used
 as the conventional valuation of zero.  This module holds the error types,
 the checks and coercions of JSON input (`rat`, `json_int`, the object
-reader `json_key`/`json_list`, the torsion helpers and their point `INFTY`)
-and `rat_str`, `Record` (the base of every immutable record) and
-`Dimension`, exact primality and p-adic valuations, and the valuation
-polygons: `lower_hull_vertices`, `Polygon` and `newton_polygon`.  It builds
-no matrix, so a command without linear algebra (`newton`, `plot`,
+readers `json_object`, `json_key`, `json_list`, `json_either`, the torsion
+helpers and `INFTY`) and `rat_str`, `Record` (the base of every immutable
+record) and `Dimension`, exact primality and p-adic valuations, and the
+valuation polygons: `lower_hull_vertices`, `Polygon` and `newton_polygon`.
+It builds no matrix, so a command without linear algebra (`newton`, `plot`,
 `cohdim`, the `bc` commands, `mv-check`) loads it and not `rational`.
 
 Slope convention, used by everything downstream: `newton_polygon` returns
@@ -101,35 +101,53 @@ def json_int(x, what: str, low: Optional[int] = None) -> int:
     return x
 
 
-def json_key(obj, key: str, what: str):
-    """obj[key] of the JSON object `what`; a non-object or a missing key is an InputError.
+_REQUIRED = object()  # the default of a key that must be present
+
+
+def json_object(obj, what: str) -> dict:
+    """obj itself, the JSON object `what`; anything else is an InputError."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} JSON must be an object")
+    return obj
+
+
+def json_key(obj, key: str, what: str, default=_REQUIRED):
+    """obj[key] of the JSON object `what`, or any `default`; else an InputError.
 
     Only membership is checked, so a KeyError raised while building from the
     value stays an internal fault.
     """
-    if not isinstance(obj, dict):
-        raise InputError(f"{what} JSON must be an object")
-    if key not in obj:
+    if key in json_object(obj, what):
+        return obj[key]
+    if default is _REQUIRED:
         raise InputError(f"{what} JSON missing key {key!r}")
-    return obj[key]
+    return default
 
 
-def json_list(obj, key: str, what: str) -> list:
+def json_list(obj, key: str, what: str, default=_REQUIRED) -> list:
     """`json_key`, whose value must be a JSON list."""
-    value = json_key(obj, key, what)
+    value = json_key(obj, key, what, default)
     if not isinstance(value, list):
         raise InputError(f"{key!r} must be a JSON list")
     return value
 
 
-def json_int_field(obj: dict, key: str, default=None) -> int:
-    """The integer field `key` of a JSON object; a missing key gives `default`."""
-    if key not in obj and default is not None:
-        return default
-    return json_int(obj.get(key), f"{key!r} fields")
+def json_either(obj, what: str, *keys: str) -> Optional[str]:
+    """The one of `keys` that the JSON object `what` holds, or None if it holds
+    none; two are an InputError, as an input gives one alternative."""
+    obj = json_object(obj, what)
+    held = [key for key in keys if key in obj]
+    if len(held) > 1:
+        raise InputError(f"{what} JSON gives both {held[0]!r} and {held[1]!r}")
+    return held[0] if held else None
 
 
 INFTY = "infty"  # the distinguished torsion point
+
+
+def torsion_from_obj(obj, what: str) -> tuple:
+    """(point, lengths) of the JSON object `what`, the point `INFTY` by default."""
+    return json_key(obj, "point", what, INFTY), json_key(obj, "lengths", what)
 
 
 def torsion_entry(entry) -> tuple[str, tuple]:

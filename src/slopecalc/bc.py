@@ -25,10 +25,10 @@ from .base import (
     InputError,
     Record,
     json_int,
-    json_int_field,
     json_key,
     json_list,
     torsion_entry,
+    torsion_from_obj,
     torsion_normal_form,
 )
 
@@ -117,12 +117,11 @@ class BCObject(Record):
         ueff, uquot, torsion, qp = [], [], [], 0
         for s in json_list(obj, "summands", "BC"):
             t = json_key(s, "type", "summand")
-            if t in ("Ueff", "Uquot"):
-                d, h = json_int_field(s, "d"), json_int_field(s, "h")
-                piece = (d, h, json_int_field(s, "copies", 1))
-                (ueff if t == "Ueff" else uquot).append(piece)
+            if t in ("Ueff", "Uquot"):  # `build` checks the integers
+                d, h = json_key(s, "d", "summand"), json_key(s, "h", "summand")
+                (ueff if t == "Ueff" else uquot).append((d, h, json_key(s, "copies", "summand", 1)))
             elif t == "Tors":
-                torsion.append((s.get("point", INFTY), s.get("lengths", [])))
+                torsion.append(torsion_from_obj(s, "summand"))
             elif t == "Qp":
                 # checked before the sum, which a negative n would cancel into
                 qp += json_int(s.get("n", 1), "qp multiplicities", 0)
@@ -148,9 +147,7 @@ class QBCObject(Record):
     @classmethod
     def from_obj(cls, obj) -> "QBCObject":
         quotient = json_key(obj, "quotient", "quasi object")
-        core = obj.get("torsion_core", [])
-        if not isinstance(core, list):
-            raise InputError("'torsion_core' must be a list of positive integers")
+        core = json_list(obj, "torsion_core", "quasi object", [])
         core = [json_int(m, "torsion core lengths") for m in core]
         return cls.build(core, BCObject.from_obj(quotient))
 

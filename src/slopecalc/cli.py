@@ -82,7 +82,10 @@ def _filtered(obj):
 def _cmd_hn(obj, args):
     from . import hn
 
-    filt = hn.hn_filtration(_filtered(obj))
+    m = _filtered(obj)
+    filt = hn.hn_filtration(m)
+    if args.oracle:
+        args.oracle.check_hn(m, filt)
     return filt.to_obj(), _exit_code(filt.certified, True)
 
 
@@ -110,14 +113,20 @@ def _cmd_fn4(obj, args):
     """`fn4_reduce` raises unless its output is certified weakly admissible."""
     from . import hn
 
-    reduced = hn.fn4_reduce(_filtered(obj))
+    m = _filtered(obj)
+    reduced = hn.fn4_reduce(m)
+    if args.oracle:
+        args.oracle.check_fn4(m, reduced)
     return {"reduced": reduced.to_obj(), "verdict": hn.Verdict(hn.STATUS_TRUE).to_obj()}, EXIT_TRUE
 
 
 def _cmd_vst(obj, args):
     from . import hn
 
-    res = hn.vst_dimension(_filtered(obj))
+    m = _filtered(obj)
+    res = hn.vst_dimension(m)
+    if args.oracle:
+        args.oracle.check_vst(m, res)
     return res.to_obj(), _exit_code(res.certified, True)
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .base import InputError, Record, json_int, json_key, json_list
+from .base import InputError, Record, json_either, json_int, json_key, json_list
 
 # `bc`, `filtration`, `hn`, `isocrystal` and `sheaf` are imported by the
 # functions that use them, so that `mv_check`, which needs only `bc`, loads
@@ -98,12 +98,12 @@ class SyntheticCohomology(Record):
     def _pair_from_obj(obj) -> FilteredPhiModule:
         from . import filtration, hn, isocrystal
 
-        if not isinstance(obj, dict):
-            raise InputError("degree entries must be objects")
-        if "hk" in obj and "lattice" in obj:
+        given = {json_either(obj, "degree entry", "hk", "module"),
+                 json_either(obj, "degree entry", "lattice", "hodge")}
+        if given & {"hk", "lattice"}:
             return hn.FilteredPhiModule(
-                isocrystal.PhiModule.from_obj(obj["hk"]),
-                filtration.HodgeData.from_obj(obj["lattice"]),
+                isocrystal.PhiModule.from_obj(json_key(obj, "hk", "degree entry")),
+                filtration.HodgeData.from_obj(json_key(obj, "lattice", "degree entry")),
             )
         return hn.FilteredPhiModule.from_obj(obj)
 
@@ -112,10 +112,8 @@ class SyntheticCohomology(Record):
         r = json_key(obj, "r", "synthetic data")
         degrees = json_key(obj, "degrees", "synthetic data")
         top = cls._pair_from_obj(json_key(degrees, "r", "degrees"))
-        below = None
-        if degrees.get("r-1") is not None:
-            below = cls._pair_from_obj(degrees["r-1"])
-        return cls.build(r, top, below)
+        below = json_key(degrees, "r-1", "degrees", None)
+        return cls.build(r, top, below if below is None else cls._pair_from_obj(below))
 
 
 class Modification(Record):

@@ -25,7 +25,8 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .base import FlagRequiredError, InputError, RatMemo, Record, is_row_list, json_int, rat_str
+from .base import (FlagRequiredError, InputError, RatMemo, Record, is_row_list, json_either,
+                   json_int, json_key, json_list, rat_str)
 from .rational import _ZERO, RatMatrix, _gauss_jordan, _normalized, _rat_rows, int_residue, int_row
 
 KIND_WEIGHTS = "weights"
@@ -192,19 +193,12 @@ class HodgeData(Record):
 
     @classmethod
     def from_obj(cls, obj) -> "HodgeData":
-        if not isinstance(obj, dict):
-            raise InputError("HodgeData JSON must be an object")
-        if "weights" in obj:
+        given = json_either(obj, "HodgeData", "weights", "flag")
+        if given == "weights":
             return cls.from_weights(obj["weights"])
-        if "flag" in obj:
-            if not isinstance(obj["flag"], list):
-                raise InputError("'flag' must be a list of {'index', 'basis'} entries")
-            entries = []
-            for e in obj["flag"]:
-                try:
-                    entries.append((e["index"], e["basis"]))
-                except (TypeError, KeyError) as exc:
-                    raise InputError("flag entries need 'index' and 'basis'") from exc
+        if given == "flag":
+            entries = [(json_key(e, "index", "flag entry"), json_key(e, "basis", "flag entry"))
+                       for e in json_list(obj, "flag", "HodgeData")]
             return cls.from_flag(entries, rank=obj.get("rank"))
         raise InputError("HodgeData JSON needs 'weights' or 'flag'")
 

@@ -49,10 +49,11 @@ modulo it, so memory grows with the rank, not with the number of elements.
 Degrees stay ints.  A decider takes the module alone and its answer depends
 on the module alone: the lattice is a function of the module, which keeps
 it, so no caller passes one (the `PhiModule` keeps `tn`, `coeffs` and a
-lattice that reads only phi and N, the `FilteredPhiModule` its one lattice
-and scorer, `scored`).  `hn_filtration` reads the HN polygon off the upper
-concave hull of the largest degree at each rank, with no containment test
-but between its steps.  A canonical basis is row-reduced only for what a
+lattice that reads only phi and N, the `FilteredPhiModule` its one lattice,
+`lattice`, and that lattice's scorer walk, `walk`, set up when a decider
+first walks).  `hn_filtration` reads the HN polygon off the upper concave
+hull of the largest degree at each rank, with no containment test but
+between its steps.  A canonical basis is row-reduced only for what a
 call returns or compares: a witness, the first in canonical order among the
 violators of least rank, and the elements of largest degree at the hull's
 vertices below V.  Every witness and HN step is scored again from the
@@ -118,8 +119,8 @@ class FilteredPhiModule(Record):
         return self.module.rank
 
     @cached_property
-    def scored(self) -> tuple:
-        """(lattice, walk): the deciders' lattice and its `lattice_scorer` walk; not a field.
+    def lattice(self) -> "SubobjectLattice":
+        """The deciders' lattice; not a field.
 
         `enumerate_subobjects` runs once per module: the `PhiModule` keeps
         every lattice but the scalar chain, which reads the flag.
@@ -127,7 +128,12 @@ class FilteredPhiModule(Record):
         lattice = self.module.lattice or enumerate_subobjects(self)
         if lattice.strategy != "scalar-chain":
             object.__setattr__(self.module, "lattice", lattice)
-        return lattice, lattice_scorer(self, lattice)
+        return lattice
+
+    @cached_property
+    def walk(self):
+        """The `lattice_scorer` walk of `lattice`, set up on first use; not a field."""
+        return lattice_scorer(self, self.lattice)
 
     @classmethod
     def from_obj(cls, obj) -> "FilteredPhiModule":
@@ -546,9 +552,9 @@ def _first_violation(m: FilteredPhiModule, bound: int) -> Verdict:
     One walk keeps the violators of the least violating rank found so far and
     pushes no child above it; ranks grow along the walk, so every element up
     to that rank is reached.  Only its violators get a basis."""
-    lattice, walk = m.scored
+    lattice = m.lattice
     cap, bad = [m.rank], []  # the least violating rank so far, and its violators
-    for key, inv in walk(cap):
+    for key, inv in m.walk(cap):
         if inv[3] > bound and inv[0] <= cap[0]:
             if inv[0] < cap[0]:
                 cap[0], bad = inv[0], []
@@ -566,7 +572,7 @@ def is_weakly_admissible(m: FilteredPhiModule) -> Verdict:
     Flag-form Hodge data is required.  The verdict certifies true only on a
     `certified` lattice (a complete enumeration or the scalar chain); a
     verified violating subobject certifies falsity regardless.  The degree
-    reads t_N(M) off the module, before the lattice (`scored`) is read.
+    reads t_N(M) off the module, before the lattice (`m.lattice`) is read.
     """
     if m.rank == 0:
         return Verdict(STATUS_TRUE)
@@ -627,14 +633,14 @@ def hn_filtration(m: FilteredPhiModule) -> HNFiltration:
     step, so the steps still nest with strictly falling slopes.  The last
     vertex is V, whose basis is the identity and holds every step;
     `sub_invariants` re-checks it against t_H(M) and the module's t_N(M).
-    The lattice is the one the module keeps (`scored`).
+    The lattice and its walk are the ones the module keeps (`lattice`, `walk`).
     """
     if m.rank == 0:
         return HNFiltration((), True)
     m.hodge.require_flag("hn_filtration")
-    lattice, walk = m.scored
+    lattice = m.lattice
     best = {}  # rank -> [M_r, the (key, invariants) reaching it]
-    for key, inv in walk():
+    for key, inv in m.walk():
         top = best.get(inv[0])
         if top is None or inv[3] > top[0]:
             best[inv[0]] = [inv[3], [(key, inv)]]
@@ -765,6 +771,7 @@ def fn4_reduce(m: FilteredPhiModule) -> FilteredPhiModule:
     input's check and the first filtration, on the same module, share its
     scorer too.
     """
+    m.hodge.require_flag("fn4_reduce")  # also at rank 0, where `is_acyclic` needs none
     verdict = is_acyclic(m)
     if verdict.status != STATUS_TRUE:
         raise InputError(f"fn4_reduce needs a certified acyclic module (got {verdict.status})")

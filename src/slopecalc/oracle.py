@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .base import rat, valuation
+from .base import lower_hull_vertices, rat, valuation
 
 
 def require(ok: bool, what: str) -> None:
@@ -46,19 +46,24 @@ def check_hodge(h):
     require(dual_hodge(dual_hodge(h)).weights == h.weights, "double dual")
 
 
-def check_verdict(m, verdict, kind):
-    """Stability of every element of the lattice the verdict was read from (the
-    module keeps it, `scored`); a certified-true verdict is re-scored on every
-    element by `sub_invariants`, a certified-false one on its witness."""
-    from . import hn
+def _stable(m, basis) -> tuple:
+    """`basis`, checked to span a subspace stable under phi and N."""
     from .rational import restriction_matrix, span_contains
 
-    lattice = m.scored[0]
-    subs = [lattice.basis(key) for key in lattice.keys]
-    for basis in subs:
-        require(restriction_matrix(m.module.phi, basis) is not None, "unstable subspace")
-        for v in basis:
-            require(span_contains(basis, m.module.nilpotent.apply(v)), "not N-stable")
+    require(restriction_matrix(m.module.phi, basis) is not None, "unstable subspace")
+    for v in basis:
+        require(span_contains(basis, m.module.nilpotent.apply(v)), "not N-stable")
+    return basis
+
+
+def check_verdict(m, verdict, kind):
+    """Stability of every element of the lattice the verdict was read from (the
+    module keeps it, `m.lattice`); a certified-true verdict is re-scored on every
+    element by `sub_invariants`, a certified-false one on its witness."""
+    from . import hn
+
+    lattice = m.lattice
+    subs = [_stable(m, lattice.basis(key)) for key in lattice.keys]
     total = hn.degree(m)
     bound = 0 if kind == "wa" else total
     if verdict.status == hn.STATUS_TRUE:
@@ -72,6 +77,69 @@ def check_verdict(m, verdict, kind):
             require(total != 0 or d > 0, "witness does not violate")
         else:
             require(d > total, "witness does not violate")
+
+
+def _hn_slopes(m) -> list:
+    """(slope, graded rank) along the upper concave hull of the points (r, M_r),
+    M_r the largest degree at rank r over every element of the module's
+    lattice, each scored by `sub_invariants`."""
+    from . import hn
+
+    lattice, best = m.lattice, {}
+    for key in lattice.keys:
+        k, _, _, d = hn.sub_invariants(m, _stable(m, lattice.basis(key)))
+        best[k] = max(best.get(k, d), d)
+    hull = lower_hull_vertices((k, -d) for k, d in sorted(best.items()))  # upside down
+    return [((y1 - y2) / (k2 - k1), k2 - k1) for (k1, y1), (k2, y2) in zip(hull, hull[1:])]
+
+
+def check_hn(m, filt):
+    """The steps nest, with strictly falling slopes, up to V, and each basis
+    scores its step's cumulative (rank, degree) by `sub_invariants`; on a
+    certified result the slopes are those of the lattice's HN polygon."""
+    from . import hn
+    from .rational import span_leq
+
+    prev, rank, deg = (), 0, 0
+    for step in filt.steps:
+        rank, deg = rank + step.graded_rank, deg + step.graded_degree
+        require(step.graded_rank > 0 and step.slope * step.graded_rank == step.graded_degree,
+                "an HN step's slope is not its graded degree over its graded rank")
+        require(span_leq(prev, step.basis), "HN steps do not nest")
+        k, _, _, d = hn.sub_invariants(m, _stable(m, step.basis))
+        require(k == rank == step.rank and d == deg, "an HN step does not score its degree")
+        prev = step.basis
+    slopes = filt.slopes()
+    require(all(s > t for (s, _), (t, _) in zip(slopes, slopes[1:])), "HN slopes do not fall")
+    require(rank == m.rank, "the last HN step is not V")
+    if filt.certified:
+        require(slopes == _hn_slopes(m), "HN slopes disagree with the lattice's polygon")
+
+
+def check_vst(m, res):
+    """On a certified result, H^0 and whether H^1 vanishes as the lattice's HN
+    polygon gives them: each slope s >= 0 of graded rank r adds (s r, r)."""
+    if res.certified:
+        slopes = _hn_slopes(m)
+        h0 = (sum(s * r for s, r in slopes if s >= 0), sum(r for s, r in slopes if s >= 0))
+        require((res.h0.dim, res.h0.ht) == h0, "H^0 disagrees with the lattice's polygon")
+        require(res.h1_nonvanishing == any(s < 0 for s, _ in slopes), "H^1 disagrees")
+
+
+def check_fn4(m, reduced):
+    """The reduction keeps the module and its flag form, each of its levels
+    lies inside the input's at the same index, and its weak admissibility is
+    certified true and passes `check_verdict`."""
+    from . import hn
+    from .rational import span_leq
+
+    old, new = m.hodge, reduced.hodge
+    require(reduced.module == m.module and new.kind == old.kind, "fn4 changes the module")
+    for j in {j for j, _ in old.levels} | {j for j, _ in new.levels}:
+        require(span_leq(new.subspace_at(j), old.subspace_at(j)), "fn4 raises a level")
+    verdict = hn.is_weakly_admissible(reduced)
+    require(verdict.status == hn.STATUS_TRUE, "fn4 output is not certified weakly admissible")
+    check_verdict(reduced, verdict, "wa")
 
 
 def check_tensor(a, b, product):

@@ -2,8 +2,9 @@
 
 `polygon_from_obj` reads a valuation polygon from the plot input: the Newton
 polygon of coefficients at a prime p, the Hodge polygon of integer weights,
-or given vertices, its keys by `base.json_key` and `json_list`, as the CLI
-reads its own, so that it imports nothing from `cli`.  `svg` draws it on a
+or given vertices, one of the three (`base.json_either`), its keys by
+`base.json_key` and `json_list`, as the CLI reads its own, so that it
+imports nothing from `cli`.  `svg` draws it on a
 unit grid, byte for byte the same for the same polygon.
 """
 
@@ -12,22 +13,21 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .base import InputError, Polygon, json_int, json_key, json_list, rat, rat_str, valuation
+from .base import InputError, Polygon, json_either, json_int, json_key, json_list, rat, rat_str, valuation
 
 SVG_MAX_SPAN = 1000  # grid units on either axis of an SVG plot
 
 
 def polygon_from_obj(obj) -> Polygon:
-    if not isinstance(obj, dict):
-        raise InputError("plot input must be a JSON object")
-    if "coefficients" in obj:
+    given = json_either(obj, "input", "coefficients", "weights", "vertices")
+    if given == "coefficients":
         pts = [
             (i, valuation(c, json_key(obj, "p", "input")))
             for i, c in enumerate(json_list(obj, "coefficients", "input"))
             if rat(c) != 0
         ]
         return Polygon.lower_hull(pts)
-    if "weights" in obj:
+    if given == "weights":
         ws = sorted(json_int(w, "plot weights") for w in json_list(obj, "weights", "input"))
         acc = 0
         verts = [(0, Fraction(0))]
@@ -35,7 +35,7 @@ def polygon_from_obj(obj) -> Polygon:
             acc += w
             verts.append((i, Fraction(acc)))
         return Polygon(verts)
-    if "vertices" in obj:
+    if given == "vertices":
         vertices = json_list(obj, "vertices", "input")
         if not all(isinstance(v, list) and len(v) == 2 for v in vertices):
             raise InputError("plot vertices must be [x, y] pairs")

@@ -18,16 +18,16 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .base import (
-    INFTY,
     Dimension,
     InputError,
     Record,
     json_int,
-    json_int_field,
     json_key,
+    json_list,
     rat,
     rat_str,
     torsion_entry,
+    torsion_from_obj,
     torsion_normal_form,
 )
 
@@ -87,18 +87,10 @@ class FFSheaf(Record):
 
     @classmethod
     def from_obj(cls, obj) -> "FFSheaf":
-        if not isinstance(obj, dict):
-            raise InputError("sheaf JSON must be an object")
-        bundle, torsion = obj.get("bundle", []), obj.get("torsion", [])
-        if not isinstance(bundle, list) or not isinstance(torsion, list):
-            raise InputError("sheaf 'bundle' and 'torsion' must be lists")
-        pairs = []
-        for b in bundle:
-            slope = rat(json_key(b, "slope", "bundle entry"))
-            pairs.append((slope, json_int_field(b, "copies", 1)))
-        if not all(isinstance(t, dict) for t in torsion):
-            raise InputError("torsion entries need 'point' and 'lengths'")
-        return cls.from_bundle(pairs, [(t.get("point", INFTY), t.get("lengths")) for t in torsion])
+        bundle, torsion = json_list(obj, "bundle", "sheaf", []), json_list(obj, "torsion", "sheaf", [])
+        pairs = [(json_key(b, "slope", "bundle entry"), json_key(b, "copies", "bundle entry", 1))
+                 for b in bundle]  # `from_bundle` checks both
+        return cls.from_bundle(pairs, [torsion_from_obj(t, "torsion entry") for t in torsion])
 
 
 def canonicalize(raw_slopes: Iterable, torsion: Iterable = ()) -> FFSheaf:

@@ -169,3 +169,35 @@ def test_no_constant_assigned_in_two_modules():
                 if isinstance(node, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", node.id):
                     owners.setdefault(node.id, set()).add(path.name)
     assert sorted(name for name, modules in owners.items() if len(modules) > 1) == []
+
+
+# the package's JSON parsers by class, each with the name its errors give the object
+PARSERS = {
+    "BCObject": "BC", "Dimension": "Dimension", "FFSheaf": "sheaf",
+    "FilteredPhiModule": "filtered module", "HodgeData": "HodgeData", "PhiModule": "PhiModule",
+    "QBCObject": "quasi object", "SyntheticCohomology": "synthetic data",
+}
+
+
+@pytest.mark.parametrize("value", [[], 5, "x", None, True], ids=repr)
+def test_every_parser_rejects_a_non_object(value):
+    """Every `from_obj`, `bc.parse_formal`, the battery's degree reader and
+    `plot.polygon_from_obj` reject a JSON value that is not an object in the
+    words of `base.json_object`; a class that gains a `from_obj` joins PARSERS."""
+    import importlib
+
+    from slopecalc.base import InputError
+
+    modules = [importlib.import_module(f"slopecalc.{m}") for m in (*SUBMODULES, "plot")]
+    classes = {obj.__name__: obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and obj.__module__ == module.__name__
+               and "from_obj" in vars(obj)}
+    assert sorted(classes) == sorted(PARSERS)
+    parsers = [(cls.from_obj, PARSERS[name]) for name, cls in classes.items()]
+    parsers += [(slopecalc.bc.parse_formal, "BC"),
+                (slopecalc.diagram.SyntheticCohomology._pair_from_obj, "degree entry"),
+                (importlib.import_module("slopecalc.plot").polygon_from_obj, "input")]
+    for parse, what in parsers:
+        with pytest.raises(InputError) as info:
+            parse(value)
+        assert str(info.value) == f"{what} JSON must be an object", parse

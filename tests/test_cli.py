@@ -467,7 +467,98 @@ class TestMalformedInput:
         assert run_cli(capsys, "bc-dim", payload)[0] == 3
 
 
+BATTERY = json.loads((ROOT / "tests" / "fixtures" / "battery_proper.json").read_text())["input"]
+DEGREE = BATTERY["degrees"]["r"]  # {"hk", "lattice"}
+
+
+def _battery(degree):
+    """The battery input with `degree` in place of its degree r."""
+    return {**BATTERY, "degrees": {**BATTERY["degrees"], "r": degree}}
+
+
+class TestObjectReaders:
+    """Each JSON reader through `base`: a non-object, a missing key, a non-list,
+    a list entry that is not an object and two alternatives at once exit 3
+    with `base`'s words and nothing on stdout."""
+
+    @pytest.mark.parametrize("command, payload, error", [
+        ("hodge", {"hodge": 5}, "HodgeData JSON must be an object"),
+        ("hodge", {"hodge": {"flag": [{"basis": [["1"]]}]}}, "flag entry JSON missing key 'index'"),
+        ("hodge", {"hodge": {"flag": [{"index": 1}]}}, "flag entry JSON missing key 'basis'"),
+        ("hodge", {"hodge": {"flag": 5}}, "'flag' must be a JSON list"),
+        ("hodge", {"hodge": {"flag": [5]}}, "flag entry JSON must be an object"),
+        ("hodge", {"hodge": {"weights": [1, 0], "flag": "garbage"}},
+         "HodgeData JSON gives both 'weights' and 'flag'"),
+        ("cohdim", [], "sheaf JSON must be an object"),
+        ("cohdim", {"bundle": [{"copies": 1}]}, "bundle entry JSON missing key 'slope'"),
+        ("cohdim", {"bundle": 5}, "'bundle' must be a JSON list"),
+        ("cohdim", {"torsion": {}}, "'torsion' must be a JSON list"),
+        ("cohdim", {"bundle": [5]}, "bundle entry JSON must be an object"),
+        ("cohdim", {"torsion": [5]}, "torsion entry JSON must be an object"),
+        ("cohdim", {"torsion": [{"point": "x"}]}, "torsion entry JSON missing key 'lengths'"),
+        ("cohdim", {"bundle": [{"slope": "1", "copies": "a"}]},
+         "bundle copies must be integers, got 'a'"),
+        ("plot", [], "input JSON must be an object"),
+        ("plot", {"coefficients": [1, 1]}, "input JSON missing key 'p'"),
+        ("plot", {"weights": 5}, "'weights' must be a JSON list"),
+        ("plot", {"weights": [0], "vertices": [[0, "0"]]},
+         "input JSON gives both 'weights' and 'vertices'"),
+        ("battery", _battery(5), "degree entry JSON must be an object"),
+        ("battery", _battery({"hk": DEGREE["hk"]}),
+         "degree entry JSON missing key 'lattice'"),
+        ("battery", _battery({**DEGREE, "module": DEGREE["hk"]}),
+         "degree entry JSON gives both 'hk' and 'module'"),
+        ("battery", _battery({**DEGREE, "hodge": DEGREE["lattice"]}),
+         "degree entry JSON gives both 'lattice' and 'hodge'"),
+        ("bc-dim", {"torsion_core": 5, "quotient": {"summands": []}},
+         "'torsion_core' must be a JSON list"),
+        ("bc-dim", {"summands": [5]}, "summand JSON must be an object"),
+        ("bc-dim", {"summands": [{"type": "Ueff", "h": 1}]}, "summand JSON missing key 'd'"),
+        ("bc-dim", {"summands": [{"type": "Tors"}]}, "summand JSON missing key 'lengths'"),
+        ("bc-dim", {"summands": [{"type": "Ueff", "d": None, "h": 1}]},
+         "Ueff parameters must be integers, got None"),
+        ("bc-dim", {"summands": [{"type": "Uquot", "d": 1, "h": 1, "copies": "2"}]},
+         "piece copies must be integers, got '2'"),
+        ("fn4-reduce", {"module": {"p": 2, "phi": []}, "hodge": {"weights": []}},
+         "fn4_reduce requires flag-form Hodge data, got weights only"),
+    ])
+    def test_exits_three_in_the_readers_words(self, capsys, command, payload, error):
+        code, out, err = run_cli(capsys, command, payload)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert json.loads(err) == {"error": error}
+
+    @pytest.mark.parametrize("command, sparse, explicit", [
+        ("bc-dim", {"quotient": {"summands": [{"type": "Qp", "n": 3}]}},
+         {"torsion_core": [], "quotient": {"summands": [{"type": "Qp", "n": 3}]}}),
+        ("bc-dim",
+         {"summands": [{"type": "Tors", "lengths": [2]}, {"type": "Ueff", "d": 1, "h": 1}]},
+         {"summands": [{"type": "Tors", "point": "infty", "lengths": [2]},
+                       {"type": "Ueff", "d": 1, "h": 1, "copies": 1}]}),
+        ("cohdim", {"bundle": [{"slope": "-1/2"}], "torsion": [{"lengths": [1]}]},
+         {"bundle": [{"slope": "-1/2", "copies": 1}],
+          "torsion": [{"point": "infty", "lengths": [1]}]}),
+        ("cohdim", {}, {"bundle": [], "torsion": []}),
+    ], ids=["torsion-core", "summand-point-and-copies", "sheaf-point-and-copies", "sheaf-lists"])
+    def test_an_optional_key_takes_its_default(self, capsys, command, sparse, explicit):
+        got = run_cli(capsys, command, sparse)
+        assert got[0] == 0 and got == run_cli(capsys, command, explicit)
+
+
 class TestOracleRescoring:
+    def test_the_oracle_reads_the_lattice_without_its_walk(self, capsys, monkeypatch):
+        # phi = 1 at p = 2, Fil^1 = span(1, 1): the degree is 1, so `wa`
+        # answers before it reads the lattice, and the oracle, which checks
+        # every element's stability, sets up no scorer that nothing walks
+        payload = {"module": {"p": 2, "phi": [["1", "0"], ["0", "1"]]},
+                   "hodge": {"flag": [{"index": 1, "basis": [["1", "1"]]}], "rank": 2}}
+        made, scorers = [], []
+        enumerate_subobjects, lattice_scorer = hn.enumerate_subobjects, hn.lattice_scorer
+        monkeypatch.setattr(hn, "enumerate_subobjects",
+                            lambda m: made.append(m) or enumerate_subobjects(m))
+        monkeypatch.setattr(hn, "lattice_scorer",
+                            lambda m, lattice: scorers.append(m) or lattice_scorer(m, lattice))
+        code, _, _ = run_cli(capsys, "wa", payload, "--oracle")
+        assert code == 1 and (len(made), len(scorers)) == (1, 0)
     @pytest.mark.parametrize("command, fixture", [("wa", "wa_true"), ("acyclic", "acyclic_false")])
     def test_the_oracle_checks_the_lattice_of_the_verdict(self, capsys, monkeypatch, command,
                                                          fixture):
@@ -545,6 +636,62 @@ def _python(*args, stdin=b"", timeout=120):
     return subprocess.run(
         [sys.executable, *args], input=stdin, capture_output=True, env=env, timeout=timeout
     )
+
+
+class TestOracleChecksTheFilteredCommands:
+    """`hn`, `vst` and `fn4-reduce` under `--oracle`: a doctored answer, the
+    source of a function of `hn` and `real`, the function it replaces, exits 4,
+    also under `python -O`."""
+
+    CASES = [
+        ("hn", "hn_filtration", "hn_destabilized",
+         "lambda m: hn.HNFiltration(real(m).steps[-1:], True)",
+         "an HN step does not score its degree"),
+        ("hn", "hn_filtration", "hn_destabilized",
+         "lambda m: hn.HNFiltration((hn.HNStep(real(m).steps[-1].basis, 0, 2, 2, 0),), True)",
+         "HN slopes disagree with the lattice's polygon"),
+        ("vst", "vst_dimension", "hn_destabilized",
+         "lambda m: hn.VstResult(hn.Dimension(0, 0), True, True)",
+         "H^0 disagrees with the lattice's polygon"),
+        ("vst", "vst_dimension", "hn_destabilized",
+         "lambda m: hn.VstResult(hn.Dimension(1, 1), False, True)", "H^1 disagrees"),
+        ("fn4-reduce", "fn4_reduce", "fn4_scalar", "lambda m: m",
+         "fn4 output is not certified weakly admissible"),
+        ("fn4-reduce", "fn4_reduce", "fn4_scalar",
+         "lambda m: hn.FilteredPhiModule(hn.PhiModule.from_matrices(3, [[1, 0], [0, 1]]), "
+         "real(m).hodge)", "fn4 changes the module"),
+    ]
+    IDS = ["hn-only-v", "hn-one-step", "vst-h0", "vst-h1", "fn4-input", "fn4-other-module"]
+
+    @staticmethod
+    def payload(fixture):
+        return json.loads((ROOT / "tests" / "fixtures" / f"{fixture}.json").read_text())["input"]
+
+    @pytest.mark.parametrize("command, name, fixture, doctor, message", CASES, ids=IDS)
+    def test_doctored_answer_exits_four(self, capsys, monkeypatch, command, name, fixture,
+                                        doctor, message):
+        payload = self.payload(fixture)
+        plain = run_cli(capsys, command, payload, "--oracle")
+        assert plain[0] in (0, 1, 2) and plain[2] == ""
+        monkeypatch.setattr(hn, name, eval(doctor, {"hn": hn, "real": getattr(hn, name)}))
+        assert run_cli(capsys, command, payload)[0] in (0, 1, 2)
+        code, out, err = run_cli(capsys, command, payload, "--oracle")
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert json.loads(err)["error"] == f"internal: oracle: {message}"
+
+    @pytest.mark.parametrize("command, name, fixture, doctor, message", CASES, ids=IDS)
+    def test_doctored_answer_exits_four_under_O(self, command, name, fixture, doctor, message):
+        script = (
+            "import io, json, sys\n"
+            "from slopecalc import cli, hn\n"
+            f"real = hn.{name}\n"
+            f"hn.{name} = {doctor}\n"
+            f"sys.stdin = io.StringIO(json.dumps({self.payload(fixture)!r}))\n"
+            f"sys.exit(cli.run([{command!r}, '--oracle']))\n"
+        )
+        proc = _python("-O", "-c", script)
+        assert proc.returncode == 4 and proc.stdout == b""
+        assert json.loads(proc.stderr)["error"] == f"internal: oracle: {message}"
 
 
 class TestFn4NoHang:

@@ -5,8 +5,8 @@ its input on stdin, and its exit code and the SHA-256 of its stdout are
 compared with the digests recorded in bench/golden.json (written by
 `python3 bench/record_golden.py`), once plain and once with `--oracle`,
 and with `--seed 7` and `--seed=3` against the plain run (a seed is ignored);
-one fixture per command also runs as a fresh process, and the whole corpus
-once more in one `python -O` process.
+one fixture per command also runs as a fresh process, plain and with
+`--oracle`, and the whole corpus once more in one `python -O` process.
 Criterion 10 checks that a run agrees with itself; this checks that it
 agrees with the recorded answers.
 """
@@ -88,18 +88,29 @@ def _one_fixture_per_command():
     return sorted(first.values())
 
 
-@pytest.mark.parametrize("path", _one_fixture_per_command(), ids=lambda path: path.stem)
-def test_fresh_process_matches_golden(path):
-    """A command run as its own `python -m slopecalc` process, so that it
-    loads no module an earlier test has already imported."""
+def _fresh_process(path, *flags):
     spec = json.loads(path.read_text(encoding="utf-8"))
     proc = subprocess.run(
-        [sys.executable, "-m", "slopecalc", spec["command"], "--input", "-"],
+        [sys.executable, "-m", "slopecalc", spec["command"], "--input", "-", *flags],
         input=json.dumps(spec["input"]).encode(), capture_output=True, env=_env(), timeout=120,
     )
     want = GOLDEN[path.name]
     got = (proc.returncode, hashlib.sha256(proc.stdout).hexdigest())
     assert got == (want["exit"], want["stdout_sha256"]), proc.stderr
+
+
+@pytest.mark.parametrize("path", _one_fixture_per_command(), ids=lambda path: path.stem)
+def test_fresh_process_matches_golden(path):
+    """A command run as its own `python -m slopecalc` process, so that it
+    loads no module an earlier test has already imported."""
+    _fresh_process(path)
+
+
+@pytest.mark.parametrize("path", _one_fixture_per_command(), ids=lambda path: path.stem)
+def test_fresh_process_with_oracle_matches_golden(path):
+    """The same under `--oracle`, so that a check that needs a module its
+    command's handler never loads must import it itself."""
+    _fresh_process(path, "--oracle")
 
 
 # Every fixture through the in-process `cli.run`, plain and with --oracle; prints

@@ -1678,7 +1678,7 @@ class TestKeptLattice:
         assert [(is_acyclic(m), hn_filtration(m)) for m in flags] == want
         assert enumerations == [flags[0]] and scorers == flags
         assert mod.lattice.strategy == "eigenlines"
-        assert all(m.scored[0] is mod.lattice for m in flags)
+        assert all(m.lattice is mod.lattice for m in flags)
 
     def test_scalar_phi_enumerates_once_per_flag(self, monkeypatch):
         # phi = 1 at p = 2, Fil^0 = <e1> for a and <e2> for b: b's own chain
@@ -1694,7 +1694,7 @@ class TestKeptLattice:
         assert filts[:2] == filts[2:]
         for m, filt, line in ((a, filts[0], (F(1), F(0))), (b, filts[1], (F(0), F(1)))):
             assert filt.certified and filt.slopes() == [(0, 1), (-1, 1)]
-            assert filt.steps[0].basis == (line,) and m.scored[0].strategy == "scalar-chain"
+            assert filt.steps[0].basis == (line,) and m.lattice.strategy == "scalar-chain"
         with pytest.raises(TypeError):
             hn_filtration(b, enumerate_subobjects(a))
 
@@ -1758,13 +1758,13 @@ class TestCopies:
         deciders = (is_weakly_admissible, is_acyclic, hn_filtration)
         want = [decide(twin(m)) for decide in deciders]
         before = copy_of(m)
-        assert hn_filtration(m) == want[2] and m.scored[0].strategy == "eigenlines"
+        assert hn_filtration(m) == want[2] and m.lattice.strategy == "eigenlines"
         after = copy_of(m)
         for c in (before, after):
             assert c == m and c.module.tn == m.module.tn
             assert copy_of(c.module.phi) == m.module.phi
             assert c.module.lattice is None and "coeffs" not in vars(c.module)
-            assert "scored" not in vars(c)
+            assert "lattice" not in vars(c) and "walk" not in vars(c)
             assert [decide(c) for decide in deciders] == want
 
 
