@@ -401,6 +401,8 @@ class Polygon(Record):
 
     def __post_init__(self):
         vs = tuple((json_int(x, "vertex x-coordinates"), rat(y)) for x, y in self.vertices)
+        if not vs:
+            raise InputError("a polygon needs at least one vertex")
         for (x1, _), (x2, _) in zip(vs, vs[1:]):
             if x2 <= x1:
                 raise InputError("polygon x-coordinates must strictly increase")

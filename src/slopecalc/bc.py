@@ -24,6 +24,7 @@ from .base import (
     Dimension,
     InputError,
     Record,
+    json_either,
     json_int,
     json_key,
     json_list,
@@ -156,7 +157,7 @@ Formal = Union[BCObject, QBCObject]
 
 
 def parse_formal(obj) -> Formal:
-    if isinstance(obj, dict) and "quotient" in obj:
+    if json_either(obj, "BC", "quotient", "summands") == "quotient":
         return QBCObject.from_obj(obj)
     return BCObject.from_obj(obj)
 
@@ -294,11 +295,7 @@ def check_exact(sequence: Sequence[Formal], arrows: Sequence[dict]) -> bool:
             return False
     # exactness at the final node: last image fills it
     last_im = ims[-1] if arrows else ZERO_DIM
-    if last_im != dims[-1]:
-        return False
-    if not arrows and not dims[-1].is_zero():
-        return False
-    return True
+    return last_im == dims[-1]
 
 
 class HeightRank(Record):
@@ -308,18 +305,12 @@ class HeightRank(Record):
     certified: bool
 
 
-def height_functor_rank(w: Formal, ext_correction: Optional[int] = None) -> HeightRank:
+def height_functor_rank(w: Formal) -> HeightRank:
     """Rank of Hom(W, B_dR): equals ht(W) when the curvature is <= 0.
 
-    Objects with a positive-curvature part get ht + declared correction
-    (default 0) and are marked uncertified.
+    Objects with a positive-curvature part get ht, marked uncertified.
     """
-    ht = dimension(w).ht
-    if curvature_nonpositive(w):
-        if ext_correction not in (None, 0):
-            raise InputError("ext correction only applies to positive-curvature objects")
-        return HeightRank(ht, True)
-    return HeightRank(ht + (ext_correction or 0), False)
+    return HeightRank(dimension(w).ht, curvature_nonpositive(w))
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +335,11 @@ def label_qp(n: int = 1) -> dict:
 def _norm_label(lbl) -> dict:
     kind = json_key(lbl, "kind", "label")
     if kind == "C":
-        return {"kind": "C", "twist": json_int(lbl.get("twist", 0), "C twists")}
+        return {"kind": "C", "twist": json_int(json_key(lbl, "twist", "label", 0), "C twists")}
     if kind == "B":
-        return {"kind": "B", "k": json_int(lbl.get("k"), "B label lengths k", 1)}
+        return {"kind": "B", "k": json_int(json_key(lbl, "k", "label"), "B label lengths k", 1)}
     if kind == "Qp":
-        return {"kind": "Qp", "n": json_int(lbl.get("n", 1), "Qp label multiplicities n", 1)}
+        return {"kind": "Qp", "n": json_int(json_key(lbl, "n", "label", 1), "Qp label multiplicities n", 1)}
     raise InputError(f"unsupported label kind {kind!r}")
 
 

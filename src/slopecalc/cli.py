@@ -172,9 +172,10 @@ def _cmd_ext(obj, args):
     from . import bc
 
     x, y = json_key(obj, "x", "input"), json_key(obj, "y", "input")
-    triple = bc.ext_tables(x, y, obj.get("k_degree", 1))
+    k_degree = json_key(obj, "k_degree", "input", 1)
+    triple = bc.ext_tables(x, y, k_degree)
     if args.oracle:
-        args.oracle.check_ext(triple, obj.get("k_degree", 1))
+        args.oracle.check_ext(triple, k_degree)
     return triple.to_obj(), EXIT_TRUE
 
 

@@ -14,10 +14,10 @@ independent routes and must agree:
   d       the computed height of the degree-r gluing equals the de Rham
           dimension (total height route).
 
-The verdicts stay separate per route, but in `battery` each degree of
-nonzero rank builds its HN filtration once, on the lattice and scorer that
-its `is_acyclic` left on the module, and the modification and the height
-count are both read off that filtration.
+The verdicts stay separate per route, but in `battery` each degree builds
+its HN filtration once, on the lattice and scorer that its `is_acyclic` left
+on the module, and the modification and the height count are both read off
+that filtration.
 
 `dichotomy` classifies a single pair as "surjective" (vanishing H^1) or
 "positive-height-image" with the height deficit; exactly one branch fires.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .base import InputError, Record, json_either, json_int, json_key, json_list
+from .base import InputError, Record, json_either, json_int, json_key, json_list, json_object
 
 # `bc`, `filtration`, `hn`, `isocrystal` and `sheaf` are imported by the
 # functions that use them, so that `mv_check`, which needs only `bc`, loads
@@ -139,15 +139,9 @@ def build_modification(hk: PhiModule, lattice: HodgeData, r: int) -> Modificatio
 
 def modification_from_filtration(filt: HNFiltration) -> Modification:
     """`build_modification` read off a pair's HN filtration."""
-    from .sheaf import FFSheaf
+    from .sheaf import canonicalize
 
-    pairs = []
-    for step in filt.steps:
-        h = step.slope.denominator
-        if step.graded_rank % h != 0:  # pragma: no cover
-            raise AssertionError("internal: graded rank not divisible by slope denominator")
-        pairs.append((step.slope, step.graded_rank // h))
-    return Modification(FFSheaf.from_bundle(pairs), filt.certified)
+    return Modification(canonicalize((s.slope, s.graded_rank) for s in filt.steps), filt.certified)
 
 
 class DichotomyResult(Record):
@@ -186,23 +180,17 @@ class BatteryReport(Record):
     dim_de_rham: int
 
     def verdicts(self):
-        return {
-            "verdict_a": self.verdict_a,
-            "verdict_b_rm1": self.verdict_b_rm1,
-            "verdict_b_r": self.verdict_b_r,
-            "verdict_cprime": self.verdict_cprime,
-            "verdict_d": self.verdict_d,
-        }
+        return {f: getattr(self, f) for f in self._fields if f.startswith("verdict_")}
 
 
-def _status(flag: bool, certified: bool, witness=None) -> Verdict:
+def _status(flag: bool, certified: bool, witness: tuple) -> Verdict:
     from . import hn
 
     if not certified:
         return hn.Verdict(hn.STATUS_UNCERTIFIED)
     if flag:
         return hn.Verdict(hn.STATUS_TRUE)
-    return hn.Verdict(hn.STATUS_FALSE, witness if witness is not None else ())
+    return hn.Verdict(hn.STATUS_FALSE, witness)
 
 
 def battery(s: SyntheticCohomology) -> BatteryReport:
@@ -210,31 +198,29 @@ def battery(s: SyntheticCohomology) -> BatteryReport:
 
     Uncertified sub-results mark the affected verdicts (and the report)
     uncertified rather than guessing; `consistent` compares the certified
-    verdicts only.  Each degree of nonzero rank builds its HN filtration once,
-    after its acyclicity verdict and on the lattice and scorer that the
-    module keeps; the modification and the height count come from that
-    filtration.  The windows `build_modification` checks are not checked
-    again: `SyntheticCohomology` enforced stricter ones at construction.
+    verdicts only.  Each degree builds its HN filtration once, after its
+    acyclicity verdict and on the lattice and scorer that the module keeps
+    (a degree of rank zero has neither: both deciders answer it at once); the
+    modification and the height count come from that filtration.  The
+    windows `build_modification` checks are not checked again:
+    `SyntheticCohomology` enforced stricter ones at construction.
     """
     from . import hn
     from .sheaf import cohomology_dim
 
     acyc, mods, vst = {}, {}, {}
     for tag, m in (("r-1", s.below), ("r", s.top)):
-        acyc[tag], filt = hn.Verdict(hn.STATUS_TRUE), hn.HNFiltration((), True)
-        if m.rank:
-            acyc[tag], filt = hn.is_acyclic(m), hn.hn_filtration(m)
+        acyc[tag], filt = hn.is_acyclic(m), hn.hn_filtration(m)
         mods[tag], vst[tag] = modification_from_filtration(filt), hn.vst_from_filtration(filt)
     acyc_rm1, acyc_r = acyc["r-1"], acyc["r"]
     h1_rm1 = cohomology_dim(mods["r-1"].sheaf).h1
     h1_r = cohomology_dim(mods["r"].sheaf).h1
-    a_cert = mods["r-1"].certified and mods["r"].certified
+    cert = mods["r-1"].certified and mods["r"].certified  # both filtrations
     a_true = not h1_rm1.quotient_type and not h1_r.quotient_type
     a_witness = (acyc_rm1.witness if h1_rm1.quotient_type else acyc_r.witness) or ()
 
     ht0_rm1, ht0_r = vst["r-1"].h0.ht, vst["r"].h0.ht
     rank_rm1, rank_r = s.below.rank, s.top.rank
-    heights_cert = vst["r-1"].certified and vst["r"].certified
 
     ker_ht = ht0_rm1 - rank_rm1  # height of the comparison kernel
     coker_ht = rank_r - ht0_r  # height of the comparison cokernel
@@ -245,9 +231,9 @@ def battery(s: SyntheticCohomology) -> BatteryReport:
     d_true = ht_glued == rank_r
     d_witness = (acyc_r.witness if coker_ht != 0 else acyc_rm1.witness) or ()
 
-    verdict_a = _status(a_true, a_cert, a_witness)
-    verdict_cprime = _status(c_true, heights_cert, c_witness)
-    verdict_d = _status(d_true, heights_cert, d_witness)
+    verdict_a = _status(a_true, cert, a_witness)
+    verdict_cprime = _status(c_true, cert, c_witness)
+    verdict_d = _status(d_true, cert, d_witness)
 
     # the acyclicity statement is the conjunction of the per-degree verdicts
     if hn.STATUS_FALSE in (acyc_rm1.status, acyc_r.status):
@@ -289,10 +275,9 @@ def _parse_row(obj, tag: str):
 
     what = f"row {tag}"
     objects, arrows = json_list(obj, "objects", what), json_list(obj, "arrows", what)
-    objects = [parse_formal(o) if isinstance(o, dict) else o for o in objects]
-    if not all(isinstance(o, (BCObject, QBCObject)) for o in objects):
-        raise InputError(f"row {tag}: every object must be a JSON object")
-    return objects, arrows
+    built = (BCObject, QBCObject)  # as the library API passes them
+    return [o if isinstance(o, built) else parse_formal(json_object(o, f"{what} object"))
+            for o in objects], arrows
 
 
 def mv_check(row_a, row_b, r: int) -> MVReport:

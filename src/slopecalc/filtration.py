@@ -195,7 +195,11 @@ class HodgeData(Record):
     def from_obj(cls, obj) -> "HodgeData":
         given = json_either(obj, "HodgeData", "weights", "flag")
         if given == "weights":
-            return cls.from_weights(obj["weights"])
+            h = cls.from_weights(obj["weights"])
+            rank = json_int(json_key(obj, "rank", "HodgeData", h.rank), "Hodge ranks")
+            if rank != h.rank:
+                raise InputError(f"HodgeData rank {rank} != number of weights {h.rank}")
+            return h
         if given == "flag":
             entries = [(json_key(e, "index", "flag entry"), json_key(e, "basis", "flag entry"))
                        for e in json_list(obj, "flag", "HodgeData")]

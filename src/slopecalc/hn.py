@@ -458,24 +458,22 @@ def sub_invariants(m: FilteredPhiModule, basis) -> tuple[int, int, Fraction, Fra
 def _flag_coordinates(hodge: HodgeData) -> tuple[list, list]:
     """(C, weights): int coordinates adapted to the flag, ascending by weight.
 
-    Nested levels have nested pivot sets, so the canonical rows of a level at
-    pivots new to it extend those taken above to a basis B of it; their
-    weight is the next level's index - 1, the last index the level holds.
+    Nested levels nest their pivots: a level's canonical rows at pivots new to
+    it extend those above to a basis B, row i of weight `hodge.weights[i]`.
     One elimination of [B^T | I] leaves in row i of its right half C a nonzero
     multiple of row i of (B^T)^-1: `int_apply(C, v)[i]` is coordinate i of v.
     """
     n = hodge.rank
-    found = {}  # pivot column -> (weight, int row), by descending weight
-    levels = hodge.levels
-    for (_, level), (nxt, _) in zip(levels[-2::-1], levels[::-1]):  # from the top
+    found = {}  # pivot column -> int row, by descending weight
+    for _, level in hodge.levels[::-1]:  # from the top
         for row in level:
             c = next(c for c, a in enumerate(row) if a)
             if c not in found:
-                found[c] = nxt - 1, int_row(row)
-    rows = [[r[i] for _, r in reversed(found.values())] + [int(i == t) for t in range(n)]
+                found[c] = int_row(row)
+    rows = [[r[i] for r in reversed(found.values())] + [int(i == t) for t in range(n)]
             for i in range(n)]
     _gauss_jordan(rows, 2 * n)
-    return [row[n:] for row in rows], [j for j, _ in reversed(found.values())]
+    return [row[n:] for row in rows], list(hodge.weights)
 
 
 def lattice_scorer(m: FilteredPhiModule, lattice: SubobjectLattice):

@@ -222,12 +222,6 @@ class TestHeightFunctor:
     def test_positive_curvature_uncertified(self):
         r = height_functor_rank(uquot(1, 1))
         assert not r.certified and r.value == -1
-        r2 = height_functor_rank(uquot(1, 1), ext_correction=2)
-        assert not r2.certified and r2.value == 1
-
-    def test_correction_rejected_when_unneeded(self):
-        with pytest.raises(InputError):
-            height_functor_rank(qp(1), ext_correction=1)
 
     @settings(max_examples=40)
     @given(st.integers(0, 10**6))

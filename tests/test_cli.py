@@ -444,6 +444,12 @@ class TestMalformedInput:
         assert code == cli.EXIT_INPUT == 3 and out == ""
         assert "traceback" not in json.loads(err)
 
+    def test_plot_with_no_vertex_exits_three_in_either_format(self, capsys):
+        for fmt in ("svg", "json"):
+            code, out, err = run_cli(capsys, "plot", {"vertices": []}, "--format", fmt)
+            assert (code, out) == (cli.EXIT_INPUT, "")
+            assert json.loads(err) == {"error": "a polygon needs at least one vertex"}
+
     def test_wide_plot_still_renders_as_json(self, capsys):
         code, out, _ = run_cli(capsys, "plot", {"weights": [0, 10**30]}, "--format", "json")
         assert code == 0 and json.loads(out)["vertices"][-1] == [2, str(10**30)]
@@ -521,6 +527,22 @@ class TestObjectReaders:
          "piece copies must be integers, got '2'"),
         ("fn4-reduce", {"module": {"p": 2, "phi": []}, "hodge": {"weights": []}},
          "fn4_reduce requires flag-form Hodge data, got weights only"),
+        ("bc-dim", {"summands": [{"type": "Qp", "n": 3}], "quotient": {"summands": []}},
+         "BC JSON gives both 'quotient' and 'summands'"),
+        ("bc-dim", 5, "BC JSON must be an object"),
+        ("mv-check", {**MV, "row_a": {**MV["row_a"], "objects": [
+            {**MV_OBJECTS[0], "quotient": {"summands": []}}, *MV_OBJECTS[1:]]}},
+         "BC JSON gives both 'quotient' and 'summands'"),
+        ("mv-check", {**MV, "row_a": {**MV["row_a"], "objects": [5, *MV_OBJECTS[1:]]}},
+         "row A object JSON must be an object"),
+        ("hodge", {"hodge": {"weights": [0, 1], "rank": 5}},
+         "HodgeData rank 5 != number of weights 2"),
+        ("hodge", {"hodge": {"weights": [0, 1], "rank": "2"}},
+         "Hodge ranks must be integers, got '2'"),
+        ("ext", {"x": {"kind": "B"}, "y": {"kind": "C"}}, "label JSON missing key 'k'"),
+        ("ext", {"x": {"kind": "Qp"}, "y": {"kind": "Qp"}, "k_degree": 0},
+         "base field degrees must be >= 1, got 0"),
+        ("plot", {"vertices": []}, "a polygon needs at least one vertex"),
     ])
     def test_exits_three_in_the_readers_words(self, capsys, command, payload, error):
         code, out, err = run_cli(capsys, command, payload)
@@ -538,7 +560,11 @@ class TestObjectReaders:
          {"bundle": [{"slope": "-1/2", "copies": 1}],
           "torsion": [{"point": "infty", "lengths": [1]}]}),
         ("cohdim", {}, {"bundle": [], "torsion": []}),
-    ], ids=["torsion-core", "summand-point-and-copies", "sheaf-point-and-copies", "sheaf-lists"])
+        ("hodge", {"hodge": {"weights": [1, 0]}}, {"hodge": {"weights": [1, 0], "rank": 2}}),
+        ("ext", {"x": {"kind": "C"}, "y": {"kind": "Qp"}},
+         {"x": {"kind": "C", "twist": 0}, "y": {"kind": "Qp", "n": 1}, "k_degree": 1}),
+    ], ids=["torsion-core", "summand-point-and-copies", "sheaf-point-and-copies", "sheaf-lists",
+            "weights-rank", "label-twist-n-and-k-degree"])
     def test_an_optional_key_takes_its_default(self, capsys, command, sparse, explicit):
         got = run_cli(capsys, command, sparse)
         assert got[0] == 0 and got == run_cli(capsys, command, explicit)

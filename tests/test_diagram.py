@@ -325,9 +325,9 @@ class TestBatteryShared:
             # both are looked up on the hn module at call time
             monkeypatch.setattr(hn, fn_name, counted)
         battery(s)
-        degrees = [m for m in (s.below, s.top) if m.rank]
-        assert calls["enumerate_subobjects"] == degrees
-        assert calls["hn_filtration"] == degrees
+        # a degree of rank zero is answered by the deciders, with no lattice
+        assert calls["enumerate_subobjects"] == [m for m in (s.below, s.top) if m.rank]
+        assert calls["hn_filtration"] == [s.below, s.top]
 
     @pytest.mark.parametrize("name", sorted(BATTERY_CASES) + sorted(SEEDED_PAIRS))
     def test_one_scorer_per_degree(self, name, monkeypatch):
