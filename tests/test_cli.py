@@ -542,7 +542,6 @@ class TestObjectReaders:
         ("ext", {"x": {"kind": "B"}, "y": {"kind": "C"}}, "label JSON missing key 'k'"),
         ("ext", {"x": {"kind": "Qp"}, "y": {"kind": "Qp"}, "k_degree": 0},
          "base field degrees must be >= 1, got 0"),
-        ("plot", {"vertices": []}, "a polygon needs at least one vertex"),
     ])
     def test_exits_three_in_the_readers_words(self, capsys, command, payload, error):
         code, out, err = run_cli(capsys, command, payload)
