@@ -115,9 +115,12 @@ def json_key(obj, key: str, what: str, default=_REQUIRED):
     """obj[key] of the JSON object `what`, or any `default`; else an InputError.
 
     Only membership is checked, so a KeyError raised while building from the
-    value stays an internal fault.
+    value stays an internal fault.  A dict is read directly; `json_object` is
+    called only to raise, so it alone words the "must be an object" error.
     """
-    if key in json_object(obj, what):
+    if not isinstance(obj, dict):
+        json_object(obj, what)
+    if key in obj:
         return obj[key]
     if default is _REQUIRED:
         raise InputError(f"{what} JSON missing key {key!r}")

@@ -219,11 +219,16 @@ def canonical_filtration(w: BCObject) -> tuple[BCObject, BCObject, BCObject]:
 
 
 def curvature_nonpositive(w: Formal) -> bool:
-    """No positive-curvature part: no quotient pieces, no torsion away from infty."""
+    """No positive-curvature part: no quotient pieces, no torsion away from infty.
+
+    That is `canonical_filtration(w)[0].is_zero()` (of the quotient, for a
+    quasi object), read off the normal form without building the parts.
+    """
     if isinstance(w, QBCObject):
         return curvature_nonpositive(w.quotient)
-    gt0, _, _ = canonical_filtration(w)
-    return gt0.is_zero()
+    if not isinstance(w, BCObject):
+        raise InputError("curvature_nonpositive takes a formal BC object")
+    return not w.uquot and all(pt == INFTY for pt, _ in w.torsion)
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ def _check_windows(hk: PhiModule, lattice: HodgeData, bound: int, what: str) -> 
     """Check ranks, slopes and weights, in that order.
 
     These follow the checks `PhiModule` made when hk was built (shapes, phi
-    invertible, N).  The slopes come from hk's kept characteristic
-    polynomial, which later enumerations of hk reuse.
+    invertible, N).  The slopes are hk's kept Newton slopes, taken here once
+    per module object; a later enumeration of hk reads the same value.
     """
     from .isocrystal import newton_slopes
 
@@ -127,8 +127,8 @@ def build_modification(hk: PhiModule, lattice: HodgeData, r: int) -> Modificatio
     """Sheaf whose slopes are the filtration-graded slopes of (hk, lattice).
 
     The windows are checked first, then `hn_filtration` requires the flag;
-    the window check and the enumeration share hk's characteristic
-    polynomial, which the module keeps.
+    the window check and the enumeration share hk's Newton slopes, which the
+    module keeps.
     """
     from . import hn
 
@@ -155,9 +155,9 @@ def dichotomy(hk: PhiModule, lattice: HodgeData, r: int) -> DichotomyResult:
 
     "surjective" exactly when the modification has vanishing H^1; otherwise
     the image misses a positive height, reported as the deficit (the rank of
-    the negative-slope part).  hk keeps its characteristic polynomial, so
-    repeated calls compute it once; the window check takes the Newton
-    polygon, as does an enumeration that reads slope blocks.
+    the negative-slope part).  hk keeps its characteristic polynomial and
+    its Newton slopes, so the window check takes the Newton polygon once and
+    an enumeration that reads slope blocks, or a repeated call, reuses it.
     """
     from .sheaf import cohomology_dim
 

@@ -48,12 +48,12 @@ whose stack carries each element's invariants and the later parts reduced
 modulo it, so memory grows with the rank, not with the number of elements.
 Degrees stay ints.  A decider takes the module alone and its answer depends
 on the module alone: the lattice is a function of the module, which keeps
-it, so no caller passes one (the `PhiModule` keeps `tn`, `coeffs` and a
-lattice that reads only phi and N, the `FilteredPhiModule` its one lattice,
-`lattice`, and that lattice's scorer walk, `walk`, set up when a decider
-first walks).  `hn_filtration` reads the HN polygon off the upper concave
-hull of the largest degree at each rank, with no containment test but
-between its steps.  A canonical basis is row-reduced only for what a
+it, so no caller passes one (the `PhiModule` keeps `tn`, `coeffs`,
+`slopes` and a lattice that reads only phi and N, the `FilteredPhiModule`
+its one lattice, `lattice`, and that lattice's scorer walk, `walk`, set up
+when a decider first walks).  `hn_filtration` reads the HN polygon off the
+upper concave hull of the largest degree at each rank, with no containment
+test but between its steps.  A canonical basis is row-reduced only for what a
 call returns or compares: a witness, the first in canonical order among the
 violators of least rank, and the elements of largest degree at the hull's
 vertices below V.  Every witness and HN step is scored again from the
@@ -435,13 +435,16 @@ def sub_invariants(m: FilteredPhiModule, basis) -> tuple[int, int, Fraction, Fra
     and the restriction matrix has a zero column at each free row, so its
     determinant is zero exactly then.  The canonical basis of V, the
     identity, is M itself: it scores (n, t_H(M), t_N(M)) with no change of
-    basis, t_N(M) being `t_n(m.module)`, which the module keeps.  The
-    deciders score by `lattice_scorer` and re-check with this.
+    basis, t_N(M) being `t_n(m.module)`, which the module keeps.  V is
+    recognised by comparing its rows, as tuples, with the shared
+    `RatMatrix.identity(n)`'s: Fraction, int and bool entries compare alike,
+    and the deciders pass those very rows.  The deciders score by
+    `lattice_scorer` and re-check with this.
     """
     k = len(basis)
     if k == 0:
         return 0, 0, Fraction(0), Fraction(0)
-    if k == m.rank and all(list(row) == [i == j for j in range(k)] for i, row in enumerate(basis)):
+    if k == m.rank and tuple(map(tuple, basis)) == RatMatrix.identity(k).entries:
         th, tn = t_h(m.hodge), t_n(m.module)
         return k, th, tn, Fraction(th) - tn
     restr = restriction_matrix(m.module.phi, basis)

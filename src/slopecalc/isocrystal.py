@@ -68,9 +68,10 @@ class PhiModule(Record):
     N.phi = p.phi.N, which makes N nilpotent; each failure is an
     `InputError`; both read one conversion of phi to integer rows.  It also
     keeps `tn` = t_N(M) = v_p(det phi), an int off that determinant;
-    `coeffs` = `charpoly(phi)`, computed on first use, so each module object
-    computes it at most once; and `lattice`, which `hn` sets.  None is a
-    field, so equality, hashing, `repr` and `to_obj` do not see them.
+    `coeffs` = `charpoly(phi)` and `slopes`, the Newton slopes read off
+    `coeffs`, each computed on first use, so each module object computes
+    them at most once; and `lattice`, which `hn` sets.  None is a field, so
+    equality, hashing, `repr`, `to_obj` and copies do not see them.
 
     `tensor`, `dual`, `det` and `from_slopes` build their result by the
     trusted path, `_trusted`, which runs none of these checks and is given
@@ -122,6 +123,11 @@ class PhiModule(Record):
         """Characteristic polynomial of phi, ascending Fractions; (1,) at rank 0."""
         return tuple(charpoly(self.phi))
 
+    @cached_property
+    def slopes(self) -> SlopeMultiset:
+        """Newton slopes of phi, off the kept `coeffs`; `newton_slopes` reads them."""
+        return SlopeMultiset(newton_polygon(self.coeffs, self.p) if self.rank else ())
+
     @classmethod
     def from_matrices(cls, p, phi, nilpotent=None, form=FORM_MATRIX) -> "PhiModule":
         phi = phi if isinstance(phi, RatMatrix) else RatMatrix(phi)
@@ -170,12 +176,11 @@ def _monodromy_fault(m: PhiModule, phi: list) -> Optional[str]:
 def newton_slopes(m: PhiModule) -> SlopeMultiset:
     """Slope multiset of phi: root valuations of its characteristic polynomial.
 
-    Basis-independent, since the characteristic polynomial is; it is read
-    off the module's kept `coeffs`.
+    Basis-independent, since the characteristic polynomial is.  The module
+    keeps it (`PhiModule.slopes`): the Newton polygon of its kept `coeffs`
+    is taken once per module object, and every later call returns that value.
     """
-    if m.rank == 0:
-        return SlopeMultiset(())
-    return SlopeMultiset(newton_polygon(m.coeffs, m.p))
+    return m.slopes
 
 
 def t_n(m: PhiModule) -> Fraction:

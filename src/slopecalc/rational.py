@@ -76,8 +76,12 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls._trusted(tuple(tuple(_ONE if i == j else _ZERO for j in range(n))
-                                  for i in range(n)))
+        """The n x n identity, one shared instance per n: callers must not change
+        its kept int rows, and `hn.sub_invariants` recognises V by its entries."""
+        if n not in _IDENTITY:
+            _IDENTITY[n] = cls._trusted(tuple(tuple(_ONE if i == j else _ZERO for j in range(n))
+                                              for i in range(n)))
+        return _IDENTITY[n]
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "RatMatrix":
@@ -220,6 +224,7 @@ class RatMatrix:
 # span.  Per-entry loops run in builtins: `sum(map(mul, ...))`, `for` pivots.
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+_IDENTITY: dict = {}  # n -> the shared `RatMatrix.identity(n)`
 
 
 def _row_denominator(row) -> int:

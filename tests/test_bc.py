@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from slopecalc.bc import (
     BCObject,
     Dimension,
+    HeightRank,
     QBCObject,
     canonical_filtration,
     check_exact,
+    curvature_nonpositive,
     dimension,
     ext_tables,
     height_functor_rank,
@@ -147,6 +149,41 @@ class TestCanonicalFiltration:
         w = BCObject.build(ueff=[(1, 1, 2)], uquot=[(2, 1, 1)], torsion=[("infty", (3,))], qp=1)
         gt0, eq0, lt0 = canonical_filtration(w)
         assert gt0.direct_sum(eq0).direct_sum(lt0) == w
+
+
+def random_formal(rng):
+    """A split object with pieces of all four types, torsion at infty and
+    away, or a quasi object over one."""
+    w = BCObject.build(
+        ueff=[(d, h, rng.randint(1, 2)) for d, h in [(1, 1), (1, 2), (2, 1)] if rng.random() < 0.4],
+        uquot=[(d, h, 1) for d, h in [(1, 1), (2, 3)] if rng.random() < 0.25],
+        torsion=[(pt, (rng.randint(1, 3),)) for pt in ("infty", "x", "y") if rng.random() < 0.4],
+        qp=rng.randint(0, 2),
+    )
+    return QBCObject.build([rng.randint(1, 3)], w) if rng.random() < 0.3 else w
+
+
+class TestCurvatureSign:
+    """`curvature_nonpositive` reads the normal form: no quotient piece and
+    no torsion away from infty, as the positive part of the canonical
+    filtration, of the quotient for a quasi object, is zero."""
+
+    def test_equals_the_positive_part_of_the_canonical_filtration(self):
+        rng, seen = random.Random(35), set()
+        for _ in range(400):
+            w = random_formal(rng)
+            split = w.quotient if isinstance(w, QBCObject) else w
+            want = canonical_filtration(split)[0].is_zero()
+            assert curvature_nonpositive(w) is want
+            assert height_functor_rank(w) == HeightRank(dimension(w).ht, want)
+            seen.add((type(w), bool(split.uquot), any(pt != "infty" for pt, _ in split.torsion), want))
+        assert len(seen) == 8  # quotient pieces or not, away torsion or not, both types
+
+    @pytest.mark.parametrize("w", [{}, None, {"summands": []}, QBCObject((1,), None)],
+                             ids=["dict", "None", "json-object", "quasi-over-None"])
+    def test_not_a_formal_object_is_an_input_error(self, w):
+        with pytest.raises(InputError, match="takes a formal BC object"):
+            curvature_nonpositive(w)
 
 
 class TestCheckExact:

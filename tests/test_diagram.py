@@ -414,8 +414,8 @@ class TestSpectralPass:
     keeps it as `coeffs`: a dichotomy on a new module runs it once however
     often it is repeated, and a battery input runs it once per degree, when
     `SyntheticCohomology` checks its windows, so `battery` runs none.  The
-    Newton polygon, O(n) on integer valuations, is taken once per consumer:
-    the window check and the block enumerator."""
+    Newton polygon is taken once per `PhiModule` object too, which keeps its
+    slopes: the window check and the block enumerator share that reading."""
 
     @pytest.mark.parametrize("name, mod, hodge, r", DICHOTOMY_CASES,
                              ids=[c[0] for c in DICHOTOMY_CASES])
@@ -461,6 +461,25 @@ class TestSpectralPass:
         assert [id(mod) for mod in slopes] == [id(mod) for mod in once]
         assert battery(twin) == want and len(slopes) == len(once)
         assert charpolys == []
+
+    @pytest.mark.parametrize("name", sorted(BATTERY_CASES) + sorted(SEEDED_PAIRS))
+    def test_one_newton_polygon_per_module(self, name, monkeypatch):
+        # construction checks the windows, then battery, a dichotomy and an
+        # enumeration of each degree read the slopes that degree's module kept
+        from slopecalc import base
+
+        def degrees(s):
+            return [(m, r) for m, r in ((s.top, s.r), (s.below, s.r - 1)) if m.rank]
+
+        s = BATTERY_CASES[name] if name in BATTERY_CASES else SEEDED_PAIRS[name]
+        want = battery(s), [dichotomy(m.module, m.hodge, r) for m, r in degrees(s)]
+        polygons = count_calls(monkeypatch, base.newton_polygon)
+        twin = rebuilt(s)
+        assert battery(twin) == want[0]
+        assert [dichotomy(m.module, m.hodge, r) for m, r in degrees(twin)] == want[1]
+        for m, _ in degrees(twin):
+            enumerate_subobjects(FilteredPhiModule(m.module, m.hodge))
+        assert [id(c) for c in polygons] == [id(m.module.coeffs) for m, _ in degrees(twin)]
 
     @pytest.mark.parametrize("name", sorted(BATTERY_CASES))
     def test_enumeration_and_deciders_share_one_charpoly(self, name, monkeypatch):
@@ -616,6 +635,34 @@ class TestMVCheck:
         ra, rb = self.mk_rows(pa, pa)
         rep = mv_check(ra, rb, 1)
         assert rep.equal is None and any("curvature" in v for v in rep.violations)
+
+    def test_reports_equal_the_canonical_filtration_rule(self, monkeypatch):
+        # seeded rows shaped as the benchmark's (three parts of heights 1-3),
+        # some with a quotient piece or torsion away from infty, give the same
+        # reports as when the curvature is read off `canonical_filtration`
+        from slopecalc import bc
+
+        def part(rng, ht):
+            h = rng.randint(1, ht)
+            ueff = [(1, h, 1)] if rng.random() < 0.5 else []
+            return BCObject.build(
+                ueff=ueff, uquot=[(1, 1, 1)] if rng.random() < 0.1 else [],
+                torsion=[(rng.choice(["infty", "infty", "x"]), (rng.randint(1, 3),))]
+                if rng.random() < 0.5 else [],
+                qp=ht - (h if ueff else 0))
+
+        rng, rows = random.Random(36), []
+        for _ in range(60):
+            heights = [rng.randint(1, 3) for _ in range(3)]
+            row_a = split_row([part(rng, ht) for ht in heights])
+            heights[0] += rng.random() < 0.25
+            rows.append((row_a, split_row([part(rng, ht) for ht in heights])))
+        got = [mv_check(a, b, 1) for a, b in rows]
+        monkeypatch.setattr(bc, "curvature_nonpositive", lambda w: bc.canonical_filtration(
+            w.quotient if isinstance(w, bc.QBCObject) else w)[0].is_zero())
+        assert got == [mv_check(a, b, 1) for a, b in rows]
+        assert {(r.certified, any("curvature" in v for v in r.violations)) for r in got} == {
+            (True, False), (False, False), (False, True)}
 
     def test_rows_too_short(self):
         pa = [BCObject.build(qp=1)]

@@ -1488,6 +1488,22 @@ class TestRecheckCost:
             got = None
         assert got != want
 
+    @pytest.mark.parametrize("form", [
+        lambda n: [tuple(F(i == j) for j in range(n)) for i in range(n)],
+        lambda n: [[int(i == j) for j in range(n)] for i in range(n)],
+        lambda n: [[i == j for j in range(n)] for i in range(n)],
+    ], ids=["fraction-tuples", "int-lists", "bool-rows"])
+    def test_whole_space_in_any_entry_type(self, form, monkeypatch):
+        m = TestLazyLattice.eigen6(3, True)
+        ident = form(m.rank)
+        want = (m.rank, t_h(m.hodge), hn.t_n(m.module), degree(m))
+        restrictions = self.counted(monkeypatch, hn, "restriction_matrix")
+        assert sub_invariants(m, ident) == want and restrictions == []
+        # a row permutation of V is not the identity: scored from the definition,
+        # which reads no bool entry
+        assert sub_invariants(m, [list(map(int, row)) for row in ident[::-1]]) == want
+        assert len(restrictions) == 1
+
     def test_recheck_is_independent_of_the_scorer(self, monkeypatch):
         m = TestLazyLattice.eigen6(5, True)
         lattice = enumerate_subobjects(m)
@@ -1740,6 +1756,45 @@ class TestKeptIntRows:
             assert int_matrix(mat) == int_matrix(RatMatrix(mat.entries))
 
 
+class TestSharedIdentity:
+    """`RatMatrix.identity(n)` is one instance per n, which flags, deciders and
+    the re-check of V share: no caller changes its entries or its kept int rows."""
+
+    def test_one_instance_per_rank(self):
+        for n in range(6):
+            assert RatMatrix.identity(n) is RatMatrix.identity(n)
+            assert RatMatrix.identity(n) == RatMatrix([[int(i == j) for j in range(n)]
+                                                       for i in range(n)])
+
+    @pytest.mark.parametrize("scalar", [1, P], ids=["I", "2I"])
+    @pytest.mark.parametrize("dualize", [False, True], ids=["phi", "dual"])
+    def test_unchanged_by_the_deciders_and_the_battery(self, scalar, dualize):
+        from slopecalc.diagram import SyntheticCohomology, battery
+
+        n = 3
+        ident = RatMatrix.identity(n)
+        entries, ints = ident.entries, copy.deepcopy(int_matrix(ident))
+        mod = PhiModule.from_matrices(P, ident if scalar == 1 else ident.scale(scalar))
+        mod = dual(mod) if dualize else mod
+        s = int(newton_slopes(mod).entries[0][0])
+        # weights s, s + 1, s + 2 on the scalar slope s: acyclic of degree 3
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        hodge = HodgeData.from_flag([(s, rows), (s + 1, [[1, 1, 0], [0, 0, 1]]),
+                                     (s + 2, [[1, 1, 1]])], rank=n)
+        m = FilteredPhiModule(mod, hodge)
+        assert is_weakly_admissible(m).status == STATUS_FALSE
+        assert is_acyclic(m).status == STATUS_TRUE
+        assert hn_filtration(m).steps[-1].basis == entries
+        vst_dimension(m)
+        assert degree(fn4_reduce(m)) == 0
+        assert sub_invariants(m, entries) == (n, t_h(hodge), hn.t_n(mod), degree(m))
+        if s >= 0:  # the windows admit slope s and weights up to s + 2
+            assert battery(SyntheticCohomology.build(s + 2, m)).verdict_b_r.is_true
+        assert RatMatrix.identity(n) is ident and ident.entries is entries
+        assert entries == tuple(tuple(F(i == j) for j in range(n)) for i in range(n))
+        assert int_matrix(ident) == ints == ([[int(i == j) for j in range(n)] for i in range(n)], 1)
+
+
 class TestCopies:
     """A module survives `pickle` and `copy.deepcopy`, before and after a
     decider: the copy is built from the fields alone, so it keeps none of the
@@ -1764,6 +1819,7 @@ class TestCopies:
             assert c == m and c.module.tn == m.module.tn
             assert copy_of(c.module.phi) == m.module.phi
             assert c.module.lattice is None and "coeffs" not in vars(c.module)
+            assert "slopes" not in vars(c.module)
             assert "lattice" not in vars(c) and "walk" not in vars(c)
             assert [decide(c) for decide in deciders] == want
 

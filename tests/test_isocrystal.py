@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -114,6 +116,33 @@ class TestNewtonSlopes:
         s = random_unimodular(rng, m.rank)
         conj = PhiModule(P, s @ m.phi @ s.inverse(), s @ m.nilpotent @ s.inverse())
         assert newton_slopes(conj) == newton_slopes(m)
+
+    @pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_kept_outside_the_fields_and_dropped_by_a_copy(self, copy_of, monkeypatch):
+        # the Newton polygon is taken once per module object, off its kept
+        # coeffs; a copy is built from the fields and takes it once again
+        from slopecalc import isocrystal
+
+        polygons, real = [], isocrystal.newton_polygon
+
+        def counted(coefficients, p):
+            polygons.append(coefficients)
+            return real(coefficients, p)
+
+        monkeypatch.setattr(isocrystal, "newton_polygon", counted)
+        m = mk([[0, 0, 6], [1, 0, 0], [0, 1, 0]])
+        before = (repr(m), m.to_obj(), hash(m))
+        assert "slopes" not in vars(m)
+        got = newton_slopes(m)
+        assert got == SlopeMultiset([(F(1, 3), 3)]) and got is m.slopes is newton_slopes(m)
+        assert polygons == [m.coeffs]
+        assert (repr(m), m.to_obj(), hash(m)) == before and "slopes" not in m.to_obj()
+        c = copy_of(m)
+        assert c == m and hash(c) == hash(m) and "slopes" not in vars(c)
+        assert newton_slopes(c) == got and newton_slopes(c) is c.slopes
+        assert len(polygons) == 2 and polygons[1] == m.coeffs
+        assert newton_slopes(PhiModule.zero(P)) == SlopeMultiset(()) and len(polygons) == 2
 
 
 class TestTN:
