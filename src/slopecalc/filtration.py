@@ -49,16 +49,19 @@ def _int_row(row, memo: RatMemo, seen: dict) -> list:
 
 
 class HodgeData(Record):
-    """Weight multiset or full flag presentation of a Hodge filtration."""
+    """Weight multiset or full flag presentation of a Hodge filtration: its
+    `weights` and, for a flag, its `levels`; `kind` and `rank` are read off them."""
 
-    kind: str
-    rank: int
     weights: tuple  # sorted tuple of ints (always derivable)
     levels: Optional[tuple] = None  # canonical ((index, basis-rows), ...), ambient to zero
 
-    def __post_init__(self):
-        if self.kind not in (KIND_WEIGHTS, KIND_FLAG):
-            raise InputError(f"unknown HodgeData kind {self.kind!r}")
+    @property
+    def kind(self) -> str:  # a flag exactly when the levels are kept
+        return KIND_WEIGHTS if self.levels is None else KIND_FLAG
+
+    @property
+    def rank(self) -> int:
+        return len(self.weights)
 
     # -- constructors -------------------------------------------------------
 
@@ -67,7 +70,7 @@ class HodgeData(Record):
         if not isinstance(weights, (list, tuple)):
             raise InputError(f"Hodge weights must be a list of integers, got {weights!r}")
         ws = [json_int(w, "Hodge weights") for w in weights]
-        return cls(KIND_WEIGHTS, len(ws), tuple(sorted(ws)), None)
+        return cls(tuple(sorted(ws)))
 
     @classmethod
     def from_flag(cls, entries, rank: Optional[int] = None) -> "HodgeData":
@@ -101,7 +104,7 @@ class HodgeData(Record):
         if ncols is None:
             raise InputError("flag rank cannot be inferred; pass rank explicitly")
         if ncols == 0:
-            return cls(KIND_FLAG, 0, (), ())
+            return cls((), ())
         norm.sort(key=lambda t: t[0])
         for (i1, _), (i2, _) in zip(norm, norm[1:]):
             if i1 == i2:
@@ -131,7 +134,7 @@ class HodgeData(Record):
         so the dense window lo < j < hi is never empty.
         """
         if rank == 0:
-            return cls(KIND_FLAG, 0, (), ())
+            return cls((), ())
         levels, dim = [], rank
         for idx, basis in entries:
             if len(basis) != dim:
@@ -148,12 +151,12 @@ class HodgeData(Record):
         # weight j - 1 has multiplicity dim Fil^(j-1) - dim Fil^j, j a level past lo
         drops = zip(levels, levels[1:])
         weights = tuple(j - 1 for (_, a), (j, b) in drops for _ in range(len(a) - len(b)))
-        return cls(KIND_FLAG, rank, weights, tuple(levels))
+        return cls(weights, tuple(levels))
 
     # -- flag access ---------------------------------------------------------
 
     def require_flag(self, what: str = "this operation"):
-        if self.kind != KIND_FLAG:
+        if self.levels is None:
             raise FlagRequiredError(f"{what} requires flag-form Hodge data, got weights only")
 
     def subspace_at(self, j: int) -> tuple:
@@ -164,7 +167,7 @@ class HodgeData(Record):
 
     def support(self) -> tuple[int, int]:
         """(lo, hi) with Fil^lo ambient and Fil^hi zero."""
-        if self.kind == KIND_FLAG:
+        if self.levels is not None:
             return (self.levels[0][0], self.levels[-1][0]) if self.levels else (0, 0)
         if not self.weights:
             return (0, 0)
@@ -173,7 +176,7 @@ class HodgeData(Record):
     @cached_property
     def flag(self) -> Optional[tuple]:
         """Dense flag ((j, Fil^j) for lo < j < hi), as `to_obj` writes it; None for weights."""
-        if self.kind == KIND_WEIGHTS:
+        if self.levels is None:
             return None
         lo, hi = self.support()
         return tuple((j, self.subspace_at(j)) for j in range(lo + 1, hi))
@@ -181,7 +184,7 @@ class HodgeData(Record):
     # -- serialization -------------------------------------------------------
 
     def to_obj(self):
-        if self.kind == KIND_WEIGHTS:
+        if self.levels is None:
             return {"weights": list(self.weights)}
         return {
             "flag": [
@@ -223,7 +226,7 @@ def dual_hodge(h: HodgeData) -> HodgeData:
     on: one annihilator per level but the zero one, whose annihilator is the
     ambient space the dual starts with.
     """
-    if h.kind == KIND_WEIGHTS:
+    if h.levels is None:
         return HodgeData.from_weights([-w for w in h.weights])
     chain = [(2 - nxt, _annihilator(b, h.rank)) for (_, b), (nxt, _) in zip(h.levels, h.levels[1:])]
     return HodgeData._from_chain(chain[::-1], h.rank)
@@ -238,7 +241,7 @@ def _annihilator(basis, n: int) -> tuple:
 def shift(h: HodgeData, r: int) -> HodgeData:
     """Shift every weight / jump index up by r."""
     json_int(r, "shift amounts")
-    if h.kind == KIND_WEIGHTS:
+    if h.levels is None:
         return HodgeData.from_weights([w + r for w in h.weights])
     return HodgeData._from_chain([(idx + r, basis) for idx, basis in h.levels], h.rank)
 
@@ -266,7 +269,7 @@ def induced_on_subspace(h: HodgeData, subspace: Sequence) -> HodgeData:
     pivots = _gauss_jordan(w, n)
     k = len(pivots)
     if k == 0:
-        return HodgeData(KIND_FLAG, 0, (), ())
+        return HodgeData((), ())
     scales = [row[c] for row, c in zip(w, pivots)]
     tagged = [row + [int(i == t) for t in range(k)] for i, row in enumerate(w[:k])]
     pad = [0] * k

@@ -57,9 +57,10 @@ test but between its steps.  A canonical basis is row-reduced only for what a
 call returns or compares: a witness, the first in canonical order among the
 violators of least rank, and the elements of largest degree at the hull's
 vertices below V.  Every witness and HN step is scored again from the
-definition by `sub_invariants` (the restriction matrix of Frobenius and the
-induced filtration, not the scorer; V against t_H(M) and the module's
-t_N(M)), and a disagreement raises an internal error.
+definition by `sub_invariants` (the restriction matrices of Frobenius and N
+and the induced filtration, not the scorer; V against t_H(M) and the
+module's t_N(M)), and a disagreement, or a step or witness that phi or N
+moves, raises an internal error.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .filtration import HodgeData, induced_on_subspace, t_h
-from .isocrystal import PhiModule, dm_blocks, is_dm_normal, newton_slopes, t_n
+from .isocrystal import PhiModule, dm_blocks, is_dm_normal, t_n
 from .base import Dimension, InputError, Record, _vp_int, json_key, lower_hull_vertices, valuation
 from .rational import (
     RatMatrix,
@@ -183,24 +184,27 @@ class SubobjectLattice:
     requires its N-support, which `_parts_lattice` reads off one elimination.
     The elements are the masks holding their parts' requirements, and the
     deciders walk them from there (`lattice_scorer`).  A sample's parts never
-    sum (`order` None).  `certified`: verdicts read off the family are proofs,
-    as it is complete or (the scalar chain) reaches the largest degree at
-    every rank; it is then closed under sum and intersection, which
-    `hn_filtration` relies on.  `strategy`: "eigenlines", "blocks",
-    "scalar-chain" or "sample".  `keys` lists the masks on first read;
+    sum (`order` None).  `strategy`: "eigenlines", "blocks", "scalar-chain"
+    or "sample".  `certified`, read off it: verdicts read off the family are
+    proofs, as it is complete or (the scalar chain) reaches the largest
+    degree at every rank; it is then closed under sum and intersection, which
+    `hn_filtration` relies on.  `keys` lists the masks on first read;
     `basis(key)` row-reduces an element on first use (a sample's are given).
     """
 
-    def __init__(self, parts, certified, strategy, ncols, order):
-        self.parts, self.ncols, self.order = parts, ncols, order
-        self.certified, self.strategy = certified, strategy
+    def __init__(self, parts, strategy, order):
+        self.parts, self.strategy, self.order = parts, strategy, order
         self._built = {}
 
+    @property
+    def certified(self) -> bool:
+        return self.strategy != "sample"
+
     @classmethod
-    def sample(cls, bases, certified=False):
+    def sample(cls, bases):
         """The lattice of the canonical `bases` (zero and full included), one part each."""
         parts = [b for b in bases if b]
-        lattice = cls(parts, certified, "sample", len(parts[0][0]) if parts else 0, None)
+        lattice = cls(parts, "sample", None)
         lattice._built.update(zip(lattice.keys, [()] + parts))  # each element's basis is given
         return lattice
 
@@ -227,13 +231,13 @@ class SubobjectLattice:
         basis = self._built.get(key)
         if basis is None:
             rows = [row for i, part in enumerate(self.parts) if key >> i & 1 for row in part]
-            basis = self._built[key] = rref_rows(rows, self.ncols)
+            basis = self._built[key] = rref_rows(rows, len(rows[0]) if rows else 0)
             if len(basis) != len(rows):
                 raise AssertionError("internal: the lattice parts are not independent")
         return basis
 
 
-def _n_closed_sums(parts, supports, ncols, strategy) -> SubobjectLattice:
+def _n_closed_sums(parts, supports, strategy) -> SubobjectLattice:
     """Certified lattice of the N-closed sums of `parts`, as masks.
 
     parts[i] is a list of rows and supports[i] the bitmask of the parts that
@@ -255,7 +259,7 @@ def _n_closed_sums(parts, supports, ncols, strategy) -> SubobjectLattice:
         order.extend(ready)
         placed |= sum(1 << i for i in ready)
     order = tuple((i, supports[i]) for i in order)  # each part with its requirement mask
-    return SubobjectLattice(parts, True, strategy, ncols, order)
+    return SubobjectLattice(parts, strategy, order)
 
 
 def _eigenvectors(phi, den: int, r: Fraction) -> list:
@@ -291,7 +295,7 @@ def _parts_lattice(m: PhiModule, parts, strategy) -> SubobjectLattice:
             for j in range(n):
                 if row[n + j]:
                     supports[owner[j]] |= 1 << owner[i]
-    return _n_closed_sums(parts, supports, n, strategy)
+    return _n_closed_sums(parts, supports, strategy)
 
 
 def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[SubobjectLattice]:
@@ -314,7 +318,7 @@ def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[SubobjectLattice]:
     for _, level in reversed(m.hodge.levels):
         lines.extend([v] for v in complement_basis(prev, level, n))
         prev = level
-    return _n_closed_sums(lines, [k and 1 << (k - 1) for k in range(n)], n, "scalar-chain")
+    return _n_closed_sums(lines, [k and 1 << (k - 1) for k in range(n)], "scalar-chain")
 
 
 _SAMPLE_SEED = 0  # seed of the sample's random vectors: a verdict depends on the module alone
@@ -398,25 +402,26 @@ def _sample_subobjects(m: FilteredPhiModule, roots) -> tuple:
 
 
 def enumerate_subobjects(m: FilteredPhiModule) -> SubobjectLattice:
-    """All stable subspaces (certified) or a fixed sample, as a `SubobjectLattice`.
+    """All phi- and N-stable subspaces (certified) or a fixed sample of them,
+    as a `SubobjectLattice`.
 
     Its elements always include the zero and full subspaces.  Two recognisers
     feed `_parts_lattice`: simple rational roots of the module's kept
     characteristic polynomial and no other factor give the eigenlines, and
     otherwise a multiplicity-free slope normal form (`is_dm_normal`, distinct
-    slopes) gives its coordinate blocks (`dm_blocks`).  Scalar Frobenius
-    yields the flag-adapted chain (`_scalar_flag_chain`), and anything else
-    a sample.  The roots are found once; the Newton slopes are read only
-    when some root is repeated or irrational.
+    slopes) gives its coordinate blocks (`dm_blocks`); both read the Newton
+    slopes the module keeps.  Scalar Frobenius yields the flag-adapted chain
+    (`_scalar_flag_chain`), and anything else a sample.  The roots are found
+    once; the Newton slopes are read only when some root is repeated or
+    irrational.
     """
     mod, n = m.module, m.rank
     roots, leftover = rational_roots(mod.coeffs)
     if leftover == 0 and all(mult == 1 for _, mult in roots):
         phi, den = int_matrix(mod.phi)
         return _parts_lattice(mod, [_eigenvectors(phi, den, r) for r, _ in roots], "eigenlines")
-    slopes = newton_slopes(mod)
-    if is_dm_normal(mod, slopes):
-        blocks = dm_blocks(mod, slopes)
+    if is_dm_normal(mod):
+        blocks = dm_blocks(mod)
         if len({s for s, _, _ in blocks}) == len(blocks):  # multiplicity free
             std = [[int(i == j) for j in range(n)] for i in range(n)]
             return _parts_lattice(mod, [std[off : off + size] for _, off, size in blocks], "blocks")
@@ -428,15 +433,17 @@ def enumerate_subobjects(m: FilteredPhiModule) -> SubobjectLattice:
 
 
 def sub_invariants(m: FilteredPhiModule, basis) -> tuple[int, int, Fraction, Fraction]:
-    """(rank, t_H, t_N, degree) of the stable subspace spanned by `basis`.
+    """(rank, t_H, t_N, degree) of the phi- and N-stable subspace spanned by `basis`.
 
     Scores from the definition: the restriction matrix of Frobenius and the
     induced filtration.  Dependent rows are an input error: phi is invertible
     and the restriction matrix has a zero column at each free row, so its
-    determinant is zero exactly then.  The canonical basis of V, the
-    identity, is M itself: it scores (n, t_H(M), t_N(M)) with no change of
-    basis, t_N(M) being `t_n(m.module)`, which the module keeps.  V is
-    recognised by comparing its rows, as tuples, with the shared
+    determinant is zero exactly then.  A subspace that phi or N moves is an
+    input error; N is tested, by its own restriction matrix, only when the
+    integer rows that its matrix keeps are not all zero.  The canonical basis
+    of V, the identity, is M itself: it scores (n, t_H(M), t_N(M)) with no
+    change of basis, t_N(M) being `t_n(m.module)`, which the module keeps.
+    V is recognised by comparing its rows, as tuples, with the shared
     `RatMatrix.identity(n)`'s: Fraction, int and bool entries compare alike,
     and the deciders pass those very rows.  The deciders score by
     `lattice_scorer` and re-check with this.
@@ -453,6 +460,9 @@ def sub_invariants(m: FilteredPhiModule, basis) -> tuple[int, int, Fraction, Fra
     det = restr.det()
     if not det:
         raise InputError("subspace basis rows are linearly dependent")
+    nil = m.module.nilpotent
+    if any(map(any, int_matrix(nil)[0])) and restriction_matrix(nil, basis) is None:
+        raise InputError("subspace is not N-stable")
     tn = Fraction(valuation(det, m.module.p))
     th = t_h(induced_on_subspace(m.hodge, basis))
     return k, th, tn, Fraction(th) - tn
@@ -540,8 +550,14 @@ def lattice_scorer(m: FilteredPhiModule, lattice: SubobjectLattice):
 
 
 def _recheck(m: FilteredPhiModule, basis, fast) -> None:
-    """Re-score a returned subspace from the definition; raise on disagreement."""
-    slow = sub_invariants(m, basis)
+    """Re-score a returned subspace from the definition; raise on disagreement.
+
+    The subspace is the library's own output, so one that the definition
+    rejects (phi or N moves it) is an internal fault too, not an input error."""
+    try:
+        slow = sub_invariants(m, basis)
+    except InputError as exc:
+        raise AssertionError(f"internal: the re-check rejects a returned subspace: {exc}") from None
     if slow != fast:
         msg = f"internal: lattice scorer gave {fast} but the definition gives {slow}"
         raise AssertionError(msg)

@@ -224,14 +224,12 @@ def from_slopes(slopes: SlopeMultiset, p: int) -> PhiModule:
                               sum(a for _, a, _ in blocks), FORM_DM_NORMAL)
 
 
-def dm_blocks(m: PhiModule, slopes: SlopeMultiset) -> list[tuple[Fraction, int, int]]:
-    """Block layout (slope, offset, size) of a module in slope normal form.
-
-    `slopes` is `newton_slopes(m)`.
-    """
+def dm_blocks(m: PhiModule) -> list[tuple[Fraction, int, int]]:
+    """Block layout (slope, offset, size) of a module in slope normal form,
+    read off the Newton slopes it keeps (`PhiModule.slopes`)."""
     out = []
     at = 0
-    for s, mult in slopes:
+    for s, mult in m.slopes:
         den = s.denominator
         for _ in range(mult // den):
             out.append((s, at, den))
@@ -239,18 +237,14 @@ def dm_blocks(m: PhiModule, slopes: SlopeMultiset) -> list[tuple[Fraction, int, 
     return out
 
 
-def is_dm_normal(m: PhiModule, slopes: SlopeMultiset) -> bool:
-    """True iff phi equals the canonical slope-normal-form matrix byte for byte.
+def is_dm_normal(m: PhiModule) -> bool:
+    """True iff phi equals the slope normal form of its Newton slopes byte for byte.
 
-    `slopes` is `newton_slopes(m)`.
+    `from_slopes` accepts a module's own slopes: each Newton segment joins
+    integer points, so a slope a/h in lowest terms has a multiplicity
+    divisible by h.
     """
-    if m.rank == 0:
-        return True
-    try:
-        canon = from_slopes(slopes, m.p)
-    except InputError:
-        return False
-    return m.phi == canon.phi
+    return m.phi == from_slopes(newton_slopes(m), m.p).phi
 
 
 def tensor(a: PhiModule, b: PhiModule) -> PhiModule:

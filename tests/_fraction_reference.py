@@ -56,7 +56,7 @@ import math
 import random
 from fractions import Fraction
 
-from slopecalc.filtration import KIND_FLAG, HodgeData
+from slopecalc.filtration import HodgeData
 from slopecalc.hn import HNFiltration, HNStep, lattice_scorer
 from slopecalc.base import InputError, is_row_list, json_int
 from slopecalc.rational import RatMatrix, complement_basis, rref_rows, span_intersect, span_leq
@@ -99,7 +99,7 @@ def from_flag(entries, rank=None) -> HodgeData:
     if ncols is None:
         raise InputError("flag rank cannot be inferred; pass rank explicitly")
     if ncols == 0:
-        return HodgeData(KIND_FLAG, 0, (), ())
+        return HodgeData((), ())
     norm.sort(key=lambda t: t[0])
     for (i1, _), (i2, _) in zip(norm, norm[1:]):
         if i1 == i2:
@@ -120,7 +120,7 @@ def induced_on_subspace(h: HodgeData, subspace) -> HodgeData:
     w_basis = rref_rows([tuple(rat(x) for x in row) for row in subspace], h.rank)
     k = len(w_basis)
     if k == 0:
-        return HodgeData(KIND_FLAG, 0, (), ())
+        return HodgeData((), ())
     lo, hi = h.support()
     chain = []
     for j in range(lo, hi + 1):

@@ -7,7 +7,9 @@ Certified filtered-module instances come in two families:
     optionally with a monodromy operator along eigenvalue chains;
   * slope normal forms with distinct slopes (one block per slope).
 
-Flags are random full flags with small-height rational entries.
+`chain_instance` and `block_chain_instance` always give N along the chains
+that exist, and `chain_instance` allows repeated eigenvalues (a sampled
+lattice).  Flags are random full flags with small-height rational entries.
 """
 
 import random
@@ -15,7 +17,7 @@ from fractions import Fraction as F
 
 from slopecalc.filtration import HodgeData
 from slopecalc.hn import FilteredPhiModule
-from slopecalc.isocrystal import PhiModule
+from slopecalc.isocrystal import PhiModule, SlopeMultiset, dm_blocks, from_slopes
 from slopecalc.rational import RatMatrix
 
 
@@ -72,6 +74,43 @@ def diagonal_instance(rng: random.Random, p: int, n: int, exp_lo: int, exp_hi: i
     s = random_unimodular(rng, n)
     s_inv = s.inverse()
     return PhiModule(p, s @ diag @ s_inv, s @ nil_m @ s_inv)
+
+
+def chain_instance(rng: random.Random, p: int, exponents) -> PhiModule:
+    """Conjugated diag(p^e) over `exponents`, repeats allowed, with an N chain:
+    N maps each p^e-eigenline into the p^(e-1)-eigenlines, each coefficient
+    drawn from 0..2, and is nonzero whenever some exponent is one less than
+    another."""
+    n = len(exponents)
+    diag = RatMatrix([[F(p) ** e if i == j else F(0) for j, e in enumerate(exponents)]
+                      for i in range(n)])
+    pairs = [(j, i) for i in range(n) for j in range(n) if exponents[j] == exponents[i] - 1]
+    nil = [[F(0)] * n for _ in range(n)]
+    for j, i in pairs:
+        nil[j][i] = F(rng.choice([0, 1, 2]))
+    if pairs and not any(map(any, nil)):
+        j, i = rng.choice(pairs)
+        nil[j][i] = F(1)
+    s = random_unimodular(rng, n)
+    s_inv = s.inverse()
+    return PhiModule(p, s @ diag @ s_inv, s @ RatMatrix(nil) @ s_inv)
+
+
+def block_chain_instance(rng: random.Random, p: int, slopes) -> PhiModule:
+    """Slope normal form of the distinct `slopes`, one block each, with an N
+    chain: N maps the block of slope s into the one of slope s - 1 when both
+    exist, e_i to c p^i e_i (0-based i) with c from 1..2, which keeps
+    N.phi = p.phi.N."""
+    mod = from_slopes(SlopeMultiset([(s, F(s).denominator) for s in slopes]), p)
+    at = {s: off for s, off, _ in dm_blocks(mod)}
+    nil = [[F(0)] * mod.rank for _ in range(mod.rank)]
+    for s, off in at.items():
+        low = at.get(s - 1)
+        if low is not None:
+            c = rng.choice([1, 2])
+            for i in range(s.denominator):
+                nil[low + i][off + i] = F(c * p**i)
+    return PhiModule(p, mod.phi, RatMatrix(nil), mod.form)
 
 
 def certified_filtered_instance(rng: random.Random, p: int = 2, max_rank: int = 3,

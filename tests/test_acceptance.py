@@ -32,6 +32,8 @@ from slopecalc.isocrystal import PhiModule, SlopeMultiset, from_slopes, newton_s
 from slopecalc.rational import RatMatrix
 from slopecalc.sheaf import canonicalize, cohomology_dim
 
+from _deadline import deadline
+
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 
 
@@ -194,6 +196,7 @@ def oracle_acyclic(m: FilteredPhiModule, eig, eigvecs, nil):
 # criteria
 
 
+@deadline(10)  # twice the bound the criterion asserts, so a regression fails rather than hangs
 def test_criterion_01_newton_roundtrip():
     t0 = time.time()
     pool = sorted(
@@ -223,6 +226,7 @@ def test_criterion_01_newton_roundtrip():
            f"{checked} slope multisets round-trip exactly in {elapsed:.2f}s (< 5s)")
 
 
+@deadline(60)  # twice the bound the criterion asserts
 def test_criterion_02_weak_admissibility_oracle_agreement():
     t0 = time.time()
     rng = random.Random(20260811)
@@ -425,6 +429,7 @@ def _gen_synthetic(rng):
     return SyntheticCohomology.build(r, top, below)
 
 
+@deadline(120)  # twice the bound the criterion asserts
 def test_criterion_06_battery_consistency():
     t0 = time.time()
     rng = random.Random(60606)

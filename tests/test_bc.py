@@ -236,6 +236,23 @@ class TestCheckExact:
         arrows = [{"ker": Dimension(0, 0), "im": Dimension(2, 1)}]
         assert not check_exact(seq, arrows)
 
+    def test_kernel_must_be_the_previous_image(self):
+        # 0 -> Qp -> Qp -> Qp -> 0 with both maps declared injective and onto:
+        # additivity holds at every arrow and the last image fills the end,
+        # so only exactness at the middle node (ker = the image before) fails
+        onto = {"ker": Dimension(0, 0), "im": Dimension(0, 1)}
+        assert not check_exact([qp(1), qp(1), qp(1)], [onto, onto])
+        killed = {"ker": Dimension(0, 1), "im": Dimension(0, 0)}
+        assert check_exact([qp(1), qp(1), BCObject.zero()], [onto, killed])
+
+    def test_injection_into_torsion_away_from_infty_needs_no_height(self):
+        # 0 -> Ueff(1, 1) -> T -> Uquot(1, 1) -> 0: the effective line injects
+        # with h = d, which torsion at infty forbids and torsion elsewhere allows
+        arrows = [{"ker": Dimension(0, 0), "im": Dimension(1, 1)},
+                  {"ker": Dimension(1, 1), "im": Dimension(1, -1)}]
+        assert check_exact([ueff(1, 1), tors(2, "x"), uquot(1, 1)], arrows)
+        assert not check_exact([ueff(1, 1), tors(2), uquot(1, 1)], arrows)
+
     def test_malformed_raises(self):
         with pytest.raises(InputError):
             check_exact([qp(1)], [{"ker": Dimension(0, 0)}])

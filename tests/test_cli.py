@@ -10,8 +10,9 @@ import pytest
 
 from slopecalc import cli, hn
 
+from _deadline import deadline
 from _generators import one_level_family
-from test_hn import _doubled_vertex, _unnested_vertex, _unstable_sample
+from test_hn import _doubled_vertex, _n_moved_line, _unnested_vertex, _unstable_sample
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -113,12 +114,14 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)
 
+    @deadline(2)  # twice the bound asserted below, so a regression fails rather than hangs
     def test_large_prime_answers_quickly(self, capsys):
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, "newton", {"coefficients": ["1", "0", "1"], "p": 2**61 - 1})
         assert code == 0 and json.loads(out) == [["0", 2]]
         assert time.perf_counter() - start < 1
 
+    @deadline(20)  # twice the bound asserted below
     def test_rank_32_slope_chain_answers_quickly(self, capsys):
         # phi = diag(1, 2, ..., 2^31) with N moving each line to the one
         # before: 33 N-closed sums of 32 slope blocks, no 2^32 mask scan
@@ -373,6 +376,31 @@ class TestInternalFaults:
         assert code == 4 and out == ""
         assert json.loads(err)["error"].startswith(message)
 
+    @pytest.mark.parametrize("command", ["hn", "wa", "acyclic"])
+    def test_returned_subspace_that_n_moves_exits_four(self, capsys, monkeypatch, command):
+        m, lattice = _n_moved_line()
+        monkeypatch.setattr(hn, "enumerate_subobjects", lambda m: lattice)
+        code, out, err = run_cli(capsys, command, m.to_obj())
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == N_MOVED
+
+    def test_oracle_rejects_a_lattice_element_that_n_moves(self, capsys, monkeypatch):
+        # with weights 0 on e1 and 1 on e2, span(e2), which N moves, has
+        # degree 0: no decider returns it, so only the oracle's stability
+        # check of every lattice element sees it
+        from slopecalc.filtration import HodgeData
+
+        m, lattice = _n_moved_line()
+        payload = hn.FilteredPhiModule(m.module, HodgeData.from_flag([(1, [[0, 1]])], rank=2))
+        monkeypatch.setattr(hn, "enumerate_subobjects", lambda m: lattice)
+        code, out, _ = run_cli(capsys, "wa", payload.to_obj())
+        assert code == 0 and json.loads(out) == {"status": "certified-true", "witness": None}
+        code, out, err = run_cli(capsys, "wa", payload.to_obj(), "--oracle")
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == "internal: oracle: not N-stable"
+
+
+N_MOVED = "internal: the re-check rejects a returned subspace: subspace is not N-stable"
 
 MV = json.loads((ROOT / "tests" / "fixtures" / "mvcheck_identical.json").read_text())["input"]
 MV_OBJECTS = MV["row_a"]["objects"]
@@ -760,7 +788,9 @@ class TestOracleUnderOptimize:
             "from slopecalc.rational import RatMatrix\n"
             "ident = tuple(tuple(row) for row in RatMatrix.identity(4).entries)\n"
             "bases = ((), ident[:1], ident[1:3], ident)\n"
-            "hn.enumerate_subobjects = lambda m: hn.SubobjectLattice.sample(bases, True)\n"
+            "lattice = hn.SubobjectLattice.sample(bases)\n"
+            "lattice.strategy = 'blocks'  # a deciding lattice: any strategy but the sample\n"
+            "hn.enumerate_subobjects = lambda m: lattice\n"
             f"sys.stdin = io.StringIO(json.dumps({m.to_obj()!r}))\n"
             "sys.exit(cli.run(['hn']))\n"
         )
@@ -788,6 +818,23 @@ class TestOracleUnderOptimize:
         assert proc.returncode == 4 and proc.stdout == b""
         error = json.loads(proc.stderr)["error"]
         assert error == "internal: a lattice part is not Frobenius-stable"
+
+    @pytest.mark.parametrize("command", ["hn", "wa", "acyclic"])
+    def test_returned_subspace_that_n_moves_exits_four_under_O(self, command):
+        # the re-check raises explicitly, not by an assert statement
+        m, _ = _n_moved_line()
+        script = (
+            "import io, json, sys\n"
+            "from slopecalc import cli, hn\n"
+            "lattice = hn._n_closed_sums([[(1, 0)], [(0, 1)]], [0, 0], 'eigenlines')\n"
+            "hn.enumerate_subobjects = lambda m: lattice\n"
+            f"sys.stdin = io.StringIO(json.dumps({m.to_obj()!r}))\n"
+            f"sys.exit(cli.run([{command!r}]))\n"
+        )
+        proc = _python("-O", "-c", script)
+        assert proc.returncode == 4 and proc.stdout == b""
+        assert json.loads(proc.stderr)["error"] == N_MOVED
+
 
 
 def _first_fixture(command):

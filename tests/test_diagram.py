@@ -9,6 +9,7 @@ from slopecalc import hn
 from slopecalc.bc import BCObject, dimension
 from slopecalc.diagram import (
     BatteryReport,
+    MVReport,
     SyntheticCohomology,
     battery,
     build_modification,
@@ -663,6 +664,17 @@ class TestMVCheck:
         assert got == [mv_check(a, b, 1) for a, b in rows]
         assert {(r.certified, any("curvature" in v for v in r.violations)) for r in got} == {
             (True, False), (False, False), (False, True)}
+
+    def test_rows_past_the_middle_telescope_from_the_right(self):
+        # heights 1, 2, 1 | 2 | 4, 2 at r = 1: the left end telescopes to 0,
+        # so the value 2 at index 3 comes from the two objects past it
+        parts = [BCObject.build(qp=1), BCObject.build(ueff=[(1, 1, 1)]),
+                 BCObject.build(torsion=[("infty", (2,))]), BCObject.build(qp=2),
+                 BCObject.build(ueff=[(1, 2, 1)])]
+        row = split_row(parts)
+        assert len(row["objects"]) == 6
+        assert mv_check(row, row, 1) == MVReport(True, 2, (), True)
+        assert mv_check(row, row, 0) == MVReport(True, 1, (), True)
 
     def test_rows_too_short(self):
         pa = [BCObject.build(qp=1)]

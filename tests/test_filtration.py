@@ -19,6 +19,7 @@ from slopecalc.base import FlagRequiredError, InputError
 from slopecalc.rational import RatMatrix, rref_rows
 
 import _fraction_reference as ref
+from _deadline import deadline
 from _generators import random_flag, random_unimodular
 from test_parse_once import DenseFlagParity
 from test_parse_once import flag_outcome as _flag_outcome
@@ -55,6 +56,17 @@ class TestFlagSemantics:
 
     def test_weights_from_flag(self):
         assert flag2([(1, [[1, 0]])]).weights == (0, 1)
+
+    def test_kind_and_rank_are_read_off_the_fields(self):
+        flag, weights = flag2([(1, [[1, 0]])]), HodgeData.from_weights([2, -1, 2])
+        assert HodgeData._fields == ("weights", "levels")
+        assert (flag.kind, flag.rank) == ("flag", 2) and (weights.kind, weights.rank) == ("weights", 3)
+        assert HodgeData((), ()).kind == "flag" and HodgeData(()).kind == "weights"
+
+    def test_weights_form_support_and_flag(self):
+        h = HodgeData.from_weights([2, -1, 2])
+        assert h.support() == (-1, 3) and h.flag is None
+        assert HodgeData.from_weights([]).support() == (0, 0)
 
     def test_presentations_compare_equal(self):
         a = flag2([(1, [[1, 0]])])
@@ -137,6 +149,7 @@ class TestFlagWindow:
             assert HodgeData.from_flag(entries, rank=n).flag == dense_by_levels(entries, n)
 
     @pytest.mark.parametrize("far", [3_000_000, 10**30])
+    @deadline(2)  # twice the bound asserted below, so a regression fails rather than hangs
     def test_far_apart_indices_rejected_quickly(self, far):
         start = time.perf_counter()
         with pytest.raises(InputError):

@@ -16,10 +16,11 @@ import io
 import json
 import pathlib
 import random
-import signal
 import sys
 
 from slopecalc import cli
+
+from _deadline import Hang, deadline
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = [
@@ -32,10 +33,6 @@ DELETE = object()  # as a replacement value: delete the key instead
 SEED = 1
 CASES = 1500
 LIMIT_S = 10
-
-
-class Hang(BaseException):
-    """Raised by the alarm; a BaseException, so `cli.run` cannot turn it into exit 4."""
 
 
 def _paths(node, prefix=()):
@@ -88,21 +85,14 @@ def _shape_cases():
 
 def _run(command, text, *flags):
     """(exit code, stderr) of one in-process run, or (None, "hang") past LIMIT_S."""
-    def alarm(signum, frame):
-        raise Hang()
-
     out, err = io.StringIO(), io.StringIO()
-    old_stdin, old_handler = sys.stdin, signal.signal(signal.SIGALRM, alarm)
-    sys.stdin = io.StringIO(text)
-    signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
+    old_stdin, sys.stdin = sys.stdin, io.StringIO(text)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with deadline(LIMIT_S), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             return cli.run([command, "--input", "-", *flags]), err.getvalue()
     except Hang:
         return None, "hang"
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old_handler)
         sys.stdin = old_stdin
 
 

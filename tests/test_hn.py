@@ -53,8 +53,11 @@ from _fraction_reference import rational_roots as fraction_roots
 from _fraction_reference import sample_subobjects as fraction_sample
 from _fraction_reference import t_h_by_ranks
 from _fraction_reference import top_hyperplane as fraction_hyperplane
+from _deadline import deadline
 from _generators import (
+    block_chain_instance,
     certified_filtered_instance,
+    chain_instance,
     diagonal_instance,
     one_level_family,
     random_flag,
@@ -95,6 +98,12 @@ def inject(monkeypatch, lattice):
 
 
 class TestDegree:
+    def test_rank_zero_decides_true(self):
+        m = FilteredPhiModule(PhiModule.zero(P), HodgeData.from_flag([], rank=0))
+        assert degree(m) == 0
+        assert is_weakly_admissible(m) == is_acyclic(m) == Verdict(STATUS_TRUE)
+        assert hn_filtration(m) == hn.HNFiltration((), True)
+
     def test_rank_one_matched(self):
         m = mk([[P]], [(1, [[1]])], 1)
         assert degree(m) == 0
@@ -711,7 +720,7 @@ class TestClosedMasks:
     @staticmethod
     def closed_sums(sizes, supports):
         parts = [[(0,)] * size for size in sizes]
-        return hn._n_closed_sums(parts, supports, 1, "blocks").keys
+        return hn._n_closed_sums(parts, supports, "blocks").keys
 
     def test_seeded_acyclic_supports(self):
         rng = random.Random(47)
@@ -953,7 +962,7 @@ class TestMaskLattice:
             assert 4 <= mod.rank <= 9
             m = FilteredPhiModule(mod, random_flag(rng, mod.rank, -1, 3))
             std = RatMatrix.identity(mod.rank).entries
-            blocks = dm_blocks(mod, newton_slopes(mod))
+            blocks = dm_blocks(mod)
             parts = [std[off : off + size] for _, off, size in blocks]
             lattice = self.agree(m, parts, "blocks")
             assert len(lattice.keys) == 2 ** len(slopes)
@@ -1147,7 +1156,7 @@ class TestReferenceDeciders:
         e1, e2, e3, e4 = ident
         m = mk(ident, [(-2, ident), (-1, [e1, e2, e3]), (1, [e1, e3])], 4)
         line = ((F(1), F(0), F(1), F(0)),)
-        inject(monkeypatch, hn._n_closed_sums([[e4], [e1, e2], list(line)], [0, 0, 0], 4, "blocks"))
+        inject(monkeypatch, hn._n_closed_sums([[e4], [e1, e2], list(line)], [0, 0, 0], "blocks"))
         assert degree(m) == 0 and (e1, e2) < line
         assert is_weakly_admissible(m) == Verdict(STATUS_FALSE, line)
 
@@ -1234,7 +1243,9 @@ def _unnested_vertex(certified):
     ident = RatMatrix.identity(4).entries
     e1, e2, e3, _ = (tuple(row) for row in ident)
     m = mk(ident, [(1, [e1, e2, e3]), (3, [e1, e2])], 4)
-    lattice = hn.SubobjectLattice.sample(((), (e1,), (e2, e3), tuple(ident)), certified)
+    lattice = hn.SubobjectLattice.sample(((), (e1,), (e2, e3), tuple(ident)))
+    if certified:  # a deciding lattice: any strategy but the sample
+        lattice.strategy = "blocks"
     return m, lattice
 
 
@@ -1246,7 +1257,8 @@ def _doubled_vertex():
     step = hn_filtration(m).steps[0]
     bases = elements(enumerate_subobjects(m))
     at = bases.index(step.basis)
-    doubled = hn.SubobjectLattice.sample(bases[: at + 1] + bases[at:], certified=True)
+    doubled = hn.SubobjectLattice.sample(bases[: at + 1] + bases[at:])
+    doubled.strategy = "eigenlines"  # a deciding lattice: any strategy but the sample
     return twin(m), doubled
 
 
@@ -1257,6 +1269,40 @@ def _unstable_sample():
     m = mk([[1, 0, 0], [0, 1, 0], [0, 0, P]], [(1, ident[:2]), (2, ident[:1])], 3)
     line = ((F(1), F(0), F(1)),)
     return m, hn.SubobjectLattice.sample(((), ident[:1], line, tuple(ident)))
+
+
+def _n_moved_line():
+    """phi = diag(1, p) with N(e2) = e1 and weights -1 on e1, 2 on e2, and a
+    certified lattice listing span(e2), which phi keeps and N moves: of degree
+    1, it is the one violator and the rank-1 HN vertex.  The module's own
+    lattice, 0 < span(e1) < V, has no violator."""
+    m = mk([[1, 0], [0, P]], [(0, [[0, 1]]), (2, [[0, 1]])], 2, nil=[[0, 1], [0, 0]])
+    return m, hn._n_closed_sums([[(1, 0)], [(0, 1)]], [0, 0], "eigenlines")
+
+
+class TestRecheckChecksN:
+    """The re-check tests N beside phi: a returned subspace that N moves is an
+    internal fault, not a verdict."""
+
+    def test_sub_invariants_rejects_a_subspace_that_n_moves(self):
+        m, _ = _n_moved_line()
+        assert m.hodge.weights == (-1, 2) and degree(m) == 0
+        assert sub_invariants(m, ((F(1), F(0)),)) == (1, -1, 0, -1)
+        with pytest.raises(InputError, match="^subspace is not N-stable$"):
+            sub_invariants(m, ((F(0), F(1)),))
+
+    def test_the_modules_own_lattice_has_no_violator(self):
+        m, _ = _n_moved_line()
+        assert is_weakly_admissible(m) == is_acyclic(m) == Verdict(STATUS_TRUE)
+        assert hn_filtration(m).slopes() == [(0, 2)]
+
+    @pytest.mark.parametrize("decide", [is_weakly_admissible, is_acyclic, hn_filtration])
+    def test_doctored_lattice_raises(self, monkeypatch, decide):
+        m, lattice = _n_moved_line()
+        inject(monkeypatch, lattice)
+        with pytest.raises(AssertionError, match="^internal: the re-check rejects a returned "
+                                                 "subspace: subspace is not N-stable$"):
+            decide(m)
 
 
 class TestHullChecks:
@@ -1430,7 +1476,7 @@ class TestLazyLattice:
             parts = [list(part) for part in lattice.parts]
             # the first part plus a row of the second: still independent, not stable
             parts[0][0] = tuple(a + b for a, b in zip(parts[0][0], parts[1][0]))
-            doctored = hn.SubobjectLattice(parts, True, kind, m.rank, lattice.order)
+            doctored = hn.SubobjectLattice(parts, kind, lattice.order)
         assert doctored.strategy == kind
         inject(monkeypatch, doctored)
         for decide in (is_acyclic, hn_filtration):
@@ -1713,6 +1759,57 @@ class TestKeptLattice:
             assert filt.steps[0].basis == (line,) and m.lattice.strategy == "scalar-chain"
         with pytest.raises(TypeError):
             hn_filtration(b, enumerate_subobjects(a))
+
+
+def _sweep_cases():
+    """(strategy, module) at each rank 2-8: eigenlines with N chains, slope
+    blocks (with an N chain from rank 4, where two blocks of slopes one apart
+    and not integers first fit), a sample (from rank 3, where a repeated
+    eigenvalue first fits beside an N chain) and scalar Frobenius, which
+    forces N = 0.  Half the flags take the rounded-up Newton slopes as
+    weights, half are random."""
+    rng = random.Random(2208)
+    blocks = {2: [F(1, 2)], 3: [0, F(1, 2)], 4: [F(1, 2), F(3, 2)], 5: [0, F(1, 2), F(3, 2)],
+              6: [F(1, 3), F(4, 3)], 7: [-1, 0, 1, F(1, 2), F(3, 2)], 8: [F(1, 4), F(5, 4)]}
+    cases = []
+    for n in range(2, 9):
+        e = rng.randint(-1, 1)
+        mods = [("eigenlines", chain_instance(rng, P, rng.sample(range(-1, n), n))),
+                ("blocks", block_chain_instance(rng, P, blocks[n])),
+                ("scalar-chain", PhiModule.from_matrices(P, RatMatrix.identity(n).scale(P)))]
+        if n > 2:
+            repeated = [e, e + 1, e] + rng.sample(range(e + 2, e + n + 2), n - 3)
+            mods.append(("sample", chain_instance(rng, P, repeated)))
+        for strategy, mod in mods:
+            slopes = [s for s, k in newton_slopes(mod) for _ in range(k)]
+            weights = ([math.ceil(s) for s in slopes] if rng.random() < 0.5
+                       else [rng.randint(-1, n) for _ in slopes])
+            cases.append((f"{strategy}/{n}", _flagged(rng, mod, weights)))
+    return cases
+
+
+SWEEP_CASES = _sweep_cases()
+
+
+class TestOracleSweep:
+    """The `--oracle` checks pass on every decider's answer over seeded modules
+    with N chains at ranks 2-8, on every strategy: `check_verdict` (both
+    kinds) re-checks that each element of the lattice is phi- and N-stable
+    and re-scores it, and `check_hn` re-scores the steps and the HN polygon."""
+
+    @pytest.mark.parametrize("name, m", SWEEP_CASES, ids=[c[0] for c in SWEEP_CASES])
+    @deadline(30)
+    def test_oracle_accepts(self, name, m):
+        assert m.lattice.strategy == name.split("/")[0]
+        for kind, decide in (("wa", is_weakly_admissible), ("acyclic", is_acyclic)):
+            oracle.check_verdict(m, decide(m), kind)
+        oracle.check_hn(m, hn_filtration(m))
+
+    def test_cases_have_n_chains_and_both_verdicts(self):
+        with_n = {name.split("/")[0] for name, m in SWEEP_CASES if not m.module.nilpotent.is_zero()}
+        assert with_n == {"eigenlines", "blocks", "sample"}
+        statuses = {is_weakly_admissible(m).status for _, m in SWEEP_CASES if degree(m) == 0}
+        assert {STATUS_TRUE, STATUS_FALSE} <= statuses
 
 
 class TestKeptIntRows:

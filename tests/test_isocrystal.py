@@ -237,11 +237,11 @@ class TestFromSlopes:
         for owner, name in [(RatMatrix, "det"), (isocrystal, "int_det"),
                             (isocrystal, "_monodromy_fault")]:
             monkeypatch.setattr(owner, name, forbidden)
-        assert is_dm_normal(m, slopes) and from_slopes(slopes, P).tn == m.tn
+        assert is_dm_normal(m) and from_slopes(slopes, P).tn == m.tn
 
     def test_dm_normal_recognition(self):
         def normal(m):
-            return is_dm_normal(m, newton_slopes(m))
+            return is_dm_normal(m)
 
         assert normal(from_slopes(SlopeMultiset([(F(1, 2), 2)]), P))
         assert normal(mk([[0, P], [1, 0]]))  # same matrix, plain form

@@ -35,6 +35,8 @@ from slopecalc.rational import (
     span_leq,
 )
 
+from _deadline import deadline
+
 
 def brute_valuation(q, p):
     # independent oracle: strip factors of p one by one
@@ -60,6 +62,7 @@ class TestIsPrime:
             n for n in range(200_000) if trial(n)
         ]
 
+    @deadline(2)  # twice the bound asserted below, so a regression fails rather than hangs
     def test_large_primes_accepted_quickly(self):
         start = time.perf_counter()
         for p in (2**61 - 1, 10**15 + 37):
