@@ -1773,7 +1773,7 @@ def _sweep_cases():
               6: [F(1, 3), F(4, 3)], 7: [-1, 0, 1, F(1, 2), F(3, 2)], 8: [F(1, 4), F(5, 4)]}
     cases = []
     for n in range(2, 9):
-        e = rng.randint(-1, 1)
+        e = rng.randint(-1, 1)  # the sample's repeated exponent, drawn at every rank
         mods = [("eigenlines", chain_instance(rng, P, rng.sample(range(-1, n), n))),
                 ("blocks", block_chain_instance(rng, P, blocks[n])),
                 ("scalar-chain", PhiModule.from_matrices(P, RatMatrix.identity(n).scale(P)))]
