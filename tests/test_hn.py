@@ -301,6 +301,7 @@ class TestFn4Reduce:
         monkeypatch.setattr(hn, "enumerate_subobjects", counted)
         return seen
 
+    @deadline(30)  # the search below spins forever if no module decides certified acyclic
     def test_one_enumeration_per_call(self, monkeypatch):
         # conjugated diag(1, p, p^2): an eigenline lattice, several lowering steps
         rng = random.Random(44)
