@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Semantic mutants of the certification path, each run against tier-1.
 
-    python tests/mutants.py [--only NAME ...] [--timeout SECONDS] [--every-failure] [--list]
+    python tests/mutants.py [--only NAME ...] [--timeout SECONDS] [--every-failure]
 
 Each mutant in MUTANTS is one exact text replacement in one file of
 `src/slopecalc`: a plausible wrong rule in what a certified answer rests on.
@@ -75,7 +75,7 @@ IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypot
 
 
 def run_mutant(name, filename, text, replacement, timeout, every_failure=False) -> tuple:
-    """(verdict, first failing test ids) of tier-1 on a copy with one mutant applied."""
+    """(verdict, failing test ids) of tier-1 on a copy with one mutant applied."""
     with tempfile.TemporaryDirectory(prefix=f"mutant-{name}-") as tmp:
         tree = pathlib.Path(tmp) / "repo"
         shutil.copytree(ROOT, tree, ignore=IGNORED)
@@ -100,16 +100,14 @@ def run_mutant(name, filename, text, replacement, timeout, every_failure=False) 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run these mutants only")
+    names = [m[0] for m in MUTANTS]
+    parser.add_argument("--only", nargs="+", metavar="NAME", choices=names,
+                        help="run these mutants only: " + ", ".join(names))
     parser.add_argument("--timeout", type=float, default=900, help="seconds per tier-1 run")
     parser.add_argument("--every-failure", action="store_true",
                         help="run the whole suite per mutant, not up to its first failure")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
     args = parser.parse_args(argv)
     chosen = [m for m in MUTANTS if not args.only or m[0] in args.only]
-    if args.list or not chosen:
-        print("\n".join(m[0] for m in MUTANTS))
-        return 0 if args.list else 2
     bad = []
     for name, filename, text, replacement in chosen:
         verdict, failed = run_mutant(name, filename, text, replacement, args.timeout,
