@@ -206,7 +206,10 @@ def _cmd_mv_check(obj, args):
     from . import diagram
 
     rows = json_key(obj, "row_a", "input"), json_key(obj, "row_b", "input")
-    report = diagram.mv_check(*rows, json_key(obj, "r", "input"))
+    r = json_key(obj, "r", "input")
+    report = diagram.mv_check(*rows, r)
+    if args.oracle:
+        args.oracle.check_mv(*rows, r, report)
     return report.to_obj(), _exit_code(True, report.equal)
 
 

@@ -210,6 +210,18 @@ class HodgeData(Record):
         raise InputError("HodgeData JSON needs 'weights' or 'flag'")
 
 
+def adapted_basis(h: HodgeData) -> list:
+    """Int rows adapted to the flag, from the top level down: nested levels
+    nest their pivots, so each level's canonical rows at pivots new to it
+    extend the rows above to a basis of it, and the first dim Fil^j rows span
+    Fil^j.  Row k has weight `h.weights[-1 - k]`.  Flag form only."""
+    h.require_flag("adapted_basis")
+    found = {}  # pivot column -> the first row with it, from the top level
+    for row in (row for _, level in h.levels[::-1] for row in level):
+        found.setdefault(next(c for c, a in enumerate(row) if a), row)
+    return [int_row(row) for row in found.values()]
+
+
 def t_h(h: HodgeData) -> int:
     """Multiplicity-weighted weight sum: sum of i * dim gr^i."""
     return sum(h.weights)

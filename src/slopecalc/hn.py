@@ -72,7 +72,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .filtration import HodgeData, induced_on_subspace, t_h
+from .filtration import HodgeData, adapted_basis, induced_on_subspace, t_h
 from .isocrystal import PhiModule, dm_blocks, is_dm_normal, t_n
 from .base import Dimension, InputError, Record, _vp_int, json_key, lower_hull_vertices, valuation
 from .rational import (
@@ -305,20 +305,16 @@ def _scalar_flag_chain(m: FilteredPhiModule) -> Optional[SubobjectLattice]:
     is impossible; but t_N depends on the dimension alone, and the chain
     adapted to the flag realizes the maximal induced t_H in every dimension,
     which is all the deciders and the HN hull read, so it is `certified`:
-    verdicts read off it are proofs.  Its parts are the adapted lines,
-    from the top level down, and `_n_closed_sums` builds it with line k
-    needing line k - 1, so its masks are the prefixes 2^k - 1.
+    verdicts read off it are proofs.  Its parts are the lines of
+    `adapted_basis`: a prefix of length dim Fil^j spans Fil^j, any other lies
+    between two levels, and `_n_closed_sums` makes line k need line k - 1, so
+    the masks are the prefixes 2^k - 1.
     """
     phi = m.module.phi.entries
     if any(x != phi[0][0] if i == j else x for i, r in enumerate(phi) for j, x in enumerate(r)):
         return None  # phi is not a constant times the identity
-    m.hodge.require_flag("subobject enumeration")
-    n = m.rank
-    lines, prev = [], ()
-    for _, level in reversed(m.hodge.levels):
-        lines.extend([v] for v in complement_basis(prev, level, n))
-        prev = level
-    return _n_closed_sums(lines, [k and 1 << (k - 1) for k in range(n)], "scalar-chain")
+    lines = [[row] for row in adapted_basis(m.hodge)]
+    return _n_closed_sums(lines, [k and 1 << (k - 1) for k in range(m.rank)], "scalar-chain")
 
 
 _SAMPLE_SEED = 0  # seed of the sample's random vectors: a verdict depends on the module alone
@@ -471,20 +467,12 @@ def sub_invariants(m: FilteredPhiModule, basis) -> tuple[int, int, Fraction, Fra
 def _flag_coordinates(hodge: HodgeData) -> tuple[list, list]:
     """(C, weights): int coordinates adapted to the flag, ascending by weight.
 
-    Nested levels nest their pivots: a level's canonical rows at pivots new to
-    it extend those above to a basis B, row i of weight `hodge.weights[i]`.
+    B is `adapted_basis` from the bottom, row i of weight `hodge.weights[i]`.
     One elimination of [B^T | I] leaves in row i of its right half C a nonzero
     multiple of row i of (B^T)^-1: `int_apply(C, v)[i]` is coordinate i of v.
     """
-    n = hodge.rank
-    found = {}  # pivot column -> int row, by descending weight
-    for _, level in hodge.levels[::-1]:  # from the top
-        for row in level:
-            c = next(c for c, a in enumerate(row) if a)
-            if c not in found:
-                found[c] = int_row(row)
-    rows = [[r[i] for r in reversed(found.values())] + [int(i == t) for t in range(n)]
-            for i in range(n)]
+    n, basis = hodge.rank, adapted_basis(hodge)[::-1]
+    rows = [[r[i] for r in basis] + [int(i == t) for t in range(n)] for i in range(n)]
     _gauss_jordan(rows, 2 * n)
     return [row[n:] for row in rows], list(hodge.weights)
 

@@ -56,10 +56,25 @@ def _stable(m, basis) -> tuple:
     return basis
 
 
+def _scalar_maxima(m):
+    """[M_0, ..., M_n] when phi = lam * I, else None: every subspace is then
+    stable, so the largest degree at rank k is M_k = (the sum of the k largest
+    Hodge weights) - k v_p(lam), read off the weights without the lattice."""
+    phi = m.module.phi.entries
+    lam = phi[0][0] if phi else 1
+    if any(x != (lam if i == j else 0) for i, row in enumerate(phi) for j, x in enumerate(row)):
+        return None
+    top, v = sorted(m.hodge.weights, reverse=True), valuation(lam, m.module.p)
+    return [sum(top[:k]) - k * v for k in range(m.rank + 1)]
+
+
 def check_verdict(m, verdict, kind):
     """Stability of every element of the lattice the verdict was read from (the
     module keeps it, `m.lattice`); a certified-true verdict is re-scored on every
-    element by `sub_invariants`, a certified-false one on its witness."""
+    element by `sub_invariants`, a certified-false one on its witness.  When phi
+    is scalar, the verdict is also checked against `_scalar_maxima`: true needs
+    every M_k within the bound, and a witness, but V for a `wa` of nonzero
+    degree, has the least violating k as its rank."""
     from . import hn
 
     lattice = m.lattice
@@ -77,26 +92,43 @@ def check_verdict(m, verdict, kind):
             require(total != 0 or d > 0, "witness does not violate")
         else:
             require(d > total, "witness does not violate")
+    maxima = _scalar_maxima(m)
+    if maxima is not None and verdict.certified:
+        over = [k for k, d in enumerate(maxima) if d > bound]
+        if verdict.status == hn.STATUS_TRUE:
+            require(not over, "a rank of scalar phi violates a certified-true verdict")
+        elif kind != "wa" or total == 0:
+            require(over[:1] == [len(verdict.witness)],
+                    "the witness is not at scalar phi's least violating rank")
 
 
-def _hn_slopes(m) -> list:
-    """(slope, graded rank) along the upper concave hull of the points (r, M_r),
-    M_r the largest degree at rank r over every element of the module's
-    lattice, each scored by `sub_invariants`."""
+def _hn_polygons(m) -> list:
+    """(whose, slopes): the (slope, graded rank) along the upper concave hull of
+    the points (r, M_r), M_r the largest degree at rank r over every element
+    of the module's lattice, each scored by `sub_invariants`, and when phi is
+    scalar over every subspace, by `_scalar_maxima`."""
     from . import hn
 
     lattice, best = m.lattice, {}
     for key in lattice.keys:
         k, _, _, d = hn.sub_invariants(m, _stable(m, lattice.basis(key)))
         best[k] = max(best.get(k, d), d)
-    hull = lower_hull_vertices((k, -d) for k, d in sorted(best.items()))  # upside down
-    return [((y1 - y2) / (k2 - k1), k2 - k1) for (k1, y1), (k2, y2) in zip(hull, hull[1:])]
+    polygons = [("the lattice's", _hull_slopes(sorted(best.items())))]
+    maxima = _scalar_maxima(m)
+    if maxima is not None:
+        polygons.append(("scalar phi's", _hull_slopes(enumerate(maxima))))
+    return polygons
+
+
+def _hull_slopes(points) -> list:
+    hull = lower_hull_vertices((k, -d) for k, d in points)  # upside down
+    return [(Fraction(y1 - y2) / (k2 - k1), k2 - k1) for (k1, y1), (k2, y2) in zip(hull, hull[1:])]
 
 
 def check_hn(m, filt):
     """The steps nest, with strictly falling slopes, up to V, and each basis
     scores its step's cumulative (rank, degree) by `sub_invariants`; on a
-    certified result the slopes are those of the lattice's HN polygon."""
+    certified result the slopes are those of each of `_hn_polygons`."""
     from . import hn
     from .rational import span_leq
 
@@ -112,17 +144,16 @@ def check_hn(m, filt):
     slopes = filt.slopes()
     require(all(s > t for (s, _), (t, _) in zip(slopes, slopes[1:])), "HN slopes do not fall")
     require(rank == m.rank, "the last HN step is not V")
-    if filt.certified:
-        require(slopes == _hn_slopes(m), "HN slopes disagree with the lattice's polygon")
+    for whose, polygon in _hn_polygons(m) if filt.certified else ():
+        require(slopes == polygon, f"HN slopes disagree with {whose} polygon")
 
 
 def check_vst(m, res):
-    """On a certified result, H^0 and whether H^1 vanishes as the lattice's HN
-    polygon gives them: each slope s >= 0 of graded rank r adds (s r, r)."""
-    if res.certified:
-        slopes = _hn_slopes(m)
+    """On a certified result, H^0 and whether H^1 vanishes as each of
+    `_hn_polygons` gives them: each slope s >= 0 of graded rank r adds (s r, r)."""
+    for whose, slopes in _hn_polygons(m) if res.certified else ():
         h0 = (sum(s * r for s, r in slopes if s >= 0), sum(r for s, r in slopes if s >= 0))
-        require((res.h0.dim, res.h0.ht) == h0, "H^0 disagrees with the lattice's polygon")
+        require((res.h0.dim, res.h0.ht) == h0, f"H^0 disagrees with {whose} polygon")
         require(res.h1_nonvanishing == any(s < 0 for s, _ in slopes), "H^1 disagrees")
 
 
@@ -178,6 +209,52 @@ def check_ext(triple, k_degree):
 def check_battery(report):
     if report.certified:
         require(report.consistent, "certified verdicts disagree")
+
+
+def check_mv(row_a, row_b, r, report):
+    """The report re-derived without `height_functor_rank` or
+    `curvature_nonpositive`: the violations (heights by `bc.dimension` away
+    from index 3r, the curvature sign as the positive part of
+    `canonical_filtration`, of the quotient for a quasi object, and declared
+    exactness), then the heights telescoped from both ends of each row."""
+    from .base import InputError
+    from .bc import QBCObject, canonical_filtration, check_exact, dimension
+    from .diagram import _parse_row
+
+    (a_objs, a_arrows), (b_objs, b_arrows) = _parse_row(row_a, "A"), _parse_row(row_b, "B")
+    rows = (("A", a_objs, a_arrows), ("B", b_objs, b_arrows))
+    mid, n = 3 * r, len(a_objs)
+    bad = [f"ht(A_{k}) != ht(B_{k})" for k in range(n)
+           if k != mid and dimension(a_objs[k]).ht != dimension(b_objs[k]).ht]
+    for tag, objs, _ in rows:
+        for k, w in enumerate(objs):
+            if not canonical_filtration(w.quotient if isinstance(w, QBCObject) else w)[0].is_zero():
+                bad.append(f"{tag}_{k} has positive-curvature part")
+    for tag, objs, arrows in rows:
+        try:
+            exact = check_exact(objs, arrows)
+        except InputError as exc:
+            bad.append(f"row {tag}: {exc}")
+            continue
+        if not exact:
+            bad.append(f"row {tag} fails declared exactness")
+    require(tuple(bad) == report.violations, "mv-check violations disagree")
+    if bad:
+        require((report.equal, report.value, report.certified) == (None, None, False),
+                "mv-check answers despite a violation")
+        return
+    heights = set()  # each row's telescoped height at index 3r and its own
+    for objs in (a_objs, b_objs):
+        left = right = 0
+        for w in objs[:mid]:
+            left = dimension(w).ht - left
+        for w in objs[:mid:-1]:
+            right = dimension(w).ht - right
+        heights |= {left + right, dimension(objs[mid]).ht}
+    value = heights.pop() if len(heights) == 1 else None
+    require((report.equal, report.value, report.certified) == (value is not None, value,
+                                                               value is not None),
+            "mv-check's telescoped heights disagree")
 
 
 def check_dichotomy(res):

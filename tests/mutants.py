@@ -62,6 +62,9 @@ MUTANTS = [
     ("scalar-chain-reversed", "hn.py",
      "return _n_closed_sums(lines, ",
      "return _n_closed_sums(lines[::-1], "),
+    ("adapted-basis-bottom-up", "filtration.py",
+     "for _, level in h.levels[::-1] for row in level",
+     "for _, level in h.levels for row in level"),
     ("hull-vertex-dropped", "hn.py",
      "for k, _ in hull[1:]:",
      "for k, _ in hull[1:-2] + hull[-1:]:"),

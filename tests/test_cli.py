@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from slopecalc import cli, hn
+from slopecalc import bc, cli, hn
 
 from _deadline import deadline
 from _generators import one_level_family
@@ -745,6 +745,84 @@ class TestOracleChecksTheFilteredCommands:
         proc = _python("-O", "-c", script)
         assert proc.returncode == 4 and proc.stdout == b""
         assert json.loads(proc.stderr)["error"] == f"internal: oracle: {message}"
+
+
+SCALAR = {
+    "module": {"p": 2, "phi": [["2", "0", "0"], ["0", "2", "0"], ["0", "0", "2"]],
+               "N": [["0"] * 3] * 3},
+    "hodge": {"flag": [{"index": 1, "basis": [["1", "2", "0"], ["0", "1", "1"]]},
+                       {"index": 2, "basis": [["1", "3", "1"]]}], "rank": 3},
+}
+# the chain from the bottom level up: certified, and reaching the least degree
+# at each rank, so every element it holds scores as its answer claims
+REVERSED_CHAIN = ("lambda m: hn._n_closed_sums(real(m).parts[::-1], "
+                  "[k and 1 << (k - 1) for k in range(m.rank)], 'scalar-chain')")
+
+
+class TestOracleScalarRoute:
+    """phi = 2 I with weights 0, 1, 2: degree 0, and M_k, the largest degree
+    at rank k, is 0, 1, 1, 0.  A doctored scalar chain or verdict passes the
+    checks that re-score `m.lattice`, and exits 4 on the oracle's own M_k,
+    also under `python -O`."""
+
+    CASES = [
+        ("wa", "_scalar_flag_chain", REVERSED_CHAIN,
+         "a rank of scalar phi violates a certified-true verdict"),
+        ("acyclic", "_scalar_flag_chain", REVERSED_CHAIN,
+         "a rank of scalar phi violates a certified-true verdict"),
+        ("hn", "_scalar_flag_chain", REVERSED_CHAIN, "HN slopes disagree with scalar phi's polygon"),
+        ("vst", "_scalar_flag_chain", REVERSED_CHAIN, "H^0 disagrees with scalar phi's polygon"),
+        # Fil^1 has degree 1 > 0, but the least violating rank is 1
+        ("wa", "is_weakly_admissible", "lambda m: hn.Verdict(hn.STATUS_FALSE, ((1, 2, 0), (0, 1, 1)))",
+         "the witness is not at scalar phi's least violating rank"),
+    ]
+    IDS = ["wa-reversed", "acyclic-reversed", "hn-reversed", "vst-reversed", "wa-rank-two"]
+
+    @pytest.mark.parametrize("command, name, doctor, message", CASES, ids=IDS)
+    def test_doctored_answer_exits_four(self, capsys, monkeypatch, command, name, doctor,
+                                        message):
+        plain = run_cli(capsys, command, SCALAR, "--oracle")
+        assert plain[0] in (0, 1) and plain[2] == ""
+        monkeypatch.setattr(hn, name, eval(doctor, {"hn": hn, "real": getattr(hn, name)}))
+        doctored = run_cli(capsys, command, SCALAR)
+        assert doctored[0] in (0, 1) and doctored[1] != plain[1]
+        code, out, err = run_cli(capsys, command, SCALAR, "--oracle")
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert json.loads(err)["error"] == f"internal: oracle: {message}"
+
+    @pytest.mark.parametrize("command, name, doctor, message", CASES, ids=IDS)
+    def test_doctored_answer_exits_four_under_O(self, command, name, doctor, message):
+        script = (
+            "import io, json, sys\n"
+            "from slopecalc import cli, hn\n"
+            f"real = hn.{name}\n"
+            f"hn.{name} = {doctor}\n"
+            f"sys.stdin = io.StringIO(json.dumps({SCALAR!r}))\n"
+            f"sys.exit(cli.run([{command!r}, '--oracle']))\n"
+        )
+        proc = _python("-O", "-c", script)
+        assert proc.returncode == 4 and proc.stdout == b""
+        assert json.loads(proc.stderr)["error"] == f"internal: oracle: {message}"
+
+
+class TestOracleMvCheck:
+    """`mv-check --oracle` re-derives the report without `height_functor_rank`."""
+
+    @pytest.mark.parametrize("fixture, name, doctor", [
+        ("mvcheck_identical", "height_functor_rank",
+         lambda real: lambda w: bc.HeightRank(real(w).value + 1, True)),
+        ("mvcheck_mismatch", "curvature_nonpositive", lambda real: lambda w: False),
+    ], ids=["height-plus-one", "curvature-positive"])
+    def test_doctored_bookkeeping_exits_four(self, capsys, monkeypatch, fixture, name, doctor):
+        payload = TestOracleChecksTheFilteredCommands.payload(fixture)
+        plain = run_cli(capsys, "mv-check", payload)
+        assert run_cli(capsys, "mv-check", payload, "--oracle") == plain
+        monkeypatch.setattr(bc, name, doctor(getattr(bc, name)))
+        doctored = run_cli(capsys, "mv-check", payload)
+        assert doctored[0] in (0, 1) and doctored[1] != plain[1]
+        code, out, err = run_cli(capsys, "mv-check", payload, "--oracle")
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert json.loads(err)["error"].startswith("internal: oracle: mv-check")
 
 
 class TestFn4NoHang:

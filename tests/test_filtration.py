@@ -10,12 +10,15 @@ from slopecalc import filtration
 from slopecalc.filtration import (
     FLAG_MAX_SPAN,
     HodgeData,
+    adapted_basis,
     dual_hodge,
     induced_on_subspace,
     shift,
     t_h,
 )
 from slopecalc.base import FlagRequiredError, InputError
+from slopecalc.hn import FilteredPhiModule, _scalar_flag_chain, sub_invariants
+from slopecalc.isocrystal import PhiModule
 from slopecalc.rational import RatMatrix, rref_rows
 
 import _fraction_reference as ref
@@ -188,6 +191,37 @@ class TestLevels:
                 assert dims == sorted(set(dims), reverse=True)
             for j in range(lo - 2, hi + 3):
                 assert h.subspace_at(j) == (full if j <= lo else dense.get(j, ()))
+
+
+class TestAdaptedBasis:
+    """`adapted_basis` over seeded full flags of rank 1-8: int rows whose prefix
+    of length dim Fil^j spans Fil^j, so the scalar chain on them, whose
+    elements are those prefixes, reaches the largest t_H at every rank."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_prefixes_span_the_levels(self, n):
+        rng = random.Random(3800 + n)
+        for _ in range(6):
+            h = random_flag(rng, n, 0, 4)
+            rows = adapted_basis(h)
+            assert len(rows) == n and all(type(x) is int for row in rows for x in row)
+            for _, level in h.levels:
+                assert rref_rows(rows[: len(level)], n) == level
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_scalar_chain_reaches_the_largest_t_h(self, n):
+        rng = random.Random(3900 + n)
+        mod = PhiModule.from_matrices(2, RatMatrix.identity(n).scale(2))
+        for _ in range(4):
+            m = FilteredPhiModule(mod, random_flag(rng, n, 0, 4))
+            chain = _scalar_flag_chain(m)
+            top = sorted(m.hodge.weights, reverse=True)
+            got = [sub_invariants(m, chain.basis(2**k - 1))[:2] for k in range(n + 1)]
+            assert got == [(k, sum(top[:k])) for k in range(n + 1)]
+
+    def test_weights_only_is_refused(self):
+        with pytest.raises(FlagRequiredError, match="adapted_basis"):
+            adapted_basis(HodgeData.from_weights([0, 1]))
 
 
 class TestDual:
