@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .base import lower_hull_vertices, rat, valuation
+from .base import InputError, lower_hull_vertices, rat, valuation
 
 
 def require(ok: bool, what: str) -> None:
@@ -97,7 +97,7 @@ def check_verdict(m, verdict, kind):
         over = [k for k, d in enumerate(maxima) if d > bound]
         if verdict.status == hn.STATUS_TRUE:
             require(not over, "a rank of scalar phi violates a certified-true verdict")
-        elif kind != "wa" or total == 0:
+        elif kind != "wa" or total == 0 or len(verdict.witness) != m.rank:
             require(over[:1] == [len(verdict.witness)],
                     "the witness is not at scalar phi's least violating rank")
 
@@ -217,7 +217,6 @@ def check_mv(row_a, row_b, r, report):
     from index 3r, the curvature sign as the positive part of
     `canonical_filtration`, of the quotient for a quasi object, and declared
     exactness), then the heights telescoped from both ends of each row."""
-    from .base import InputError
     from .bc import QBCObject, canonical_filtration, check_exact, dimension
     from .diagram import _parse_row
 
@@ -252,8 +251,8 @@ def check_mv(row_a, row_b, r, report):
             right = dimension(w).ht - right
         heights |= {left + right, dimension(objs[mid]).ht}
     value = heights.pop() if len(heights) == 1 else None
-    require((report.equal, report.value, report.certified) == (value is not None, value,
-                                                               value is not None),
+    want = (value is not None, value, value is not None)
+    require((report.equal, report.value, report.certified) == want,
             "mv-check's telescoped heights disagree")
 
 

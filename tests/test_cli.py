@@ -772,8 +772,9 @@ class TestOracleScalarRoute:
          "a rank of scalar phi violates a certified-true verdict"),
         ("hn", "_scalar_flag_chain", REVERSED_CHAIN, "HN slopes disagree with scalar phi's polygon"),
         ("vst", "_scalar_flag_chain", REVERSED_CHAIN, "H^0 disagrees with scalar phi's polygon"),
-        # Fil^1 has degree 1 > 0, but the least violating rank is 1
-        ("wa", "is_weakly_admissible", "lambda m: hn.Verdict(hn.STATUS_FALSE, ((1, 2, 0), (0, 1, 1)))",
+        # Fil^1 violates, of rank 2 and degree 1, but the least violating rank is 1
+        ("wa", "is_weakly_admissible",
+         "lambda m: hn.Verdict(hn.STATUS_FALSE, ((1, 2, 0), (0, 1, 1)))",
          "the witness is not at scalar phi's least violating rank"),
     ]
     IDS = ["wa-reversed", "acyclic-reversed", "hn-reversed", "vst-reversed", "wa-rank-two"]
@@ -803,6 +804,19 @@ class TestOracleScalarRoute:
         proc = _python("-O", "-c", script)
         assert proc.returncode == 4 and proc.stdout == b""
         assert json.loads(proc.stderr)["error"] == f"internal: oracle: {message}"
+
+    def test_proper_witness_of_nonzero_degree_exits_four(self, capsys, monkeypatch):
+        # phi = 4 I: degree -3, and M_k = 0, 0, -1, -3, so no proper subspace
+        # has positive degree and only V may witness
+        payload = json.loads(json.dumps(SCALAR))
+        payload["module"]["phi"] = [[str(4 * (i == j)) for j in range(3)] for i in range(3)]
+        assert run_cli(capsys, "wa", payload, "--oracle")[0] == 1
+        monkeypatch.setattr(hn, "is_weakly_admissible",
+                            lambda m: hn.Verdict(hn.STATUS_FALSE, ((1, 2, 0), (0, 1, 1))))
+        code, out, err = run_cli(capsys, "wa", payload, "--oracle")
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert json.loads(err)["error"] == (
+            "internal: oracle: the witness is not at scalar phi's least violating rank")
 
 
 class TestOracleMvCheck:
