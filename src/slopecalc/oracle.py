@@ -74,7 +74,9 @@ def check_verdict(m, verdict, kind):
     element by `sub_invariants`, a certified-false one on its witness.  When phi
     is scalar, the verdict is also checked against `_scalar_maxima`: true needs
     every M_k within the bound, and a witness, but V for a `wa` of nonzero
-    degree, has the least violating k as its rank."""
+    degree, has the least violating k as its rank.  k runs from 0: every
+    lattice holds the zero subspace, so an `acyclic` of negative degree has
+    it as its witness."""
     from . import hn
 
     lattice = m.lattice

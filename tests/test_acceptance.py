@@ -294,7 +294,7 @@ def test_equal_valuation_eigenlines_agree_with_the_oracles():
     assert refuted >= 20 and with_n >= 10
 
 
-@deadline(1)  # over twice its 0.44 s on a 2-vCPU Xeon; it loops until it has seen enough
+@deadline(10)  # it loops until it has seen enough: 0.44 s on a 2-vCPU Xeon, far above on a busy one
 def test_criterion_03_filtration_lowering_equivalence():
     rng = random.Random(77001)
     n_acyclic = n_not = 0
@@ -470,7 +470,7 @@ def test_criterion_06_battery_consistency():
            f"in {elapsed:.1f}s (< 60s); worked examples verified")
 
 
-@deadline(1)  # over twice its 0.12 s on a 2-vCPU Xeon; it loops until it has seen enough
+@deadline(10)  # it loops until it has seen enough: 0.12 s on a 2-vCPU Xeon, far above on a busy one
 def test_criterion_07_dichotomy_exclusivity():
     rng = random.Random(70707)
     checked = 0

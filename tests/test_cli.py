@@ -805,15 +805,40 @@ class TestOracleScalarRoute:
         assert proc.returncode == 4 and proc.stdout == b""
         assert json.loads(proc.stderr)["error"] == f"internal: oracle: {message}"
 
-    def test_proper_witness_of_nonzero_degree_exits_four(self, capsys, monkeypatch):
-        # phi = 4 I: degree -3, and M_k = 0, 0, -1, -3, so no proper subspace
-        # has positive degree and only V may witness
+    @staticmethod
+    def negative():
+        # phi = 4 I: degree -3, and M_k = 0, 0, -1, -3
         payload = json.loads(json.dumps(SCALAR))
         payload["module"]["phi"] = [[str(4 * (i == j)) for j in range(3)] for i in range(3)]
+        return payload
+
+    def test_proper_witness_of_nonzero_degree_exits_four(self, capsys, monkeypatch):
+        # no proper subspace has positive degree, so only V may witness
+        payload = self.negative()
         assert run_cli(capsys, "wa", payload, "--oracle")[0] == 1
         monkeypatch.setattr(hn, "is_weakly_admissible",
                             lambda m: hn.Verdict(hn.STATUS_FALSE, ((1, 2, 0), (0, 1, 1))))
         code, out, err = run_cli(capsys, "wa", payload, "--oracle")
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert json.loads(err)["error"] == (
+            "internal: oracle: the witness is not at scalar phi's least violating rank")
+
+    def test_acyclic_of_negative_degree_passes(self, capsys):
+        # the zero subspace, of degree 0 > -3, is the least violating rank
+        payload = self.negative()
+        plain = run_cli(capsys, "acyclic", payload)
+        assert plain[0] == 1 and json.loads(plain[1])["witness"] == []
+        assert run_cli(capsys, "acyclic", payload, "--oracle") == plain
+        stdin = json.dumps(payload).encode()
+        optimized = _python("-O", "-m", "slopecalc", "acyclic", "--oracle", "--input", "-",
+                            stdin=stdin)
+        assert (optimized.returncode, optimized.stdout.decode()) == plain[:2]
+
+    def test_nonzero_acyclic_witness_of_negative_degree_exits_four(self, capsys, monkeypatch):
+        # Fil^2 violates, of rank 1 and degree 0 > -3, but the zero subspace comes first
+        monkeypatch.setattr(hn, "is_acyclic",
+                            lambda m: hn.Verdict(hn.STATUS_FALSE, ((1, 3, 1),)))
+        code, out, err = run_cli(capsys, "acyclic", self.negative(), "--oracle")
         assert (code, out) == (cli.EXIT_INTERNAL, "")
         assert json.loads(err)["error"] == (
             "internal: oracle: the witness is not at scalar phi's least violating rank")
