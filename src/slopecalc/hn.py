@@ -34,8 +34,9 @@ checks N when built and keeps t_N(M), `tn`.
 
 Every element is a bitmask of parts (eigenlines, slope blocks, the chain's
 lines, or in a sample the element itself as one part), and the deciders work
-on masks.  A lattice is its parts and their requirement order; the list of
-all its masks is built only when read, and no decider reads it.  Each part
+on masks.  A lattice is a set, kept as its parts and their requirement
+order; no decider lists its masks, and no answer reads their order (ties go
+by `min` over canonical bases; `--oracle` reads every element).  Each part
 is row-reduced once per scorer on integer rows, checked to be phi-stable by
 an integer residue, and its t_N, the valuation of the determinant of phi on
 it, read off its pivots; by linearity every sum of parts is stable, and
@@ -174,11 +175,11 @@ def degree(m: FilteredPhiModule) -> int:
 
 
 class SubobjectLattice:
-    """The stable subspaces a decider ranges over: its parts and their order.
+    """The set of stable subspaces a decider ranges over: its parts and their order.
 
     Every element is a sum of `parts` (row lists: eigenlines, slope blocks,
-    the lines of the flag-adapted chain, or a sample's nonzero elements in
-    canonical order), named by the bitmask of its parts.  `order` lists (part,
+    the lines of the flag-adapted chain, or a sample's nonzero elements as
+    found), named by the bitmask of its parts.  `order` lists (part,
     requirement mask), each part after the parts it needs; for the eigenlines
     (distinct rational eigenvalues, of any valuations) and the blocks a part
     requires its N-support, which `_parts_lattice` reads off one elimination.
@@ -188,8 +189,9 @@ class SubobjectLattice:
     or "sample".  `certified`, read off it: verdicts read off the family are
     proofs, as it is complete or (the scalar chain) reaches the largest
     degree at every rank; it is then closed under sum and intersection, which
-    `hn_filtration` relies on.  `keys` lists the masks on first read;
-    `basis(key)` row-reduces an element on first use (a sample's are given).
+    `hn_filtration` relies on.  `keys` lists the masks on first read, in no
+    order an answer reads (ties go by `min` over canonical bases, the oracle
+    reads all); `basis(key)` row-reduces one on first use (given for a sample).
     """
 
     def __init__(self, parts, strategy, order):
@@ -202,7 +204,7 @@ class SubobjectLattice:
 
     @classmethod
     def sample(cls, bases):
-        """The lattice of the canonical `bases` (zero and full included), one part each."""
+        """The lattice of the canonical `bases`, in any order (zero and full included)."""
         parts = [b for b in bases if b]
         lattice = cls(parts, "sample", None)
         lattice._built.update(zip(lattice.keys, [()] + parts))  # each element's basis is given
@@ -210,16 +212,13 @@ class SubobjectLattice:
 
     @cached_property
     def keys(self) -> tuple:
-        """Every element's mask, by (dimension, mask); a sample's are 0, 1, 2, 4, ..."""
-        k = len(self.parts)
+        """Every element's mask, unordered, as `order` grows them; a sample's are 0, 1, 2, 4, ..."""
         if self.order is None:
-            return (0,) + tuple(1 << i for i in range(k))
-        closed = [0]  # dimension << k | mask, so that sorting orders by (dimension, mask)
+            return (0,) + tuple(1 << i for i in range(len(self.parts)))
+        closed = [0]
         for i, need in self.order:
-            step = len(self.parts[i]) << k | 1 << i
-            closed += [e + step for e in closed if not need & ~e]
-        low = (1 << k) - 1
-        return tuple(e & low for e in sorted(closed))
+            closed += [e | 1 << i for e in closed if not need & ~e]
+        return tuple(closed)
 
     def __getitem__(self, i):
         # `len(lattice[0])` is the lattice size that bench/tracer.py reads;
@@ -326,7 +325,7 @@ def _sample_subobjects(m: FilteredPhiModule, roots) -> tuple:
     `roots` are the rational roots of the characteristic polynomial; the
     random vectors come from `_SAMPLE_SEED`.  Every closure is grown on
     integer rows and named by its `int_rref` key; Fractions are built once
-    per distinct closure.
+    per distinct closure.  The bases come as found, in no promised order.
     """
     mod = m.module
     n = m.rank
@@ -394,7 +393,7 @@ def _sample_subobjects(m: FilteredPhiModule, roots) -> tuple:
         key = int_rref([list(row) for _, row in key1 + key2], n)
         if len(key) < n:
             add(key)
-    return tuple(sorted(found.values(), key=lambda b: (len(b), b)))
+    return tuple(found.values())
 
 
 def enumerate_subobjects(m: FilteredPhiModule) -> SubobjectLattice:

@@ -59,9 +59,6 @@ class FFSheaf(Record):
         bundle = tuple(sorted(acc.items(), key=lambda t: t[0], reverse=True))
         return cls(bundle, torsion_normal_form(torsion))
 
-    def is_zero(self) -> bool:
-        return not self.bundle and not self.torsion
-
     def rank(self) -> int:
         return sum(c * s.denominator for s, c in self.bundle)
 
@@ -110,24 +107,6 @@ def canonicalize(raw_slopes: Iterable, torsion: Iterable = ()) -> FFSheaf:
             )
         pairs.append((s, rank // h))
     return FFSheaf.from_bundle(pairs, torsion)
-
-
-def tensor(a: FFSheaf, b: FFSheaf) -> FFSheaf:
-    """Tensor product of bundle parts, extended bilinearly.
-
-    O(l1) (x) O(l2) = O(l1+l2)^n with n = h1*h2/h where l1+l2 = d/h in lowest
-    terms; the multiplicity is forced by rank multiplicativity.  Torsion on
-    either side is out of scope and rejected.
-    """
-    if a.torsion or b.torsion:
-        raise InputError("tensor products with torsion are out of scope")
-    pairs = []
-    for s1, c1 in a.bundle:
-        for s2, c2 in b.bundle:
-            s = s1 + s2
-            n = (s1.denominator * s2.denominator) // s.denominator
-            pairs.append((s, c1 * c2 * n))
-    return FFSheaf.from_bundle(pairs)
 
 
 class QuotientDim(Record):

@@ -14,11 +14,12 @@ hangs.  `-x` stops at the first failing test, since hypothesis shrinks every
 failing property at length; `--every-failure` runs the whole suite instead.
 A mutant whose text is not found is an error: the list must follow the code.
 
-One line per mutant gives its verdict and the failing tests: "killed"
+One line per mutant gives its verdict and every failing test id: "killed"
 (some test failed), "survived" (tier-1 passed) or "hung" (past the
-timeout).  The survivors are printed last, and the exit status is 1 when
-any mutant survived or hung.  Nothing in the repository is written.  pytest
-does not collect this file.
+timeout); with `--every-failure` the ids are all of the mutant's killers.
+The survivors are printed last, and the exit status is 1 when any mutant
+survived or hung.  Nothing in the repository is written.  pytest does not
+collect this file.
 
 References: DeMillo, Lipton and Sayward, "Hints on test data selection",
 Computer 11(4), 1978; Jia and Harman, "An analysis and survey of the
@@ -68,6 +69,12 @@ MUTANTS = [
     ("hull-vertex-dropped", "hn.py",
      "for k, _ in hull[1:]:",
      "for k, _ in hull[1:-2] + hull[-1:]:"),
+    ("violator-in-walk-order", "hn.py",
+     "basis, inv = min((lattice.basis(key), inv) for key, inv in bad)",
+     "basis, inv = lattice.basis(bad[0][0]), bad[0][1]"),
+    ("hn-tie-in-walk-order", "hn.py",
+     "basis, inv = min((lattice.basis(key), inv) for key, inv in tied)",
+     "basis, inv = lattice.basis(tied[0][0]), tied[0][1]"),
     ("oracle-n-check-disabled", "oracle.py",
      'require(span_contains(basis, m.module.nilpotent.apply(v)), "not N-stable")',
      'require(True, "not N-stable")'),
@@ -115,9 +122,8 @@ def main(argv=None) -> int:
     for name, filename, text, replacement in chosen:
         verdict, failed = run_mutant(name, filename, text, replacement, args.timeout,
                                      args.every_failure)
-        shown = ", ".join(failed[:3]) + (f" (+{len(failed) - 3} more)" if len(failed) > 3 else "")
-        print(f"{name}: {verdict}" + (f", {len(failed)} failed: {shown}" if failed else ""),
-              flush=True)
+        shown = f", {len(failed)} failed: {', '.join(failed)}" if failed else ""
+        print(f"{name}: {verdict}{shown}", flush=True)
         if verdict != "killed":
             bad.append(f"{name} ({verdict})")
     print("survivors: " + (", ".join(bad) if bad else "none"))

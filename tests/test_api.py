@@ -114,28 +114,35 @@ def _parsed(*folders):
 
 
 def test_no_dead_module_level_functions():
-    """Every module-level function and class of `src/slopecalc` is referenced
-    by name elsewhere in `src/` (not only from its own body), exported
-    through `slopecalc._OWNERS`, or wrapped by name by the bench tracer."""
+    """Every module-level function and class of `src/slopecalc` is live in its
+    own module: that module uses it outside its body, another module imports
+    it from that module or reads it as `module.name`, `slopecalc._OWNERS`
+    exports it from that module, or the bench tracer wraps it there.  So an
+    object whose name another module's object shares is not kept alive by
+    the other one's uses."""
     import ast
 
-    defined, referenced = {}, set()
+    defined, used = set(), set()  # (module, name) pairs
     tops = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for path, tree in _parsed("src/slopecalc"):
+        module = path.stem
         for top in tree.body:
             own = top.name if isinstance(top, tops) else None
             if own:
-                defined[own] = path.name
+                defined.add((module, own))
             for node in ast.walk(top):
-                name = node.id if isinstance(node, ast.Name) else (
-                    node.attr if isinstance(node, ast.Attribute) else None)
-                if name and name != own:
-                    referenced.add(name)
-    wrapped = {name.split(".")[-1] for _, names in _bench_tracer().LAYERS.values()
-               for name in names}
-    kept = referenced | set(slopecalc._OWNERS) | wrapped
-    dead = sorted(f"{module}: {name}" for name, module in defined.items()
-                  if name not in kept and not name.startswith("__"))
+                if isinstance(node, ast.Name) and node.id != own:
+                    used.add((module, node.id))
+                elif isinstance(node, ast.Attribute):
+                    owner = node.value  # `hn` in `hn.degree`, `oracle` in `args.oracle.check_hn`
+                    used.add((getattr(owner, "id", getattr(owner, "attr", None)), node.attr))
+                elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                    used.update((node.module, alias.name) for alias in node.names)
+    used.update((module, name) for name, module in slopecalc._OWNERS.items())
+    used.update((module, name.split(".")[0])
+                for module, names in _bench_tracer().LAYERS.values() for name in names)
+    dead = sorted(f"{module}: {name}" for module, name in defined - used
+                  if not name.startswith("__"))
     assert dead == []
 
 

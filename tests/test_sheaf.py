@@ -11,7 +11,6 @@ from slopecalc.sheaf import (
     canonicalize,
     cohomology_dim,
     hom_dim,
-    tensor,
 )
 
 
@@ -69,33 +68,6 @@ class TestCanonicalize:
         # int() would read 2.7 copies as 2
         with pytest.raises(InputError):
             build()
-
-
-class TestTensor:
-    def test_half_times_half(self):
-        t = tensor(bundle((1, 2, 1)), bundle((1, 2, 1)))
-        assert t.bundle == ((F(1), 4),)
-
-    def test_half_times_third(self):
-        t = tensor(bundle((1, 2, 1)), bundle((1, 3, 1)))
-        assert t.bundle == ((F(5, 6), 1),)
-
-    def test_unit(self):
-        e = bundle((1, 2, 1), (-2, 1, 3))
-        assert tensor(bundle((0, 1, 1)), e) == e
-
-    def test_rejects_torsion(self):
-        t = FFSheaf.from_bundle([], [("infty", (1,))])
-        with pytest.raises(InputError):
-            tensor(t, t)
-
-    @settings(max_examples=60)
-    @given(slope_st, slope_st)
-    def test_rank_and_degree_multiplicative(self, s1, s2):
-        a, b = bundle((s1.numerator, s1.denominator, 1)), bundle((s2.numerator, s2.denominator, 1))
-        t = tensor(a, b)
-        assert t.rank() == a.rank() * b.rank()
-        assert t.degree() == a.rank() * b.degree() + b.rank() * a.degree()
 
 
 class TestCohomology:
